@@ -5,7 +5,7 @@ consolidated reproduction table.
 All file output is UTF-8 JSON tagged with "schema": "freelip/1" (CSV for
 tabular reports).  Runs are deterministic: any randomness is driven by an
 explicit --seed.  Exit codes: 1 usage, 2 validation, 3 solver, 4 resource
-cap.
+cap, 5 a `reproduce` claim row FAILed.
 """
 
 from __future__ import annotations
@@ -283,7 +283,7 @@ def cmd_reproduce(args):
                 writer.writerow(row.as_csv())
     for row in rows:
         print(f"{'PASS' if row.ok else 'FAIL'}  {row.claim:24s} target: {row.target:28s} got: {row.computed}")
-    return 0 if all(r.ok for r in rows) else 3
+    return 0 if all(r.ok for r in rows) else 5
 
 
 def build_parser() -> _Parser:

@@ -52,19 +52,14 @@ def _split(m: Molecule):
     return pos, neg
 
 
-def ae_norm(space: MetricSpace, m: Molecule, mode: str = "exact"):
-    """Transportation norm of a molecule and an optimal plan.
-
-    Only the support of m matters: the optimal coupling moves mass between
-    support points directly (triangle inequality).  Exact mode keeps every
-    number a Fraction; float mode goes through HiGHS.
-    """
+def _transport(space: MetricSpace, m: Molecule, mode: str):
+    """(sources, sinks, value, plan matrix, (u, v)) of m's transportation
+    problem; only the support matters, since the optimal coupling moves
+    mass between support points directly (triangle inequality)."""
     for p in m.coeffs:
         if p not in space.points:
             raise ValidationError(f"molecule point {p!r} not in the space")
     pos, neg = _split(m)
-    if not pos:
-        return (ZERO if mode == "exact" else 0.0), TransportPlan((), ZERO)
     sources = [p for p, _ in pos]
     sinks = [q for q, _ in neg]
     cost = [[space.d(p, q) for q in sinks] for p in sources]
@@ -74,7 +69,19 @@ def ae_norm(space: MetricSpace, m: Molecule, mode: str = "exact"):
         cost = [[float(x) for x in row] for row in cost]
         supply = [float(x) for x in supply]
         demand = [float(x) for x in demand]
-    value, plan = simplex.transportation(cost, supply, demand, mode=mode)
+    value, plan, potentials = simplex.transportation(cost, supply, demand, mode=mode)
+    return sources, sinks, value, plan, potentials
+
+
+def ae_norm(space: MetricSpace, m: Molecule, mode: str = "exact"):
+    """Transportation norm of a molecule and an optimal plan.
+
+    Exact mode keeps every number a Fraction (tree transportation simplex);
+    float mode goes through HiGHS.
+    """
+    sources, sinks, value, plan, _ = _transport(space, m, mode)
+    if not sources:
+        return (ZERO if mode == "exact" else 0.0), TransportPlan((), ZERO)
     tol = 0 if mode == "exact" else FLOAT_PLAN_TOL
     moves = tuple(
         (sources[i], sinks[j], plan[i][j])
@@ -89,21 +96,29 @@ def lip_dual(space: MetricSpace, m: Molecule, basepoint: str | None = None,
              mode: str = "exact") -> DualCertificate:
     """Optimal 1-Lipschitz certificate: maximize sum f(p) m(p), f(O) = 0.
 
-    The value equals ae_norm exactly in exact mode (LP strong duality over Q)
-    and up to solver tolerance in float mode.
+    Solves m's transportation problem once and takes the c-transform of the
+    sink potentials, f(x) = min_j (d(x, t_j) - v_j), over every point,
+    shifted to vanish at the basepoint.  A minimum of 1-Lipschitz functions
+    is 1-Lipschitz, and u_i + v_j <= d(s_i, t_j) gives <f, m> >= sum a_i u_i
+    + sum b_j v_j, the optimal cost; weak duality makes it equal.  Exact
+    mode checks that equality; float mode applies the same transform to
+    HiGHS's marginals, so the value matches ae_norm up to solver tolerance.
     """
     if basepoint is None:
         basepoint = space.basepoint or space.points[0]
-    weights = [m.coeffs.get(p, ZERO) for p in space.points]
-    if mode == "float":
-        weights = [float(w) for w in weights]
-        dist = [[float(x) for x in row] for row in space.dist]
+    _, sinks, value, _, (_, v) = _transport(space, m, mode)
+    zero = ZERO if mode == "exact" else 0.0
+    if sinks:
+        cols = [space.index(t) for t in sinks]
+        f = [min(row[k] - vj for k, vj in zip(cols, v)) for row in space.dist]
     else:
-        dist = [list(row) for row in space.dist]
-    base = space.index(basepoint)
-    value, f = simplex.lipschitz_dual(dist, weights, base, mode=mode)
-    func = LipschitzFunction(dict(zip(space.points, f)), basepoint=basepoint)
-    return DualCertificate(func, value)
+        f = [zero] * len(space.points)
+    shift = f[space.index(basepoint)]
+    values = {p: fx - shift for p, fx in zip(space.points, f)}
+    pairing = sum((c * values[p] for p, c in m.coeffs.items()), start=zero)
+    if mode == "exact" and pairing != value:
+        raise SolverFailure(f"dual certificate pairs to {pairing}, primal value is {value}")
+    return DualCertificate(LipschitzFunction(values, basepoint=basepoint), pairing)
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +205,3 @@ def tree_lip_witness(t: TwoPoleGraph, signs: dict[str, int],
                     nxt.append(w)
         frontier = nxt
     return LipschitzFunction(values, basepoint=basepoint)
-
-
-def primal_dual_gap(space: MetricSpace, m: Molecule, mode: str = "exact"):
-    """Convenience: (primal value, dual value, gap) at the given mode."""
-    primal, _ = ae_norm(space, m, mode=mode)
-    dual = lip_dual(space, m, mode=mode).value
-    gap = primal - dual
-    if mode == "exact" and gap != 0:
-        raise SolverFailure(f"exact duality gap is {gap}, expected 0")
-    return primal, dual, gap

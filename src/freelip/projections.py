@@ -17,11 +17,12 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import linalg
-from .errors import (GroupClosureOverflow, NotInvariantSubspace, SingularGram,
-                     SolverFailure, ValidationError)
+from .errors import (GroupClosureOverflow, NotInvariantSubspace, ResourceLimit,
+                     SingularGram, SolverFailure, ValidationError)
 from .rational import ZERO
 
 DEFAULT_GROUP_CAP = 10 ** 6
+MAX_DENSE_LP_BYTES = 2 ** 30    # D_3's minimal-projection LP needs 0.38 GB, D_4's 96.8 GB
 
 
 @dataclass
@@ -155,10 +156,18 @@ def average_projection(p: list, group_elements: list) -> list:
 def _min_proj_lp_float(bcols: list):
     """LP: min t s.t. P = B A, A B = I, ||P e_j||_1 <= t, in floats.
 
-    Variables are A (k x m), slack s >= |P| entrywise, and t.
+    Variables are A (k x m), slack s >= |P| entrywise, and t.  Raises
+    ResourceLimit before building anything when the dense float64 matrices,
+    (2m^2 + m) inequality and k^2 equality rows of km + m^2 + 1 columns,
+    would exceed MAX_DENSE_LP_BYTES.
     """
     m = len(bcols[0])
     k = len(bcols)
+    size = 8 * (2 * m * m + m + k * k) * (k * m + m * m + 1)
+    if size > MAX_DENSE_LP_BYTES:
+        raise ResourceLimit(f"minimal projection LP for m = {m}, k = {k} needs "
+                            f"{size / 1e9:.1f} GB of dense rows "
+                            f"(cap {MAX_DENSE_LP_BYTES / 1e9:.1f} GB)")
     bmat = np.array([[float(col[i]) for col in bcols] for i in range(m)])  # m x k
     na = k * m
     ns = m * m

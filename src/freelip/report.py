@@ -1,8 +1,10 @@
 """Consolidated reproduction driver: one table row per certified claim.
 
 Each row records the claim label, the target value or bound, the computed
-value, and PASS/FAIL.  Rows are independent; a failure in one leaves the
-others running.  Everything is seeded and deterministic.
+value, and PASS/FAIL.  Rows are independent: a library error (FreelipError)
+in one becomes a FAIL row and leaves the others running, while any other
+exception is a programming error and propagates.  Everything is seeded and
+deterministic.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from . import haar_system as haar, projections, recursive
 from .cyclespace import EdgeVector, boundary, fundamental_cycle_basis, quotient_norm, mu
 from .embeddings import (diamond_stage_net, diamond_top_level, half_dim_embedding,
                          large_embedding)
+from .errors import FreelipError
 from .freenorm import ae_norm, lip_dual, tree_norm
 from .graphs import diamond, diamond_base, k2n_base, laakso, laakso_base, multidiamond
 from .metric import graph_metric
@@ -78,7 +81,7 @@ def reproduce_paper_table(seed: int = 20240923, full: bool = False) -> list[Repo
                 ok = False
                 break
         _row(rows, "tree-isometry", "exact equality", f"{trials} trees", ok)
-    except Exception as exc:  # keep other rows running
+    except FreelipError as exc:  # keep other rows running
         _row(rows, "tree-isometry", "exact equality", f"error: {exc}", False)
 
     try:
@@ -93,7 +96,7 @@ def reproduce_paper_table(seed: int = 20240923, full: bool = False) -> list[Repo
                 ok = False
                 break
         _row(rows, "duality-gap", "0 exactly", f"{trials} spaces", ok)
-    except Exception as exc:
+    except FreelipError as exc:
         _row(rows, "duality-gap", "0 exactly", f"error: {exc}", False)
 
     try:
@@ -106,14 +109,14 @@ def reproduce_paper_table(seed: int = 20240923, full: bool = False) -> list[Repo
                 if quotient_norm(x, basis) != ae_norm(space, boundary(x))[0]:
                     ok = False
         _row(rows, "quotient-identity", "exact equality", "4 graphs", ok)
-    except Exception as exc:
+    except FreelipError as exc:
         _row(rows, "quotient-identity", "exact equality", f"error: {exc}", False)
 
     try:
         levels = (1, 2, 3) if not full else (1, 2, 3, 4)
         ok = all(haar.verify_even_level_span(n) for n in levels)
         _row(rows, "haar-even-levels", "span equality", f"n <= {max(levels)}", ok)
-    except Exception as exc:
+    except FreelipError as exc:
         _row(rows, "haar-even-levels", "span equality", f"error: {exc}", False)
 
     for n in (1, 2, 3, 4, 5):
@@ -122,7 +125,7 @@ def reproduce_paper_table(seed: int = 20240923, full: bool = False) -> list[Repo
             bound = Fraction(2 * n + 1, 3)
             _row(rows, f"haar-witness-n{n}", f">= {fmt(bound)}",
                  f"|f|={fmt(nf)} |Qf|={fmt(nqf)}", nf == 1 and nqf >= bound)
-        except Exception as exc:
+        except FreelipError as exc:
             _row(rows, f"haar-witness-n{n}", "", f"error: {exc}", False)
 
     for n in (1, 2, 3) if full else (1, 2):
@@ -131,7 +134,7 @@ def reproduce_paper_table(seed: int = 20240923, full: bool = False) -> list[Repo
             ok = b["upper"] <= 4 * n + 4 and b["exact_orth_norm"] >= b["lower"]
             _row(rows, f"bm-sandwich-n{n}", f"[{fmt(b['lower'])}, {4 * n + 4}]",
                  f"upper={fmt(b['upper'])} orth={fmt(b['exact_orth_norm'])}", ok)
-        except Exception as exc:
+        except FreelipError as exc:
             _row(rows, f"bm-sandwich-n{n}", "", f"error: {exc}", False)
 
     for (n, k) in [(1, 3), (2, 3), (1, 4)] + ([(2, 4)] if full else []):
@@ -141,7 +144,7 @@ def reproduce_paper_table(seed: int = 20240923, full: bool = False) -> list[Repo
                   and r["witness_formula_matches"] and r["bm_upper"] <= 4 * n + 4)
             _row(rows, f"multibranch-{n}-{k}", f">= {fmt(r['bm_lower'])}",
                  f"witness={fmt(r['witness_value'])}", ok)
-        except Exception as exc:
+        except FreelipError as exc:
             _row(rows, f"multibranch-{n}-{k}", "", f"error: {exc}", False)
 
     try:
@@ -154,7 +157,7 @@ def reproduce_paper_table(seed: int = 20240923, full: bool = False) -> list[Repo
         ok = abs(lam1 - 1) < 1e-7 and abs(lam2 - 1) < 1e-7 and lam3 >= 5 / 3 - 1e-7
         _row(rows, "minimal-projections", "1, 1, >= 5/3",
              f"{lam1:.6f}, {lam2:.6f}, {lam3:.6f}", ok)
-    except Exception as exc:
+    except FreelipError as exc:
         _row(rows, "minimal-projections", "", f"error: {exc}", False)
 
     try:
@@ -168,7 +171,7 @@ def reproduce_paper_table(seed: int = 20240923, full: bool = False) -> list[Repo
                 ok = False
                 break
         _row(rows, "mst-embedding", "k >= n/2, C <= 2, |P| <= 2", f"{trials} spaces", ok)
-    except Exception as exc:
+    except FreelipError as exc:
         _row(rows, "mst-embedding", "", f"error: {exc}", False)
 
     for n in (1, 2) + ((3,) if full else ()):
@@ -178,7 +181,7 @@ def reproduce_paper_table(seed: int = 20240923, full: bool = False) -> list[Repo
                   and rep.proj_norm == 1)
             _row(rows, f"diamond-top-n{n}", "C = 1, |P| = 1, k = 2*4^(n-1)",
                  f"k={rep.k} C={fmt(rep.c_constant)} P={fmt(rep.proj_norm)}", ok)
-        except Exception as exc:
+        except FreelipError as exc:
             _row(rows, f"diamond-top-n{n}", "", f"error: {exc}", False)
 
     for (n, m) in [(2, 1), (3, 1), (3, 2)]:
@@ -190,7 +193,7 @@ def reproduce_paper_table(seed: int = 20240923, full: bool = False) -> list[Repo
             rep = large_embedding(space, ys, with_proj_norm=False)
             _row(rows, f"diamond-drop-{n}-{m}", f"C <= {2 ** (n - m)}",
                  f"C={fmt(rep.c_constant)}", rep.c_constant <= 2 ** (n - m))
-        except Exception as exc:
+        except FreelipError as exc:
             _row(rows, f"diamond-drop-{n}-{m}", "", f"error: {exc}", False)
 
     for name, base in (("square", diamond_base()), ("k23", k2n_base(3)),
@@ -204,7 +207,7 @@ def reproduce_paper_table(seed: int = 20240923, full: bool = False) -> list[Repo
             _row(rows, f"witness-{name}-r{rr}",
                  f"|C+A| = 1, |C| >= {fmt(bound)}",
                  f"|C+A|={fmt(w.norm_sum)} |C|={fmt(w.norm_c)} level={w.level}", ok)
-        except Exception as exc:
+        except FreelipError as exc:
             _row(rows, f"witness-{name}-r{rr}", "", f"error: {exc}", False)
 
     try:
@@ -221,7 +224,7 @@ def reproduce_paper_table(seed: int = 20240923, full: bool = False) -> list[Repo
         ok = rep["all_annihilated"] and rep2["all_annihilated"]
         _row(rows, "annihilation", "all c-type vectors -> 0",
              f"D2: {rep['c_type_count']}, L2: {rep2['c_type_count']}", ok)
-    except Exception as exc:
+    except FreelipError as exc:
         _row(rows, "annihilation", "", f"error: {exc}", False)
 
     try:
@@ -230,7 +233,7 @@ def reproduce_paper_table(seed: int = 20240923, full: bool = False) -> list[Repo
               and bool(res["invariant_under"]))
         _row(rows, "laakso-nonunique", "invariant projection != orthogonal",
              f"gap={fmt(res['max_entry_gap'])}", ok)
-    except Exception as exc:
+    except FreelipError as exc:
         _row(rows, "laakso-nonunique", "", f"error: {exc}", False)
 
     try:
@@ -244,7 +247,7 @@ def reproduce_paper_table(seed: int = 20240923, full: bool = False) -> list[Repo
             seen.update(cyc)
         _row(rows, "cycle-packing-d2", ">= 4 disjoint cycles",
              f"{len(packing)} cycles", len(packing) >= 4 and disjoint)
-    except Exception as exc:
+    except FreelipError as exc:
         _row(rows, "cycle-packing-d2", "", f"error: {exc}", False)
 
     return rows

@@ -1,19 +1,29 @@
-"""Linear programming backends: exact rational simplex and scipy floats.
+"""Linear programming kernels: exact rational simplex methods and HiGHS floats.
 
-The exact solver is a dense two-phase primal simplex over Fractions with
-Dantzig pricing and a Bland fallback after an iteration threshold, which
-guarantees termination.  It exists because the package certifies identities
-(norm equalities, projection properties) that must hold exactly over Q;
-float solves go through scipy's HiGHS backend.
+- Tree transport (``transportation``, exact mode): the transportation
+  simplex of Dantzig on a spanning-tree basis, in the network-simplex form
+  of Orlin.  A north-west-corner start, u-v potentials from one tree walk
+  per pivot, Dantzig pricing with a Bland fallback after ``_BLAND_AFTER``
+  pivots (so it terminates), and an O(ns + nd) cycle pivot.  It runs on the
+  problem scaled to integers and returns the value, the plan and the
+  optimal potentials, from which ``freenorm.lip_dual`` reads its
+  1-Lipschitz certificate.
+- Dense simplex (``solve_standard_exact``): two-phase primal simplex over
+  Fractions with the same pricing rules, for the LPs without network
+  structure: ``min_l1_combination`` (quotient norms) and the exact minimal
+  projection LP in ``projections``.  The tests use it as the reference for
+  the tree kernel.
+- HiGHS floats (``solve_standard_float``) for every ``mode="float"`` solve;
+  its equality marginals give float transport potentials.
 
-Problem wrappers cover the three LP shapes used throughout: balanced
-transportation (the earth-mover primal), max <m, f> under pairwise
-Lipschitz constraints (the dual), and min ||x - Zc||_1 (quotient norms).
+``lipschitz_dual`` is the n(n-1)-row Kantorovich dual LP, kept as the
+tests' reference for the value of ``lip_dual``; no library path calls it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 from scipy.optimize import linprog
@@ -159,51 +169,201 @@ def solve_standard_exact(a, b, c, basis=None):
 
 
 def solve_standard_float(a, b, c):
+    """min c.x  s.t.  a x = b, x >= 0 through HiGHS.
+
+    Returns (value, x, y) with y the equality marginals: d value / d b.
+    """
     res = linprog(np.asarray(c, dtype=float),
                   A_eq=np.asarray(a, dtype=float),
                   b_eq=np.asarray(b, dtype=float),
                   bounds=(0, None), method="highs")
     if not res.success:
         raise SolverFailure(f"linprog failed: {res.message}")
-    return float(res.fun), [float(v) for v in res.x]
+    return float(res.fun), [float(v) for v in res.x], [float(v) for v in res.eqlin.marginals]
 
 
 # ---------------------------------------------------------------------------
-# Problem wrappers
+# Transportation simplex on a spanning-tree basis
 # ---------------------------------------------------------------------------
+
+def _scaled(values):
+    """Integers n_k and one denominator q with values[k] = n_k / q, for
+    rationals (ints or Fractions)."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _north_west(supply, demand, x, row_adj, col_adj):
+    """North-west-corner start: a staircase of ns + nd - 1 cells.
+
+    When a row and a column run out together only the row advances, so the
+    next cell carries a zero flow and the basis stays a spanning tree.
+    """
+    ns, nd = len(supply), len(demand)
+    i = j = 0
+    ra, rb = supply[0], demand[0]
+    while True:
+        q = min(ra, rb)
+        x[i, j] = q
+        row_adj[i].append(j)
+        col_adj[j].append(i)
+        ra -= q
+        rb -= q
+        if i == ns - 1 and j == nd - 1:
+            return
+        if (ra == 0 and i < ns - 1) or j == nd - 1:
+            i += 1
+            ra = supply[i]
+        else:
+            j += 1
+            rb = demand[j]
+
+
+def _potentials(cost, row_adj, col_adj):
+    """u_i + v_j = c_ij on every tree cell, with u_0 = 0, by one tree walk.
+
+    Nodes are rows 0..ns-1 and columns ns..ns+nd-1; also returns each
+    node's parent and depth in the tree rooted at row 0.
+    """
+    ns, nd = len(row_adj), len(col_adj)
+    u = [None] * ns
+    v = [None] * nd
+    parent = [-1] * (ns + nd)
+    depth = [0] * (ns + nd)
+    u[0] = 0
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        d = depth[node] + 1
+        if node < ns:
+            ui, row = u[node], cost[node]
+            for j in row_adj[node]:
+                if v[j] is None:
+                    v[j] = row[j] - ui
+                    parent[ns + j], depth[ns + j] = node, d
+                    stack.append(ns + j)
+        else:
+            j = node - ns
+            vj = v[j]
+            for i in col_adj[j]:
+                if u[i] is None:
+                    u[i] = cost[i][j] - vj
+                    parent[i], depth[i] = node, d
+                    stack.append(i)
+    return u, v, parent, depth
+
+
+def _cycle_pivot(x, row_adj, col_adj, parent, depth, p, q):
+    """Bring cell (p, q) into the tree; return the step theta (0 if degenerate).
+
+    The tree path from column q to row p closes a cycle with (p, q); flow
+    rises on (p, q) and every second path cell, falls on the others.  Among
+    the falling cells at the minimum flow the smallest (i, j) leaves.
+    """
+    ns = len(row_adj)
+    a, b = p, ns + q
+    up_a, up_b = [], []
+    while a != b:
+        if depth[a] >= depth[b]:
+            up_a.append((a, parent[a]))
+            a = parent[a]
+        else:
+            up_b.append((b, parent[b]))
+            b = parent[b]
+    path = [(r, c - ns) if r < ns else (c, r - ns) for r, c in up_b + up_a[::-1]]
+    falling, rising = path[0::2], path[1::2]
+    theta, leave = min((x[cell], cell) for cell in falling)
+    x[p, q] = theta
+    for cell in rising:
+        x[cell] += theta
+    for cell in falling:
+        x[cell] -= theta
+    del x[leave]
+    li, lj = leave
+    row_adj[li].remove(lj)
+    col_adj[lj].remove(li)
+    row_adj[p].append(q)
+    col_adj[q].append(p)
+    return theta
+
+
+def _entering(cost, u, v, first):
+    """Cell of the most negative reduced cost c_ij - u_i - v_j, or of the
+    first negative one in row-major order; None at optimality."""
+    best, enter = 0, None
+    for i, row in enumerate(cost):
+        ui = u[i]
+        for j, (cij, vj) in enumerate(zip(row, v)):
+            r = cij - ui - vj
+            if r < best:
+                if first:
+                    return i, j
+                best, enter = r, (i, j)
+    return enter
+
+
+def _tree_transport(cost, supply, demand):
+    """Transportation simplex over integers: (plan cells, u, v) at optimum.
+
+    Dantzig pricing over all ns * nd reduced costs c_ij - u_i - v_j; after
+    _BLAND_AFTER pivots the first negative cell enters instead, which with
+    the smallest-cell leaving rule is Bland's rule and cannot cycle.
+    """
+    ns, nd = len(supply), len(demand)
+    x = {}
+    row_adj = [[] for _ in range(ns)]
+    col_adj = [[] for _ in range(nd)]
+    _north_west(supply, demand, x, row_adj, col_adj)
+    it = 0
+    while True:
+        u, v, parent, depth = _potentials(cost, row_adj, col_adj)
+        it += 1
+        if it > _MAX_ITER:
+            raise SolverFailure("transportation simplex iteration limit exceeded")
+        enter = _entering(cost, u, v, first=it > _BLAND_AFTER)
+        if enter is None:
+            return x, u, v
+        _cycle_pivot(x, row_adj, col_adj, parent, depth, *enter)
+
 
 def transportation(cost, supply, demand, mode="exact"):
     """Balanced transportation: min sum c[i][j] p[i][j] with given marginals.
 
-    Returns (value, plan) where plan is a dense matrix of the same shape.
+    Returns (value, plan, (u, v)): plan is a dense ns x nd matrix and u, v
+    are optimal potentials, u_i + v_j <= c[i][j] with equality wherever
+    the plan is positive.  Exact mode runs the tree simplex on the problem
+    scaled to integers; float mode reads u, v off HiGHS's marginals.
     """
     ns, nd = len(supply), len(demand)
-    if sum(supply) != sum(demand) and mode == "exact":
-        raise SolverFailure("unbalanced transportation problem")
-    nvar = ns * nd
-    a = []
-    b = []
-    for i in range(ns):
-        row = [ZERO] * nvar
-        for j in range(nd):
-            row[i * nd + j] = ONE
-        a.append(row)
-        b.append(supply[i])
-    for j in range(nd - 1):  # last demand row is redundant
-        row = [ZERO] * nvar
-        for i in range(ns):
-            row[i * nd + j] = ONE
-        a.append(row)
-        b.append(demand[j])
-    cvec = [cost[i][j] for i in range(ns) for j in range(nd)]
     if mode == "exact":
-        val, x = solve_standard_exact(a, b, cvec)
-    else:
-        val, x = solve_standard_float([[float(v) for v in row] for row in a],
-                                      [float(v) for v in b],
-                                      [float(v) for v in cvec])
-    plan = [[x[i * nd + j] for j in range(nd)] for i in range(ns)]
-    return val, plan
+        masses, mden = _scaled(list(supply) + list(demand))
+        if sum(masses[:ns]) != sum(masses[ns:]):
+            raise SolverFailure("unbalanced transportation problem")
+    if not ns or not nd:
+        zero = ZERO if mode == "exact" else 0.0
+        return zero, [[] for _ in range(ns)], ([zero] * ns, [zero] * nd)
+    if mode == "exact":
+        flat, cden = _scaled([c for row in cost for c in row])
+        icost = [flat[i * nd:(i + 1) * nd] for i in range(ns)]
+        x, u, v = _tree_transport(icost, masses[:ns], masses[ns:])
+        plan = [[ZERO] * nd for _ in range(ns)]
+        total = 0
+        for (i, j), flow in x.items():
+            if flow:
+                plan[i][j] = Fraction(flow, mden)
+                total += flow * icost[i][j]
+        return (Fraction(total, cden * mden), plan,
+                ([Fraction(ui, cden) for ui in u], [Fraction(vj, cden) for vj in v]))
+    # the last demand row is redundant; its potential is 0
+    a = np.zeros((ns + nd - 1, ns * nd))
+    for i in range(ns):
+        a[i, i * nd:(i + 1) * nd] = 1.0
+    for j in range(nd - 1):
+        a[ns + j, j::nd] = 1.0
+    val, x, y = solve_standard_float(a, list(supply) + list(demand[:-1]),
+                                     [float(c) for row in cost for c in row])
+    plan = [x[i * nd:(i + 1) * nd] for i in range(ns)]
+    return val, plan, (y[:ns], y[ns:] + [0.0])
 
 
 def min_l1_combination(x, zcols, mode="exact"):
@@ -235,9 +395,9 @@ def min_l1_combination(x, zcols, mode="exact"):
         start = [2 * k + i if Fraction(x[i]) >= 0 else 2 * k + m + i for i in range(m)]
         val, sol = solve_standard_exact(a, b, cvec, basis=start)
     else:
-        val, sol = solve_standard_float([[float(v) for v in row] for row in a],
-                                        [float(v) for v in b],
-                                        [float(v) for v in cvec])
+        val, sol, _ = solve_standard_float([[float(v) for v in row] for row in a],
+                                           [float(v) for v in b],
+                                           [float(v) for v in cvec])
     coeffs = [sol[j] - sol[k + j] for j in range(k)]
     return val, coeffs
 
@@ -246,7 +406,9 @@ def lipschitz_dual(dist, weights, base, mode="exact"):
     """max sum_p weights[p] f[p]  s.t.  f 1-Lipschitz w.r.t. dist, f[base] = 0.
 
     dist: n x n matrix, weights: length-n vector summing to zero.
-    Returns (value, f values as a list).
+    Returns (value, f values as a list).  Reference formulation only, one
+    row per ordered pair: ``freenorm.lip_dual`` reads its certificate off
+    the transportation potentials instead.
     """
     n = len(weights)
     vs = [i for i in range(n) if i != base]
@@ -279,9 +441,9 @@ def lipschitz_dual(dist, weights, base, mode="exact"):
         start = [2 * nf + s for s in range(len(pairs))]
         val, sol = solve_standard_exact(a, b, cvec, basis=start)
     else:
-        val, sol = solve_standard_float([[float(v) for v in row] for row in a],
-                                        [float(v) for v in b],
-                                        [float(v) for v in cvec])
+        val, sol, _ = solve_standard_float([[float(v) for v in row] for row in a],
+                                           [float(v) for v in b],
+                                           [float(v) for v in cvec])
     f = [ZERO if mode == "exact" else 0.0] * n
     for v in vs:
         f[v] = sol[pos[v]] - sol[nf + pos[v]]

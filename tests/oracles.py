@@ -1,9 +1,10 @@
 """Independent oracles used by the tests.
 
-These deliberately avoid the code paths they check: the flow oracle
-computes transportation norms on graphs from an edge-flow LP rather than
-the bipartite transportation formulation, and the clipped-cone witness
-certifies elementary-molecule norms with no LP at all.
+These deliberately avoid the code paths they check: the dense transport
+oracle runs the generic two-phase simplex on the bipartite formulation
+rather than the tree kernel, the flow oracle computes transportation norms
+on graphs from an edge-flow LP, and the clipped-cone witness certifies
+elementary-molecule norms with no LP at all.
 """
 
 from fractions import Fraction
@@ -13,6 +14,34 @@ from freelip.graphs import TwoPoleGraph
 from freelip.simplex import solve_standard_exact
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def dense_transport(cost, supply, demand):
+    """Balanced transportation as a dense LP for the two-phase simplex.
+
+    One variable per cell, one row per supply and per demand except the
+    last (redundant); returns (value, dense plan).
+    """
+    ns, nd = len(supply), len(demand)
+    nvar = ns * nd
+    a = []
+    b = []
+    for i in range(ns):
+        row = [ZERO] * nvar
+        for j in range(nd):
+            row[i * nd + j] = ONE
+        a.append(row)
+        b.append(supply[i])
+    for j in range(nd - 1):
+        row = [ZERO] * nvar
+        for i in range(ns):
+            row[i * nd + j] = ONE
+        a.append(row)
+        b.append(demand[j])
+    cvec = [cost[i][j] for i in range(ns) for j in range(nd)]
+    value, x = solve_standard_exact(a, b, cvec)
+    return value, [[x[i * nd + j] for j in range(nd)] for i in range(ns)]
 
 
 def flow_norm(g: TwoPoleGraph, m: Molecule) -> Fraction:

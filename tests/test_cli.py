@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from freelip import report
 from freelip.cli import main
+from freelip.errors import SolverFailure
 
 
 def run_cli(*argv):
@@ -159,3 +161,23 @@ def test_reproduce_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
     header = a.read_text().splitlines()[0]
     assert header == "claim,target,computed,status"
+
+
+def test_reproduce_programming_error_propagates(monkeypatch):
+    def broken(*args):
+        raise TypeError("bug in a kernel")
+
+    monkeypatch.setattr(report, "tree_norm", broken)
+    with pytest.raises(TypeError, match="bug in a kernel"):
+        run_cli("reproduce")
+
+
+def test_reproduce_fail_row_has_its_own_exit_code(monkeypatch, capsys):
+    def failing(*args):
+        raise SolverFailure("no optimum")
+
+    monkeypatch.setattr(report, "tree_norm", failing)
+    assert run_cli("reproduce") == 5
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("FAIL  tree-isometry") and "no optimum" in out[0]
+    assert all(line.startswith("PASS") for line in out[1:])

@@ -4,13 +4,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freelip import simplex
 from freelip.errors import NotATree
 from freelip.freenorm import ae_norm, lip_dual, tree_isometry, tree_lip_witness, tree_norm
-from freelip.graphs import Edge, TwoPoleGraph, diamond, path, star
+from freelip.graphs import Edge, TwoPoleGraph, diamond, laakso, multidiamond, path, star
 from freelip.metric import Molecule, elementary_molecule, graph_metric, validate_metric
 from freelip.randgen import random_metric_space, random_molecule, random_tree
 
-from oracles import clipped_witness_value, flow_norm, plan_is_valid
+from oracles import clipped_witness_value, dense_transport, flow_norm, plan_is_valid
 
 RNG_SEED = 4242
 
@@ -56,12 +57,29 @@ def test_exact_duality_gap_zero_random():
     rng = random.Random(RNG_SEED)
     for _ in range(15):
         space = random_metric_space(rng, rng.randint(3, 8))
-        m = random_molecule(rng, space.points)
+        # half the molecules leave the last point outside their support
+        m = random_molecule(rng, space.points[:-1] if rng.random() < 0.5 else space.points)
         primal, plan = ae_norm(space, m)
-        cert = lip_dual(space, m)
-        assert primal == cert.value
         assert plan_is_valid(space, m, plan)
-        assert cert.f.lipschitz_constant(space) <= 1
+        for base in space.points:
+            cert = lip_dual(space, m, basepoint=base)
+            f = cert.f.values
+            assert primal == cert.value == cert.f.pair(m)
+            assert set(f) == set(space.points) and f[base] == 0
+            for p in space.points:
+                for q in space.points:
+                    assert abs(f[p] - f[q]) <= space.d(p, q)
+
+
+def test_dual_value_matches_dense_dual_lp():
+    # the n(n-1)-row Lipschitz LP is the reference for the c-transform value
+    rng = random.Random(RNG_SEED + 6)
+    for _ in range(6):
+        space = random_metric_space(rng, rng.randint(3, 6))
+        m = random_molecule(rng, space.points)
+        weights = [m.coeffs.get(p, F(0)) for p in space.points]
+        value, _ = simplex.lipschitz_dual([list(r) for r in space.dist], weights, 0)
+        assert lip_dual(space, m, basepoint=space.points[0]).value == value
 
 
 def test_float_duality_gap_small():
@@ -112,6 +130,118 @@ def test_norm_triangle_inequality(seed):
     m1 = random_molecule(rng, space.points)
     m2 = random_molecule(rng, space.points)
     assert ae_norm(space, m1 + m2)[0] <= ae_norm(space, m1)[0] + ae_norm(space, m2)[0]
+
+
+# --- tree transportation kernel against the dense simplex ------------------
+
+def _check_kernel(cost, supply, demand):
+    """Tree kernel value equals the dense simplex's; its plan has the right
+    marginals and its potentials are feasible and tight on the plan."""
+    value, plan, (u, v) = simplex.transportation(cost, supply, demand)
+    assert value == dense_transport(cost, supply, demand)[0]
+    ns, nd = len(supply), len(demand)
+    assert [sum(row) for row in plan] == list(supply)
+    assert [sum(plan[i][j] for i in range(ns)) for j in range(nd)] == list(demand)
+    assert sum(plan[i][j] * cost[i][j] for i in range(ns) for j in range(nd)) == value
+    for i in range(ns):
+        for j in range(nd):
+            assert plan[i][j] >= 0 and u[i] + v[j] <= cost[i][j]
+            if plan[i][j]:
+                assert u[i] + v[j] == cost[i][j]
+    return value, plan
+
+
+def _composition(total, cuts):
+    bounds = [0] + sorted(set(cuts)) + [total]
+    return [b - a for a, b in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def transport_instances(draw):
+    """Small instances; masses share a total and split it at random cut
+    points, so equal partial sums (degenerate north-west corners) are
+    common, and costs come from a few values, so ties are too."""
+    ns = draw(st.integers(1, 5))
+    total = draw(st.integers(max(ns, 2), 8))
+    cuts = st.integers(1, total - 1)
+    supply = _composition(total, draw(st.sets(cuts, min_size=ns - 1, max_size=ns - 1)))
+    demand = _composition(total, draw(st.sets(cuts, max_size=4)))
+    scale = draw(st.sampled_from([F(1), F(1, 3), F(5, 6)]))
+    values = draw(st.lists(st.fractions(0, 4, max_denominator=2), min_size=1, max_size=3))
+    cost = [[draw(st.sampled_from(values)) for _ in demand] for _ in supply]
+    return cost, [scale * a for a in supply], [scale * b for b in demand]
+
+
+@given(transport_instances())
+@settings(max_examples=150, deadline=None)
+def test_tree_kernel_matches_dense_simplex(instance):
+    _check_kernel(*instance)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from(["d1", "d2", "l1", "m13", "p5"]))
+@settings(max_examples=25, deadline=None)
+def test_tree_kernel_matches_flow_oracle_on_graphs(seed, name):
+    g = {"d1": diamond(1), "d2": diamond(2), "l1": laakso(1),
+         "m13": multidiamond(1, 3), "p5": path(5)}[name]
+    space = graph_metric(g)
+    m = random_molecule(random.Random(seed), g.vertices)
+    value, plan = ae_norm(space, m)
+    assert plan_is_valid(space, m, plan)
+    assert value == flow_norm(g, m)
+
+
+def test_tree_kernel_degenerate_north_west_corner():
+    # partial sums 1, 2 meet on both sides: the corner exhausts a row and a
+    # column at once, twice, and the staircase keeps two zero cells
+    cost = [[3, 1, 2], [1, 3, 2], [2, 2, 0]]
+    value, plan = _check_kernel(cost, [1, 1, 1], [1, 1, 1])
+    assert value == 2
+    _check_kernel(cost, [F(1, 2), F(3, 2), 1], [F(1, 2), F(1, 2), 2])
+
+
+def test_tree_kernel_tied_costs():
+    cost = [[2] * 4 for _ in range(3)]
+    value, _ = _check_kernel(cost, [1, 2, 3], [F(3, 2)] * 4)
+    assert value == 12
+
+
+def test_tree_kernel_single_row_and_column():
+    value, plan = _check_kernel([[1, F(1, 2), 3]], [F(5, 2)], [1, F(1, 2), 1])
+    assert value == F(17, 4) and plan == [[1, F(1, 2), 1]]
+    value, plan = _check_kernel([[1], [2], [F(1, 3)]], [1, 1, 3], [5])
+    assert value == 4 and plan == [[1], [1], [3]]
+    space = validate_metric([[0, 1, 2], [1, 0, 3], [2, 3, 0]], points=["a", "b", "c"])
+    for m in (Molecule({"a": 2, "b": -1, "c": -1}), Molecule({"a": -2, "b": 1, "c": 1})):
+        value, plan = ae_norm(space, m)
+        assert value == 3 and plan_is_valid(space, m, plan)
+
+
+def test_tree_kernel_zero_step_pivot(monkeypatch):
+    # from the degenerate corner the first pivot moves no flow, the next does
+    steps = []
+    pivot = simplex._cycle_pivot
+
+    def recording(*args):
+        steps.append(pivot(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(simplex, "_cycle_pivot", recording)
+    value, plan = _check_kernel([[1, 4, 0], [2, 0, 3], [3, 3, 3]], [1, 1, 1], [1, 1, 1])
+    assert value == 3 and plan == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    assert steps[0] == 0 and max(steps) > 0
+
+
+def test_tree_kernel_bland_pricing_agrees(monkeypatch):
+    monkeypatch.setattr(simplex, "_BLAND_AFTER", 0)
+    rng = random.Random(RNG_SEED + 7)
+    for _ in range(30):
+        ns, nd = rng.randint(1, 5), rng.randint(1, 5)
+        supply = [F(rng.randint(1, 4)) for _ in range(ns)]
+        demand = [F(rng.randint(1, 4)) for _ in range(nd)]
+        demand = [b * sum(supply) / sum(demand) for b in demand]
+        cost = [[F(rng.randint(0, 3)) for _ in range(nd)] for _ in range(ns)]
+        _check_kernel(cost, supply, demand)
 
 
 # --- trees ----------------------------------------------------------------

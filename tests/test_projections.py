@@ -1,12 +1,14 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from freelip import linalg
 from freelip.cyclespace import fundamental_cycle_basis
+from freelip import projections
 from freelip.errors import (GroupClosureOverflow, NotInvariantSubspace,
-                            SingularGram, ValidationError)
+                            ResourceLimit, SingularGram, ValidationError)
 from freelip.graphs import diamond, laakso
 from freelip.projections import (average_projection, bm_lower_bound,
                                  bm_upper_via_basis_map, check_invariance,
@@ -64,6 +66,17 @@ def test_minimal_projection_full_space():
     lam, p = minimal_projection_lp(cols, 2)
     assert abs(lam - 1) < 1e-9
     assert p == linalg.identity(2)
+
+
+def test_minimal_projection_lp_size_cap():
+    cols = [v.dense() for v in fundamental_cycle_basis(diamond(4)).vectors]
+    assert (len(cols), len(cols[0])) == (85, 256)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="96.8 GB"):
+        minimal_projection_lp(cols, 256)
+    assert time.perf_counter() - start < 1.0  # refused before any row is built
+    # D_3 (m = 64, k = 21) stays admitted: 0.38 GB of dense rows
+    assert 8 * (2 * 64 ** 2 + 64 + 21 ** 2) * (21 * 64 + 64 ** 2 + 1) < projections.MAX_DENSE_LP_BYTES
 
 
 def test_minimal_projection_diamond_two_lower_bound():
