@@ -233,10 +233,10 @@ def cmd_haar(args):
         writer = csv.DictWriter(sys.stdout, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
-    if args.plot:
-        from .report import write_plot_data
-        write_plot_data(args.plot,
-                        [(row["n"], Fraction(row["witness_value"])) for row in rows])
+    if args.plot:  # two-column x y rows (gnuplot style): n vs witness value
+        with open(args.plot, "w", encoding="utf-8") as fh:
+            for row in rows:
+                fh.write(f"{row['n']} {float(Fraction(row['witness_value']))}\n")
     return 0
 
 
@@ -271,10 +271,8 @@ def cmd_embed(args):
 
 
 def cmd_reproduce(args):
-    from .report import ExperimentConfig, reproduce_paper_table
-    config = ExperimentConfig(command="reproduce", seed=args.seed,
-                              full=args.full, out=args.out)
-    rows = reproduce_paper_table(seed=config.seed, full=config.full)
+    from .report import reproduce_paper_table
+    rows = reproduce_paper_table(seed=args.seed, full=args.full)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import simplex
+from .cyclespace import _spanning_tree
 from .errors import NotATree, SolverFailure, ValidationError
 from .graphs import TwoPoleGraph
 from .metric import LipschitzFunction, MetricSpace, Molecule
@@ -130,23 +131,6 @@ def _check_tree(t: TwoPoleGraph):
         raise NotATree(f"{len(t.edges)} edges on {len(t.vertices)} vertices")
 
 
-def _rooted(t: TwoPoleGraph, root: str):
-    """(parent, parent_edge) maps from a BFS rooting."""
-    parent = {root: None}
-    parent_edge = {}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in t.adjacency[u]:
-                if w not in parent:
-                    parent[w] = u
-                    parent_edge[w] = t.edge_by_pair[frozenset((u, w))]
-                    nxt.append(w)
-        frontier = nxt
-    return parent, parent_edge
-
-
 def tree_isometry(t: TwoPoleGraph, m: Molecule) -> dict[str, Fraction]:
     """Image of a molecule under the edge-coordinate isometry of a tree.
 
@@ -155,23 +139,13 @@ def tree_isometry(t: TwoPoleGraph, m: Molecule) -> dict[str, Fraction]:
     norm exactly.
     """
     _check_tree(t)
-    root = t.bottom
-    parent, parent_edge = _rooted(t, root)
-    order = sorted(parent, key=lambda v: -_depth(parent, v))  # leaves first
+    parent, parent_edge = _spanning_tree(t)
     sub = {v: m.coeffs.get(v, ZERO) for v in t.vertices}
-    for v in order:
+    for v in reversed(parent):  # BFS order reversed: children before parents
         p = parent[v]
         if p is not None:
             sub[p] += sub[v]
     return {e.id: e.weight * sub[v] for v, e in parent_edge.items()}
-
-
-def _depth(parent, v):
-    d = 0
-    while parent[v] is not None:
-        v = parent[v]
-        d += 1
-    return d
 
 
 def tree_norm(t: TwoPoleGraph, m: Molecule) -> Fraction:

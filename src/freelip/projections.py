@@ -283,10 +283,7 @@ def _min_proj_exact(bcols: list):
                 row[na + l * m + j] = -b[j][lp]
             a_rows.append(row)
             rhs.append(Fraction(1 if l == lp else 0))
-    # P_ij - s_ij <= 0 and -P_ij - s_ij <= 0 become equalities with slack
-    # folded into s: use s_ij = |P_ij| via two inequalities -> need slacks;
-    # instead encode P_ij = u_ij - v_ij with u,v >= 0 and s = u + v.
-    # Simpler exact encoding: P_ij = sum_l B_il A_lj, s_ij >= +-P_ij.
+    # s_ij >= |P_ij| as +-sum_l B_il A_lj - s_ij <= 0, each row with its own slack
     extra = []
     for i in range(m):
         for j in range(m):

@@ -1,214 +1,61 @@
 """Acceptance suite: one test per published acceptance criterion.
 
-Each test prints a single PASS/FAIL line (visible with -s or in the
-captured output summary) and enforces the criterion at its stated
-tolerance.  Exact means exact: Fraction equality, no epsilons.
+Each criterion runs its claim from `freelip.report` (the same function
+`freelip reproduce` runs) at the sizes in CRITERIA, prints a single
+PASS/FAIL line (visible with -s or in the captured output summary), and
+fails unless every row of the claim passes within its time budget.  Exact
+means exact: Fraction equality, no epsilons.
 """
 
 import random
 import time
-from fractions import Fraction as F
 
-import pytest
-
-from freelip import linalg
-from freelip.cyclespace import (boundary, fundamental_cycle_basis,
-                                greedy_cycle_packing, quotient_norm)
-from freelip.embeddings import (diamond_stage_net, diamond_top_level,
-                                half_dim_embedding, large_embedding)
-from freelip.freenorm import ae_norm, lip_dual, tree_norm
-from freelip.graphs import (diamond, diamond_base, k2n_base, laakso,
-                            laakso_base, multidiamond)
-from freelip.haar_system import (diamond_bm_bounds, haar_witness_bound,
-                                 multibranch_analysis, verify_even_level_span)
-from freelip.metric import graph_metric
-from freelip.projections import minimal_projection_lp, orthogonal_projection
-from freelip.randgen import (random_edge_vector, random_metric_space,
-                             random_molecule, random_tree)
-from freelip.recursive import (annihilation_check, laakso_nonunique_projection,
-                               profile_base, witness)
+from freelip import report
+from freelip.graphs import diamond, laakso, multidiamond
 
 SEED = 31415
 
-
-def _report(num, name, ok, detail=""):
-    print(f"[acceptance {num:02d}] {name}: {'PASS' if ok else 'FAIL'}  {detail}")
-    assert ok, f"criterion {num} ({name}) failed: {detail}"
-
-
-def test_criterion_01_tree_isometry():
-    rng = random.Random(SEED)
-    start = time.monotonic()
-    for _ in range(200):
-        t = random_tree(rng, rng.randint(1, 12))
-        space = graph_metric(t)
-        for _ in range(10):
-            m = random_molecule(rng, t.vertices)
-            assert tree_norm(t, m) == ae_norm(space, m)[0]
-    elapsed = time.monotonic() - start
-    _report(1, "tree isometry", elapsed < 60,
-            f"200 trees x 10 molecules exact, {elapsed:.1f}s")
-
-
-def test_criterion_02_duality():
-    rng = random.Random(SEED + 1)
-    worst_float = 0.0
-    for i in range(100):
-        space = random_metric_space(rng, rng.randint(3, 12))
-        m = random_molecule(rng, space.points)
-        primal, _ = ae_norm(space, m)
-        dual = lip_dual(space, m).value
-        assert primal - dual == 0
-        if i < 30:
-            pf, _ = ae_norm(space, m, mode="float")
-            df = lip_dual(space, m, mode="float").value
-            worst_float = max(worst_float, abs(pf - df))
-    _report(2, "primal/dual gap", worst_float <= 1e-7,
-            f"exact gap 0 on 100 spaces, float gap {worst_float:.2e}")
+CRITERIA = (
+    # number, name, claim, sizes, seed, time budget in seconds
+    (1, "tree_isometry", report.tree_isometry,
+     dict(trials=200, points=(1, 12), molecules=10), SEED, 60),
+    (2, "duality", report.duality_gap,
+     dict(trials=100, points=(3, 12), float_trials=30), SEED + 1, None),
+    (3, "quotient_identity", report.quotient_identity,
+     dict(graphs=((diamond, 1), (diamond, 2), (laakso, 1), (laakso, 2), (multidiamond, 1, 3)),
+          vectors=50), SEED + 2, None),
+    (4, "haar_identification", report.haar_even_levels, dict(n_max=4), SEED, None),
+    (5, "haar_witness", report.haar_witness, dict(n_max=5), SEED, None),
+    (6, "bm_sandwich", report.bm_sandwich, dict(n_max=3), SEED, 300),
+    (7, "multibranching", report.multibranch,
+     dict(pairs=((1, 3), (2, 3), (1, 4), (2, 4)), include_upper=False), SEED, None),
+    (8, "minimal_projection_constants", report.minimal_projections, {}, SEED, None),
+    (9, "mst_embedding", report.mst_embedding,
+     dict(trials=100, points=(3, 30)), SEED + 3, None),
+    (10, "diamond_top_level", report.diamond_top, dict(n_max=3), SEED, None),
+    (11, "diamond_drop", report.diamond_drop,
+     dict(pairs=((2, 1), (3, 1), (3, 2))), SEED, None),
+    (12, "growth_witness", report.growth_witness, dict(rs=(1, 2, 3)), SEED, None),
+    (13, "annihilation", report.annihilation, {}, SEED, None),
+    (14, "nonunique_invariant_projection", report.laakso_nonunique, {}, SEED, None),
+    (15, "packing_sanity", report.cycle_packing, {}, SEED, None),
+)
 
 
-def test_criterion_03_quotient_identity():
-    rng = random.Random(SEED + 2)
-    graphs = [diamond(1), diamond(2), laakso(1), laakso(2), multidiamond(1, 3)]
-    for g in graphs:
-        space = graph_metric(g)
-        basis = fundamental_cycle_basis(g)
-        for _ in range(50):
-            x = random_edge_vector(rng, g)
-            assert quotient_norm(x, basis) == ae_norm(space, boundary(x))[0]
-    _report(3, "quotient identity", True, "50 exact matches on each of 5 graphs")
+def _criterion(number, name, claim, sizes, seed, budget_s):
+    def test():
+        start = time.monotonic()
+        rows = claim(random.Random(seed), **sizes)
+        elapsed = time.monotonic() - start
+        ok = all(row.ok for row in rows) and (budget_s is None or elapsed < budget_s)
+        detail = "; ".join(f"{row.claim}: {row.computed}" for row in rows)
+        print(f"[acceptance {number:02d}] {name.replace('_', ' ')}: "
+              f"{'PASS' if ok else 'FAIL'}  {detail}, {elapsed:.1f}s")
+        assert ok, f"criterion {number} ({name}) failed: {detail}"
+    return test
 
 
-def test_criterion_04_haar_identification():
-    ok = all(verify_even_level_span(n) for n in (1, 2, 3, 4))
-    _report(4, "even Haar levels = cycle space", ok, "n in {1,2,3,4}, exact")
-
-
-def test_criterion_05_haar_witness():
-    values = {}
-    for n in range(1, 6):
-        _, nf, _, nqf = haar_witness_bound(n)
-        assert nf == 1
-        assert nqf >= F(2 * n + 1, 3)
-        values[n] = nqf
-    assert values[2] == F(7, 4) >= F(5, 3)
-    _report(5, "projection lower-bound witness", True,
-            "norm one exact, bound holds for n <= 5, n=2 value 7/4")
-
-
-def test_criterion_06_bm_sandwich():
-    start = time.monotonic()
-    details = []
-    for n in (1, 2, 3):
-        b = diamond_bm_bounds(n)
-        assert b["exact_orth_norm"] >= b["lower"] == F(2 * n + 1, 3)
-        assert b["upper"] <= 4 * n + 4
-        details.append(f"n={n}: [{b['lower']}, {b['upper']}]")
-    elapsed = time.monotonic() - start
-    _report(6, "Banach-Mazur sandwich", elapsed < 300,
-            "; ".join(details) + f", {elapsed:.1f}s")
-
-
-def test_criterion_07_multibranching():
-    for (n, k) in [(1, 3), (2, 3), (1, 4), (2, 4)]:
-        r = multibranch_analysis(n, k, include_upper=False)
-        assert r["witness_value"] >= F(1 - F(1, k)) * F(n, 2)
-        p = r["projection"]
-        assert linalg.is_idempotent(p)
-        assert linalg.is_symmetric(p)
-    _report(7, "multibranching bound", True,
-            "witness and exact projection checks for (n,k) in {(1,3),(2,3),(1,4),(2,4)}")
-
-
-def test_criterion_08_minimal_projection_constants():
-    zd1 = [v.dense() for v in fundamental_cycle_basis(diamond(1)).vectors]
-    lam_d1, _ = minimal_projection_lp(zd1, 4)
-    zl1 = [v.dense() for v in fundamental_cycle_basis(laakso(1)).vectors]
-    lam_l1, _ = minimal_projection_lp(zl1, 6)
-    zd2 = [v.dense() for v in fundamental_cycle_basis(diamond(2)).vectors]
-    lam_d2, _ = minimal_projection_lp(zd2, 16)
-    ok = (abs(lam_d1 - 1) <= 1e-7 and abs(lam_l1 - 1) <= 1e-7
-          and lam_d2 >= 5 / 3 - 1e-7)
-    _report(8, "minimal projection constants", ok,
-            f"lambda(D1)={lam_d1:.8f} lambda(L1)={lam_l1:.8f} lambda(D2)={lam_d2:.8f}")
-
-
-def test_criterion_09_mst_embedding():
-    rng = random.Random(SEED + 3)
-    for _ in range(100):
-        n = rng.randint(3, 30)
-        space = random_metric_space(rng, n)
-        rep = half_dim_embedding(space)
-        assert rep.k >= n // 2
-        assert float(rep.proj_norm) <= 2 + 1e-9
-        assert float(rep.lower_eq) >= 0.5 - 1e-9
-        assert rep.upper_eq == 1
-    _report(9, "MST half-dimensional embedding", True,
-            "100 spaces up to 30 points")
-
-
-def test_criterion_10_diamond_top_level():
-    for n in (1, 2, 3):
-        rep = diamond_top_level(n)
-        assert rep.k == 2 * 4 ** (n - 1)
-        assert rep.c_constant == 1
-        assert rep.lower_eq == rep.upper_eq == 1
-        assert rep.proj_norm == 1
-    _report(10, "diamond last-step selection", True,
-            "isometric with norm-one projection, n in {1,2,3}, exact")
-
-
-def test_criterion_11_diamond_drop():
-    for (n, m) in [(2, 1), (3, 1), (3, 2)]:
-        g = diamond(n)
-        space = graph_metric(g)
-        ys = sorted(set(g.vertices) - set(diamond_stage_net(n, m)))
-        rep = large_embedding(space, ys, with_proj_norm=False)
-        assert rep.c_constant <= 2 ** (n - m)
-    _report(11, "diamond stage-drop constants", True,
-            "certified C <= 2^(n-m) for (2,1), (3,1), (3,2)")
-
-
-def test_criterion_12_growth_witness():
-    expected_alpha = {"square": F(1), "k23": F(4, 3), "laakso": F(1, 2)}
-    for name, base in (("square", diamond_base()), ("k23", k2n_base(3)),
-                       ("laakso", laakso_base())):
-        prof = profile_base(base)
-        assert prof.alpha == expected_alpha[name]
-        for r in (1, 2, 3):
-            w = witness(prof, r)
-            assert w.norm_sum == 1
-            assert w.norm_c >= 1 + prof.alpha * (r - 1) / 2
-    _report(12, "norm-growth witness", True,
-            "exact norms for three bases, r in {1,2,3}")
-
-
-def test_criterion_13_annihilation():
-    for base, graph in ((diamond_base(), diamond(2)), (laakso_base(), laakso(2))):
-        prof = profile_base(base)
-        p = orthogonal_projection(
-            [v.dense() for v in fundamental_cycle_basis(graph).vectors])
-        rep = annihilation_check(p, prof, 2, graph)
-        assert rep["all_annihilated"]
-    _report(13, "invariant projections annihilate c-vectors", True,
-            "orthogonal projections on level-2 diamond and Laakso graphs, exact")
-
-
-def test_criterion_14_nonunique_invariant_projection():
-    res = laakso_nonunique_projection()
-    ok = (res["is_projection"] and res["differs_from_orthogonal"]
-          and len(res["invariant_under"]) == 8)
-    _report(14, "non-unique invariant projection", ok,
-            f"entrywise gap {res['max_entry_gap']}")
-
-
-def test_criterion_15_packing_sanity():
-    cycles = greedy_cycle_packing(diamond(2))
-    seen: set[str] = set()
-    disjoint = True
-    for cyc in cycles:
-        if seen & set(cyc):
-            disjoint = False
-        seen.update(cyc)
-    _report(15, "greedy packing sanity", len(cycles) >= 4 and disjoint,
-            f"{len(cycles)} edge-disjoint cycles on the level-2 diamond")
+# Named functions rather than one parametrized test keep each criterion's
+# test id (test_criterion_NN_name) stable.
+for _number, _name, *_spec in CRITERIA:
+    globals()[f"test_criterion_{_number:02d}_{_name}"] = _criterion(_number, _name, *_spec)

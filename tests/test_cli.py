@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +160,7 @@ def test_reproduce_deterministic(tmp_path, capsys):
     assert run_cli("reproduce", "--seed", "7", "--out", str(b)) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+    assert a.read_bytes() == (Path(__file__).parent / "data" / "reproduce_seed7.csv").read_bytes()
     header = a.read_text().splitlines()[0]
     assert header == "claim,target,computed,status"
 

@@ -136,6 +136,8 @@ def test_mu_values():
     assert mu(path(6)) == 0
     for n in (1, 2, 3):
         assert mu(diamond(n)) == (4 ** n - 1) // 3
+    for g in (diamond(2), laakso(2), multidiamond(2, 3), path(6)):
+        assert mu(g) == len(fundamental_cycle_basis(g).vectors)
 
 
 def test_greedy_packing_diamond_one():
