@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg, projections, simplex
+from . import linalg, projections
 from .cyclespace import EdgeVector, fundamental_cycle_basis
 from .errors import ResolutionTooCoarse, ResourceLimit, ValidationError
 from .graphs import TwoPoleGraph, diamond, multidiamond
@@ -271,23 +271,18 @@ def verify_even_level_span(n: int, graph: TwoPoleGraph | None = None) -> bool:
 
     The fundamental cycle vectors are independent by construction and there
     are exactly as many as even-level Haar functions, so equality follows
-    from every cycle image being orthogonal to the complementary system
-    (h_0 and the odd levels).
+    from every cycle image having Haar coefficients on the even levels
+    only, none on h_0 or an odd level (one fast transform per image).
     """
     g = graph if graph is not None else diamond(n)
     basis = fundamental_cycle_basis(g)
     expected = (4 ** n - 1) // 3
     if len(basis.vectors) != expected or len(even_level_basis(n)) != expected:
         return False
-    complement = [haar(0, 2 * n)]
-    for k in range(1, n + 1):
-        complement.extend(haar(i, 2 * n) for i in level_indices(2 * k - 1))
-    for vec in basis.vectors:
-        img = graph_to_dyadic(vec, n)
-        for h in complement:
-            if img.inner(h) != 0:
-                return False
-    return True
+    even = {2 * k for k in range(n)}
+    return all(HaarIndex.from_flat(i).level in even
+               for vec in basis.vectors
+               for i in haar_coefficients(graph_to_dyadic(vec, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -370,73 +365,32 @@ def haar_witness_bound(n: int):
     return f, f.l1(), qf, qf.l1()
 
 
-def _coset_scalings(n: int):
-    """The coset basis of Theorem-6.4 type: (flat index, scaling) pairs.
-
-    h_0 with scaling 1 and each odd-level h_i with scaling 2^(2k-1) for
-    level 2k-1, the normalization that makes the system 2-equivalent to the
-    l1 unit vector basis in the quotient norm.
-    """
-    out = [(0, Fraction(1))]
-    for k in range(1, n + 1):
-        lev = 2 * k - 1
-        for i in level_indices(lev):
-            out.append((i, Fraction(2 ** lev)))
-    return out
-
-
 def diamond_bm_bounds(n: int, include_upper: bool = True):
     """Certified Banach-Mazur bounds for LF(D_n) against l1 of its dimension.
 
     lower: (2n+1)/3, certified by the exact Linf norm of the orthogonal
     projection onto the cut space (h_0 and the odd levels).
-    upper: ||T|| ||T^-1|| of the scaled odd-level coset basis map, computed
-    through one quotient-norm LP per coset basis vector; at most 4n + 4.
+    upper: ||T|| ||T^-1|| = ||T|| (= n + 1 for n <= 3; at most 4n + 4) for
+    the coset basis of h_0 and the odd-level h_i, each normalized to
+    quotient norm 1 by one quotient-norm LP (bm_upper_via_basis_map).
+    That normalization is the paper's scaling 2^(2k-1) on level 2k-1 and 1
+    on h_0 (tested for n <= 3).
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    resolution = 2 * n
-    cells = 4 ** n
     cut_levels = [-1] + [2 * k - 1 for k in range(1, n + 1)]
-    cut_vecs = level_span_vectors(cut_levels, resolution)
-    p_cut = orthogonal_projection_matrix(cut_vecs)
-    exact_cut_norm = projections.linf_norm(p_cut)
+    cut_vecs = level_span_vectors(cut_levels, 2 * n)
+    exact_cut_norm = projections.linf_norm(orthogonal_projection_matrix(cut_vecs))
     lower = Fraction(2 * n + 1, 3)
     if exact_cut_norm < lower:
         raise ValidationError("cut projection norm fell below the paper bound")
-    result = {
-        "lower": lower,
-        "exact_orth_norm": exact_cut_norm,
-        "upper": None,
-        "t_norm": None,
-        "tinv_norm": None,
-    }
-    if not include_upper:
-        return result
-    zcols = [list(v.values) for v in even_level_vectors(n)]
-    coset = _coset_scalings(n)
-    # ||T||: expand each edge vector in the Haar system; one coefficient per
-    # level survives, scaled down by the coset normalization.
-    t_norm = ZERO
-    scaling = dict(coset)
-    for cell in range(cells):
-        vals = [ZERO] * cells
-        vals[cell] = Fraction(cells)
-        coeffs = haar_coefficients(DyadicVector(tuple(vals)))
-        total = ZERO
-        for i, c in coeffs.items():
-            if i in scaling:
-                total += abs(c) / scaling[i]
-        t_norm = max(t_norm, total)
-    tinv_norm = ZERO
-    for i, s in coset:
-        rep = [s * v for v in haar(i, resolution).values]
-        val, _ = simplex.min_l1_combination(rep, zcols, mode="exact")
-        tinv_norm = max(tinv_norm, val / cells)  # LP uses counting norm, L1 is the mean
-    result["upper"] = t_norm * tinv_norm
-    result["t_norm"] = t_norm
-    result["tinv_norm"] = tinv_norm
-    return result
+    upper = t_norm = tinv_norm = None
+    if include_upper:
+        upper, t_norm, tinv_norm = projections.bm_upper_via_basis_map(
+            [list(v.values) for v in even_level_vectors(n)],
+            [list(v.values) for v in cut_vecs])
+    return {"lower": lower, "exact_orth_norm": exact_cut_norm,
+            "upper": upper, "t_norm": t_norm, "tinv_norm": tinv_norm}
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +444,10 @@ def multibranch_analysis(n: int, k: int, cell_cap: int = 4096,
     the first edge vector (the paper's witness), certifies the
     (1 - 1/k) n/2 lower bound, cross-validates the cut space as the
     orthogonal complement of the graph cycle space, and (optionally, it is
-    the expensive part) computes the normalized coset-basis upper bound.
+    the expensive part) computes the upper bound ||T|| ||T^-1|| = ||T|| of
+    the cut basis normalized to quotient norm 1 (bm_upper_via_basis_map).
+    On binary diamonds that normalization is the paper's 2^(2k-1) scaling
+    of level 2k-1 (tested for n <= 3).
     """
     if n < 1 or k < 2:
         raise ValidationError("need n >= 1 and k >= 2")
@@ -527,25 +484,10 @@ def multibranch_analysis(n: int, k: int, cell_cap: int = 4096,
     if len(cycle_imgs) + len(cut) != cells:
         raise ValidationError("cut + cycle dimensions do not fill the edge space")
 
-    # upper bound: coset basis normalized by quotient norms; ||T^-1|| = 1
-    t_norm = None
+    bm_upper = None
     if include_upper:
-        zcols = [list(v.values) for v in cycle_imgs]
-        t_norm = ZERO
-        qnorms = []
-        for w in cut:
-            val, _ = simplex.min_l1_combination(list(w.values), zcols, mode="exact")
-            qnorms.append(val / cells)  # LP uses counting norm, L1 is the mean
-        for cell in range(cells):
-            vals = [ZERO] * cells
-            vals[cell] = Fraction(cells)
-            ev = DyadicVector(tuple(vals))
-            total = ZERO
-            for w, q in zip(cut, qnorms):
-                c = ev.inner(w) / w.inner(w)
-                if c:
-                    total += abs(c) * q
-            t_norm = max(t_norm, total)
+        bm_upper, _, _ = projections.bm_upper_via_basis_map(
+            [list(v.values) for v in cycle_imgs], [list(w.values) for w in cut])
     return {
         "cut_basis": cut,
         "projection": p,
@@ -554,6 +496,6 @@ def multibranch_analysis(n: int, k: int, cell_cap: int = 4096,
         "witness_value": witness_value,
         "linf_bound": projections.linf_norm(p),
         "bm_lower": bm_lower,
-        "bm_upper": t_norm,
+        "bm_upper": bm_upper,
         "cycle_dim": len(cycle_imgs),
     }

@@ -343,29 +343,39 @@ def bm_lower_bound(lam):
     return lam - 1
 
 
-def bm_upper_via_basis_map(z_cols: list, t_matrix: list, preimages: list,
-                           mode: str = "exact"):
-    """||T|| ||T^{-1}|| for a basis map on the quotient by span(z_cols).
+def bm_upper_via_basis_map(z_cols: list, cut_cols: list):
+    """(||T|| ||T^{-1}||, ||T||, ||T^{-1}||) for the coset basis map on the
+    quotient by span(z_cols).
 
-    t_matrix (N x m) must vanish on the cycle space, so it descends to the
-    quotient; ||T|| is the max over unit coordinate vectors of ||T e||_1
-    (the quotient map sends the unit ball onto the unit ball), and
-    ||T^{-1}|| is the max quotient norm of the supplied preimages of the
-    target unit vectors (one quotient-norm LP each).
+    cut_cols must be nonzero, pairwise orthogonal and orthogonal to every
+    z column, so that together they span a complement of span(z_cols).
+    Each w_i is normalized by its quotient norm q_i (one exact
+    min_l1_combination each), and T sends the coset of w_i / q_i to the
+    i-th unit vector of l1.  Every basis coset then has quotient norm 1,
+    so ||T^{-1}|| = 1.  The quotient map sends the l1 unit ball onto the
+    quotient unit ball, so ||T|| is the max over coordinates c of
+    ||T e_c||_1 = sum_i |w_i[c]| q_i / <w_i, w_i>, read off the columns.
+    The values do not change when all columns are rescaled together, so
+    grid cells may carry the counting or the mean norm alike.
     """
     from .simplex import min_l1_combination
 
-    m = len(t_matrix[0])
-    for z in z_cols:
-        img = linalg.mat_vec(t_matrix, z)
-        if any(v != 0 for v in img):
+    def dot(a, b):
+        return sum((x * y for x, y in zip(a, b) if x), start=ZERO)
+
+    for i, w in enumerate(cut_cols):
+        if not any(w):
+            raise ValidationError("cut columns must be nonzero")
+        if any(dot(w, v) for v in cut_cols[i + 1:]):
+            raise ValidationError("cut columns are not pairwise orthogonal")
+        if any(dot(w, z) for z in z_cols):
             raise ValidationError("T does not vanish on the given cycle space")
-    t_norm = ZERO
-    for j in range(m):
-        col = [row[j] for row in t_matrix]
-        t_norm = max(t_norm, sum((abs(v) for v in col), start=ZERO))
-    tinv_norm = ZERO
-    for w in preimages:
-        val, _ = min_l1_combination(w, z_cols, mode=mode)
-        tinv_norm = max(tinv_norm, val)
-    return t_norm * tinv_norm, t_norm, tinv_norm
+    sums = {}
+    for w in cut_cols:
+        q, _ = min_l1_combination(w, z_cols, mode="exact")
+        scale = q / dot(w, w)
+        for c, v in enumerate(w):
+            if v:
+                sums[c] = sums.get(c, ZERO) + abs(v) * scale
+    t_norm = max(sums.values(), default=ZERO)
+    return t_norm, t_norm, Fraction(1)

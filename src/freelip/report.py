@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import haar_system as haar, linalg, projections, recursive
+from . import haar_system as haar, projections, recursive
 from .cyclespace import boundary, fundamental_cycle_basis, greedy_cycle_packing, quotient_norm
 from .embeddings import (diamond_stage_net, diamond_top_level, half_dim_embedding,
                          large_embedding)
@@ -131,14 +131,13 @@ def bm_sandwich(rng, n_max):
 
 def multibranch(rng, pairs, include_upper):
     """On D_{n,k}: witness >= (1 - 1/k) n/2 matching the paper's formula,
-    the cut projection idempotent and symmetric, upper bound <= 4n + 4."""
+    upper bound <= 4n + 4.  multibranch_analysis raises ValidationError,
+    hence a FAIL row, unless the cut projection is idempotent and symmetric."""
     def check(n, k):
         r = haar.multibranch_analysis(n, k, include_upper=include_upper)
-        p = r["projection"]
         ok = (r["witness_value"] >= r["bm_lower"] == Fraction((k - 1) * n, 2 * k)
               and r["witness_formula_matches"]
-              and (not include_upper or r["bm_upper"] <= 4 * n + 4)
-              and linalg.is_idempotent(p) and linalg.is_symmetric(p))
+              and (not include_upper or r["bm_upper"] <= 4 * n + 4))
         return f">= {fmt(r['bm_lower'])}", f"witness={fmt(r['witness_value'])}", ok
     return [_row(f"multibranch-{n}-{k}", check, n, k) for n, k in pairs]
 

@@ -119,48 +119,38 @@ def solve_standard_exact(a, b, c, basis=None):
             _pivot(rows, cost, basis, i, basis[i])
         if any(row[-1] < 0 for row in rows):
             raise SolverFailure("supplied basis is infeasible")
-        cost = [Fraction(x) for x in c] + [ZERO]
-        for i, bi in enumerate(basis):
-            if cost[bi]:
-                f = cost[bi]
-                cost = [x - f * y if y else x for x, y in zip(cost, rows[i])]
-        _run_simplex(rows, cost, basis, n)
-        x = [ZERO] * n
-        for i, bi in enumerate(basis):
-            x[bi] = rows[i][-1]
-        return -cost[-1], x
+    else:
+        # Phase 1: artificial variable per row.
+        total = n + m
+        for i, row in enumerate(rows):
+            art = [ZERO] * m
+            art[i] = ONE
+            rows[i] = row[:n] + art + [row[-1]]
+        basis = [n + i for i in range(m)]
+        cost = [ZERO] * (total + 1)
+        for i, row in enumerate(rows):
+            for j in range(total + 1):
+                cost[j] -= row[j]
+        _run_simplex(rows, cost, basis, total)
+        if -cost[-1] != 0:
+            raise SolverFailure("LP infeasible (phase 1 optimum nonzero)")
 
-    # Phase 1: artificial variable per row.
-    total = n + m
-    for i, row in enumerate(rows):
-        art = [ZERO] * m
-        art[i] = ONE
-        rows[i] = row[:n] + art + [row[-1]]
-    basis = [n + i for i in range(m)]
-    cost = [ZERO] * (total + 1)
-    for i, row in enumerate(rows):
-        for j in range(total + 1):
-            cost[j] -= row[j]
-    _run_simplex(rows, cost, basis, total)
-    if -cost[-1] != 0:
-        raise SolverFailure("LP infeasible (phase 1 optimum nonzero)")
-
-    # Drive remaining artificials out of the basis where possible.
-    for i in range(m):
-        if basis[i] >= n:
-            piv_col = next((j for j in range(n) if rows[i][j] != 0), None)
-            if piv_col is not None:
-                _pivot(rows, cost, basis, i, piv_col)
-    keep = [i for i in range(m) if basis[i] < n]  # rows with basic artificial are redundant
-    rows = [rows[i][:n] + [rows[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
+        # Drive remaining artificials out of the basis where possible.
+        for i in range(m):
+            if basis[i] >= n:
+                piv_col = next((j for j in range(n) if rows[i][j] != 0), None)
+                if piv_col is not None:
+                    _pivot(rows, cost, basis, i, piv_col)
+        keep = [i for i in range(m) if basis[i] < n]  # rows with basic artificial are redundant
+        rows = [rows[i][:n] + [rows[i][-1]] for i in keep]
+        basis = [basis[i] for i in keep]
 
     # Phase 2.
     cost = [Fraction(x) for x in c] + [ZERO]
     for i, bi in enumerate(basis):
         if cost[bi]:
             f = cost[bi]
-            cost = [x - f * y for x, y in zip(cost, rows[i])]
+            cost = [x - f * y if y else x for x, y in zip(cost, rows[i])]
     _run_simplex(rows, cost, basis, n)
     x = [ZERO] * n
     for i, bi in enumerate(basis):

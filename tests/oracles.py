@@ -3,14 +3,18 @@
 These deliberately avoid the code paths they check: the dense transport
 oracle runs the generic two-phase simplex on the bipartite formulation
 rather than the tree kernel, the flow oracle computes transportation norms
-on graphs from an edge-flow LP, and the clipped-cone witness certifies
-elementary-molecule norms with no LP at all.
+on graphs from an edge-flow LP, the clipped-cone witness certifies
+elementary-molecule norms with no LP at all, and the dense span check
+takes inner products with h_0 and the odd Haar levels instead of running
+the fast Haar transform.
 """
 
 from fractions import Fraction
 
+from freelip import haar_system
+from freelip.cyclespace import fundamental_cycle_basis
 from freelip.metric import MetricSpace, Molecule
-from freelip.graphs import TwoPoleGraph
+from freelip.graphs import TwoPoleGraph, diamond
 from freelip.simplex import solve_standard_exact
 
 ZERO = Fraction(0)
@@ -103,3 +107,21 @@ def plan_is_valid(space: MetricSpace, m: Molecule, plan) -> bool:
         if net[p] != m.coeffs.get(p, ZERO):
             return False
     return cost == plan.cost
+
+
+def even_level_span_dense(n: int) -> bool:
+    """Span equality of Z(D_n) and the even Haar levels, densely.
+
+    The cycle basis has (4^n - 1)/3 vectors, as many as the even levels, so
+    equality holds when every cycle image is orthogonal to h_0 and to every
+    odd-level Haar function on the grid of 4^n cells.
+    """
+    basis = fundamental_cycle_basis(diamond(n))
+    if len(basis.vectors) != (4 ** n - 1) // 3:
+        return False
+    complement = [haar_system.haar(0, 2 * n)]
+    for k in range(1, n + 1):
+        complement.extend(haar_system.haar(i, 2 * n)
+                          for i in haar_system.level_indices(2 * k - 1))
+    return all(haar_system.graph_to_dyadic(vec, n).inner(h) == 0
+               for vec in basis.vectors for h in complement)

@@ -24,7 +24,7 @@ CRITERIA = (
     (3, "quotient_identity", report.quotient_identity,
      dict(graphs=((diamond, 1), (diamond, 2), (laakso, 1), (laakso, 2), (multidiamond, 1, 3)),
           vectors=50), SEED + 2, None),
-    (4, "haar_identification", report.haar_even_levels, dict(n_max=4), SEED, None),
+    (4, "haar_identification", report.haar_even_levels, dict(n_max=5), SEED, None),
     (5, "haar_witness", report.haar_witness, dict(n_max=5), SEED, None),
     (6, "bm_sandwich", report.bm_sandwich, dict(n_max=3), SEED, 300),
     (7, "multibranching", report.multibranch,

@@ -1,11 +1,12 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from freelip import report
+from freelip import linalg, report
 from freelip.cli import main
 from freelip.errors import SolverFailure
 
@@ -183,3 +184,11 @@ def test_reproduce_fail_row_has_its_own_exit_code(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("FAIL  tree-isometry") and "no optimum" in out[0]
     assert all(line.startswith("PASS") for line in out[1:])
+
+
+def test_multibranch_row_fails_when_cut_projection_not_idempotent(monkeypatch):
+    # the claim relies on multibranch_analysis to reject a bad cut projection
+    monkeypatch.setattr(linalg, "is_idempotent", lambda p: False)
+    [row] = report.multibranch(random.Random(0), pairs=((1, 3),), include_upper=False)
+    assert not row.ok
+    assert row.computed.startswith("error: ") and "idempotence" in row.computed

@@ -2,20 +2,23 @@ from fractions import Fraction as F
 
 import pytest
 
-from freelip import linalg
+from freelip import haar_system, linalg
 from freelip.cyclespace import fundamental_cycle_basis, signed_indicator
 from freelip.errors import ResolutionTooCoarse
 from freelip.graphs import diamond, multidiamond
 from freelip.haar_system import (DyadicVector, HaarIndex, andrew_lower_bound,
                                  diamond_bm_bounds, diamond_cell_index,
-                                 edge_embedding, even_level_basis, g_isometry,
-                                 graph_to_dyadic, haar, haar_coefficients,
+                                 edge_embedding, even_level_basis, even_level_vectors,
+                                 g_isometry, graph_to_dyadic, haar, haar_coefficients,
                                  haar_witness_bound, level_indices,
                                  multibranch_analysis, multibranch_cut_basis,
                                  multibranch_graph_to_dyadic, outer_cycle,
                                  outer_cycle_walk, orthogonal_projection_matrix,
                                  level_span_vectors, verify_even_level_span)
 from freelip.projections import l1_norm, orthogonal_projection, permutation_matrix
+from freelip.simplex import min_l1_combination
+
+from oracles import even_level_span_dense
 
 
 def test_haar_basic_vectors():
@@ -117,6 +120,18 @@ def test_even_level_span_equality(n):
     assert verify_even_level_span(n)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_even_level_span_matches_dense_oracle(n):
+    assert verify_even_level_span(n) == even_level_span_dense(n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_span_checks_reject_swapped_quarters(n, monkeypatch):
+    monkeypatch.setattr(haar_system, "QUARTER", {"tl": 0, "bl": 2, "br": 1, "tr": 3})
+    assert not verify_even_level_span(n)
+    assert not even_level_span_dense(n)
+
+
 def test_cell_index_recursion():
     assert diamond_cell_index("tl", 1) == 0
     assert diamond_cell_index("bl/tr", 2) == 1 * 4 + 3
@@ -203,12 +218,23 @@ def test_haar_witness_matches_matrix_projection():
         assert linalg.mat_vec(p, list(f.values)) == list(qf.values)
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_diamond_bm_bounds_small(n):
     b = diamond_bm_bounds(n)
     assert b["lower"] == F(2 * n + 1, 3)
     assert b["exact_orth_norm"] >= b["lower"]
-    assert 1 <= b["upper"] <= 4 * n + 4
+    assert b["upper"] == b["t_norm"] == n + 1 and b["tinv_norm"] == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quotient_normalization_is_paper_scaling(n):
+    # 2^(2k-1) h_i on odd level 2k-1, and h_0 itself, have quotient norm 1
+    zcols = [list(v.values) for v in even_level_vectors(n)]
+    scaled = [haar(0, 2 * n)] + [haar(i, 2 * n).scale(2 ** (2 * k - 1))
+                                 for k in range(1, n + 1) for i in level_indices(2 * k - 1)]
+    for w in scaled:
+        value, _ = min_l1_combination(list(w.values), zcols)
+        assert value / 4 ** n == 1  # the LP sums cells; the grid L1 norm is the mean
 
 
 def test_multibranch_overlap_for_k3():
@@ -224,7 +250,7 @@ def test_multibranch_analysis(n, k):
     r = multibranch_analysis(n, k)
     assert r["witness_value"] >= F((k - 1) * n, 2 * k)
     assert r["witness_formula_matches"]
-    assert r["bm_upper"] <= 4 * n + 4
+    assert r["bm_upper"] == {(1, 3): 2, (2, 3): 3, (1, 4): 2}[n, k]
     assert r["linf_bound"] >= r["bm_lower"]
     p = r["projection"]
     assert linalg.is_idempotent(p) and linalg.is_symmetric(p)

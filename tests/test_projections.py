@@ -183,13 +183,18 @@ def test_bm_lower_bound():
 
 
 def test_bm_upper_trivial_quotient():
-    ident = linalg.identity(3)
     unit = [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
-    value, tn, tin = bm_upper_via_basis_map([], ident, unit)
+    value, tn, tin = bm_upper_via_basis_map([], unit)
     assert value == tn == tin == 1
 
 
 def test_bm_upper_rejects_map_not_vanishing_on_cycles():
-    with pytest.raises(ValidationError):
-        bm_upper_via_basis_map([[F(1), F(1)]], linalg.identity(2),
-                               [[F(1), F(0)]])
+    with pytest.raises(ValidationError, match="vanish"):
+        bm_upper_via_basis_map([[F(1), F(1)]], [[F(1), F(0)]])
+
+
+def test_bm_upper_rejects_zero_or_non_orthogonal_cut_columns():
+    with pytest.raises(ValidationError, match="pairwise orthogonal"):
+        bm_upper_via_basis_map([], [[F(1), F(0)], [F(1), F(1)]])
+    with pytest.raises(ValidationError, match="nonzero"):
+        bm_upper_via_basis_map([], [[F(1), F(0)], [F(0), F(0)]])
