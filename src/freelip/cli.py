@@ -94,15 +94,10 @@ def cmd_norm(args):
     from .metric import MetricSpace, Molecule
     space = MetricSpace.from_json(_load(args.space))
     molecule = Molecule.from_json(_load(args.molecule))
-    value, plan = ae_norm(space, molecule, mode=args.mode)
-    cert = lip_dual(space, molecule, mode=args.mode)
-    _dump({
-        "value": num_to_json(value) if args.mode == "exact" else value,
-        "plan": plan.to_json() if args.mode == "exact" else {
-            "moves": [[p, q, m] for p, q, m in plan.moves], "cost": plan.cost},
-        "dual": cert.to_json() if args.mode == "exact" else {
-            "values": dict(cert.f.values), "value": cert.value},
-    }, args.out)
+    value, plan = ae_norm(space, molecule)
+    cert = lip_dual(space, molecule)
+    _dump({"value": num_to_json(value), "plan": plan.to_json(), "dual": cert.to_json()},
+          args.out)
     return 0
 
 
@@ -135,8 +130,9 @@ def cmd_cyclespace(args):
 
 
 def cmd_projconst(args):
-    from . import projections
+    from . import linalg, projections
     from .cyclespace import fundamental_cycle_basis
+    from .recursive import edge_map_matrix
     g = _load_graph(args.graph)
     cols = [v.dense() for v in fundamental_cycle_basis(g).vectors]
     if not cols:
@@ -149,18 +145,10 @@ def cmd_projconst(args):
     else:  # averaged
         if not args.generators:
             raise ValidationError("averaged mode needs --generators")
-        gens_json = _load(args.generators)
-        mats = []
-        order = g.edge_order
-        for emap in gens_json["maps"]:
-            perm = [0] * len(g.edges)
-            for eid, img in emap.items():
-                perm[order[eid]] = order[img]
-            mats.append(projections.permutation_matrix(perm))
+        mats = [edge_map_matrix(g, emap) for emap in _load(args.generators)["maps"]]
         group = projections.generate_group(mats)
         p = projections.average_projection(projections.orthogonal_projection(cols), group)
         lam = None
-    from . import linalg
     report = projections.ProjectionReport(
         operator=p, range_basis=cols,
         norm_l1=projections.l1_norm(p), norm_linf=projections.linf_norm(p),
@@ -246,7 +234,7 @@ def cmd_embed(args):
 
     if args.strategy == "diamond-top":
         from .embeddings import diamond_top_level
-        rep = diamond_top_level(args.level, mode=args.mode)
+        rep = diamond_top_level(args.level)
     else:
         if args.space:
             space = MetricSpace.from_json(_load(args.space))
@@ -257,13 +245,13 @@ def cmd_embed(args):
         else:
             raise ValidationError("need --space or --graph")
         if args.strategy == "half":
-            rep = half_dim_embedding(space, mode=args.mode)
+            rep = half_dim_embedding(space)
         elif args.strategy.startswith("modp:"):
             if graph is None:
                 raise ValidationError("modp selection needs --graph")
             p = int(args.strategy.split(":", 1)[1])
             ys = mod_p_selection(graph, p)
-            rep = large_embedding(space, ys, mode=args.mode)
+            rep = large_embedding(space, ys)
         else:
             raise ValidationError(f"unknown strategy {args.strategy!r}")
     _dump(rep.to_json(), args.out)
@@ -301,7 +289,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("norm", help="transportation norm of a molecule")
     p.add_argument("--space", required=True)
     p.add_argument("--molecule", required=True)
-    p.add_argument("--mode", choices=["exact", "float"], default="exact")
     p.add_argument("--out")
     p.set_defaults(func=cmd_norm)
 
@@ -352,7 +339,6 @@ def build_parser() -> _Parser:
     p.add_argument("--graph")
     p.add_argument("--strategy", default="half", help="half | modp:P | diamond-top")
     p.add_argument("--level", type=int, default=1, help="level for diamond-top")
-    p.add_argument("--mode", choices=["exact", "float"], default="exact")
     p.add_argument("--out")
     p.set_defaults(func=cmd_embed)
 

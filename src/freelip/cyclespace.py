@@ -80,10 +80,6 @@ class EdgeVector:
         return EdgeVector(graph, {e: num_from_json(v) for e, v in obj["coeffs"].items()})
 
 
-def from_dense(graph: TwoPoleGraph, values) -> EdgeVector:
-    return EdgeVector(graph, {e.id: Fraction(v) for e, v in zip(graph.edges, values) if v != 0})
-
-
 @dataclass(frozen=True)
 class CycleBasis:
     vectors: tuple[EdgeVector, ...]

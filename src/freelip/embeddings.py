@@ -31,14 +31,11 @@ class EmbeddingReport:
     c_constant: Fraction                # interpolation constant, eq-(11) style
     lower_eq: Fraction                  # certified lower l1-equivalence bound
     upper_eq: Fraction                  # certified upper bound (always 1)
-    proj_norm: Fraction | float | None  # computed over extreme points
+    proj_norm: Fraction | None          # computed over extreme points
     k: int
 
     def to_json(self) -> dict:
-        from .rational import num_to_json
-
-        def num(x):
-            return x if isinstance(x, float) else num_to_json(x)
+        from .rational import num_to_json as num
 
         return {"k": self.k, "ys": list(self.ys),
                 "partners": dict(sorted(self.partners.items())),
@@ -121,8 +118,7 @@ def apply_projection(ys: set, partners: dict[str, str], m: Molecule) -> Molecule
     return Molecule(out)
 
 
-def projection_norm(space: MetricSpace, ys: list[str], partners: dict[str, str],
-                    mode: str = "exact"):
+def projection_norm(space: MetricSpace, ys: list[str], partners: dict[str, str]):
     """Operator norm of P on the free space, exactly.
 
     The unit ball is the convex hull of normalized elementary molecules, so
@@ -130,7 +126,7 @@ def projection_norm(space: MetricSpace, ys: list[str], partners: dict[str, str],
     supported on at most four points.
     """
     ys_set = set(ys)
-    best = ZERO if mode == "exact" else 0.0
+    best = ZERO
     pts = list(space.points)
     for i, p in enumerate(pts):
         for q in pts[i + 1:]:
@@ -139,8 +135,8 @@ def projection_norm(space: MetricSpace, ys: list[str], partners: dict[str, str],
             img = apply_projection(ys_set, partners, Molecule({p: 1, q: -1}))
             if img.is_zero():
                 continue
-            val, _ = ae_norm(space, img, mode=mode)
-            ratio = val / (space.d(p, q) if mode == "exact" else float(space.d(p, q)))
+            val, _ = ae_norm(space, img)
+            ratio = val / space.d(p, q)
             if ratio > best:
                 best = ratio
     return best
@@ -164,18 +160,16 @@ def biorthogonality_matrix(space: MetricSpace, ys: list[str],
 
 
 def _build_report(space: MetricSpace, ys: list[str], partners: dict[str, str],
-                  d_values: dict[str, Fraction], with_proj_norm: bool,
-                  mode: str) -> EmbeddingReport:
+                  d_values: dict[str, Fraction], with_proj_norm: bool) -> EmbeddingReport:
     c = interpolation_constant(space, ys, d_values)
-    proj = projection_norm(space, ys, partners, mode=mode) if with_proj_norm else None
+    proj = projection_norm(space, ys, partners) if with_proj_norm else None
     return EmbeddingReport(ys=list(ys), partners=dict(partners),
                            d_values=dict(d_values), c_constant=c,
                            lower_eq=Fraction(1) / c, upper_eq=Fraction(1),
                            proj_norm=proj, k=len(ys))
 
 
-def half_dim_embedding(space: MetricSpace, with_proj_norm: bool = True,
-                       mode: str = "exact") -> EmbeddingReport:
+def half_dim_embedding(space: MetricSpace, with_proj_norm: bool = True) -> EmbeddingReport:
     """At-least-half-dimensional selection through the MST bipartition.
 
     The selected side's nearest partners are globally nearest neighbors
@@ -196,14 +190,14 @@ def half_dim_embedding(space: MetricSpace, with_proj_norm: bool = True,
         best = min(sorted(other), key=lambda z: (space.d(y, z), z))
         partners[y] = best
         d_values[y] = space.d(y, best)
-    report = _build_report(space, ys, partners, d_values, with_proj_norm, mode)
+    report = _build_report(space, ys, partners, d_values, with_proj_norm)
     if report.c_constant > 2:
         raise ValidationError("interpolation constant exceeded 2 on an MST selection")
     return report
 
 
 def large_embedding(space: MetricSpace, ys: list[str],
-                    with_proj_norm: bool = True, mode: str = "exact") -> EmbeddingReport:
+                    with_proj_norm: bool = True) -> EmbeddingReport:
     """Selected-subset embedding with nearest-complement partners."""
     complement = [p for p in space.points if p not in set(ys)]
     if not complement:
@@ -214,7 +208,7 @@ def large_embedding(space: MetricSpace, ys: list[str],
         best = min(complement, key=lambda z: (space.d(y, z), z))
         partners[y] = best
         d_values[y] = space.d(y, best)
-    return _build_report(space, sorted(ys), partners, d_values, with_proj_norm, mode)
+    return _build_report(space, sorted(ys), partners, d_values, with_proj_norm)
 
 
 def lcdw_bounds(space: MetricSpace, ys: list[str], partners: dict[str, str],
@@ -272,8 +266,7 @@ def mod_p_selection(graph: TwoPoleGraph, p: int) -> list[str]:
     return ys
 
 
-def diamond_top_level(n: int, with_proj_norm: bool = True,
-                      mode: str = "exact") -> EmbeddingReport:
+def diamond_top_level(n: int, with_proj_norm: bool = True) -> EmbeddingReport:
     """Last-step vertices of the level-n diamond: an exactly isometric,
     norm-one complemented selection of dimension 2 * 4^(n-1)."""
     from .graphs import diamond
@@ -291,8 +284,7 @@ def diamond_top_level(n: int, with_proj_norm: bool = True,
         nb = min(g.adjacency[y])
         partners[y] = nb
         d_values[y] = space.d(y, nb)
-    report = _build_report(space, ys, partners, d_values, with_proj_norm, mode)
-    return report
+    return _build_report(space, ys, partners, d_values, with_proj_norm)
 
 
 def diamond_anm(n: int, m: int) -> list[str]:

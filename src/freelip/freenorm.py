@@ -4,7 +4,9 @@ certificates, and the exact coordinate isometry on weighted trees.
 The norm of a molecule is the optimal value of the balanced transportation
 problem between its positive and negative parts over the metric; by
 duality it equals the maximal pairing with a 1-Lipschitz function
-vanishing at the basepoint.
+vanishing at the basepoint.  Both are computed exactly: one tree
+transportation simplex gives the value, an optimal plan and the potentials
+from which the certificate is read.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from .errors import NotATree, SolverFailure, ValidationError
 from .graphs import TwoPoleGraph
 from .metric import LipschitzFunction, MetricSpace, Molecule
 from .rational import ZERO
-
-FLOAT_PLAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def _split(m: Molecule):
     return pos, neg
 
 
-def _transport(space: MetricSpace, m: Molecule, mode: str):
+def _transport(space: MetricSpace, m: Molecule):
     """(sources, sinks, value, plan matrix, (u, v)) of m's transportation
     problem; only the support matters, since the optimal coupling moves
     mass between support points directly (triangle inequality)."""
@@ -66,58 +66,47 @@ def _transport(space: MetricSpace, m: Molecule, mode: str):
     cost = [[space.d(p, q) for q in sinks] for p in sources]
     supply = [v for _, v in pos]
     demand = [v for _, v in neg]
-    if mode == "float":
-        cost = [[float(x) for x in row] for row in cost]
-        supply = [float(x) for x in supply]
-        demand = [float(x) for x in demand]
-    value, plan, potentials = simplex.transportation(cost, supply, demand, mode=mode)
+    value, plan, potentials = simplex.transportation(cost, supply, demand)
     return sources, sinks, value, plan, potentials
 
 
-def ae_norm(space: MetricSpace, m: Molecule, mode: str = "exact"):
-    """Transportation norm of a molecule and an optimal plan.
-
-    Exact mode keeps every number a Fraction (tree transportation simplex);
-    float mode goes through HiGHS.
-    """
-    sources, sinks, value, plan, _ = _transport(space, m, mode)
+def ae_norm(space: MetricSpace, m: Molecule):
+    """Transportation norm of a molecule and an optimal plan, exactly."""
+    sources, sinks, value, plan, _ = _transport(space, m)
     if not sources:
-        return (ZERO if mode == "exact" else 0.0), TransportPlan((), ZERO)
-    tol = 0 if mode == "exact" else FLOAT_PLAN_TOL
+        return ZERO, TransportPlan((), ZERO)
     moves = tuple(
         (sources[i], sinks[j], plan[i][j])
         for i in range(len(sources))
         for j in range(len(sinks))
-        if plan[i][j] > tol
+        if plan[i][j] > 0
     )
     return value, TransportPlan(moves, value)
 
 
-def lip_dual(space: MetricSpace, m: Molecule, basepoint: str | None = None,
-             mode: str = "exact") -> DualCertificate:
+def lip_dual(space: MetricSpace, m: Molecule,
+             basepoint: str | None = None) -> DualCertificate:
     """Optimal 1-Lipschitz certificate: maximize sum f(p) m(p), f(O) = 0.
 
     Solves m's transportation problem once and takes the c-transform of the
     sink potentials, f(x) = min_j (d(x, t_j) - v_j), over every point,
     shifted to vanish at the basepoint.  A minimum of 1-Lipschitz functions
     is 1-Lipschitz, and u_i + v_j <= d(s_i, t_j) gives <f, m> >= sum a_i u_i
-    + sum b_j v_j, the optimal cost; weak duality makes it equal.  Exact
-    mode checks that equality; float mode applies the same transform to
-    HiGHS's marginals, so the value matches ae_norm up to solver tolerance.
+    + sum b_j v_j, the optimal cost; weak duality makes it equal.  The
+    equality is checked exactly.
     """
     if basepoint is None:
         basepoint = space.basepoint or space.points[0]
-    _, sinks, value, _, (_, v) = _transport(space, m, mode)
-    zero = ZERO if mode == "exact" else 0.0
+    _, sinks, value, _, (_, v) = _transport(space, m)
     if sinks:
         cols = [space.index(t) for t in sinks]
         f = [min(row[k] - vj for k, vj in zip(cols, v)) for row in space.dist]
     else:
-        f = [zero] * len(space.points)
+        f = [ZERO] * len(space.points)
     shift = f[space.index(basepoint)]
     values = {p: fx - shift for p, fx in zip(space.points, f)}
-    pairing = sum((c * values[p] for p, c in m.coeffs.items()), start=zero)
-    if mode == "exact" and pairing != value:
+    pairing = sum((c * values[p] for p, c in m.coeffs.items()), start=ZERO)
+    if pairing != value:
         raise SolverFailure(f"dual certificate pairs to {pairing}, primal value is {value}")
     return DualCertificate(LipschitzFunction(values, basepoint=basepoint), pairing)
 

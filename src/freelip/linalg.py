@@ -67,10 +67,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a: Matrix, c: Fraction) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(ra == rb for ra, rb in zip(a, b)) and len(a) == len(b)
 
@@ -123,23 +119,6 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
 
 def inverse(a: Matrix) -> Matrix:
     return solve(a, identity(len(a)))
-
-
-def nullspace(a: Matrix) -> list[Vector]:
-    """Basis of the right nullspace of a."""
-    if not a:
-        return []
-    n = len(a[0])
-    r, pivots = rref(a)
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [ZERO] * n
-        v[j] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -r[i][j]
-        basis.append(v)
-    return basis
 
 
 def column_abs_sums(a: Matrix) -> Vector:

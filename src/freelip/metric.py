@@ -2,8 +2,7 @@
 
 A molecule is a finitely supported real function on the points summing to
 zero; these are the elements whose transportation norm the rest of the
-package computes.  All coefficients and distances are Fractions unless a
-caller explicitly works in float mode.
+package computes.  All coefficients and distances are Fractions.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from typing import Mapping
 from .errors import (AsymmetryError, DisconnectedGraph, SamePoint,
                      TriangleViolation, ValidationError, ZeroOffDiagonal)
 from .rational import ZERO, num_from_json, num_to_json, to_fraction
-
-FLOAT_ZERO_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -145,23 +142,6 @@ class Molecule:
     @staticmethod
     def from_json(obj: dict) -> "Molecule":
         return Molecule({p: num_from_json(v) for p, v in obj["coeffs"].items()})
-
-
-def molecule_float(coeffs: Mapping[str, float]) -> Molecule:
-    """Build a molecule from float coefficients, absorbing rounding dust.
-
-    The zero-sum defect must be below 1e-12; it is subtracted from the
-    largest-coefficient point so the exact invariant still holds.
-    """
-    total = sum(coeffs.values())
-    if abs(total) > FLOAT_ZERO_SUM_TOL:
-        raise ValidationError(f"float molecule sums to {total}, above tolerance")
-    vals = {p: to_fraction(v) for p, v in coeffs.items()}
-    defect = sum(vals.values(), start=ZERO)
-    if defect != 0 and vals:
-        top = max(vals, key=lambda p: abs(vals[p]))
-        vals[top] -= defect
-    return Molecule(vals)
 
 
 def elementary_molecule(p: str, q: str) -> Molecule:

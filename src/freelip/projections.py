@@ -83,10 +83,6 @@ def orthogonal_projection(basis_cols: list) -> list:
     return linalg.mat_mul(b, x)
 
 
-def projection_onto_line(z: list) -> list:
-    return orthogonal_projection([z])
-
-
 def check_invariance(p, g) -> bool:
     """Whether P g = g P exactly."""
     return linalg.mat_eq(linalg.mat_mul(p, g), linalg.mat_mul(g, p))

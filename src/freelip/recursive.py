@@ -380,7 +380,14 @@ def invariance_generators(profile: BaseGraphProfile, n: int,
 
 
 def edge_map_matrix(graph: TwoPoleGraph, emap: dict[str, str]) -> list:
+    """Permutation matrix of an edge map given as edge id -> image id.
+
+    Raises ValidationError unless the map is a bijection of the graph's
+    edge ids.
+    """
     order = graph.edge_order
+    if set(emap) != set(order) or set(emap.values()) != set(order):
+        raise ValidationError("edge map is not a bijection of the graph's edge ids")
     perm = [0] * len(graph.edges)
     for eid, img in emap.items():
         perm[order[eid]] = order[img]

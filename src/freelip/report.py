@@ -66,17 +66,13 @@ def tree_isometry(rng, trials, points, molecules=1):
     return [_row("tree-isometry", check, error_target="exact equality")]
 
 
-def duality_gap(rng, trials, points, float_trials):
-    """Primal = dual exactly; within 1e-7 in float mode on the first
-    float_trials spaces."""
+def duality_gap(rng, trials, points):
+    """Primal = dual, exactly."""
     def agree():
-        for i in range(trials):
+        for _ in range(trials):
             space = random_metric_space(rng, rng.randint(*points))
             m = random_molecule(rng, space.points)
             yield ae_norm(space, m)[0] == lip_dual(space, m).value
-            if i < float_trials:
-                yield abs(ae_norm(space, m, mode="float")[0]
-                          - lip_dual(space, m, mode="float").value) <= 1e-7
 
     def check():
         return "0 exactly", f"{trials} spaces", all(agree())
@@ -248,8 +244,7 @@ _DROP_PAIRS = ((2, 1), (3, 1), (3, 2))
 # claim, quick sizes, --full sizes; walked in this order on one seeded rng
 PAPER_TABLE = (
     (tree_isometry, dict(trials=40, points=(2, 9)), dict(trials=200, points=(2, 9))),
-    (duality_gap, dict(trials=25, points=(3, 9), float_trials=25),
-     dict(trials=100, points=(3, 9), float_trials=100)),
+    (duality_gap, dict(trials=25, points=(3, 9)), dict(trials=100, points=(3, 9))),
     (quotient_identity, dict(graphs=_QUOTIENT_GRAPHS, vectors=6),
      dict(graphs=_QUOTIENT_GRAPHS, vectors=50)),
     (haar_even_levels, dict(n_max=3), dict(n_max=4)),

@@ -1,6 +1,6 @@
 """Linear programming kernels: exact rational simplex methods and HiGHS floats.
 
-- Tree transport (``transportation``, exact mode): the transportation
+- Tree transport (``transportation``): the transportation
   simplex of Dantzig on a spanning-tree basis, in the network-simplex form
   of Orlin.  A north-west-corner start, u-v potentials from one tree walk
   per pivot, Dantzig pricing with a Bland fallback after ``_BLAND_AFTER``
@@ -13,8 +13,8 @@
   structure: ``min_l1_combination`` (quotient norms) and the exact minimal
   projection LP in ``projections``.  The tests use it as the reference for
   the tree kernel.
-- HiGHS floats (``solve_standard_float``) for every ``mode="float"`` solve;
-  its equality marginals give float transport potentials.
+- HiGHS floats (``solve_standard_float``) for the float mode of
+  ``min_l1_combination``.  Transport is exact only.
 
 ``lipschitz_dual`` is the n(n-1)-row Kantorovich dual LP, kept as the
 tests' reference for the value of ``lip_dual``; no library path calls it.
@@ -93,6 +93,7 @@ def _run_simplex(rows, cost, basis, ncols):
 def solve_standard_exact(a, b, c, basis=None):
     """min c.x  s.t.  a x = b, x >= 0, exactly over Q.
 
+    Entries of a, b and c are ints or Fractions; a is not modified.
     Returns (optimal value, x as list of Fractions).  A known feasible
     basis (one column index per row, after rows with negative rhs are sign
     flipped) skips phase 1.  Raises SolverFailure if infeasible or
@@ -102,13 +103,11 @@ def solve_standard_exact(a, b, c, basis=None):
     n = len(c)
     rows = []
     for i in range(m):
-        row = [Fraction(x) for x in a[i]]
         rhs = Fraction(b[i])
         if rhs < 0:
-            row = [-x for x in row]
-            rhs = -rhs
-        row.append(rhs)
-        rows.append(row)
+            rows.append([-x for x in a[i]] + [-rhs])
+        else:
+            rows.append([*a[i], rhs])
 
     if basis is not None:
         basis = list(basis)
@@ -161,7 +160,7 @@ def solve_standard_exact(a, b, c, basis=None):
 def solve_standard_float(a, b, c):
     """min c.x  s.t.  a x = b, x >= 0 through HiGHS.
 
-    Returns (value, x, y) with y the equality marginals: d value / d b.
+    Returns (value, x).
     """
     res = linprog(np.asarray(c, dtype=float),
                   A_eq=np.asarray(a, dtype=float),
@@ -169,7 +168,7 @@ def solve_standard_float(a, b, c):
                   bounds=(0, None), method="highs")
     if not res.success:
         raise SolverFailure(f"linprog failed: {res.message}")
-    return float(res.fun), [float(v) for v in res.x], [float(v) for v in res.eqlin.marginals]
+    return float(res.fun), [float(v) for v in res.x]
 
 
 # ---------------------------------------------------------------------------
@@ -316,44 +315,32 @@ def _tree_transport(cost, supply, demand):
         _cycle_pivot(x, row_adj, col_adj, parent, depth, *enter)
 
 
-def transportation(cost, supply, demand, mode="exact"):
+def transportation(cost, supply, demand):
     """Balanced transportation: min sum c[i][j] p[i][j] with given marginals.
 
-    Returns (value, plan, (u, v)): plan is a dense ns x nd matrix and u, v
-    are optimal potentials, u_i + v_j <= c[i][j] with equality wherever
-    the plan is positive.  Exact mode runs the tree simplex on the problem
-    scaled to integers; float mode reads u, v off HiGHS's marginals.
+    cost, supply and demand are ints or Fractions.  Returns (value, plan,
+    (u, v)): plan is a dense ns x nd matrix and u, v are optimal
+    potentials, u_i + v_j <= c[i][j] with equality wherever the plan is
+    positive, all Fractions.  Runs the tree simplex on the problem scaled
+    to integers.
     """
     ns, nd = len(supply), len(demand)
-    if mode == "exact":
-        masses, mden = _scaled(list(supply) + list(demand))
-        if sum(masses[:ns]) != sum(masses[ns:]):
-            raise SolverFailure("unbalanced transportation problem")
+    masses, mden = _scaled(list(supply) + list(demand))
+    if sum(masses[:ns]) != sum(masses[ns:]):
+        raise SolverFailure("unbalanced transportation problem")
     if not ns or not nd:
-        zero = ZERO if mode == "exact" else 0.0
-        return zero, [[] for _ in range(ns)], ([zero] * ns, [zero] * nd)
-    if mode == "exact":
-        flat, cden = _scaled([c for row in cost for c in row])
-        icost = [flat[i * nd:(i + 1) * nd] for i in range(ns)]
-        x, u, v = _tree_transport(icost, masses[:ns], masses[ns:])
-        plan = [[ZERO] * nd for _ in range(ns)]
-        total = 0
-        for (i, j), flow in x.items():
-            if flow:
-                plan[i][j] = Fraction(flow, mden)
-                total += flow * icost[i][j]
-        return (Fraction(total, cden * mden), plan,
-                ([Fraction(ui, cden) for ui in u], [Fraction(vj, cden) for vj in v]))
-    # the last demand row is redundant; its potential is 0
-    a = np.zeros((ns + nd - 1, ns * nd))
-    for i in range(ns):
-        a[i, i * nd:(i + 1) * nd] = 1.0
-    for j in range(nd - 1):
-        a[ns + j, j::nd] = 1.0
-    val, x, y = solve_standard_float(a, list(supply) + list(demand[:-1]),
-                                     [float(c) for row in cost for c in row])
-    plan = [x[i * nd:(i + 1) * nd] for i in range(ns)]
-    return val, plan, (y[:ns], y[ns:] + [0.0])
+        return ZERO, [[] for _ in range(ns)], ([ZERO] * ns, [ZERO] * nd)
+    flat, cden = _scaled([c for row in cost for c in row])
+    icost = [flat[i * nd:(i + 1) * nd] for i in range(ns)]
+    x, u, v = _tree_transport(icost, masses[:ns], masses[ns:])
+    plan = [[ZERO] * nd for _ in range(ns)]
+    total = 0
+    for (i, j), flow in x.items():
+        if flow:
+            plan[i][j] = Fraction(flow, mden)
+            total += flow * icost[i][j]
+    return (Fraction(total, cden * mden), plan,
+            ([Fraction(ui, cden) for ui in u], [Fraction(vj, cden) for vj in v]))
 
 
 def min_l1_combination(x, zcols, mode="exact"):
@@ -385,14 +372,14 @@ def min_l1_combination(x, zcols, mode="exact"):
         start = [2 * k + i if Fraction(x[i]) >= 0 else 2 * k + m + i for i in range(m)]
         val, sol = solve_standard_exact(a, b, cvec, basis=start)
     else:
-        val, sol, _ = solve_standard_float([[float(v) for v in row] for row in a],
-                                           [float(v) for v in b],
-                                           [float(v) for v in cvec])
+        val, sol = solve_standard_float([[float(v) for v in row] for row in a],
+                                        [float(v) for v in b],
+                                        [float(v) for v in cvec])
     coeffs = [sol[j] - sol[k + j] for j in range(k)]
     return val, coeffs
 
 
-def lipschitz_dual(dist, weights, base, mode="exact"):
+def lipschitz_dual(dist, weights, base):
     """max sum_p weights[p] f[p]  s.t.  f 1-Lipschitz w.r.t. dist, f[base] = 0.
 
     dist: n x n matrix, weights: length-n vector summing to zero.
@@ -426,15 +413,10 @@ def lipschitz_dual(dist, weights, base, mode="exact"):
         j = pos[v]
         cvec[j] = -weights[v]
         cvec[nf + j] = weights[v]
-    if mode == "exact":
-        # f = 0 with all slacks basic is feasible (distances are nonnegative)
-        start = [2 * nf + s for s in range(len(pairs))]
-        val, sol = solve_standard_exact(a, b, cvec, basis=start)
-    else:
-        val, sol, _ = solve_standard_float([[float(v) for v in row] for row in a],
-                                           [float(v) for v in b],
-                                           [float(v) for v in cvec])
-    f = [ZERO if mode == "exact" else 0.0] * n
+    # f = 0 with all slacks basic is feasible (distances are nonnegative)
+    start = [2 * nf + s for s in range(len(pairs))]
+    val, sol = solve_standard_exact(a, b, cvec, basis=start)
+    f = [ZERO] * n
     for v in vs:
         f[v] = sol[pos[v]] - sol[nf + pos[v]]
     return -val, f

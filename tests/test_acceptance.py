@@ -20,7 +20,7 @@ CRITERIA = (
     (1, "tree_isometry", report.tree_isometry,
      dict(trials=200, points=(1, 12), molecules=10), SEED, 60),
     (2, "duality", report.duality_gap,
-     dict(trials=100, points=(3, 12), float_trials=30), SEED + 1, None),
+     dict(trials=100, points=(3, 12)), SEED + 1, None),
     (3, "quotient_identity", report.quotient_identity,
      dict(graphs=((diamond, 1), (diamond, 2), (laakso, 1), (laakso, 2), (multidiamond, 1, 3)),
           vectors=50), SEED + 2, None),

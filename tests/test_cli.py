@@ -2,13 +2,20 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from freelip import linalg, report
 from freelip.cli import main
+from freelip.embeddings import large_embedding, mod_p_selection
 from freelip.errors import SolverFailure
+from freelip.freenorm import ae_norm, lip_dual
+from freelip.graphs import diamond
+from freelip.metric import Molecule, graph_metric
+from freelip.randgen import random_metric_space
+from freelip.rational import num_to_json
 
 
 def run_cli(*argv):
@@ -39,6 +46,24 @@ def test_norm_command(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["value"] == 3
     assert out["dual"]["value"] == 3
+
+
+def test_norm_command_matches_library(tmp_path, capsys):
+    rng = random.Random(11)
+    space = random_metric_space(rng, 7)
+    a, b, c, d = space.points[0], space.points[2], space.points[4], space.points[5]
+    m = Molecule({a: 3, b: F(-1, 2), c: 2, d: F(-9, 2)})
+    (tmp_path / "s.json").write_text(json.dumps(space.to_json()))
+    (tmp_path / "m.json").write_text(json.dumps(m.to_json()))
+    assert run_cli("norm", "--space", str(tmp_path / "s.json"),
+                   "--molecule", str(tmp_path / "m.json")) == 0
+    out = json.loads(capsys.readouterr().out)
+    value, plan = ae_norm(space, m)
+    cert = lip_dual(space, m)
+    assert len(plan.moves) >= 2
+    assert out["value"] == num_to_json(value)
+    assert out["plan"] == json.loads(json.dumps(plan.to_json()))
+    assert out["dual"] == json.loads(json.dumps(cert.to_json()))
 
 
 def test_quotient_norm_command(tmp_path, capsys):
@@ -120,6 +145,20 @@ def test_projconst_averaged_mode(tmp_path, capsys):
     assert out["is_projection"]
 
 
+@pytest.mark.parametrize("emap", [
+    {"bl": "nope", "br": "bl", "tl": "tr", "tr": "tl"},   # unknown edge id
+    {"bl": "br", "br": "br", "tl": "tr", "tr": "tl"},     # two edges onto br
+])
+def test_projconst_rejects_generator_that_is_not_an_edge_bijection(tmp_path, capsys, emap):
+    g = tmp_path / "g.json"
+    gens = tmp_path / "gens.json"
+    run_cli("gen", "--family", "diamond", "--level", "1", "--out", str(g))
+    gens.write_text(json.dumps({"maps": [emap]}))
+    assert run_cli("projconst", "--graph", str(g), "--mode", "averaged",
+                   "--generators", str(gens)) == 2
+    assert "bijection" in capsys.readouterr().err
+
+
 def test_embed_command(tmp_path, capsys):
     space = tmp_path / "s.json"
     space.write_text(json.dumps(
@@ -127,6 +166,18 @@ def test_embed_command(tmp_path, capsys):
     assert run_cli("embed", "--space", str(space), "--strategy", "half") == 0
     out = json.loads(capsys.readouterr().out)
     assert out["k"] == 2 and out["C"] == 1
+
+
+def test_embed_graph_modp(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    run_cli("gen", "--family", "diamond", "--level", "2", "--out", str(g))
+    capsys.readouterr()
+    assert run_cli("embed", "--graph", str(g), "--strategy", "modp:2") == 0
+    out = json.loads(capsys.readouterr().out)
+    graph = diamond(2)
+    expected = large_embedding(graph_metric(graph), mod_p_selection(graph, 2))
+    assert out["ys"] == mod_p_selection(graph, 2) and out["k"] == len(out["ys"])
+    assert out == {"schema": "freelip/1", **json.loads(json.dumps(expected.to_json()))}
 
 
 def test_embed_diamond_top(capsys):

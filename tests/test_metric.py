@@ -8,7 +8,7 @@ from freelip.errors import (AsymmetryError, SamePoint, TriangleViolation,
                             ValidationError, ZeroOffDiagonal)
 from freelip.graphs import diamond, k2n_base, laakso, single_edge
 from freelip.metric import (MetricSpace, Molecule, elementary_molecule,
-                            graph_metric, molecule_float, validate_metric)
+                            graph_metric, validate_metric)
 from freelip.randgen import random_metric_space
 
 
@@ -84,13 +84,6 @@ def test_elementary_molecule_same_point():
 def test_molecule_rejects_nonzero_sum():
     with pytest.raises(ValidationError):
         Molecule({"a": F(1), "b": F(1)})
-
-
-def test_molecule_float_mode_tolerance():
-    m = molecule_float({"a": 0.1, "b": 0.2, "c": -0.1 - 0.2})
-    assert sum(m.coeffs.values()) == 0  # dust absorbed exactly
-    with pytest.raises(ValidationError):
-        molecule_float({"a": 0.5, "b": -0.4})
 
 
 coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
