@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .errors import ResourceLimit, SolverFailure, ValidationError
-from .rational import fmt, num_to_json
+from .rational import fmt, json_key, num_to_json
 
 SCHEMA = "freelip/1"
 
@@ -107,11 +107,8 @@ def cmd_quotient_norm(args):
     from .metric import graph_metric
     g = _load_graph(args.graph)
     x = EdgeVector.from_json(g, _load(args.vector))
-    value = quotient_norm(x, mode=args.mode)
-    out = {"value": num_to_json(value) if args.mode == "exact" else value}
-    if args.mode == "exact":
-        space = graph_metric(g)
-        out["boundary_norm"] = num_to_json(ae_norm(space, boundary(x))[0])
+    out = {"value": num_to_json(quotient_norm(x)),
+           "boundary_norm": num_to_json(ae_norm(graph_metric(g), boundary(x))[0])}
     _dump(out, args.out)
     return 0
 
@@ -145,7 +142,7 @@ def cmd_projconst(args):
     else:  # averaged
         if not args.generators:
             raise ValidationError("averaged mode needs --generators")
-        mats = [edge_map_matrix(g, emap) for emap in _load(args.generators)["maps"]]
+        mats = [edge_map_matrix(g, emap) for emap in json_key(_load(args.generators), "maps")]
         group = projections.generate_group(mats)
         p = projections.average_projection(projections.orthogonal_projection(cols), group)
         lam = None
@@ -295,7 +292,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("quotient-norm", help="l1 distance to the cycle space")
     p.add_argument("--graph", required=True)
     p.add_argument("--vector", required=True)
-    p.add_argument("--mode", choices=["exact", "float"], default="exact")
     p.add_argument("--out")
     p.set_defaults(func=cmd_quotient_norm)
 
@@ -331,7 +327,7 @@ def build_parser() -> _Parser:
     p.add_argument("--report", help="output CSV path")
     p.add_argument("--plot", help="output x-y plot data (n vs witness value)")
     p.add_argument("--upper-cells", type=int, default=64,
-                   help="skip the upper-bound LPs past this grid size")
+                   help="skip the upper bound past this grid size")
     p.set_defaults(func=cmd_haar)
 
     p = sub.add_parser("embed", help="complemented near-l1 selections")

@@ -3,7 +3,10 @@ the boundary map to molecules, quotient norms, and greedy cycle packing.
 
 The edge space carries the l1 norm; the quotient of it by the cycle space
 is isometric to the free space over the graph's vertices, which is the
-identity the quotient-norm tests certify.
+identity the quotient-norm tests certify.  A quotient norm is computed as
+a min-cost flow on the graph's own edges (simplex.min_cost_flow), and its
+optimal vertex potentials, a 1-Lipschitz function attaining the value,
+are checked as its certificate.
 """
 
 from __future__ import annotations
@@ -12,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import simplex
-from .errors import NotACycle, ValidationError
+from .errors import NotACycle, SolverFailure, ValidationError
 from .graphs import TwoPoleGraph
 from .metric import Molecule
-from .rational import ZERO, num_from_json, num_to_json
+from .rational import ONE, ZERO, json_key, num_from_json, num_to_json
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,7 @@ class EdgeVector:
 
     @staticmethod
     def from_json(graph: TwoPoleGraph, obj: dict) -> "EdgeVector":
-        return EdgeVector(graph, {e: num_from_json(v) for e, v in obj["coeffs"].items()})
+        return EdgeVector(graph, {e: num_from_json(v) for e, v in json_key(obj, "coeffs").items()})
 
 
 @dataclass(frozen=True)
@@ -200,20 +203,102 @@ def mu(g: TwoPoleGraph) -> int:
     return len(g.edges) - len(g.vertices) + 1
 
 
-def quotient_norm(x: EdgeVector, z: CycleBasis | None = None, mode: str = "exact"):
-    """Distance from x to the cycle space in l1: min_c ||x - sum c_i z_i||_1.
+def _independent(rows) -> bool:
+    """Whether sparse rows ({column: value}) are linearly independent, by
+    elimination against pivot rows kept at 0 on each other's pivots."""
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        for col in [c for c in row if c in pivots]:
+            f = row[col]
+            for c, v in pivots[col].items():
+                r = row.get(c, 0) - f * v
+                if r:
+                    row[c] = r
+                else:
+                    del row[c]
+        if not row:
+            return False
+        col = min(row)
+        f = row[col]
+        row = {c: Fraction(v) / f for c, v in row.items()}
+        for other in pivots.values():
+            if col in other:
+                g = other[col]
+                for c, v in row.items():
+                    r = other.get(c, 0) - g * v
+                    if r:
+                        other[c] = r
+                    else:
+                        del other[c]
+        pivots[col] = row
+    return True
 
-    Equals the transportation norm of boundary(x) on the graph metric for
-    unit-weight graphs.
+
+def _edge_scales(g: TwoPoleGraph, z: CycleBasis) -> dict[str, Fraction]:
+    """The per-edge scales d_e of a scaled cycle basis, checked.
+
+    d_e is the common |z_i[e]| over the z_i that touch e; every D^-1 z_i
+    must be a cycle (zero boundary) and the D^-1 z_i must be mu(g)
+    independent vectors, checked by their restriction to the non-tree edges
+    of the BFS tree (a signed identity on the fundamental basis).
+    Raises ValidationError otherwise.
     """
-    if z is None:
-        z = fundamental_cycle_basis(x.graph)
-    cols = [v.dense() for v in z.vectors]
-    xv = x.dense()
-    if mode == "float":
-        cols = [[float(a) for a in col] for col in cols]
-        xv = [float(a) for a in xv]
-    value, _ = simplex.min_l1_combination(xv, cols, mode=mode)
+    if len(z.vectors) != mu(g):
+        raise ValidationError(f"basis has {len(z.vectors)} vectors, the cycle space "
+                              f"has dimension {mu(g)}")
+    scale: dict[str, Fraction] = {}
+    for v in z.vectors:
+        if v.graph is not g and v.graph != g:
+            raise ValidationError("basis vector lives on a different graph")
+        net: dict[str, int] = {}
+        for eid, c in v.coeffs.items():
+            d = abs(c)
+            if scale.setdefault(eid, d) != d:
+                raise ValidationError(f"basis vectors disagree on the scale of edge {eid!r}")
+            e = g.edge_by_id[eid]
+            s = 1 if c.numerator > 0 else -1
+            net[e.head] = net.get(e.head, 0) + s
+            net[e.tail] = net.get(e.tail, 0) - s
+        if any(net.values()):
+            raise ValidationError("basis vector is not a scaled cycle")
+    tree = {e.id for e in _spanning_tree(g)[1].values()}
+    if not _independent({eid: 1 if c.numerator > 0 else -1 for eid, c in v.coeffs.items()
+                         if eid not in tree} for v in z.vectors):
+        raise ValidationError("basis vectors are linearly dependent")
+    return scale
+
+
+def quotient_norm(x: EdgeVector, z: CycleBasis | None = None) -> Fraction:
+    """Distance from x to span(z) in l1: min_c ||x - sum c_i z_i||_1, exactly.
+
+    z is a scaled cycle basis: z_i = D y_i for independent cycles y_1..y_mu
+    and a diagonal D of edge scales d_e > 0 (checked by _edge_scales; d_e = 1
+    on edges no z_i touches).  The default is the fundamental basis, D = I.
+    Then span(z) = D Z(G), and the distance is the least cost
+    sum d_e |f_e| of an edge flow f with boundary(f) = boundary(D^-1 x): one
+    network simplex (simplex.min_cost_flow).  Its optimal vertex potentials
+    phi are checked before returning, |phi(head) - phi(tail)| <= d_e on
+    every edge and <boundary(D^-1 x), phi> = value, and SolverFailure is
+    raised otherwise.  For D = I this is the transportation norm of
+    boundary(x) on the graph metric.
+    """
+    g = x.graph
+    scale = {} if z is None else _edge_scales(g, z)
+    vidx = {v: i for i, v in enumerate(g.vertices)}
+    ends = [(vidx[e.tail], vidx[e.head]) for e in g.edges]
+    lengths = [scale.get(e.id, ONE) for e in g.edges]
+    div = [ZERO] * len(vidx)
+    for eid, v in x.coeffs.items():
+        e = g.edge_by_id[eid]
+        f = v / scale.get(eid, ONE)
+        div[vidx[e.head]] += f
+        div[vidx[e.tail]] -= f
+    value, _, phi = simplex.min_cost_flow(ends, lengths, div)
+    if any(abs(phi[h] - phi[t]) > d for (t, h), d in zip(ends, lengths)):
+        raise SolverFailure("quotient-norm potentials are not 1-Lipschitz")
+    if sum((b * p for b, p in zip(div, phi) if b), start=ZERO) != value:
+        raise SolverFailure("quotient-norm potentials do not attain the value")
     return value
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ResourceLimit, ValidationError
-from .rational import num_from_json, num_to_json, to_fraction
+from .rational import json_key, num_from_json, num_to_json, to_fraction
 
 DEFAULT_EDGE_CAP = 10 ** 6
 
@@ -125,12 +125,12 @@ class TwoPoleGraph:
     @staticmethod
     def from_json(obj: dict) -> "TwoPoleGraph":
         edges = tuple(
-            Edge(str(e["id"]), str(e["tail"]), str(e["head"]),
+            Edge(str(json_key(e, "id")), str(json_key(e, "tail")), str(json_key(e, "head")),
                  num_from_json(e.get("weight", 1)))
-            for e in obj["edges"]
+            for e in json_key(obj, "edges")
         )
-        return TwoPoleGraph(tuple(str(v) for v in obj["vertices"]), edges,
-                            str(obj["top"]), str(obj["bottom"]))
+        return TwoPoleGraph(tuple(str(v) for v in json_key(obj, "vertices")), edges,
+                            str(json_key(obj, "top")), str(json_key(obj, "bottom")))
 
 
 def single_edge() -> TwoPoleGraph:

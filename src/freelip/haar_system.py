@@ -5,7 +5,8 @@ the edge that evolved through quarters q_1...q_n sits on the cell with
 base-4 digits q_1...q_n, carrying the L1-normalized indicator scaled by
 4^n.  Under this identification the cycle space is the span of the even
 Haar levels, projections become exact rational matrices on cell values,
-and the Banach-Mazur bounds reduce to finitely many quotient-norm LPs.
+and the Banach-Mazur bounds reduce to finitely many quotient norms, each
+one min-cost flow on the graph.
 
 Everything here runs in exact rationals; there is no float path.
 
@@ -262,10 +263,6 @@ def even_level_basis(n: int) -> list[HaarIndex]:
     return out
 
 
-def even_level_vectors(n: int) -> list[DyadicVector]:
-    return [haar(ix.flat, 2 * n) for ix in even_level_basis(n)]
-
-
 def verify_even_level_span(n: int, graph: TwoPoleGraph | None = None) -> bool:
     """Exact span equality of graph Z(D_n) and the even Haar levels.
 
@@ -365,14 +362,20 @@ def haar_witness_bound(n: int):
     return f, f.l1(), qf, qf.l1()
 
 
+def _on_edges(g: TwoPoleGraph, vectors: list[DyadicVector], cell) -> list[EdgeVector]:
+    """Grid vectors as edge vectors of g: edge e takes the value of cell(e.id)."""
+    cells = [(e.id, cell(e.id)) for e in g.edges]
+    return [EdgeVector(g, {eid: v.values[c] for eid, c in cells}) for v in vectors]
+
+
 def diamond_bm_bounds(n: int, include_upper: bool = True):
     """Certified Banach-Mazur bounds for LF(D_n) against l1 of its dimension.
 
     lower: (2n+1)/3, certified by the exact Linf norm of the orthogonal
     projection onto the cut space (h_0 and the odd levels).
-    upper: ||T|| ||T^-1|| = ||T|| (= n + 1 for n <= 3; at most 4n + 4) for
-    the coset basis of h_0 and the odd-level h_i, each normalized to
-    quotient norm 1 by one quotient-norm LP (bm_upper_via_basis_map).
+    upper: ||T|| ||T^-1|| = ||T|| (= n + 1 for n <= 4; at most 4n + 4) for
+    the coset basis of h_0 and the odd-level h_i, mapped to the edges of
+    D_n and each normalized to quotient norm 1 (bm_upper_via_basis_map).
     That normalization is the paper's scaling 2^(2k-1) on level 2k-1 and 1
     on h_0 (tested for n <= 3).
     """
@@ -386,9 +389,9 @@ def diamond_bm_bounds(n: int, include_upper: bool = True):
         raise ValidationError("cut projection norm fell below the paper bound")
     upper = t_norm = tinv_norm = None
     if include_upper:
+        g = diamond(n)
         upper, t_norm, tinv_norm = projections.bm_upper_via_basis_map(
-            [list(v.values) for v in even_level_vectors(n)],
-            [list(v.values) for v in cut_vecs])
+            g, _on_edges(g, cut_vecs, lambda eid: diamond_cell_index(eid, n)))
     return {"lower": lower, "exact_orth_norm": exact_cut_norm,
             "upper": upper, "t_norm": t_norm, "tinv_norm": tinv_norm}
 
@@ -436,6 +439,12 @@ def multibranch_cut_basis(n: int, k: int) -> list[DyadicVector]:
     return out
 
 
+def _apply(p: list, v: DyadicVector) -> tuple:
+    """P v for a dense matrix P, summing only over the nonzero entries of v."""
+    nz = [(j, x) for j, x in enumerate(v.values) if x]
+    return tuple(sum((row[j] * x for j, x in nz), start=ZERO) for row in p)
+
+
 def multibranch_analysis(n: int, k: int, cell_cap: int = 4096,
                          include_upper: bool = True) -> dict:
     """Cut-space projection data and Banach-Mazur bounds for D_{n,k}.
@@ -456,8 +465,19 @@ def multibranch_analysis(n: int, k: int, cell_cap: int = 4096,
         raise ResourceLimit(f"grid of {cells} cells exceeds the cap")
     cut = multibranch_cut_basis(n, k)
     p = orthogonal_projection_matrix(cut)
-    if not linalg.is_idempotent(p) or not linalg.is_symmetric(p):
+    g = multidiamond(n, k)
+    cycle_imgs = [multibranch_graph_to_dyadic(v, n, k)
+                  for v in fundamental_cycle_basis(g).vectors]
+    if len(cycle_imgs) + len(cut) != cells:
+        raise ValidationError("cut + cycle dimensions do not fill the edge space")
+    # The fundamental cycles are independent, and so are the orthogonal cut
+    # vectors.  Once P fixes every cut vector and kills every cycle image, no
+    # vector lies in both spans, so together they are a basis on which P^2 = P.
+    # With P symmetric the cycle images are then orthogonal to the cut space.
+    if not linalg.is_symmetric(p) or any(_apply(p, w) != w.values for w in cut):
         raise ValidationError("cut projection failed idempotence/self-adjointness")
+    if any(any(_apply(p, z)) for z in cycle_imgs):
+        raise ValidationError("cycle image not orthogonal to the cut space")
 
     e1 = [ZERO] * cells
     e1[0] = Fraction(cells)
@@ -473,21 +493,10 @@ def multibranch_analysis(n: int, k: int, cell_cap: int = 4096,
     if witness_value < bm_lower:
         raise ValidationError("witness value fell below the paper bound")
 
-    # cycle side: graph fundamental cycles land in the orthogonal complement
-    g = multidiamond(n, k)
-    cycle_imgs = [multibranch_graph_to_dyadic(v, n, k)
-                  for v in fundamental_cycle_basis(g).vectors]
-    for img in cycle_imgs:
-        for w in cut:
-            if img.inner(w) != 0:
-                raise ValidationError("cycle image not orthogonal to the cut space")
-    if len(cycle_imgs) + len(cut) != cells:
-        raise ValidationError("cut + cycle dimensions do not fill the edge space")
-
     bm_upper = None
     if include_upper:
         bm_upper, _, _ = projections.bm_upper_via_basis_map(
-            [list(v.values) for v in cycle_imgs], [list(w.values) for w in cut])
+            g, _on_edges(g, cut, lambda eid: multibranch_cell_index(eid, n, k)))
     return {
         "cut_basis": cut,
         "projection": p,

@@ -14,7 +14,7 @@ from typing import Mapping
 
 from .errors import (AsymmetryError, DisconnectedGraph, SamePoint,
                      TriangleViolation, ValidationError, ZeroOffDiagonal)
-from .rational import ZERO, num_from_json, num_to_json, to_fraction
+from .rational import ZERO, json_key, num_from_json, num_to_json, to_fraction
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ class MetricSpace:
 
     @staticmethod
     def from_json(obj: dict) -> "MetricSpace":
-        points = [str(p) for p in obj["points"]]
-        dist = [[num_from_json(x) for x in row] for row in obj["dist"]]
+        points = [str(p) for p in json_key(obj, "points")]
+        dist = [[num_from_json(x) for x in row] for row in json_key(obj, "dist")]
         return validate_metric(dist, points=points, basepoint=obj.get("basepoint"))
 
 
@@ -141,7 +141,7 @@ class Molecule:
 
     @staticmethod
     def from_json(obj: dict) -> "Molecule":
-        return Molecule({p: num_from_json(v) for p, v in obj["coeffs"].items()})
+        return Molecule({p: num_from_json(v) for p, v in json_key(obj, "coeffs").items()})
 
 
 def elementary_molecule(p: str, q: str) -> Molecule:

@@ -339,39 +339,54 @@ def bm_lower_bound(lam):
     return lam - 1
 
 
-def bm_upper_via_basis_map(z_cols: list, cut_cols: list):
-    """(||T|| ||T^{-1}||, ||T||, ||T^{-1}||) for the coset basis map on the
-    quotient by span(z_cols).
+def bm_upper_via_basis_map(graph, cut_vectors: list):
+    """(||T|| ||T^{-1}||, ||T||, ||T^{-1}||) for the coset basis map on
+    l1(E)/Z(graph).
 
-    cut_cols must be nonzero, pairwise orthogonal and orthogonal to every
-    z column, so that together they span a complement of span(z_cols).
-    Each w_i is normalized by its quotient norm q_i (one exact
-    min_l1_combination each), and T sends the coset of w_i / q_i to the
+    cut_vectors are EdgeVectors on graph.  They must be nonzero, pairwise
+    orthogonal and gradients (w_e = psi(head) - psi(tail) for a vertex
+    potential psi, which is what being orthogonal to Z means; one walk down
+    the BFS tree per vector finds psi), so that together they span a
+    complement of Z.  Each w_i is normalized by its quotient norm
+    q_i = quotient_norm(w_i), and T sends the coset of w_i / q_i to the
     i-th unit vector of l1.  Every basis coset then has quotient norm 1,
     so ||T^{-1}|| = 1.  The quotient map sends the l1 unit ball onto the
-    quotient unit ball, so ||T|| is the max over coordinates c of
-    ||T e_c||_1 = sum_i |w_i[c]| q_i / <w_i, w_i>, read off the columns.
-    The values do not change when all columns are rescaled together, so
+    quotient unit ball, so ||T|| is the max over edges e of
+    ||T e_e||_1 = sum_i |w_i[e]| q_i / <w_i, w_i>, read off the vectors.
+    The values do not change when all vectors are rescaled together, so
     grid cells may carry the counting or the mean norm alike.
     """
-    from .simplex import min_l1_combination
+    from .cyclespace import _spanning_tree, quotient_norm
 
     def dot(a, b):
-        return sum((x * y for x, y in zip(a, b) if x), start=ZERO)
+        if len(a.coeffs) > len(b.coeffs):
+            a, b = b, a
+        return sum((v * b.coeffs[e] for e, v in a.coeffs.items() if e in b.coeffs),
+                   start=ZERO)
 
-    for i, w in enumerate(cut_cols):
-        if not any(w):
-            raise ValidationError("cut columns must be nonzero")
-        if any(dot(w, v) for v in cut_cols[i + 1:]):
-            raise ValidationError("cut columns are not pairwise orthogonal")
-        if any(dot(w, z) for z in z_cols):
-            raise ValidationError("T does not vanish on the given cycle space")
+    parent_edge = _spanning_tree(graph)[1]
+    tree = {e.id for e in parent_edge.values()}
+    chords = [e for e in graph.edges if e.id not in tree]
+
+    def is_gradient(w):
+        psi = {graph.bottom: ZERO}
+        for v, e in parent_edge.items():   # BFS order: parents come first
+            psi[v] = psi[e.tail] + w.get(e.id) if e.head == v else psi[e.head] - w.get(e.id)
+        return all(w.get(e.id) == psi[e.head] - psi[e.tail] for e in chords)
+
+    for i, w in enumerate(cut_vectors):
+        if w.graph is not graph and w.graph != graph:
+            raise ValidationError("cut vector lives on a different graph")
+        if not w.coeffs:
+            raise ValidationError("cut vectors must be nonzero")
+        if any(dot(w, v) for v in cut_vectors[i + 1:]):
+            raise ValidationError("cut vectors are not pairwise orthogonal")
+        if not is_gradient(w):
+            raise ValidationError("T does not vanish on the cycle space")
     sums = {}
-    for w in cut_cols:
-        q, _ = min_l1_combination(w, z_cols, mode="exact")
-        scale = q / dot(w, w)
-        for c, v in enumerate(w):
-            if v:
-                sums[c] = sums.get(c, ZERO) + abs(v) * scale
+    for w in cut_vectors:
+        scale = quotient_norm(w) / dot(w, w)
+        for e, v in w.coeffs.items():
+            sums[e] = sums.get(e, ZERO) + abs(v) * scale
     t_norm = max(sums.values(), default=ZERO)
     return t_norm, t_norm, Fraction(1)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import ValidationError
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -42,6 +44,14 @@ def num_to_json(x: Fraction):
 
 def num_from_json(x) -> Fraction:
     return to_fraction(x)
+
+
+def json_key(obj, key: str):
+    """obj[key] for an object read from a JSON file; ValidationError naming
+    the key when obj is not a JSON object or lacks it."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValidationError(f"JSON input has no {key!r} key")
+    return obj[key]
 
 
 def fmt(x: Fraction) -> str:

@@ -1,4 +1,4 @@
-"""Linear programming kernels: exact rational simplex methods and HiGHS floats.
+"""Linear programming kernels: exact rational simplex methods.
 
 - Tree transport (``transportation``): the transportation
   simplex of Dantzig on a spanning-tree basis, in the network-simplex form
@@ -8,13 +8,18 @@
   problem scaled to integers and returns the value, the plan and the
   optimal potentials, from which ``freenorm.lip_dual`` reads its
   1-Lipschitz certificate.
+- Edge flow (``min_cost_flow``): the network simplex on a graph's own
+  edges (Ahuja, Magnanti and Orlin, *Network Flows*, 1993), for the
+  quotient norms of ``cyclespace.quotient_norm``.  Each edge carries flow
+  either way at its length, so the BFS spanning tree is a feasible start;
+  the same integer scaling, pricing rules and tree-walk potentials as the
+  transport, and the optimal potentials are the dual certificate.
 - Dense simplex (``solve_standard_exact``): two-phase primal simplex over
   Fractions with the same pricing rules, for the LPs without network
-  structure: ``min_l1_combination`` (quotient norms) and the exact minimal
-  projection LP in ``projections``.  The tests use it as the reference for
-  the tree kernel.
-- HiGHS floats (``solve_standard_float``) for the float mode of
-  ``min_l1_combination``.  Transport is exact only.
+  structure, the exact minimal projection LP in ``projections``.  The
+  tests use it as the reference for both network kernels, through
+  ``min_l1_combination`` (the dense quotient-norm LP, which no library
+  path calls) and ``tests/oracles.py``.
 
 ``lipschitz_dual`` is the n(n-1)-row Kantorovich dual LP, kept as the
 tests' reference for the value of ``lip_dual``; no library path calls it.
@@ -24,9 +29,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-
-import numpy as np
-from scipy.optimize import linprog
 
 from .errors import SolverFailure
 
@@ -155,20 +157,6 @@ def solve_standard_exact(a, b, c, basis=None):
     for i, bi in enumerate(basis):
         x[bi] = rows[i][-1]
     return -cost[-1], x
-
-
-def solve_standard_float(a, b, c):
-    """min c.x  s.t.  a x = b, x >= 0 through HiGHS.
-
-    Returns (value, x).
-    """
-    res = linprog(np.asarray(c, dtype=float),
-                  A_eq=np.asarray(a, dtype=float),
-                  b_eq=np.asarray(b, dtype=float),
-                  bounds=(0, None), method="highs")
-    if not res.success:
-        raise SolverFailure(f"linprog failed: {res.message}")
-    return float(res.fun), [float(v) for v in res.x]
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +331,151 @@ def transportation(cost, supply, demand):
             ([Fraction(ui, cden) for ui in u], [Fraction(vj, cden) for vj in v]))
 
 
-def min_l1_combination(x, zcols, mode="exact"):
-    """min over c of || x - sum_i c_i z_i ||_1.
+# ---------------------------------------------------------------------------
+# Network simplex on a graph's own edges
+# ---------------------------------------------------------------------------
+
+def _flow_potentials(ends, cost, sign, tree_adj):
+    """phi(head) - phi(tail) = sign_e c_e on every tree edge, phi(0) = 0,
+    by one tree walk; also each vertex's parent, parent edge and depth."""
+    n = len(tree_adj)
+    phi = [None] * n
+    parent = [-1] * n
+    pedge = [-1] * n
+    depth = [0] * n
+    phi[0] = 0
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for e in tree_adj[u]:
+            t, h = ends[e]
+            w = h if t == u else t
+            if phi[w] is None:
+                step = sign[e] * cost[e]
+                phi[w] = phi[u] + step if w == h else phi[u] - step
+                parent[w], pedge[w], depth[w] = u, e, depth[u] + 1
+                stack.append(w)
+    return phi, parent, pedge, depth
+
+
+def _edge_entering(ends, cost, phi, first):
+    """Edge of the most negative reduced cost c_e - |phi(h) - phi(t)|, or
+    the first negative one; None at optimality.  Tree edges price at 0."""
+    best, enter = 0, None
+    for e, ((t, h), c) in enumerate(zip(ends, cost)):
+        r = c - abs(phi[h] - phi[t])
+        if r < best:
+            if first:
+                return e
+            best, enter = r, e
+    return enter
+
+
+def _edge_pivot(ends, sign, flow, tree_adj, parent, pedge, depth, phi, e_in):
+    """Bring edge e_in into the tree, oriented up the potential.
+
+    Flow runs round the cycle e_in + tree path: it rises on the tree edges
+    oriented along the cycle and falls on the others.  Among the falling
+    edges at the minimum flow the smallest arc index 2e (+1 if oriented
+    head to tail) leaves, so with first-negative entering this is Bland's
+    rule.  A zero-flow tree edge keeps its orientation, so pushing against
+    it is a degenerate step.
+    """
+    t, h = ends[e_in]
+    u, v = (t, h) if phi[h] > phi[t] else (h, t)   # flow enters along u -> v
+    rising, falling = [], []
+    a, b = v, u   # the cycle closes v -> ... -> u through the tree
+    while a != b:
+        if depth[a] >= depth[b]:
+            e, x, a = pedge[a], a, parent[a]
+        else:
+            e, x, b = pedge[b], parent[b], parent[b]
+        (rising if (ends[e][0] == x) == (sign[e] > 0) else falling).append(e)
+    theta, arc = min((flow[e], 2 * e + (sign[e] < 0)) for e in falling)
+    leave = arc // 2
+    for e in rising:
+        flow[e] += theta
+    for e in falling:
+        flow[e] -= theta
+    lt, lh = ends[leave]
+    tree_adj[lt].remove(leave)
+    tree_adj[lh].remove(leave)
+    tree_adj[t].append(e_in)
+    tree_adj[h].append(e_in)
+    sign[leave], flow[leave] = 0, 0
+    sign[e_in], flow[e_in] = (1 if u == t else -1), theta
+
+
+def min_cost_flow(ends, lengths, divergence):
+    """min sum_e lengths[e] |f_e| over edge flows f with the given divergence.
+
+    ends[e] = (tail, head) are vertex indices 0..n-1 of a connected graph,
+    lengths are positive and divergence[v] (inflow minus outflow, summing
+    to zero) are ints or Fractions.  Returns (value, flow, phi): f_e > 0
+    runs tail to head, and the vertex potentials phi satisfy
+    |phi(head) - phi(tail)| <= lengths[e] with sum_v divergence[v] phi(v)
+    = value, which certifies the optimum.  Runs the network simplex on the
+    problem scaled to integers, from the BFS spanning tree of vertex 0.
+    """
+    n, m = len(divergence), len(ends)
+    div, dden = _scaled(list(divergence))
+    if sum(div):
+        raise SolverFailure("divergence does not sum to zero")
+    cost, cden = _scaled(list(lengths))
+    adj = [[] for _ in range(n)]
+    for e, (t, h) in enumerate(ends):
+        adj[t].append(e)
+        adj[h].append(e)
+    # BFS tree; its flow is forced, each edge oriented along its flow
+    seen = [False] * n
+    seen[0] = True
+    order, up = [0], [-1] * n
+    for u in order:
+        for e in adj[u]:
+            w = ends[e][0] + ends[e][1] - u
+            if not seen[w]:
+                seen[w], up[w] = True, e
+                order.append(w)
+    if len(order) != n:
+        raise SolverFailure("min-cost flow needs a connected graph")
+    sign, flow = [0] * m, [0] * m
+    tree_adj = [[] for _ in range(n)]
+    below = list(div)
+    for w in reversed(order[1:]):
+        e = up[w]
+        t, h = ends[e]
+        f = below[w] if h == w else -below[w]   # inflow to w's subtree
+        below[t + h - w] += below[w]
+        sign[e], flow[e] = (1 if f >= 0 else -1), abs(f)
+        tree_adj[t].append(e)
+        tree_adj[h].append(e)
+    it = 0
+    while True:
+        phi, parent, pedge, depth = _flow_potentials(ends, cost, sign, tree_adj)
+        it += 1
+        if it > _MAX_ITER:
+            raise SolverFailure("network simplex iteration limit exceeded")
+        e_in = _edge_entering(ends, cost, phi, first=it > _BLAND_AFTER)
+        if e_in is None:
+            break
+        _edge_pivot(ends, sign, flow, tree_adj, parent, pedge, depth, phi, e_in)
+    total = sum(c * f for c, f in zip(cost, flow))
+    return (Fraction(total, cden * dden),
+            [Fraction(s * f, dden) for s, f in zip(sign, flow)],
+            [Fraction(p, cden) for p in phi])
+
+
+def min_l1_combination(x, zcols):
+    """min over c of || x - sum_i c_i z_i ||_1, as a dense exact LP.
 
     zcols: list of column vectors, all of the same length as x.
-    Returns (value, coefficients c).
+    Returns (value, coefficients c).  The tests' reference for
+    ``min_cost_flow``: no library path calls it.
     """
     m = len(x)
     k = len(zcols)
     if k == 0:
-        val = sum(abs(Fraction(v)) for v in x)
-        return (val if mode == "exact" else float(val)), []
+        return sum(abs(Fraction(v)) for v in x), []
     nvar = 2 * k + 2 * m  # c+, c-, u, v with x - Zc = u - v
     a = []
     for i in range(m):
@@ -365,18 +487,11 @@ def min_l1_combination(x, zcols, mode="exact"):
         row[2 * k + i] = ONE
         row[2 * k + m + i] = -ONE
         a.append(row)
-    b = list(x)
     cvec = [ZERO] * (2 * k) + [ONE] * (2 * m)
-    if mode == "exact":
-        # u_i (or v_i when the rhs is negative) is an immediate feasible basis
-        start = [2 * k + i if Fraction(x[i]) >= 0 else 2 * k + m + i for i in range(m)]
-        val, sol = solve_standard_exact(a, b, cvec, basis=start)
-    else:
-        val, sol = solve_standard_float([[float(v) for v in row] for row in a],
-                                        [float(v) for v in b],
-                                        [float(v) for v in cvec])
-    coeffs = [sol[j] - sol[k + j] for j in range(k)]
-    return val, coeffs
+    # u_i (or v_i when the rhs is negative) is an immediate feasible basis
+    start = [2 * k + i if Fraction(x[i]) >= 0 else 2 * k + m + i for i in range(m)]
+    val, sol = solve_standard_exact(a, list(x), cvec, basis=start)
+    return val, [sol[j] - sol[k + j] for j in range(k)]
 
 
 def lipschitz_dual(dist, weights, base):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from freelip import linalg, report
+from freelip import haar_system, report
 from freelip.cli import main
 from freelip.embeddings import large_embedding, mod_p_selection
 from freelip.errors import SolverFailure
@@ -159,6 +159,23 @@ def test_projconst_rejects_generator_that_is_not_an_edge_bijection(tmp_path, cap
     assert "bijection" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["norm", "--space", "{space}", "--molecule", "{empty}"], "coeffs"),
+    (["quotient-norm", "--graph", "{graph}", "--vector", "{empty}"], "coeffs"),
+    (["projconst", "--graph", "{graph}", "--mode", "averaged", "--generators", "{empty}"],
+     "maps"),
+], ids=["norm", "quotient-norm", "projconst"])
+def test_json_input_missing_a_key_is_a_validation_error(tmp_path, capsys, argv, key):
+    files = {"space": tmp_path / "s.json", "graph": tmp_path / "g.json",
+             "empty": tmp_path / "empty.json"}
+    files["space"].write_text(json.dumps({"points": ["p", "q"], "dist": [[0, 1], [1, 0]]}))
+    run_cli("gen", "--family", "diamond", "--level", "1", "--out", str(files["graph"]))
+    files["empty"].write_text("{}")
+    capsys.readouterr()
+    assert run_cli(*(a.format(**files) for a in argv)) == 2
+    assert f"no {key!r} key" in capsys.readouterr().err
+
+
 def test_embed_command(tmp_path, capsys):
     space = tmp_path / "s.json"
     space.write_text(json.dumps(
@@ -238,8 +255,11 @@ def test_reproduce_fail_row_has_its_own_exit_code(monkeypatch, capsys):
 
 
 def test_multibranch_row_fails_when_cut_projection_not_idempotent(monkeypatch):
-    # the claim relies on multibranch_analysis to reject a bad cut projection
-    monkeypatch.setattr(linalg, "is_idempotent", lambda p: False)
+    # the claim relies on multibranch_analysis to reject a bad cut projection:
+    # 2P is symmetric but not idempotent, and moves every cut vector
+    real = haar_system.orthogonal_projection_matrix
+    monkeypatch.setattr(haar_system, "orthogonal_projection_matrix",
+                        lambda vecs: [[2 * x for x in row] for row in real(vecs)])
     [row] = report.multibranch(random.Random(0), pairs=((1, 3),), include_upper=False)
     assert not row.ok
     assert row.computed.startswith("error: ") and "idempotence" in row.computed

@@ -3,15 +3,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from freelip.cyclespace import (EdgeVector, boundary, fundamental_cycle_basis,
+from hypothesis import given, settings, strategies as st
+
+from freelip import simplex
+from freelip.cyclespace import (CycleBasis, EdgeVector, boundary, fundamental_cycle_basis,
                                 fundamental_cycles_as_walks, greedy_cycle_packing,
                                 mu, quotient_norm, signed_indicator,
                                 up_down_decomposition)
-from freelip.errors import NotACycle
-from freelip.graphs import diamond, k2n_base, laakso, multidiamond, path
+from freelip.errors import NotACycle, SolverFailure, ValidationError
+from freelip.graphs import Edge, TwoPoleGraph, diamond, k2n_base, laakso, multidiamond, path
 from freelip.metric import graph_metric
 from freelip.freenorm import ae_norm
-from freelip.randgen import random_edge_vector
+from freelip.randgen import random_edge_vector, random_molecule
+from freelip.simplex import min_l1_combination
 from freelip import linalg
 
 from oracles import flow_norm
@@ -120,15 +124,177 @@ def test_quotient_identity_random_vectors(g):
         assert quotient_norm(x, basis) == ae_norm(space, boundary(x))[0]
 
 
-def test_quotient_norm_float_mode_close():
-    rng = random.Random(RNG_SEED + 5)
-    g = laakso(1)
-    space = graph_metric(g)
-    for _ in range(5):
-        x = random_edge_vector(rng, g)
-        exact = quotient_norm(x)
-        approx = quotient_norm(x, mode="float")
-        assert abs(float(exact) - approx) <= 1e-7
+def _random_graph(rng, n, extra, prefix="v"):
+    """Random connected graph: a random tree on n vertices plus up to
+    `extra` chords, each edge randomly oriented."""
+    vs = [f"{prefix}{i}" for i in range(n)]
+    pairs = [(rng.randrange(i), i) for i in range(1, n)]
+    for _ in range(extra):
+        a, b = rng.sample(range(n), 2)
+        if (a, b) not in pairs and (b, a) not in pairs:
+            pairs.append((a, b))
+    edges = [Edge(f"{prefix}e{k}", vs[a], vs[b]) if rng.random() < 0.5
+             else Edge(f"{prefix}e{k}", vs[b], vs[a]) for k, (a, b) in enumerate(pairs)]
+    return vs, edges
+
+
+FAMILIES = {"d1": diamond(1), "d2": diamond(2), "l1": laakso(1), "l2": laakso(2),
+            "d23": multidiamond(2, 3), "p5": path(5)}
+KINDS = sorted(FAMILIES) + ["random", "tree", "bridged"]
+
+
+def _graph(kind, rng):
+    if kind in FAMILIES:
+        return FAMILIES[kind]
+    if kind == "random":
+        vs, edges = _random_graph(rng, rng.randint(3, 12), rng.randint(0, 14))
+    elif kind == "tree":
+        vs, edges = _random_graph(rng, rng.randint(2, 10), 0)
+    else:  # two random graphs joined by a bridge, each maybe with pendant edges
+        va, ea = _random_graph(rng, rng.randint(3, 7), rng.randint(1, 6), "a")
+        vb, eb = _random_graph(rng, rng.randint(3, 7), rng.randint(1, 6), "b")
+        vs, edges = va + vb, ea + eb + [Edge("bridge", rng.choice(va), rng.choice(vb))]
+    return TwoPoleGraph(tuple(vs), tuple(edges), vs[-1], vs[0])
+
+
+def _random_tree_basis(rng, g):
+    """Fundamental cycles of a random spanning tree (Kruskal on a shuffled
+    edge order), so not of the BFS tree that quotient_norm checks against."""
+    comp = {v: v for v in g.vertices}
+
+    def find(v):
+        while comp[v] != v:
+            v = comp[v]
+        return v
+
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    adj = {v: [] for v in g.vertices}
+    chords = []
+    for e in edges:
+        a, b = find(e.tail), find(e.head)
+        if a == b:
+            chords.append(e)
+        else:
+            comp[a] = b
+            adj[e.tail].append((e.head, e, 1))
+            adj[e.head].append((e.tail, e, -1))
+    vectors = []
+    for c in chords:   # +1 on the chord, then back from its head to its tail
+        step = {c.head: None}
+        stack = [c.head]
+        while stack:
+            u = stack.pop()
+            for w, e, s in adj[u]:
+                if w not in step:
+                    step[w] = (u, e, s)
+                    stack.append(w)
+        coeffs, w = {c.id: 1}, c.tail
+        while w != c.head:
+            w, e, s = step[w]
+            coeffs[e.id] = s
+        vectors.append(EdgeVector(g, coeffs))
+    return CycleBasis(tuple(vectors))
+
+
+def _dense_value(x, basis):
+    return min_l1_combination(x.dense(), [z.dense() for z in basis.vectors])[0]
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(KINDS))
+@settings(max_examples=60, deadline=None)
+def test_quotient_norm_matches_dense_and_flow_oracles(seed, kind):
+    rng = random.Random(seed)
+    g = _graph(kind, rng)
+    basis = fundamental_cycle_basis(g)
+    x = random_edge_vector(rng, g)
+    value = quotient_norm(x)
+    assert value == quotient_norm(x, basis) == _dense_value(x, basis)
+    assert value == flow_norm(g, boundary(x))
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(KINDS))
+@settings(max_examples=60, deadline=None)
+def test_quotient_norm_weighted_basis_matches_dense(seed, kind):
+    # the benchmark's weighted bases: z_i = D y_i for positive rational edge
+    # scales D, here over the cycles of a random spanning tree
+    rng = random.Random(seed)
+    g = _graph(kind, rng)
+    d = {e.id: F(rng.randint(1, 9), rng.randint(1, 4)) for e in g.edges}
+    basis = CycleBasis(tuple(EdgeVector(g, {e: d[e] * v for e, v in y.coeffs.items()})
+                             for y in _random_tree_basis(rng, g).vectors))
+    x = random_edge_vector(rng, g)
+    assert quotient_norm(x, basis) == _dense_value(x, basis)
+    assert quotient_norm(EdgeVector(g, {}), basis) == 0
+    cycle = EdgeVector(g, {})
+    for z in basis.vectors:
+        cycle = cycle + z.scale(F(rng.randint(-3, 3), rng.randint(1, 3)))
+    assert quotient_norm(cycle, basis) == 0
+    assert quotient_norm(x + cycle, basis) == quotient_norm(x, basis)
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(KINDS))
+@settings(max_examples=40, deadline=None)
+def test_min_cost_flow_returns_a_feasible_flow_and_its_certificate(seed, kind):
+    rng = random.Random(seed)
+    g = _graph(kind, rng)
+    vidx = {v: i for i, v in enumerate(g.vertices)}
+    ends = [(vidx[e.tail], vidx[e.head]) for e in g.edges]
+    lengths = [F(rng.randint(1, 6), rng.randint(1, 3)) for _ in ends]
+    div = [F(0)] * len(vidx)
+    for v, c in random_molecule(rng, list(vidx)).coeffs.items():
+        div[vidx[v]] = c
+    value, flow, phi = simplex.min_cost_flow(ends, lengths, div)
+    net = [F(0)] * len(vidx)
+    for (t, h), f in zip(ends, flow):
+        net[h] += f
+        net[t] -= f
+    assert net == div
+    assert sum(d * abs(f) for d, f in zip(lengths, flow)) == value
+    assert all(abs(phi[h] - phi[t]) <= d for (t, h), d in zip(ends, lengths))
+    assert sum(b * p for b, p in zip(div, phi)) == value
+
+
+def test_flow_kernel_bland_pricing_agrees(monkeypatch):
+    # first-negative entering from the first pivot on; sparse vectors leave
+    # many zero-flow tree edges, so degenerate pivots occur
+    monkeypatch.setattr(simplex, "_BLAND_AFTER", 0)
+    rng = random.Random(RNG_SEED + 9)
+    for kind in KINDS:
+        for _ in range(3):
+            g = _graph(kind, rng)
+            x = random_edge_vector(rng, g, density=0.3)
+            assert quotient_norm(x) == _dense_value(x, fundamental_cycle_basis(g))
+
+
+@pytest.mark.parametrize("g", [diamond(2), laakso(2), multidiamond(2, 3)])
+def test_quotient_norm_rejects_bases_that_are_not_scaled_cycle_bases(g):
+    x = random_edge_vector(random.Random(RNG_SEED), g)
+    zs = list(fundamental_cycle_basis(g).vectors)
+    with pytest.raises(ValidationError, match="dimension"):
+        quotient_norm(x, CycleBasis(tuple(zs[1:])))
+    z0 = zs[0]
+    broken = EdgeVector(g, dict(list(z0.coeffs.items())[1:]))
+    with pytest.raises(ValidationError, match="not a scaled cycle"):
+        quotient_norm(x, CycleBasis((broken, *zs[1:])))
+    with pytest.raises(ValidationError, match="dependent"):
+        quotient_norm(x, CycleBasis((zs[1], *zs[1:])))
+    # double z_i on an edge that another basis vector also crosses
+    i, e = next((i, e) for i, z in enumerate(zs) for e in z.coeffs
+                if any(e in w.coeffs for w in zs if w is not z))
+    bad = EdgeVector(g, {**zs[i].coeffs, e: 2 * zs[i].coeffs[e]})
+    with pytest.raises(ValidationError, match="scale"):
+        quotient_norm(x, CycleBasis((*zs[:i], bad, *zs[i + 1:])))
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda v, f, phi: (v + 1, f, phi), "attain"),
+    (lambda v, f, phi: (v, f, [2 * p for p in phi]), "Lipschitz")])
+def test_quotient_norm_checks_the_potential_certificate(monkeypatch, corrupt, message):
+    real = simplex.min_cost_flow
+    monkeypatch.setattr(simplex, "min_cost_flow", lambda *a: corrupt(*real(*a)))
+    with pytest.raises(SolverFailure, match=message):
+        quotient_norm(EdgeVector(diamond(1), {"tl": F(1)}))
 
 
 def test_mu_values():

@@ -4,11 +4,11 @@ import pytest
 
 from freelip import haar_system, linalg
 from freelip.cyclespace import fundamental_cycle_basis, signed_indicator
-from freelip.errors import ResolutionTooCoarse
+from freelip.errors import ResolutionTooCoarse, ValidationError
 from freelip.graphs import diamond, multidiamond
 from freelip.haar_system import (DyadicVector, HaarIndex, andrew_lower_bound,
                                  diamond_bm_bounds, diamond_cell_index,
-                                 edge_embedding, even_level_basis, even_level_vectors,
+                                 edge_embedding, even_level_basis,
                                  g_isometry, graph_to_dyadic, haar, haar_coefficients,
                                  haar_witness_bound, level_indices,
                                  multibranch_analysis, multibranch_cut_basis,
@@ -229,7 +229,7 @@ def test_diamond_bm_bounds_small(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_quotient_normalization_is_paper_scaling(n):
     # 2^(2k-1) h_i on odd level 2k-1, and h_0 itself, have quotient norm 1
-    zcols = [list(v.values) for v in even_level_vectors(n)]
+    zcols = [list(haar(ix.flat, 2 * n).values) for ix in even_level_basis(n)]
     scaled = [haar(0, 2 * n)] + [haar(i, 2 * n).scale(2 ** (2 * k - 1))
                                  for k in range(1, n + 1) for i in level_indices(2 * k - 1)]
     for w in scaled:
@@ -254,6 +254,15 @@ def test_multibranch_analysis(n, k):
     assert r["linf_bound"] >= r["bm_lower"]
     p = r["projection"]
     assert linalg.is_idempotent(p) and linalg.is_symmetric(p)
+
+
+def test_multibranch_analysis_rejects_a_projection_that_keeps_the_cycles(monkeypatch):
+    # the identity is symmetric, idempotent and fixes every cut vector, but
+    # it does not kill the cycle images
+    monkeypatch.setattr(haar_system, "orthogonal_projection_matrix",
+                        lambda vecs: linalg.identity(len(vecs[0])))
+    with pytest.raises(ValidationError, match="cycle image"):
+        multibranch_analysis(1, 3, include_upper=False)
 
 
 def test_multibranch_reduces_to_binary_at_k2():

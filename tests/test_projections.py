@@ -5,11 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from freelip import linalg
-from freelip.cyclespace import fundamental_cycle_basis
+from freelip.cyclespace import EdgeVector, fundamental_cycle_basis
 from freelip import projections
 from freelip.errors import (GroupClosureOverflow, NotInvariantSubspace,
                             ResourceLimit, SingularGram, ValidationError)
-from freelip.graphs import diamond, laakso
+from freelip.graphs import diamond, laakso, path
 from freelip.projections import (average_projection, bm_lower_bound,
                                  bm_upper_via_basis_map, check_invariance,
                                  generate_group, l1_norm, linf_norm,
@@ -183,18 +183,24 @@ def test_bm_lower_bound():
 
 
 def test_bm_upper_trivial_quotient():
-    unit = [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
-    value, tn, tin = bm_upper_via_basis_map([], unit)
+    g = path(3)
+    unit = [EdgeVector(g, {e.id: F(1)}) for e in g.edges]
+    value, tn, tin = bm_upper_via_basis_map(g, unit)
     assert value == tn == tin == 1
 
 
 def test_bm_upper_rejects_map_not_vanishing_on_cycles():
+    g = diamond(1)
     with pytest.raises(ValidationError, match="vanish"):
-        bm_upper_via_basis_map([[F(1), F(1)]], [[F(1), F(0)]])
+        bm_upper_via_basis_map(g, [EdgeVector(g, {"tl": F(1)})])
 
 
 def test_bm_upper_rejects_zero_or_non_orthogonal_cut_columns():
+    g = path(2)
     with pytest.raises(ValidationError, match="pairwise orthogonal"):
-        bm_upper_via_basis_map([], [[F(1), F(0)], [F(1), F(1)]])
+        bm_upper_via_basis_map(g, [EdgeVector(g, {"e0": F(1)}),
+                                   EdgeVector(g, {"e0": F(1), "e1": F(1)})])
     with pytest.raises(ValidationError, match="nonzero"):
-        bm_upper_via_basis_map([], [[F(1), F(0)], [F(0), F(0)]])
+        bm_upper_via_basis_map(g, [EdgeVector(g, {"e0": F(1)}), EdgeVector(g, {})])
+    with pytest.raises(ValidationError, match="different graph"):
+        bm_upper_via_basis_map(g, [EdgeVector(path(3), {"e2": F(1)})])

@@ -1,14 +1,18 @@
-"""README's "Library layout" table names only things the package has.
+"""README's "Library layout" table and "CLI" synopsis name only things the
+package has.
 
-Deleting or renaming a public name without updating the table fails here.
+Deleting or renaming a public name or a command-line option without
+updating README fails here.
 """
 
+import argparse
 import importlib
 import pkgutil
 import re
 from pathlib import Path
 
 import freelip
+from freelip.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -30,3 +34,25 @@ def test_layout_table_names_existing_attributes():
     assert len(names) > 50
     missing = sorted(n for n in names if not any(hasattr(m, n) for m in modules))
     assert not missing, f"README layout names no freelip attribute: {missing}"
+
+
+def _unknown_cli_flags(text):
+    """(command, flag) for every --flag on a `freelip <cmd>` line of the
+    CLI synopsis that the subcommand's parser does not define."""
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    out = []
+    for line in block.splitlines():
+        words = line.split()
+        if len(words) < 2 or words[0] != "freelip":
+            continue
+        known = sub.choices[words[1]]._option_string_actions
+        out += [(words[1], f) for f in re.findall(r"--[a-z][a-z-]*", line) if f not in known]
+    return out
+
+
+def test_cli_synopsis_flags_exist():
+    text = README.read_text(encoding="utf-8")
+    assert _unknown_cli_flags(text) == []
+    stale = text.replace("--vector x.json", "--vector x.json [--mode exact|float]", 1)
+    assert _unknown_cli_flags(stale) == [("quotient-norm", "--mode")]
