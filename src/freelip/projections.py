@@ -10,6 +10,7 @@ repaired to an exact rational projection for certification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -83,9 +84,35 @@ def orthogonal_projection(basis_cols: list) -> list:
     return linalg.mat_mul(b, x)
 
 
+def _index_map(g, n: int) -> tuple:
+    """The index map s of a permutation matrix g, s[i] = g(i) where g has
+    its 1 at (g(i), i); ValidationError unless g is an n x n permutation
+    matrix."""
+    if len(g) != n or any(len(row) != n for row in g):
+        raise ValidationError(f"group element is not {n} x {n}")
+    s = [None] * n
+    for r, row in enumerate(g):
+        for c, x in enumerate(row):
+            if x:
+                if x != 1 or s[c] is not None:
+                    raise ValidationError("group element is not a permutation matrix")
+                s[c] = r
+    if None in s or len(set(s)) != n:
+        raise ValidationError("group element is not a permutation matrix")
+    return tuple(s)
+
+
 def check_invariance(p, g) -> bool:
-    """Whether P g = g P exactly."""
-    return linalg.mat_eq(linalg.mat_mul(p, g), linalg.mat_mul(g, p))
+    """Whether P g = g P exactly, for a permutation matrix g.
+
+    With s the index map of g this reads P[s(i)][s(j)] = P[i][j].  Raises
+    ValidationError unless g is a permutation matrix of P's size.
+    """
+    n = len(p)
+    s = _index_map(g, n)
+    if any(len(row) != n for row in p):
+        raise ValidationError("P is not square")
+    return all(p[si][sj] == x for row, si in zip(p, s) for x, sj in zip(row, s))
 
 
 def permutation_matrix(perm: list[int]) -> list:
@@ -101,48 +128,83 @@ def permutation_matrix(perm: list[int]) -> list:
 
 
 def generate_group(generators: list, cap: int = DEFAULT_GROUP_CAP) -> list:
-    """Closure of a generator set of exact matrices under multiplication."""
-    def key(mat):
-        return tuple(tuple(row) for row in mat)
+    """Closure of a set of permutation matrices under multiplication.
 
+    The closure runs breadth first on index maps (the product a g has the
+    map i -> a(g(i))), starting from the identity and multiplying each new
+    element by every generator on the right; the elements are returned as
+    permutation matrices in that order.  Raises ValidationError for an
+    empty set or a generator that is not a permutation matrix of the first
+    one's size, and GroupClosureOverflow past cap elements.
+    """
+    if not generators:
+        raise ValidationError("generate_group needs at least one generator")
     n = len(generators[0])
-    ident = linalg.identity(n)
-    seen = {key(ident): ident}
+    gens = [_index_map(g, n) for g in generators]
+    ident = tuple(range(n))
+    seen = {ident: None}
     frontier = [ident]
     while frontier:
         nxt = []
         for a in frontier:
-            for g in generators:
-                prod = linalg.mat_mul(a, g)
-                k = key(prod)
-                if k not in seen:
+            for g in gens:
+                prod = tuple(a[gi] for gi in g)
+                if prod not in seen:
                     if len(seen) >= cap:
                         raise GroupClosureOverflow(f"group closure exceeds cap {cap}")
-                    seen[k] = prod
+                    seen[prod] = None
                     nxt.append(prod)
         frontier = nxt
-    return list(seen.values())
+    return [permutation_matrix(s) for s in seen]
 
 
 def average_projection(p: list, group_elements: list) -> list:
-    """Grunbaum-Rudin average (1/|G|) sum g^{-1} P g.
+    """Grunbaum-Rudin average (1/|G|) sum g^{-1} P g over permutation
+    matrices g.
 
-    Requires each element to map range(P) onto itself (checked through
-    P g P = g P); the caller must pass a full group, and then the average
-    is a projection onto the same range, has no larger l1 norm, and
-    commutes with every element.
+    With s the index map of g, (g^{-1} P g)[i][j] = P[s(i)][s(j)], so the
+    average is a sum of re-indexed copies of P, taken in integers over P's
+    common denominator.  P must be a projection (it fixes the echelon basis
+    of its range, read from one rref of P^T; ValidationError otherwise)
+    and each element must map range(P) onto itself (NotInvariantSubspace
+    otherwise: each permuted basis vector must equal the combination of
+    the basis that its pivot coordinates prescribe).  Elements that are
+    not permutation matrices of P's size raise ValidationError.  The
+    caller must pass a full group; then the average is a projection onto
+    the same range, has no larger l1 norm, and commutes with every
+    element.
     """
-    for g in group_elements:
-        gp = linalg.mat_mul(g, p)
-        if not linalg.mat_eq(linalg.mat_mul(p, gp), gp):
-            raise NotInvariantSubspace("a group element moves the range of P")
+    if not group_elements:
+        raise ValidationError("average_projection needs at least one group element")
     n = len(p)
-    acc = linalg.zeros(n, n)
-    for g in group_elements:
-        ginv = linalg.inverse(g)
-        acc = linalg.mat_add(acc, linalg.mat_mul(ginv, linalg.mat_mul(p, g)))
-    count = Fraction(len(group_elements))
-    return [[x / count for x in row] for row in acc]
+    if any(len(row) != n for row in p):
+        raise ValidationError("P is not square")
+    maps = [_index_map(g, n) for g in group_elements]
+    echelon, pivots = linalg.rref(linalg.transpose(p))
+    basis = echelon[:len(pivots)]
+    if any(linalg.mat_vec(p, v) != v for v in basis):
+        raise ValidationError("P is not a projection")
+    for s in maps:
+        for v in basis:
+            w = [ZERO] * n
+            for i, x in enumerate(v):
+                w[s[i]] = x
+            combo = [ZERO] * n
+            for q, r in zip(pivots, basis):
+                c = w[q]
+                if c:
+                    combo = [a + c * x if x else a for a, x in zip(combo, r)]
+            if combo != w:
+                raise NotInvariantSubspace("a group element moves the range of P")
+    den = math.lcm(*(x.denominator for row in p for x in row))
+    scaled = [[x.numerator * (den // x.denominator) for x in row] for row in p]
+    acc = [[0] * n for _ in range(n)]
+    for s in maps:
+        for acc_row, si in zip(acc, s):
+            src = scaled[si]
+            acc_row[:] = [a + src[sj] for a, sj in zip(acc_row, s)]
+    count = den * len(maps)
+    return [[Fraction(x, count) for x in row] for row in acc]
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +293,8 @@ def _rationalize_projection(bcols: list, a_float: list) -> list:
     bt = linalg.transpose(b)
     gram_inv_bt = linalg.solve(linalg.mat_mul(bt, b), bt)
     a_fixed = linalg.mat_sub(a_rat, linalg.mat_mul(err, gram_inv_bt))
-    assert linalg.mat_eq(linalg.mat_mul(a_fixed, b), linalg.identity(k))
+    if not linalg.mat_eq(linalg.mat_mul(a_fixed, b), linalg.identity(k)):
+        raise SolverFailure("the repaired left inverse A does not satisfy A B = I exactly")
     return linalg.mat_mul(b, a_fixed)
 
 

@@ -4,15 +4,17 @@ These deliberately avoid the code paths they check: the dense transport
 oracle runs the generic two-phase simplex on the bipartite formulation
 rather than the tree kernel, the flow oracle computes transportation norms
 on graphs from an edge-flow LP, the clipped-cone witness certifies
-elementary-molecule norms with no LP at all, and the dense span check
+elementary-molecule norms with no LP at all, the dense span check
 takes inner products with h_0 and the odd Haar levels instead of running
-the fast Haar transform.
+the fast Haar transform, and the dense group oracles multiply and invert
+whole Fraction matrices instead of composing index maps.
 """
 
 from fractions import Fraction
 
-from freelip import haar_system
+from freelip import haar_system, linalg
 from freelip.cyclespace import fundamental_cycle_basis
+from freelip.errors import GroupClosureOverflow, NotInvariantSubspace
 from freelip.metric import MetricSpace, Molecule
 from freelip.graphs import TwoPoleGraph, diamond
 from freelip.simplex import solve_standard_exact
@@ -125,3 +127,46 @@ def even_level_span_dense(n: int) -> bool:
                           for i in haar_system.level_indices(2 * k - 1))
     return all(haar_system.graph_to_dyadic(vec, n).inner(h) == 0
                for vec in basis.vectors for h in complement)
+
+
+def dense_commutes(p, g) -> bool:
+    """P g = g P by two dense matrix products."""
+    return linalg.mat_mul(p, g) == linalg.mat_mul(g, p)
+
+
+def dense_generate_group(generators: list, cap: int) -> list:
+    """Breadth-first closure of exact matrices under multiplication on the
+    right by each generator, starting from the identity."""
+    def key(mat):
+        return tuple(tuple(row) for row in mat)
+
+    ident = linalg.identity(len(generators[0]))
+    seen = {key(ident): ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in generators:
+                prod = linalg.mat_mul(a, g)
+                k = key(prod)
+                if k not in seen:
+                    if len(seen) >= cap:
+                        raise GroupClosureOverflow(f"group closure exceeds cap {cap}")
+                    seen[k] = prod
+                    nxt.append(prod)
+        frontier = nxt
+    return list(seen.values())
+
+
+def dense_average_projection(p: list, group_elements: list) -> list:
+    """(1/|G|) sum g^{-1} P g with dense products and inverses, after
+    checking P g P = g P for every element."""
+    for g in group_elements:
+        gp = linalg.mat_mul(g, p)
+        if linalg.mat_mul(p, gp) != gp:
+            raise NotInvariantSubspace("a group element moves the range of P")
+    acc = linalg.zeros(len(p), len(p))
+    for g in group_elements:
+        acc = linalg.mat_add(acc, linalg.mat_mul(linalg.inverse(g), linalg.mat_mul(p, g)))
+    count = Fraction(len(group_elements))
+    return [[x / count for x in row] for row in acc]

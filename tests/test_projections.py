@@ -3,12 +3,14 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freelip import linalg
-from freelip.cyclespace import EdgeVector, fundamental_cycle_basis
+from freelip.cyclespace import EdgeVector, boundary, fundamental_cycle_basis
 from freelip import projections
 from freelip.errors import (GroupClosureOverflow, NotInvariantSubspace,
-                            ResourceLimit, SingularGram, ValidationError)
+                            ResourceLimit, SingularGram, SolverFailure,
+                            ValidationError)
 from freelip.graphs import diamond, laakso, path
 from freelip.projections import (average_projection, bm_lower_bound,
                                  bm_upper_via_basis_map, check_invariance,
@@ -17,6 +19,7 @@ from freelip.projections import (average_projection, bm_lower_bound,
                                  permutation_matrix)
 from freelip.recursive import invariance_generators, edge_map_matrix, profile_base
 from freelip.graphs import diamond_base, laakso_base
+from oracles import dense_average_projection, dense_commutes, dense_generate_group
 
 LINE = [F(1), F(1), F(-1), F(-1)]
 
@@ -168,6 +171,166 @@ def test_generate_group_closure_and_cap():
     assert len(closed) == 8
     with pytest.raises(GroupClosureOverflow):
         generate_group(group, cap=2)
+
+
+def test_average_projection_rejects_an_empty_element_list():
+    with pytest.raises(ValidationError, match="at least one"):
+        average_projection(orthogonal_projection([LINE]), [])
+
+
+def test_generate_group_rejects_an_empty_generator_list():
+    with pytest.raises(ValidationError, match="at least one"):
+        generate_group([])
+
+
+NOT_PERMUTATIONS = {
+    "diag-2-1": [[F(2), F(0)], [F(0), F(1)]],        # generate_group used to run to the cap
+    "two-ones-in-a-row": [[F(1), F(1)], [F(0), F(0)]],
+    "two-ones-in-a-column": [[F(1), F(0)], [F(1), F(0)]],
+    "ragged": [[F(1), F(0)], [F(0), F(1), F(0)]],
+    "1x1": [[F(1)]],                                   # check_invariance used to return False
+    "3x3": linalg.identity(3),
+}
+
+
+@pytest.mark.parametrize("bad", NOT_PERMUTATIONS.values(), ids=NOT_PERMUTATIONS.keys())
+def test_group_code_rejects_elements_that_are_not_permutations_of_p_size(bad):
+    p = linalg.identity(2)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError):
+        check_invariance(p, bad)
+    with pytest.raises(ValidationError):
+        average_projection(p, [linalg.identity(2), bad])
+    with pytest.raises(ValidationError):
+        generate_group([linalg.identity(2), bad])
+    with pytest.raises(ValidationError):
+        generate_group([bad, linalg.identity(2)])
+    assert time.perf_counter() - start < 1.0
+
+
+def test_average_projection_rejects_an_operator_that_is_not_a_projection():
+    with pytest.raises(ValidationError, match="not a projection"):
+        average_projection([[F(2), F(0)], [F(0), F(0)]], [linalg.identity(2)])
+
+
+def _skew(p, x):
+    """P + P X (I - P): a projection with the range of P, for any X."""
+    n = len(p)
+    i_minus_p = linalg.mat_sub(linalg.identity(n), p)
+    return linalg.mat_add(p, linalg.mat_mul(p, linalg.mat_mul(x, i_minus_p)))
+
+
+def _assert_matches_dense_oracle(generators, p_list, cap):
+    """generate_group, average_projection and check_invariance agree with
+    the dense oracles: the same elements in the same order (or the same
+    overflow), equal averages (or the same NotInvariantSubspace) and equal
+    invariance answers."""
+    try:
+        dense_group = dense_generate_group(generators, cap)
+    except GroupClosureOverflow:
+        with pytest.raises(GroupClosureOverflow):
+            generate_group(generators, cap=cap)
+        elements = generators
+    else:
+        elements = generate_group(generators, cap=cap)
+        assert elements == dense_group
+    for p in p_list:
+        try:
+            expected = dense_average_projection(p, elements)
+        except NotInvariantSubspace:
+            with pytest.raises(NotInvariantSubspace):
+                average_projection(p, elements)
+        else:
+            assert average_projection(p, elements) == expected
+        for gmat in elements:
+            assert check_invariance(p, gmat) == dense_commutes(p, gmat)
+
+
+@st.composite
+def permutation_groups(draw):
+    n = draw(st.integers(1, 8))
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    vectors = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                            min_size=1, max_size=3))
+    skew = draw(st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    orbit = draw(st.booleans())
+    return n, gens, vectors, skew, orbit
+
+
+@given(permutation_groups())
+@settings(max_examples=60, deadline=None)
+def test_group_code_matches_dense_oracle_on_random_permutation_groups(case):
+    n, gens, vectors, skew, orbit = case
+    generators = [permutation_matrix(list(g)) for g in gens]
+    echelon, pivots = linalg.rref([[F(x) for x in v] for v in vectors])
+    basis = echelon[:len(pivots)]
+    while orbit:   # grow the span until every generator maps it into itself
+        moved = [[v[g.index(i)] for i in range(n)] for v in basis for g in gens]
+        echelon, pivots = linalg.rref(basis + moved)
+        orbit = len(pivots) > len(basis)
+        basis = echelon[:len(pivots)]
+    p_list = [linalg.zeros(n, n)]
+    if basis:
+        p = orthogonal_projection(basis)
+        p_list += [p, _skew(p, [[F(x) for x in row] for row in skew])]
+    _assert_matches_dense_oracle(generators, p_list, cap=60)
+
+
+@pytest.mark.parametrize("graph, base, level", [
+    (diamond(1), diamond_base(), 1),
+    (diamond(2), diamond_base(), 2),
+    (laakso(1), laakso_base(), 1),
+])
+def test_group_code_matches_dense_oracle_on_invariance_groups(graph, base, level):
+    gens = [edge_map_matrix(graph, emap) for _, emap
+            in sorted(invariance_generators(profile_base(base), level, graph).items())]
+    cols = [v.dense() for v in fundamental_cycle_basis(graph).vectors]
+    p_orth = orthogonal_projection(cols)
+    _, p_min = minimal_projection_lp(cols, len(graph.edges))
+    _assert_matches_dense_oracle(gens, [p_orth, p_min], cap=10 ** 6)
+
+
+def test_range_moving_element_raises_like_the_dense_oracle():
+    g, group, rotation = _cycle_graph_symmetries()
+    z = fundamental_cycle_basis(g).vectors[0].dense()
+    p = orthogonal_projection([z])
+    for elements in ([rotation], group + [rotation]):
+        with pytest.raises(NotInvariantSubspace):
+            dense_average_projection(p, elements)
+        with pytest.raises(NotInvariantSubspace):
+            average_projection(p, elements)
+
+
+def test_laakso_two_minimal_projection_averages_over_its_256_element_group():
+    g = laakso(2)
+    cols = [v.dense() for v in fundamental_cycle_basis(g).vectors]
+    gens = [edge_map_matrix(g, emap)
+            for emap in invariance_generators(profile_base(laakso_base()), 2, g).values()]
+    _, p = minimal_projection_lp(cols, len(g.edges))
+    start = time.perf_counter()
+    group = generate_group(gens)
+    avg = average_projection(p, group)
+    assert time.perf_counter() - start < 10.0
+    assert len(group) == 256
+    assert all(check_invariance(avg, gmat) for gmat in gens)
+    assert all(linalg.mat_vec(avg, c) == c for c in cols)
+    for j in range(len(g.edges)):
+        col = EdgeVector(g, {e.id: avg[g.edge_order[e.id]][j] for e in g.edges})
+        assert boundary(col).is_zero()
+    assert l1_norm(avg) <= l1_norm(p)
+    assert avg != orthogonal_projection(cols)  # invariant projections are not unique
+
+
+def test_rationalize_projection_raises_when_the_repair_breaks(monkeypatch):
+    cols = [v.dense() for v in fundamental_cycle_basis(diamond(1)).vectors]
+    a_float = [[float(x) / 4 for x in col] for col in cols]
+    a_float[0][0] += 1e-3                                      # A B != I
+    p = projections._rationalize_projection(cols, a_float)
+    assert all(linalg.mat_vec(p, c) == c for c in cols)
+    monkeypatch.setattr(linalg, "solve", lambda a, b: linalg.zeros(len(a), len(b[0])))
+    with pytest.raises(SolverFailure, match="left inverse"):
+        projections._rationalize_projection(cols, a_float)
 
 
 def test_bm_lower_bound():
