@@ -6,20 +6,26 @@ sharpenings.
 Every report is certified computationally: the interpolation constant C is
 an exact finite max, biorthogonality is checked exactly, and the projection
 norm is evaluated on the extreme points of the free-space unit ball (the
-normalized elementary molecules), whose images are supported on at most
-four points and so cost one tiny transportation solve each.
+normalized elementary molecules).  The image of 1_p - 1_q is the difference
+of two multisets of at most two unit masses each, so its transportation
+norm is the cheaper of at most two matchings, read off in closed form:
+transport between unit masses is an assignment problem, whose polytope has
+integral vertices (Birkhoff-von Neumann), and a point in both multisets
+costs nothing by the triangle inequality.  Both pair scans compare ratios
+of the metric's integer distances over their common denominator and build
+one Fraction at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (EmptyComplement, MinimalityViolated, PTooLarge,
                      ValidationError)
-from .freenorm import ae_norm
 from .graphs import Edge, TwoPoleGraph
-from .metric import MetricSpace, Molecule, graph_metric
+from .metric import MetricSpace, graph_metric
 from .rational import ZERO
 
 
@@ -55,9 +61,10 @@ def kruskal_mst(space: MetricSpace) -> TwoPoleGraph:
     pts = list(space.points)
     if len(pts) < 2:
         raise ValidationError("need at least two points")
+    _, dist = space._scaled
     pairs = sorted(
-        (space.d(p, q), p, q)
-        for i, p in enumerate(pts) for q in pts[i + 1:]
+        (dist[i][j], p, pts[j], i, j)
+        for i, p in enumerate(pts) for j in range(i + 1, len(pts))
     )
     root = {p: p for p in pts}
 
@@ -68,11 +75,11 @@ def kruskal_mst(space: MetricSpace) -> TwoPoleGraph:
         return p
 
     edges = []
-    for w, p, q in pairs:
+    for _, p, q, i, j in pairs:
         rp, rq = find(p), find(q)
         if rp != rq:
             root[rp] = rq
-            edges.append(Edge(f"{p}--{q}", p, q, w))
+            edges.append(Edge(f"{p}--{q}", p, q, space.dist[i][j]))
             if len(edges) == len(pts) - 1:
                 break
     return TwoPoleGraph(tuple(pts), tuple(edges), pts[-1], pts[0])
@@ -94,52 +101,95 @@ def _bipartition(tree: TwoPoleGraph) -> tuple[set, set]:
     return side0, side1
 
 
+def _selected_indices(space: MetricSpace, ys: list[str]) -> list[int]:
+    """Indices of the selected points; ValidationError unless they are
+    distinct points of the space."""
+    index = space._index
+    out = []
+    for y in ys:
+        if y not in index:
+            raise ValidationError(f"selected point {y!r} is not in the space")
+        out.append(index[y])
+    if len(set(out)) != len(out):
+        raise ValidationError("selected points repeat")
+    return out
+
+
+def _partner_indices(space: MetricSpace, ys: list[str],
+                     partners: dict[str, str]) -> list[int]:
+    """Per point index, the index of its partner if it is selected, else -1;
+    ValidationError unless every selected point has a partner in the space."""
+    index = space._index
+    out = [-1] * len(space.points)
+    for y, i in zip(ys, _selected_indices(space, ys)):
+        if y not in partners:
+            raise ValidationError(f"selected point {y!r} has no partner")
+        if partners[y] not in index:
+            raise ValidationError(f"partner {partners[y]!r} of {y!r} is not in the space")
+        out[i] = index[partners[y]]
+    return out
+
+
 def interpolation_constant(space: MetricSpace, ys: list[str],
                            d_values: dict[str, Fraction]) -> Fraction:
-    """max over pairs of (d_i + d_j) / d(y_i, y_j), floored at 1."""
-    best = Fraction(1)
-    for i, yi in enumerate(ys):
-        for yj in ys[i + 1:]:
-            ratio = (d_values[yi] + d_values[yj]) / space.d(yi, yj)
-            if ratio > best:
-                best = ratio
-    return best
+    """max over pairs of (d_i + d_j) / d(y_i, y_j), floored at 1.
+
+    With den the metric's common denominator, D its integer distances, s
+    the common denominator of the d_i and a_i = s d_i, each ratio is
+    den (a_i + a_j) / (s D_ij).  The max is taken over the integer pairs
+    (a_i + a_j, D_ij) by cross-multiplication, starting from (s, den),
+    which stands for the floor 1.
+    """
+    idx = _selected_indices(space, ys)
+    for y in ys:
+        if y not in d_values:
+            raise ValidationError(f"selected point {y!r} has no d value")
+    den, dist = space._scaled
+    vals = [Fraction(d_values[y]) for y in ys]
+    scale = lcm(*(v.denominator for v in vals))
+    a = [v.numerator * (scale // v.denominator) for v in vals]
+    best_num, best_den = scale, den
+    for s, i in enumerate(idx):
+        row = dist[i]
+        for t in range(s + 1, len(idx)):
+            num, d = a[s] + a[t], row[idx[t]]
+            if num * best_den > best_num * d:
+                best_num, best_den = num, d
+    return Fraction(den * best_num, scale * best_den)
 
 
-def apply_projection(ys: set, partners: dict[str, str], m: Molecule) -> Molecule:
-    """P m = sum_i f_i(m) u_i; the d_i factors cancel, leaving
-    sum over selected points of m(y) (1_y - 1_{partner(y)})."""
-    out: dict[str, Fraction] = {}
-    for y, v in m.coeffs.items():
-        if y in ys:
-            x = partners[y]
-            out[y] = out.get(y, ZERO) + v
-            out[x] = out.get(x, ZERO) - v
-    return Molecule(out)
-
-
-def projection_norm(space: MetricSpace, ys: list[str], partners: dict[str, str]):
+def projection_norm(space: MetricSpace, ys: list[str],
+                    partners: dict[str, str]) -> Fraction:
     """Operator norm of P on the free space, exactly.
 
-    The unit ball is the convex hull of normalized elementary molecules, so
-    the norm is the max of ||P m_pq|| / d(p,q) over pairs; each image is
-    supported on at most four points.
+    The unit ball is the closed convex hull of the normalized elementary
+    molecules, so the norm is the max of ||P(1_p - 1_q)|| / d(p, q) over
+    pairs.  P(1_y - 1_z) = 1_y - 1_x for a selected y with partner x and an
+    unselected z, so its norm is d(y, x); when both p and q are selected
+    the image is (1_p + 1_{x_q}) - (1_{x_p} + 1_q), whose norm is
+    min(d(p, x_p) + d(x_q, q), d(p, q) + d(x_q, x_p)) (module docstring).
+    The scan runs on the integer distances, whose common denominator
+    cancels from every ratio.
     """
-    ys_set = set(ys)
-    best = ZERO
-    pts = list(space.points)
-    for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
-            if p not in ys_set and q not in ys_set:
-                continue
-            img = apply_projection(ys_set, partners, Molecule({p: 1, q: -1}))
-            if img.is_zero():
-                continue
-            val, _ = ae_norm(space, img)
-            ratio = val / space.d(p, q)
-            if ratio > best:
-                best = ratio
-    return best
+    partner = _partner_indices(space, ys, partners)
+    _, dist = space._scaled
+    own = [dist[i][x] if x >= 0 else 0 for i, x in enumerate(partner)]
+    best_cost, best_d = 0, 1
+    for i, xi in enumerate(partner):
+        row = dist[i]
+        for j in range(i + 1, len(partner)):
+            xj = partner[j]
+            if xj < 0:
+                if xi < 0:
+                    continue
+                cost = own[i]
+            elif xi < 0:
+                cost = own[j]
+            else:
+                cost = min(own[i] + own[j], row[j] + dist[xj][xi])
+            if cost * best_d > best_cost * row[j]:
+                best_cost, best_d = cost, row[j]
+    return Fraction(best_cost, best_d)
 
 
 def biorthogonality_matrix(space: MetricSpace, ys: list[str],
@@ -147,6 +197,7 @@ def biorthogonality_matrix(space: MetricSpace, ys: list[str],
     """Pairing matrix f_i(u_j) with f_i = d_i 1_{y_i} and
     u_j = (1_{y_j} - 1_{x_j}) / d_j; the identity matrix certifies
     biorthogonality."""
+    _partner_indices(space, ys, partners)
     d_values = {y: space.d(y, partners[y]) for y in ys}
     out = []
     for yi in ys:
@@ -199,6 +250,7 @@ def half_dim_embedding(space: MetricSpace, with_proj_norm: bool = True) -> Embed
 def large_embedding(space: MetricSpace, ys: list[str],
                     with_proj_norm: bool = True) -> EmbeddingReport:
     """Selected-subset embedding with nearest-complement partners."""
+    _selected_indices(space, ys)
     complement = [p for p in space.points if p not in set(ys)]
     if not complement:
         raise EmptyComplement("selected set must have a nonempty complement")
@@ -219,6 +271,7 @@ def lcdw_bounds(space: MetricSpace, ys: list[str], partners: dict[str, str],
     Returns (lower, lip, upper) with lower = max |alpha|,
     upper = C max |alpha|.
     """
+    _partner_indices(space, ys, partners)
     ys_set = set(ys)
     complement = [p for p in space.points if p not in ys_set]
     if not complement:

@@ -7,9 +7,11 @@ package computes.  All coefficients and distances are Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import add
 from typing import Mapping
 
 from .errors import (AsymmetryError, DisconnectedGraph, SamePoint,
@@ -34,6 +36,15 @@ class MetricSpace:
 
     def d(self, p: str, q: str) -> Fraction:
         return self.dist[self._index[p]][self._index[q]]
+
+    @cached_property
+    def _scaled(self) -> tuple[int, list[list[int]]]:
+        """(den, D) with d(points[i], points[j]) = D[i][j] / den exactly:
+        den is the least common denominator of the distances, so every
+        comparison of sums and ratios of distances runs on integers."""
+        den = lcm(*(x.denominator for row in self.dist for x in row))
+        return den, [[x.numerator * (den // x.denominator) for x in row]
+                     for row in self.dist]
 
     @cached_property
     def diameter(self) -> Fraction:
@@ -68,7 +79,9 @@ def validate_metric(dist, points=None, basepoint=None) -> MetricSpace:
     """Check the metric axioms and return the validated space.
 
     Reports the first violated axiom: squareness, zero diagonal, symmetry,
-    positivity off the diagonal, then an exhaustive triangle scan.
+    positivity off the diagonal, then an exhaustive triangle scan, which
+    runs on the integer distances over the common denominator and reports
+    the first (i, j, k) in index order with d(i, j) > d(i, k) + d(k, j).
     """
     n = len(dist)
     rows = [[to_fraction(x) for x in row] for row in dist]
@@ -90,14 +103,19 @@ def validate_metric(dist, points=None, basepoint=None) -> MetricSpace:
                 raise ValidationError(f"negative distance at ({points[i]},{points[j]})")
             if rows[i][j] == 0:
                 raise ZeroOffDiagonal(f"zero distance between distinct points {points[i]}, {points[j]}")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if rows[i][j] > rows[i][k] + rows[k][j]:
-                    raise TriangleViolation(points[i], points[j], points[k])
+    space = MetricSpace(tuple(points), tuple(tuple(r) for r in rows), basepoint)
+    _, scaled = space._scaled
+    # by the symmetry checked above d(k, j) = d(j, k), and a violated
+    # (j, i, k) comes before (i, j, k) when j < i, so only i < j is scanned
+    for i, ri in enumerate(scaled):
+        for j in range(i + 1, n):
+            rj = scaled[j]
+            if min(map(add, ri, rj)) < ri[j]:
+                k = next(k for k in range(n) if ri[j] > ri[k] + rj[k])
+                raise TriangleViolation(points[i], points[j], points[k])
     if basepoint is not None and basepoint not in points:
         raise ValidationError(f"basepoint {basepoint!r} not among points")
-    return MetricSpace(tuple(points), tuple(tuple(r) for r in rows), basepoint)
+    return space
 
 
 @dataclass(frozen=True)

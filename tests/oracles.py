@@ -6,8 +6,10 @@ rather than the tree kernel, the flow oracle computes transportation norms
 on graphs from an edge-flow LP, the clipped-cone witness certifies
 elementary-molecule norms with no LP at all, the dense span check
 takes inner products with h_0 and the odd Haar levels instead of running
-the fast Haar transform, and the dense group oracles multiply and invert
-whole Fraction matrices instead of composing index maps.
+the fast Haar transform, the dense group oracles multiply and invert
+whole Fraction matrices instead of composing index maps, and the transport
+projection norm solves one transportation problem per elementary molecule
+instead of reading the two-matching closed form.
 """
 
 from fractions import Fraction
@@ -15,6 +17,7 @@ from fractions import Fraction
 from freelip import haar_system, linalg
 from freelip.cyclespace import fundamental_cycle_basis
 from freelip.errors import GroupClosureOverflow, NotInvariantSubspace
+from freelip.freenorm import ae_norm
 from freelip.metric import MetricSpace, Molecule
 from freelip.graphs import TwoPoleGraph, diamond
 from freelip.simplex import solve_standard_exact
@@ -170,3 +173,23 @@ def dense_average_projection(p: list, group_elements: list) -> list:
         acc = linalg.mat_add(acc, linalg.mat_mul(linalg.inverse(g), linalg.mat_mul(p, g)))
     count = Fraction(len(group_elements))
     return [[x / count for x in row] for row in acc]
+
+
+def transport_projection_norm(space: MetricSpace, ys, partners) -> Fraction:
+    """max over pairs p, q of ||P(1_p - 1_q)|| / d(p, q), one exact
+    transportation simplex per image; P m is the sum over selected points
+    y of m(y) (1_y - 1_{partner(y)})."""
+    selected = set(ys)
+    best = ZERO
+    pts = list(space.points)
+    for i, p in enumerate(pts):
+        for q in pts[i + 1:]:
+            image: dict = {}
+            for y, v in ((p, ONE), (q, -ONE)):
+                if y in selected:
+                    x = partners[y]
+                    image[y] = image.get(y, ZERO) + v
+                    image[x] = image.get(x, ZERO) - v
+            value, _ = ae_norm(space, Molecule(image))
+            best = max(best, value / space.d(p, q))
+    return best

@@ -1,7 +1,9 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freelip import linalg
 from freelip.errors import (EmptyComplement, MinimalityViolated, PTooLarge,
@@ -10,10 +12,12 @@ from freelip.embeddings import (biorthogonality_matrix, diamond_anm,
                                 diamond_stage_net, diamond_top_level,
                                 half_dim_embedding, interpolation_constant,
                                 kruskal_mst, large_embedding, lcdw_bounds,
-                                max_distance_to_set, mod_p_selection)
+                                max_distance_to_set, mod_p_selection,
+                                projection_norm)
 from freelip.graphs import diamond, path
 from freelip.metric import graph_metric, validate_metric
 from freelip.randgen import random_metric_space
+from oracles import transport_projection_norm
 
 RNG_SEED = 2718
 
@@ -182,3 +186,143 @@ def test_diamond_anm_and_net(n, m):
 def test_interpolation_constant_floor():
     space = validate_metric([[0, 5, 5], [5, 0, 5], [5, 5, 0]], points=["a", "b", "c"])
     assert interpolation_constant(space, ["a", "b"], {"a": F(1), "b": F(1)}) == 1
+
+
+def _closed_metric(weights, n):
+    """Shortest-path closure of a symmetric weight list, validated."""
+    d = [[F(0)] * n for _ in range(n)]
+    it = iter(weights)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = next(it)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return validate_metric(d)
+
+
+# mixed denominators, so a kernel that forgot the common denominator fails
+weight = st.builds(F, st.integers(1, 30), st.sampled_from((1, 2, 3, 5, 7, 12)))
+
+
+@st.composite
+def selections(draw):
+    """A random rational metric, a random selection and a partner map that
+    mixes unselected partners, selected ones, shared ones and y itself."""
+    n = draw(st.integers(2, 8))
+    space = _closed_metric(draw(st.lists(weight, min_size=n * (n - 1) // 2,
+                                         max_size=n * (n - 1) // 2)), n)
+    pts = list(space.points)
+    ys = draw(st.lists(st.sampled_from(pts), unique=True, max_size=n))
+    partners = {}
+    for y in ys:
+        kind = draw(st.sampled_from(("any", "self", "selected", "shared")))
+        if kind == "self":
+            partners[y] = y
+        elif kind == "selected":
+            partners[y] = draw(st.sampled_from(ys))
+        elif kind == "shared" and partners:
+            partners[y] = next(iter(partners.values()))
+        else:
+            partners[y] = draw(st.sampled_from(pts))
+    return space, ys, partners
+
+
+@given(selections())
+@settings(max_examples=150, deadline=None)
+def test_projection_norm_matches_transport_oracle(case):
+    space, ys, partners = case
+    assert projection_norm(space, ys, partners) == transport_projection_norm(space, ys, partners)
+
+
+def _graph_selections():
+    rng = random.Random(RNG_SEED + 4)
+    for n in (1, 2, 3):
+        g = diamond(n)
+        space = graph_metric(g)
+        rep = diamond_top_level(n, with_proj_norm=False)
+        yield pytest.param(space, rep.ys, rep.partners, id=f"D{n}-top")
+        rep = half_dim_embedding(space, with_proj_norm=False)
+        yield pytest.param(space, rep.ys, rep.partners, id=f"D{n}-half")
+        pts = list(space.points)
+        ys = rng.sample(pts, len(pts) // 2)
+        yield pytest.param(space, ys, {y: rng.choice(pts) for y in ys}, id=f"D{n}-random")
+    for n, m in ((2, 1), (3, 1), (3, 2)):
+        g = diamond(n)
+        space = graph_metric(g)
+        rep = large_embedding(space, sorted(set(g.vertices) - set(diamond_stage_net(n, m))),
+                              with_proj_norm=False)
+        yield pytest.param(space, rep.ys, rep.partners, id=f"net-{n}-{m}")
+
+
+@pytest.mark.parametrize("space,ys,partners", list(_graph_selections()))
+def test_projection_norm_matches_transport_oracle_on_diamonds(space, ys, partners):
+    assert projection_norm(space, ys, partners) == transport_projection_norm(space, ys, partners)
+
+
+def test_interpolation_constant_matches_fraction_recomputation():
+    rng = random.Random(RNG_SEED + 5)
+    for _ in range(40):
+        n = rng.randint(2, 10)
+        weights = [F(rng.randint(1, 30), rng.choice((1, 2, 3, 5, 7, 12)))
+                   for _ in range(n * (n - 1) // 2)]
+        space = _closed_metric(weights, n)
+        ys = rng.sample(list(space.points), rng.randint(1, n))
+        d_values = {y: F(rng.randint(0, 20), rng.choice((1, 2, 4, 9, 11))) for y in ys}
+        expected = max([F(1)] + [(d_values[a] + d_values[b]) / space.d(a, b)
+                                 for i, a in enumerate(ys) for b in ys[i + 1:]])
+        assert interpolation_constant(space, ys, d_values) == expected
+
+
+def test_diamond_level_four_embeddings_within_budget():
+    start = time.perf_counter()
+    top = diamond_top_level(4)
+    g = diamond(4)
+    space = graph_metric(g)
+    net = large_embedding(space, sorted(set(g.vertices) - set(diamond_stage_net(4, 2))))
+    assert time.perf_counter() - start < 5.0
+    assert top.k == 128 and top.proj_norm == 1 and top.c_constant == 1
+    assert net.proj_norm == 3 and net.c_constant == 3
+
+
+def _abc():
+    return validate_metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]], points=["a", "b", "c"])
+
+
+def test_selected_point_outside_the_space_is_rejected():
+    space = _abc()
+    with pytest.raises(ValidationError):
+        projection_norm(space, ["z"], {"z": "a"})
+    with pytest.raises(ValidationError):
+        large_embedding(space, ["z"])
+    with pytest.raises(ValidationError):
+        interpolation_constant(space, ["z"], {"z": F(1)})
+
+
+def test_selected_point_without_partner_is_rejected():
+    space = _abc()
+    with pytest.raises(ValidationError):
+        projection_norm(space, ["a", "b"], {"a": "c"})
+    with pytest.raises(ValidationError):
+        biorthogonality_matrix(space, ["a"], {})
+    with pytest.raises(ValidationError):
+        interpolation_constant(space, ["a", "b"], {"a": F(1)})  # no d value for b
+
+
+def test_partner_outside_the_space_is_rejected():
+    space = _abc()
+    with pytest.raises(ValidationError):
+        projection_norm(space, ["a"], {"a": "z"})
+    with pytest.raises(ValidationError):
+        lcdw_bounds(space, ["a"], {"a": "z"}, {"a": F(1)})
+
+
+def test_duplicate_selected_points_are_rejected():
+    space = _abc()
+    with pytest.raises(ValidationError):
+        interpolation_constant(space, ["a", "a"], {"a": F(1)})
+    with pytest.raises(ValidationError):
+        large_embedding(space, ["a", "a"])
+    with pytest.raises(ValidationError):
+        projection_norm(space, ["a", "a"], {"a": "b"})

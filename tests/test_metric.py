@@ -110,3 +110,35 @@ def test_space_json_roundtrip():
 def test_molecule_json_roundtrip():
     m = Molecule({"a": F(3, 2), "b": F(-1, 2), "c": F(-1)})
     assert Molecule.from_json(m.to_json()) == m
+
+
+def _first_triangle_violation(d):
+    """(i, j, k) of the first d(i, j) > d(i, k) + d(k, j) in index order,
+    by a plain Fraction scan, or None."""
+    n = len(d)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if d[i][j] > d[i][k] + d[k][j]:
+                    return i, j, k
+    return None
+
+
+def test_triangle_scan_reports_the_first_violated_triple():
+    rng = random.Random(11)
+    raised = 0
+    for _ in range(150):
+        n = rng.randint(3, 9)
+        d = [list(row) for row in random_metric_space(rng, n).dist]
+        for _ in range(rng.randint(0, 3)):  # symmetric, positive corruptions
+            i, j = rng.sample(range(n), 2)
+            d[i][j] = d[j][i] = d[i][j] * F(rng.randint(1, 7), rng.choice((1, 2, 3, 5)))
+        expected = _first_triangle_violation(d)
+        if expected is None:
+            validate_metric(d)
+            continue
+        with pytest.raises(TriangleViolation) as err:
+            validate_metric(d)
+        assert err.value.triple == tuple(f"p{i}" for i in expected)
+        raised += 1
+    assert raised > 50
