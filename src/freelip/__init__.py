@@ -3,27 +3,23 @@ certificates on finite metric spaces and recursive graph families."""
 
 from .cyclespace import (CycleBasis, EdgeVector, boundary, fundamental_cycle_basis,
                          greedy_cycle_packing, mu, quotient_norm, signed_indicator)
-from .embeddings import (EmbeddingReport, diamond_anm, diamond_stage_net,
-                         diamond_top_level, half_dim_embedding, kruskal_mst,
-                         large_embedding, lcdw_bounds, mod_p_selection)
+from .embeddings import (EmbeddingReport, diamond_stage_net, diamond_top_level,
+                         half_dim_embedding, kruskal_mst, large_embedding,
+                         mod_p_selection)
 from .freenorm import (DualCertificate, TransportPlan, ae_norm, lip_dual,
-                       tree_isometry, tree_lip_witness, tree_norm)
-from .graphs import (Edge, FamilySpec, TwoPoleGraph, automorphism_search, compose,
-                     diamond, diamond_base, family_counts, k2n_base, laakso,
-                     laakso_base, multidiamond, path, recursive_family, single_edge,
-                     star)
+                       tree_isometry, tree_norm)
+from .graphs import (Edge, TwoPoleGraph, automorphism_search, compose, diamond,
+                     diamond_base, k2n_base, laakso, laakso_base, multidiamond, path,
+                     recursive_family, single_edge, star)
 from .haar_system import (DyadicVector, HaarIndex, andrew_lower_bound, diamond_bm_bounds,
-                   edge_embedding, even_level_basis, g_isometry, haar,
-                   haar_witness_bound, multibranch_analysis, outer_cycle,
-                   verify_even_level_span)
+                          even_level_basis, g_isometry, haar, haar_witness_bound,
+                          multibranch_analysis, verify_even_level_span)
 from .metric import (LipschitzFunction, MetricSpace, Molecule, elementary_molecule,
                      graph_metric, validate_metric)
-from .projections import (ProjectionReport, average_projection, bm_lower_bound,
-                          bm_upper_via_basis_map, check_invariance, generate_group,
-                          l1_norm, linf_norm, minimal_projection_lp,
-                          orthogonal_projection)
-from .recursive import (BaseGraphProfile, RecursiveBasis, annihilation_check,
-                        basis_S, check_conditions, embed_E,
+from .projections import (ProjectionReport, average_projection, bm_upper_via_basis_map,
+                          check_invariance, generate_group, l1_norm, linf_norm,
+                          minimal_projection_lp, orthogonal_projection)
+from .recursive import (BaseGraphProfile, annihilation_check, check_conditions,
                         laakso_nonunique_projection, profile_base,
                         vertical_automorphism, witness)
 

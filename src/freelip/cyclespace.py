@@ -86,7 +86,6 @@ class EdgeVector:
 @dataclass(frozen=True)
 class CycleBasis:
     vectors: tuple[EdgeVector, ...]
-    provenance: str = "fundamental-tree"
 
     def __len__(self):
         return len(self.vectors)

@@ -4,9 +4,8 @@ with its interpolation constant, mod-p layer selection, and the diamond
 sharpenings.
 
 Every report is certified computationally: the interpolation constant C is
-an exact finite max, biorthogonality is checked exactly, and the projection
-norm is evaluated on the extreme points of the free-space unit ball (the
-normalized elementary molecules).  The image of 1_p - 1_q is the difference
+an exact finite max, and the projection norm is evaluated on the extreme
+points of the free-space unit ball (the normalized elementary molecules).  The image of 1_p - 1_q is the difference
 of two multisets of at most two unit masses each, so its transportation
 norm is the cheaper of at most two matchings, read off in closed form:
 transport between unit masses is an assignment problem, whose polytope has
@@ -22,11 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import (EmptyComplement, MinimalityViolated, PTooLarge,
-                     ValidationError)
+from .errors import EmptyComplement, PTooLarge, ValidationError
 from .graphs import Edge, TwoPoleGraph
 from .metric import MetricSpace, graph_metric
-from .rational import ZERO
 
 
 @dataclass
@@ -192,24 +189,6 @@ def projection_norm(space: MetricSpace, ys: list[str],
     return Fraction(best_cost, best_d)
 
 
-def biorthogonality_matrix(space: MetricSpace, ys: list[str],
-                           partners: dict[str, str]) -> list[list[Fraction]]:
-    """Pairing matrix f_i(u_j) with f_i = d_i 1_{y_i} and
-    u_j = (1_{y_j} - 1_{x_j}) / d_j; the identity matrix certifies
-    biorthogonality."""
-    _partner_indices(space, ys, partners)
-    d_values = {y: space.d(y, partners[y]) for y in ys}
-    out = []
-    for yi in ys:
-        row = []
-        for yj in ys:
-            uj_at_yi = (Fraction(1 if yj == yi else 0)
-                        - Fraction(1 if partners[yj] == yi else 0)) / d_values[yj]
-            row.append(d_values[yi] * uj_at_yi)
-        out.append(row)
-    return out
-
-
 def _build_report(space: MetricSpace, ys: list[str], partners: dict[str, str],
                   d_values: dict[str, Fraction], with_proj_norm: bool) -> EmbeddingReport:
     c = interpolation_constant(space, ys, d_values)
@@ -263,39 +242,6 @@ def large_embedding(space: MetricSpace, ys: list[str],
     return _build_report(space, sorted(ys), partners, d_values, with_proj_norm)
 
 
-def lcdw_bounds(space: MetricSpace, ys: list[str], partners: dict[str, str],
-                alphas: dict[str, Fraction]):
-    """Exact Lipschitz constant of sum alpha_i f_i and its two-sided bounds.
-
-    Preconditions: partners minimize the distance to the complement.
-    Returns (lower, lip, upper) with lower = max |alpha|,
-    upper = C max |alpha|.
-    """
-    _partner_indices(space, ys, partners)
-    ys_set = set(ys)
-    complement = [p for p in space.points if p not in ys_set]
-    if not complement:
-        raise EmptyComplement("selected set must have a nonempty complement")
-    d_values = {}
-    for y in ys:
-        dmin = min(space.d(y, z) for z in complement)
-        if space.d(y, partners[y]) != dmin:
-            raise MinimalityViolated(f"partner of {y!r} is not a nearest complement point")
-        d_values[y] = dmin
-    values = {p: ZERO for p in space.points}
-    for y in ys:
-        values[y] = Fraction(alphas.get(y, ZERO)) * d_values[y]
-    lip = ZERO
-    pts = list(space.points)
-    for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
-            ratio = abs(values[p] - values[q]) / space.d(p, q)
-            lip = max(lip, ratio)
-    amax = max((abs(Fraction(a)) for a in alphas.values()), default=ZERO)
-    c = interpolation_constant(space, list(ys), d_values)
-    return amax, lip, c * amax
-
-
 def mod_p_selection(graph: TwoPoleGraph, p: int) -> list[str]:
     """Keep the vertices outside the smallest distance-residue class.
 
@@ -340,21 +286,6 @@ def diamond_top_level(n: int, with_proj_norm: bool = True) -> EmbeddingReport:
     return _build_report(space, ys, partners, d_values, with_proj_norm)
 
 
-def diamond_anm(n: int, m: int) -> list[str]:
-    """Vertices added when the level-m diamond was created, inside level n.
-
-    Size 2 * 4^(m-1).  Note that dropping only this set certifies the
-    weaker constant 2^(n-m+1); see diamond_stage_net for the set that
-    achieves 2^(n-m).
-    """
-    from .graphs import diamond
-
-    if not (1 <= m < n):
-        raise ValidationError("need 1 <= m < n")
-    g = diamond(n)
-    return sorted(v for v in g.interior_vertices if v.count("/") == m - 1)
-
-
 def diamond_stage_net(n: int, m: int) -> list[str]:
     """All level-m diamond vertices inside the level-n diamond.
 
@@ -370,22 +301,3 @@ def diamond_stage_net(n: int, m: int) -> list[str]:
     net = [g.top, g.bottom]
     net.extend(v for v in g.interior_vertices if v.count("/") <= m - 1)
     return sorted(net)
-
-
-def max_distance_to_set(graph: TwoPoleGraph, targets: list[str]) -> int:
-    """Multi-source BFS eccentricity of a vertex set."""
-    dist = {v: 0 for v in targets}
-    frontier = list(targets)
-    far = 0
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in graph.adjacency[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    far = max(far, dist[w])
-                    nxt.append(w)
-        frontier = nxt
-    if len(dist) != len(graph.vertices):
-        raise ValidationError("target set does not reach the whole graph")
-    return far

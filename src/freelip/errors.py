@@ -45,10 +45,6 @@ class NotATree(ValidationError):
     pass
 
 
-class GraphMismatch(ValidationError):
-    pass
-
-
 class OddGeodesic(ValidationError):
     pass
 
@@ -66,10 +62,6 @@ class NotInvariantSubspace(ValidationError):
 
 
 class NotInvariant(ValidationError):
-    pass
-
-
-class MinimalityViolated(ValidationError):
     pass
 
 

@@ -140,31 +140,3 @@ def tree_isometry(t: TwoPoleGraph, m: Molecule) -> dict[str, Fraction]:
 def tree_norm(t: TwoPoleGraph, m: Molecule) -> Fraction:
     image = tree_isometry(t, m)
     return sum((abs(x) for x in image.values()), start=ZERO)
-
-
-def tree_lip_witness(t: TwoPoleGraph, signs: dict[str, int],
-                     basepoint: str | None = None) -> LipschitzFunction:
-    """1-Lipschitz function with prescribed +-w(e) increments along edges.
-
-    signs maps edge id -> +1/-1: walking away from the basepoint across
-    edge e, the value changes by signs[e] * w(e).  Pairs with the molecule
-    carrying the matching sign pattern to give sum |a_e| w(e).
-    """
-    _check_tree(t)
-    if basepoint is None:
-        basepoint = t.bottom
-    values = {basepoint: ZERO}
-    frontier = [basepoint]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in t.adjacency[u]:
-                if w not in values:
-                    e = t.edge_by_pair[frozenset((u, w))]
-                    s = signs.get(e.id, 1)
-                    if s not in (1, -1):
-                        raise ValidationError(f"sign for edge {e.id!r} must be +1 or -1")
-                    values[w] = values[u] + s * e.weight
-                    nxt.append(w)
-        frontier = nxt
-    return LipschitzFunction(values, basepoint=basepoint)

@@ -16,9 +16,10 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ResourceLimit, ValidationError
-from .rational import json_key, num_from_json, num_to_json, to_fraction
+from .rational import json_key, num_from_json, num_to_json
 
 DEFAULT_EDGE_CAP = 10 ** 6
+AUTOMORPHISM_VERTEX_CAP = 40    # automorphism search backtracks on base graphs only
 
 
 def edge_cap() -> int:
@@ -252,76 +253,22 @@ def star(n: int) -> TwoPoleGraph:
     return TwoPoleGraph(vertices, edges, "v1", "c")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    kind: str                      # diamond | multidiamond | laakso | custom
-    level: int
-    branch: int | None = None
-    base: TwoPoleGraph | None = None
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValidationError("level must be >= 0")
-        if self.kind == "multidiamond" and (self.branch is None or self.branch < 2):
-            raise ValidationError("multidiamond needs branching k >= 2")
-
-    def build(self) -> TwoPoleGraph:
-        if self.kind == "diamond":
-            return diamond(self.level)
-        if self.kind == "multidiamond":
-            return multidiamond(self.level, self.branch)
-        if self.kind == "laakso":
-            return laakso(self.level)
-        if self.kind == "custom":
-            return recursive_family(self.base, self.level)
-        raise ValidationError(f"unknown family kind {self.kind!r}")
-
-
-def family_counts(spec: FamilySpec, cross_check_cap: int = 10 ** 4) -> dict:
-    """Closed-form edge/vertex/cycle-dimension counts for a family level.
-
-    Cross-checks against the generated graph whenever it fits under the cap.
-    """
-    n = spec.level
-    if spec.kind == "diamond":
-        e = 4 ** n
-        v = 2 + 2 * (4 ** n - 1) // 3
-        mu = (4 ** n - 1) // 3
-    elif spec.kind == "multidiamond":
-        k = spec.branch
-        e = (2 * k) ** n
-        v = 2 + k * ((2 * k) ** n - 1) // (2 * k - 1)
-        mu = (k - 1) * ((2 * k) ** n - 1) // (2 * k - 1)
-    elif spec.kind == "laakso":
-        e = 6 ** n
-        v = 2 + 4 * (6 ** n - 1) // 5
-        mu = (6 ** n - 1) // 5
-    else:
-        g = spec.build()
-        e, v = len(g.edges), len(g.vertices)
-        mu = e - v + 1
-    if e <= cross_check_cap:
-        g = spec.build()
-        if (len(g.edges), len(g.vertices)) != (e, v):
-            raise ValidationError("closed-form counts disagree with the generated graph")
-    return {"edges": e, "vertices": v, "cycle_dim": mu}
-
-
 # ---------------------------------------------------------------------------
 # Automorphisms
 # ---------------------------------------------------------------------------
 
-def automorphism_search(g: TwoPoleGraph, constraint: str, vertex_cap: int = 40):
+def automorphism_search(g: TwoPoleGraph, constraint: str):
     """All undirected-graph automorphisms with a pole constraint.
 
     constraint: 'fix-poles' maps each pole to itself, 'swap-poles' exchanges
     them.  Plain backtracking with degree/pole-distance pruning; intended
-    for the small base graphs, capped at vertex_cap vertices.
+    for the small base graphs, capped at AUTOMORPHISM_VERTEX_CAP vertices.
     """
     if constraint not in ("fix-poles", "swap-poles"):
         raise ValidationError(f"unknown constraint {constraint!r}")
-    if len(g.vertices) > vertex_cap:
-        raise ResourceLimit(f"automorphism search capped at {vertex_cap} vertices")
+    if len(g.vertices) > AUTOMORPHISM_VERTEX_CAP:
+        raise ResourceLimit(
+            f"automorphism search capped at {AUTOMORPHISM_VERTEX_CAP} vertices")
 
     from .metric import graph_metric
 
@@ -383,11 +330,3 @@ def edge_map_from_vertex_map(g: TwoPoleGraph, sigma: dict[str, str]) -> dict[str
             raise ValidationError("vertex map is not a graph automorphism")
         out[e.id] = img.id
     return out
-
-
-def orientation_toward_top(g: TwoPoleGraph) -> bool:
-    """True when every edge head is strictly closer to the top than its tail."""
-    from .metric import graph_metric
-
-    space = graph_metric(g)
-    return all(space.d(e.head, g.top) < space.d(e.tail, g.top) for e in g.edges)

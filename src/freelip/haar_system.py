@@ -27,6 +27,7 @@ from .graphs import TwoPoleGraph, diamond, multidiamond
 from .rational import ZERO
 
 QUARTER = {"tl": 0, "bl": 1, "br": 2, "tr": 3}
+MULTIBRANCH_CELL_CAP = 4096     # grid cells of D_{n,k}: (2k)^n
 
 
 @dataclass(frozen=True)
@@ -176,80 +177,12 @@ def diamond_cell_index(edge_id: str, n: int) -> int:
     return idx
 
 
-def edge_embedding(n: int) -> list[DyadicVector]:
-    """The 4^n disjointly supported L1-normalized edge indicators of D_n."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    cells = 4 ** n
-    out = []
-    for i in range(cells):
-        vals = [ZERO] * cells
-        vals[i] = Fraction(cells)
-        out.append(DyadicVector(tuple(vals)))
-    return out
-
-
 def graph_to_dyadic(x: EdgeVector, n: int) -> DyadicVector:
     """Edge vector on D_n -> step function (cell value 4^n times coefficient)."""
     cells = 4 ** n
     vals = [ZERO] * cells
     for eid, c in x.coeffs.items():
         vals[diamond_cell_index(eid, n)] = Fraction(cells) * c
-    return DyadicVector(tuple(vals))
-
-
-def outer_cycle_walk(n: int) -> list[tuple[str, int]]:
-    """Outer cycle of D_n as a direction-tagged edge walk.
-
-    Ascending edges refine through the left path of their copy, descending
-    edges through the right path.
-    """
-    walk = [("bl", 1), ("tl", 1), ("tr", -1), ("br", -1)]
-    for _ in range(n - 1):
-        nxt = []
-        for eid, s in walk:
-            if s > 0:
-                nxt += [(f"{eid}/bl", 1), (f"{eid}/tl", 1)]
-            else:
-                nxt += [(f"{eid}/tr", -1), (f"{eid}/br", -1)]
-        walk = nxt
-    return walk
-
-
-def outer_cycle(n: int) -> DyadicVector:
-    """Signed indicator of the large outer cycle of D_n, as a step function.
-
-    Built by the interval-replacement procedure: each maximal constant-sign
-    dyadic interval keeps its first and third quarters when positive and
-    its second and fourth when negative, with values scaled by 4.
-    """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    vals = [Fraction(4), Fraction(4), Fraction(-4), Fraction(-4)]
-    for _ in range(n - 1):
-        fine = []
-        for v in vals:
-            fine.extend([4 * v] * 4)
-        # locate maximal constant-sign runs in the refined vector
-        out = [ZERO] * len(fine)
-        i = 0
-        while i < len(fine):
-            if fine[i] == 0:
-                i += 1
-                continue
-            j = i
-            while j < len(fine) and fine[j] == fine[i]:
-                j += 1
-            quarter = (j - i) // 4
-            if fine[i] > 0:
-                picks = [(i, i + quarter), (i + 2 * quarter, i + 3 * quarter)]
-            else:
-                picks = [(i + quarter, i + 2 * quarter), (i + 3 * quarter, j)]
-            for a, b in picks:
-                for t in range(a, b):
-                    out[t] = fine[i]
-            i = j
-        vals = out
     return DyadicVector(tuple(vals))
 
 
@@ -445,8 +378,7 @@ def _apply(p: list, v: DyadicVector) -> tuple:
     return tuple(sum((row[j] * x for j, x in nz), start=ZERO) for row in p)
 
 
-def multibranch_analysis(n: int, k: int, cell_cap: int = 4096,
-                         include_upper: bool = True) -> dict:
+def multibranch_analysis(n: int, k: int, include_upper: bool = True) -> dict:
     """Cut-space projection data and Banach-Mazur bounds for D_{n,k}.
 
     Builds the orthogonal projection onto the cut space, evaluates it on
@@ -461,7 +393,7 @@ def multibranch_analysis(n: int, k: int, cell_cap: int = 4096,
     if n < 1 or k < 2:
         raise ValidationError("need n >= 1 and k >= 2")
     cells = (2 * k) ** n
-    if cells > cell_cap:
+    if cells > MULTIBRANCH_CELL_CAP:
         raise ResourceLimit(f"grid of {cells} cells exceeds the cap")
     cut = multibranch_cut_basis(n, k)
     p = orthogonal_projection_matrix(cut)

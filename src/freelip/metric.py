@@ -50,10 +50,6 @@ class MetricSpace:
     def diameter(self) -> Fraction:
         return max(max(row) for row in self.dist)
 
-    def submatrix(self, pts: list[str]) -> list[list[Fraction]]:
-        idx = [self._index[p] for p in pts]
-        return [[self.dist[i][j] for j in idx] for i in idx]
-
     def with_basepoint(self, p: str) -> "MetricSpace":
         if p not in self._index:
             raise ValidationError(f"unknown basepoint {p!r}")
@@ -207,38 +203,41 @@ class LipschitzFunction:
 def graph_metric(g) -> MetricSpace:
     """Shortest-path metric of a two-pole graph, ignoring edge directions.
 
-    BFS per source for unit weights, Dijkstra otherwise.
+    BFS per source on integer levels for unit weights, Dijkstra otherwise,
+    on the integer weights over their least common denominator.  One
+    Fraction is built per distinct distance and shared across the matrix.
     """
     import heapq
 
     verts = list(g.vertices)
     idx = {v: i for i, v in enumerate(verts)}
-    adj: list[list[tuple[int, Fraction]]] = [[] for _ in verts]
-    unit = True
-    for e in g.edges:
-        w = to_fraction(e.weight)
-        if w != 1:
-            unit = False
-        adj[idx[e.tail]].append((idx[e.head], w))
-        adj[idx[e.head]].append((idx[e.tail], w))
+    weights = [to_fraction(e.weight) for e in g.edges]
+    unit = all(w == 1 for w in weights)
+    den = lcm(*(w.denominator for w in weights))
+    adj: list[list[tuple[int, int]]] = [[] for _ in verts]
+    for e, w in zip(g.edges, weights):
+        iw = w.numerator * (den // w.denominator)
+        adj[idx[e.tail]].append((idx[e.head], iw))
+        adj[idx[e.head]].append((idx[e.tail], iw))
     n = len(verts)
-    dist = [[None] * n for _ in range(n)]
+    rows = []
     for s in range(n):
+        d = [None] * n
         if unit:
-            d = [None] * n
-            d[s] = ZERO
+            d[s] = 0
             frontier = [s]
+            level = 0
             while frontier:
+                level += 1
                 nxt = []
                 for u in frontier:
                     for v, _ in adj[u]:
                         if d[v] is None:
-                            d[v] = d[u] + 1
+                            d[v] = level
                             nxt.append(v)
                 frontier = nxt
         else:
-            d = [None] * n
-            heap = [(ZERO, s)]
+            heap = [(0, s)]
             while heap:
                 du, u = heapq.heappop(heap)
                 if d[u] is not None:
@@ -247,8 +246,10 @@ def graph_metric(g) -> MetricSpace:
                 for v, w in adj[u]:
                     if d[v] is None:
                         heapq.heappush(heap, (du + w, v))
-        if any(x is None for x in d):
+        if None in d:
             missing = verts[d.index(None)]
             raise DisconnectedGraph(f"vertex {missing!r} unreachable from {verts[s]!r}")
-        dist[s] = d
-    return MetricSpace(tuple(verts), tuple(tuple(row) for row in dist), basepoint=g.bottom)
+        rows.append(d)
+    frac = {x: Fraction(x, den) for x in set().union(*rows)}
+    return MetricSpace(tuple(verts), tuple(tuple(frac[x] for x in row) for row in rows),
+                       basepoint=g.bottom)

@@ -386,22 +386,6 @@ def _min_proj_exact(bcols: list):
 # Banach-Mazur bound assembly
 # ---------------------------------------------------------------------------
 
-def bm_lower_bound(lam):
-    """Lower bound lambda - 1 on the distance from the quotient to l1.
-
-    Contrapositive of the lifting property: a C-isomorphism of X/Y with l1
-    forces a projection onto Y of norm at most 1 + C.
-    """
-    if isinstance(lam, float):
-        if lam < 1 - 1e-9:
-            raise ValidationError("projection constants are >= 1")
-        return max(lam - 1.0, 0.0)
-    lam = Fraction(lam)
-    if lam < 1:
-        raise ValidationError("projection constants are >= 1")
-    return lam - 1
-
-
 def bm_upper_via_basis_map(graph, cut_vectors: list):
     """(||T|| ||T^{-1}||, ||T||, ||T^{-1}||) for the coset basis map on
     l1(E)/Z(graph).

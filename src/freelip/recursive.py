@@ -1,8 +1,7 @@
 """Structure theory of recursive two-pole families: base-graph profiles,
-the seven admissibility conditions, the copy-averaged embedding, recursive
-cycle-space bases, annihilation checks for invariant projections, the
-norm-growth witness construction, and the non-unique invariant projection
-on the level-2 Laakso graph.
+the seven admissibility conditions, annihilation checks for invariant
+projections, the norm-growth witness construction, and the non-unique
+invariant projection on the level-2 Laakso graph.
 
 Witness vectors live on graphs whose edge count grows like |E(B)|^n, far
 past what a dense vector can hold, so they are kept as short sums of
@@ -14,22 +13,21 @@ program over deduplicated coefficient states.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, projections
 from .cyclespace import EdgeVector, boundary, fundamental_cycle_basis
-from .errors import (GraphMismatch, NoVerticalAutomorphism, NotInvariant,
-                     OddGeodesic, ResourceLimit, TrivialCycleSpace,
-                     ValidationError)
-from .graphs import (TwoPoleGraph, automorphism_search, compose,
-                     edge_map_from_vertex_map, laakso, laakso_base,
-                     recursive_family)
+from .errors import (NoVerticalAutomorphism, NotInvariant, OddGeodesic,
+                     ResourceLimit, TrivialCycleSpace, ValidationError)
+from .graphs import (TwoPoleGraph, automorphism_search, edge_map_from_vertex_map,
+                     laakso, laakso_base, recursive_family)
 from .metric import graph_metric
 from .rational import ZERO
 
-GEODESIC_CAP = 10 ** 5
+GEODESIC_CAP = 10 ** 5          # bottom-top paths enumerated per base graph
 MATERIALIZE_CAP = 2 * 10 ** 5
+WITNESS_LEVEL_CAP = 40          # recursion depth of the witness vectors
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +49,7 @@ class BaseGraphProfile:
     horizontals: list[dict]           # all pole-fixing vertex automorphisms
 
 
-def enumerate_geodesics(g: TwoPoleGraph, cap: int = GEODESIC_CAP) -> list[list[str]]:
+def enumerate_geodesics(g: TwoPoleGraph) -> list[list[str]]:
     """All bottom-top geodesics as edge-id walks (distance-pruned DFS)."""
     space = graph_metric(g)
     out: list[list[str]] = []
@@ -59,7 +57,7 @@ def enumerate_geodesics(g: TwoPoleGraph, cap: int = GEODESIC_CAP) -> list[list[s
     def extend(v, walk):
         if v == g.top:
             out.append(list(walk))
-            if len(out) > cap:
+            if len(out) > GEODESIC_CAP:
                 raise ResourceLimit("geodesic enumeration cap exceeded")
             return
         for w in g.adjacency[v]:
@@ -131,14 +129,14 @@ def profile_base(b: TwoPoleGraph) -> BaseGraphProfile:
                             vertical, vertical_edges, horizontals)
 
 
-def _all_bottom_top_paths(g: TwoPoleGraph, cap: int = GEODESIC_CAP):
+def _all_bottom_top_paths(g: TwoPoleGraph):
     """All simple bottom-top paths (any length), as vertex lists."""
     out = []
 
     def extend(v, seen, walk):
         if v == g.top:
             out.append(list(walk))
-            if len(out) > cap:
+            if len(out) > GEODESIC_CAP:
                 raise ResourceLimit("path enumeration cap exceeded")
             return
         for w in g.adjacency[v]:
@@ -236,24 +234,8 @@ def check_conditions(b: TwoPoleGraph) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The copy-averaged embedding E_n and the recursive basis S_n
+# Delta replicas and the vertical automorphism
 # ---------------------------------------------------------------------------
-
-def embed_E(x: EdgeVector, profile: BaseGraphProfile,
-            target: TwoPoleGraph | None = None) -> EdgeVector:
-    """Isometric embedding: each edge indicator becomes delta on its copy."""
-    source = x.graph
-    if target is None:
-        target = compose(source, profile.graph)
-    out: dict[str, Fraction] = {}
-    for eid, v in x.coeffs.items():
-        for fid, dv in profile.delta.coeffs.items():
-            nid = f"{eid}/{fid}" if eid else fid
-            if nid not in target.edge_by_id:
-                raise GraphMismatch(f"edge {nid!r} missing from the target graph")
-            out[nid] = v * dv
-    return EdgeVector(target, out)
-
 
 def delta_power(profile: BaseGraphProfile, m: int) -> dict[str, Fraction]:
     """Delta_m on the m-fold composition, keyed by slash-joined edge ids."""
@@ -265,52 +247,6 @@ def delta_power(profile: BaseGraphProfile, m: int) -> dict[str, Fraction]:
                 nxt[f"{prefix}/{fid}" if prefix else fid] = v * dv
         out = nxt
     return out
-
-
-@dataclass
-class RecursiveBasis:
-    level: int
-    type_one: list[EdgeVector]
-    type_two: list[EdgeVector]
-
-    @property
-    def vectors(self) -> list[EdgeVector]:
-        return self.type_one + self.type_two
-
-    def __len__(self):
-        return len(self.type_one) + len(self.type_two)
-
-
-def basis_S(profile: BaseGraphProfile, n: int,
-            graph: TwoPoleGraph | None = None) -> RecursiveBasis:
-    """The recursive cycle-space basis: per-copy lower bases plus lifts of
-    the level-1 basis carried on delta replicas."""
-    if n < 1:
-        raise ValidationError("basis is defined for n >= 1")
-    b = profile.graph
-    if graph is None:
-        graph = recursive_family(b, n)
-    if len(graph.edges) != len(b.edges) ** n:
-        raise GraphMismatch("graph does not match the requested level")
-    s1 = fundamental_cycle_basis(recursive_family(b, 1)).vectors
-    if n == 1:
-        return RecursiveBasis(1, [], [EdgeVector(graph, dict(z.coeffs)) for z in s1])
-    lower_graph = recursive_family(b, n - 1)
-    lower = basis_S(profile, n - 1, lower_graph)
-    type_one = []
-    for e in b.edges:
-        for w in lower.vectors:
-            type_one.append(EdgeVector(
-                graph, {f"{e.id}/{sid}": v for sid, v in w.coeffs.items()}))
-    dpow = delta_power(profile, n - 1)
-    type_two = []
-    for f in s1:
-        coeffs = {}
-        for eid, fv in f.coeffs.items():
-            for suffix, dv in dpow.items():
-                coeffs[f"{eid}/{suffix}"] = fv * dv
-        type_two.append(EdgeVector(graph, coeffs))
-    return RecursiveBasis(n, type_one, type_two)
 
 
 def vertical_automorphism(profile: BaseGraphProfile, n: int) -> dict[str, str]:
@@ -325,25 +261,6 @@ def vertical_automorphism(profile: BaseGraphProfile, n: int) -> dict[str, str]:
     for tup in ids:
         eid = "/".join(tup)
         out[eid] = "/".join(vmap[seg] for seg in tup)
-    return out
-
-
-def vertical_vertex_map(profile: BaseGraphProfile, n: int,
-                        graph: TwoPoleGraph) -> dict[str, str]:
-    """Vertex form of the level-n vertical automorphism."""
-    b = profile.graph
-    vmap_v = profile.vertical
-    vmap_e = profile.vertical_edges
-    out = {}
-    for v in graph.vertices:
-        if v == graph.top:
-            out[v] = graph.bottom
-        elif v == graph.bottom:
-            out[v] = graph.top
-        else:
-            *prefix, w = v.split("/")
-            mapped = [vmap_e[seg] for seg in prefix]
-            out[v] = "/".join(mapped + [vmap_v[w]])
     return out
 
 
@@ -543,17 +460,15 @@ def _base_vector_tuple(profile: BaseGraphProfile, vec: EdgeVector):
     return tuple(vec.coeffs.get(eid, ZERO) for eid in ids)
 
 
-def witness(profile: BaseGraphProfile, r: int,
-            t_schedule: list[int] | None = None,
-            level_cap: int = 40) -> WitnessResult:
+def witness(profile: BaseGraphProfile, r: int) -> WitnessResult:
     """Inductive construction of C_r and A_r with ||C_r + A_r|| = 1 and
     ||C_r|| >= 1 + alpha (r-1)/2.
 
     Each round applies the copy-averaged embedding t times with c-type
     corrections (keeping the sum of norms at 1 while halving the overlap),
-    then one d-type correction that adds alpha to the cycle part.  The
-    minimal t makes ||C_r|| / 2^t < alpha / 4; a caller-supplied schedule
-    may only force larger t.
+    then one d-type correction that adds alpha to the cycle part.  Each
+    round takes the minimal t with ||C_r|| / 2^t < alpha / 4; the result
+    records the t of every round in t_schedule.
     """
     if r < 1:
         raise ValidationError("r must be >= 1")
@@ -573,15 +488,11 @@ def witness(profile: BaseGraphProfile, r: int,
     p_vec = TensorVector(b, [(Fraction(1), (sv,))])
     level = 1
     used_t = []
-    for step in range(r - 1):
+    for _ in range(r - 1):
         norm_c = c_vec.l1()
         t = 1
         while Fraction(norm_c, 2 ** t) >= profile.alpha / 4:
             t += 1
-        if t_schedule is not None and step < len(t_schedule):
-            if t_schedule[step] < t:
-                raise ValidationError(f"scheduled t={t_schedule[step]} below the minimum {t}")
-            t = t_schedule[step]
         for _ in range(t):
             c_vec = c_vec.append_factor(delta)
             p_vec = p_vec.append_factor(u)
@@ -590,7 +501,7 @@ def witness(profile: BaseGraphProfile, r: int,
         p_vec = p_vec.append_factor(rho)
         level += t + 1
         used_t.append(t)
-        if level > level_cap:
+        if level > WITNESS_LEVEL_CAP:
             raise ResourceLimit(f"witness level {level} exceeds the cap")
     norm_c = c_vec.l1()
     norm_sum = p_vec.l1()

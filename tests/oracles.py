@@ -9,16 +9,20 @@ takes inner products with h_0 and the odd Haar levels instead of running
 the fast Haar transform, the dense group oracles multiply and invert
 whole Fraction matrices instead of composing index maps, and the transport
 projection norm solves one transportation problem per elementary molecule
-instead of reading the two-matching closed form.
+instead of reading the two-matching closed form, and the Fraction graph
+metric adds Fractions in its searches instead of integers over a common
+denominator.
 """
 
+import heapq
 from fractions import Fraction
 
 from freelip import haar_system, linalg
 from freelip.cyclespace import fundamental_cycle_basis
-from freelip.errors import GroupClosureOverflow, NotInvariantSubspace
+from freelip.errors import DisconnectedGraph, GroupClosureOverflow, NotInvariantSubspace
 from freelip.freenorm import ae_norm
 from freelip.metric import MetricSpace, Molecule
+from freelip.rational import to_fraction
 from freelip.graphs import TwoPoleGraph, diamond
 from freelip.simplex import solve_standard_exact
 
@@ -193,3 +197,49 @@ def transport_projection_norm(space: MetricSpace, ys, partners) -> Fraction:
             value, _ = ae_norm(space, Molecule(image))
             best = max(best, value / space.d(p, q))
     return best
+
+
+def fraction_graph_metric(g) -> MetricSpace:
+    """Shortest-path metric of a graph, ignoring edge directions, with
+    Fraction distances throughout: BFS adds 1 to Fraction levels for unit
+    weights, and Dijkstra pushes Fraction keys through its heap otherwise."""
+    verts = list(g.vertices)
+    idx = {v: i for i, v in enumerate(verts)}
+    adj = [[] for _ in verts]
+    unit = True
+    for e in g.edges:
+        w = to_fraction(e.weight)
+        if w != 1:
+            unit = False
+        adj[idx[e.tail]].append((idx[e.head], w))
+        adj[idx[e.head]].append((idx[e.tail], w))
+    n = len(verts)
+    dist = [[None] * n for _ in range(n)]
+    for s in range(n):
+        d = [None] * n
+        if unit:
+            d[s] = ZERO
+            frontier = [s]
+            while frontier:
+                nxt = []
+                for u in frontier:
+                    for v, _ in adj[u]:
+                        if d[v] is None:
+                            d[v] = d[u] + 1
+                            nxt.append(v)
+                frontier = nxt
+        else:
+            heap = [(ZERO, s)]
+            while heap:
+                du, u = heapq.heappop(heap)
+                if d[u] is not None:
+                    continue
+                d[u] = du
+                for v, w in adj[u]:
+                    if d[v] is None:
+                        heapq.heappush(heap, (du + w, v))
+        if any(x is None for x in d):
+            missing = verts[d.index(None)]
+            raise DisconnectedGraph(f"vertex {missing!r} unreachable from {verts[s]!r}")
+        dist[s] = d
+    return MetricSpace(tuple(verts), tuple(tuple(row) for row in dist), basepoint=g.bottom)

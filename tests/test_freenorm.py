@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from freelip import simplex
 from freelip.errors import NotATree
-from freelip.freenorm import ae_norm, lip_dual, tree_isometry, tree_lip_witness, tree_norm
-from freelip.graphs import Edge, TwoPoleGraph, diamond, laakso, multidiamond, path, star
+from freelip.freenorm import ae_norm, lip_dual, tree_isometry, tree_norm
+from freelip.graphs import Edge, TwoPoleGraph, diamond, laakso, multidiamond, path
 from freelip.metric import Molecule, elementary_molecule, graph_metric, validate_metric
 from freelip.randgen import random_metric_space, random_molecule, random_tree
 
@@ -281,32 +281,12 @@ def test_not_a_tree_raises():
         tree_isometry(diamond(1), elementary_molecule("top", "bottom"))
 
 
-def test_tree_lip_witness_star():
-    t = star(3)
-    f = tree_lip_witness(t, {e.id: 1 for e in t.edges}, basepoint="c")
-    assert f("c") == 0 and all(f(f"v{i}") == 1 for i in (1, 2, 3))
-    assert f.lipschitz_constant(graph_metric(t)) == 1
-
-
-def test_tree_lip_witness_single_edge_negative():
-    t = TwoPoleGraph(("u", "v"), (Edge("e", "u", "v", F(7)),), "v", "u")
-    f = tree_lip_witness(t, {"e": -1}, basepoint="u")
-    assert f("v") == -7
-
-
-def test_tree_lip_witness_alternating_path():
-    t = path(3)
-    f = tree_lip_witness(t, {"e0": 1, "e1": -1, "e2": 1}, basepoint="v0")
-    assert [f(f"v{i}") for i in range(4)] == [0, 1, 0, 1]
-    assert f.lipschitz_constant(graph_metric(t)) == 1
-
-
 def test_tree_witness_pairs_with_matching_molecule():
-    # L(m) = sum |a_e| w(e) when the molecule's edge coefficients match signs
+    # a molecule spread over the edges pairs with its 1-Lipschitz dual
+    # certificate to sum |a_e| w(e), the tree isometry's l1 norm
     rng = random.Random(RNG_SEED + 5)
     t = random_tree(rng, 6)
     signs = {e.id: rng.choice((1, -1)) for e in t.edges}
-    f = tree_lip_witness(t, signs, basepoint="v0")
     coeffs: dict[str, F] = {}
     total = F(0)
     for e in t.edges:
@@ -315,4 +295,7 @@ def test_tree_witness_pairs_with_matching_molecule():
         coeffs[e.tail] = coeffs.get(e.tail, F(0)) - a
         total += abs(a) * e.weight
     m = Molecule(coeffs)
-    assert f.pair(m) == total == tree_norm(t, m)
+    space = graph_metric(t)
+    cert = lip_dual(space, m, basepoint="v0")
+    assert cert.f.lipschitz_constant(space) <= 1
+    assert cert.f.pair(m) == total == tree_norm(t, m)

@@ -1,11 +1,11 @@
 import pytest
 
+from freelip import graphs
 from freelip.errors import ResourceLimit, ValidationError
-from freelip.graphs import (Edge, FamilySpec, TwoPoleGraph, automorphism_search,
-                            compose, diamond, diamond_base, family_counts,
-                            k2n_base, laakso, laakso_base, multidiamond,
-                            orientation_toward_top, path, recursive_family,
-                            single_edge, star)
+from freelip.graphs import (Edge, TwoPoleGraph, automorphism_search, compose,
+                            diamond, diamond_base, k2n_base, laakso, laakso_base,
+                            multidiamond, path, recursive_family, single_edge, star)
+from freelip.metric import graph_metric
 from freelip.recursive import enumerate_geodesics
 
 
@@ -71,19 +71,6 @@ def test_laakso_level_one_counts():
     assert len(g.vertices) == 6
 
 
-def test_family_counts_closed_forms():
-    assert family_counts(FamilySpec("diamond", 3)) == {
-        "edges": 64, "vertices": 44, "cycle_dim": 21}
-    laakso2 = family_counts(FamilySpec("laakso", 2))
-    assert laakso2["edges"] == 36
-    assert laakso2["cycle_dim"] == 36 - laakso2["vertices"] + 1
-    assert family_counts(FamilySpec("diamond", 0)) == {
-        "edges": 1, "vertices": 2, "cycle_dim": 0}
-    mb = family_counts(FamilySpec("multidiamond", 2, branch=3))
-    assert mb["edges"] == 36
-    assert mb["cycle_dim"] == mb["edges"] - mb["vertices"] + 1
-
-
 def test_edge_cap_env_override(monkeypatch):
     monkeypatch.setenv("FREELIP_CAP_EDGES", "100")
     with pytest.raises(ResourceLimit):
@@ -109,9 +96,20 @@ def test_automorphisms_single_edge():
     assert auts == [{"bottom": "bottom", "top": "top"}]
 
 
+def test_automorphism_vertex_cap(monkeypatch):
+    assert len(automorphism_search(path(39), "fix-poles")) == 1     # 40 vertices
+    with pytest.raises(ResourceLimit):
+        automorphism_search(path(40), "fix-poles")
+    monkeypatch.setattr(graphs, "AUTOMORPHISM_VERTEX_CAP", 4)
+    with pytest.raises(ResourceLimit):
+        automorphism_search(k2n_base(3), "fix-poles")                # 5 vertices
+
+
 @pytest.mark.parametrize("g", [diamond(2), laakso(2), multidiamond(2, 3)])
 def test_orientation_and_even_geodesic_cover(g):
-    assert orientation_toward_top(g)
+    # every edge head is strictly closer to the top than its tail
+    space = graph_metric(g)
+    assert all(space.d(e.head, g.top) < space.d(e.tail, g.top) for e in g.edges)
     geos = enumerate_geodesics(g)
     lengths = {len(w) for w in geos}
     assert len(lengths) == 1 and next(iter(lengths)) % 2 == 0

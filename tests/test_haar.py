@@ -3,17 +3,16 @@ from fractions import Fraction as F
 import pytest
 
 from freelip import haar_system, linalg
-from freelip.cyclespace import fundamental_cycle_basis, signed_indicator
-from freelip.errors import ResolutionTooCoarse, ValidationError
-from freelip.graphs import diamond, multidiamond
+from freelip.cyclespace import fundamental_cycle_basis
+from freelip.errors import ResolutionTooCoarse, ResourceLimit, ValidationError
+from freelip.graphs import multidiamond
 from freelip.haar_system import (DyadicVector, HaarIndex, andrew_lower_bound,
                                  diamond_bm_bounds, diamond_cell_index,
-                                 edge_embedding, even_level_basis,
-                                 g_isometry, graph_to_dyadic, haar, haar_coefficients,
+                                 even_level_basis,
+                                 g_isometry, haar, haar_coefficients,
                                  haar_witness_bound, level_indices,
                                  multibranch_analysis, multibranch_cut_basis,
-                                 multibranch_graph_to_dyadic, outer_cycle,
-                                 outer_cycle_walk, orthogonal_projection_matrix,
+                                 multibranch_graph_to_dyadic, orthogonal_projection_matrix,
                                  level_span_vectors, verify_even_level_span)
 from freelip.projections import l1_norm, orthogonal_projection, permutation_matrix
 from freelip.simplex import min_l1_combination
@@ -53,59 +52,6 @@ def test_dyadic_norms_are_integral_norms():
     # refinement never changes the represented function
     assert v.refine(4).l1() == v.l1()
     assert v.refine(4).linf() == v.linf()
-
-
-def test_edge_embedding_level_one():
-    vecs = edge_embedding(1)
-    assert len(vecs) == 4
-    for i, v in enumerate(vecs):
-        assert v.l1() == 1
-        assert v.values[i] == 4
-    total = vecs[0]
-    for v in vecs[1:]:
-        total = total + v
-    assert all(x == 4 for x in total.values)  # supports partition (0,1]
-
-
-def test_outer_cycle_small_cases():
-    assert outer_cycle(1).values == haar(1, 2).scale(4).values
-    e2 = outer_cycle(2)
-    s = haar(1, 4)
-    for i in (4, 5, 6, 7):
-        s = s + haar(i, 4)
-    assert e2.values == s.scale(8).values
-
-
-def test_outer_cycle_recursion():
-    # e_n = 2 e_{n-1} + 2^(2n-1) * sum of level-(2n-2) Haars inside the support
-    for n in range(2, 6):
-        prev = outer_cycle(n - 1).refine(4)
-        expected = prev.scale(2)
-        for i in level_indices(2 * n - 2):
-            h = haar(i, 2 * n)
-            support_cells = [t for t, v in enumerate(h.values) if v != 0]
-            if all(prev.values[t] != 0 for t in support_cells):
-                expected = expected + h.scale(2 ** (2 * n - 1))
-        assert outer_cycle(n).values == expected.values
-
-
-def test_outer_cycle_haar_span_membership():
-    # e_n - 2^(n+1) h_1 lies in the span of levels 2, 4, ..., 2n-2
-    for n in range(2, 6):
-        rest = outer_cycle(n) - haar(1, 2 * n).scale(2 ** (n + 1))
-        coeffs = haar_coefficients(rest)
-        levels = {HaarIndex.from_flat(i).level for i in coeffs}
-        assert levels <= {2 * k for k in range(1, n)}
-
-
-def test_outer_cycle_matches_graph_walk():
-    for n in (1, 2, 3):
-        g = diamond(n)
-        walk = outer_cycle_walk(n)
-        vec = signed_indicator([eid for eid, _ in walk], g)
-        img = graph_to_dyadic(vec, n)
-        e = outer_cycle(n)
-        assert img.values == e.values or img.values == e.scale(-1).values
 
 
 def test_even_level_basis_counts():
@@ -263,6 +209,14 @@ def test_multibranch_analysis_rejects_a_projection_that_keeps_the_cycles(monkeyp
                         lambda vecs: linalg.identity(len(vecs[0])))
     with pytest.raises(ValidationError, match="cycle image"):
         multibranch_analysis(1, 3, include_upper=False)
+
+
+def test_multibranch_cell_cap(monkeypatch):
+    with pytest.raises(ResourceLimit):
+        multibranch_analysis(2, 33)         # 66^2 = 4356 cells, above 4096
+    monkeypatch.setattr(haar_system, "MULTIBRANCH_CELL_CAP", 35)
+    with pytest.raises(ResourceLimit):
+        multibranch_analysis(2, 3)          # 36 cells
 
 
 def test_multibranch_reduces_to_binary_at_k2():

@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freelip.errors import (AsymmetryError, SamePoint, TriangleViolation,
-                            ValidationError, ZeroOffDiagonal)
-from freelip.graphs import diamond, k2n_base, laakso, single_edge
+from freelip.errors import (AsymmetryError, DisconnectedGraph, SamePoint,
+                            TriangleViolation, ValidationError, ZeroOffDiagonal)
+from freelip.graphs import (Edge, TwoPoleGraph, diamond, k2n_base, laakso,
+                            multidiamond, single_edge)
 from freelip.metric import (MetricSpace, Molecule, elementary_molecule,
                             graph_metric, validate_metric)
-from freelip.randgen import random_metric_space
+from freelip.randgen import random_metric_space, random_tree
+from oracles import fraction_graph_metric
 
 
 def test_two_point_matrix_is_valid():
@@ -142,3 +145,50 @@ def test_triangle_scan_reports_the_first_violated_triple():
         assert err.value.triple == tuple(f"p{i}" for i in expected)
         raised += 1
     assert raised > 50
+
+
+def _random_weighted_graph(rng, n):
+    """A random tree on n vertices plus random chords, with weights of mixed
+    denominators (some of them 1, so the graph is not unit-weight)."""
+    verts = tuple(f"v{i}" for i in range(n))
+    pairs = {(rng.randrange(i), i) for i in range(1, n)}
+    pairs |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 2 * n))}
+    edges = tuple(Edge(f"e{i}-{j}", f"v{i}", f"v{j}",
+                       F(rng.randint(1, 30), rng.choice((1, 1, 2, 3, 5, 7, 12))))
+                  for i, j in sorted(pairs))
+    return TwoPoleGraph(verts, edges, verts[-1], verts[0])
+
+
+def _metric_cases():
+    for n in (1, 2, 3, 4):
+        yield pytest.param(diamond(n), id=f"diamond-{n}")
+    for n in (1, 2):
+        yield pytest.param(laakso(n), id=f"laakso-{n}")
+    yield pytest.param(multidiamond(2, 3), id="multidiamond-2-3")
+    rng = random.Random(314)
+    for i in range(6):
+        yield pytest.param(random_tree(rng, rng.randint(1, 15)), id=f"tree-{i}")
+    for i in range(6):
+        yield pytest.param(_random_weighted_graph(rng, rng.randint(2, 14)), id=f"graph-{i}")
+
+
+@pytest.mark.parametrize("g", list(_metric_cases()))
+def test_graph_metric_matches_fraction_oracle(g):
+    space = graph_metric(g)
+    assert space == fraction_graph_metric(g)
+    entries = [x for row in space.dist for x in row]
+    assert all(type(x) is F for x in entries)
+    # one Fraction object per distinct distance value
+    assert len({id(x) for x in entries}) == len(set(entries))
+
+
+@pytest.mark.parametrize("weight", [F(1), F(3, 2)], ids=["bfs", "dijkstra"])
+def test_graph_metric_disconnected_message_matches_oracle(weight):
+    # TwoPoleGraph rejects disconnected graphs, so a plain record stands in
+    g = SimpleNamespace(vertices=("a", "b", "c"), bottom="a",
+                        edges=(Edge("e", "a", "b", weight),))
+    with pytest.raises(DisconnectedGraph) as expected:
+        fraction_graph_metric(g)
+    with pytest.raises(DisconnectedGraph) as got:
+        graph_metric(g)
+    assert str(got.value) == str(expected.value) == "vertex 'c' unreachable from 'a'"

@@ -12,7 +12,7 @@ from freelip.errors import (GroupClosureOverflow, NotInvariantSubspace,
                             ResourceLimit, SingularGram, SolverFailure,
                             ValidationError)
 from freelip.graphs import diamond, laakso, path
-from freelip.projections import (average_projection, bm_lower_bound,
+from freelip.projections import (average_projection,
                                  bm_upper_via_basis_map, check_invariance,
                                  generate_group, l1_norm, linf_norm,
                                  minimal_projection_lp, orthogonal_projection,
@@ -331,18 +331,6 @@ def test_rationalize_projection_raises_when_the_repair_breaks(monkeypatch):
     monkeypatch.setattr(linalg, "solve", lambda a, b: linalg.zeros(len(a), len(b[0])))
     with pytest.raises(SolverFailure, match="left inverse"):
         projections._rationalize_projection(cols, a_float)
-
-
-def test_bm_lower_bound():
-    assert bm_lower_bound(F(1)) == 0
-    assert bm_lower_bound(F(5, 3)) == F(2, 3)
-    with pytest.raises(ValidationError):
-        bm_lower_bound(F(1, 2))
-    # consistency with the Haar lower bound (2n+1)/3 at n = 1, 2
-    for n, graph in ((1, diamond(1)), (2, diamond(2))):
-        cols = [v.dense() for v in fundamental_cycle_basis(graph).vectors]
-        lam, _ = minimal_projection_lp(cols, 4 ** n)
-        assert bm_lower_bound(lam) - (2 * n + 1) / 3 + 1 >= -1e-7
 
 
 def test_bm_upper_trivial_quotient():

@@ -1,25 +1,18 @@
-import random
 from fractions import Fraction as F
 
 import pytest
 
-from freelip import linalg
+from freelip import linalg, recursive
 from freelip.cyclespace import EdgeVector, boundary, fundamental_cycle_basis
-from freelip.errors import NotInvariant, TrivialCycleSpace, ValidationError
+from freelip.errors import NotInvariant, ResourceLimit, TrivialCycleSpace, ValidationError
 from freelip.graphs import (diamond, diamond_base, k2n_base, laakso,
                             laakso_base, path, recursive_family)
-from freelip.metric import graph_metric
 from freelip.projections import (check_invariance, l1_norm,
                                  minimal_projection_lp, orthogonal_projection)
-from freelip.randgen import random_edge_vector
-from freelip.recursive import (annihilation_check, basis_S, c_type_vectors,
-                               check_conditions, edge_map_matrix, embed_E,
+from freelip.recursive import (annihilation_check, c_type_vectors, check_conditions,
+                               delta_power, edge_map_matrix, enumerate_geodesics,
                                invariance_generators, laakso_nonunique_projection,
-                               profile_base, vertical_automorphism,
-                               vertical_vertex_map, witness)
-
-RNG_SEED = 99
-
+                               profile_base, vertical_automorphism, witness)
 
 @pytest.mark.parametrize("base,alpha,height,count", [
     (diamond_base(), F(1), 2, 2),
@@ -65,58 +58,21 @@ def test_conditions_fail_for_tree():
     assert not report["all_ok"]
 
 
-def test_embed_single_edge_to_delta():
-    prof = profile_base(laakso_base())
-    b0 = recursive_family(laakso_base(), 0)
-    x = EdgeVector(b0, {"": F(1)})
-    image = embed_E(x, prof, recursive_family(laakso_base(), 1))
-    assert image.l1() == 1
-    assert image.coeffs == prof.delta.coeffs
-
-
-def test_embed_maps_cycles_to_cycles():
-    prof = profile_base(diamond_base())
-    d1, d2 = diamond(1), diamond(2)
-    for z in fundamental_cycle_basis(d1).vectors:
-        img = embed_E(z, prof, d2)
-        assert boundary(img).is_zero()
-
-
-@pytest.mark.parametrize("base,n", [(diamond_base(), 1), (laakso_base(), 1)])
-def test_embed_is_exact_isometry(base, n):
-    rng = random.Random(RNG_SEED)
-    prof = profile_base(base)
-    src = recursive_family(base, n)
-    dst = recursive_family(base, n + 1)
-    for _ in range(30):
-        x = random_edge_vector(rng, src)
-        assert embed_E(x, prof, dst).l1() == x.l1()
-
-
-@pytest.mark.parametrize("base,n,expected", [
-    (laakso_base(), 1, 1),
-    (laakso_base(), 2, 7),
-    (diamond_base(), 2, 5),
-    (k2n_base(3), 2, 14),
-])
-def test_basis_cardinality_and_rank(base, n, expected):
-    prof = profile_base(base)
-    g = recursive_family(base, n)
-    basis = basis_S(prof, n, g)
-    assert len(basis) == expected == len(g.edges) - len(g.vertices) + 1
-    assert linalg.rank([v.dense() for v in basis.vectors]) == expected
-    for v in basis.vectors:
-        assert boundary(v).is_zero()
-
-
 @pytest.mark.parametrize("base", [diamond_base(), laakso_base(), k2n_base(3)])
 def test_type_two_vectors_fixed_by_vertical(base):
+    # type-two vectors: each base cycle with every edge spread over its
+    # copy of the level-(n-1) graph by the delta replica Delta_{n-1}
     prof = profile_base(base)
+    s1 = fundamental_cycle_basis(base).vectors
     for n in (1, 2):
         g = recursive_family(base, n)
-        basis = basis_S(prof, n, g)
+        dpow = delta_power(prof, n - 1)
         vmap = vertical_automorphism(prof, n)
-        for w in basis.type_two:
+        for f in s1:
+            w = EdgeVector(g, {f"{eid}/{suffix}" if suffix else eid: fv * dv
+                               for eid, fv in f.coeffs.items()
+                               for suffix, dv in dpow.items()})
+            assert boundary(w).is_zero()
             assert w.permute(vmap) == w
 
 
@@ -129,12 +85,6 @@ def test_vertical_automorphism_structure():
     assert all(v2[eid].startswith("t/") for eid in v2 if eid.startswith("b/"))
     # involution
     assert all(v2[v2[eid]] == eid for eid in v2)
-    # the vertex form is a pole-swapping graph automorphism
-    g2 = laakso(2)
-    vmap = vertical_vertex_map(prof, 2, g2)
-    assert vmap[g2.top] == g2.bottom and vmap[g2.bottom] == g2.top
-    for e in g2.edges:
-        assert frozenset((vmap[e.tail], vmap[e.head])) in g2.edge_by_pair
 
 
 def test_c_type_vector_counts():
@@ -218,13 +168,32 @@ def test_witness_flat_cross_check():
     assert boundary(flat_c).is_zero()  # C_r lies in the cycle space
 
 
-def test_witness_respects_forced_schedule():
+def test_witness_records_the_minimal_schedule():
     prof = profile_base(diamond_base())
-    w = witness(prof, 2, t_schedule=[5])
-    assert w.t_schedule == [5]
-    assert w.norm_sum == 1 and w.norm_c >= F(3, 2)
-    with pytest.raises(ValidationError):
-        witness(prof, 2, t_schedule=[1])  # below the minimal t
+    w = witness(prof, 3)
+    assert len(w.t_schedule) == 2
+    assert w.level == 1 + sum(t + 1 for t in w.t_schedule)
+    # round i takes the least t with ||C|| / 2^t < alpha / 4
+    for r, t in enumerate(w.t_schedule, start=1):
+        norm_c = witness(prof, r).norm_c
+        assert norm_c / 2 ** t < prof.alpha / 4
+        assert t == 1 or norm_c / 2 ** (t - 1) >= prof.alpha / 4
+
+
+def test_witness_level_cap(monkeypatch):
+    prof = profile_base(diamond_base())
+    level = witness(prof, 2).level
+    monkeypatch.setattr(recursive, "WITNESS_LEVEL_CAP", level - 1)
+    with pytest.raises(ResourceLimit):
+        witness(prof, 2)
+
+
+def test_geodesic_cap(monkeypatch):
+    monkeypatch.setattr(recursive, "GEODESIC_CAP", 1)
+    with pytest.raises(ResourceLimit, match="geodesic"):
+        enumerate_geodesics(diamond_base())        # two geodesics
+    with pytest.raises(ResourceLimit, match="path"):
+        check_conditions(diamond_base())           # two bottom-top paths
 
 
 def test_witness_consistency_with_projection_constant():
