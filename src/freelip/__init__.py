@@ -11,9 +11,9 @@ from .freenorm import (DualCertificate, TransportPlan, ae_norm, lip_dual,
 from .graphs import (Edge, TwoPoleGraph, automorphism_search, compose, diamond,
                      diamond_base, k2n_base, laakso, laakso_base, multidiamond, path,
                      recursive_family, single_edge, star)
-from .haar_system import (DyadicVector, HaarIndex, andrew_lower_bound, diamond_bm_bounds,
-                          even_level_basis, g_isometry, haar, haar_witness_bound,
-                          multibranch_analysis, verify_even_level_span)
+from .haar_system import (DyadicVector, andrew_lower_bound, diamond_bm_bounds, g_isometry,
+                          haar, haar_witness_bound, multibranch_analysis,
+                          verify_even_level_span)
 from .metric import (LipschitzFunction, MetricSpace, Molecule, elementary_molecule,
                      graph_metric, validate_metric)
 from .projections import (ProjectionReport, average_projection, bm_upper_via_basis_map,

@@ -302,7 +302,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("projconst", help="projections onto the cycle space")
     p.add_argument("--graph", required=True)
-    p.add_argument("--subspace", choices=["cycles"], default="cycles")
     p.add_argument("--mode", dest="proj_mode",
                    choices=["minimal", "orthogonal", "averaged"], default="minimal")
     p.add_argument("--generators")

@@ -67,9 +67,6 @@ class EdgeVector:
             out[self.graph.edge_order[eid]] = v
         return out
 
-    def support(self) -> frozenset:
-        return frozenset(self.coeffs)
-
     def permute(self, edge_map: dict[str, str]) -> "EdgeVector":
         """Image under the isometry induced by an edge bijection g:
         (g.x)(e) = x(g^{-1} e), i.e. the value at e moves to edge_map[e]."""

@@ -10,7 +10,6 @@ the single-edge graph is a two-sided unit.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -18,13 +17,8 @@ from functools import cached_property
 from .errors import ResourceLimit, ValidationError
 from .rational import json_key, num_from_json, num_to_json
 
-DEFAULT_EDGE_CAP = 10 ** 6
+EDGE_CAP = 10 ** 6              # edges of a composed or generated graph
 AUTOMORPHISM_VERTEX_CAP = 40    # automorphism search backtracks on base graphs only
-
-
-def edge_cap() -> int:
-    """Resource cap on generated edge counts; FREELIP_CAP_EDGES overrides."""
-    return int(os.environ.get("FREELIP_CAP_EDGES", DEFAULT_EDGE_CAP))
 
 
 def join_id(prefix: str, name: str) -> str:
@@ -145,7 +139,7 @@ def compose(h: TwoPoleGraph, g: TwoPoleGraph) -> TwoPoleGraph:
     Edge ids of the result are join(h edge id, g edge id); interior vertices
     of the copy on edge e are named join(e.id, vertex).  |E| multiplies.
     """
-    if len(h.edges) * len(g.edges) > edge_cap():
+    if len(h.edges) * len(g.edges) > EDGE_CAP:
         raise ResourceLimit("composition would exceed the edge cap")
     vertices = list(h.vertices)
     edges = []
@@ -168,7 +162,7 @@ def recursive_family(base: TwoPoleGraph, n: int) -> TwoPoleGraph:
     """n-fold composition power of the base, starting from the single edge."""
     if n < 0:
         raise ValidationError("level must be >= 0")
-    if len(base.edges) ** n > edge_cap():
+    if len(base.edges) ** n > EDGE_CAP:
         raise ResourceLimit(f"|E| = {len(base.edges)}^{n} exceeds the edge cap")
     g = single_edge()
     for _ in range(n):

@@ -34,24 +34,17 @@ MULTIBRANCH_CELL_CAP = 4096     # grid cells of D_{n,k}: (2k)^n
 class DyadicVector:
     """Piecewise-constant function on (0,1] as cell values on a uniform grid.
 
-    Norms are the discrete versions of the integral norms: l1 is the mean
-    absolute value, linf the maximum absolute value.
+    l1 and inner are the discrete versions of the integral norm and inner
+    product: means over the cells.
     """
 
     values: tuple[Fraction, ...]
-
-    @staticmethod
-    def of(values) -> "DyadicVector":
-        return DyadicVector(tuple(Fraction(v) for v in values))
 
     def __len__(self):
         return len(self.values)
 
     def l1(self) -> Fraction:
         return sum((abs(v) for v in self.values), start=ZERO) / len(self.values)
-
-    def linf(self) -> Fraction:
-        return max((abs(v) for v in self.values), default=ZERO)
 
     def inner(self, other: "DyadicVector") -> Fraction:
         if len(other) != len(self):
@@ -69,56 +62,26 @@ class DyadicVector:
         c = Fraction(c)
         return DyadicVector(tuple(c * v for v in self.values))
 
-    def refine(self, factor: int) -> "DyadicVector":
-        out = []
-        for v in self.values:
-            out.extend([v] * factor)
-        return DyadicVector(tuple(out))
-
-
-@dataclass(frozen=True)
-class HaarIndex:
-    """Level/position addressing; level -1 denotes the constant h_0."""
-
-    level: int
-    position: int
-
-    def __post_init__(self):
-        if self.level < -1:
-            raise ValidationError("level must be >= -1")
-        if self.level == -1 and self.position != 0:
-            raise ValidationError("h_0 has position 0")
-        if self.level >= 0 and not (0 <= self.position < 2 ** self.level):
-            raise ValidationError("position out of range for level")
-
-    @property
-    def flat(self) -> int:
-        return 0 if self.level == -1 else 2 ** self.level + self.position
-
-    @staticmethod
-    def from_flat(i: int) -> "HaarIndex":
-        if i == 0:
-            return HaarIndex(-1, 0)
-        level = i.bit_length() - 1
-        return HaarIndex(level, i - 2 ** level)
-
 
 def haar(i: int, resolution: int) -> DyadicVector:
     """The i-th Haar function on a grid of 2**resolution cells.
 
     h_0 is the constant 1; h_{2^n + j} is +1 on the left half and -1 on the
-    right half of the j-th dyadic interval of length 2^{-n}.
+    right half of the j-th dyadic interval of length 2^{-n}, so h_i sits on
+    level i.bit_length() - 1.
     """
+    if i < 0:
+        raise ValidationError(f"Haar index {i} is negative")
     cells = 2 ** resolution
     if i == 0:
         return DyadicVector((Fraction(1),) * cells)
-    idx = HaarIndex.from_flat(i)
-    if idx.level + 1 > resolution:
-        raise ResolutionTooCoarse(f"h_{i} needs resolution >= {idx.level + 1}")
-    block = cells // 2 ** idx.level
+    level = i.bit_length() - 1
+    if level + 1 > resolution:
+        raise ResolutionTooCoarse(f"h_{i} needs resolution >= {level + 1}")
+    block = cells // 2 ** level
     half = block // 2
     vals = [ZERO] * cells
-    start = idx.position * block
+    start = (i - 2 ** level) * block
     for t in range(start, start + half):
         vals[t] = Fraction(1)
     for t in range(start + half, start + block):
@@ -186,31 +149,23 @@ def graph_to_dyadic(x: EdgeVector, n: int) -> DyadicVector:
     return DyadicVector(tuple(vals))
 
 
-def even_level_basis(n: int) -> list[HaarIndex]:
-    """Indices of the even Haar levels 0, 2, ..., 2n-2 (the cycle space)."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    out = []
-    for k in range(n):
-        out.extend(HaarIndex.from_flat(i) for i in level_indices(2 * k))
-    return out
-
-
 def verify_even_level_span(n: int, graph: TwoPoleGraph | None = None) -> bool:
     """Exact span equality of graph Z(D_n) and the even Haar levels.
 
     The fundamental cycle vectors are independent by construction and there
     are exactly as many as even-level Haar functions, so equality follows
     from every cycle image having Haar coefficients on the even levels
-    only, none on h_0 or an odd level (one fast transform per image).
+    only, none on h_0 or an odd level (one fast transform per image).  The
+    even levels 0, 2, ..., 2n-2 hold 1 + 4 + ... + 4^(n-1) = (4^n - 1)/3
+    functions.
     """
+    if n < 1:
+        raise ValidationError("n must be >= 1")
     g = graph if graph is not None else diamond(n)
     basis = fundamental_cycle_basis(g)
-    expected = (4 ** n - 1) // 3
-    if len(basis.vectors) != expected or len(even_level_basis(n)) != expected:
+    if len(basis.vectors) != (4 ** n - 1) // 3:
         return False
-    even = {2 * k for k in range(n)}
-    return all(HaarIndex.from_flat(i).level in even
+    return all(i > 0 and (i.bit_length() - 1) % 2 == 0   # h_i lies on level bit_length - 1
                for vec in basis.vectors
                for i in haar_coefficients(graph_to_dyadic(vec, n)))
 
@@ -224,12 +179,12 @@ def g_isometry(i: int, resolution: int) -> list:
     if i < 1:
         raise ValidationError("g_i is defined for i >= 1")
     cells = 2 ** resolution
-    idx = HaarIndex.from_flat(i)
-    if idx.level + 1 > resolution:
-        raise ResolutionTooCoarse(f"g_{i} needs resolution >= {idx.level + 1}")
-    block = cells // 2 ** idx.level
+    level = i.bit_length() - 1
+    if level + 1 > resolution:
+        raise ResolutionTooCoarse(f"g_{i} needs resolution >= {level + 1}")
+    block = cells // 2 ** level
     half = block // 2
-    start = idx.position * block
+    start = (i - 2 ** level) * block
     perm = list(range(cells))
     for t in range(start, start + half):
         perm[t], perm[t + half] = perm[t + half], perm[t]
@@ -247,32 +202,22 @@ def orthogonal_projection_matrix(vectors: list[DyadicVector]) -> list:
     return projections.orthogonal_projection([list(v.values) for v in vectors])
 
 
-def andrew_lower_bound(levels, resolution: int, norm_mode: str = "L1",
-                       projection: list | None = None,
-                       average_check: bool = False,
-                       group_cap: int = 10 ** 6):
-    """Norm of the orthogonal projection onto span of the given Haar levels.
+def andrew_lower_bound(levels, resolution: int, projection: list | None = None):
+    """L1 norm of the orthogonal projection onto span of the given Haar levels.
 
-    This is a certified lower bound on the norm of every projection onto
-    that span, in either the L1 or Linf norm.  With average_check and a
-    concrete projection supplied, the full reflection group is enumerated
-    and the average is confirmed to equal the orthogonal projection.
+    This is a certified lower bound on the L1 norm of every projection onto
+    that span.  With a concrete projection supplied, the full reflection
+    group is enumerated and the projection's average over it is confirmed
+    to equal the orthogonal projection.
     """
-    if norm_mode not in ("L1", "Linf"):
-        raise ValidationError("norm_mode must be 'L1' or 'Linf'")
-    vecs = level_span_vectors(levels, resolution)
-    p_y = orthogonal_projection_matrix(vecs)
-    bound = projections.l1_norm(p_y) if norm_mode == "L1" else projections.linf_norm(p_y)
+    p_y = orthogonal_projection_matrix(level_span_vectors(levels, resolution))
     averaged = None
-    if average_check:
-        if projection is None:
-            raise ValidationError("average_check needs a concrete projection")
+    if projection is not None:
         gens = [g_isometry(i, resolution) for i in range(1, 2 ** resolution)]
-        group = projections.generate_group(gens, cap=group_cap)
-        averaged = projections.average_projection(projection, group)
+        averaged = projections.average_projection(projection, projections.generate_group(gens))
         if not linalg.mat_eq(averaged, p_y):
             raise ValidationError("group average differs from the orthogonal projection")
-    return bound, p_y, averaged
+    return projections.l1_norm(p_y), p_y, averaged
 
 
 def haar_witness_bound(n: int):
@@ -305,7 +250,8 @@ def diamond_bm_bounds(n: int, include_upper: bool = True):
     """Certified Banach-Mazur bounds for LF(D_n) against l1 of its dimension.
 
     lower: (2n+1)/3, certified by the exact Linf norm of the orthogonal
-    projection onto the cut space (h_0 and the odd levels).
+    projection P onto the cut space (h_0 and the odd levels), read off its
+    column at cell 0 without building P.
     upper: ||T|| ||T^-1|| = ||T|| (= n + 1 for n <= 4; at most 4n + 4) for
     the coset basis of h_0 and the odd-level h_i, mapped to the edges of
     D_n and each normalized to quotient norm 1 (bm_upper_via_basis_map).
@@ -314,15 +260,20 @@ def diamond_bm_bounds(n: int, include_upper: bool = True):
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    cut_levels = [-1] + [2 * k - 1 for k in range(1, n + 1)]
-    cut_vecs = level_span_vectors(cut_levels, 2 * n)
-    exact_cut_norm = projections.linf_norm(orthogonal_projection_matrix(cut_vecs))
+    # ||P||_inf = ||P e_0||_1: g_isometry maps each h_j to +-h_k on j's level, is transitive on cells; P = P^T
+    pe0 = [ZERO] * 4 ** n   # P e_0 = sum of w[0] w / <w, w> over the cut vectors w with w[0] != 0
+    for i in [0] + [2 ** (2 * k - 1) for k in range(1, n + 1)]:
+        w = haar(i, 2 * n).values
+        weight = w[0] / sum(x * x for x in w)
+        pe0 = [p + weight * x for p, x in zip(pe0, w)]
+    exact_cut_norm = sum(map(abs, pe0))
     lower = Fraction(2 * n + 1, 3)
     if exact_cut_norm < lower:
         raise ValidationError("cut projection norm fell below the paper bound")
     upper = t_norm = tinv_norm = None
     if include_upper:
         g = diamond(n)
+        cut_vecs = level_span_vectors([-1] + [2 * k - 1 for k in range(1, n + 1)], 2 * n)
         upper, t_norm, tinv_norm = projections.bm_upper_via_basis_map(
             g, _on_edges(g, cut_vecs, lambda eid: diamond_cell_index(eid, n)))
     return {"lower": lower, "exact_orth_norm": exact_cut_norm,

@@ -50,11 +50,6 @@ class MetricSpace:
     def diameter(self) -> Fraction:
         return max(max(row) for row in self.dist)
 
-    def with_basepoint(self, p: str) -> "MetricSpace":
-        if p not in self._index:
-            raise ValidationError(f"unknown basepoint {p!r}")
-        return MetricSpace(self.points, self.dist, p)
-
     def to_json(self) -> dict:
         out = {
             "points": list(self.points),
@@ -127,10 +122,6 @@ class Molecule:
         if total != 0:
             raise ValidationError(f"molecule coefficients sum to {total}, not 0")
 
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(sorted(self.coeffs))
-
     def __add__(self, other: "Molecule") -> "Molecule":
         out = dict(self.coeffs)
         for p, v in other.coeffs.items():
@@ -179,19 +170,6 @@ class LipschitzFunction:
 
     def __call__(self, p: str) -> Fraction:
         return self.values[p]
-
-    def pair(self, m: Molecule) -> Fraction:
-        return sum((v * self.values[p] for p, v in m.coeffs.items()), start=ZERO)
-
-    def lipschitz_constant(self, space: MetricSpace) -> Fraction:
-        best = ZERO
-        pts = [p for p in space.points if p in self.values]
-        for i, p in enumerate(pts):
-            for q in pts[i + 1:]:
-                ratio = abs(self.values[p] - self.values[q]) / space.d(p, q)
-                if ratio > best:
-                    best = ratio
-        return best
 
     def to_json(self) -> dict:
         out = {"values": {p: num_to_json(v) for p, v in sorted(self.values.items())}}

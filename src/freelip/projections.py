@@ -22,7 +22,7 @@ from .errors import (GroupClosureOverflow, NotInvariantSubspace, ResourceLimit,
                      SingularGram, SolverFailure, ValidationError)
 from .rational import ZERO
 
-DEFAULT_GROUP_CAP = 10 ** 6
+GROUP_CAP = 10 ** 6             # elements of a generated group
 MAX_DENSE_LP_BYTES = 2 ** 30    # D_3's minimal-projection LP needs 0.38 GB, D_4's 96.8 GB
 
 
@@ -127,7 +127,7 @@ def permutation_matrix(perm: list[int]) -> list:
     return m
 
 
-def generate_group(generators: list, cap: int = DEFAULT_GROUP_CAP) -> list:
+def generate_group(generators: list) -> list:
     """Closure of a set of permutation matrices under multiplication.
 
     The closure runs breadth first on index maps (the product a g has the
@@ -135,7 +135,7 @@ def generate_group(generators: list, cap: int = DEFAULT_GROUP_CAP) -> list:
     element by every generator on the right; the elements are returned as
     permutation matrices in that order.  Raises ValidationError for an
     empty set or a generator that is not a permutation matrix of the first
-    one's size, and GroupClosureOverflow past cap elements.
+    one's size, and GroupClosureOverflow past GROUP_CAP elements.
     """
     if not generators:
         raise ValidationError("generate_group needs at least one generator")
@@ -150,8 +150,8 @@ def generate_group(generators: list, cap: int = DEFAULT_GROUP_CAP) -> list:
             for g in gens:
                 prod = tuple(a[gi] for gi in g)
                 if prod not in seen:
-                    if len(seen) >= cap:
-                        raise GroupClosureOverflow(f"group closure exceeds cap {cap}")
+                    if len(seen) >= GROUP_CAP:
+                        raise GroupClosureOverflow(f"group closure exceeds cap {GROUP_CAP}")
                     seen[prod] = None
                     nxt.append(prod)
         frontier = nxt

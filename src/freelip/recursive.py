@@ -44,7 +44,6 @@ class BaseGraphProfile:
     c: EdgeVector                     # signed delta: + on top half, - on bottom half
     d: EdgeVector                     # (1/D) 1_p - delta for the maximizing geodesic
     alpha: Fraction                   # ||d||_1
-    vertical: dict                    # pole-swapping vertex automorphism fixing Z
     vertical_edges: dict              # induced edge bijection
     horizontals: list[dict]           # all pole-fixing vertex automorphisms
 
@@ -99,14 +98,13 @@ def profile_base(b: TwoPoleGraph) -> BaseGraphProfile:
     c_vec = EdgeVector(b, c_coeffs)
 
     basis = fundamental_cycle_basis(b)
-    vertical = None
     vertical_edges = None
     for sigma in automorphism_search(b, "swap-poles"):
         emap = edge_map_from_vertex_map(b, sigma)
         if all(z.permute(emap) == z for z in basis.vectors):
-            vertical, vertical_edges = sigma, emap
+            vertical_edges = emap
             break
-    if vertical is None:
+    if vertical_edges is None:
         raise NoVerticalAutomorphism("no pole swap fixes the cycle space pointwise")
 
     horizontals = automorphism_search(b, "fix-poles")
@@ -126,7 +124,7 @@ def profile_base(b: TwoPoleGraph) -> BaseGraphProfile:
     if alpha == 0:
         raise TrivialCycleSpace("only one bottom-top geodesic; d(B) vanishes")
     return BaseGraphProfile(b, height, k, geos, delta, c_vec, d_vec, alpha,
-                            vertical, vertical_edges, horizontals)
+                            vertical_edges, horizontals)
 
 
 def _all_bottom_top_paths(g: TwoPoleGraph):
@@ -440,11 +438,6 @@ class WitnessResult:
     alpha: Fraction
     c_vector: TensorVector
     sum_vector: TensorVector          # C_r + A_r (a single elementary tensor)
-
-    @property
-    def a_vector(self) -> TensorVector:
-        neg = TensorVector(self.base, [(-c, fs) for c, fs in self.c_vector.terms])
-        return self.sum_vector + neg
 
     def to_json(self) -> dict:
         from .rational import num_to_json

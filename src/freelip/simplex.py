@@ -55,6 +55,15 @@ def _pivot(rows, cost, basis, r, c):
     basis[r] = c
 
 
+def _price_out(cost, rows, basis):
+    """Reduced costs: subtract from cost each basic column's cost times its row."""
+    for i, bi in enumerate(basis):
+        if cost[bi]:
+            f = cost[bi]
+            cost = [x - f * y if y else x for x, y in zip(cost, rows[i])]
+    return cost
+
+
 def _run_simplex(rows, cost, basis, ncols):
     """Minimize; rows are [coeffs..., rhs], cost is [reduced costs..., -value]."""
     it = 0
@@ -99,7 +108,7 @@ def solve_standard_exact(a, b, c, basis=None):
     Returns (optimal value, x as list of Fractions).  A known feasible
     basis (one column index per row, after rows with negative rhs are sign
     flipped) skips phase 1.  Raises SolverFailure if infeasible or
-    unbounded.
+    unbounded, and if the returned x fails a x = b, x >= 0 exactly.
     """
     m = len(a)
     n = len(c)
@@ -128,10 +137,7 @@ def solve_standard_exact(a, b, c, basis=None):
             art[i] = ONE
             rows[i] = row[:n] + art + [row[-1]]
         basis = [n + i for i in range(m)]
-        cost = [ZERO] * (total + 1)
-        for i, row in enumerate(rows):
-            for j in range(total + 1):
-                cost[j] -= row[j]
+        cost = _price_out([ZERO] * n + [ONE] * m + [ZERO], rows, basis)
         _run_simplex(rows, cost, basis, total)
         if -cost[-1] != 0:
             raise SolverFailure("LP infeasible (phase 1 optimum nonzero)")
@@ -147,15 +153,15 @@ def solve_standard_exact(a, b, c, basis=None):
         basis = [basis[i] for i in keep]
 
     # Phase 2.
-    cost = [Fraction(x) for x in c] + [ZERO]
-    for i, bi in enumerate(basis):
-        if cost[bi]:
-            f = cost[bi]
-            cost = [x - f * y if y else x for x, y in zip(cost, rows[i])]
+    cost = _price_out([Fraction(x) for x in c] + [ZERO], rows, basis)
     _run_simplex(rows, cost, basis, n)
     x = [ZERO] * n
     for i, bi in enumerate(basis):
         x[bi] = rows[i][-1]
+    support = [(j, v) for j, v in enumerate(x) if v]
+    if any(v < 0 for _, v in support) or any(
+            sum((a[i][j] * v for j, v in support), start=ZERO) != b[i] for i in range(m)):
+        raise SolverFailure("simplex returned a point that violates a x = b, x >= 0")
     return -cost[-1], x
 
 

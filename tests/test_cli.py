@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from freelip import haar_system, report
+from freelip import graphs, haar_system, report
 from freelip.cli import main
 from freelip.embeddings import large_embedding, mod_p_selection
 from freelip.errors import SolverFailure
@@ -210,7 +210,7 @@ def test_exit_codes(tmp_path, monkeypatch):
     mol = tmp_path / "m.json"
     mol.write_text(json.dumps({"coeffs": {"a": 1, "b": -1}}))
     assert run_cli("norm", "--space", str(bad), "--molecule", str(mol)) == 2
-    monkeypatch.setenv("FREELIP_CAP_EDGES", "10")
+    monkeypatch.setattr(graphs, "EDGE_CAP", 10)
     assert run_cli("gen", "--family", "diamond", "--level", "3") == 4
 
 

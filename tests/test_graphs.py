@@ -71,11 +71,11 @@ def test_laakso_level_one_counts():
     assert len(g.vertices) == 6
 
 
-def test_edge_cap_env_override(monkeypatch):
-    monkeypatch.setenv("FREELIP_CAP_EDGES", "100")
+def test_edge_cap_override(monkeypatch):
+    monkeypatch.setattr(graphs, "EDGE_CAP", 100)
     with pytest.raises(ResourceLimit):
         diamond(4)
-    monkeypatch.delenv("FREELIP_CAP_EDGES")
+    monkeypatch.undo()
     assert len(diamond(4).edges) == 256
 
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -6,15 +7,13 @@ from freelip import haar_system, linalg
 from freelip.cyclespace import fundamental_cycle_basis
 from freelip.errors import ResolutionTooCoarse, ResourceLimit, ValidationError
 from freelip.graphs import multidiamond
-from freelip.haar_system import (DyadicVector, HaarIndex, andrew_lower_bound,
-                                 diamond_bm_bounds, diamond_cell_index,
-                                 even_level_basis,
+from freelip.haar_system import (andrew_lower_bound, diamond_bm_bounds, diamond_cell_index,
                                  g_isometry, haar, haar_coefficients,
                                  haar_witness_bound, level_indices,
                                  multibranch_analysis, multibranch_cut_basis,
                                  multibranch_graph_to_dyadic, orthogonal_projection_matrix,
                                  level_span_vectors, verify_even_level_span)
-from freelip.projections import l1_norm, orthogonal_projection, permutation_matrix
+from freelip.projections import l1_norm, linf_norm
 from freelip.simplex import min_l1_combination
 
 from oracles import even_level_span_dense
@@ -36,29 +35,8 @@ def test_haar_orthogonality():
 def test_haar_resolution_guard():
     with pytest.raises(ResolutionTooCoarse):
         haar(4, 2)
-
-
-def test_haar_index_roundtrip():
-    for i in range(32):
-        assert HaarIndex.from_flat(i).flat == i
-    assert HaarIndex.from_flat(0).level == -1
-    assert HaarIndex.from_flat(5) == HaarIndex(2, 1)
-
-
-def test_dyadic_norms_are_integral_norms():
-    v = DyadicVector.of([F(3), F(-1), F(0), F(2)])
-    assert v.l1() == F(3 + 1 + 0 + 2, 4)
-    assert v.linf() == 3
-    # refinement never changes the represented function
-    assert v.refine(4).l1() == v.l1()
-    assert v.refine(4).linf() == v.linf()
-
-
-def test_even_level_basis_counts():
-    assert [ix.flat for ix in even_level_basis(1)] == [1]
-    idx2 = [ix.flat for ix in even_level_basis(2)]
-    assert idx2 == [1, 4, 5, 6, 7]
-    assert len(even_level_basis(3)) == 21
+    with pytest.raises(ValidationError):
+        haar(-1, 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -119,8 +97,7 @@ def test_andrew_average_equals_orthogonal():
     dot = sum(x * y for x, y in zip(a, z))
     a = [x / dot for x in a]
     p = [[z[i] * a[j] for j in range(4)] for i in range(4)]
-    bound, p_y, averaged = andrew_lower_bound([0], 2, "L1", projection=p,
-                                              average_check=True)
+    bound, p_y, averaged = andrew_lower_bound([0], 2, projection=p)
     assert averaged == p_y
     assert bound == 1
     assert l1_norm(p) >= bound
@@ -129,13 +106,13 @@ def test_andrew_average_equals_orthogonal():
 def test_andrew_bound_tight_for_orthogonal():
     vecs = level_span_vectors([-1, 1], 2)
     p_y = orthogonal_projection_matrix(vecs)
-    bound, p_again, _ = andrew_lower_bound([-1, 1], 2, "L1")
+    bound, p_again, _ = andrew_lower_bound([-1, 1], 2)
     assert p_again == p_y
     assert bound == l1_norm(p_y)
 
 
 def test_andrew_even_levels_bound_at_least_witness():
-    bound, _, _ = andrew_lower_bound([0, 2], 4, "L1")
+    bound, _, _ = andrew_lower_bound([0, 2], 4)
     assert bound >= F(7, 4)
 
 
@@ -152,7 +129,7 @@ def test_haar_witness_bound_general():
         assert nqf >= F(2 * n + 1, 3)
         # Qf is the orthogonal projection of f onto the even levels
         coeffs = haar_coefficients(qf)
-        assert {HaarIndex.from_flat(i).level for i in coeffs} <= {2 * k for k in range(n)}
+        assert {i.bit_length() - 1 for i in coeffs} <= {2 * k for k in range(n)}
 
 
 def test_haar_witness_matches_matrix_projection():
@@ -170,12 +147,24 @@ def test_diamond_bm_bounds_small(n):
     assert b["lower"] == F(2 * n + 1, 3)
     assert b["exact_orth_norm"] >= b["lower"]
     assert b["upper"] == b["t_norm"] == n + 1 and b["tinv_norm"] == 1
+    # the norm read off one column equals the dense projection's
+    cut = level_span_vectors([-1] + [2 * k - 1 for k in range(1, n + 1)], 2 * n)
+    assert b["exact_orth_norm"] == linf_norm(orthogonal_projection_matrix(cut))
+    assert b["exact_orth_norm"] == [F(3, 2), F(17, 8), F(89, 32)][n - 1]
+
+
+def test_diamond_bm_bounds_at_n4():
+    start = time.perf_counter()
+    b = diamond_bm_bounds(4)
+    assert time.perf_counter() - start < 5
+    assert b["exact_orth_norm"] == F(441, 128)
+    assert b["upper"] == 5 and b["lower"] == 3
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_quotient_normalization_is_paper_scaling(n):
     # 2^(2k-1) h_i on odd level 2k-1, and h_0 itself, have quotient norm 1
-    zcols = [list(haar(ix.flat, 2 * n).values) for ix in even_level_basis(n)]
+    zcols = [list(haar(i, 2 * n).values) for k in range(n) for i in level_indices(2 * k)]
     scaled = [haar(0, 2 * n)] + [haar(i, 2 * n).scale(2 ** (2 * k - 1))
                                  for k in range(1, n + 1) for i in level_indices(2 * k - 1)]
     for w in scaled:

@@ -105,7 +105,8 @@ def test_molecule_arithmetic_keeps_zero_sum(values, scalar):
 
 def test_space_json_roundtrip():
     rng = random.Random(3)
-    space = random_metric_space(rng, 5).with_basepoint("p2")
+    space = random_metric_space(rng, 5)
+    space = validate_metric(space.dist, points=space.points, basepoint="p2")
     again = MetricSpace.from_json(space.to_json())
     assert again == space
 

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,8 +170,8 @@ def test_generate_group_closure_and_cap():
     g, group, rotation = _cycle_graph_symmetries()
     closed = generate_group(group + [rotation])  # full dihedral group
     assert len(closed) == 8
-    with pytest.raises(GroupClosureOverflow):
-        generate_group(group, cap=2)
+    with patch.object(projections, "GROUP_CAP", 2), pytest.raises(GroupClosureOverflow):
+        generate_group(group)
 
 
 def test_average_projection_rejects_an_empty_element_list():
@@ -224,16 +225,18 @@ def _assert_matches_dense_oracle(generators, p_list, cap):
     """generate_group, average_projection and check_invariance agree with
     the dense oracles: the same elements in the same order (or the same
     overflow), equal averages (or the same NotInvariantSubspace) and equal
-    invariance answers."""
-    try:
-        dense_group = dense_generate_group(generators, cap)
-    except GroupClosureOverflow:
-        with pytest.raises(GroupClosureOverflow):
-            generate_group(generators, cap=cap)
-        elements = generators
-    else:
-        elements = generate_group(generators, cap=cap)
-        assert elements == dense_group
+    invariance answers.  A hypothesis test calls this, so the cap is patched
+    with patch.object, not a function-scoped fixture."""
+    with patch.object(projections, "GROUP_CAP", cap):
+        try:
+            dense_group = dense_generate_group(generators, cap)
+        except GroupClosureOverflow:
+            with pytest.raises(GroupClosureOverflow):
+                generate_group(generators)
+            elements = generators
+        else:
+            elements = generate_group(generators)
+            assert elements == dense_group
     for p in p_list:
         try:
             expected = dense_average_projection(p, elements)

@@ -1,9 +1,12 @@
-"""Every public module-level function and class of freelip is used by the
-package itself: by a claim, a command or another library path.
+"""Every public module-level function and class of freelip, every public
+method and property of its public classes, and every option of its
+command line is used by the package itself: by a claim, a command or
+another library path.
 
 The scan reads the source with `ast`.  A name counts as used when some
-other top-level definition, or a module's top-level code, mentions it as a
-plain name or an attribute; its own body and `__init__` exports do not
+other definition, or a module's top-level code, mentions it: a top-level
+name as a plain name or an attribute, a member as an attribute only.  Its
+own body (for a class, its members too) and `__init__` exports do not
 count.  A definition that only unused definitions mention is unused too,
 so the scan removes them until nothing changes.  Names are matched by
 spelling alone, so a clash with another name can hide an unused
@@ -11,9 +14,11 @@ definition, never invent one.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import freelip
+from freelip.cli import build_parser
 
 PACKAGE = Path(freelip.__file__).resolve().parent
 
@@ -32,15 +37,27 @@ KEPT = {
         "the tests' transport oracles are built from it",
     "linalg.mat_add":
         "the tests' dense group-averaging oracle is built from it",
+    "haar_system.DyadicVector.inner":
+        "BENCHMARK.json's per-layer metrics name it; the tests' dense span "
+        "oracle is built from it",
+    "recursive.TensorVector.materialize":
+        "bench/workloads.py flattens the witness vectors with it, and "
+        "BENCHMARK.json's per-layer metrics name it",
 }
 
 
 def _scan(package: Path):
-    """(defs, mentions): "module.name" -> node for every public top-level
-    function and class, and name -> the set of "module.name" definitions
-    (or bare module names, for top-level code) that mention it."""
+    """(defs, mentions, attributes).  defs maps "module.name" and
+    "module.Class.member" to the spelling of every public top-level function
+    and class and every public method and property of a public class.
+    mentions maps a spelling to the owners that mention it as a plain name
+    or an attribute, attributes to those that mention it as an attribute.
+    An owner is the innermost top-level definition or method around the
+    mention ("module.name" or "module.Class.method"), or the bare module
+    name for top-level code."""
     defs = {}
     mentions = {}
+    attributes = {}
     for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
             continue
@@ -50,37 +67,83 @@ def _scan(package: Path):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 owner = f"{module}.{node.name}"
                 if not node.name.startswith("_"):
-                    defs[owner] = node
-            for sub in ast.walk(node):
-                name = (sub.id if isinstance(sub, ast.Name)
-                        else sub.attr if isinstance(sub, ast.Attribute) else None)
-                if name is not None:
-                    mentions.setdefault(name, set()).add(owner)
-    return defs, mentions
+                    defs[owner] = node.name
+            parts = [(owner, node)]
+            if isinstance(node, ast.ClassDef):
+                parts = [(owner, sub) for sub in node.decorator_list + node.bases]
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef):
+                        key = f"{owner}.{member.name}"
+                        if not (node.name.startswith("_") or member.name.startswith("_")):
+                            defs[key] = member.name
+                        parts.append((key, member))
+                    else:
+                        parts.append((owner, member))
+            for who, part in parts:
+                for sub in ast.walk(part):
+                    if isinstance(sub, ast.Name):
+                        mentions.setdefault(sub.id, set()).add(who)
+                    elif isinstance(sub, ast.Attribute):
+                        mentions.setdefault(sub.attr, set()).add(who)
+                        attributes.setdefault(sub.attr, set()).add(who)
+    return defs, mentions, attributes
 
 
-def _unused(defs, mentions, kept) -> list[str]:
+def _class_of(owner: str):
+    """"module.Class" for a member owner "module.Class.member", else None."""
+    return owner.rsplit(".", 1)[0] if owner.count(".") == 2 else None
+
+
+def _users(key, spelling, mentions, attributes, unused):
+    """Owners other than key itself (or, for a class, its members) that
+    mention its spelling and are neither unused nor members of an unused
+    class."""
+    seen = attributes if _class_of(key) else mentions
+    return {who for who in seen.get(spelling, set())
+            if who != key and _class_of(who) != key
+            and who not in unused and _class_of(who) not in unused}
+
+
+def _unused(defs, mentions, attributes, kept) -> list[str]:
     """Public definitions mentioned only by themselves or by other unused
     ones; the kept names count as used."""
     unused: set[str] = set()
     while True:
-        dead = {key for key, node in defs.items()
+        dead = {key for key, spelling in defs.items()
                 if key not in unused and key not in kept
-                and not mentions.get(node.name, set()) - unused - {key}}
+                and not _users(key, spelling, mentions, attributes, unused)}
         if not dead:
             return sorted(unused)
         unused |= dead
 
 
 def test_every_public_name_is_used_in_the_package():
-    defs, mentions = _scan(PACKAGE)
-    unused = _unused(defs, mentions, KEPT)
+    unused = _unused(*_scan(PACKAGE), KEPT)
     assert not unused, f"public names no claim, command or library path uses: {unused}"
 
 
 def test_kept_names_exist_and_are_otherwise_unused():
     # an entry whose name is gone, or that library code now calls, is stale
-    defs, mentions = _scan(PACKAGE)
+    defs, mentions, attributes = _scan(PACKAGE)
     for key in KEPT:
         assert key in defs, key
-        assert mentions.get(defs[key].name, set()) <= {key}, key
+        assert not _users(key, defs[key], mentions, attributes, set()), key
+
+
+def _read_args(func) -> set[str]:
+    """The `args.<name>` attributes a command function reads."""
+    tree = ast.parse(inspect.getsource(func))
+    return {sub.attr for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+            and sub.value.id == "args"}
+
+
+def test_every_cli_option_is_read_by_its_command():
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    unread = []
+    for name, parser in subparsers.choices.items():
+        read = _read_args(parser.get_default("func"))
+        unread += [f"{name} {'/'.join(action.option_strings)}"
+                   for action in parser._actions
+                   if action.dest != "help" and action.dest not in read]
+    assert not unread, f"options no command reads: {unread}"

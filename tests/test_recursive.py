@@ -9,10 +9,11 @@ from freelip.graphs import (diamond, diamond_base, k2n_base, laakso,
                             laakso_base, path, recursive_family)
 from freelip.projections import (check_invariance, l1_norm,
                                  minimal_projection_lp, orthogonal_projection)
-from freelip.recursive import (annihilation_check, c_type_vectors, check_conditions,
-                               delta_power, edge_map_matrix, enumerate_geodesics,
-                               invariance_generators, laakso_nonunique_projection,
-                               profile_base, vertical_automorphism, witness)
+from freelip.recursive import (TensorVector, annihilation_check, c_type_vectors,
+                               check_conditions, delta_power, edge_map_matrix,
+                               enumerate_geodesics, invariance_generators,
+                               laakso_nonunique_projection, profile_base,
+                               vertical_automorphism, witness)
 
 @pytest.mark.parametrize("base,alpha,height,count", [
     (diamond_base(), F(1), 2, 2),
@@ -154,7 +155,8 @@ def test_witness_r1_has_zero_correction():
     prof = profile_base(laakso_base())
     w = witness(prof, 1)
     assert w.norm_c == 1 and w.norm_sum == 1
-    assert w.a_vector.l1() == 0
+    a_r = w.sum_vector + TensorVector(w.base, [(-c, fs) for c, fs in w.c_vector.terms])
+    assert a_r.l1() == 0
 
 
 def test_witness_flat_cross_check():

@@ -1,0 +1,94 @@
+"""The dense two-phase simplex against brute-force vertex enumeration."""
+
+import itertools
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from freelip.errors import SolverFailure
+from freelip.simplex import solve_standard_exact
+
+
+def _solve_on(a, b, cols):
+    """x >= 0 supported on cols with a x = b, if the columns are independent
+    and that x exists; None otherwise.  Gauss-Jordan on [a_cols | b]."""
+    rows = [[F(row[j]) for j in cols] + [F(rhs)] for row, rhs in zip(a, b)]
+    rank = 0
+    for col in range(len(cols)):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            return None  # dependent columns
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = [x / rows[rank][col] for x in rows[rank]]
+        rows = [top if r == rank else [x - row[col] * y for x, y in zip(row, top)]
+                for r, row in enumerate(rows)]
+        rank += 1
+    if any(row[-1] for row in rows[rank:]):
+        return None  # inconsistent
+    x = [F(0)] * len(a[0])
+    for r, j in enumerate(cols):
+        x[j] = rows[r][-1]
+    return x if min(x, default=0) >= 0 else None
+
+
+def _vertices(a, b):
+    """Every basic feasible solution of a x = b, x >= 0."""
+    n = len(a[0])
+    for size in range(min(len(a), n) + 1):
+        for cols in itertools.combinations(range(n), size):
+            x = _solve_on(a, b, cols)
+            if x is not None:
+                yield x
+
+
+def brute_force(a, b, c):
+    """("infeasible" | "unbounded" | "optimal", value).  A feasible LP is
+    unbounded iff some vertex d of {a d = 0, sum d = 1, d >= 0} has c d < 0."""
+    def dot(u):
+        return sum(ci * ui for ci, ui in zip(c, u))
+
+    values = [dot(x) for x in _vertices(a, b)]
+    if not values:
+        return "infeasible", None
+    rays = _vertices([list(row) for row in a] + [[1] * len(c)], [0] * len(a) + [1])
+    if any(dot(d) < 0 for d in rays):
+        return "unbounded", None
+    return "optimal", min(values)
+
+
+def test_phase_one_prices_out_its_artificial_basis():
+    # phase 1 used to start the artificials at reduced cost -1 and return -2
+    # at x = (-1, 0, 1, 0)
+    a = [[2, -1, -2, 0], [2, -1, -1, 0]]
+    assert solve_standard_exact(a, [-4, -3], [3, 0, 1, 1]) == (1, [0, 2, 1, 0])
+
+
+@st.composite
+def small_lps(draw):
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    entries = st.integers(-3, 3)
+    a = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
+    c = draw(st.lists(entries, min_size=n, max_size=n))
+    return a, b, c
+
+
+@given(small_lps())
+@example(([[2, -1, -2, 0], [2, -1, -1, 0]], [-4, -3], [3, 0, 1, 1]))   # optimal
+@example(([[1, 1], [1, 1]], [1, 2], [1, 1]))                           # infeasible
+@example(([[1, -1, 0], [0, 0, 1]], [-1, 2], [-1, 0, 0]))               # unbounded
+@settings(max_examples=400, deadline=None)
+def test_solve_standard_exact_matches_vertex_enumeration(lp):
+    a, b, c = lp
+    status, value = brute_force(a, b, c)
+    if status != "optimal":
+        with pytest.raises(SolverFailure):
+            solve_standard_exact(a, b, c)
+        return
+    got, x = solve_standard_exact(a, b, c)
+    assert got == value
+    assert min(x) >= 0
+    assert all(sum(aij * xj for aij, xj in zip(row, x)) == rhs for row, rhs in zip(a, b))
+    assert sum(ci * xi for ci, xi in zip(c, x)) == value
