@@ -33,8 +33,8 @@ class EdgeVector:
         for eid, v in self.coeffs.items():
             if eid not in self.graph.edge_by_id:
                 raise ValidationError(f"unknown edge id {eid!r}")
-            if v != 0:
-                clean[eid] = Fraction(v)
+            if v:
+                clean[eid] = v if type(v) is Fraction else Fraction(v)
         object.__setattr__(self, "coeffs", clean)
 
     def __add__(self, other: "EdgeVector") -> "EdgeVector":

@@ -7,14 +7,21 @@ Witness vectors live on graphs whose edge count grows like |E(B)|^n, far
 past what a dense vector can hold, so they are kept as short sums of
 elementary tensor products of base-graph vectors (one factor per recursion
 level).  Exact l1 norms of such sums come from a level-by-level dynamic
-program over deduplicated coefficient states.
+program over integer coefficient states: coefficients and each level's
+factors are scaled over their common denominators, equal columns of a
+level are merged, and each state is kept up to a positive integer factor
+(divided by its gcd, the gcd moved into its weight), with one division by
+the total scale at the end.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from . import linalg, projections
 from .cyclespace import EdgeVector, boundary, fundamental_cycle_basis
@@ -39,7 +46,6 @@ class BaseGraphProfile:
     graph: TwoPoleGraph
     height: int                       # bottom-top distance D
     geodesic_count: int               # K
-    geodesics: list[list[str]]        # edge-id walks bottom -> top
     delta: EdgeVector                 # averaged geodesic indicator, norm 1
     c: EdgeVector                     # signed delta: + on top half, - on bottom half
     d: EdgeVector                     # (1/D) 1_p - delta for the maximizing geodesic
@@ -123,7 +129,7 @@ def profile_base(b: TwoPoleGraph) -> BaseGraphProfile:
     alpha = d_vec.l1()
     if alpha == 0:
         raise TrivialCycleSpace("only one bottom-top geodesic; d(B) vanishes")
-    return BaseGraphProfile(b, height, k, geos, delta, c_vec, d_vec, alpha,
+    return BaseGraphProfile(b, height, k, delta, c_vec, d_vec, alpha,
                             vertical_edges, horizontals)
 
 
@@ -364,11 +370,22 @@ class TensorVector:
     """Sum of elementary tensor products of base-edge vectors.
 
     terms: list of (coefficient, tuple of factor vectors), each factor a
-    tuple of Fractions over the base edge order; level = number of factors.
+    tuple of Fractions over the sorted base edge ids; level = number of
+    factors.  Every term has the same number of factors and every factor
+    one entry per base edge (ValidationError otherwise).
     """
 
     base: TwoPoleGraph
     terms: list[tuple[Fraction, tuple[tuple[Fraction, ...], ...]]]
+
+    def __post_init__(self):
+        nedges = len(self.base.edges)
+        level = self.level
+        for _, fs in self.terms:
+            if len(fs) != level:
+                raise ValidationError("tensor terms have different numbers of factors")
+            if any(len(f) != nedges for f in fs):
+                raise ValidationError(f"a factor does not have one entry per base edge ({nedges})")
 
     @property
     def level(self) -> int:
@@ -379,52 +396,88 @@ class TensorVector:
                             [(c, fs + (factor,)) for c, fs in self.terms])
 
     def __add__(self, other: "TensorVector") -> "TensorVector":
+        if other.base is not self.base and other.base != self.base:
+            raise ValidationError("tensor vectors live on different base graphs")
         return TensorVector(self.base, self.terms + other.terms)
 
+    def _scaled(self):
+        """(den, coefficients, levels) over integers: the nonzero terms'
+        coefficients and each level's factor entries scaled by their own
+        least common denominators, with den the product of those.  levels[p]
+        lists the factors of level p, one tuple of ints per kept term."""
+        terms = [(c, fs) for c, fs in self.terms if c]
+        if not terms:
+            return 1, [], []
+        den = lcm(*(c.denominator for c, _ in terms))
+        coefs = [c.numerator * (den // c.denominator) for c, _ in terms]
+        levels = []
+        for pos in range(self.level):
+            factors = [fs[pos] for _, fs in terms]
+            d = lcm(*(x.denominator for f in factors for x in f))
+            levels.append([tuple(x.numerator * (d // x.denominator) for x in f)
+                           for f in factors])
+            den *= d
+        return den, coefs, levels
+
     def l1(self) -> Fraction:
-        """Exact l1 norm by a level-wise DP over coefficient states."""
-        if not self.terms:
+        """Exact l1 norm by a level-wise DP over integer coefficient states.
+
+        A state holds, for one prefix of edges, each term's product so far,
+        scaled over the common denominators (see _scaled); equal columns of
+        a level are merged and carry their multiplicity.  The remaining
+        products are linear in the state and the final |sum of the state|
+        is homogeneous, so each state is kept up to a positive integer
+        factor: divided by its gcd, with the gcd moved into its weight.
+        """
+        den, coefs, levels = self._scaled()
+        if not coefs:
             return ZERO
-        m = self.level
-        nterms = len(self.terms)
-        nedges = len(self.base.edges)
-        states = {tuple(c for c, _ in self.terms): 1}
-        for pos in range(m):
-            cols = []
-            for e in range(nedges):
-                cols.append(tuple(fs[pos][e] for _, fs in self.terms))
+        g = gcd(*coefs)
+        states = {tuple(c // g for c in coefs): g}
+        for factors in levels:
+            cols = Counter(zip(*factors))
+            cols.pop((0,) * len(coefs), None)
             nxt: dict[tuple, int] = {}
-            for state, count in states.items():
-                for col in cols:
-                    ns = tuple(s * c for s, c in zip(state, col))
-                    if any(ns):
-                        nxt[ns] = nxt.get(ns, 0) + count
+            for state, weight in states.items():
+                for col, mult in cols.items():
+                    ns = tuple(map(mul, state, col))
+                    g = gcd(*ns)
+                    if g:
+                        if g != 1:
+                            ns = tuple(x // g for x in ns)
+                        nxt[ns] = nxt.get(ns, 0) + weight * mult * g
             states = nxt
-        total = ZERO
-        for state, count in states.items():
-            total += count * abs(sum(state))
-        return total
+        total = sum(weight * abs(sum(state)) for state, weight in states.items())
+        return Fraction(total, den)
 
     def materialize(self, graph: TwoPoleGraph) -> EdgeVector:
-        """Flat edge vector; only for graphs under the materialization cap."""
+        """Flat edge vector; only for graphs under the materialization cap.
+
+        Sums integer numerators over the common denominator of _scaled,
+        skipping zero entries, and builds one Fraction per distinct value.
+        """
         if len(graph.edges) > MATERIALIZE_CAP:
             raise ResourceLimit("witness vector too large to materialize")
         ids = sorted(e.id for e in self.base.edges)
-        order = {eid: i for i, eid in enumerate(ids)}
-        coeffs: dict[str, Fraction] = {}
-        for c, fs in self.terms:
-            partial = {"": c}
-            for factor in fs:
-                nxt = {}
-                for prefix, v in partial.items():
-                    for eid in ids:
-                        fv = factor[order[eid]]
-                        if fv and v:
-                            nxt[f"{prefix}/{eid}" if prefix else eid] = v * fv
-                partial = nxt
-            for eid, v in partial.items():
-                coeffs[eid] = coeffs.get(eid, ZERO) + v
-        return EdgeVector(graph, {k: v for k, v in coeffs.items() if v != 0})
+        den, coefs, levels = self._scaled()
+        nums: dict[str, int] = {}
+        for k, c in enumerate(coefs):
+            partial = [("", c)]
+            for pos, factors in enumerate(levels):
+                entries = [(eid, fv) for eid, fv in zip(ids, factors[k]) if fv]
+                sep = "/" if pos else ""
+                partial = [(prefix + sep + eid, v * fv)
+                           for prefix, v in partial for eid, fv in entries]
+            for eid, v in partial:
+                nums[eid] = nums.get(eid, 0) + v
+        frac: dict[int, Fraction] = {}
+        coeffs = {}
+        for eid, v in nums.items():
+            if v:
+                if v not in frac:
+                    frac[v] = Fraction(v, den)
+                coeffs[eid] = frac[v]
+        return EdgeVector(graph, coeffs)
 
 
 @dataclass

@@ -9,16 +9,17 @@ takes inner products with h_0 and the odd Haar levels instead of running
 the fast Haar transform, the dense group oracles multiply and invert
 whole Fraction matrices instead of composing index maps, and the transport
 projection norm solves one transportation problem per elementary molecule
-instead of reading the two-matching closed form, and the Fraction graph
+instead of reading the two-matching closed form, the Fraction graph
 metric adds Fractions in its searches instead of integers over a common
-denominator.
+denominator, and the tensor-vector l1 norm and flattening multiply
+Fraction states and entries instead of integer ones kept up to a factor.
 """
 
 import heapq
 from fractions import Fraction
 
 from freelip import haar_system, linalg
-from freelip.cyclespace import fundamental_cycle_basis
+from freelip.cyclespace import EdgeVector, fundamental_cycle_basis
 from freelip.errors import DisconnectedGraph, GroupClosureOverflow, NotInvariantSubspace
 from freelip.freenorm import ae_norm
 from freelip.metric import MetricSpace, Molecule
@@ -243,3 +244,45 @@ def fraction_graph_metric(g) -> MetricSpace:
             raise DisconnectedGraph(f"vertex {missing!r} unreachable from {verts[s]!r}")
         dist[s] = d
     return MetricSpace(tuple(verts), tuple(tuple(row) for row in dist), basepoint=g.bottom)
+
+
+def fraction_tensor_l1(tv) -> Fraction:
+    """l1 norm of a TensorVector by a level-wise DP over Fraction states:
+    each state is every term's product so far, counted once per prefix of
+    edges that reaches it, with no rescaling or merging of columns."""
+    if not tv.terms:
+        return ZERO
+    nedges = len(tv.base.edges)
+    states = {tuple(c for c, _ in tv.terms): 1}
+    for pos in range(tv.level):
+        cols = [tuple(fs[pos][e] for _, fs in tv.terms) for e in range(nedges)]
+        nxt = {}
+        for state, count in states.items():
+            for col in cols:
+                ns = tuple(s * c for s, c in zip(state, col))
+                if any(ns):
+                    nxt[ns] = nxt.get(ns, 0) + count
+        states = nxt
+    total = ZERO
+    for state, count in states.items():
+        total += count * abs(sum(state))
+    return total
+
+
+def fraction_tensor_materialize(tv, graph: TwoPoleGraph) -> EdgeVector:
+    """Flat edge vector of a TensorVector, expanding each term prefix by
+    prefix in Fractions and summing the terms entry by entry."""
+    ids = sorted(e.id for e in tv.base.edges)
+    coeffs = {}
+    for c, fs in tv.terms:
+        partial = {"": c}
+        for factor in fs:
+            nxt = {}
+            for prefix, v in partial.items():
+                for i, eid in enumerate(ids):
+                    if factor[i] and v:
+                        nxt[f"{prefix}/{eid}" if prefix else eid] = v * factor[i]
+            partial = nxt
+        for eid, v in partial.items():
+            coeffs[eid] = coeffs.get(eid, ZERO) + v
+    return EdgeVector(graph, {k: v for k, v in coeffs.items() if v != 0})

@@ -1,7 +1,7 @@
 """Every public module-level function and class of freelip, every public
-method and property of its public classes, and every option of its
-command line is used by the package itself: by a claim, a command or
-another library path.
+method, property and annotated (dataclass) field of its public classes,
+and every option of its command line is used by the package itself: by a
+claim, a command or another library path.
 
 The scan reads the source with `ast`.  A name counts as used when some
 other definition, or a module's top-level code, mentions it: a top-level
@@ -43,17 +43,22 @@ KEPT = {
     "recursive.TensorVector.materialize":
         "bench/workloads.py flattens the witness vectors with it, and "
         "BENCHMARK.json's per-layer metrics name it",
+    "recursive.WitnessResult.c_vector":
+        "bench/workloads.py materializes C_r from it to cross-check the DP norm",
+    "recursive.WitnessResult.sum_vector":
+        "bench/workloads.py materializes C_r + A_r from it to cross-check the DP norm",
 }
 
 
 def _scan(package: Path):
     """(defs, mentions, attributes).  defs maps "module.name" and
     "module.Class.member" to the spelling of every public top-level function
-    and class and every public method and property of a public class.
+    and class and every public method, property and annotated field of a
+    public class.
     mentions maps a spelling to the owners that mention it as a plain name
     or an attribute, attributes to those that mention it as an attribute.
-    An owner is the innermost top-level definition or method around the
-    mention ("module.name" or "module.Class.method"), or the bare module
+    An owner is the innermost top-level definition, method or field around
+    the mention ("module.name" or "module.Class.member"), or the bare module
     name for top-level code."""
     defs = {}
     mentions = {}
@@ -73,12 +78,17 @@ def _scan(package: Path):
                 parts = [(owner, sub) for sub in node.decorator_list + node.bases]
                 for member in node.body:
                     if isinstance(member, ast.FunctionDef):
-                        key = f"{owner}.{member.name}"
-                        if not (node.name.startswith("_") or member.name.startswith("_")):
-                            defs[key] = member.name
-                        parts.append((key, member))
+                        name = member.name
+                    elif (isinstance(member, ast.AnnAssign)
+                          and isinstance(member.target, ast.Name)):
+                        name = member.target.id
                     else:
                         parts.append((owner, member))
+                        continue
+                    key = f"{owner}.{name}"
+                    if not (node.name.startswith("_") or name.startswith("_")):
+                        defs[key] = name
+                    parts.append((key, member))
             for who, part in parts:
                 for sub in ast.walk(part):
                     if isinstance(sub, ast.Name):

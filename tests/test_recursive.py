@@ -1,6 +1,9 @@
+import functools
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freelip import linalg, recursive
 from freelip.cyclespace import EdgeVector, boundary, fundamental_cycle_basis
@@ -14,6 +17,8 @@ from freelip.recursive import (TensorVector, annihilation_check, c_type_vectors,
                                enumerate_geodesics, invariance_generators,
                                laakso_nonunique_projection, profile_base,
                                vertical_automorphism, witness)
+
+from oracles import fraction_tensor_l1, fraction_tensor_materialize
 
 @pytest.mark.parametrize("base,alpha,height,count", [
     (diamond_base(), F(1), 2, 2),
@@ -36,7 +41,7 @@ def test_profile_c_structure():
     # |c| = delta and c sums to zero along every geodesic
     for eid, v in prof.delta.coeffs.items():
         assert abs(prof.c.get(eid)) == v
-    for walk in prof.geodesics:
+    for walk in enumerate_geodesics(prof.graph):
         assert sum((prof.c.get(eid) for eid in walk), start=F(0)) == 0
     # fixed by every horizontal automorphism, and delta fixed by everything
     from freelip.graphs import edge_map_from_vertex_map
@@ -168,6 +173,107 @@ def test_witness_flat_cross_check():
     assert flat_c.l1() == w.norm_c == F(15, 8)
     assert flat_sum.l1() == w.norm_sum == 1
     assert boundary(flat_c).is_zero()  # C_r lies in the cycle space
+
+
+@pytest.mark.parametrize("base", [diamond_base(), k2n_base(3), laakso_base()],
+                         ids=["square", "k23", "laakso"])
+def test_witness_materialize_matches_fraction_oracle(base):
+    w = witness(profile_base(base), 2)
+    g = recursive_family(base, w.level)
+    for vec in (w.c_vector, w.sum_vector):
+        flat = vec.materialize(g)
+        assert flat.coeffs == fraction_tensor_materialize(vec, g).coeffs
+        assert flat.l1() == vec.l1() == fraction_tensor_l1(vec)
+
+
+def test_laakso_witness_reach():
+    prof = profile_base(laakso_base())
+    start = time.perf_counter()
+    w5 = witness(prof, 5)
+    w6 = witness(prof, 6)
+    assert time.perf_counter() - start < 2
+    assert (w5.norm_c, w5.norm_sum) == (F(49444565, 16777216), 1)
+    assert (w6.norm_c, w6.norm_sum) == (F(7394051199, 2147483648), 1)
+
+
+# --- tensor vectors against the Fraction oracles ----------------------------
+
+# mixed denominators, so a kernel that forgot a level's scale fails
+entry = st.builds(F, st.integers(-3, 3), st.sampled_from((1, 2, 3, 5, 12)))
+TENSOR_BASES = {"square": (diamond_base(), 6), "laakso": (laakso_base(), 4)}  # deepest level
+
+
+@functools.cache
+def _flat_graph(name, level):
+    return recursive_family(TENSOR_BASES[name][0], level)
+
+
+@st.composite
+def tensor_vectors(draw):
+    """0-5 terms of 1-6 levels with zero and negative entries and
+    coefficients, terms proportional to earlier ones, and levels whose
+    columns repeat (every term's factor copies the same edges)."""
+    name = draw(st.sampled_from(sorted(TENSOR_BASES)))
+    base, deepest = TENSOR_BASES[name]
+    n = len(base.edges)
+    level = draw(st.integers(1, deepest))
+    factor = st.tuples(*([entry] * n))
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        if terms and draw(st.booleans()):
+            _, fs = draw(st.sampled_from(terms))
+            pos = draw(st.integers(0, level - 1))
+            scale = draw(entry)
+            fs = fs[:pos] + (tuple(scale * x for x in fs[pos]),) + fs[pos + 1:]
+        else:
+            fs = tuple(draw(factor) for _ in range(level))
+        terms.append((draw(entry), fs))
+    for pos in range(level):
+        if draw(st.booleans()):
+            src = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+            terms = [(c, fs[:pos] + (tuple(fs[pos][i] for i in src),) + fs[pos + 1:])
+                     for c, fs in terms]
+    return TensorVector(base, terms), _flat_graph(name, level)
+
+
+@given(tensor_vectors())
+@settings(max_examples=120, deadline=None)
+def test_tensor_vector_matches_fraction_oracles(case):
+    tv, g = case
+    flat = tv.materialize(g)
+    assert tv.l1() == fraction_tensor_l1(tv)
+    assert tv.l1() == flat.l1()
+    assert flat.coeffs == fraction_tensor_materialize(tv, g).coeffs
+
+
+def test_tensor_vector_rejects_mixed_levels():
+    b = diamond_base()
+    one = (F(1),) * len(b.edges)
+    e0 = (F(1),) + (F(0),) * (len(b.edges) - 1)
+    with pytest.raises(ValidationError):
+        TensorVector(b, [(F(1), (one,)), (F(1), (one, e0))])
+    with pytest.raises(ValidationError):
+        TensorVector(b, [(F(1), (one, e0)), (F(1), (one,))])
+    with pytest.raises(ValidationError):
+        TensorVector(b, [(F(1), (one,))]) + TensorVector(b, [(F(1), (one, e0))])
+
+
+@pytest.mark.parametrize("length", [3, 5])
+def test_tensor_vector_rejects_factors_of_the_wrong_length(length):
+    b = diamond_base()
+    one = (F(1),) * len(b.edges)
+    bad = (F(1),) * length
+    with pytest.raises(ValidationError):
+        TensorVector(b, [(F(1), (one, bad))])
+    with pytest.raises(ValidationError):
+        TensorVector(b, [(F(1), (one,))]).append_factor(bad)
+
+
+def test_tensor_vector_sum_rejects_different_bases():
+    # both bases have six edges, so only the base check can catch the sum
+    one = (F(1),) * 6
+    with pytest.raises(ValidationError):
+        TensorVector(k2n_base(3), [(F(1), (one,))]) + TensorVector(laakso_base(), [(F(1), (one,))])
 
 
 def test_witness_records_the_minimal_schedule():
