@@ -4,11 +4,22 @@ Edge spaces of diamond graphs are identified with step functions on (0,1]:
 the edge that evolved through quarters q_1...q_n sits on the cell with
 base-4 digits q_1...q_n, carrying the L1-normalized indicator scaled by
 4^n.  Under this identification the cycle space is the span of the even
-Haar levels, projections become exact rational matrices on cell values,
-and the Banach-Mazur bounds reduce to finitely many quotient norms, each
-one min-cost flow on the graph.
+Haar levels, and the cut space (h_0 and the odd levels) is its orthogonal
+complement.
 
-Everything here runs in exact rationals; there is no float path.
+A step function is held as integer numerators over one common denominator
+(DyadicVector), and the arithmetic here runs on those integers.  The Haar
+transform is a sparse pass of pairwise sums and differences with no
+division.  The cut vectors are pairwise orthogonal, so the orthogonal
+projection onto their span is P = sum w w^T / <w, w>: it is applied
+vector by vector without forming P, and the one dense P that is returned
+is an integer sum of outer products over the lcm of the <w, w>.
+Fractions are built only for returned values; there is no float path.
+
+The Banach-Mazur upper bounds need one quotient norm per orbit of cut
+vectors under the cycle-preserving edge bijections of
+recursive.invariance_generators (projections.bm_upper_via_basis_map),
+each one min-cost flow on the graph.
 
 The even/odd Haar levels also show up as quasi-greedy subsequences of the
 Haar basis in L1; that direction is documentation only, nothing here
@@ -17,50 +28,82 @@ computes it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from math import gcd, lcm
+from operator import mul
 
-from . import linalg, projections
+from . import projections, recursive
 from .cyclespace import EdgeVector, fundamental_cycle_basis
 from .errors import ResolutionTooCoarse, ResourceLimit, ValidationError
-from .graphs import TwoPoleGraph, diamond, multidiamond
-from .rational import ZERO
+from .graphs import TwoPoleGraph, diamond, diamond_base, k2n_base, multidiamond
 
 QUARTER = {"tl": 0, "bl": 1, "br": 2, "tr": 3}
 MULTIBRANCH_CELL_CAP = 4096     # grid cells of D_{n,k}: (2k)^n
+_BRANCH_SEGMENT = re.compile(r"p([1-9][0-9]*)([du])")
 
 
 @dataclass(frozen=True)
 class DyadicVector:
-    """Piecewise-constant function on (0,1] as cell values on a uniform grid.
+    """Piecewise-constant function on (0,1] as cell values on a uniform grid:
+    cell t holds nums[t] / den, kept in lowest terms with den > 0.
 
     l1 and inner are the discrete versions of the integral norm and inner
-    product: means over the cells.
+    product: means over the cells.  values gives the cell values as
+    Fractions.
     """
 
-    values: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
+
+    def __post_init__(self):
+        if self.den < 1:
+            raise ValidationError("denominator must be positive")
+        common = gcd(self.den, *self.nums)
+        if common > 1:
+            object.__setattr__(self, "nums", tuple(x // common for x in self.nums))
+            object.__setattr__(self, "den", self.den // common)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __len__(self):
-        return len(self.values)
+        return len(self.nums)
+
+    def _same_grid(self, other: "DyadicVector"):
+        if len(other) != len(self):
+            raise ValidationError(f"resolution mismatch: {len(self)} and {len(other)} cells")
 
     def l1(self) -> Fraction:
-        return sum((abs(v) for v in self.values), start=ZERO) / len(self.values)
+        return Fraction(sum(map(abs, self.nums)), self.den * len(self))
 
     def inner(self, other: "DyadicVector") -> Fraction:
-        if len(other) != len(self):
-            raise ValidationError("resolution mismatch")
-        n = len(self.values)
-        return sum((a * b for a, b in zip(self.values, other.values)), start=ZERO) / n
+        self._same_grid(other)
+        return Fraction(sum(map(mul, self.nums, other.nums)), self.den * other.den * len(self))
+
+    def _combine(self, other: "DyadicVector", sign: int) -> "DyadicVector":
+        self._same_grid(other)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        return DyadicVector(tuple(a * x + b * y for x, y in zip(self.nums, other.nums)), den)
 
     def __add__(self, other: "DyadicVector") -> "DyadicVector":
-        return DyadicVector(tuple(a + b for a, b in zip(self.values, other.values)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "DyadicVector") -> "DyadicVector":
-        return DyadicVector(tuple(a - b for a, b in zip(self.values, other.values)))
+        return self._combine(other, -1)
 
     def scale(self, c) -> "DyadicVector":
         c = Fraction(c)
-        return DyadicVector(tuple(c * v for v in self.values))
+        return DyadicVector(tuple(c.numerator * x for x in self.nums), self.den * c.denominator)
+
+
+def _support(nums) -> dict[int, int]:
+    """{cell: value} over the nonzero entries of an integer sequence."""
+    return dict(zip(compress(range(len(nums)), nums), compress(nums, nums)))
 
 
 def haar(i: int, resolution: int) -> DyadicVector:
@@ -74,18 +117,16 @@ def haar(i: int, resolution: int) -> DyadicVector:
         raise ValidationError(f"Haar index {i} is negative")
     cells = 2 ** resolution
     if i == 0:
-        return DyadicVector((Fraction(1),) * cells)
+        return DyadicVector((1,) * cells)
     level = i.bit_length() - 1
     if level + 1 > resolution:
         raise ResolutionTooCoarse(f"h_{i} needs resolution >= {level + 1}")
     block = cells // 2 ** level
     half = block // 2
-    vals = [ZERO] * cells
     start = (i - 2 ** level) * block
-    for t in range(start, start + half):
-        vals[t] = Fraction(1)
-    for t in range(start + half, start + block):
-        vals[t] = Fraction(-1)
+    vals = [0] * cells
+    vals[start:start + half] = [1] * half
+    vals[start + half:start + block] = [-1] * half
     return DyadicVector(tuple(vals))
 
 
@@ -99,30 +140,62 @@ def level_indices(level: int) -> list[int]:
 def haar_coefficients(v: DyadicVector) -> dict[int, Fraction]:
     """Expansion of a step function in the (orthogonal) Haar system.
 
-    Returns {flat index: coefficient} with v = sum c_i h_i; the grid must
-    have power-of-two size.  Fast transform: one pairwise
-    average/difference pass per level.
+    Returns {flat index: coefficient} over the nonzero coefficients, with
+    v = sum c_i h_i; the grid must have power-of-two size.  Fast sparse
+    transform on the integer numerators: one pass of pairwise sums and
+    differences per level over the nonzero blocks, with no division.  After
+    s passes a block holds the numerator sum of its 2^s cells, so two
+    sibling blocks differ by 2^(s+1) den times the coefficient of the Haar
+    function on their union.
     """
-    n = len(v)
-    resolution = n.bit_length() - 1
-    if 2 ** resolution != n:
+    size = len(v)
+    resolution = size.bit_length() - 1
+    if 2 ** resolution != size:
         raise ValidationError("grid size must be a power of two")
     coeffs: dict[int, Fraction] = {}
-    cur = list(v.values)
-    level = resolution - 1
-    while len(cur) > 1:
-        nxt = []
-        for j in range(0, len(cur), 2):
-            avg = (cur[j] + cur[j + 1]) / 2
-            diff = (cur[j] - cur[j + 1]) / 2
-            if diff:
-                coeffs[2 ** level + j // 2] = diff
-            nxt.append(avg)
-        cur = nxt
-        level -= 1
-    if cur[0]:
-        coeffs[0] = cur[0]
+    cur = _support(v.nums)
+    for s in range(resolution):
+        first = 2 ** (resolution - 1 - s)   # flat index of the first h_i on this level
+        sums: dict[int, int] = {}
+        diffs: dict[int, int] = {}
+        for t, x in cur.items():
+            j = t >> 1
+            sums[j] = sums.get(j, 0) + x
+            diffs[j] = diffs.get(j, 0) + (-x if t & 1 else x)
+        den = v.den << (s + 1)
+        for j, d in diffs.items():
+            if d:
+                coeffs[first + j] = Fraction(d, den)
+        cur = {j: x for j, x in sums.items() if x}
+    if cur:
+        coeffs[0] = Fraction(cur[0], v.den << resolution)
     return coeffs
+
+
+def _family(vectors: list[DyadicVector]) -> projections._OrthogonalFamily:
+    """Grid vectors by their numerators, as an orthogonal family: P does
+    not change when a vector is rescaled."""
+    return projections._OrthogonalFamily([_support(w.nums) for w in vectors])
+
+
+def _cells(x: EdgeVector, cell) -> dict[int, int]:
+    """An edge vector as {grid cell: integer numerator} over the lcm of its
+    denominators, so up to a positive factor; edge e sits on cell(e.id)."""
+    den = lcm(*(c.denominator for c in x.coeffs.values()))
+    return {cell(eid): c.numerator * (den // c.denominator) for eid, c in x.coeffs.items()}
+
+
+def _on_edges(g: TwoPoleGraph, vectors: list[DyadicVector], cell) -> list[EdgeVector]:
+    """Grid vectors as edge vectors of g: edge e takes the value of cell(e.id)."""
+    edge_at = {cell(e.id): e.id for e in g.edges}
+    return [EdgeVector(g, {edge_at[t]: Fraction(x, v.den) for t, x in _support(v.nums).items()})
+            for v in vectors]
+
+
+def _symmetries(base: TwoPoleGraph, n: int, g: TwoPoleGraph) -> list[dict[str, str]]:
+    """The cycle-preserving edge bijections of g = base^n that
+    bm_upper_via_basis_map reduces the quotient norms by."""
+    return list(recursive.invariance_generators(recursive.profile_base(base), n, g).values())
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +209,11 @@ def diamond_cell_index(edge_id: str, n: int) -> int:
         raise ValidationError(f"edge id {edge_id!r} is not at level {n}")
     idx = 0
     for seg in parts:
-        idx = 4 * idx + QUARTER[seg]
+        q = QUARTER.get(seg)
+        if q is None:
+            raise ValidationError(f"edge id {edge_id!r}: segment {seg!r} is not a quarter")
+        idx = 4 * idx + q
     return idx
-
-
-def graph_to_dyadic(x: EdgeVector, n: int) -> DyadicVector:
-    """Edge vector on D_n -> step function (cell value 4^n times coefficient)."""
-    cells = 4 ** n
-    vals = [ZERO] * cells
-    for eid, c in x.coeffs.items():
-        vals[diamond_cell_index(eid, n)] = Fraction(cells) * c
-    return DyadicVector(tuple(vals))
 
 
 def verify_even_level_span(n: int, graph: TwoPoleGraph | None = None) -> bool:
@@ -155,9 +222,9 @@ def verify_even_level_span(n: int, graph: TwoPoleGraph | None = None) -> bool:
     The fundamental cycle vectors are independent by construction and there
     are exactly as many as even-level Haar functions, so equality follows
     from every cycle image having Haar coefficients on the even levels
-    only, none on h_0 or an odd level (one fast transform per image).  The
-    even levels 0, 2, ..., 2n-2 hold 1 + 4 + ... + 4^(n-1) = (4^n - 1)/3
-    functions.
+    only, none on h_0 or an odd level (one sparse transform per image, read
+    for its support only).  The even levels 0, 2, ..., 2n-2 hold
+    1 + 4 + ... + 4^(n-1) = (4^n - 1)/3 functions.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -165,9 +232,16 @@ def verify_even_level_span(n: int, graph: TwoPoleGraph | None = None) -> bool:
     basis = fundamental_cycle_basis(g)
     if len(basis.vectors) != (4 ** n - 1) // 3:
         return False
+
+    def image(vec):
+        nums = [0] * 4 ** n
+        for t, x in _cells(vec, lambda eid: diamond_cell_index(eid, n)).items():
+            nums[t] = x
+        return DyadicVector(tuple(nums))
+
     return all(i > 0 and (i.bit_length() - 1) % 2 == 0   # h_i lies on level bit_length - 1
                for vec in basis.vectors
-               for i in haar_coefficients(graph_to_dyadic(vec, n)))
+               for i in haar_coefficients(image(vec)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +272,6 @@ def level_span_vectors(levels, resolution: int) -> list[DyadicVector]:
     return out
 
 
-def orthogonal_projection_matrix(vectors: list[DyadicVector]) -> list:
-    return projections.orthogonal_projection([list(v.values) for v in vectors])
-
-
 def andrew_lower_bound(levels, resolution: int, projection: list | None = None):
     """L1 norm of the orthogonal projection onto span of the given Haar levels.
 
@@ -210,14 +280,14 @@ def andrew_lower_bound(levels, resolution: int, projection: list | None = None):
     group is enumerated and the projection's average over it is confirmed
     to equal the orthogonal projection.
     """
-    p_y = orthogonal_projection_matrix(level_span_vectors(levels, resolution))
+    p_y, bound = _family(level_span_vectors(levels, resolution)).matrix(2 ** resolution)
     averaged = None
     if projection is not None:
         gens = [g_isometry(i, resolution) for i in range(1, 2 ** resolution)]
         averaged = projections.average_projection(projection, projections.generate_group(gens))
-        if not linalg.mat_eq(averaged, p_y):
+        if averaged != p_y:
             raise ValidationError("group average differs from the orthogonal projection")
-    return projections.l1_norm(p_y), p_y, averaged
+    return bound, p_y, averaged
 
 
 def haar_witness_bound(n: int):
@@ -231,7 +301,7 @@ def haar_witness_bound(n: int):
         raise ValidationError("n must be >= 1")
     resolution = 2 * n - 1
     f = haar(0, resolution)
-    qf = DyadicVector((ZERO,) * 2 ** resolution)
+    qf = DyadicVector((0,) * 2 ** resolution)
     for k in range(2 * n - 1):
         term = haar(2 ** k, resolution).scale(2 ** k)
         f = f + term
@@ -240,33 +310,27 @@ def haar_witness_bound(n: int):
     return f, f.l1(), qf, qf.l1()
 
 
-def _on_edges(g: TwoPoleGraph, vectors: list[DyadicVector], cell) -> list[EdgeVector]:
-    """Grid vectors as edge vectors of g: edge e takes the value of cell(e.id)."""
-    cells = [(e.id, cell(e.id)) for e in g.edges]
-    return [EdgeVector(g, {eid: v.values[c] for eid, c in cells}) for v in vectors]
-
-
 def diamond_bm_bounds(n: int, include_upper: bool = True):
     """Certified Banach-Mazur bounds for LF(D_n) against l1 of its dimension.
 
     lower: (2n+1)/3, certified by the exact Linf norm of the orthogonal
     projection P onto the cut space (h_0 and the odd levels), read off its
     column at cell 0 without building P.
-    upper: ||T|| ||T^-1|| = ||T|| (= n + 1 for n <= 4; at most 4n + 4) for
+    upper: ||T|| ||T^-1|| = ||T|| (= n + 1 for n <= 5; at most 4n + 4) for
     the coset basis of h_0 and the odd-level h_i, mapped to the edges of
-    D_n and each normalized to quotient norm 1 (bm_upper_via_basis_map).
+    D_n and each normalized to quotient norm 1 (bm_upper_via_basis_map,
+    one quotient norm per orbit under the invariance generators).
     That normalization is the paper's scaling 2^(2k-1) on level 2k-1 and 1
     on h_0 (tested for n <= 3).
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    # ||P||_inf = ||P e_0||_1: g_isometry maps each h_j to +-h_k on j's level, is transitive on cells; P = P^T
-    pe0 = [ZERO] * 4 ** n   # P e_0 = sum of w[0] w / <w, w> over the cut vectors w with w[0] != 0
-    for i in [0] + [2 ** (2 * k - 1) for k in range(1, n + 1)]:
-        w = haar(i, 2 * n).values
-        weight = w[0] / sum(x * x for x in w)
-        pe0 = [p + weight * x for p, x in zip(pe0, w)]
-    exact_cut_norm = sum(map(abs, pe0))
+    cells = 4 ** n
+    # ||P||_inf = ||P e_0||_1: g_isometry maps each h_j to +-h_k on j's level, is transitive
+    # on cells; P = P^T.  P e_0 only needs the cut vectors with w[0] != 0: h_0 and the first
+    # h_i of each odd level.  The l1 mean of P (cells e_0) is the sum of |P e_0|.
+    first = _family([haar(i, 2 * n) for i in [0] + [2 ** (2 * k - 1) for k in range(1, n + 1)]])
+    exact_cut_norm = DyadicVector(*first.project({0: cells}, cells)).l1()
     lower = Fraction(2 * n + 1, 3)
     if exact_cut_norm < lower:
         raise ValidationError("cut projection norm fell below the paper bound")
@@ -275,7 +339,8 @@ def diamond_bm_bounds(n: int, include_upper: bool = True):
         g = diamond(n)
         cut_vecs = level_span_vectors([-1] + [2 * k - 1 for k in range(1, n + 1)], 2 * n)
         upper, t_norm, tinv_norm = projections.bm_upper_via_basis_map(
-            g, _on_edges(g, cut_vecs, lambda eid: diamond_cell_index(eid, n)))
+            g, _on_edges(g, cut_vecs, lambda eid: diamond_cell_index(eid, n)),
+            _symmetries(diamond_base(), n, g))
     return {"lower": lower, "exact_orth_norm": exact_cut_norm,
             "upper": upper, "t_norm": t_norm, "tinv_norm": tinv_norm}
 
@@ -286,60 +351,55 @@ def diamond_bm_bounds(n: int, include_upper: bool = True):
 
 def multibranch_cell_index(edge_id: str, n: int, k: int) -> int:
     """Cell of an edge of D_{n,k}: base-2k digits, path j descending edge
-    at digit 2j-2 and ascending edge at digit 2j-1."""
+    at digit 2j-2 and ascending edge at digit 2j-1.  Each segment must be
+    p<j>d or p<j>u with 1 <= j <= k (ValidationError otherwise)."""
     parts = edge_id.split("/") if edge_id else []
     if len(parts) != n:
         raise ValidationError(f"edge id {edge_id!r} is not at level {n}")
     idx = 0
     for seg in parts:
-        j = int(seg[1:-1])
-        digit = 2 * j - 2 if seg.endswith("d") else 2 * j - 1
+        m = _BRANCH_SEGMENT.fullmatch(seg)
+        if m is None or int(m[1]) > k:
+            raise ValidationError(f"edge id {edge_id!r}: segment {seg!r} is not "
+                                  f"p<j>d or p<j>u with 1 <= j <= {k}")
+        j = int(m[1])
+        digit = 2 * j - 2 if m[2] == "d" else 2 * j - 1
         idx = 2 * k * idx + digit
     return idx
-
-
-def multibranch_graph_to_dyadic(x: EdgeVector, n: int, k: int) -> DyadicVector:
-    cells = (2 * k) ** n
-    vals = [ZERO] * cells
-    for eid, c in x.coeffs.items():
-        vals[multibranch_cell_index(eid, n, k)] = Fraction(cells) * c
-    return DyadicVector(tuple(vals))
 
 
 def multibranch_cut_basis(n: int, k: int) -> list[DyadicVector]:
     """h_0 together with the Linf-normalized difference vectors h_{i,j}."""
     cells = (2 * k) ** n
-    out = [DyadicVector((Fraction(1),) * cells)]
+    out = [DyadicVector((1,) * cells)]
     for i in range(1, n + 1):
         block = cells // (2 * k) ** i
         for j in range(1, (2 * k) ** i // 2 + 1):
-            vals = [ZERO] * cells
+            vals = [0] * cells
             start = (2 * j - 2) * block
-            for t in range(start, start + block):
-                vals[t] = Fraction(1)
-            for t in range(start + block, start + 2 * block):
-                vals[t] = Fraction(-1)
+            vals[start:start + block] = [1] * block
+            vals[start + block:start + 2 * block] = [-1] * block
             out.append(DyadicVector(tuple(vals)))
     return out
 
 
-def _apply(p: list, v: DyadicVector) -> tuple:
-    """P v for a dense matrix P, summing only over the nonzero entries of v."""
-    nz = [(j, x) for j, x in enumerate(v.values) if x]
-    return tuple(sum((row[j] * x for j, x in nz), start=ZERO) for row in p)
-
-
-def multibranch_analysis(n: int, k: int, include_upper: bool = True) -> dict:
+def multibranch_analysis(n: int, k: int) -> dict:
     """Cut-space projection data and Banach-Mazur bounds for D_{n,k}.
 
-    Builds the orthogonal projection onto the cut space, evaluates it on
-    the first edge vector (the paper's witness), certifies the
-    (1 - 1/k) n/2 lower bound, cross-validates the cut space as the
-    orthogonal complement of the graph cycle space, and (optionally, it is
-    the expensive part) computes the upper bound ||T|| ||T^-1|| = ||T|| of
-    the cut basis normalized to quotient norm 1 (bm_upper_via_basis_map).
-    On binary diamonds that normalization is the paper's 2^(2k-1) scaling
-    of level 2k-1 (tested for n <= 3).
+    Certifies that the cut vectors are pairwise orthogonal, that every
+    cycle image is orthogonal to every cut vector, and that the cut and
+    cycle dimensions fill the edge space, all by sparse integer dot
+    products.  The fundamental cycles are independent, and so are the
+    orthogonal cut vectors; being orthogonal, the two spans meet only in
+    0, so they are orthogonal complements and P = sum w w^T / <w, w> over
+    the cut vectors is the orthogonal projection that kills the cycle
+    space.  Evaluates P on the first edge vector (the paper's witness) as
+    sum w[0] w / <w, w>, certifies the (1 - 1/k) n/2 lower bound, and
+    computes the upper bound ||T|| ||T^-1|| = ||T|| of the cut basis
+    normalized to quotient norm 1 (bm_upper_via_basis_map, one quotient
+    norm per orbit).  On binary diamonds that normalization is the paper's
+    2^(2k-1) scaling of level 2k-1 (tested for n <= 3).  The dense P is
+    returned too, built once as an integer sum of outer products.
     """
     if n < 1 or k < 2:
         raise ValidationError("need n >= 1 and k >= 2")
@@ -347,24 +407,19 @@ def multibranch_analysis(n: int, k: int, include_upper: bool = True) -> dict:
     if cells > MULTIBRANCH_CELL_CAP:
         raise ResourceLimit(f"grid of {cells} cells exceeds the cap")
     cut = multibranch_cut_basis(n, k)
-    p = orthogonal_projection_matrix(cut)
+    family = _family(cut)
     g = multidiamond(n, k)
-    cycle_imgs = [multibranch_graph_to_dyadic(v, n, k)
-                  for v in fundamental_cycle_basis(g).vectors]
-    if len(cycle_imgs) + len(cut) != cells:
+    cycles = fundamental_cycle_basis(g).vectors
+    if len(cycles) + len(cut) != cells:
         raise ValidationError("cut + cycle dimensions do not fill the edge space")
-    # The fundamental cycles are independent, and so are the orthogonal cut
-    # vectors.  Once P fixes every cut vector and kills every cycle image, no
-    # vector lies in both spans, so together they are a basis on which P^2 = P.
-    # With P symmetric the cycle images are then orthogonal to the cut space.
-    if not linalg.is_symmetric(p) or any(_apply(p, w) != w.values for w in cut):
-        raise ValidationError("cut projection failed idempotence/self-adjointness")
-    if any(any(_apply(p, z)) for z in cycle_imgs):
+
+    def cell(eid):
+        return multibranch_cell_index(eid, n, k)
+
+    if any(any(family.dots(_cells(z, cell)).values()) for z in cycles):
         raise ValidationError("cycle image not orthogonal to the cut space")
 
-    e1 = [ZERO] * cells
-    e1[0] = Fraction(cells)
-    pe1 = DyadicVector(tuple(linalg.mat_vec(p, e1)))
+    pe1 = DyadicVector(*family.project({0: cells}, cells))   # e_1 L1-normalized: cells at cell 0
     # paper formula: P e_{n,1} = h_0 + (1/2) sum (2k)^i h_{i,1}
     formula = cut[0]
     offset = 1
@@ -376,18 +431,17 @@ def multibranch_analysis(n: int, k: int, include_upper: bool = True) -> dict:
     if witness_value < bm_lower:
         raise ValidationError("witness value fell below the paper bound")
 
-    bm_upper = None
-    if include_upper:
-        bm_upper, _, _ = projections.bm_upper_via_basis_map(
-            g, _on_edges(g, cut, lambda eid: multibranch_cell_index(eid, n, k)))
+    bm_upper, _, _ = projections.bm_upper_via_basis_map(
+        g, _on_edges(g, cut, cell), _symmetries(k2n_base(k), n, g))
+    p, linf_bound = family.matrix(cells)
     return {
         "cut_basis": cut,
         "projection": p,
         "witness_vector": pe1,
-        "witness_formula_matches": pe1.values == formula.values,
+        "witness_formula_matches": pe1 == formula,
         "witness_value": witness_value,
-        "linf_bound": projections.linf_norm(p),
+        "linf_bound": linf_bound,
         "bm_lower": bm_lower,
         "bm_upper": bm_upper,
-        "cycle_dim": len(cycle_imgs),
+        "cycle_dim": len(cycles),
     }

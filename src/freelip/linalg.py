@@ -139,11 +139,6 @@ def is_idempotent(a: Matrix) -> bool:
     return mat_eq(mat_mul(a, a), a)
 
 
-def is_symmetric(a: Matrix) -> bool:
-    n = len(a)
-    return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
-
-
 def max_abs_entry_diff(a: Matrix, b: Matrix) -> Fraction:
     best = ZERO
     for ra, rb in zip(a, b):

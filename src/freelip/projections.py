@@ -84,6 +84,70 @@ def orthogonal_projection(basis_cols: list) -> list:
     return linalg.mat_mul(b, x)
 
 
+class _OrthogonalFamily:
+    """Nonzero, pairwise orthogonal integer vectors, each a sparse map
+    {coordinate: value}, and the orthogonal projection
+    P = sum_w w w^T / <w, w> onto their span, used without forming P.
+
+    Orthogonality is checked coordinate by coordinate, each adding
+    w[t] w'[t] to the pairs of vectors that meet on it, so the check costs
+    the pairs of vectors per coordinate rather than all pairs of vectors.
+    ValidationError unless every vector is nonzero and every <w, w'> is 0.
+    project and matrix need the coordinates to be 0..size-1.
+    """
+
+    def __init__(self, vectors: list[dict]):
+        self.vectors = vectors
+        self.at: dict = {}                  # coordinate -> [(vector index, value)]
+        pairs: dict[tuple[int, int], int] = {}
+        for i, w in enumerate(vectors):
+            if not w:
+                raise ValidationError("cut vectors must be nonzero")
+            for t, x in w.items():
+                here = self.at.setdefault(t, [])
+                for j, y in here:
+                    pairs[j, i] = pairs.get((j, i), 0) + x * y
+                here.append((i, x))
+        if any(pairs.values()):
+            raise ValidationError("cut vectors are not pairwise orthogonal")
+        self.norms = [sum(x * x for x in w.values()) for w in vectors]
+        self.den = math.lcm(*self.norms)
+
+    def dots(self, x: dict) -> dict[int, int]:
+        """{i: <w_i, x>} for the vectors w_i that meet the support of x."""
+        out: dict[int, int] = {}
+        for t, v in x.items():
+            for i, y in self.at.get(t, ()):
+                out[i] = out.get(i, 0) + v * y
+        return out
+
+    def project(self, x: dict, size: int) -> tuple[tuple[int, ...], int]:
+        """(numerators, denominator) of P x = sum <w, x> w / <w, w>, over
+        the lcm of the <w, w>."""
+        acc = [0] * size
+        for i, c in self.dots(x).items():
+            f = c * (self.den // self.norms[i])
+            for t, y in self.vectors[i].items():
+                acc[t] += f * y
+        return tuple(acc), self.den
+
+    def matrix(self, size: int) -> tuple[list, Fraction]:
+        """(P as a dense Fraction matrix, its max absolute row sum), built
+        as an integer sum of outer products over the lcm of the <w, w>.
+        P is symmetric, so the row sum is its linf and its l1 norm."""
+        rows = [[0] * size for _ in range(size)]
+        for w, norm in zip(self.vectors, self.norms):
+            f = self.den // norm
+            items = list(w.items())
+            for a, x in items:
+                row, fx = rows[a], f * x
+                for b, y in items:
+                    row[b] += fx * y
+        frac = {x: Fraction(x, self.den) for x in {x for row in rows for x in row}}
+        p = [[frac[x] for x in row] for row in rows]
+        return p, Fraction(max(sum(map(abs, row)) for row in rows), self.den)
+
+
 def _index_map(g, n: int) -> tuple:
     """The index map s of a permutation matrix g, s[i] = g(i) where g has
     its 1 at (g(i), i); ValidationError unless g is an n x n permutation
@@ -386,7 +450,7 @@ def _min_proj_exact(bcols: list):
 # Banach-Mazur bound assembly
 # ---------------------------------------------------------------------------
 
-def bm_upper_via_basis_map(graph, cut_vectors: list):
+def bm_upper_via_basis_map(graph, cut_vectors: list, generators: list):
     """(||T|| ||T^{-1}||, ||T||, ||T^{-1}||) for the coset basis map on
     l1(E)/Z(graph).
 
@@ -402,14 +466,74 @@ def bm_upper_via_basis_map(graph, cut_vectors: list):
     ||T e_e||_1 = sum_i |w_i[e]| q_i / <w_i, w_i>, read off the vectors.
     The values do not change when all vectors are rescaled together, so
     grid cells may carry the counting or the mean norm alike.
-    """
-    from .cyclespace import _spanning_tree, quotient_norm
 
-    def dot(a, b):
-        if len(a.coeffs) > len(b.coeffs):
-            a, b = b, a
-        return sum((v * b.coeffs[e] for e, v in a.coeffs.items() if e in b.coeffs),
-                   start=ZERO)
+    generators are edge bijections (edge id -> image id), such as the
+    cycle-preserving bijections of recursive.invariance_generators; they
+    need not be graph automorphisms.  A bijection sigma with
+    sigma(Z) = Z is an l1 isometry that maps Z onto itself, so it keeps
+    quotient norms, <w, w> and orthogonality to Z.  When sigma w = +-w'
+    for two cut vectors, w and w' join one orbit (union-find), and the
+    quotient norm and the gradient check run once per orbit.  Every
+    generator must be a bijection of the edge ids that maps each cut
+    vector to +- a cut vector, and one that joins two orbits must map
+    every fundamental cycle to a zero-boundary vector; ValidationError
+    otherwise.
+    """
+    from .cyclespace import _spanning_tree, fundamental_cycle_basis, quotient_norm
+
+    # Each vector as integers over the lcm of its denominators: a bijection
+    # keeps that lcm, so sigma w = +-w' holds exactly when it holds for these.
+    ints = []
+    for w in cut_vectors:
+        if w.graph is not graph and w.graph != graph:
+            raise ValidationError("cut vector lives on a different graph")
+        den = math.lcm(*(v.denominator for v in w.coeffs.values()))
+        ints.append({e: v.numerator * (den // v.denominator) for e, v in w.coeffs.items()})
+    by_edge = _OrthogonalFamily(ints).at     # checks: nonzero, pairwise orthogonal
+
+    index = {}                          # the cut vectors and their negatives
+    for i, w in enumerate(ints):
+        index[frozenset(w.items())] = i
+        index[frozenset((e, -v) for e, v in w.items())] = i
+    root = list(range(len(cut_vectors)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    edge_ids = set(graph.edge_by_id)
+    cycles = cycles_by_edge = None
+    for sigma in generators:
+        if set(sigma) != edge_ids or set(sigma.values()) != edge_ids:
+            raise ValidationError("generator is not a bijection of the graph's edge ids")
+        moved = [e for e, f in sigma.items() if e != f]
+        joins = False
+        for i in sorted({i for e in moved for i, _ in by_edge.get(e, ())}):
+            j = index.get(frozenset((sigma[e], v) for e, v in ints[i].items()))
+            if j is None:
+                raise ValidationError("generator maps a cut vector to no cut vector up to sign")
+            a, b = find(i), find(j)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+                joins = True
+        if joins:
+            if cycles is None:
+                cycles = [{e: int(v) for e, v in z.coeffs.items()}     # signed indicators
+                          for z in fundamental_cycle_basis(graph).vectors]
+                cycles_by_edge = {}
+                for c, z in enumerate(cycles):
+                    for e in z:
+                        cycles_by_edge.setdefault(e, []).append(c)
+            for c in sorted({c for e in moved for c in cycles_by_edge.get(e, ())}):
+                net: dict[str, int] = {}
+                for e, v in cycles[c].items():
+                    f = graph.edge_by_id[sigma[e]]
+                    net[f.head] = net.get(f.head, 0) + v
+                    net[f.tail] = net.get(f.tail, 0) - v
+                if any(net.values()):
+                    raise ValidationError("generator does not map the cycle space onto itself")
 
     parent_edge = _spanning_tree(graph)[1]
     tree = {e.id for e in parent_edge.values()}
@@ -421,18 +545,15 @@ def bm_upper_via_basis_map(graph, cut_vectors: list):
             psi[v] = psi[e.tail] + w.get(e.id) if e.head == v else psi[e.head] - w.get(e.id)
         return all(w.get(e.id) == psi[e.head] - psi[e.tail] for e in chords)
 
-    for i, w in enumerate(cut_vectors):
-        if w.graph is not graph and w.graph != graph:
-            raise ValidationError("cut vector lives on a different graph")
-        if not w.coeffs:
-            raise ValidationError("cut vectors must be nonzero")
-        if any(dot(w, v) for v in cut_vectors[i + 1:]):
-            raise ValidationError("cut vectors are not pairwise orthogonal")
-        if not is_gradient(w):
-            raise ValidationError("T does not vanish on the cycle space")
+    q = {}                              # orbit root -> quotient norm of the root
     sums = {}
-    for w in cut_vectors:
-        scale = quotient_norm(w) / dot(w, w)
+    for i, w in enumerate(cut_vectors):
+        r = find(i)
+        if r not in q:
+            if not is_gradient(cut_vectors[r]):
+                raise ValidationError("T does not vanish on the cycle space")
+            q[r] = quotient_norm(cut_vectors[r])
+        scale = q[r] / sum((v * v for v in w.coeffs.values()), start=ZERO)
         for e, v in w.coeffs.items():
             sums[e] = sums.get(e, ZERO) + abs(v) * scale
     t_norm = max(sums.values(), default=ZERO)

@@ -125,15 +125,16 @@ def bm_sandwich(rng, n_max):
     return [_row(f"bm-sandwich-n{n}", check, n) for n in range(1, n_max + 1)]
 
 
-def multibranch(rng, pairs, include_upper):
+def multibranch(rng, pairs):
     """On D_{n,k}: witness >= (1 - 1/k) n/2 matching the paper's formula,
     upper bound <= 4n + 4.  multibranch_analysis raises ValidationError,
-    hence a FAIL row, unless the cut projection is idempotent and symmetric."""
+    hence a FAIL row, unless the cut vectors are pairwise orthogonal and
+    orthogonal to every cycle image."""
     def check(n, k):
-        r = haar.multibranch_analysis(n, k, include_upper=include_upper)
+        r = haar.multibranch_analysis(n, k)
         ok = (r["witness_value"] >= r["bm_lower"] == Fraction((k - 1) * n, 2 * k)
               and r["witness_formula_matches"]
-              and (not include_upper or r["bm_upper"] <= 4 * n + 4))
+              and r["bm_upper"] <= 4 * n + 4)
         return f">= {fmt(r['bm_lower'])}", f"witness={fmt(r['witness_value'])}", ok
     return [_row(f"multibranch-{n}-{k}", check, n, k) for n, k in pairs]
 
@@ -250,8 +251,7 @@ PAPER_TABLE = (
     (haar_even_levels, dict(n_max=3), dict(n_max=4)),
     (haar_witness, dict(n_max=5), dict(n_max=5)),
     (bm_sandwich, dict(n_max=2), dict(n_max=3)),
-    (multibranch, dict(pairs=_MULTIBRANCH_PAIRS, include_upper=True),
-     dict(pairs=_MULTIBRANCH_PAIRS + ((2, 4),), include_upper=True)),
+    (multibranch, dict(pairs=_MULTIBRANCH_PAIRS), dict(pairs=_MULTIBRANCH_PAIRS + ((2, 4),))),
     (minimal_projections, {}, {}),
     (mst_embedding, dict(trials=20, points=(4, 16)), dict(trials=100, points=(4, 16))),
     (diamond_top, dict(n_max=2), dict(n_max=3)),

@@ -6,7 +6,12 @@ rather than the tree kernel, the flow oracle computes transportation norms
 on graphs from an edge-flow LP, the clipped-cone witness certifies
 elementary-molecule norms with no LP at all, the dense span check
 takes inner products with h_0 and the odd Haar levels instead of running
-the fast Haar transform, the dense group oracles multiply and invert
+the fast Haar transform, the Fraction Haar transform averages and halves
+Fraction cell values instead of summing integer numerators, the dense
+cut projections solve the Gram system of the cut vectors for
+B (B^T B)^-1 B^T and apply it as a matrix instead of summing
+w w^T / <w, w>, the all-vectors Banach-Mazur bound solves one quotient
+norm per cut vector instead of one per orbit, the dense group oracles multiply and invert
 whole Fraction matrices instead of composing index maps, and the transport
 projection norm solves one transportation problem per elementary molecule
 instead of reading the two-matching closed form, the Fraction graph
@@ -17,14 +22,15 @@ Fraction states and entries instead of integer ones kept up to a factor.
 
 import heapq
 from fractions import Fraction
+from math import lcm
 
-from freelip import haar_system, linalg
+from freelip import haar_system, linalg, projections
 from freelip.cyclespace import EdgeVector, fundamental_cycle_basis
 from freelip.errors import DisconnectedGraph, GroupClosureOverflow, NotInvariantSubspace
 from freelip.freenorm import ae_norm
 from freelip.metric import MetricSpace, Molecule
 from freelip.rational import to_fraction
-from freelip.graphs import TwoPoleGraph, diamond
+from freelip.graphs import TwoPoleGraph, diamond, multidiamond
 from freelip.simplex import solve_standard_exact
 
 ZERO = Fraction(0)
@@ -119,6 +125,122 @@ def plan_is_valid(space: MetricSpace, m: Molecule, plan) -> bool:
     return cost == plan.cost
 
 
+def fraction_haar_coefficients(values) -> dict:
+    """Haar expansion {flat index: coefficient} of Fraction cell values on
+    a grid of 2^R cells: one pass of pairwise averages and half
+    differences per level, finest first."""
+    coeffs = {}
+    cur = [Fraction(v) for v in values]
+    level = len(cur).bit_length() - 2
+    while len(cur) > 1:
+        nxt = []
+        for j in range(0, len(cur), 2):
+            diff = (cur[j] - cur[j + 1]) / 2
+            if diff:
+                coeffs[2 ** level + j // 2] = diff
+            nxt.append((cur[j] + cur[j + 1]) / 2)
+        cur = nxt
+        level -= 1
+    if cur[0]:
+        coeffs[0] = cur[0]
+    return coeffs
+
+
+def graph_to_dyadic(x: EdgeVector, n: int) -> haar_system.DyadicVector:
+    """Edge vector on D_n -> its grid vector of 4^n cells, the cell of an
+    edge holding 4^n times its coefficient, built from Fractions."""
+    return _dense_cells(x, 4 ** n, lambda eid: haar_system.diamond_cell_index(eid, n))
+
+
+def multibranch_graph_to_dyadic(x: EdgeVector, n: int, k: int) -> haar_system.DyadicVector:
+    """Edge vector on D_{n,k} -> its grid vector of (2k)^n cells."""
+    return _dense_cells(x, (2 * k) ** n,
+                        lambda eid: haar_system.multibranch_cell_index(eid, n, k))
+
+
+def _dense_cells(x, cells, cell):
+    vals = [ZERO] * cells
+    for eid, c in x.coeffs.items():
+        vals[cell(eid)] = cells * c
+    den = lcm(*(v.denominator for v in vals))
+    return haar_system.DyadicVector(tuple(int(v * den) for v in vals), den)
+
+
+def dense_orthogonal_projection(vectors) -> list:
+    """B (B^T B)^-1 B^T for the grid vectors as the columns of B, by dense
+    Fraction products and one Gram solve."""
+    return projections.orthogonal_projection([list(v.values) for v in vectors])
+
+
+def dense_linf(p) -> Fraction:
+    """Max absolute row sum of a dense matrix."""
+    return max(sum((abs(x) for x in row), start=ZERO) for row in p)
+
+
+def all_vectors_bm_upper(graph, cut_vectors) -> Fraction:
+    """max_e sum_w |w[e]| q(w) / <w, w> with one quotient norm per cut
+    vector (no symmetry reduction and no checks)."""
+    from freelip.cyclespace import quotient_norm
+
+    sums = {}
+    for w in cut_vectors:
+        scale = quotient_norm(w) / sum((v * v for v in w.coeffs.values()), start=ZERO)
+        for e, v in w.coeffs.items():
+            sums[e] = sums.get(e, ZERO) + abs(v) * scale
+    return max(sums.values())
+
+
+def on_edges(graph, vectors, cell) -> list:
+    """Grid vectors as edge vectors: edge e takes the value of cell(e.id)."""
+    return [EdgeVector(graph, {e.id: v.values[cell(e.id)] for e in graph.edges})
+            for v in vectors]
+
+
+def diamond_cut_vectors(n: int) -> list:
+    """h_0 and the odd Haar levels 1, 3, ..., 2n-1 on 4^n cells."""
+    return haar_system.level_span_vectors([-1] + [2 * k - 1 for k in range(1, n + 1)], 2 * n)
+
+
+def fraction_cut_column_norm(n: int) -> Fraction:
+    """sum |P e_0| for the orthogonal projection P onto the cut space of
+    D_n, as the Fraction sum of w[0] w / <w, w> over every cut vector."""
+    col = [ZERO] * 4 ** n
+    for w in diamond_cut_vectors(n):
+        vals = w.values
+        if vals[0]:
+            weight = vals[0] / sum(x * x for x in vals)
+            col = [c + weight * x for c, x in zip(col, vals)]
+    return sum((abs(c) for c in col), start=ZERO)
+
+
+def dense_multibranch_analysis(n: int, k: int) -> dict:
+    """The multibranch data by the dense projection: P fixes the cut
+    vectors and kills the cycle images, P e_1 is a matrix-vector product,
+    and the upper bound runs one quotient norm per cut vector."""
+    cells = (2 * k) ** n
+    cut = haar_system.multibranch_cut_basis(n, k)
+    p = dense_orthogonal_projection(cut)
+    g = multidiamond(n, k)
+    cycle_imgs = [multibranch_graph_to_dyadic(v, n, k)
+                  for v in fundamental_cycle_basis(g).vectors]
+    assert all(linalg.mat_vec(p, list(w.values)) == list(w.values) for w in cut)
+    assert not any(any(linalg.mat_vec(p, list(z.values))) for z in cycle_imgs)
+    e1 = [ZERO] * cells
+    e1[0] = Fraction(cells)
+    pe1 = linalg.mat_vec(p, e1)
+    cell = lambda eid: haar_system.multibranch_cell_index(eid, n, k)   # noqa: E731
+    return {
+        "cut_basis": [list(w.values) for w in cut],
+        "projection": p,
+        "witness_vector": pe1,
+        "witness_value": sum((abs(x) for x in pe1), start=ZERO) / cells,
+        "linf_bound": dense_linf(p),
+        "bm_lower": Fraction((k - 1) * n, 2 * k),
+        "bm_upper": all_vectors_bm_upper(g, on_edges(g, cut, cell)),
+        "cycle_dim": len(cycle_imgs),
+    }
+
+
 def even_level_span_dense(n: int) -> bool:
     """Span equality of Z(D_n) and the even Haar levels, densely.
 
@@ -133,7 +255,7 @@ def even_level_span_dense(n: int) -> bool:
     for k in range(1, n + 1):
         complement.extend(haar_system.haar(i, 2 * n)
                           for i in haar_system.level_indices(2 * k - 1))
-    return all(haar_system.graph_to_dyadic(vec, n).inner(h) == 0
+    return all(graph_to_dyadic(vec, n).inner(h) == 0
                for vec in basis.vectors for h in complement)
 
 

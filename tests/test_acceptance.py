@@ -28,7 +28,7 @@ CRITERIA = (
     (5, "haar_witness", report.haar_witness, dict(n_max=5), SEED, None),
     (6, "bm_sandwich", report.bm_sandwich, dict(n_max=3), SEED, 300),
     (7, "multibranching", report.multibranch,
-     dict(pairs=((1, 3), (2, 3), (1, 4), (2, 4)), include_upper=False), SEED, None),
+     dict(pairs=((1, 3), (2, 3), (1, 4), (2, 4))), SEED, None),
     (8, "minimal_projection_constants", report.minimal_projections, {}, SEED, None),
     (9, "mst_embedding", report.mst_embedding,
      dict(trials=100, points=(3, 30)), SEED + 3, None),

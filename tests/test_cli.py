@@ -254,12 +254,16 @@ def test_reproduce_fail_row_has_its_own_exit_code(monkeypatch, capsys):
     assert all(line.startswith("PASS") for line in out[1:])
 
 
-def test_multibranch_row_fails_when_cut_projection_not_idempotent(monkeypatch):
-    # the claim relies on multibranch_analysis to reject a bad cut projection:
-    # 2P is symmetric but not idempotent, and moves every cut vector
-    real = haar_system.orthogonal_projection_matrix
-    monkeypatch.setattr(haar_system, "orthogonal_projection_matrix",
-                        lambda vecs: [[2 * x for x in row] for row in real(vecs)])
-    [row] = report.multibranch(random.Random(0), pairs=((1, 3),), include_upper=False)
+def test_multibranch_row_fails_when_a_cut_vector_is_not_orthogonal_to_a_cycle(monkeypatch):
+    # the claim relies on multibranch_analysis to reject a bad cut space:
+    # h_{1,3} plus a cycle is still orthogonal to the other cut vectors,
+    # but not to that cycle, so P would not kill the cycle space
+    def meeting_a_cycle(n, k):
+        cut = real(n, k)
+        return cut[:3] + [cut[3] + haar_system.DyadicVector((1, 1, -1, -1, 0, 0))]
+
+    real = haar_system.multibranch_cut_basis
+    monkeypatch.setattr(haar_system, "multibranch_cut_basis", meeting_a_cycle)
+    [row] = report.multibranch(random.Random(0), pairs=((1, 3),))
     assert not row.ok
-    assert row.computed.startswith("error: ") and "idempotence" in row.computed
+    assert row.computed.startswith("error: ") and "cycle image" in row.computed

@@ -2,21 +2,26 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from freelip import haar_system, linalg
-from freelip.cyclespace import fundamental_cycle_basis
+from freelip import cyclespace, haar_system, linalg
+from freelip.cyclespace import boundary, fundamental_cycle_basis
 from freelip.errors import ResolutionTooCoarse, ResourceLimit, ValidationError
-from freelip.graphs import multidiamond
-from freelip.haar_system import (andrew_lower_bound, diamond_bm_bounds, diamond_cell_index,
-                                 g_isometry, haar, haar_coefficients,
+from freelip.graphs import diamond, diamond_base, k2n_base, multidiamond
+from freelip.haar_system import (DyadicVector, andrew_lower_bound, diamond_bm_bounds,
+                                 diamond_cell_index, g_isometry, haar, haar_coefficients,
                                  haar_witness_bound, level_indices,
-                                 multibranch_analysis, multibranch_cut_basis,
-                                 multibranch_graph_to_dyadic, orthogonal_projection_matrix,
-                                 level_span_vectors, verify_even_level_span)
-from freelip.projections import l1_norm, linf_norm
+                                 multibranch_analysis, multibranch_cell_index,
+                                 multibranch_cut_basis, level_span_vectors,
+                                 verify_even_level_span)
+from freelip.projections import bm_upper_via_basis_map, l1_norm
+from freelip.recursive import invariance_generators, profile_base
 from freelip.simplex import min_l1_combination
 
-from oracles import even_level_span_dense
+from oracles import (all_vectors_bm_upper, dense_linf, dense_multibranch_analysis,
+                     dense_orthogonal_projection, diamond_cut_vectors, even_level_span_dense,
+                     fraction_cut_column_norm, fraction_haar_coefficients,
+                     multibranch_graph_to_dyadic, on_edges)
 
 
 def test_haar_basic_vectors():
@@ -59,6 +64,85 @@ def test_span_checks_reject_swapped_quarters(n, monkeypatch):
 def test_cell_index_recursion():
     assert diamond_cell_index("tl", 1) == 0
     assert diamond_cell_index("bl/tr", 2) == 1 * 4 + 3
+    assert multibranch_cell_index("p2d/p3u", 2, 3) == 6 * 2 + 5
+
+
+@pytest.mark.parametrize("edge_id", ["xx", "tl/xx", "TL", ""])
+def test_diamond_cell_index_rejects_a_segment_that_is_not_a_quarter(edge_id):
+    n = max(1, edge_id.count("/") + 1)
+    with pytest.raises(ValidationError, match=repr(edge_id)):
+        diamond_cell_index(edge_id, n)
+
+
+@pytest.mark.parametrize("edge_id,n,k", [
+    ("p1d/p4d", 2, 3),      # D_{2,4}'s edge: used to land on the cell of p2d/p1d
+    ("p9d", 1, 3),          # used to give cell 16 of a 6-cell grid
+    ("pqd", 1, 3),          # used to raise a bare ValueError
+    ("xx", 1, 3),
+    ("p0d", 1, 3),
+    ("p1x", 1, 3),
+    ("p01d", 1, 3),
+    ("p1d/p1", 2, 3),
+])
+def test_multibranch_cell_index_rejects_malformed_or_out_of_range_segments(edge_id, n, k):
+    with pytest.raises(ValidationError, match=repr(edge_id)):
+        multibranch_cell_index(edge_id, n, k)
+
+
+def test_cell_indices_cover_the_grid_once():
+    for g, cell, cells in ((diamond(2), lambda e: diamond_cell_index(e, 2), 16),
+                           (multidiamond(2, 3), lambda e: multibranch_cell_index(e, 2, 3), 36)):
+        assert sorted(cell(e.id) for e in g.edges) == list(range(cells))
+
+
+def test_dyadic_vector_add_and_sub_reject_a_resolution_mismatch():
+    with pytest.raises(ValidationError, match="resolution mismatch"):
+        haar(1, 2) + haar(1, 3)
+    with pytest.raises(ValidationError, match="resolution mismatch"):
+        haar(1, 3) - haar(1, 2)
+    with pytest.raises(ValidationError, match="resolution mismatch"):
+        haar(1, 2).inner(haar(1, 3))
+
+
+def test_dyadic_vector_arithmetic_over_mixed_denominators():
+    a = DyadicVector((1, -3, 0, 2), 6)
+    b = DyadicVector((3, 0, -6, 20), 12)
+    assert a.values == (F(1, 6), F(-1, 2), F(0), F(1, 3))
+    assert (a + b).values == tuple(x + y for x, y in zip(a.values, b.values))
+    assert (a - b).values == tuple(x - y for x, y in zip(a.values, b.values))
+    assert a.scale(F(-3, 5)).values == tuple(F(-3, 5) * x for x in a.values)
+    assert a.l1() == sum(abs(x) for x in a.values) / 4
+    assert a.inner(b) == sum(x * y for x, y in zip(a.values, b.values)) / 4
+    assert DyadicVector((2, 4), 6) == DyadicVector((1, 2), 3)          # kept in lowest terms
+    with pytest.raises(ValidationError):
+        DyadicVector((1,), 0)
+
+
+_GRID_VALUES = st.integers(0, 5).flatmap(lambda r: st.lists(
+    st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    | st.sampled_from([F(0)]), min_size=2 ** r, max_size=2 ** r))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_GRID_VALUES)
+def test_haar_coefficients_match_the_fraction_transform(values):
+    from math import lcm
+    den = lcm(*(v.denominator for v in values))
+    v = DyadicVector(tuple(int(x * den) for x in values), den)
+    assert v.values == tuple(values)
+    coeffs = haar_coefficients(v)
+    assert coeffs == fraction_haar_coefficients(values)
+    assert all(coeffs.values())
+    # the expansion rebuilds v
+    rebuilt = DyadicVector((0,) * len(values))
+    for i, c in coeffs.items():
+        rebuilt = rebuilt + haar(i, len(values).bit_length() - 1).scale(c)
+    assert rebuilt == v
+
+
+def test_haar_coefficients_reject_a_grid_that_is_not_a_power_of_two():
+    with pytest.raises(ValidationError, match="power of two"):
+        haar_coefficients(DyadicVector((1, 2, 3)))
 
 
 def test_g_isometry_observations():
@@ -105,8 +189,16 @@ def test_andrew_average_equals_orthogonal():
 
 def test_andrew_bound_tight_for_orthogonal():
     vecs = level_span_vectors([-1, 1], 2)
-    p_y = orthogonal_projection_matrix(vecs)
+    p_y = dense_orthogonal_projection(vecs)
     bound, p_again, _ = andrew_lower_bound([-1, 1], 2)
+    assert p_again == p_y
+    assert bound == l1_norm(p_y)
+
+
+@pytest.mark.parametrize("levels,resolution", [([0], 3), ([0, 2], 4), ([-1, 1, 3], 4)])
+def test_andrew_bound_matches_the_dense_projection(levels, resolution):
+    p_y = dense_orthogonal_projection(level_span_vectors(levels, resolution))
+    bound, p_again, _ = andrew_lower_bound(levels, resolution)
     assert p_again == p_y
     assert bound == l1_norm(p_y)
 
@@ -137,7 +229,7 @@ def test_haar_witness_matches_matrix_projection():
         f, _, qf, _ = haar_witness_bound(n)
         res = 2 * n - 1
         vecs = level_span_vectors([2 * k for k in range(n)], res)
-        p = orthogonal_projection_matrix(vecs)
+        p = dense_orthogonal_projection(vecs)
         assert linalg.mat_vec(p, list(f.values)) == list(qf.values)
 
 
@@ -148,9 +240,19 @@ def test_diamond_bm_bounds_small(n):
     assert b["exact_orth_norm"] >= b["lower"]
     assert b["upper"] == b["t_norm"] == n + 1 and b["tinv_norm"] == 1
     # the norm read off one column equals the dense projection's
-    cut = level_span_vectors([-1] + [2 * k - 1 for k in range(1, n + 1)], 2 * n)
-    assert b["exact_orth_norm"] == linf_norm(orthogonal_projection_matrix(cut))
+    assert b["exact_orth_norm"] == dense_linf(dense_orthogonal_projection(diamond_cut_vectors(n)))
     assert b["exact_orth_norm"] == [F(3, 2), F(17, 8), F(89, 32)][n - 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_diamond_bm_bounds_match_the_fraction_references(n):
+    # upper = n + 1 is the all-vectors bound for n <= 3 (checked below);
+    # at n = 4 that reference takes 14 s, one quotient norm per cut vector
+    b = diamond_bm_bounds(n)
+    assert b == {"lower": F(2 * n + 1, 3), "exact_orth_norm": fraction_cut_column_norm(n),
+                 "upper": n + 1, "t_norm": n + 1, "tinv_norm": 1}
+    assert diamond_bm_bounds(n, include_upper=False) == dict(b, upper=None, t_norm=None,
+                                                             tinv_norm=None)
 
 
 def test_diamond_bm_bounds_at_n4():
@@ -172,6 +274,46 @@ def test_quotient_normalization_is_paper_scaling(n):
         assert value / 4 ** n == 1  # the LP sums cells; the grid L1 norm is the mean
 
 
+def _cut_edge_vectors(family, n, k=None):
+    if family == "diamond":
+        g, base = diamond(n), diamond_base()
+        vecs = on_edges(g, diamond_cut_vectors(n), lambda eid: diamond_cell_index(eid, n))
+    else:
+        g, base = multidiamond(n, k), k2n_base(k)
+        vecs = on_edges(g, multibranch_cut_basis(n, k),
+                        lambda eid: multibranch_cell_index(eid, n, k))
+    gens = list(invariance_generators(profile_base(base), n, g).values())
+    return g, vecs, gens
+
+
+@pytest.mark.parametrize("family,n,k,orbits", [
+    ("diamond", 1, None, 2), ("diamond", 2, None, 3), ("diamond", 3, None, 5),
+    ("multi", 1, 3, 2), ("multi", 2, 3, 3), ("multi", 1, 4, 2), ("multi", 2, 4, 3)])
+def test_orbit_reduced_upper_bound_equals_the_all_vectors_bound(family, n, k, orbits,
+                                                                 monkeypatch):
+    g, vecs, gens = _cut_edge_vectors(family, n, k)
+    want = all_vectors_bm_upper(g, vecs)
+    solved = []
+    real = cyclespace.quotient_norm
+    monkeypatch.setattr(cyclespace, "quotient_norm", lambda x: solved.append(x) or real(x))
+    assert bm_upper_via_basis_map(g, vecs, gens) == (want, want, 1)
+    assert len(solved) == orbits
+    # without generators every cut vector is its own orbit
+    solved.clear()
+    assert bm_upper_via_basis_map(g, vecs, []) == (want, want, 1)
+    assert len(solved) == len(vecs)
+
+
+def test_upper_bound_rejects_a_transposition_that_breaks_the_cycle_space():
+    g, vecs, gens = _cut_edge_vectors("diamond", 2)
+    swap = {e.id: e.id for e in g.edges}
+    swap["tl/tl"], swap["br/br"] = "br/br", "tl/tl"
+    assert any(boundary(z.permute(swap)).coeffs                  # swap breaks Z
+               for z in fundamental_cycle_basis(g).vectors)
+    with pytest.raises(ValidationError):
+        bm_upper_via_basis_map(g, vecs, gens + [swap])
+
+
 def test_multibranch_overlap_for_k3():
     # consecutive-path cycle vectors share their middle path for k >= 3
     g = multidiamond(1, 3)
@@ -188,16 +330,60 @@ def test_multibranch_analysis(n, k):
     assert r["bm_upper"] == {(1, 3): 2, (2, 3): 3, (1, 4): 2}[n, k]
     assert r["linf_bound"] >= r["bm_lower"]
     p = r["projection"]
-    assert linalg.is_idempotent(p) and linalg.is_symmetric(p)
+    assert linalg.is_idempotent(p) and p == linalg.transpose(p)
+
+
+@pytest.mark.parametrize("n,k", [(1, 3), (2, 3), (1, 4), (2, 4)])
+def test_multibranch_analysis_matches_the_dense_reference(n, k):
+    r = multibranch_analysis(n, k)
+    want = dense_multibranch_analysis(n, k)
+    assert [list(w.values) for w in r["cut_basis"]] == want["cut_basis"]
+    assert r["projection"] == want["projection"]
+    assert list(r["witness_vector"].values) == want["witness_vector"]
+    for key in ("witness_value", "linf_bound", "bm_lower", "bm_upper", "cycle_dim"):
+        assert r[key] == want[key], key
+    assert r["witness_formula_matches"]
+
+
+def _cut_basis_meeting_a_cycle(n, k):
+    # h_{1,k} plus the cycle path 1 - path 2 of the first copy: still
+    # orthogonal to every other cut vector, but not to that cycle
+    cut = multibranch_cut_basis(n, k)
+    block = (2 * k) ** (n - 1)
+    cycle = [0] * (2 * k) ** n
+    cycle[0:2 * block] = [1] * (2 * block)
+    cycle[2 * block:4 * block] = [-1] * (2 * block)
+    return cut[:k] + [cut[k] + DyadicVector(tuple(cycle))] + cut[k + 1:]
 
 
 def test_multibranch_analysis_rejects_a_projection_that_keeps_the_cycles(monkeypatch):
-    # the identity is symmetric, idempotent and fixes every cut vector, but
-    # it does not kill the cycle images
-    monkeypatch.setattr(haar_system, "orthogonal_projection_matrix",
-                        lambda vecs: linalg.identity(len(vecs[0])))
+    # the projection onto the bad cut vectors keeps part of a cycle image
+    monkeypatch.setattr(haar_system, "multibranch_cut_basis", _cut_basis_meeting_a_cycle)
     with pytest.raises(ValidationError, match="cycle image"):
-        multibranch_analysis(1, 3, include_upper=False)
+        multibranch_analysis(1, 3)
+
+
+def test_orthogonal_family_checks_its_vectors_and_matches_the_dense_projection():
+    family = haar_system._family([DyadicVector((0, 1, 1, 1)), DyadicVector((0, 0, 1, -1), 3)])
+    p, norm = family.matrix(4)
+    dense = dense_orthogonal_projection([DyadicVector((0, 1, 1, 1)), DyadicVector((0, 0, 1, -1))])
+    assert p == dense and norm == dense_linf(dense) == F(4, 3)
+    px = DyadicVector(*family.project({1: 3, 3: -6}, 4))
+    assert px.values == tuple(linalg.mat_vec(dense, [0, 3, 0, -6]))
+    with pytest.raises(ValidationError, match="pairwise orthogonal"):
+        haar_system._family([haar(0, 2), haar(0, 2) + haar(1, 2)])
+    with pytest.raises(ValidationError, match="nonzero"):
+        haar_system._family([haar(1, 2), DyadicVector((0,) * 4)])
+
+
+def test_multibranch_analysis_rejects_cut_vectors_that_are_not_orthogonal(monkeypatch):
+    def overlapping(n, k):
+        cut = multibranch_cut_basis(n, k)
+        return cut[:1] + [cut[1] + cut[2]] + cut[2:]
+
+    monkeypatch.setattr(haar_system, "multibranch_cut_basis", overlapping)
+    with pytest.raises(ValidationError, match="pairwise orthogonal"):
+        multibranch_analysis(1, 3)
 
 
 def test_multibranch_cell_cap(monkeypatch):
@@ -209,7 +395,7 @@ def test_multibranch_cell_cap(monkeypatch):
 
 
 def test_multibranch_reduces_to_binary_at_k2():
-    r = multibranch_analysis(2, 2, include_upper=False)
+    r = multibranch_analysis(2, 2)
     assert r["witness_value"] >= F(2, 4)  # (1 - 1/2) n / 2 at n = 2
     assert len(r["cut_basis"]) + r["cycle_dim"] == 16
 
@@ -219,3 +405,14 @@ def test_multibranch_cut_basis_orthogonal():
     for i, a in enumerate(cut):
         for b in cut[i + 1:]:
             assert a.inner(b) == 0
+
+
+def test_haar_layer_reach():
+    start = time.perf_counter()
+    assert verify_even_level_span(5) and verify_even_level_span(6)
+    b = diamond_bm_bounds(5)
+    assert b["upper"] == b["t_norm"] == 6 and b["tinv_norm"] == 1
+    assert b["exact_orth_norm"] == F(2105, 512)
+    assert multibranch_analysis(3, 3)["bm_upper"] == 4
+    assert multibranch_analysis(2, 5)["bm_upper"] == 3
+    assert time.perf_counter() - start < 15

@@ -6,13 +6,13 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freelip import linalg
+from freelip import cyclespace, linalg
 from freelip.cyclespace import EdgeVector, boundary, fundamental_cycle_basis
 from freelip import projections
 from freelip.errors import (GroupClosureOverflow, NotInvariantSubspace,
                             ResourceLimit, SingularGram, SolverFailure,
                             ValidationError)
-from freelip.graphs import diamond, laakso, path
+from freelip.graphs import Edge, TwoPoleGraph, diamond, laakso, path
 from freelip.projections import (average_projection,
                                  bm_upper_via_basis_map, check_invariance,
                                  generate_group, l1_norm, linf_norm,
@@ -37,7 +37,7 @@ def test_l1_linf_norms_basic():
 def test_orthogonal_projection_onto_line():
     p = orthogonal_projection([LINE])
     assert all(abs(x) == F(1, 4) for row in p for x in row)
-    assert linalg.is_idempotent(p) and linalg.is_symmetric(p)
+    assert linalg.is_idempotent(p) and p == linalg.transpose(p)
 
 
 def test_orthogonal_projection_full_basis_is_identity():
@@ -48,7 +48,7 @@ def test_orthogonal_projection_full_basis_is_identity():
 def test_orthogonal_projection_diamond_two():
     cols = [v.dense() for v in fundamental_cycle_basis(diamond(2)).vectors]
     p = orthogonal_projection(cols)
-    assert linalg.is_idempotent(p) and linalg.is_symmetric(p)
+    assert linalg.is_idempotent(p) and p == linalg.transpose(p)
     assert linalg.rank(p) == 5
 
 
@@ -339,22 +339,78 @@ def test_rationalize_projection_raises_when_the_repair_breaks(monkeypatch):
 def test_bm_upper_trivial_quotient():
     g = path(3)
     unit = [EdgeVector(g, {e.id: F(1)}) for e in g.edges]
-    value, tn, tin = bm_upper_via_basis_map(g, unit)
+    value, tn, tin = bm_upper_via_basis_map(g, unit, [])
     assert value == tn == tin == 1
+    # rescaled columns give the same map: each is normalized by q / <w, w>
+    scaled = [EdgeVector(g, {"e0": F(2)}), EdgeVector(g, {"e1": F(-1, 3)}),
+              EdgeVector(g, {"e2": F(5, 2)})]
+    assert bm_upper_via_basis_map(g, scaled, []) == (1, 1, 1)
 
 
 def test_bm_upper_rejects_map_not_vanishing_on_cycles():
     g = diamond(1)
     with pytest.raises(ValidationError, match="vanish"):
-        bm_upper_via_basis_map(g, [EdgeVector(g, {"tl": F(1)})])
+        bm_upper_via_basis_map(g, [EdgeVector(g, {"tl": F(1)})], [])
 
 
 def test_bm_upper_rejects_zero_or_non_orthogonal_cut_columns():
     g = path(2)
     with pytest.raises(ValidationError, match="pairwise orthogonal"):
         bm_upper_via_basis_map(g, [EdgeVector(g, {"e0": F(1)}),
-                                   EdgeVector(g, {"e0": F(1), "e1": F(1)})])
+                                   EdgeVector(g, {"e0": F(1), "e1": F(1)})], [])
     with pytest.raises(ValidationError, match="nonzero"):
-        bm_upper_via_basis_map(g, [EdgeVector(g, {"e0": F(1)}), EdgeVector(g, {})])
+        bm_upper_via_basis_map(g, [EdgeVector(g, {"e0": F(1)}), EdgeVector(g, {})], [])
     with pytest.raises(ValidationError, match="different graph"):
-        bm_upper_via_basis_map(g, [EdgeVector(path(3), {"e2": F(1)})])
+        bm_upper_via_basis_map(g, [EdgeVector(path(3), {"e2": F(1)})], [])
+
+
+def _d1_cut_vectors(g):
+    # h_0 and the two level-1 Haar functions of D_1 on its edges
+    return [EdgeVector(g, {"tl": F(1), "bl": F(1), "br": F(1), "tr": F(1)}),
+            EdgeVector(g, {"tl": F(1), "bl": F(-1)}), EdgeVector(g, {"br": F(1), "tr": F(-1)})]
+
+
+def test_bm_upper_joins_cut_vectors_under_a_symmetry(monkeypatch):
+    g = diamond(1)
+    mirror = {"tl": "tr", "tr": "tl", "bl": "br", "br": "bl"}      # swaps l and r
+    solved = []
+    real = cyclespace.quotient_norm
+    monkeypatch.setattr(cyclespace, "quotient_norm", lambda x: solved.append(x) or real(x))
+    assert bm_upper_via_basis_map(g, _d1_cut_vectors(g), [mirror]) == (2, 2, 1)
+    assert len(solved) == 2                                         # h_0, and h_2 ~ h_3
+    assert bm_upper_via_basis_map(g, _d1_cut_vectors(g), []) == (2, 2, 1)
+    assert len(solved) == 5
+
+
+@pytest.mark.parametrize("bad", [
+    {"tl": "tr", "tr": "tl", "bl": "br"},                          # not every edge
+    {"tl": "tr", "tr": "tr", "bl": "br", "br": "bl"},               # not injective
+    {"tl": "tr", "tr": "tl", "bl": "br", "br": "xx"},               # unknown image
+])
+def test_bm_upper_rejects_a_generator_that_is_not_an_edge_bijection(bad):
+    g = diamond(1)
+    with pytest.raises(ValidationError, match="bijection"):
+        bm_upper_via_basis_map(g, _d1_cut_vectors(g), [bad])
+
+
+def test_bm_upper_rejects_a_generator_that_moves_a_cut_vector_off_the_family():
+    g = diamond(1)
+    swap = {"tl": "br", "br": "tl", "bl": "bl", "tr": "tr"}
+    with pytest.raises(ValidationError, match="no cut vector"):
+        bm_upper_via_basis_map(g, _d1_cut_vectors(g), [swap])
+
+
+def test_bm_upper_rejects_a_joining_generator_that_breaks_the_cycle_space():
+    # D_1 with a pendant path top -> x -> y: the two bridge indicators are
+    # cut vectors, and swapping them while also swapping tl and br joins
+    # them but maps the 4-cycle to a vector with nonzero boundary
+    d1 = diamond(1)
+    g = TwoPoleGraph(d1.vertices + ("x", "y"),
+                     d1.edges + (Edge("p", "top", "x"), Edge("q", "x", "y")), "y", "bottom")
+    bridges = [EdgeVector(g, {"p": F(1)}), EdgeVector(g, {"q": F(1)})]
+    sigma = {"tl": "br", "br": "tl", "bl": "bl", "tr": "tr", "p": "q", "q": "p"}
+    with pytest.raises(ValidationError, match="cycle space"):
+        bm_upper_via_basis_map(g, bridges, [sigma])
+    # the same swap of the bridges alone keeps Z
+    keep = dict(sigma, tl="tl", br="br")
+    assert bm_upper_via_basis_map(g, bridges, [keep]) == (1, 1, 1)
