@@ -10,7 +10,8 @@ complement.
 A step function is held as integer numerators over one common denominator
 (DyadicVector), and the arithmetic here runs on those integers.  The Haar
 transform is a sparse pass of pairwise sums and differences with no
-division.  The cut vectors are pairwise orthogonal, so the orthogonal
+division.  The cut vectors are pairwise orthogonal (checked by
+projections.orthogonal_index on their numerators), so the orthogonal
 projection onto their span is P = sum w w^T / <w, w>: it is applied
 vector by vector without forming P, and the one dense P that is returned
 is an integer sum of outer products over the lcm of the <w, w>.
@@ -141,19 +142,25 @@ def haar_coefficients(v: DyadicVector) -> dict[int, Fraction]:
     """Expansion of a step function in the (orthogonal) Haar system.
 
     Returns {flat index: coefficient} over the nonzero coefficients, with
-    v = sum c_i h_i; the grid must have power-of-two size.  Fast sparse
-    transform on the integer numerators: one pass of pairwise sums and
-    differences per level over the nonzero blocks, with no division.  After
-    s passes a block holds the numerator sum of its 2^s cells, so two
-    sibling blocks differ by 2^(s+1) den times the coefficient of the Haar
-    function on their union.
+    v = sum c_i h_i; the grid must have power-of-two size.
     """
-    size = len(v)
-    resolution = size.bit_length() - 1
-    if 2 ** resolution != size:
+    resolution = len(v).bit_length() - 1
+    if 2 ** resolution != len(v):
         raise ValidationError("grid size must be a power of two")
+    return _haar_transform(_support(v.nums), v.den, resolution)
+
+
+def _haar_transform(cur: dict[int, int], den: int, resolution: int) -> dict[int, Fraction]:
+    """haar_coefficients of the step function {cell: numerator} / den on
+    2**resolution cells.
+
+    Fast sparse transform on the integer numerators: one pass of pairwise
+    sums and differences per level over the nonzero blocks, with no
+    division.  After s passes a block holds the numerator sum of its 2^s
+    cells, so two sibling blocks differ by 2^(s+1) den times the
+    coefficient of the Haar function on their union.
+    """
     coeffs: dict[int, Fraction] = {}
-    cur = _support(v.nums)
     for s in range(resolution):
         first = 2 ** (resolution - 1 - s)   # flat index of the first h_i on this level
         sums: dict[int, int] = {}
@@ -162,20 +169,63 @@ def haar_coefficients(v: DyadicVector) -> dict[int, Fraction]:
             j = t >> 1
             sums[j] = sums.get(j, 0) + x
             diffs[j] = diffs.get(j, 0) + (-x if t & 1 else x)
-        den = v.den << (s + 1)
         for j, d in diffs.items():
             if d:
-                coeffs[first + j] = Fraction(d, den)
+                coeffs[first + j] = Fraction(d, den << (s + 1))
         cur = {j: x for j, x in sums.items() if x}
     if cur:
-        coeffs[0] = Fraction(cur[0], v.den << resolution)
+        coeffs[0] = Fraction(cur[0], den << resolution)
     return coeffs
 
 
-def _family(vectors: list[DyadicVector]) -> projections._OrthogonalFamily:
-    """Grid vectors by their numerators, as an orthogonal family: P does
-    not change when a vector is rescaled."""
-    return projections._OrthogonalFamily([_support(w.nums) for w in vectors])
+class _OrthogonalFamily:
+    """Grid vectors by their integer numerators, as sparse maps
+    {cell: value}, checked nonzero and pairwise orthogonal
+    (projections.orthogonal_index), and the orthogonal projection
+    P = sum w w^T / <w, w> onto their span, used without forming P.
+    P does not change when a vector is rescaled, so the numerators stand
+    for the vectors.
+    """
+
+    def __init__(self, vectors: list[DyadicVector]):
+        self.vectors = [_support(w.nums) for w in vectors]
+        self.at = projections.orthogonal_index(self.vectors)
+        self.norms = [sum(x * x for x in w.values()) for w in self.vectors]
+        self.den = lcm(*self.norms)
+
+    def dots(self, x: dict) -> dict[int, int]:
+        """{i: <w_i, x>} for the vectors w_i that meet the support of x."""
+        out: dict[int, int] = {}
+        for t, v in x.items():
+            for i, y in self.at.get(t, ()):
+                out[i] = out.get(i, 0) + v * y
+        return out
+
+    def project(self, x: dict, size: int) -> tuple[tuple[int, ...], int]:
+        """(numerators, denominator) of P x = sum <w, x> w / <w, w>, over
+        the lcm of the <w, w>, on a grid of size cells."""
+        acc = [0] * size
+        for i, c in self.dots(x).items():
+            f = c * (self.den // self.norms[i])
+            for t, y in self.vectors[i].items():
+                acc[t] += f * y
+        return tuple(acc), self.den
+
+    def matrix(self, size: int) -> tuple[list, Fraction]:
+        """(P as a dense Fraction matrix, its max absolute row sum), built
+        as an integer sum of outer products over the lcm of the <w, w>.
+        P is symmetric, so the row sum is its linf and its l1 norm."""
+        rows = [[0] * size for _ in range(size)]
+        for w, norm in zip(self.vectors, self.norms):
+            f = self.den // norm
+            items = list(w.items())
+            for a, x in items:
+                row, fx = rows[a], f * x
+                for b, y in items:
+                    row[b] += fx * y
+        frac = {x: Fraction(x, self.den) for x in {x for row in rows for x in row}}
+        p = [[frac[x] for x in row] for row in rows]
+        return p, Fraction(max(sum(map(abs, row)) for row in rows), self.den)
 
 
 def _cells(x: EdgeVector, cell) -> dict[int, int]:
@@ -233,15 +283,12 @@ def verify_even_level_span(n: int, graph: TwoPoleGraph | None = None) -> bool:
     if len(basis.vectors) != (4 ** n - 1) // 3:
         return False
 
-    def image(vec):
-        nums = [0] * 4 ** n
-        for t, x in _cells(vec, lambda eid: diamond_cell_index(eid, n)).items():
-            nums[t] = x
-        return DyadicVector(tuple(nums))
+    def cell(eid):
+        return diamond_cell_index(eid, n)
 
     return all(i > 0 and (i.bit_length() - 1) % 2 == 0   # h_i lies on level bit_length - 1
                for vec in basis.vectors
-               for i in haar_coefficients(image(vec)))
+               for i in _haar_transform(_cells(vec, cell), 1, 2 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +327,8 @@ def andrew_lower_bound(levels, resolution: int, projection: list | None = None):
     group is enumerated and the projection's average over it is confirmed
     to equal the orthogonal projection.
     """
-    p_y, bound = _family(level_span_vectors(levels, resolution)).matrix(2 ** resolution)
+    family = _OrthogonalFamily(level_span_vectors(levels, resolution))
+    p_y, bound = family.matrix(2 ** resolution)
     averaged = None
     if projection is not None:
         gens = [g_isometry(i, resolution) for i in range(1, 2 ** resolution)]
@@ -329,7 +377,8 @@ def diamond_bm_bounds(n: int, include_upper: bool = True):
     # ||P||_inf = ||P e_0||_1: g_isometry maps each h_j to +-h_k on j's level, is transitive
     # on cells; P = P^T.  P e_0 only needs the cut vectors with w[0] != 0: h_0 and the first
     # h_i of each odd level.  The l1 mean of P (cells e_0) is the sum of |P e_0|.
-    first = _family([haar(i, 2 * n) for i in [0] + [2 ** (2 * k - 1) for k in range(1, n + 1)]])
+    first = _OrthogonalFamily([haar(i, 2 * n)
+                               for i in [0] + [2 ** (2 * k - 1) for k in range(1, n + 1)]])
     exact_cut_norm = DyadicVector(*first.project({0: cells}, cells)).l1()
     lower = Fraction(2 * n + 1, 3)
     if exact_cut_norm < lower:
@@ -407,7 +456,7 @@ def multibranch_analysis(n: int, k: int) -> dict:
     if cells > MULTIBRANCH_CELL_CAP:
         raise ResourceLimit(f"grid of {cells} cells exceeds the cap")
     cut = multibranch_cut_basis(n, k)
-    family = _family(cut)
+    family = _OrthogonalFamily(cut)
     g = multidiamond(n, k)
     cycles = fundamental_cycle_basis(g).vectors
     if len(cycles) + len(cut) != cells:

@@ -84,68 +84,28 @@ def orthogonal_projection(basis_cols: list) -> list:
     return linalg.mat_mul(b, x)
 
 
-class _OrthogonalFamily:
-    """Nonzero, pairwise orthogonal integer vectors, each a sparse map
-    {coordinate: value}, and the orthogonal projection
-    P = sum_w w w^T / <w, w> onto their span, used without forming P.
+def orthogonal_index(vectors: list[dict]) -> dict:
+    """{coordinate: [(vector index, value)]} over sparse vectors, each a
+    map {coordinate: value}, after checking that every vector is nonzero
+    and every <w, w'> is 0 (ValidationError otherwise).
 
     Orthogonality is checked coordinate by coordinate, each adding
     w[t] w'[t] to the pairs of vectors that meet on it, so the check costs
     the pairs of vectors per coordinate rather than all pairs of vectors.
-    ValidationError unless every vector is nonzero and every <w, w'> is 0.
-    project and matrix need the coordinates to be 0..size-1.
     """
-
-    def __init__(self, vectors: list[dict]):
-        self.vectors = vectors
-        self.at: dict = {}                  # coordinate -> [(vector index, value)]
-        pairs: dict[tuple[int, int], int] = {}
-        for i, w in enumerate(vectors):
-            if not w:
-                raise ValidationError("cut vectors must be nonzero")
-            for t, x in w.items():
-                here = self.at.setdefault(t, [])
-                for j, y in here:
-                    pairs[j, i] = pairs.get((j, i), 0) + x * y
-                here.append((i, x))
-        if any(pairs.values()):
-            raise ValidationError("cut vectors are not pairwise orthogonal")
-        self.norms = [sum(x * x for x in w.values()) for w in vectors]
-        self.den = math.lcm(*self.norms)
-
-    def dots(self, x: dict) -> dict[int, int]:
-        """{i: <w_i, x>} for the vectors w_i that meet the support of x."""
-        out: dict[int, int] = {}
-        for t, v in x.items():
-            for i, y in self.at.get(t, ()):
-                out[i] = out.get(i, 0) + v * y
-        return out
-
-    def project(self, x: dict, size: int) -> tuple[tuple[int, ...], int]:
-        """(numerators, denominator) of P x = sum <w, x> w / <w, w>, over
-        the lcm of the <w, w>."""
-        acc = [0] * size
-        for i, c in self.dots(x).items():
-            f = c * (self.den // self.norms[i])
-            for t, y in self.vectors[i].items():
-                acc[t] += f * y
-        return tuple(acc), self.den
-
-    def matrix(self, size: int) -> tuple[list, Fraction]:
-        """(P as a dense Fraction matrix, its max absolute row sum), built
-        as an integer sum of outer products over the lcm of the <w, w>.
-        P is symmetric, so the row sum is its linf and its l1 norm."""
-        rows = [[0] * size for _ in range(size)]
-        for w, norm in zip(self.vectors, self.norms):
-            f = self.den // norm
-            items = list(w.items())
-            for a, x in items:
-                row, fx = rows[a], f * x
-                for b, y in items:
-                    row[b] += fx * y
-        frac = {x: Fraction(x, self.den) for x in {x for row in rows for x in row}}
-        p = [[frac[x] for x in row] for row in rows]
-        return p, Fraction(max(sum(map(abs, row)) for row in rows), self.den)
+    at: dict = {}
+    pairs: dict[tuple[int, int], int] = {}
+    for i, w in enumerate(vectors):
+        if not w:
+            raise ValidationError("cut vectors must be nonzero")
+        for t, x in w.items():
+            here = at.setdefault(t, [])
+            for j, y in here:
+                pairs[j, i] = pairs.get((j, i), 0) + x * y
+            here.append((i, x))
+    if any(pairs.values()):
+        raise ValidationError("cut vectors are not pairwise orthogonal")
+    return at
 
 
 def _index_map(g, n: int) -> tuple:
@@ -472,29 +432,28 @@ def bm_upper_via_basis_map(graph, cut_vectors: list, generators: list):
     need not be graph automorphisms.  A bijection sigma with
     sigma(Z) = Z is an l1 isometry that maps Z onto itself, so it keeps
     quotient norms, <w, w> and orthogonality to Z.  When sigma w = +-w'
-    for two cut vectors, w and w' join one orbit (union-find), and the
-    quotient norm and the gradient check run once per orbit.  Every
-    generator must be a bijection of the edge ids that maps each cut
-    vector to +- a cut vector, and one that joins two orbits must map
-    every fundamental cycle to a zero-boundary vector; ValidationError
-    otherwise.
+    for two cut vectors, exactly and not only up to a factor, w and w'
+    join one orbit (union-find), and the quotient norm and the gradient
+    check run once per orbit.  Every generator must be a bijection of the
+    edge ids that maps each cut vector to +- a cut vector and every
+    fundamental cycle to a zero-boundary vector; ValidationError otherwise.
     """
     from .cyclespace import _spanning_tree, fundamental_cycle_basis, quotient_norm
 
-    # Each vector as integers over the lcm of its denominators: a bijection
-    # keeps that lcm, so sigma w = +-w' holds exactly when it holds for these.
-    ints = []
+    # Each vector as (d, integers over d) with d the lcm of its denominators:
+    # a bijection keeps d, so sigma w = +-w' exactly when the pairs agree.
+    keyed = []
     for w in cut_vectors:
         if w.graph is not graph and w.graph != graph:
             raise ValidationError("cut vector lives on a different graph")
         den = math.lcm(*(v.denominator for v in w.coeffs.values()))
-        ints.append({e: v.numerator * (den // v.denominator) for e, v in w.coeffs.items()})
-    by_edge = _OrthogonalFamily(ints).at     # checks: nonzero, pairwise orthogonal
+        keyed.append((den, {e: v.numerator * (den // v.denominator) for e, v in w.coeffs.items()}))
+    cuts_at = orthogonal_index([w for _, w in keyed])   # nonzero, pairwise orthogonal
 
     index = {}                          # the cut vectors and their negatives
-    for i, w in enumerate(ints):
-        index[frozenset(w.items())] = i
-        index[frozenset((e, -v) for e, v in w.items())] = i
+    for i, (den, w) in enumerate(keyed):
+        index[den, frozenset(w.items())] = i
+        index[den, frozenset((e, -v) for e, v in w.items())] = i
     root = list(range(len(cut_vectors)))
 
     def find(i):
@@ -503,37 +462,34 @@ def bm_upper_via_basis_map(graph, cut_vectors: list, generators: list):
             i = root[i]
         return i
 
+    # sigma fixes every cycle and cut vector that meets no edge it moves,
+    # so only those that do are mapped and checked.
     edge_ids = set(graph.edge_by_id)
-    cycles = cycles_by_edge = None
+    cycles = [{e: int(v) for e, v in z.coeffs.items()}     # signed indicators
+              for z in fundamental_cycle_basis(graph).vectors]
+    cycles_at: dict[str, list[int]] = {}
+    for c, z in enumerate(cycles):
+        for e in z:
+            cycles_at.setdefault(e, []).append(c)
     for sigma in generators:
         if set(sigma) != edge_ids or set(sigma.values()) != edge_ids:
             raise ValidationError("generator is not a bijection of the graph's edge ids")
         moved = [e for e, f in sigma.items() if e != f]
-        joins = False
-        for i in sorted({i for e in moved for i, _ in by_edge.get(e, ())}):
-            j = index.get(frozenset((sigma[e], v) for e, v in ints[i].items()))
+        for i in {i for e in moved for i, _ in cuts_at.get(e, ())}:
+            den, w = keyed[i]
+            j = index.get((den, frozenset((sigma[e], v) for e, v in w.items())))
             if j is None:
                 raise ValidationError("generator maps a cut vector to no cut vector up to sign")
             a, b = find(i), find(j)
-            if a != b:
-                root[max(a, b)] = min(a, b)
-                joins = True
-        if joins:
-            if cycles is None:
-                cycles = [{e: int(v) for e, v in z.coeffs.items()}     # signed indicators
-                          for z in fundamental_cycle_basis(graph).vectors]
-                cycles_by_edge = {}
-                for c, z in enumerate(cycles):
-                    for e in z:
-                        cycles_by_edge.setdefault(e, []).append(c)
-            for c in sorted({c for e in moved for c in cycles_by_edge.get(e, ())}):
-                net: dict[str, int] = {}
-                for e, v in cycles[c].items():
-                    f = graph.edge_by_id[sigma[e]]
-                    net[f.head] = net.get(f.head, 0) + v
-                    net[f.tail] = net.get(f.tail, 0) - v
-                if any(net.values()):
-                    raise ValidationError("generator does not map the cycle space onto itself")
+            root[max(a, b)] = min(a, b)
+        for c in {c for e in moved for c in cycles_at.get(e, ())}:
+            net: dict[str, int] = {}
+            for e, v in cycles[c].items():
+                f = graph.edge_by_id[sigma[e]]
+                net[f.head] = net.get(f.head, 0) + v
+                net[f.tail] = net.get(f.tail, 0) - v
+            if any(net.values()):
+                raise ValidationError("generator does not map the cycle space onto itself")
 
     parent_edge = _spanning_tree(graph)[1]
     tree = {e.id for e in parent_edge.values()}

@@ -364,16 +364,17 @@ def test_multibranch_analysis_rejects_a_projection_that_keeps_the_cycles(monkeyp
 
 
 def test_orthogonal_family_checks_its_vectors_and_matches_the_dense_projection():
-    family = haar_system._family([DyadicVector((0, 1, 1, 1)), DyadicVector((0, 0, 1, -1), 3)])
+    family = haar_system._OrthogonalFamily([DyadicVector((0, 1, 1, 1)),
+                                            DyadicVector((0, 0, 1, -1), 3)])
     p, norm = family.matrix(4)
     dense = dense_orthogonal_projection([DyadicVector((0, 1, 1, 1)), DyadicVector((0, 0, 1, -1))])
     assert p == dense and norm == dense_linf(dense) == F(4, 3)
     px = DyadicVector(*family.project({1: 3, 3: -6}, 4))
     assert px.values == tuple(linalg.mat_vec(dense, [0, 3, 0, -6]))
     with pytest.raises(ValidationError, match="pairwise orthogonal"):
-        haar_system._family([haar(0, 2), haar(0, 2) + haar(1, 2)])
+        haar_system._OrthogonalFamily([haar(0, 2), haar(0, 2) + haar(1, 2)])
     with pytest.raises(ValidationError, match="nonzero"):
-        haar_system._family([haar(1, 2), DyadicVector((0,) * 4)])
+        haar_system._OrthogonalFamily([haar(1, 2), DyadicVector((0,) * 4)])
 
 
 def test_multibranch_analysis_rejects_cut_vectors_that_are_not_orthogonal(monkeypatch):

@@ -20,7 +20,8 @@ from freelip.projections import (average_projection,
                                  permutation_matrix)
 from freelip.recursive import invariance_generators, edge_map_matrix, profile_base
 from freelip.graphs import diamond_base, laakso_base
-from oracles import dense_average_projection, dense_commutes, dense_generate_group
+from oracles import (all_vectors_bm_upper, dense_average_projection, dense_commutes,
+                     dense_generate_group)
 
 LINE = [F(1), F(1), F(-1), F(-1)]
 
@@ -398,6 +399,36 @@ def test_bm_upper_rejects_a_generator_that_moves_a_cut_vector_off_the_family():
     swap = {"tl": "br", "br": "tl", "bl": "bl", "tr": "tr"}
     with pytest.raises(ValidationError, match="no cut vector"):
         bm_upper_via_basis_map(g, _d1_cut_vectors(g), [swap])
+
+
+def _path4_cut_vectors(g, half):
+    # A, E, B, D on path(4); the shift e0 <-> e2, e1 <-> e3 sends A to D * half
+    return [EdgeVector(g, {"e0": half, "e1": half}), EdgeVector(g, {"e2": half, "e3": -half}),
+            EdgeVector(g, {"e0": F(1), "e1": F(-1)}), EdgeVector(g, {"e2": F(1), "e3": F(1)})]
+
+
+def test_bm_upper_does_not_join_cut_vectors_that_differ_by_a_factor():
+    # sigma A = D / 2 is not +-D, so A and D must not share D's quotient norm;
+    # A and D have the same integers over their own denominators
+    g = path(4)
+    shift = {"e0": "e2", "e1": "e3", "e2": "e0", "e3": "e1"}
+    with pytest.raises(ValidationError, match="no cut vector"):
+        bm_upper_via_basis_map(g, _path4_cut_vectors(g, F(1, 2)), [shift])
+    assert all_vectors_bm_upper(g, _path4_cut_vectors(g, F(1, 2))) == 2
+    # with A and E at D's scale the shift joins {A, D} and {E, B}
+    vecs = _path4_cut_vectors(g, F(1))
+    upper = all_vectors_bm_upper(g, vecs)
+    assert bm_upper_via_basis_map(g, vecs, [shift]) == (upper, upper, 1)
+
+
+def test_bm_upper_rejects_a_generator_that_breaks_the_cycle_space_without_joining():
+    # the swap of tl and br maps the 4-cycle of D_1 off Z, and it moves no
+    # edge of the cut vectors, so it joins no two of them
+    d1 = diamond(1)
+    g = TwoPoleGraph(d1.vertices + ("x",), d1.edges + (Edge("p", "top", "x"),), "x", "bottom")
+    swap = {"tl": "br", "br": "tl", "bl": "bl", "tr": "tr", "p": "p"}
+    with pytest.raises(ValidationError, match="cycle space"):
+        bm_upper_via_basis_map(g, [EdgeVector(g, {"p": F(1)})], [swap])
 
 
 def test_bm_upper_rejects_a_joining_generator_that_breaks_the_cycle_space():

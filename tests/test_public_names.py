@@ -37,6 +37,9 @@ KEPT = {
         "the tests' transport oracles are built from it",
     "linalg.mat_add":
         "the tests' dense group-averaging oracle is built from it",
+    "haar_system.haar_coefficients":
+        "BENCHMARK.json's per-layer metrics name it, so bench/ requires it to exist; "
+        "the span check calls the sparse transform under it directly",
     "haar_system.DyadicVector.inner":
         "BENCHMARK.json's per-layer metrics name it; the tests' dense span "
         "oracle is built from it",
