@@ -127,7 +127,7 @@ def cmd_cyclespace(args):
 
 
 def cmd_projconst(args):
-    from . import linalg, projections
+    from . import projections
     from .cyclespace import fundamental_cycle_basis
     from .recursive import edge_map_matrix
     g = _load_graph(args.graph)
@@ -149,7 +149,8 @@ def cmd_projconst(args):
     report = projections.ProjectionReport(
         operator=p, range_basis=cols,
         norm_l1=projections.l1_norm(p), norm_linf=projections.linf_norm(p),
-        is_projection=linalg.is_idempotent(p), label=args.proj_mode)
+        is_projection=all(projections.cycle_projection_certificate(g, p)),
+        label=args.proj_mode)
     payload = report.to_json()
     if lam is not None:
         payload["lambda"] = lam

@@ -34,7 +34,7 @@ class EmbeddingReport:
     c_constant: Fraction                # interpolation constant, eq-(11) style
     lower_eq: Fraction                  # certified lower l1-equivalence bound
     upper_eq: Fraction                  # certified upper bound (always 1)
-    proj_norm: Fraction | None          # computed over extreme points
+    proj_norm: Fraction                 # computed over extreme points
     k: int
 
     def to_json(self) -> dict:
@@ -45,7 +45,7 @@ class EmbeddingReport:
                 "d_values": {y: num(v) for y, v in sorted(self.d_values.items())},
                 "C": num(self.c_constant),
                 "lower_eq": num(self.lower_eq), "upper_eq": num(self.upper_eq),
-                "proj_norm": None if self.proj_norm is None else num(self.proj_norm)}
+                "proj_norm": num(self.proj_norm)}
 
 
 def kruskal_mst(space: MetricSpace) -> TwoPoleGraph:
@@ -190,16 +190,15 @@ def projection_norm(space: MetricSpace, ys: list[str],
 
 
 def _build_report(space: MetricSpace, ys: list[str], partners: dict[str, str],
-                  d_values: dict[str, Fraction], with_proj_norm: bool) -> EmbeddingReport:
+                  d_values: dict[str, Fraction]) -> EmbeddingReport:
     c = interpolation_constant(space, ys, d_values)
-    proj = projection_norm(space, ys, partners) if with_proj_norm else None
     return EmbeddingReport(ys=list(ys), partners=dict(partners),
                            d_values=dict(d_values), c_constant=c,
                            lower_eq=Fraction(1) / c, upper_eq=Fraction(1),
-                           proj_norm=proj, k=len(ys))
+                           proj_norm=projection_norm(space, ys, partners), k=len(ys))
 
 
-def half_dim_embedding(space: MetricSpace, with_proj_norm: bool = True) -> EmbeddingReport:
+def half_dim_embedding(space: MetricSpace) -> EmbeddingReport:
     """At-least-half-dimensional selection through the MST bipartition.
 
     The selected side's nearest partners are globally nearest neighbors
@@ -220,14 +219,13 @@ def half_dim_embedding(space: MetricSpace, with_proj_norm: bool = True) -> Embed
         best = min(sorted(other), key=lambda z: (space.d(y, z), z))
         partners[y] = best
         d_values[y] = space.d(y, best)
-    report = _build_report(space, ys, partners, d_values, with_proj_norm)
+    report = _build_report(space, ys, partners, d_values)
     if report.c_constant > 2:
         raise ValidationError("interpolation constant exceeded 2 on an MST selection")
     return report
 
 
-def large_embedding(space: MetricSpace, ys: list[str],
-                    with_proj_norm: bool = True) -> EmbeddingReport:
+def large_embedding(space: MetricSpace, ys: list[str]) -> EmbeddingReport:
     """Selected-subset embedding with nearest-complement partners."""
     _selected_indices(space, ys)
     complement = [p for p in space.points if p not in set(ys)]
@@ -239,7 +237,7 @@ def large_embedding(space: MetricSpace, ys: list[str],
         best = min(complement, key=lambda z: (space.d(y, z), z))
         partners[y] = best
         d_values[y] = space.d(y, best)
-    return _build_report(space, sorted(ys), partners, d_values, with_proj_norm)
+    return _build_report(space, sorted(ys), partners, d_values)
 
 
 def mod_p_selection(graph: TwoPoleGraph, p: int) -> list[str]:
@@ -265,7 +263,7 @@ def mod_p_selection(graph: TwoPoleGraph, p: int) -> list[str]:
     return ys
 
 
-def diamond_top_level(n: int, with_proj_norm: bool = True) -> EmbeddingReport:
+def diamond_top_level(n: int) -> EmbeddingReport:
     """Last-step vertices of the level-n diamond: an exactly isometric,
     norm-one complemented selection of dimension 2 * 4^(n-1)."""
     from .graphs import diamond
@@ -283,7 +281,7 @@ def diamond_top_level(n: int, with_proj_norm: bool = True) -> EmbeddingReport:
         nb = min(g.adjacency[y])
         partners[y] = nb
         d_values[y] = space.d(y, nb)
-    return _build_report(space, ys, partners, d_values, with_proj_norm)
+    return _build_report(space, ys, partners, d_values)
 
 
 def diamond_stage_net(n: int, m: int) -> list[str]:

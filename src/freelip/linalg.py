@@ -135,10 +135,6 @@ def row_abs_sums(a: Matrix) -> Vector:
     return [sum(abs(x) for x in row) for row in a]
 
 
-def is_idempotent(a: Matrix) -> bool:
-    return mat_eq(mat_mul(a, a), a)
-
-
 def max_abs_entry_diff(a: Matrix, b: Matrix) -> Fraction:
     best = ZERO
     for ra, rb in zip(a, b):

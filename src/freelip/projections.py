@@ -3,19 +3,21 @@ subspaces of the edge space, group averaging, and Banach-Mazur bound
 assembly.
 
 Matrices act on coordinates indexed by a fixed basis order (edge ids or
-grid cells).  Orthogonal projections and averages are exact over Q; the
-minimal-projection LP runs in floats and the achieving operator is then
-repaired to an exact rational projection for certification.
+grid cells).  Orthogonal projections and averages are exact over Q.  The
+minimal-projection LP is built once, as sparse rows in exact rationals:
+HiGHS solves it in floats and the achieving operator is then repaired to
+an exact rational projection, or the exact simplex solves it over Q.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
 
 from . import linalg
 from .errors import (GroupClosureOverflow, NotInvariantSubspace, ResourceLimit,
@@ -23,7 +25,7 @@ from .errors import (GroupClosureOverflow, NotInvariantSubspace, ResourceLimit,
 from .rational import ZERO
 
 GROUP_CAP = 10 ** 6             # elements of a generated group
-MAX_DENSE_LP_BYTES = 2 ** 30    # D_3's minimal-projection LP needs 0.38 GB, D_4's 96.8 GB
+MAX_LP_NONZEROS = 10 ** 5        # of a minimal-projection LP: D_3's has 35,596, L_3's 284,584
 
 
 @dataclass
@@ -231,76 +233,80 @@ def average_projection(p: list, group_elements: list) -> list:
     return [[Fraction(x, count) for x in row] for row in acc]
 
 
+def cycle_projection_certificate(graph, p) -> tuple[bool, bool]:
+    """(P z = z for every fundamental cycle z of graph, every column of P
+    has zero boundary), for P on graph's edge coordinates.
+
+    Together the two prove that P is a projection onto the cycle space Z:
+    range P lies in Z and P fixes a basis of Z, so P fixes range P, that is
+    P^2 = P and range P = Z.  Both run over the cycles' supports and P's
+    columns, with no matrix product.  ValidationError unless P is square on
+    the edges.
+    """
+    from .cyclespace import EdgeVector, boundary, fundamental_cycle_basis
+
+    if len(p) != len(graph.edges) or any(len(row) != len(p) for row in p):
+        raise ValidationError("P is not square on the graph's edges")
+    order = graph.edge_order
+    fixes = all(sum((row[order[e]] * v for e, v in z.coeffs.items()), start=ZERO) == target
+                for z in fundamental_cycle_basis(graph).vectors
+                for row, target in zip(p, z.dense()))
+    in_z = all(boundary(EdgeVector(graph, {e.id: row[j] for e, row in zip(graph.edges, p)}))
+               .is_zero() for j in range(len(p)))
+    return fixes, in_z
+
+
 # ---------------------------------------------------------------------------
 # Minimal projections
 # ---------------------------------------------------------------------------
 
-def _min_proj_lp_float(bcols: list):
-    """LP: min t s.t. P = B A, A B = I, ||P e_j||_1 <= t, in floats.
+def _min_proj_rows(bcols: list):
+    """The minimal-projection LP  min t  s.t.  A B = I,  |(B A)_ij| <= s_ij,
+    sum_i s_ij <= t,  as sparse rows in exact rationals.
 
-    Variables are A (k x m), slack s >= |P| entrywise, and t.  Raises
-    ResourceLimit before building anything when the dense float64 matrices,
-    (2m^2 + m) inequality and k^2 equality rows of km + m^2 + 1 columns,
-    would exceed MAX_DENSE_LP_BYTES.
+    Variables: A (k x m, free) at l m + j, s (m x m, >= 0) at k m + i m + j,
+    and t (>= 0) last.  Returns (eq, rhs, entry, colsum), each row a list of
+    (variable, coefficient) pairs in increasing variable order: the k^2
+    rows of A B = I with their right-hand sides, the 2m^2 rows
+    +-(B A)_ij - s_ij <= 0 in (i, j, +/-) order, and the m rows
+    sum_i s_ij - t <= 0.  With N = nnz(B) the LP has
+    kN + 2m(N + m) + m(m + 1) nonzeros; ResourceLimit is raised before any
+    row is built when that exceeds MAX_LP_NONZEROS.
     """
     m = len(bcols[0])
     k = len(bcols)
-    size = 8 * (2 * m * m + m + k * k) * (k * m + m * m + 1)
-    if size > MAX_DENSE_LP_BYTES:
-        raise ResourceLimit(f"minimal projection LP for m = {m}, k = {k} needs "
-                            f"{size / 1e9:.1f} GB of dense rows "
-                            f"(cap {MAX_DENSE_LP_BYTES / 1e9:.1f} GB)")
-    bmat = np.array([[float(col[i]) for col in bcols] for i in range(m)])  # m x k
+    nnz = sum(1 for col in bcols for x in col if x)
+    size = k * nnz + 2 * m * (nnz + m) + m * (m + 1)
+    if size > MAX_LP_NONZEROS:
+        raise ResourceLimit(f"minimal projection LP for m = {m}, k = {k} has "
+                            f"{size:,} nonzeros (cap {MAX_LP_NONZEROS:,})")
     na = k * m
-    ns = m * m
-    nv = na + ns + 1
-
-    def a_idx(l, j):
-        return l * m + j
-
-    def s_idx(i, j):
-        return na + i * m + j
-
-    rows_eq = []
-    rhs_eq = []
+    col_nz = [[(j, Fraction(x)) for j, x in enumerate(col) if x] for col in bcols]
+    row_nz = [[(l, Fraction(col[i])) for l, col in enumerate(bcols) if col[i]]
+              for i in range(m)]
+    eq, rhs = [], []
     for l in range(k):
-        for lp in range(k):
-            row = np.zeros(nv)
-            for j in range(m):
-                row[a_idx(l, j)] = bmat[j][lp]
-            rows_eq.append(row)
-            rhs_eq.append(1.0 if l == lp else 0.0)
-    rows_ub = []
-    rhs_ub = []
-    for i in range(m):
+        for lp, nz in enumerate(col_nz):
+            eq.append([(l * m + j, x) for j, x in nz])
+            rhs.append(Fraction(int(l == lp)))
+    entry = []
+    for i, nz in enumerate(row_nz):
         for j in range(m):
-            row = np.zeros(nv)
-            for l in range(k):
-                row[a_idx(l, j)] = bmat[i][l]
-            row[s_idx(i, j)] = -1.0
-            rows_ub.append(row.copy())
-            rhs_ub.append(0.0)
-            row2 = -row
-            row2[s_idx(i, j)] = -1.0
-            rows_ub.append(row2)
-            rhs_ub.append(0.0)
-    for j in range(m):
-        row = np.zeros(nv)
-        for i in range(m):
-            row[s_idx(i, j)] = 1.0
-        row[-1] = -1.0
-        rows_ub.append(row)
-        rhs_ub.append(0.0)
-    c = np.zeros(nv)
-    c[-1] = 1.0
-    bounds = [(None, None)] * na + [(0, None)] * ns + [(0, None)]
-    res = linprog(c, A_ub=np.array(rows_ub), b_ub=np.array(rhs_ub),
-                  A_eq=np.array(rows_eq), b_eq=np.array(rhs_eq),
-                  bounds=bounds, method="highs")
-    if not res.success:
-        raise SolverFailure(f"minimal projection LP failed: {res.message}")
-    a = [[res.x[a_idx(l, j)] for j in range(m)] for l in range(k)]
-    return float(res.fun), a
+            s_ij = (na + i * m + j, Fraction(-1))
+            entry.append([(l * m + j, x) for l, x in nz] + [s_ij])
+            entry.append([(l * m + j, -x) for l, x in nz] + [s_ij])
+    t = na + m * m
+    colsum = [[(na + i * m + j, Fraction(1)) for i in range(m)] + [(t, Fraction(-1))]
+              for j in range(m)]
+    return eq, rhs, entry, colsum
+
+
+def _csr(rows: list, n: int):
+    """A scipy CSR matrix of float64 entries from sparse rows over n columns."""
+    return csr_matrix(([float(x) for row in rows for _, x in row],
+                       [v for row in rows for v, _ in row],
+                       [0, *itertools.accumulate(len(row) for row in rows)]),
+                      shape=(len(rows), n))
 
 
 def _rationalize_projection(bcols: list, a_float: list) -> list:
@@ -325,85 +331,54 @@ def _rationalize_projection(bcols: list, a_float: list) -> list:
 def minimal_projection_lp(basis_cols: list, ambient_dim: int, mode: str = "float"):
     """Relative projection constant of span(basis) in l1^m and an optimal P.
 
-    Returns (lambda, P) where P is an exact rational projection onto the
-    span whose l1 norm is within LP tolerance of lambda.  mode='exact'
-    solves the whole LP over Q (small instances only).
+    Both modes solve the LP of _min_proj_rows.  mode='float' hands its rows
+    to HiGHS as sparse matrices, repairs the achieving operator to an exact
+    rational projection P and checks that ||P||_1 is within 1e-6 of the
+    float optimum lambda.  mode='exact' solves the same rows, in standard
+    form, with the exact simplex: lambda is a Fraction and ||P||_1 = lambda.
+    Returns (lambda, P).
     """
     if not basis_cols or len(basis_cols[0]) != ambient_dim:
         raise ValidationError("basis does not match the ambient dimension")
+    m = ambient_dim
+    k = len(basis_cols)
+    na = k * m
+    nv = na + m * m + 1
+    eq, rhs, entry, colsum = _min_proj_rows(basis_cols)
     if mode == "exact":
-        return _min_proj_exact(basis_cols)
-    lam, a = _min_proj_lp_float(basis_cols)
-    p = _rationalize_projection(basis_cols, a)
-    exact_norm = l1_norm(p)
-    if abs(float(exact_norm) - lam) > 1e-6:
+        from .simplex import solve_standard_exact
+
+        # A = A+ - A-; columns A+, A-, s, t, then one slack per inequality row
+        ineq = colsum + entry
+        rows = []
+        for r, row in enumerate(eq + ineq):
+            dense = [ZERO] * (na + nv + len(ineq))
+            for v, x in row:
+                if v < na:
+                    dense[v], dense[na + v] = x, -x
+                else:
+                    dense[na + v] = x
+            if r >= len(eq):
+                dense[na + nv + r - len(eq)] = Fraction(1)
+            rows.append(dense)
+        cost = [ZERO] * len(rows[0])
+        cost[na + nv - 1] = Fraction(1)
+        lam, x = solve_standard_exact(rows, rhs + [ZERO] * len(ineq), cost)
+        a = [[x[l * m + j] - x[na + l * m + j] for j in range(m)] for l in range(k)]
+        b = [[col[i] for col in basis_cols] for i in range(m)]
+        return lam, linalg.mat_mul(b, a)
+    ub = entry + colsum
+    res = linprog([0.0] * (nv - 1) + [1.0], A_ub=_csr(ub, nv), b_ub=[0.0] * len(ub),
+                  A_eq=_csr(eq, nv), b_eq=[float(x) for x in rhs],
+                  bounds=[(None, None)] * na + [(0, None)] * (nv - na), method="highs")
+    if not res.success:
+        raise SolverFailure(f"minimal projection LP failed: {res.message}")
+    lam = float(res.fun)
+    p = _rationalize_projection(basis_cols, [[res.x[l * m + j] for j in range(m)]
+                                            for l in range(k)])
+    if abs(float(l1_norm(p)) - lam) > 1e-6:
         raise SolverFailure("rationalized projection norm drifted from the LP optimum")
     return lam, p
-
-
-def _min_proj_exact(bcols: list):
-    """Exact-simplex version of the minimal projection LP (tiny m only)."""
-    from .simplex import solve_standard_exact
-
-    m = len(bcols[0])
-    k = len(bcols)
-    b = [[col[i] for col in bcols] for i in range(m)]
-    # variables: A+ (k*m), A- (k*m), s (m*m), t, slack per column-sum row (m)
-    na = k * m
-    ns = m * m
-    nv = 2 * na + ns + 1 + m
-    a_rows = []
-    rhs = []
-
-    def arow():
-        return [ZERO] * nv
-
-    for l in range(k):          # A B = I
-        for lp in range(k):
-            row = arow()
-            for j in range(m):
-                row[l * m + j] = b[j][lp]
-                row[na + l * m + j] = -b[j][lp]
-            a_rows.append(row)
-            rhs.append(Fraction(1 if l == lp else 0))
-    # s_ij >= |P_ij| as +-sum_l B_il A_lj - s_ij <= 0, each row with its own slack
-    extra = []
-    for i in range(m):
-        for j in range(m):
-            for sign in (1, -1):
-                row = arow()
-                for l in range(k):
-                    row[l * m + j] = sign * b[i][l]
-                    row[na + l * m + j] = -sign * b[i][l]
-                row[2 * na + i * m + j] = Fraction(-1)
-                extra.append((row, ZERO))
-    for j in range(m):
-        row = arow()
-        for i in range(m):
-            row[2 * na + i * m + j] = Fraction(1)
-        row[2 * na + ns] = Fraction(-1)
-        row[2 * na + ns + 1 + j] = Fraction(1)
-        a_rows.append(row)
-        rhs.append(ZERO)
-    # inequality rows from `extra` get their own slack variables
-    n_extra = len(extra)
-    total = nv + n_extra
-    final_rows = []
-    final_rhs = []
-    for row, r in zip(a_rows, rhs):
-        final_rows.append(row + [ZERO] * n_extra)
-        final_rhs.append(r)
-    for idx, (row, r) in enumerate(extra):
-        slack = [ZERO] * n_extra
-        slack[idx] = Fraction(1)
-        final_rows.append(row + slack)
-        final_rhs.append(r)
-    cost = [ZERO] * total
-    cost[2 * na + ns] = Fraction(1)
-    val, x = solve_standard_exact(final_rows, final_rhs, cost)
-    a_mat = [[x[l * m + j] - x[na + l * m + j] for j in range(m)] for l in range(k)]
-    p = linalg.mat_mul(b, a_mat)
-    return val, p
 
 
 # ---------------------------------------------------------------------------

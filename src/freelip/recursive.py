@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import mul
 
 from . import linalg, projections
-from .cyclespace import EdgeVector, boundary, fundamental_cycle_basis
+from .cyclespace import EdgeVector, fundamental_cycle_basis
 from .errors import (NoVerticalAutomorphism, NotInvariant, OddGeodesic,
                      ResourceLimit, TrivialCycleSpace, ValidationError)
 from .graphs import (TwoPoleGraph, automorphism_search, edge_map_from_vertex_map,
@@ -573,8 +573,8 @@ def laakso_nonunique_projection() -> dict:
     n_edges = len(g2.edges)
     order = g2.edge_order
 
-    zbasis = fundamental_cycle_basis(g2)
-    p_orth = projections.orthogonal_projection([z.dense() for z in zbasis.vectors])
+    p_orth = projections.orthogonal_projection(
+        [z.dense() for z in fundamental_cycle_basis(g2).vectors])
 
     central = ["x1", "x2", "y1", "y2"]
     copy_cycle = {}
@@ -620,16 +620,12 @@ def laakso_nonunique_projection() -> dict:
             raise NotInvariant(f"constructed projection not invariant under {name}")
         invariant_under.append(name)
 
-    fixes_range = all(
-        linalg.mat_vec(p, z.dense()) == z.dense() for z in zbasis.vectors)
-    in_range = all(boundary(EdgeVector(
-        g2, {e.id: cols[j][order[e.id]] for e in g2.edges})).is_zero()
-        for j in range(n_edges))
+    fixes_range, in_range = projections.cycle_projection_certificate(g2, p)
     gap = linalg.max_abs_entry_diff(p, p_orth)
     return {
         "projection": p,
         "orthogonal": p_orth,
-        "is_projection": linalg.is_idempotent(p) and fixes_range and in_range,
+        "is_projection": fixes_range and in_range,
         "fixes_cycle_space": fixes_range,
         "range_in_cycle_space": in_range,
         "invariant_under": invariant_under,

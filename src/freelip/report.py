@@ -180,7 +180,7 @@ def diamond_drop(rng, pairs):
     def check(n, m):
         g = diamond(n)
         ys = sorted(set(g.vertices) - set(diamond_stage_net(n, m)))
-        rep = large_embedding(graph_metric(g), ys, with_proj_norm=False)
+        rep = large_embedding(graph_metric(g), ys)
         return f"C <= {2 ** (n - m)}", f"C={fmt(rep.c_constant)}", rep.c_constant <= 2 ** (n - m)
     return [_row(f"diamond-drop-{n}-{m}", check, n, m) for n, m in pairs]
 

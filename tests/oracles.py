@@ -16,13 +16,19 @@ whole Fraction matrices instead of composing index maps, and the transport
 projection norm solves one transportation problem per elementary molecule
 instead of reading the two-matching closed form, the Fraction graph
 metric adds Fractions in its searches instead of integers over a common
-denominator, and the tensor-vector l1 norm and flattening multiply
-Fraction states and entries instead of integer ones kept up to a factor.
+denominator, the tensor-vector l1 norm and flattening multiply
+Fraction states and entries instead of integer ones kept up to a factor,
+idempotence is one dense product P P, and the minimal-projection LP is
+written out twice, as dense float64 rows for HiGHS and as a dense
+standard form over Q, each with its own loops instead of one set of
+sparse rows.
 """
 
 import heapq
 from fractions import Fraction
 from math import lcm
+
+import numpy as np
 
 from freelip import haar_system, linalg, projections
 from freelip.cyclespace import EdgeVector, fundamental_cycle_basis
@@ -408,3 +414,94 @@ def fraction_tensor_materialize(tv, graph: TwoPoleGraph) -> EdgeVector:
         for eid, v in partial.items():
             coeffs[eid] = coeffs.get(eid, ZERO) + v
     return EdgeVector(graph, {k: v for k, v in coeffs.items() if v != 0})
+
+
+def is_idempotent(a) -> bool:
+    """P P = P by one dense product."""
+    return linalg.mat_eq(linalg.mat_mul(a, a), a)
+
+
+def dense_min_proj_float_rows(bcols: list):
+    """(A_ub, b_ub, A_eq, b_eq) of the LP min t s.t. A B = I, s >= |B A|
+    entrywise, sum_i s_ij <= t, as dense float64 arrays over the variables
+    A (k x m), s (m x m) and t."""
+    m = len(bcols[0])
+    k = len(bcols)
+    bmat = np.array([[float(col[i]) for col in bcols] for i in range(m)])
+    na = k * m
+    nv = na + m * m + 1
+    rows_eq, rhs_eq = [], []
+    for l in range(k):
+        for lp in range(k):
+            row = np.zeros(nv)
+            for j in range(m):
+                row[l * m + j] = bmat[j][lp]
+            rows_eq.append(row)
+            rhs_eq.append(1.0 if l == lp else 0.0)
+    rows_ub = []
+    for i in range(m):
+        for j in range(m):
+            row = np.zeros(nv)
+            for l in range(k):
+                row[l * m + j] = bmat[i][l]
+            row[na + i * m + j] = -1.0
+            rows_ub.append(row.copy())
+            row2 = -row
+            row2[na + i * m + j] = -1.0
+            rows_ub.append(row2)
+    for j in range(m):
+        row = np.zeros(nv)
+        for i in range(m):
+            row[na + i * m + j] = 1.0
+        row[-1] = -1.0
+        rows_ub.append(row)
+    return (np.array(rows_ub), np.zeros(len(rows_ub)),
+            np.array(rows_eq), np.array(rhs_eq))
+
+
+def dense_min_proj_standard_form(bcols: list):
+    """(a, b, c) of the same LP in standard form over Q: A = A+ - A-,
+    columns A+, A-, s, t, a slack per column-sum row, then a slack per
+    entry row; rows A B = I, the column sums, then the entry rows."""
+    m = len(bcols[0])
+    k = len(bcols)
+    b = [[col[i] for col in bcols] for i in range(m)]
+    na = k * m
+    ns = m * m
+    nv = 2 * na + ns + 1 + m
+    a_rows, rhs = [], []
+    for l in range(k):
+        for lp in range(k):
+            row = [ZERO] * nv
+            for j in range(m):
+                row[l * m + j] = b[j][lp]
+                row[na + l * m + j] = -b[j][lp]
+            a_rows.append(row)
+            rhs.append(Fraction(1 if l == lp else 0))
+    extra = []
+    for i in range(m):
+        for j in range(m):
+            for sign in (1, -1):
+                row = [ZERO] * nv
+                for l in range(k):
+                    row[l * m + j] = sign * b[i][l]
+                    row[na + l * m + j] = -sign * b[i][l]
+                row[2 * na + i * m + j] = Fraction(-1)
+                extra.append(row)
+    for j in range(m):
+        row = [ZERO] * nv
+        for i in range(m):
+            row[2 * na + i * m + j] = Fraction(1)
+        row[2 * na + ns] = Fraction(-1)
+        row[2 * na + ns + 1 + j] = Fraction(1)
+        a_rows.append(row)
+        rhs.append(ZERO)
+    n_extra = len(extra)
+    final_rows = [row + [ZERO] * n_extra for row in a_rows]
+    for idx, row in enumerate(extra):
+        slack = [ZERO] * n_extra
+        slack[idx] = Fraction(1)
+        final_rows.append(row + slack)
+    cost = [ZERO] * (nv + n_extra)
+    cost[2 * na + ns] = Fraction(1)
+    return final_rows, rhs + [ZERO] * n_extra, cost

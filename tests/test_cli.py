@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from freelip import graphs, haar_system, report
+from freelip import graphs, haar_system, linalg, projections, report
 from freelip.cli import main
 from freelip.embeddings import large_embedding, mod_p_selection
 from freelip.errors import SolverFailure
@@ -92,6 +92,19 @@ def test_projconst_command(tmp_path, capsys):
     assert run_cli("projconst", "--graph", str(g), "--mode", "orthogonal") == 0
     out = json.loads(capsys.readouterr().out)
     assert out["is_projection"] and out["norm_l1"] == 1
+
+
+@pytest.mark.parametrize("skew", [
+    lambda p: [[2 * x for x in row] for row in p],      # does not fix Z
+    lambda p: linalg.identity(len(p)),                  # its range leaves Z
+], ids=["scaled", "identity"])
+def test_projconst_reports_a_non_projection(tmp_path, capsys, monkeypatch, skew):
+    g = tmp_path / "g.json"
+    run_cli("gen", "--family", "diamond", "--level", "1", "--out", str(g))
+    real = projections.orthogonal_projection
+    monkeypatch.setattr(projections, "orthogonal_projection", lambda cols: skew(real(cols)))
+    assert run_cli("projconst", "--graph", str(g), "--mode", "orthogonal") == 0
+    assert json.loads(capsys.readouterr().out)["is_projection"] is False
 
 
 def test_recursive_and_witness_commands(capsys):

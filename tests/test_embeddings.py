@@ -91,8 +91,8 @@ def test_large_embedding_needs_complement():
 def test_large_matches_half_dim_on_mst_side():
     rng = random.Random(RNG_SEED + 3)
     space = random_metric_space(rng, 9)
-    half = half_dim_embedding(space, with_proj_norm=False)
-    large = large_embedding(space, half.ys, with_proj_norm=False)
+    half = half_dim_embedding(space)
+    large = large_embedding(space, half.ys)
     assert large.c_constant == half.c_constant <= 2
     assert large.d_values == half.d_values
 
@@ -115,7 +115,7 @@ def test_mod_p_diamond():
     space = graph_metric(g)
     ys = mod_p_selection(g, 2)
     assert len(ys) >= len(g.vertices) * 1 // 2  # n (p-1)/p with p = 2
-    rep = large_embedding(space, ys, with_proj_norm=False)
+    rep = large_embedding(space, ys)
     assert rep.c_constant <= 8  # 4p
     assert all(v <= 4 for v in rep.d_values.values())  # d_i <= 2p
 
@@ -133,7 +133,7 @@ def test_diamond_top_level_exact(n):
 def test_diamond_top_level_pairwise_separation():
     g = diamond(2)
     space = graph_metric(g)
-    rep = diamond_top_level(2, with_proj_norm=False)
+    rep = diamond_top_level(2)
     for i, y in enumerate(rep.ys):
         for z in rep.ys[i + 1:]:
             assert space.d(y, z) >= 2
@@ -146,8 +146,7 @@ def test_diamond_anm_and_net(n, m):
     space = graph_metric(g)
     # covering radius of the stage net
     assert max(min(space.d(v, t) for t in net) for v in g.vertices) <= 2 ** (n - m - 1)
-    rep_net = large_embedding(space, sorted(set(g.vertices) - set(net)),
-                              with_proj_norm=False)
+    rep_net = large_embedding(space, sorted(set(g.vertices) - set(net)))
     assert rep_net.c_constant <= 2 ** (n - m)
 
 
@@ -209,9 +208,9 @@ def _graph_selections():
     for n in (1, 2, 3):
         g = diamond(n)
         space = graph_metric(g)
-        rep = diamond_top_level(n, with_proj_norm=False)
+        rep = diamond_top_level(n)
         yield pytest.param(space, rep.ys, rep.partners, id=f"D{n}-top")
-        rep = half_dim_embedding(space, with_proj_norm=False)
+        rep = half_dim_embedding(space)
         yield pytest.param(space, rep.ys, rep.partners, id=f"D{n}-half")
         pts = list(space.points)
         ys = rng.sample(pts, len(pts) // 2)
@@ -219,8 +218,7 @@ def _graph_selections():
     for n, m in ((2, 1), (3, 1), (3, 2)):
         g = diamond(n)
         space = graph_metric(g)
-        rep = large_embedding(space, sorted(set(g.vertices) - set(diamond_stage_net(n, m))),
-                              with_proj_norm=False)
+        rep = large_embedding(space, sorted(set(g.vertices) - set(diamond_stage_net(n, m))))
         yield pytest.param(space, rep.ys, rep.partners, id=f"net-{n}-{m}")
 
 

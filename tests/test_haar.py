@@ -20,7 +20,7 @@ from freelip.simplex import min_l1_combination
 
 from oracles import (all_vectors_bm_upper, dense_linf, dense_multibranch_analysis,
                      dense_orthogonal_projection, diamond_cut_vectors, even_level_span_dense,
-                     fraction_cut_column_norm, fraction_haar_coefficients,
+                     fraction_cut_column_norm, fraction_haar_coefficients, is_idempotent,
                      multibranch_graph_to_dyadic, on_edges)
 
 
@@ -330,7 +330,7 @@ def test_multibranch_analysis(n, k):
     assert r["bm_upper"] == {(1, 3): 2, (2, 3): 3, (1, 4): 2}[n, k]
     assert r["linf_bound"] >= r["bm_lower"]
     p = r["projection"]
-    assert linalg.is_idempotent(p) and p == linalg.transpose(p)
+    assert is_idempotent(p) and p == linalg.transpose(p)
 
 
 @pytest.mark.parametrize("n,k", [(1, 3), (2, 3), (1, 4), (2, 4)])

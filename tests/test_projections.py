@@ -3,10 +3,11 @@ import time
 from fractions import Fraction as F
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freelip import cyclespace, linalg
+from freelip import cyclespace, linalg, simplex
 from freelip.cyclespace import EdgeVector, boundary, fundamental_cycle_basis
 from freelip import projections
 from freelip.errors import (GroupClosureOverflow, NotInvariantSubspace,
@@ -21,7 +22,8 @@ from freelip.projections import (average_projection,
 from freelip.recursive import invariance_generators, edge_map_matrix, profile_base
 from freelip.graphs import diamond_base, laakso_base
 from oracles import (all_vectors_bm_upper, dense_average_projection, dense_commutes,
-                     dense_generate_group)
+                     dense_generate_group, dense_min_proj_float_rows,
+                     dense_min_proj_standard_form, is_idempotent)
 
 LINE = [F(1), F(1), F(-1), F(-1)]
 
@@ -38,7 +40,7 @@ def test_l1_linf_norms_basic():
 def test_orthogonal_projection_onto_line():
     p = orthogonal_projection([LINE])
     assert all(abs(x) == F(1, 4) for row in p for x in row)
-    assert linalg.is_idempotent(p) and p == linalg.transpose(p)
+    assert is_idempotent(p) and p == linalg.transpose(p)
 
 
 def test_orthogonal_projection_full_basis_is_identity():
@@ -49,7 +51,7 @@ def test_orthogonal_projection_full_basis_is_identity():
 def test_orthogonal_projection_diamond_two():
     cols = [v.dense() for v in fundamental_cycle_basis(diamond(2)).vectors]
     p = orthogonal_projection(cols)
-    assert linalg.is_idempotent(p) and p == linalg.transpose(p)
+    assert is_idempotent(p) and p == linalg.transpose(p)
     assert linalg.rank(p) == 5
 
 
@@ -63,7 +65,7 @@ def test_minimal_projection_line_in_l1_four():
     assert abs(lam - 1) < 1e-7
     assert l1_norm(p) == 1  # exact rationalized projection
     lam_exact, p_exact = minimal_projection_lp([LINE], 4, mode="exact")
-    assert lam_exact == 1 and linalg.is_idempotent(p_exact)
+    assert lam_exact == 1 and is_idempotent(p_exact)
 
 
 def test_minimal_projection_full_space():
@@ -73,22 +75,37 @@ def test_minimal_projection_full_space():
     assert p == linalg.identity(2)
 
 
-def test_minimal_projection_lp_size_cap():
-    cols = [v.dense() for v in fundamental_cycle_basis(diamond(4)).vectors]
+def _cycle_cols(graph):
+    return [v.dense() for v in fundamental_cycle_basis(graph).vectors]
+
+
+def test_minimal_projection_lp_size_cap(monkeypatch):
+    # refused before any row is built, in both modes: the nonzero count
+    # kN + 2m(N + m) + m(m + 1) comes from N = nnz(B) alone
+    cols = _cycle_cols(diamond(4))
     assert (len(cols), len(cols[0])) == (85, 256)
-    start = time.perf_counter()
-    with pytest.raises(ResourceLimit, match="96.8 GB"):
-        minimal_projection_lp(cols, 256)
-    assert time.perf_counter() - start < 1.0  # refused before any row is built
-    # D_3 (m = 64, k = 21) stays admitted: 0.38 GB of dense rows
-    assert 8 * (2 * 64 ** 2 + 64 + 21 ** 2) * (21 * 64 + 64 ** 2 + 1) < projections.MAX_DENSE_LP_BYTES
+    for mode in ("float", "exact"):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit, match="672,076 nonzeros"):
+            minimal_projection_lp(cols, 256, mode=mode)
+        assert time.perf_counter() - start < 1.0
+    l3 = laakso(3)
+    with pytest.raises(ResourceLimit, match="284,584 nonzeros"):
+        minimal_projection_lp(_cycle_cols(l3), len(l3.edges))
+    # D_3 (m = 64, k = 21, 35,596 nonzeros) stays admitted: its rows reach HiGHS
+    def stop(*args, **kwargs):
+        raise _Captured
+
+    monkeypatch.setattr(projections, "linprog", stop)
+    with pytest.raises(_Captured):
+        minimal_projection_lp(_cycle_cols(diamond(3)), 64)
 
 
 def test_minimal_projection_diamond_two_lower_bound():
     cols = [v.dense() for v in fundamental_cycle_basis(diamond(2)).vectors]
     lam, p = minimal_projection_lp(cols, 16)
     assert lam >= F(5, 3) - F(1, 10 ** 7)
-    assert linalg.is_idempotent(p)
+    assert is_idempotent(p)
     # minimality: no larger than the orthogonal projection norm
     assert lam <= float(l1_norm(orthogonal_projection(cols))) + 1e-9
 
@@ -123,7 +140,7 @@ def test_average_projection_over_pole_preserving_symmetries_is_orthogonal():
     a = [F(0)] * 4
     a[0] = 1 / z[0]
     p = [[z[i] * a[j] for j in range(4)] for i in range(4)]
-    assert linalg.is_idempotent(p)
+    assert is_idempotent(p)
     avg = average_projection(p, group)
     assert avg == orthogonal_projection([z])
     assert l1_norm(avg) <= l1_norm(p)
@@ -445,3 +462,89 @@ def test_bm_upper_rejects_a_joining_generator_that_breaks_the_cycle_space():
     # the same swap of the bridges alone keeps Z
     keep = dict(sigma, tl="tl", br="br")
     assert bm_upper_via_basis_map(g, bridges, [keep]) == (1, 1, 1)
+
+
+def _random_connected_graph(rng):
+    """A random tree on 3 to 5 vertices plus chords, at most 8 edges, at
+    least one cycle; each edge randomly oriented."""
+    n = rng.randint(3, 5)
+    pairs = [(rng.randrange(i), i) for i in range(1, n)]
+    while len(pairs) < min(8, n * (n - 1) // 2) and (len(pairs) < n or rng.random() < 0.7):
+        a, b = sorted(rng.sample(range(n), 2))
+        if (a, b) not in pairs:
+            pairs.append((a, b))
+    edges = tuple(Edge(f"e{k}", f"v{a}", f"v{b}") if rng.random() < 0.5
+                  else Edge(f"e{k}", f"v{b}", f"v{a}") for k, (a, b) in enumerate(pairs))
+    return TwoPoleGraph(tuple(f"v{i}" for i in range(n)), edges, f"v{n - 1}", "v0")
+
+
+@pytest.mark.parametrize("graph", [diamond(1), laakso(1), diamond(2), laakso(2)],
+                         ids=["D1", "L1", "D2", "L2"])
+def test_highs_input_matches_the_dense_float_rows(monkeypatch, graph):
+    seen = {}
+    real = projections.linprog
+
+    def capture(c, A_ub, b_ub, A_eq, b_eq, bounds, method):
+        seen.update(A_ub=A_ub.toarray(), b_ub=b_ub, A_eq=A_eq.toarray(), b_eq=b_eq)
+        return real(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method=method)
+
+    monkeypatch.setattr(projections, "linprog", capture)
+    cols = _cycle_cols(graph)
+    minimal_projection_lp(cols, len(graph.edges))
+    for key, want in zip(("A_ub", "b_ub", "A_eq", "b_eq"), dense_min_proj_float_rows(cols)):
+        assert np.array_equal(np.asarray(seen[key], dtype=float), want), key
+
+
+class _Captured(Exception):
+    pass
+
+
+def _exact_standard_form(monkeypatch, cols):
+    seen = []
+
+    def capture(a, b, c):
+        seen.append((a, b, c))
+        raise _Captured
+
+    monkeypatch.setattr(simplex, "solve_standard_exact", capture)
+    with pytest.raises(_Captured):
+        minimal_projection_lp(cols, len(cols[0]), mode="exact")
+    return seen[0]
+
+
+@pytest.mark.parametrize("graph", [diamond(1), laakso(1)], ids=["D1", "L1"])
+def test_exact_standard_form_matches_the_dense_oracle(monkeypatch, graph):
+    cols = _cycle_cols(graph)
+    assert _exact_standard_form(monkeypatch, cols) == dense_min_proj_standard_form(cols)
+
+
+def test_exact_standard_form_matches_the_dense_oracle_on_random_graphs(monkeypatch):
+    rng = random.Random(14)
+    cases = [[LINE]]
+    while len(cases) < 25:
+        graph = _random_connected_graph(rng)
+        cols = _cycle_cols(graph)
+        if cols:
+            assert len(graph.edges) <= 8
+            cases.append(cols)
+    for cols in cases:
+        assert _exact_standard_form(monkeypatch, cols) == dense_min_proj_standard_form(cols)
+
+
+def test_cycle_projection_certificate():
+    g = diamond(2)
+    p = orthogonal_projection(_cycle_cols(g))
+    assert projections.cycle_projection_certificate(g, p) == (True, True)
+    assert projections.cycle_projection_certificate(g, linalg.identity(16)) == (True, False)
+    assert projections.cycle_projection_certificate(g, linalg.zeros(16, 16)) == (False, True)
+    with pytest.raises(ValidationError, match="square"):
+        projections.cycle_projection_certificate(g, p[:15])
+
+
+def test_minimal_projection_constant_of_diamond_three():
+    g = diamond(3)
+    start = time.perf_counter()
+    lam, p = minimal_projection_lp(_cycle_cols(g), len(g.edges))
+    assert projections.cycle_projection_certificate(g, p) == (True, True)
+    assert time.perf_counter() - start < 30.0
+    assert abs(lam - 39 / 16) < 1e-6

@@ -1,8 +1,8 @@
-"""README's "Library layout" table and "CLI" synopsis name only things the
-package has.
+"""README's "Library layout" table, "CLI" synopsis and size-cap list name
+only things the package has.
 
-Deleting or renaming a public name or a command-line option without
-updating README fails here.
+Deleting or renaming a public name, a command-line option or a size cap
+without updating README fails here.
 """
 
 import argparse
@@ -56,3 +56,23 @@ def test_cli_synopsis_flags_exist():
     assert _unknown_cli_flags(text) == []
     stale = text.replace("--vector x.json", "--vector x.json [--mode exact|float]", 1)
     assert _unknown_cli_flags(stale) == [("quotient-norm", "--mode")]
+
+
+def _size_caps(text):
+    """The `module.CONSTANT` names of README's "Size caps" paragraph."""
+    paragraph = text.split("Size caps", 1)[1].split("\n\n", 1)[0]
+    return [f"{module}.{name}" for module, name
+            in re.findall(r"`([a-z_]+)\.([A-Z][A-Z0-9_]*)`", paragraph)]
+
+
+def _undefined(names):
+    pairs = (n.split(".") for n in names)
+    return [f"{m}.{c}" for m, c in pairs if not hasattr(importlib.import_module(f"freelip.{m}"), c)]
+
+
+def test_size_cap_list_names_existing_constants():
+    text = README.read_text(encoding="utf-8")
+    caps = _size_caps(text)
+    assert len(caps) == 7 and _undefined(caps) == []
+    stale = text.replace("projections.MAX_LP_NONZEROS", "projections.MAX_DENSE_LP_BYTES", 1)
+    assert _undefined(_size_caps(stale)) == ["projections.MAX_DENSE_LP_BYTES"]

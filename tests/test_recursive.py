@@ -18,7 +18,7 @@ from freelip.recursive import (TensorVector, annihilation_check, c_type_vectors,
                                laakso_nonunique_projection, profile_base,
                                vertical_automorphism, witness)
 
-from oracles import fraction_tensor_l1, fraction_tensor_materialize
+from oracles import fraction_tensor_l1, fraction_tensor_materialize, is_idempotent
 
 @pytest.mark.parametrize("base,alpha,height,count", [
     (diamond_base(), F(1), 2, 2),
@@ -125,7 +125,7 @@ def test_annihilation_rejects_non_invariant_projection():
     section = linalg.inverse([b[i] for i in pivots])
     selector = [[F(1) if j == i else F(0) for j in range(16)] for i in pivots]
     p = linalg.mat_mul(b, linalg.mat_mul(section, selector))
-    assert linalg.is_idempotent(p)
+    assert is_idempotent(p)
     with pytest.raises(NotInvariant):
         annihilation_check(p, prof, 2, g)
 
@@ -324,8 +324,9 @@ def test_laakso_nonunique_projection():
     res = laakso_nonunique_projection()
     assert res["is_projection"]
     assert res["fixes_cycle_space"] and res["range_in_cycle_space"]
+    assert is_idempotent(res["projection"])
     assert res["differs_from_orthogonal"] and res["max_entry_gap"] > 0
     assert "v" in res["invariant_under"] and len(res["invariant_under"]) == 8
     # both competing projections have finite l1 norms worth comparing
     assert l1_norm(res["projection"]) >= 1
-    assert linalg.is_idempotent(res["orthogonal"])
+    assert is_idempotent(res["orthogonal"])
