@@ -4,9 +4,10 @@ the boundary map to molecules, quotient norms, and greedy cycle packing.
 The edge space carries the l1 norm; the quotient of it by the cycle space
 is isometric to the free space over the graph's vertices, which is the
 identity the quotient-norm tests certify.  A quotient norm is computed as
-a min-cost flow on the graph's own edges (simplex.min_cost_flow), and its
-optimal vertex potentials, a 1-Lipschitz function attaining the value,
-are checked as its certificate.
+a min-cost flow on the graph's own edges (simplex.min_cost_flow, the same
+network simplex as the transportation norms, on two opposite arcs per
+edge), and its optimal vertex potentials, a 1-Lipschitz function attaining
+the value, are checked as its certificate.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ certificates, and the exact coordinate isometry on weighted trees.
 The norm of a molecule is the optimal value of the balanced transportation
 problem between its positive and negative parts over the metric; by
 duality it equals the maximal pairing with a 1-Lipschitz function
-vanishing at the basepoint.  Both are computed exactly: one tree
-transportation simplex gives the value, an optimal plan and the potentials
-from which the certificate is read.
+vanishing at the basepoint.  Both are computed exactly: the network
+simplex of simplex.transportation, on one arc per (positive, negative)
+point pair, gives the value, an optimal plan and the potentials from which
+the certificate is read.
 """
 
 from __future__ import annotations

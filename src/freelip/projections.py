@@ -336,6 +336,9 @@ def minimal_projection_lp(basis_cols: list, ambient_dim: int, mode: str = "float
     rational projection P and checks that ||P||_1 is within 1e-6 of the
     float optimum lambda.  mode='exact' solves the same rows, in standard
     form, with the exact simplex: lambda is a Fraction and ||P||_1 = lambda.
+    That form is dense, (k^2 + m + 2m^2) rows by (2km + m^2 + 1 + m + 2m^2)
+    columns, and every cell is stored, so ResourceLimit is raised before
+    any dense row is built when its cells exceed MAX_LP_NONZEROS.
     Returns (lambda, P).
     """
     if not basis_cols or len(basis_cols[0]) != ambient_dim:
@@ -350,9 +353,14 @@ def minimal_projection_lp(basis_cols: list, ambient_dim: int, mode: str = "float
 
         # A = A+ - A-; columns A+, A-, s, t, then one slack per inequality row
         ineq = colsum + entry
+        ncols = na + nv + len(ineq)
+        cells = (len(eq) + len(ineq)) * ncols
+        if cells > MAX_LP_NONZEROS:
+            raise ResourceLimit(f"exact minimal projection LP for m = {m}, k = {k} has "
+                                f"{cells:,} dense cells (cap {MAX_LP_NONZEROS:,})")
         rows = []
         for r, row in enumerate(eq + ineq):
-            dense = [ZERO] * (na + nv + len(ineq))
+            dense = [ZERO] * ncols
             for v, x in row:
                 if v < na:
                     dense[v], dense[na + v] = x, -x

@@ -1,23 +1,22 @@
 """Linear programming kernels: exact rational simplex methods.
 
-- Tree transport (``transportation``): the transportation
-  simplex of Dantzig on a spanning-tree basis, in the network-simplex form
-  of Orlin.  A north-west-corner start, u-v potentials from one tree walk
-  per pivot, Dantzig pricing with a Bland fallback after ``_BLAND_AFTER``
-  pivots (so it terminates), and an O(ns + nd) cycle pivot.  It runs on the
-  problem scaled to integers and returns the value, the plan and the
-  optimal potentials, from which ``freenorm.lip_dual`` reads its
-  1-Lipschitz certificate.
-- Edge flow (``min_cost_flow``): the network simplex on a graph's own
-  edges (Ahuja, Magnanti and Orlin, *Network Flows*, 1993), for the
-  quotient norms of ``cyclespace.quotient_norm``.  Each edge carries flow
-  either way at its length, so the BFS spanning tree is a feasible start;
-  the same integer scaling, pricing rules and tree-walk potentials as the
-  transport, and the optimal potentials are the dual certificate.
+- Network simplex (``_network_simplex``): the primal network simplex of
+  Ahuja, Magnanti and Orlin (*Network Flows*, 1993) and Orlin (1997) on
+  integer arcs with flow >= 0, from a feasible spanning tree.  Each pivot
+  finds the node potentials by one tree walk, prices with Dantzig's rule
+  (the first negative arc after ``_BLAND_AFTER`` pivots, so it terminates)
+  and pivots round one tree cycle.  Its two entry points scale the problem
+  to integers and differ only in their arcs and their start tree:
+  ``transportation`` has one arc per (supply, demand) cell and the
+  north-west-corner staircase, and returns the value, the plan and the
+  potentials from which ``freenorm.lip_dual`` reads its 1-Lipschitz
+  certificate; ``min_cost_flow`` has two opposite arcs per graph edge and
+  the BFS spanning tree carrying its forced flow, for the quotient norms of
+  ``cyclespace.quotient_norm``, whose certificate is again the potentials.
 - Dense simplex (``solve_standard_exact``): two-phase primal simplex over
   Fractions with the same pricing rules, for the LPs without network
   structure, the exact minimal projection LP in ``projections``.  The
-  tests use it as the reference for both network kernels, through
+  tests use it as the reference for both network entry points, through
   ``min_l1_combination`` (the dense quotient-norm LP, which no library
   path calls) and ``tests/oracles.py``.
 
@@ -30,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import SolverFailure
+from .errors import SolverFailure, ValidationError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -166,7 +165,7 @@ def solve_standard_exact(a, b, c, basis=None):
 
 
 # ---------------------------------------------------------------------------
-# Transportation simplex on a spanning-tree basis
+# Network simplex on a spanning-tree basis
 # ---------------------------------------------------------------------------
 
 def _scaled(values):
@@ -176,24 +175,102 @@ def _scaled(values):
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _north_west(supply, demand, x, row_adj, col_adj):
-    """North-west-corner start: a staircase of ns + nd - 1 cells.
+def _tree_pivot(tails, heads, flow, adj, parent, parc, depth, a_in):
+    """Bring arc a_in into the tree; return the step theta (0 if degenerate).
+
+    Flow runs along a_in and back from its head to its tail on the tree
+    path: it rises on the path arcs oriented along that cycle and falls on
+    the others.  Among the falling arcs at the minimum flow the smallest
+    index leaves, so with first-negative entering this is Bland's rule.
+    """
+    rising, falling = [], []
+    a, b = heads[a_in], tails[a_in]
+    while a != b:
+        if depth[a] >= depth[b]:
+            arc, x, a = parc[a], a, parent[a]
+        else:
+            arc, x, b = parc[b], parent[b], parent[b]
+        (rising if tails[arc] == x else falling).append(arc)
+    theta, leave = min((flow[arc], arc) for arc in falling)
+    for arc in rising:
+        flow[arc] += theta
+    for arc in falling:
+        flow[arc] -= theta
+    flow[a_in] = theta
+    adj[tails[leave]].remove(leave)
+    adj[heads[leave]].remove(leave)
+    adj[tails[a_in]].append(a_in)
+    adj[heads[a_in]].append(a_in)
+    return theta
+
+
+def _network_simplex(n, tails, heads, cost, flow, tree):
+    """Min-cost flow on nodes 0..n-1 from a feasible spanning tree; returns
+    the optimal potentials phi and leaves the optimal flow in flow.
+
+    Arc a runs tails[a] -> heads[a] at integer cost[a] and carries
+    flow[a] >= 0, zero off the n - 1 tree arcs listed in tree.  Each pivot
+    finds phi(head) - phi(tail) = cost on every tree arc, phi[0] = 0, by one
+    tree walk, and prices every arc at cost - phi(head) + phi(tail): the
+    most negative enters (the first at a tie), or after _BLAND_AFTER pivots
+    the first negative one, which with _tree_pivot's leaving rule cannot
+    cycle.  The costs must admit no negative cycle.
+    """
+    adj = [[] for _ in range(n)]
+    for a in tree:
+        adj[tails[a]].append(a)
+        adj[heads[a]].append(a)
+    arcs = list(zip(tails, heads, cost))
+    it = 0
+    while True:
+        phi = [None] * n
+        parent = [-1] * n
+        parc = [-1] * n
+        depth = [0] * n
+        phi[0] = 0
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            for a in adj[u]:
+                h = heads[a]
+                w = tails[a] if h == u else h
+                if phi[w] is None:
+                    phi[w] = phi[u] + cost[a] if w == h else phi[u] - cost[a]
+                    parent[w], parc[w], depth[w] = u, a, depth[u] + 1
+                    stack.append(w)
+        it += 1
+        if it > _MAX_ITER:
+            raise SolverFailure("network simplex iteration limit exceeded")
+        reduced = [c - phi[h] + phi[t] for t, h, c in arcs]
+        if it > _BLAND_AFTER:
+            a_in = next((a for a, r in enumerate(reduced) if r < 0), None)
+        else:
+            best = min(reduced, default=0)
+            a_in = reduced.index(best) if best < 0 else None
+        if a_in is None:
+            return phi
+        _tree_pivot(tails, heads, flow, adj, parent, parc, depth, a_in)
+
+
+def _north_west(supply, demand):
+    """North-west-corner start: the flows of arcs i nd + j and the staircase
+    of ns + nd - 1 tree arcs.
 
     When a row and a column run out together only the row advances, so the
     next cell carries a zero flow and the basis stays a spanning tree.
     """
     ns, nd = len(supply), len(demand)
+    flow, tree = [0] * (ns * nd), []
     i = j = 0
     ra, rb = supply[0], demand[0]
     while True:
         q = min(ra, rb)
-        x[i, j] = q
-        row_adj[i].append(j)
-        col_adj[j].append(i)
+        flow[i * nd + j] = q
+        tree.append(i * nd + j)
         ra -= q
         rb -= q
         if i == ns - 1 and j == nd - 1:
-            return
+            return flow, tree
         if (ra == 0 and i < ns - 1) or j == nd - 1:
             i += 1
             ra = supply[i]
@@ -202,121 +279,15 @@ def _north_west(supply, demand, x, row_adj, col_adj):
             rb = demand[j]
 
 
-def _potentials(cost, row_adj, col_adj):
-    """u_i + v_j = c_ij on every tree cell, with u_0 = 0, by one tree walk.
-
-    Nodes are rows 0..ns-1 and columns ns..ns+nd-1; also returns each
-    node's parent and depth in the tree rooted at row 0.
-    """
-    ns, nd = len(row_adj), len(col_adj)
-    u = [None] * ns
-    v = [None] * nd
-    parent = [-1] * (ns + nd)
-    depth = [0] * (ns + nd)
-    u[0] = 0
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        d = depth[node] + 1
-        if node < ns:
-            ui, row = u[node], cost[node]
-            for j in row_adj[node]:
-                if v[j] is None:
-                    v[j] = row[j] - ui
-                    parent[ns + j], depth[ns + j] = node, d
-                    stack.append(ns + j)
-        else:
-            j = node - ns
-            vj = v[j]
-            for i in col_adj[j]:
-                if u[i] is None:
-                    u[i] = cost[i][j] - vj
-                    parent[i], depth[i] = node, d
-                    stack.append(i)
-    return u, v, parent, depth
-
-
-def _cycle_pivot(x, row_adj, col_adj, parent, depth, p, q):
-    """Bring cell (p, q) into the tree; return the step theta (0 if degenerate).
-
-    The tree path from column q to row p closes a cycle with (p, q); flow
-    rises on (p, q) and every second path cell, falls on the others.  Among
-    the falling cells at the minimum flow the smallest (i, j) leaves.
-    """
-    ns = len(row_adj)
-    a, b = p, ns + q
-    up_a, up_b = [], []
-    while a != b:
-        if depth[a] >= depth[b]:
-            up_a.append((a, parent[a]))
-            a = parent[a]
-        else:
-            up_b.append((b, parent[b]))
-            b = parent[b]
-    path = [(r, c - ns) if r < ns else (c, r - ns) for r, c in up_b + up_a[::-1]]
-    falling, rising = path[0::2], path[1::2]
-    theta, leave = min((x[cell], cell) for cell in falling)
-    x[p, q] = theta
-    for cell in rising:
-        x[cell] += theta
-    for cell in falling:
-        x[cell] -= theta
-    del x[leave]
-    li, lj = leave
-    row_adj[li].remove(lj)
-    col_adj[lj].remove(li)
-    row_adj[p].append(q)
-    col_adj[q].append(p)
-    return theta
-
-
-def _entering(cost, u, v, first):
-    """Cell of the most negative reduced cost c_ij - u_i - v_j, or of the
-    first negative one in row-major order; None at optimality."""
-    best, enter = 0, None
-    for i, row in enumerate(cost):
-        ui = u[i]
-        for j, (cij, vj) in enumerate(zip(row, v)):
-            r = cij - ui - vj
-            if r < best:
-                if first:
-                    return i, j
-                best, enter = r, (i, j)
-    return enter
-
-
-def _tree_transport(cost, supply, demand):
-    """Transportation simplex over integers: (plan cells, u, v) at optimum.
-
-    Dantzig pricing over all ns * nd reduced costs c_ij - u_i - v_j; after
-    _BLAND_AFTER pivots the first negative cell enters instead, which with
-    the smallest-cell leaving rule is Bland's rule and cannot cycle.
-    """
-    ns, nd = len(supply), len(demand)
-    x = {}
-    row_adj = [[] for _ in range(ns)]
-    col_adj = [[] for _ in range(nd)]
-    _north_west(supply, demand, x, row_adj, col_adj)
-    it = 0
-    while True:
-        u, v, parent, depth = _potentials(cost, row_adj, col_adj)
-        it += 1
-        if it > _MAX_ITER:
-            raise SolverFailure("transportation simplex iteration limit exceeded")
-        enter = _entering(cost, u, v, first=it > _BLAND_AFTER)
-        if enter is None:
-            return x, u, v
-        _cycle_pivot(x, row_adj, col_adj, parent, depth, *enter)
-
-
 def transportation(cost, supply, demand):
     """Balanced transportation: min sum c[i][j] p[i][j] with given marginals.
 
     cost, supply and demand are ints or Fractions.  Returns (value, plan,
     (u, v)): plan is a dense ns x nd matrix and u, v are optimal
     potentials, u_i + v_j <= c[i][j] with equality wherever the plan is
-    positive, all Fractions.  Runs the tree simplex on the problem scaled
-    to integers.
+    positive, all Fractions.  Runs the network simplex on the problem
+    scaled to integers: arc i nd + j from row i to column ns + j, from the
+    north-west corner, with u = -phi(rows) and v = phi(columns).
     """
     ns, nd = len(supply), len(demand)
     masses, mden = _scaled(list(supply) + list(demand))
@@ -324,105 +295,32 @@ def transportation(cost, supply, demand):
         raise SolverFailure("unbalanced transportation problem")
     if not ns or not nd:
         return ZERO, [[] for _ in range(ns)], ([ZERO] * ns, [ZERO] * nd)
-    flat, cden = _scaled([c for row in cost for c in row])
-    icost = [flat[i * nd:(i + 1) * nd] for i in range(ns)]
-    x, u, v = _tree_transport(icost, masses[:ns], masses[ns:])
-    plan = [[ZERO] * nd for _ in range(ns)]
-    total = 0
-    for (i, j), flow in x.items():
-        if flow:
-            plan[i][j] = Fraction(flow, mden)
-            total += flow * icost[i][j]
+    icost, cden = _scaled([c for row in cost for c in row])
+    flow, tree = _north_west(masses[:ns], masses[ns:])
+    phi = _network_simplex(ns + nd, [i for i in range(ns) for _ in range(nd)],
+                           [ns + j for _ in range(ns) for j in range(nd)], icost, flow, tree)
+    total = sum(f * c for f, c in zip(flow, icost))
+    plan = [[Fraction(f, mden) if f else ZERO for f in flow[i * nd:(i + 1) * nd]]
+            for i in range(ns)]
     return (Fraction(total, cden * mden), plan,
-            ([Fraction(ui, cden) for ui in u], [Fraction(vj, cden) for vj in v]))
-
-
-# ---------------------------------------------------------------------------
-# Network simplex on a graph's own edges
-# ---------------------------------------------------------------------------
-
-def _flow_potentials(ends, cost, sign, tree_adj):
-    """phi(head) - phi(tail) = sign_e c_e on every tree edge, phi(0) = 0,
-    by one tree walk; also each vertex's parent, parent edge and depth."""
-    n = len(tree_adj)
-    phi = [None] * n
-    parent = [-1] * n
-    pedge = [-1] * n
-    depth = [0] * n
-    phi[0] = 0
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for e in tree_adj[u]:
-            t, h = ends[e]
-            w = h if t == u else t
-            if phi[w] is None:
-                step = sign[e] * cost[e]
-                phi[w] = phi[u] + step if w == h else phi[u] - step
-                parent[w], pedge[w], depth[w] = u, e, depth[u] + 1
-                stack.append(w)
-    return phi, parent, pedge, depth
-
-
-def _edge_entering(ends, cost, phi, first):
-    """Edge of the most negative reduced cost c_e - |phi(h) - phi(t)|, or
-    the first negative one; None at optimality.  Tree edges price at 0."""
-    best, enter = 0, None
-    for e, ((t, h), c) in enumerate(zip(ends, cost)):
-        r = c - abs(phi[h] - phi[t])
-        if r < best:
-            if first:
-                return e
-            best, enter = r, e
-    return enter
-
-
-def _edge_pivot(ends, sign, flow, tree_adj, parent, pedge, depth, phi, e_in):
-    """Bring edge e_in into the tree, oriented up the potential.
-
-    Flow runs round the cycle e_in + tree path: it rises on the tree edges
-    oriented along the cycle and falls on the others.  Among the falling
-    edges at the minimum flow the smallest arc index 2e (+1 if oriented
-    head to tail) leaves, so with first-negative entering this is Bland's
-    rule.  A zero-flow tree edge keeps its orientation, so pushing against
-    it is a degenerate step.
-    """
-    t, h = ends[e_in]
-    u, v = (t, h) if phi[h] > phi[t] else (h, t)   # flow enters along u -> v
-    rising, falling = [], []
-    a, b = v, u   # the cycle closes v -> ... -> u through the tree
-    while a != b:
-        if depth[a] >= depth[b]:
-            e, x, a = pedge[a], a, parent[a]
-        else:
-            e, x, b = pedge[b], parent[b], parent[b]
-        (rising if (ends[e][0] == x) == (sign[e] > 0) else falling).append(e)
-    theta, arc = min((flow[e], 2 * e + (sign[e] < 0)) for e in falling)
-    leave = arc // 2
-    for e in rising:
-        flow[e] += theta
-    for e in falling:
-        flow[e] -= theta
-    lt, lh = ends[leave]
-    tree_adj[lt].remove(leave)
-    tree_adj[lh].remove(leave)
-    tree_adj[t].append(e_in)
-    tree_adj[h].append(e_in)
-    sign[leave], flow[leave] = 0, 0
-    sign[e_in], flow[e_in] = (1 if u == t else -1), theta
+            ([Fraction(-p, cden) for p in phi[:ns]], [Fraction(p, cden) for p in phi[ns:]]))
 
 
 def min_cost_flow(ends, lengths, divergence):
     """min sum_e lengths[e] |f_e| over edge flows f with the given divergence.
 
     ends[e] = (tail, head) are vertex indices 0..n-1 of a connected graph,
-    lengths are positive and divergence[v] (inflow minus outflow, summing
-    to zero) are ints or Fractions.  Returns (value, flow, phi): f_e > 0
-    runs tail to head, and the vertex potentials phi satisfy
+    lengths are nonnegative and divergence[v] (inflow minus outflow,
+    summing to zero) are ints or Fractions.  Returns (value, flow, phi):
+    f_e > 0 runs tail to head, and the vertex potentials phi satisfy
     |phi(head) - phi(tail)| <= lengths[e] with sum_v divergence[v] phi(v)
     = value, which certifies the optimum.  Runs the network simplex on the
-    problem scaled to integers, from the BFS spanning tree of vertex 0.
+    problem scaled to integers, edge e as arcs 2e (tail -> head) and 2e + 1
+    (head -> tail), from the BFS spanning tree of vertex 0.
     """
+    for e, length in enumerate(lengths):
+        if length < 0:
+            raise ValidationError(f"edge {e} {tuple(ends[e])} has negative length {length}")
     n, m = len(divergence), len(ends)
     div, dden = _scaled(list(divergence))
     if sum(div):
@@ -432,7 +330,6 @@ def min_cost_flow(ends, lengths, divergence):
     for e, (t, h) in enumerate(ends):
         adj[t].append(e)
         adj[h].append(e)
-    # BFS tree; its flow is forced, each edge oriented along its flow
     seen = [False] * n
     seen[0] = True
     order, up = [0], [-1] * n
@@ -444,30 +341,23 @@ def min_cost_flow(ends, lengths, divergence):
                 order.append(w)
     if len(order) != n:
         raise SolverFailure("min-cost flow needs a connected graph")
-    sign, flow = [0] * m, [0] * m
-    tree_adj = [[] for _ in range(n)]
+    # the BFS tree's flow is forced; each tree edge enters as the arc along it
+    flow, tree = [0] * (2 * m), []
     below = list(div)
     for w in reversed(order[1:]):
         e = up[w]
         t, h = ends[e]
         f = below[w] if h == w else -below[w]   # inflow to w's subtree
         below[t + h - w] += below[w]
-        sign[e], flow[e] = (1 if f >= 0 else -1), abs(f)
-        tree_adj[t].append(e)
-        tree_adj[h].append(e)
-    it = 0
-    while True:
-        phi, parent, pedge, depth = _flow_potentials(ends, cost, sign, tree_adj)
-        it += 1
-        if it > _MAX_ITER:
-            raise SolverFailure("network simplex iteration limit exceeded")
-        e_in = _edge_entering(ends, cost, phi, first=it > _BLAND_AFTER)
-        if e_in is None:
-            break
-        _edge_pivot(ends, sign, flow, tree_adj, parent, pedge, depth, phi, e_in)
-    total = sum(c * f for c, f in zip(cost, flow))
-    return (Fraction(total, cden * dden),
-            [Fraction(s * f, dden) for s, f in zip(sign, flow)],
+        arc = 2 * e + (f < 0)
+        flow[arc] = abs(f)
+        tree.append(arc)
+    tails = [v for t, h in ends for v in (t, h)]
+    heads = [v for t, h in ends for v in (h, t)]
+    phi = _network_simplex(n, tails, heads, [c for c in cost for _ in range(2)], flow, tree)
+    net = [flow[2 * e] - flow[2 * e + 1] for e in range(m)]
+    total = sum(c * abs(f) for c, f in zip(cost, net))
+    return (Fraction(total, cden * dden), [Fraction(f, dden) for f in net],
             [Fraction(p, cden) for p in phi])
 
 

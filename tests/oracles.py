@@ -2,7 +2,7 @@
 
 These deliberately avoid the code paths they check: the dense transport
 oracle runs the generic two-phase simplex on the bipartite formulation
-rather than the tree kernel, the flow oracle computes transportation norms
+rather than the network simplex, the flow oracle computes transportation norms
 on graphs from an edge-flow LP, the clipped-cone witness certifies
 elementary-molecule norms with no LP at all, the dense span check
 takes inner products with h_0 and the odd Haar levels instead of running
@@ -41,6 +41,11 @@ from freelip.simplex import solve_standard_exact
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def mat_add(a: list, b: list) -> list:
+    """Entrywise sum of two matrices of the same shape."""
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def dense_transport(cost, supply, demand):
@@ -303,7 +308,7 @@ def dense_average_projection(p: list, group_elements: list) -> list:
             raise NotInvariantSubspace("a group element moves the range of P")
     acc = linalg.zeros(len(p), len(p))
     for g in group_elements:
-        acc = linalg.mat_add(acc, linalg.mat_mul(linalg.inverse(g), linalg.mat_mul(p, g)))
+        acc = mat_add(acc, linalg.mat_mul(linalg.inverse(g), linalg.mat_mul(p, g)))
     count = Fraction(len(group_elements))
     return [[x / count for x in row] for row in acc]
 

@@ -225,13 +225,13 @@ def test_tree_kernel_single_row_and_column():
 def test_tree_kernel_zero_step_pivot(monkeypatch):
     # from the degenerate corner the first pivot moves no flow, the next does
     steps = []
-    pivot = simplex._cycle_pivot
+    pivot = simplex._tree_pivot
 
     def recording(*args):
         steps.append(pivot(*args))
         return steps[-1]
 
-    monkeypatch.setattr(simplex, "_cycle_pivot", recording)
+    monkeypatch.setattr(simplex, "_tree_pivot", recording)
     value, plan = _check_kernel([[1, 4, 0], [2, 0, 3], [3, 3, 3]], [1, 1, 1], [1, 1, 1])
     assert value == 3 and plan == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
     assert steps[0] == 0 and max(steps) > 0

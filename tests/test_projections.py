@@ -23,7 +23,7 @@ from freelip.recursive import invariance_generators, edge_map_matrix, profile_ba
 from freelip.graphs import diamond_base, laakso_base
 from oracles import (all_vectors_bm_upper, dense_average_projection, dense_commutes,
                      dense_generate_group, dense_min_proj_float_rows,
-                     dense_min_proj_standard_form, is_idempotent)
+                     dense_min_proj_standard_form, is_idempotent, mat_add)
 
 LINE = [F(1), F(1), F(-1), F(-1)]
 
@@ -99,6 +99,19 @@ def test_minimal_projection_lp_size_cap(monkeypatch):
     monkeypatch.setattr(projections, "linprog", stop)
     with pytest.raises(_Captured):
         minimal_projection_lp(_cycle_cols(diamond(3)), 64)
+    # the exact mode stores every cell of its dense standard form, so those
+    # count too: D_1 (2,257) and L_1 (10,033) reach the simplex, D_2, L_2
+    # and D_3 are refused before any dense row is built
+    monkeypatch.setattr(simplex, "solve_standard_exact", stop)
+    for graph in (diamond(1), laakso(1)):
+        with pytest.raises(_Captured):
+            minimal_projection_lp(_cycle_cols(graph), len(graph.edges), mode="exact")
+    for graph, cells in ((diamond(2), "522,585"), (laakso(2), "11,856,433"),
+                         (diamond(3), "130,811,577")):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit, match=f"{cells} dense cells"):
+            minimal_projection_lp(_cycle_cols(graph), len(graph.edges), mode="exact")
+        assert time.perf_counter() - start < 1.0
 
 
 def test_minimal_projection_diamond_two_lower_bound():
@@ -236,7 +249,7 @@ def _skew(p, x):
     """P + P X (I - P): a projection with the range of P, for any X."""
     n = len(p)
     i_minus_p = linalg.mat_sub(linalg.identity(n), p)
-    return linalg.mat_add(p, linalg.mat_mul(p, linalg.mat_mul(x, i_minus_p)))
+    return mat_add(p, linalg.mat_mul(p, linalg.mat_mul(x, i_minus_p)))
 
 
 def _assert_matches_dense_oracle(generators, p_list, cap):

@@ -35,8 +35,6 @@ KEPT = {
         "the paper's averaging argument (Grunbaum 1960, Rudin 1962), not yet a claim",
     "metric.elementary_molecule":
         "the tests' transport oracles are built from it",
-    "linalg.mat_add":
-        "the tests' dense group-averaging oracle is built from it",
     "haar_system.haar_coefficients":
         "BENCHMARK.json's per-layer metrics name it, so bench/ requires it to exist; "
         "the span check calls the sparse transform under it directly",

@@ -1,4 +1,5 @@
-"""The dense two-phase simplex against brute-force vertex enumeration."""
+"""The dense two-phase simplex against brute-force vertex enumeration, and
+the error paths of the network simplex's two entry points."""
 
 import itertools
 from fractions import Fraction as F
@@ -6,8 +7,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from freelip.errors import SolverFailure
-from freelip.simplex import solve_standard_exact
+from freelip import simplex
+from freelip.errors import SolverFailure, ValidationError
+from freelip.simplex import min_cost_flow, solve_standard_exact, transportation
 
 
 def _solve_on(a, b, cols):
@@ -92,3 +94,53 @@ def test_solve_standard_exact_matches_vertex_enumeration(lp):
     assert min(x) >= 0
     assert all(sum(aij * xj for aij, xj in zip(row, x)) == rhs for row, rhs in zip(a, b))
     assert sum(ci * xi for ci, xi in zip(c, x)) == value
+
+
+# --- network simplex error paths ---------------------------------------------
+
+def test_transportation_rejects_an_unbalanced_problem():
+    with pytest.raises(SolverFailure, match="unbalanced"):
+        transportation([[1, 2]], [2], [1, F(1, 2)])
+
+
+def test_min_cost_flow_rejects_a_divergence_that_does_not_sum_to_zero():
+    with pytest.raises(SolverFailure, match="sum to zero"):
+        min_cost_flow([(0, 1)], [1], [1, F(-1, 2)])
+
+
+def test_min_cost_flow_rejects_disconnected_ends():
+    with pytest.raises(SolverFailure, match="connected"):
+        min_cost_flow([(0, 1), (2, 3)], [1, 1], [-1, 1, 0, 0])
+
+
+def test_min_cost_flow_rejects_a_negative_length_before_pivoting(monkeypatch):
+    # the pair of opposite arcs of edge 1 is a negative cycle: the flow
+    # would be unbounded, and no pivot is tried
+    def unreached(*args):
+        raise AssertionError("the network simplex ran")
+
+    monkeypatch.setattr(simplex, "_network_simplex", unreached)
+    with pytest.raises(ValidationError, match=r"edge 1 \(1, 2\) has negative length -1"):
+        min_cost_flow([(0, 1), (1, 2), (0, 2)], [1, -1, 1], [-1, 0, 1])
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: transportation([[1, 4, 0], [2, 0, 3], [3, 3, 3]], [1, 1, 1], [1, 1, 1]),
+    # the BFS start routes every unit over a length-10 edge from vertex 0
+    lambda: min_cost_flow([(0, 2), (0, 3), (0, 4), (0, 1), (1, 2), (2, 3), (3, 4)],
+                          [10, 10, 10, 1, 1, 1, 1], [-4, 1, 1, 1, 1]),
+], ids=["transportation", "min_cost_flow"])
+def test_network_simplex_iteration_limit(monkeypatch, solve):
+    steps = []
+    pivot = simplex._tree_pivot
+
+    def recording(*args):
+        steps.append(pivot(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(simplex, "_tree_pivot", recording)
+    solve()
+    assert len(steps) >= 2
+    monkeypatch.setattr(simplex, "_MAX_ITER", 1)
+    with pytest.raises(SolverFailure, match="iteration limit"):
+        solve()
