@@ -59,14 +59,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return out
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(ra == rb for ra, rb in zip(a, b)) and len(a) == len(b)
-
-
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (R, pivot column indices)."""
     r = [list(row) for row in a]

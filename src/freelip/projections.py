@@ -4,18 +4,20 @@ assembly.
 
 Matrices act on coordinates indexed by a fixed basis order (edge ids or
 grid cells).  Orthogonal projections and averages are exact over Q.  The
-minimal-projection LP is built once, as sparse rows in exact rationals:
-HiGHS solves it in floats and the achieving operator is then repaired to
-an exact rational projection, or the exact simplex solves it over Q.
+minimal-projection LP is built as sparse matrices and solved by HiGHS in
+floats; the vertex it returns is then certified over Q, by an exact solve
+of its active primal system and of the complementary dual, so the
+projection constant it reports is exact and proven optimal.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
@@ -260,133 +262,270 @@ def cycle_projection_certificate(graph, p) -> tuple[bool, bool]:
 # Minimal projections
 # ---------------------------------------------------------------------------
 
-def _min_proj_rows(bcols: list):
+_RHS = -1           # the key of a row's right-hand side in _solve_rows
+_PATTERN_TOL = 1e-7  # a float value, or a float gap to a bound, below it reads as zero
+
+
+def _integer_basis(basis_cols: list) -> list:
+    """B as m rows of k integers: each basis column scaled by the lcm of its
+    denominators, which changes neither its span nor the projections onto it."""
+    cols = []
+    for col in basis_cols:
+        col = [Fraction(x) for x in col]
+        den = math.lcm(*(x.denominator for x in col))
+        cols.append([x.numerator * (den // x.denominator) for x in col])
+    return [list(row) for row in zip(*cols)]
+
+
+def _min_proj_rows(b: list):
     """The minimal-projection LP  min t  s.t.  A B = I,  |(B A)_ij| <= s_ij,
-    sum_i s_ij <= t,  as sparse rows in exact rationals.
+    sum_i s_ij <= t,  for B given as m integer rows, as scipy CSR matrices
+    (A_ub, A_eq).
 
     Variables: A (k x m, free) at l m + j, s (m x m, >= 0) at k m + i m + j,
-    and t (>= 0) last.  Returns (eq, rhs, entry, colsum), each row a list of
-    (variable, coefficient) pairs in increasing variable order: the k^2
-    rows of A B = I with their right-hand sides, the 2m^2 rows
-    +-(B A)_ij - s_ij <= 0 in (i, j, +/-) order, and the m rows
-    sum_i s_ij - t <= 0.  With N = nnz(B) the LP has
-    kN + 2m(N + m) + m(m + 1) nonzeros; ResourceLimit is raised before any
-    row is built when that exceeds MAX_LP_NONZEROS.
+    and t (>= 0) last.  A_eq has the k^2 rows (A B)_ll' = [l = l'] in
+    (l, l') order, A_ub the 2m^2 rows +-(B A)_ij - s_ij <= 0 in
+    (i, j, +/-) order and then the m rows sum_i s_ij - t <= 0.  With
+    N = nnz(B) the LP has kN + 2m(N + m) + m(m + 1) nonzeros;
+    ResourceLimit is raised before any matrix is built when that exceeds
+    MAX_LP_NONZEROS.
     """
-    m = len(bcols[0])
-    k = len(bcols)
-    nnz = sum(1 for col in bcols for x in col if x)
-    size = k * nnz + 2 * m * (nnz + m) + m * (m + 1)
+    m, k = len(b), len(b[0])
+    bm = np.array(b, dtype=float)
+    bi, bl = np.nonzero(bm)
+    size = k * len(bi) + 2 * m * (len(bi) + m) + m * (m + 1)
     if size > MAX_LP_NONZEROS:
         raise ResourceLimit(f"minimal projection LP for m = {m}, k = {k} has "
                             f"{size:,} nonzeros (cap {MAX_LP_NONZEROS:,})")
-    na = k * m
-    col_nz = [[(j, Fraction(x)) for j, x in enumerate(col) if x] for col in bcols]
-    row_nz = [[(l, Fraction(col[i])) for l, col in enumerate(bcols) if col[i]]
-              for i in range(m)]
-    eq, rhs = [], []
-    for l in range(k):
-        for lp, nz in enumerate(col_nz):
-            eq.append([(l * m + j, x) for j, x in nz])
-            rhs.append(Fraction(int(l == lp)))
-    entry = []
-    for i, nz in enumerate(row_nz):
-        for j in range(m):
-            s_ij = (na + i * m + j, Fraction(-1))
-            entry.append([(l * m + j, x) for l, x in nz] + [s_ij])
-            entry.append([(l * m + j, -x) for l, x in nz] + [s_ij])
-    t = na + m * m
-    colsum = [[(na + i * m + j, Fraction(1)) for i in range(m)] + [(t, Fraction(-1))]
-              for j in range(m)]
-    return eq, rhs, entry, colsum
+    bv = bm[bi, bl]
+    na, mm, j = k * m, m * m, np.arange(m)
+    q = (bi[:, None] * m + j).ravel()       # the entry (i, j) that B_il A_lj adds to
+    a = (bl[:, None] * m + j).ravel()       # the variable A_lj
+    v = np.repeat(bv, m)
+    s = np.arange(mm)
+    a_ub = csr_matrix((np.concatenate([v, -v, -np.ones(2 * mm), np.ones(mm), -np.ones(m)]),
+                       (np.concatenate([2 * q, 2 * q + 1, 2 * s, 2 * s + 1, 2 * mm + s % m, 2 * mm + j]),
+                        np.concatenate([a, a, na + s, na + s, na + s, np.full(m, na + mm)]))),
+                      shape=(2 * mm + m, na + mm + 1))
+    l = np.repeat(np.arange(k), len(bi))
+    a_eq = csr_matrix((np.tile(bv, k), (l * k + np.tile(bl, k), l * m + np.tile(bi, k))),
+                      shape=(k * k, na + mm + 1))
+    return a_ub, a_eq
 
 
-def _csr(rows: list, n: int):
-    """A scipy CSR matrix of float64 entries from sparse rows over n columns."""
-    return csr_matrix(([float(x) for row in rows for _, x in row],
-                       [v for row in rows for v, _ in row],
-                       [0, *itertools.accumulate(len(row) for row in rows)]),
-                      shape=(len(rows), n))
+def _eliminate(r: dict, p: dict, v) -> dict:
+    """The integer row r with its variable v eliminated by the pivot row p,
+    divided by the gcd of its entries."""
+    g = math.gcd(p[v], r[v])
+    a, c = p[v] // g, r[v] // g
+    out = {x: a * y for x, y in r.items()}
+    for x, y in p.items():
+        z = out.get(x, 0) - c * y
+        if z:
+            out[x] = z
+        else:
+            del out[x]
+    g = math.gcd(*out.values())
+    return {x: y // g for x, y in out.items()} if g > 1 else out
 
 
-def _rationalize_projection(bcols: list, a_float: list) -> list:
-    """Repair a float left inverse A to an exact one and return P = B A.
+def _rational(x: float) -> Fraction:
+    """A float read as the nearby rational of denominator at most 10^6."""
+    r = round(x)
+    return Fraction(r) if abs(x - r) <= 1e-12 else Fraction(x).limit_denominator(10 ** 6)
 
-    Round A entrywise, then subtract (A B - I) (B^T B)^{-1} B^T, which
-    restores A B = I exactly without moving A far.
+
+def _solve_rows(rows: list, guess) -> tuple:
+    """An exact solution of rows, each a map {variable: integer coefficient}
+    with its right-hand side under _RHS, over the variables
+    0 .. len(guess) - 1, as (N, D): variable v takes N[v] / D, with N a list
+    of integers and D > 0.
+
+    Forward elimination runs fraction free on the integer rows: each row is
+    reduced by the earlier pivot rows in the order they were made, then
+    pivots on its variable that the fewest rows contain.  A variable that no
+    pivot fixes takes guess[v] (a float), rationalized; back substitution
+    then runs on integers over one denominator, which grows only when a
+    value needs it.  SolverFailure if the rows are inconsistent.
     """
-    m = len(bcols[0])
-    k = len(bcols)
-    b = [[col[i] for col in bcols] for i in range(m)]
-    a_rat = [[Fraction(x).limit_denominator(10 ** 9) for x in row] for row in a_float]
-    err = linalg.mat_sub(linalg.mat_mul(a_rat, b), linalg.identity(k))
-    bt = linalg.transpose(b)
-    gram_inv_bt = linalg.solve(linalg.mat_mul(bt, b), bt)
-    a_fixed = linalg.mat_sub(a_rat, linalg.mat_mul(err, gram_inv_bt))
-    if not linalg.mat_eq(linalg.mat_mul(a_fixed, b), linalg.identity(k)):
-        raise SolverFailure("the repaired left inverse A does not satisfy A B = I exactly")
-    return linalg.mat_mul(b, a_fixed)
+    count = {}
+    for row in rows:
+        for v in row:
+            count[v] = count.get(v, 0) + 1
+    made = {}                       # pivot variable -> its index in pivots
+    pivots = []
+    for r in rows:
+        heap = [made[v] for v in r if v in made]
+        heapq.heapify(heap)
+        while heap:
+            v, p = pivots[heapq.heappop(heap)]
+            if v in r:
+                old, r = r, _eliminate(r, p, v)
+                for x in p:
+                    if x in made and x not in old:
+                        heapq.heappush(heap, made[x])
+        free = [v for v in r if v != _RHS]
+        if free:
+            v = min(free, key=lambda x: (count[x], x))
+            made[v] = len(pivots)
+            pivots.append((v, r))
+        elif r:
+            raise SolverFailure("the active constraints of the LP vertex are inconsistent")
+    fixed = {v: _rational(g) for v, g in enumerate(guess) if v not in made}
+    den = math.lcm(*(f.denominator for f in fixed.values()))
+    num = [0] * len(guess)
+    for v, f in fixed.items():
+        num[v] = f.numerator * (den // f.denominator)
+    for v, r in reversed(pivots):
+        c = r.get(_RHS, 0) * den - sum(y * num[x] for x, y in r.items() if x != v and x != _RHS)
+        grow = abs(r[v]) // math.gcd(c, r[v])
+        if grow > 1:
+            den, c = den * grow, c * grow
+            num = [x * grow for x in num]
+        num[v] = c // r[v]
+    return num, den
+
+
+def _min_proj_primal(b: list, x) -> tuple:
+    """The exact vertex of the minimal-projection LP on which HiGHS's
+    solution x lies, as (N, d, T): A = N / d for an integer k x m matrix N,
+    and t = T / d.
+
+    x gives the pattern of P = B A: its zero entries, the signs sigma_ij of
+    the others, and the set J of columns whose l1 norm reaches t.  The
+    active system  A B = I,  P_ij = 0 on the zeros,  sum_i sigma_ij P_ij = t
+    for j in J  is then solved exactly over (A, t); unknowns it leaves free
+    take their values in x.
+    """
+    m, k = len(b), len(b[0])
+    na = k * m
+    p_f = np.asarray(b, dtype=float) @ np.asarray(x[:na]).reshape(k, m)
+    sign = np.where(np.abs(p_f) <= _PATTERN_TOL, 0, np.sign(p_f)).astype(int).T.tolist()
+    at_t = (np.abs(p_f).sum(axis=0) >= x[-1] - _PATTERN_TOL).tolist()
+    rows_b = [[(l, c) for l, c in enumerate(row) if c] for row in b]
+    rows = []
+    for j, (sign_j, at_t_j) in enumerate(zip(sign, at_t)):      # sign_j[i] of P_ij
+        rows += [{l * m + j: c for l, c in row} for row, si in zip(rows_b, sign_j) if row and not si]
+        if at_t_j:
+            coef = {}
+            for row, si in zip(rows_b, sign_j):
+                for l, c in row if si else ():
+                    coef[l * m + j] = coef.get(l * m + j, 0) + si * c
+            rows.append({**{v: c for v, c in coef.items() if c}, na: -1})
+    for l in range(k):
+        for lp in range(k):
+            row = {l * m + j: b[j][lp] for j in range(m) if b[j][lp]}
+            rows.append({**row, _RHS: 1} if l == lp else row)
+    num, d = _solve_rows(rows, [*x[:na], x[-1]])
+    return [num[l * m:(l + 1) * m] for l in range(k)], d, num[na]
+
+
+def _min_proj_dual(b: list, pn: list, d: int, marg_eq, marg_ub) -> tuple:
+    """A dual certificate (Y, mu, w, D) that no projection onto span B has a
+    smaller l1 norm than P = B A, where pn = B N with A = N / d, so that
+    lam = ||P||_1 = max_j sum_i |pn_ij| / d.
+
+    Y (k x k), mu (one entry per column) and w (m x m, its column w_j on
+    column j of P) are integers over the common denominator D.  They
+    satisfy B^T w_j = Y^T b_j for every row b_j of B, |w_ij| <= mu_j,
+    mu >= 0, sum mu = D and tr Y = lam D.  For any projection P' = B A'
+    onto span B (so A' B = I), dividing by D,
+        tr Y = tr (Y A' B) = sum_j <Y^T b_j, A' e_j> = sum_j <w_j, P' e_j>
+             <= sum_j mu_j ||P' e_j||_1 <= ||P'||_1,
+    so lam is the minimum.  Complementary slackness fixes the support:
+    mu_j = 0 and w_j = 0 unless ||P e_j||_1 = lam, and w_ij = sign(P_ij) mu_j
+    wherever P_ij != 0.  The remaining unknowns (Y, mu_j and w_ij on the
+    zeros of P) are solved for exactly, from those equations and from the
+    inequalities mu_j >= 0 and |w_ij| <= mu_j that HiGHS's dual values
+    meet with equality, taken as equations; unknowns still free take
+    HiGHS's dual values (marg_eq for the rows A B = I and marg_ub for the
+    rows of A_ub, each sign-adjusted).  SolverFailure unless every
+    condition above holds exactly.
+    """
+    m, k = len(b), len(b[0])
+    norms = [sum(abs(row[j]) for row in pn) for j in range(m)]
+    top = max(norms)
+    cols_b = [[(i, row[l]) for i, row in enumerate(b) if row[l]] for l in range(k)]
+    guess = [marg_eq[lp * k + l] for l in range(k) for lp in range(k)]   # Y_ll' at l k + l'
+    mu, w = {}, {}                  # column j -> index of mu_j; (i, j) -> index of w_ij
+    for j in range(m):
+        if norms[j] == top:
+            mu[j] = len(guess)
+            guess.append(-marg_ub[2 * m * m + j])
+            for i, row in enumerate(b):
+                if not pn[i][j] and any(row):
+                    w[i, j] = len(guess)
+                    guess.append(marg_ub[2 * (i * m + j) + 1] - marg_ub[2 * (i * m + j)])
+    rows = [{**{v: 1 for v in mu.values()}, _RHS: 1}]
+    for j in range(m):
+        for l in range(k):
+            row = {lp * k + l: -c for lp, c in enumerate(b[j]) if c}
+            if j in mu:
+                c = sum(c if pn[i][j] > 0 else -c for i, c in cols_b[l] if pn[i][j])
+                if c:
+                    row[mu[j]] = c
+                row.update((w[i, j], c) for i, c in cols_b[l] if (i, j) in w)
+            if row:
+                rows.append(row)
+    for j, v in mu.items():         # the dual inequalities tight at HiGHS's vertex
+        if guess[v] <= _PATTERN_TOL:
+            rows.append({v: 1})
+    for (i, j), v in w.items():
+        if abs(guess[v]) >= guess[mu[j]] - _PATTERN_TOL:
+            rows.append({v: 1, mu[j]: -1 if guess[v] >= 0 else 1})
+    num, den = _solve_rows(rows, guess)
+    y = [num[l * k:(l + 1) * k] for l in range(k)]
+    mus = [num[mu[j]] if j in mu else 0 for j in range(m)]
+    ww = [[0] * m for _ in range(m)]
+    for j in mu:
+        for i in range(m):
+            ww[i][j] = num[w[i, j]] if (i, j) in w else ((pn[i][j] > 0) - (pn[i][j] < 0)) * mus[j]
+    if not (min(mus) >= 0 and sum(mus) == den
+            and sum(y[l][l] for l in range(k)) * d == top * den
+            and all(abs(ww[i][j]) <= mus[j] for i, j in w)
+            and all(sum(c * ww[i][j] for i, c in cols_b[l])
+                    == sum(c * y[lp][l] for lp, c in enumerate(b[j]) if c)
+                    for j in range(m) for l in range(k))):
+        raise SolverFailure("the dual of the minimal projection LP does not certify lambda")
+    return y, mus, ww, den
 
 
 def minimal_projection_lp(basis_cols: list, ambient_dim: int, mode: str = "float"):
-    """Relative projection constant of span(basis) in l1^m and an optimal P.
+    """Relative projection constant lambda of span(basis) in l1^m, with a
+    projection P onto it of l1 norm lambda, both exact.
 
-    Both modes solve the LP of _min_proj_rows.  mode='float' hands its rows
-    to HiGHS as sparse matrices, repairs the achieving operator to an exact
-    rational projection P and checks that ||P||_1 is within 1e-6 of the
-    float optimum lambda.  mode='exact' solves the same rows, in standard
-    form, with the exact simplex: lambda is a Fraction and ||P||_1 = lambda.
-    That form is dense, (k^2 + m + 2m^2) rows by (2km + m^2 + 1 + m + 2m^2)
-    columns, and every cell is stored, so ResourceLimit is raised before
-    any dense row is built when its cells exceed MAX_LP_NONZEROS.
-    Returns (lambda, P).
+    HiGHS solves the LP of _min_proj_rows, and the vertex it returns is
+    certified in exact arithmetic, as in Applegate, Cook, Dash and
+    Espinoza, "Exact solutions to linear programming problems" (2007):
+    _min_proj_primal solves the vertex's active system over Q, A B = I and
+    ||B A||_1 = t are checked exactly, and _min_proj_dual solves the
+    complementary dual over Q and checks that it proves no projection onto
+    the span has a smaller norm.  A vertex that fails any check raises
+    SolverFailure; there is no fallback.  Returns (lambda, P), lambda a
+    float in mode 'float' and a Fraction in mode 'exact'.
     """
     if not basis_cols or len(basis_cols[0]) != ambient_dim:
         raise ValidationError("basis does not match the ambient dimension")
-    m = ambient_dim
-    k = len(basis_cols)
-    na = k * m
-    nv = na + m * m + 1
-    eq, rhs, entry, colsum = _min_proj_rows(basis_cols)
-    if mode == "exact":
-        from .simplex import solve_standard_exact
-
-        # A = A+ - A-; columns A+, A-, s, t, then one slack per inequality row
-        ineq = colsum + entry
-        ncols = na + nv + len(ineq)
-        cells = (len(eq) + len(ineq)) * ncols
-        if cells > MAX_LP_NONZEROS:
-            raise ResourceLimit(f"exact minimal projection LP for m = {m}, k = {k} has "
-                                f"{cells:,} dense cells (cap {MAX_LP_NONZEROS:,})")
-        rows = []
-        for r, row in enumerate(eq + ineq):
-            dense = [ZERO] * ncols
-            for v, x in row:
-                if v < na:
-                    dense[v], dense[na + v] = x, -x
-                else:
-                    dense[na + v] = x
-            if r >= len(eq):
-                dense[na + nv + r - len(eq)] = Fraction(1)
-            rows.append(dense)
-        cost = [ZERO] * len(rows[0])
-        cost[na + nv - 1] = Fraction(1)
-        lam, x = solve_standard_exact(rows, rhs + [ZERO] * len(ineq), cost)
-        a = [[x[l * m + j] - x[na + l * m + j] for j in range(m)] for l in range(k)]
-        b = [[col[i] for col in basis_cols] for i in range(m)]
-        return lam, linalg.mat_mul(b, a)
-    ub = entry + colsum
-    res = linprog([0.0] * (nv - 1) + [1.0], A_ub=_csr(ub, nv), b_ub=[0.0] * len(ub),
-                  A_eq=_csr(eq, nv), b_eq=[float(x) for x in rhs],
-                  bounds=[(None, None)] * na + [(0, None)] * (nv - na), method="highs")
+    b = _integer_basis(basis_cols)
+    m, k = len(b), len(b[0])
+    a_ub, a_eq = _min_proj_rows(b)
+    nv = k * m + m * m + 1
+    res = linprog(np.r_[np.zeros(nv - 1), 1.0], A_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]),
+                  A_eq=a_eq, b_eq=np.eye(k).ravel(),
+                  bounds=[(None, None)] * (k * m) + [(0, None)] * (m * m + 1), method="highs")
     if not res.success:
         raise SolverFailure(f"minimal projection LP failed: {res.message}")
-    lam = float(res.fun)
-    p = _rationalize_projection(basis_cols, [[res.x[l * m + j] for j in range(m)]
-                                            for l in range(k)])
-    if abs(float(l1_norm(p)) - lam) > 1e-6:
-        raise SolverFailure("rationalized projection norm drifted from the LP optimum")
-    return lam, p
+    n, d, t = _min_proj_primal(b, res.x)
+    if any(sum(n[l][j] * row[lp] for j, row in enumerate(b)) != d * (l == lp)
+           for l in range(k) for lp in range(k)):
+        raise SolverFailure("the exact vertex does not satisfy A B = I")
+    pn = [[sum(c * n[l][j] for l, c in enumerate(row) if c) for j in range(m)] for row in b]
+    top = max(sum(abs(row[j]) for row in pn) for j in range(m))
+    if top != t:
+        raise SolverFailure("the exact vertex has ||B A||_1 != t")
+    _min_proj_dual(b, pn, d, res.eqlin.marginals, res.ineqlin.marginals)
+    lam = Fraction(top, d)
+    return (lam if mode == "exact" else float(lam)), [[Fraction(x, d) for x in row] for row in pn]
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,13 @@
   the BFS spanning tree carrying its forced flow, for the quotient norms of
   ``cyclespace.quotient_norm``, whose certificate is again the potentials.
 - Dense simplex (``solve_standard_exact``): two-phase primal simplex over
-  Fractions with the same pricing rules, for the LPs without network
-  structure, the exact minimal projection LP in ``projections``.  The
-  tests use it as the reference for both network entry points, through
+  Fractions with the same pricing rules.  No library LP runs on it any
+  more: the minimal projection LP of ``projections`` is solved by HiGHS
+  and its vertex certified exactly there.  The tests use it as the
+  reference for both network entry points, through
   ``min_l1_combination`` (the dense quotient-norm LP, which no library
-  path calls) and ``tests/oracles.py``.
+  path calls) and ``tests/oracles.py``, and for the exact minimal
+  projection constant, on the LP's dense standard form.
 
 ``lipschitz_dual`` is the n(n-1)-row Kantorovich dual LP, kept as the
 tests' reference for the value of ``lip_dual``; no library path calls it.

@@ -20,8 +20,10 @@ denominator, the tensor-vector l1 norm and flattening multiply
 Fraction states and entries instead of integer ones kept up to a factor,
 idempotence is one dense product P P, and the minimal-projection LP is
 written out twice, as dense float64 rows for HiGHS and as a dense
-standard form over Q, each with its own loops instead of one set of
-sparse rows.
+standard form over Q, each with its own loops instead of index arrays
+for sparse matrices; the two-phase simplex on the standard form is the
+reference for the exact projection constant, which the library reads
+from a HiGHS vertex certified by exact primal and dual solves.
 """
 
 import heapq
@@ -423,7 +425,7 @@ def fraction_tensor_materialize(tv, graph: TwoPoleGraph) -> EdgeVector:
 
 def is_idempotent(a) -> bool:
     """P P = P by one dense product."""
-    return linalg.mat_eq(linalg.mat_mul(a, a), a)
+    return linalg.mat_mul(a, a) == a
 
 
 def dense_min_proj_float_rows(bcols: list):

@@ -63,9 +63,9 @@ def test_singular_gram_detected():
 def test_minimal_projection_line_in_l1_four():
     lam, p = minimal_projection_lp([LINE], 4)
     assert abs(lam - 1) < 1e-7
-    assert l1_norm(p) == 1  # exact rationalized projection
+    assert l1_norm(p) == 1  # P is the exact certified vertex in float mode too
     lam_exact, p_exact = minimal_projection_lp([LINE], 4, mode="exact")
-    assert lam_exact == 1 and is_idempotent(p_exact)
+    assert lam_exact == 1 and isinstance(lam_exact, F) and is_idempotent(p_exact)
 
 
 def test_minimal_projection_full_space():
@@ -84,34 +84,27 @@ def test_minimal_projection_lp_size_cap(monkeypatch):
     # kN + 2m(N + m) + m(m + 1) comes from N = nnz(B) alone
     cols = _cycle_cols(diamond(4))
     assert (len(cols), len(cols[0])) == (85, 256)
+    l3 = laakso(3)
     for mode in ("float", "exact"):
         start = time.perf_counter()
         with pytest.raises(ResourceLimit, match="672,076 nonzeros"):
             minimal_projection_lp(cols, 256, mode=mode)
         assert time.perf_counter() - start < 1.0
-    l3 = laakso(3)
-    with pytest.raises(ResourceLimit, match="284,584 nonzeros"):
-        minimal_projection_lp(_cycle_cols(l3), len(l3.edges))
-    # D_3 (m = 64, k = 21, 35,596 nonzeros) stays admitted: its rows reach HiGHS
+        with pytest.raises(ResourceLimit, match="284,584 nonzeros"):
+            minimal_projection_lp(_cycle_cols(l3), len(l3.edges), mode=mode)
+
+    # D_2, L_2 and D_3 (35,596 nonzeros) stay admitted: their sparse rows
+    # reach HiGHS in both modes, and the exact mode builds no dense form
     def stop(*args, **kwargs):
         raise _Captured
 
     monkeypatch.setattr(projections, "linprog", stop)
-    with pytest.raises(_Captured):
-        minimal_projection_lp(_cycle_cols(diamond(3)), 64)
-    # the exact mode stores every cell of its dense standard form, so those
-    # count too: D_1 (2,257) and L_1 (10,033) reach the simplex, D_2, L_2
-    # and D_3 are refused before any dense row is built
-    monkeypatch.setattr(simplex, "solve_standard_exact", stop)
-    for graph in (diamond(1), laakso(1)):
-        with pytest.raises(_Captured):
-            minimal_projection_lp(_cycle_cols(graph), len(graph.edges), mode="exact")
-    for graph, cells in ((diamond(2), "522,585"), (laakso(2), "11,856,433"),
-                         (diamond(3), "130,811,577")):
-        start = time.perf_counter()
-        with pytest.raises(ResourceLimit, match=f"{cells} dense cells"):
-            minimal_projection_lp(_cycle_cols(graph), len(graph.edges), mode="exact")
-        assert time.perf_counter() - start < 1.0
+    for graph in (diamond(2), laakso(2), diamond(3)):
+        for mode in ("float", "exact"):
+            start = time.perf_counter()
+            with pytest.raises(_Captured):
+                minimal_projection_lp(_cycle_cols(graph), len(graph.edges), mode=mode)
+            assert time.perf_counter() - start < 1.0
 
 
 def test_minimal_projection_diamond_two_lower_bound():
@@ -248,7 +241,7 @@ def test_average_projection_rejects_an_operator_that_is_not_a_projection():
 def _skew(p, x):
     """P + P X (I - P): a projection with the range of P, for any X."""
     n = len(p)
-    i_minus_p = linalg.mat_sub(linalg.identity(n), p)
+    i_minus_p = [[int(i == j) - y for j, y in enumerate(row)] for i, row in enumerate(p)]
     return mat_add(p, linalg.mat_mul(p, linalg.mat_mul(x, i_minus_p)))
 
 
@@ -356,15 +349,38 @@ def test_laakso_two_minimal_projection_averages_over_its_256_element_group():
     assert avg != orthogonal_projection(cols)  # invariant projections are not unique
 
 
-def test_rationalize_projection_raises_when_the_repair_breaks(monkeypatch):
-    cols = [v.dense() for v in fundamental_cycle_basis(diamond(1)).vectors]
-    a_float = [[float(x) / 4 for x in col] for col in cols]
-    a_float[0][0] += 1e-3                                      # A B != I
-    p = projections._rationalize_projection(cols, a_float)
-    assert all(linalg.mat_vec(p, c) == c for c in cols)
-    monkeypatch.setattr(linalg, "solve", lambda a, b: linalg.zeros(len(a), len(b[0])))
-    with pytest.raises(SolverFailure, match="left inverse"):
-        projections._rationalize_projection(cols, a_float)
+def test_a_feasible_but_not_optimal_vertex_raises(monkeypatch):
+    # HiGHS is made to return, on L_2, the orthogonal projection's A with
+    # s = |P| and t = ||P||_1 = 19/12 > 22/15, keeping the optimum's dual
+    # values: its active system gives back that A exactly, and then no
+    # dual satisfies complementary slackness with it
+    g = laakso(2)
+    cols = _cycle_cols(g)
+    m, k = len(cols[0]), len(cols)
+    a = linalg.solve([[sum(x * y for x, y in zip(c, d)) for d in cols] for c in cols], cols)
+    assert linalg.mat_mul(a, [[c[i] for c in cols] for i in range(m)]) == linalg.identity(k)
+    p = orthogonal_projection(cols)
+    t = l1_norm(p)
+    assert t == F(19, 12)
+    x = np.array([float(v) for v in [*(v for row in a for v in row),
+                                     *(abs(v) for row in p for v in row), t]])
+    real, real_primal = projections.linprog, projections._min_proj_primal
+    primal = []
+
+    def feasible_not_optimal(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.x, res.fun = x, float(t)
+        return res
+
+    monkeypatch.setattr(projections, "linprog", feasible_not_optimal)
+    monkeypatch.setattr(projections, "_min_proj_primal",
+                        lambda *args: primal.append(real_primal(*args)) or primal[-1])
+    for mode in ("float", "exact"):
+        with pytest.raises(SolverFailure):
+            minimal_projection_lp(cols, m, mode=mode)
+    for n, d, t_num in primal:
+        assert [[F(v, d) for v in row] for row in n] == a and F(t_num, d) == t
+    assert len(primal) == 2
 
 
 def test_bm_upper_trivial_quotient():
@@ -512,36 +528,59 @@ class _Captured(Exception):
     pass
 
 
-def _exact_standard_form(monkeypatch, cols):
-    seen = []
-
-    def capture(a, b, c):
-        seen.append((a, b, c))
-        raise _Captured
-
-    monkeypatch.setattr(simplex, "solve_standard_exact", capture)
-    with pytest.raises(_Captured):
-        minimal_projection_lp(cols, len(cols[0]), mode="exact")
-    return seen[0]
-
-
-@pytest.mark.parametrize("graph", [diamond(1), laakso(1)], ids=["D1", "L1"])
-def test_exact_standard_form_matches_the_dense_oracle(monkeypatch, graph):
-    cols = _cycle_cols(graph)
-    assert _exact_standard_form(monkeypatch, cols) == dense_min_proj_standard_form(cols)
-
-
-def test_exact_standard_form_matches_the_dense_oracle_on_random_graphs(monkeypatch):
-    rng = random.Random(14)
-    cases = [[LINE]]
-    while len(cases) < 25:
+def test_exact_lambda_matches_the_dense_oracle():
+    # the two-phase simplex on the dense standard form, the reference for
+    # the certified vertex, on LINE, D_1, L_1, random graphs of <= 6 edges,
+    # and proper subspaces of Q^3 and Q^4 with rational columns; those
+    # subspaces' optimal vertices carry denominators far past what a float
+    # can be rounded to, and without the dual inequalities that are tight
+    # at HiGHS's vertex one of them fails the dual check
+    rng = random.Random(16)
+    cases = [[LINE], _cycle_cols(diamond(1)), _cycle_cols(laakso(1))]
+    while len(cases) < 15:
         graph = _random_connected_graph(rng)
         cols = _cycle_cols(graph)
-        if cols:
-            assert len(graph.edges) <= 8
+        if cols and len(graph.edges) <= 6:
+            cases.append(cols)
+    rng = random.Random(3)
+    while len(cases) < 30:
+        m = rng.randint(3, 4)
+        cols = [[F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(m)]
+                for _ in range(rng.randint(1, m - 1))]
+        if linalg.rank(cols) == len(cols):
             cases.append(cols)
     for cols in cases:
-        assert _exact_standard_form(monkeypatch, cols) == dense_min_proj_standard_form(cols)
+        want, _ = simplex.solve_standard_exact(*dense_min_proj_standard_form(cols))
+        lam, p = minimal_projection_lp(cols, len(cols[0]), mode="exact")
+        assert lam == want and l1_norm(p) == lam
+
+
+@pytest.mark.parametrize("graph, want", [(diamond(1), 1), (laakso(1), 1),
+                                         (diamond(2), F(7, 4)), (laakso(2), F(22, 15))],
+                         ids=["D1", "L1", "D2", "L2"])
+def test_exact_lambda_carries_a_dual_certificate(monkeypatch, graph, want):
+    seen = []
+    real = projections._min_proj_dual
+    monkeypatch.setattr(projections, "_min_proj_dual",
+                        lambda *args: seen.append(real(*args)) or seen[-1])
+    cols = _cycle_cols(graph)
+    lam, p = minimal_projection_lp(cols, len(graph.edges), mode="exact")
+    assert lam == want and l1_norm(p) == lam
+    # recheck the dual here: B^T w_j = Y^T b_j for every row b_j of B,
+    # |w_ij| <= mu_j, mu >= 0, sum mu = 1 and tr Y = lambda, which bound the
+    # norm of every projection onto the cycle space below by lambda
+    (y, mu, w, den), = seen
+    m, k = len(cols[0]), len(cols)
+    b = [[int(col[i]) for col in cols] for i in range(m)]
+    assert all(col[i] == b[i][l] for l, col in enumerate(cols) for i in range(m))
+    y = [[F(v, den) for v in row] for row in y]
+    mu = [F(v, den) for v in mu]
+    w = [[F(v, den) for v in row] for row in w]
+    for j in range(m):
+        for l in range(k):
+            assert sum(b[i][l] * w[i][j] for i in range(m)) == sum(y[r][l] * b[j][r] for r in range(k))
+        assert mu[j] >= 0 and all(abs(w[i][j]) <= mu[j] for i in range(m))
+    assert sum(mu) == 1 and sum(y[l][l] for l in range(k)) == lam
 
 
 def test_cycle_projection_certificate():
@@ -557,7 +596,7 @@ def test_cycle_projection_certificate():
 def test_minimal_projection_constant_of_diamond_three():
     g = diamond(3)
     start = time.perf_counter()
-    lam, p = minimal_projection_lp(_cycle_cols(g), len(g.edges))
+    lam, p = minimal_projection_lp(_cycle_cols(g), len(g.edges), mode="exact")
     assert projections.cycle_projection_certificate(g, p) == (True, True)
     assert time.perf_counter() - start < 30.0
-    assert abs(lam - 39 / 16) < 1e-6
+    assert lam == F(39, 16) and l1_norm(p) == lam
