@@ -138,7 +138,7 @@ def cmd_projconst(args):
         p = projections.orthogonal_projection(cols)
         lam = None
     elif args.proj_mode == "minimal":
-        lam, p = projections.minimal_projection_lp(cols, len(g.edges))
+        lam, p = projections.minimal_projection_lp(cols, len(g.edges), mode="exact")
     else:  # averaged
         if not args.generators:
             raise ValidationError("averaged mode needs --generators")
@@ -153,7 +153,7 @@ def cmd_projconst(args):
         label=args.proj_mode)
     payload = report.to_json()
     if lam is not None:
-        payload["lambda"] = lam
+        payload["lambda"] = num_to_json(lam)
     _dump(payload, args.out)
     return 0
 

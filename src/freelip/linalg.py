@@ -48,17 +48,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    out = []
-    for row in a:
-        s = ZERO
-        for x, y in zip(row, v):
-            if x and y:
-                s += x * y
-        out.append(s)
-    return out
-
-
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (R, pivot column indices)."""
     r = [list(row) for row in a]
@@ -121,13 +110,3 @@ def column_abs_sums(a: Matrix) -> Vector:
 
 def row_abs_sums(a: Matrix) -> Vector:
     return [sum(abs(x) for x in row) for row in a]
-
-
-def max_abs_entry_diff(a: Matrix, b: Matrix) -> Fraction:
-    best = ZERO
-    for ra, rb in zip(a, b):
-        for x, y in zip(ra, rb):
-            d = abs(x - y)
-            if d > best:
-                best = d
-    return best

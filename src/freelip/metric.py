@@ -138,9 +138,6 @@ class Molecule:
         c = to_fraction(c)
         return Molecule({p: c * v for p, v in self.coeffs.items()})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def to_json(self) -> dict:
         return {"coeffs": {p: num_to_json(v) for p, v in sorted(self.coeffs.items())}}
 

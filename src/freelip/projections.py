@@ -3,11 +3,16 @@ subspaces of the edge space, group averaging, and Banach-Mazur bound
 assembly.
 
 Matrices act on coordinates indexed by a fixed basis order (edge ids or
-grid cells).  Orthogonal projections and averages are exact over Q.  The
-minimal-projection LP is built as sparse matrices and solved by HiGHS in
-floats; the vertex it returns is then certified over Q, by an exact solve
-of its active primal system and of the complementary dual, so the
-projection constant it reports is exact and proven optimal.
+grid cells).  The exact projection algebra runs on integer matrices over
+one denominator: a rational matrix is read as integer rows N over the lcm
+d of its denominators, linear systems go through one fraction-free
+Gauss-Jordan elimination (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", 1968), and Fractions are made
+only for a returned matrix, one per distinct numerator.  The
+minimal-projection LP is built in split form as sparse matrices and solved
+by HiGHS in floats; the vertex it returns is then certified over Q, by an
+exact solve of its active primal system and of the complementary dual, so
+the projection constant it reports is exact and proven optimal.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from operator import add, mul, sub
 
 import numpy as np
 from scipy.optimize import linprog
@@ -27,7 +34,7 @@ from .errors import (GroupClosureOverflow, NotInvariantSubspace, ResourceLimit,
 from .rational import ZERO
 
 GROUP_CAP = 10 ** 6             # elements of a generated group
-MAX_LP_NONZEROS = 10 ** 5        # of a minimal-projection LP: D_3's has 35,596, L_3's 284,584
+MAX_LP_NONZEROS = 10 ** 5        # of a minimal-projection LP: D_3's has 29,708, L_3's 265,576
 
 
 @dataclass
@@ -68,24 +75,115 @@ def linf_norm(p) -> Fraction:
     return max(linalg.row_abs_sums(p))
 
 
+# ---------------------------------------------------------------------------
+# Integer matrices over one denominator
+# ---------------------------------------------------------------------------
+
+def _integer_rows(p) -> tuple:
+    """(N, d): the rational matrix p as rows of integers N over the lcm d
+    of its denominators, so that p = N / d."""
+    d = math.lcm(*{x.denominator for row in p for x in row})
+    return [[x.numerator * (d // x.denominator) for x in row] for row in p], d
+
+
+def _fractions(num: list, den: int) -> list:
+    """The integer rows num over den as rows of Fractions, made once per
+    distinct numerator."""
+    made = {x: Fraction(x, den) for x in set(chain.from_iterable(num))}
+    return [list(map(made.__getitem__, row)) for row in num]
+
+
+def _integer_basis(basis_cols: list) -> list:
+    """B as m rows of k integers: each basis column scaled by the lcm of its
+    denominators, which changes neither its span nor the projections onto it.
+    ValidationError unless the columns are nonempty and of one length."""
+    if len({len(col) for col in basis_cols}) > 1:
+        raise ValidationError("basis columns have different lengths")
+    if not basis_cols[0]:
+        raise ValidationError("basis columns are empty")
+    cols = []
+    for col in basis_cols:
+        col = [Fraction(x) for x in col]
+        den = math.lcm(*(x.denominator for x in col))
+        cols.append([x.numerator * (den // x.denominator) for x in col])
+    return [list(row) for row in zip(*cols)]
+
+
+def _gauss_jordan(rows: list, ncols: int) -> tuple:
+    """Fraction-free Gauss-Jordan elimination of integer rows on their first
+    ncols columns, as (R, pivots, D): R holds the rows that got a pivot, in
+    pivot order, with D at their own pivot column and 0 at the others; the
+    other columns carry along.  Each step replaces every other row r by
+    (p r - r_q piv) / p', with p the new pivot, r_q the row's entry in the
+    pivot column and p' the previous pivot (1 at first); every entry is
+    then a minor of the input, so the division is exact (Bareiss 1968),
+    and D is the last pivot.
+    """
+    rows = [list(r) for r in rows]
+    pivots = []
+    prev = 1
+    for q in range(ncols):
+        t = len(pivots)
+        c = next((r for r in range(t, len(rows)) if rows[r][q]), None)
+        if c is None:
+            continue
+        rows[t], rows[c] = rows[c], rows[t]
+        piv = rows[t]
+        p = piv[q]
+        for r, row in enumerate(rows):
+            if r == t:
+                continue
+            f = row[q]
+            if f:
+                rows[r] = [(p * x - f * y) // prev for x, y in zip(row, piv)]
+            elif p != prev:
+                rows[r] = [p * x // prev for x in row]
+        pivots.append(q)
+        prev = p
+    return rows[:len(pivots)], pivots, prev
+
+
+def _orthogonal_rows(b: list) -> tuple:
+    """(N, d) with N / d = B (B^T B)^{-1} B^T for B given as m integer rows:
+    one fraction-free Gauss-Jordan elimination of [B^T B | B^T] gives
+    det(B^T B) (B^T B)^{-1} B^T, and B times that, divided by the gcd of its
+    entries and the determinant, is N over d.  SingularGram if the columns
+    of B are linearly dependent."""
+    m, k = len(b), len(b[0])
+    nz = [[(l, c) for l, c in enumerate(row) if c] for row in b]
+    gram = [[0] * k for _ in range(k)]
+    for row in nz:
+        for l, c in row:
+            g = gram[l]
+            for lp, cp in row:
+                g[lp] += c * cp
+    aug = [g + [row[l] for row in b] for l, g in enumerate(gram)]
+    x, pivots, det = _gauss_jordan(aug, k)
+    if pivots != list(range(k)):
+        raise SingularGram("basis columns are linearly dependent")
+    x = [row[k:] for row in x]
+    num = []
+    for row in nz:
+        acc = [0] * m
+        for l, c in row:
+            acc = [a + c * y for a, y in zip(acc, x[l])]
+        num.append(acc)
+    g = math.gcd(det, *chain.from_iterable(num))
+    return [[v // g for v in row] for row in num], det // g
+
+
 def orthogonal_projection(basis_cols: list) -> list:
     """P = B (B^T B)^{-1} B^T in exact rationals; basis given as columns.
 
     The formula is scale-invariant in the inner product, so the same matrix
     is the orthogonal projection for both the counting and the normalized
-    (mean) inner products used on dyadic grids.
+    (mean) inner products used on dyadic grids.  Raises SingularGram for an
+    empty or dependent basis and ValidationError for columns of different
+    lengths.
     """
     if not basis_cols:
         raise SingularGram("empty basis")
-    m = len(basis_cols[0])
-    b = [[col[i] for col in basis_cols] for i in range(m)]  # m x k
-    bt = linalg.transpose(b)
-    gram = linalg.mat_mul(bt, b)
-    try:
-        x = linalg.solve(gram, bt)  # k x m
-    except SingularGram:
-        raise SingularGram("basis columns are linearly dependent")
-    return linalg.mat_mul(b, x)
+    return _fractions(*_orthogonal_rows(_integer_basis(basis_cols)))
 
 
 def orthogonal_index(vectors: list[dict]) -> dict:
@@ -115,43 +213,52 @@ def orthogonal_index(vectors: list[dict]) -> dict:
 def _index_map(g, n: int) -> tuple:
     """The index map s of a permutation matrix g, s[i] = g(i) where g has
     its 1 at (g(i), i); ValidationError unless g is an n x n permutation
-    matrix."""
+    matrix.  Each row is searched for its 1 and counted for its zeros by
+    list methods, which compare integer entries without a Python call."""
     if len(g) != n or any(len(row) != n for row in g):
         raise ValidationError(f"group element is not {n} x {n}")
     s = [None] * n
     for r, row in enumerate(g):
-        for c, x in enumerate(row):
-            if x:
-                if x != 1 or s[c] is not None:
-                    raise ValidationError("group element is not a permutation matrix")
-                s[c] = r
-    if None in s or len(set(s)) != n:
-        raise ValidationError("group element is not a permutation matrix")
+        try:
+            c = row.index(1)
+        except ValueError:
+            raise ValidationError("group element is not a permutation matrix") from None
+        if row.count(0) != n - 1 or s[c] is not None:
+            raise ValidationError("group element is not a permutation matrix")
+        s[c] = r
     return tuple(s)
+
+
+def _commutes(num: list, s) -> bool:
+    """Whether the square matrix num commutes with the permutation matrix of
+    index map s, that is num[s(i)][s(j)] = num[i][j] for all i, j."""
+    return all([src[sj] for sj in s] == row for row, src in zip(num, (num[si] for si in s)))
 
 
 def check_invariance(p, g) -> bool:
     """Whether P g = g P exactly, for a permutation matrix g.
 
-    With s the index map of g this reads P[s(i)][s(j)] = P[i][j].  Raises
-    ValidationError unless g is a permutation matrix of P's size.
+    With s the index map of g this reads P[s(i)][s(j)] = P[i][j], compared
+    on P's integer numerators.  Raises ValidationError unless g is a
+    permutation matrix of P's size.
     """
     n = len(p)
     s = _index_map(g, n)
     if any(len(row) != n for row in p):
         raise ValidationError("P is not square")
-    return all(p[si][sj] == x for row, si in zip(p, s) for x, sj in zip(row, s))
+    return _commutes(_integer_rows(p)[0], s)
 
 
 def permutation_matrix(perm: list[int]) -> list:
-    """Matrix of the isometry f -> f o g^{-1} for an index bijection g.
+    """Matrix of the isometry f -> f o g^{-1} for an index bijection g, with
+    integer entries 0 and 1.
 
     perm[i] = g(i); the matrix has a 1 at (g(i), i).
     """
     n = len(perm)
-    m = linalg.zeros(n, n)
+    m = [[0] * n for _ in range(n)]
     for i, gi in enumerate(perm):
-        m[gi][i] = Fraction(1)
+        m[gi][i] = 1
     return m
 
 
@@ -191,16 +298,17 @@ def average_projection(p: list, group_elements: list) -> list:
     matrices g.
 
     With s the index map of g, (g^{-1} P g)[i][j] = P[s(i)][s(j)], so the
-    average is a sum of re-indexed copies of P, taken in integers over P's
-    common denominator.  P must be a projection (it fixes the echelon basis
-    of its range, read from one rref of P^T; ValidationError otherwise)
-    and each element must map range(P) onto itself (NotInvariantSubspace
-    otherwise: each permuted basis vector must equal the combination of
-    the basis that its pivot coordinates prescribe).  Elements that are
-    not permutation matrices of P's size raise ValidationError.  The
-    caller must pass a full group; then the average is a projection onto
-    the same range, has no larger l1 norm, and commutes with every
-    element.
+    average is a sum of re-indexed copies of P, taken on P's integer
+    numerators N over its common denominator d.  P must be a projection
+    and each element must map range(P) onto itself.  Both are checked on
+    one fraction-free elimination of N^T, whose rows v_t span range(P) and
+    carry D at their own pivot coordinate q_t and 0 at the others: P is a
+    projection when N v_t = d v_t for every t (ValidationError otherwise),
+    and a permuted v_t lies in range(P) when D w = sum_t w[q_t] v_t for it
+    (NotInvariantSubspace otherwise).  Elements that are not permutation
+    matrices of P's size raise ValidationError.  The caller must pass a
+    full group; then the average is a projection onto the same range, has
+    no larger l1 norm, and commutes with every element.
     """
     if not group_elements:
         raise ValidationError("average_projection needs at least one group element")
@@ -208,31 +316,55 @@ def average_projection(p: list, group_elements: list) -> list:
     if any(len(row) != n for row in p):
         raise ValidationError("P is not square")
     maps = [_index_map(g, n) for g in group_elements]
-    echelon, pivots = linalg.rref(linalg.transpose(p))
-    basis = echelon[:len(pivots)]
-    if any(linalg.mat_vec(p, v) != v for v in basis):
+    num, den = _integer_rows(p)
+    basis, pivots, scale = _gauss_jordan(zip(*num), n)
+    if any([sum(map(mul, row, v)) for row in num] != [den * x for x in v] for v in basis):
         raise ValidationError("P is not a projection")
     for s in maps:
+        inv = [0] * n
+        for i, si in enumerate(s):
+            inv[si] = i
         for v in basis:
-            w = [ZERO] * n
-            for i, x in enumerate(v):
-                w[s[i]] = x
-            combo = [ZERO] * n
+            w = [v[i] for i in inv]         # w[s(i)] = v[i]
+            combo = [0] * n
             for q, r in zip(pivots, basis):
                 c = w[q]
                 if c:
-                    combo = [a + c * x if x else a for a, x in zip(combo, r)]
-            if combo != w:
+                    combo = [a + c * x for a, x in zip(combo, r)]
+            if combo != [scale * x for x in w]:
                 raise NotInvariantSubspace("a group element moves the range of P")
-    den = math.lcm(*(x.denominator for row in p for x in row))
-    scaled = [[x.numerator * (den // x.denominator) for x in row] for row in p]
     acc = [[0] * n for _ in range(n)]
     for s in maps:
         for acc_row, si in zip(acc, s):
-            src = scaled[si]
-            acc_row[:] = [a + src[sj] for a, sj in zip(acc_row, s)]
-    count = den * len(maps)
-    return [[Fraction(x, count) for x in row] for row in acc]
+            src = num[si]
+            acc_row[:] = map(add, acc_row, [src[sj] for sj in s])
+    return _fractions(acc, den * len(maps))
+
+
+def _cycle_certificate(graph, num: list, den: int) -> tuple[bool, bool]:
+    """cycle_projection_certificate for P = num / den given as integer rows:
+    N z = den z for every fundamental cycle z, scaled to integers, and the
+    boundary of every column is zero, summed row by row into one integer
+    vector per vertex."""
+    from .cyclespace import fundamental_cycle_basis
+
+    order = graph.edge_order
+    cols = list(zip(*num))
+    fixes = True
+    for z in fundamental_cycle_basis(graph).vectors:
+        zd = math.lcm(*(v.denominator for v in z.coeffs.values()))
+        zi = {order[e]: v.numerator * (zd // v.denominator) for e, v in z.coeffs.items()}
+        image = [0] * len(num)
+        for j, c in zi.items():
+            image = [a + c * x for a, x in zip(image, cols[j])]
+        if any(image[j] != den * zi.get(j, 0) for j in range(len(num))):
+            fixes = False
+            break
+    net = {v: [0] * len(num) for v in graph.vertices}
+    for e, row in zip(graph.edges, num):
+        net[e.head] = list(map(add, net[e.head], row))
+        net[e.tail] = list(map(sub, net[e.tail], row))
+    return fixes, not any(chain.from_iterable(net.values()))
 
 
 def cycle_projection_certificate(graph, p) -> tuple[bool, bool]:
@@ -241,21 +373,13 @@ def cycle_projection_certificate(graph, p) -> tuple[bool, bool]:
 
     Together the two prove that P is a projection onto the cycle space Z:
     range P lies in Z and P fixes a basis of Z, so P fixes range P, that is
-    P^2 = P and range P = Z.  Both run over the cycles' supports and P's
-    columns, with no matrix product.  ValidationError unless P is square on
-    the edges.
+    P^2 = P and range P = Z.  Both run on P's integer numerators, over the
+    cycles' supports and P's rows, with no matrix product.  ValidationError
+    unless P is square on the edges.
     """
-    from .cyclespace import EdgeVector, boundary, fundamental_cycle_basis
-
     if len(p) != len(graph.edges) or any(len(row) != len(p) for row in p):
         raise ValidationError("P is not square on the graph's edges")
-    order = graph.edge_order
-    fixes = all(sum((row[order[e]] * v for e, v in z.coeffs.items()), start=ZERO) == target
-                for z in fundamental_cycle_basis(graph).vectors
-                for row, target in zip(p, z.dense()))
-    in_z = all(boundary(EdgeVector(graph, {e.id: row[j] for e, row in zip(graph.edges, p)}))
-               .is_zero() for j in range(len(p)))
-    return fixes, in_z
+    return _cycle_certificate(graph, *_integer_rows(p))
 
 
 # ---------------------------------------------------------------------------
@@ -266,50 +390,44 @@ _RHS = -1           # the key of a row's right-hand side in _solve_rows
 _PATTERN_TOL = 1e-7  # a float value, or a float gap to a bound, below it reads as zero
 
 
-def _integer_basis(basis_cols: list) -> list:
-    """B as m rows of k integers: each basis column scaled by the lcm of its
-    denominators, which changes neither its span nor the projections onto it."""
-    cols = []
-    for col in basis_cols:
-        col = [Fraction(x) for x in col]
-        den = math.lcm(*(x.denominator for x in col))
-        cols.append([x.numerator * (den // x.denominator) for x in col])
-    return [list(row) for row in zip(*cols)]
-
-
 def _min_proj_rows(b: list):
-    """The minimal-projection LP  min t  s.t.  A B = I,  |(B A)_ij| <= s_ij,
-    sum_i s_ij <= t,  for B given as m integer rows, as scipy CSR matrices
-    (A_ub, A_eq).
+    """The minimal-projection LP in split form,  min t  s.t.  A B = I,
+    (B A)_ij - P+_ij + P-_ij = 0,  sum_i (P+_ij + P-_ij) <= t,  for B given
+    as m integer rows, as scipy CSR matrices (A_ub, A_eq).
 
-    Variables: A (k x m, free) at l m + j, s (m x m, >= 0) at k m + i m + j,
-    and t (>= 0) last.  A_eq has the k^2 rows (A B)_ll' = [l = l'] in
-    (l, l') order, A_ub the 2m^2 rows +-(B A)_ij - s_ij <= 0 in
-    (i, j, +/-) order and then the m rows sum_i s_ij - t <= 0.  With
-    N = nnz(B) the LP has kN + 2m(N + m) + m(m + 1) nonzeros;
-    ResourceLimit is raised before any matrix is built when that exceeds
-    MAX_LP_NONZEROS.
+    Variables: A (k x m, free) at l m + j, P+ and P- (m x m, >= 0) at
+    k m + i m + j and k m + m^2 + i m + j, and t (>= 0) last.  A_eq has the
+    k^2 rows (A B)_ll' = [l = l'] in (l, l') order and then the m^2 entry
+    rows in (i, j) order; A_ub has the m column-sum rows.  Every feasible
+    point has t >= ||B A||_1, and P = B A with A B = I is feasible with
+    P+ = max(P, 0), P- = max(-P, 0) and t = ||P||_1, so the optimum is
+    lambda; the LP has m^2 + k^2 + m rows where bounding |B A| entrywise by
+    slacks takes 2m^2 + k^2 + m.  With
+    N = nnz(B) it has kN + mN + 4m^2 + m nonzeros; ResourceLimit is raised
+    before any matrix is built when that exceeds MAX_LP_NONZEROS.
     """
     m, k = len(b), len(b[0])
     bm = np.array(b, dtype=float)
     bi, bl = np.nonzero(bm)
-    size = k * len(bi) + 2 * m * (len(bi) + m) + m * (m + 1)
+    size = k * len(bi) + m * len(bi) + 4 * m * m + m
     if size > MAX_LP_NONZEROS:
         raise ResourceLimit(f"minimal projection LP for m = {m}, k = {k} has "
                             f"{size:,} nonzeros (cap {MAX_LP_NONZEROS:,})")
     bv = bm[bi, bl]
-    na, mm, j = k * m, m * m, np.arange(m)
-    q = (bi[:, None] * m + j).ravel()       # the entry (i, j) that B_il A_lj adds to
-    a = (bl[:, None] * m + j).ravel()       # the variable A_lj
-    v = np.repeat(bv, m)
-    s = np.arange(mm)
-    a_ub = csr_matrix((np.concatenate([v, -v, -np.ones(2 * mm), np.ones(mm), -np.ones(m)]),
-                       (np.concatenate([2 * q, 2 * q + 1, 2 * s, 2 * s + 1, 2 * mm + s % m, 2 * mm + j]),
-                        np.concatenate([a, a, na + s, na + s, na + s, np.full(m, na + mm)]))),
-                      shape=(2 * mm + m, na + mm + 1))
+    na, mm, kk, j = k * m, m * m, k * k, np.arange(m)
+    q = np.arange(mm)                       # the entry (i, j) at i m + j
     l = np.repeat(np.arange(k), len(bi))
-    a_eq = csr_matrix((np.tile(bv, k), (l * k + np.tile(bl, k), l * m + np.tile(bi, k))),
-                      shape=(k * k, na + mm + 1))
+    ones = np.ones(mm)
+    a_eq = csr_matrix((np.concatenate([np.tile(bv, k), np.repeat(bv, m), -ones, ones]),
+                       (np.concatenate([l * k + np.tile(bl, k), kk + (bi[:, None] * m + j).ravel(),
+                                        kk + q, kk + q]),
+                        np.concatenate([l * m + np.tile(bi, k), (bl[:, None] * m + j).ravel(),
+                                        na + q, na + mm + q]))),
+                      shape=(kk + mm, na + 2 * mm + 1))
+    a_ub = csr_matrix((np.concatenate([ones, ones, -np.ones(m)]),
+                       (np.concatenate([q % m, q % m, j]),
+                        np.concatenate([na + q, na + mm + q, np.full(m, na + 2 * mm)]))),
+                      shape=(m, na + 2 * mm + 1))
     return a_ub, a_eq
 
 
@@ -438,8 +556,9 @@ def _min_proj_dual(b: list, pn: list, d: int, marg_eq, marg_ub) -> tuple:
     zeros of P) are solved for exactly, from those equations and from the
     inequalities mu_j >= 0 and |w_ij| <= mu_j that HiGHS's dual values
     meet with equality, taken as equations; unknowns still free take
-    HiGHS's dual values (marg_eq for the rows A B = I and marg_ub for the
-    rows of A_ub, each sign-adjusted).  SolverFailure unless every
+    HiGHS's dual values: Y from marg_eq on the rows A B = I, w_ij from
+    -marg_eq on the entry rows of P_ij and mu_j from -marg_ub on the
+    column-sum rows.  SolverFailure unless every
     condition above holds exactly.
     """
     m, k = len(b), len(b[0])
@@ -451,12 +570,17 @@ def _min_proj_dual(b: list, pn: list, d: int, marg_eq, marg_ub) -> tuple:
     for j in range(m):
         if norms[j] == top:
             mu[j] = len(guess)
-            guess.append(-marg_ub[2 * m * m + j])
+            guess.append(-marg_ub[j])
             for i, row in enumerate(b):
                 if not pn[i][j] and any(row):
                     w[i, j] = len(guess)
-                    guess.append(marg_ub[2 * (i * m + j) + 1] - marg_ub[2 * (i * m + j)])
-    rows = [{**{v: 1 for v in mu.values()}, _RHS: 1}]
+                    guess.append(-marg_eq[k * k + i * m + j])
+    # The dual inequalities tight at HiGHS's vertex come first: they are
+    # short, and eliminating them first keeps the longer rows short.
+    rows = [{v: 1} for v in mu.values() if guess[v] <= _PATTERN_TOL]
+    rows += [{v: 1, mu[j]: -1 if guess[v] >= 0 else 1} for (i, j), v in w.items()
+             if abs(guess[v]) >= guess[mu[j]] - _PATTERN_TOL]
+    rows.append({**{v: 1 for v in mu.values()}, _RHS: 1})
     for j in range(m):
         for l in range(k):
             row = {lp * k + l: -c for lp, c in enumerate(b[j]) if c}
@@ -467,12 +591,6 @@ def _min_proj_dual(b: list, pn: list, d: int, marg_eq, marg_ub) -> tuple:
                 row.update((w[i, j], c) for i, c in cols_b[l] if (i, j) in w)
             if row:
                 rows.append(row)
-    for j, v in mu.items():         # the dual inequalities tight at HiGHS's vertex
-        if guess[v] <= _PATTERN_TOL:
-            rows.append({v: 1})
-    for (i, j), v in w.items():
-        if abs(guess[v]) >= guess[mu[j]] - _PATTERN_TOL:
-            rows.append({v: 1, mu[j]: -1 if guess[v] >= 0 else 1})
     num, den = _solve_rows(rows, guess)
     y = [num[l * k:(l + 1) * k] for l in range(k)]
     mus = [num[mu[j]] if j in mu else 0 for j in range(m)]
@@ -504,15 +622,18 @@ def minimal_projection_lp(basis_cols: list, ambient_dim: int, mode: str = "float
     SolverFailure; there is no fallback.  Returns (lambda, P), lambda a
     float in mode 'float' and a Fraction in mode 'exact'.
     """
-    if not basis_cols or len(basis_cols[0]) != ambient_dim:
+    if not basis_cols or any(len(col) != ambient_dim for col in basis_cols):
         raise ValidationError("basis does not match the ambient dimension")
     b = _integer_basis(basis_cols)
     m, k = len(b), len(b[0])
     a_ub, a_eq = _min_proj_rows(b)
-    nv = k * m + m * m + 1
-    res = linprog(np.r_[np.zeros(nv - 1), 1.0], A_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]),
-                  A_eq=a_eq, b_eq=np.eye(k).ravel(),
-                  bounds=[(None, None)] * (k * m) + [(0, None)] * (m * m + 1), method="highs")
+    nv = a_eq.shape[1]
+    bounds = np.zeros((nv, 2))
+    bounds[:, 1] = np.inf
+    bounds[:k * m, 0] = -np.inf                 # A is free
+    res = linprog(np.r_[np.zeros(nv - 1), 1.0], A_ub=a_ub, b_ub=np.zeros(m),
+                  A_eq=a_eq, b_eq=np.r_[np.eye(k).ravel(), np.zeros(m * m)],
+                  bounds=bounds, method="highs")
     if not res.success:
         raise SolverFailure(f"minimal projection LP failed: {res.message}")
     n, d, t = _min_proj_primal(b, res.x)
@@ -525,7 +646,7 @@ def minimal_projection_lp(basis_cols: list, ambient_dim: int, mode: str = "float
         raise SolverFailure("the exact vertex has ||B A||_1 != t")
     _min_proj_dual(b, pn, d, res.eqlin.marginals, res.ineqlin.marginals)
     lam = Fraction(top, d)
-    return (lam if mode == "exact" else float(lam)), [[Fraction(x, d) for x in row] for row in pn]
+    return (lam if mode == "exact" else float(lam)), _fractions(pn, d)
 
 
 # ---------------------------------------------------------------------------

@@ -300,19 +300,26 @@ def invariance_generators(profile: BaseGraphProfile, n: int,
     return gens
 
 
-def edge_map_matrix(graph: TwoPoleGraph, emap: dict[str, str]) -> list:
-    """Permutation matrix of an edge map given as edge id -> image id.
-
-    Raises ValidationError unless the map is a bijection of the graph's
-    edge ids.
-    """
+def _edge_index_map(graph: TwoPoleGraph, emap: dict[str, str]) -> list:
+    """The index map of an edge map given as edge id -> image id: entry
+    order[e] is order[emap[e]].  Raises ValidationError unless the map is a
+    bijection of the graph's edge ids."""
     order = graph.edge_order
     if set(emap) != set(order) or set(emap.values()) != set(order):
         raise ValidationError("edge map is not a bijection of the graph's edge ids")
     perm = [0] * len(graph.edges)
     for eid, img in emap.items():
         perm[order[eid]] = order[img]
-    return projections.permutation_matrix(perm)
+    return perm
+
+
+def edge_map_matrix(graph: TwoPoleGraph, emap: dict[str, str]) -> list:
+    """Permutation matrix of an edge map given as edge id -> image id.
+
+    Raises ValidationError unless the map is a bijection of the graph's
+    edge ids.
+    """
+    return projections.permutation_matrix(_edge_index_map(graph, emap))
 
 
 def c_type_vectors(profile: BaseGraphProfile, n: int,
@@ -341,19 +348,31 @@ def annihilation_check(p: list, profile: BaseGraphProfile, n: int,
     """Verify that a projection invariant under the generator set kills
     every c-type vector exactly.
 
-    Raises NotInvariant if the supplied operator fails the invariance
-    precondition for some generator.
+    Both checks run on P's integer numerators: invariance compares
+    permuted entries, and the image of each c-type vector, scaled to
+    integers, is a sum of P's columns over its support.  Raises
+    ValidationError unless P is square on the graph's edges, and
+    NotInvariant if the supplied operator fails the invariance precondition
+    for some generator.
     """
+    if len(p) != len(graph.edges) or any(len(row) != len(p) for row in p):
+        raise ValidationError("P is not square on the graph's edges")
+    num, _ = projections._integer_rows(p)
     gens = invariance_generators(profile, n, graph)
     for name, emap in gens.items():
-        gmat = edge_map_matrix(graph, emap)
-        if not projections.check_invariance(p, gmat):
+        if not projections._commutes(num, _edge_index_map(graph, emap)):
             raise NotInvariant(f"projection does not commute with generator {name}")
     vectors = c_type_vectors(profile, n, graph)
+    order = graph.edge_order
+    cols = list(zip(*num))
     failures = []
     for i, f in enumerate(vectors):
-        img = linalg.mat_vec(p, f.dense())
-        if any(v != 0 for v in img):
+        den = lcm(*(v.denominator for v in f.coeffs.values()))
+        img = [0] * len(num)
+        for eid, v in f.coeffs.items():
+            c = v.numerator * (den // v.denominator)
+            img = [a + c * x for a, x in zip(img, cols[order[eid]])]
+        if any(img):
             failures.append(i)
     return {"generators_checked": sorted(gens),
             "c_type_count": len(vectors),
@@ -566,65 +585,60 @@ def laakso_nonunique_projection() -> dict:
     Tail-copy edges project orthogonally; middle edges of the four central
     copies go to their copy's 4-cycle line; central tail edges go to the
     averaged 16-cycle flow with weight 1/8 (the orthogonal weight would be
-    1/12, which is what makes the two projections differ).
+    1/12, which is what makes the two projections differ).  Both
+    projections are built, checked and compared as integer rows over one
+    denominator.
     """
-    base = laakso_base()
     g2 = laakso(2)
-    n_edges = len(g2.edges)
     order = g2.edge_order
+    orth, d = projections._orthogonal_rows(projections._integer_basis(
+        [z.dense() for z in fundamental_cycle_basis(g2).vectors]))
 
-    p_orth = projections.orthogonal_projection(
-        [z.dense() for z in fundamental_cycle_basis(g2).vectors])
+    # The two 16-cycle flows through the central copies, summed: twice the
+    # averaged flow.  Copy q's bottom and top edges carry both flows, its
+    # middle edges one; the copies x1, x2 are ascending and y1, y2
+    # descending.  The 4-cycle of copy q is +1 on q/x1, q/x2 and -1 on
+    # q/y1, q/y2.
+    side = {"x1": 1, "x2": 1, "y1": -1, "y2": -1}
+    twice_avg, chi = [0] * len(g2.edges), [0] * len(g2.edges)
+    for e in g2.edges:
+        prefix, sub = e.id.split("/")
+        if prefix in side:
+            twice_avg[order[e.id]] = side[prefix] * (2 if sub in ("b", "t") else 1)
+            chi[order[e.id]] = 1 if sub[0] == "x" else -1 if sub[0] == "y" else 0
 
-    central = ["x1", "x2", "y1", "y2"]
-    copy_cycle = {}
-    for q in central:
-        copy_cycle[q] = EdgeVector(g2, {
-            f"{q}/x1": Fraction(1), f"{q}/x2": Fraction(1),
-            f"{q}/y1": Fraction(-1), f"{q}/y2": Fraction(-1)})
-
-    def side_path(q, branch, sign):
-        return {f"{q}/b": sign, f"{q}/{branch}1": sign,
-                f"{q}/{branch}2": sign, f"{q}/t": sign}
-
-    one = Fraction(1)
-    f1 = {}
-    f2 = {}
-    for q in ("x1", "x2"):          # ascending side
-        f1.update(side_path(q, "x", one))
-        f2.update(side_path(q, "y", one))
-    for q in ("y1", "y2"):          # descending side
-        f1.update(side_path(q, "y", -one))
-        f2.update(side_path(q, "x", -one))
-    f_avg = (EdgeVector(g2, f1) + EdgeVector(g2, f2)).scale(Fraction(1, 2))
-
+    # Columns over den = lcm(d, 32): the orthogonal column d-scaled, the
+    # flow column f_avg f_avg[e] / 8 = twice_avg twice_avg[e] / 32, and the
+    # 4-cycle column chi chi[e] / 4 restricted to copy q.
+    den = lcm(d, 32)
     cols = []
     for e in g2.edges:
         prefix, sub = e.id.split("/")
+        j = order[e.id]
         if prefix in ("b", "t"):
-            col = [row[order[e.id]] for row in p_orth]
+            col = [row[j] * (den // d) for row in orth]
         elif sub in ("b", "t"):
-            col = f_avg.scale(f_avg.get(e.id) / 8).dense()
+            col = [x * twice_avg[j] * (den // 32) for x in twice_avg]
         else:
-            chi = copy_cycle[prefix]
-            col = chi.scale(chi.get(e.id) / 4).dense()
+            col = [chi[i] * chi[j] * (den // 4) if f.id.startswith(prefix + "/") else 0
+                   for i, f in enumerate(g2.edges)]
         cols.append(col)
-    p = [[cols[j][i] for j in range(n_edges)] for i in range(n_edges)]
+    num = [list(row) for row in zip(*cols)]
 
-    profile = profile_base(base)
+    profile = profile_base(laakso_base())
     gens = invariance_generators(profile, 2, g2)
     invariant_under = []
     for name, emap in sorted(gens.items()):
-        gmat = edge_map_matrix(g2, emap)
-        if not projections.check_invariance(p, gmat):
+        if not projections._commutes(num, _edge_index_map(g2, emap)):
             raise NotInvariant(f"constructed projection not invariant under {name}")
         invariant_under.append(name)
 
-    fixes_range, in_range = projections.cycle_projection_certificate(g2, p)
-    gap = linalg.max_abs_entry_diff(p, p_orth)
+    fixes_range, in_range = projections._cycle_certificate(g2, num, den)
+    gap = Fraction(max(abs(x - y * (den // d)) for row, orow in zip(num, orth)
+                       for x, y in zip(row, orow)), den)
     return {
-        "projection": p,
-        "orthogonal": p_orth,
+        "projection": projections._fractions(num, den),
+        "orthogonal": projections._fractions(orth, d),
         "is_projection": fixes_range and in_range,
         "fixes_cycle_space": fixes_range,
         "range_in_cycle_space": in_range,

@@ -18,12 +18,17 @@ instead of reading the two-matching closed form, the Fraction graph
 metric adds Fractions in its searches instead of integers over a common
 denominator, the tensor-vector l1 norm and flattening multiply
 Fraction states and entries instead of integer ones kept up to a factor,
-idempotence is one dense product P P, and the minimal-projection LP is
-written out twice, as dense float64 rows for HiGHS and as a dense
-standard form over Q, each with its own loops instead of index arrays
-for sparse matrices; the two-phase simplex on the standard form is the
-reference for the exact projection constant, which the library reads
-from a HiGHS vertex certified by exact primal and dual solves.
+idempotence is one dense product P P, the orthogonal projection is the
+Fraction formula B (B^T B)^-1 B^T from dense products and a Gram solve
+instead of a fraction-free elimination on integers, the cycle-projection
+certificate and the annihilation images are dense Fraction products
+instead of sums of integer columns, and the minimal-projection LP is
+written out twice, as the dense float64 rows of its split form for HiGHS
+and as a dense standard form over Q, each with its own loops instead of
+index arrays for sparse matrices; the two-phase simplex on the standard
+form is the reference for the exact projection constant, which the
+library reads from a HiGHS vertex certified by exact primal and dual
+solves.
 """
 
 import heapq
@@ -32,17 +37,23 @@ from math import lcm
 
 import numpy as np
 
-from freelip import haar_system, linalg, projections
-from freelip.cyclespace import EdgeVector, fundamental_cycle_basis
+from freelip import haar_system, linalg
+from freelip.cyclespace import EdgeVector, boundary, fundamental_cycle_basis
 from freelip.errors import DisconnectedGraph, GroupClosureOverflow, NotInvariantSubspace
 from freelip.freenorm import ae_norm
 from freelip.metric import MetricSpace, Molecule
 from freelip.rational import to_fraction
 from freelip.graphs import TwoPoleGraph, diamond, multidiamond
+from freelip.recursive import c_type_vectors, edge_map_matrix, invariance_generators
 from freelip.simplex import solve_standard_exact
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def mat_vec(a: list, v: list) -> list:
+    """The product of a dense matrix and a vector, in Fractions."""
+    return [sum((x * y for x, y in zip(row, v) if x and y), start=ZERO) for row in a]
 
 
 def mat_add(a: list, b: list) -> list:
@@ -179,10 +190,17 @@ def _dense_cells(x, cells, cell):
     return haar_system.DyadicVector(tuple(int(v * den) for v in vals), den)
 
 
+def fraction_orthogonal_projection(basis_cols) -> list:
+    """B (B^T B)^-1 B^T over Fractions for the given columns of B, by dense
+    products and one Gram solve (SingularGram for dependent columns)."""
+    b = [[Fraction(col[i]) for col in basis_cols] for i in range(len(basis_cols[0]))]
+    bt = linalg.transpose(b)
+    return linalg.mat_mul(b, linalg.solve(linalg.mat_mul(bt, b), bt))
+
+
 def dense_orthogonal_projection(vectors) -> list:
-    """B (B^T B)^-1 B^T for the grid vectors as the columns of B, by dense
-    Fraction products and one Gram solve."""
-    return projections.orthogonal_projection([list(v.values) for v in vectors])
+    """B (B^T B)^-1 B^T for the grid vectors as the columns of B."""
+    return fraction_orthogonal_projection([v.values for v in vectors])
 
 
 def dense_linf(p) -> Fraction:
@@ -236,11 +254,11 @@ def dense_multibranch_analysis(n: int, k: int) -> dict:
     g = multidiamond(n, k)
     cycle_imgs = [multibranch_graph_to_dyadic(v, n, k)
                   for v in fundamental_cycle_basis(g).vectors]
-    assert all(linalg.mat_vec(p, list(w.values)) == list(w.values) for w in cut)
-    assert not any(any(linalg.mat_vec(p, list(z.values))) for z in cycle_imgs)
+    assert all(mat_vec(p, list(w.values)) == list(w.values) for w in cut)
+    assert not any(any(mat_vec(p, list(z.values))) for z in cycle_imgs)
     e1 = [ZERO] * cells
     e1[0] = Fraction(cells)
-    pe1 = linalg.mat_vec(p, e1)
+    pe1 = mat_vec(p, e1)
     cell = lambda eid: haar_system.multibranch_cell_index(eid, n, k)   # noqa: E731
     return {
         "cut_basis": [list(w.values) for w in cut],
@@ -275,6 +293,25 @@ def even_level_span_dense(n: int) -> bool:
 def dense_commutes(p, g) -> bool:
     """P g = g P by two dense matrix products."""
     return linalg.mat_mul(p, g) == linalg.mat_mul(g, p)
+
+
+def fraction_cycle_certificate(graph, p) -> tuple[bool, bool]:
+    """(P z = z for every fundamental cycle z, every column of P has zero
+    boundary) by dense Fraction products and one boundary per column."""
+    fixes = all(mat_vec(p, z.dense()) == z.dense() for z in fundamental_cycle_basis(graph).vectors)
+    in_z = all(not boundary(EdgeVector(graph, {e.id: row[j] for e, row in zip(graph.edges, p)})).coeffs
+               for j in range(len(p)))
+    return fixes, in_z
+
+
+def dense_annihilation_failures(p, profile, n, graph):
+    """None if P fails to commute with an invariance generator (two dense
+    products each), else the indices of the c-type vectors that P, as a
+    dense Fraction product, does not send to 0."""
+    for emap in invariance_generators(profile, n, graph).values():
+        if not dense_commutes(p, edge_map_matrix(graph, emap)):
+            return None
+    return [i for i, f in enumerate(c_type_vectors(profile, n, graph)) if any(mat_vec(p, f.dense()))]
 
 
 def dense_generate_group(generators: list, cap: int) -> list:
@@ -428,15 +465,17 @@ def is_idempotent(a) -> bool:
     return linalg.mat_mul(a, a) == a
 
 
-def dense_min_proj_float_rows(bcols: list):
-    """(A_ub, b_ub, A_eq, b_eq) of the LP min t s.t. A B = I, s >= |B A|
-    entrywise, sum_i s_ij <= t, as dense float64 arrays over the variables
-    A (k x m), s (m x m) and t."""
+def dense_min_proj_split_rows(bcols: list):
+    """(A_ub, b_ub, A_eq, b_eq, bounds) of the split-form LP min t s.t.
+    A B = I, (B A)_ij - P+_ij + P-_ij = 0, sum_i (P+_ij + P-_ij) <= t, as
+    dense float64 arrays over the variables A (k x m, free), P+ and P-
+    (m x m, >= 0) and t (>= 0)."""
     m = len(bcols[0])
     k = len(bcols)
     bmat = np.array([[float(col[i]) for col in bcols] for i in range(m)])
     na = k * m
-    nv = na + m * m + 1
+    plus, minus, t = na, na + m * m, na + 2 * m * m
+    nv = t + 1
     rows_eq, rhs_eq = [], []
     for l in range(k):
         for lp in range(k):
@@ -445,25 +484,26 @@ def dense_min_proj_float_rows(bcols: list):
                 row[l * m + j] = bmat[j][lp]
             rows_eq.append(row)
             rhs_eq.append(1.0 if l == lp else 0.0)
-    rows_ub = []
     for i in range(m):
         for j in range(m):
             row = np.zeros(nv)
             for l in range(k):
                 row[l * m + j] = bmat[i][l]
-            row[na + i * m + j] = -1.0
-            rows_ub.append(row.copy())
-            row2 = -row
-            row2[na + i * m + j] = -1.0
-            rows_ub.append(row2)
+            row[plus + i * m + j] = -1.0
+            row[minus + i * m + j] = 1.0
+            rows_eq.append(row)
+            rhs_eq.append(0.0)
+    rows_ub = []
     for j in range(m):
         row = np.zeros(nv)
         for i in range(m):
-            row[na + i * m + j] = 1.0
-        row[-1] = -1.0
+            row[plus + i * m + j] = 1.0
+            row[minus + i * m + j] = 1.0
+        row[t] = -1.0
         rows_ub.append(row)
-    return (np.array(rows_ub), np.zeros(len(rows_ub)),
-            np.array(rows_eq), np.array(rhs_eq))
+    bounds = [(-np.inf, np.inf)] * na + [(0.0, np.inf)] * (nv - na)
+    return (np.array(rows_ub), np.zeros(m), np.array(rows_eq), np.array(rhs_eq),
+            np.array(bounds))
 
 
 def dense_min_proj_standard_form(bcols: list):

@@ -94,6 +94,16 @@ def test_projconst_command(tmp_path, capsys):
     assert out["is_projection"] and out["norm_l1"] == 1
 
 
+@pytest.mark.parametrize("family, lam", [("diamond", "7/4"), ("laakso", "22/15")])
+def test_projconst_minimal_writes_the_exact_lambda(tmp_path, capsys, family, lam):
+    g = tmp_path / "g.json"
+    run_cli("gen", "--family", family, "--level", "2", "--out", str(g))
+    capsys.readouterr()
+    assert run_cli("projconst", "--graph", str(g), "--mode", "minimal") == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["lambda"] == lam and out["norm_l1"] == lam and out["is_projection"]
+
+
 @pytest.mark.parametrize("skew", [
     lambda p: [[2 * x for x in row] for row in p],      # does not fix Z
     lambda p: linalg.identity(len(p)),                  # its range leaves Z

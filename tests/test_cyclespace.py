@@ -68,7 +68,7 @@ def test_fundamental_basis_diamond_two():
     dense = [v.dense() for v in basis.vectors]
     assert linalg.rank(dense) == 5
     for v in basis.vectors:
-        assert boundary(v).is_zero()
+        assert not boundary(v).coeffs
 
 
 def test_fundamental_basis_diamond_one_spans_outer_cycle():
@@ -89,7 +89,7 @@ def test_boundary_kills_cycles_and_preserves_zero_mass():
     rng = random.Random(RNG_SEED)
     g = diamond(2)
     for vec in fundamental_cycle_basis(g).vectors:
-        assert boundary(vec).is_zero()
+        assert not boundary(vec).coeffs
     for _ in range(10):
         x = random_edge_vector(rng, g)
         assert sum(boundary(x).coeffs.values(), start=F(0)) == 0

@@ -22,8 +22,9 @@ from freelip.projections import (average_projection,
 from freelip.recursive import invariance_generators, edge_map_matrix, profile_base
 from freelip.graphs import diamond_base, laakso_base
 from oracles import (all_vectors_bm_upper, dense_average_projection, dense_commutes,
-                     dense_generate_group, dense_min_proj_float_rows,
-                     dense_min_proj_standard_form, is_idempotent, mat_add)
+                     dense_generate_group, dense_min_proj_split_rows,
+                     dense_min_proj_standard_form, fraction_cycle_certificate,
+                     fraction_orthogonal_projection, is_idempotent, mat_add, mat_vec)
 
 LINE = [F(1), F(1), F(-1), F(-1)]
 
@@ -60,6 +61,59 @@ def test_singular_gram_detected():
         orthogonal_projection([LINE, [2 * x for x in LINE]])
 
 
+_FRACTIONS = st.builds(F, st.integers(-4, 4), st.integers(1, 6))
+
+
+@st.composite
+def rational_bases(draw):
+    """Columns of mixed denominators in Q^m; sometimes the last is a
+    combination of the first two, or a column is zero."""
+    m = draw(st.integers(1, 6))
+    k = draw(st.integers(1, m))
+    cols = draw(st.lists(st.lists(_FRACTIONS, min_size=m, max_size=m), min_size=k, max_size=k))
+    if k >= 2 and draw(st.booleans()):
+        a, b = draw(_FRACTIONS), draw(_FRACTIONS)
+        cols[-1] = [a * x + b * y for x, y in zip(cols[0], cols[1])]
+    return cols
+
+
+@given(rational_bases())
+@settings(max_examples=150, deadline=None)
+def test_orthogonal_projection_matches_the_fraction_formula(cols):
+    try:
+        want = fraction_orthogonal_projection(cols)
+    except SingularGram:
+        with pytest.raises(SingularGram):
+            orthogonal_projection(cols)
+        return
+    p = orthogonal_projection(cols)
+    assert p == want
+    assert all(type(row) is list for row in p) and len({id(row) for row in p}) == len(p)
+
+
+@pytest.mark.parametrize("cols", [[[1, 1, 0, 0], [0, 1, 1]], [[0, 1, 1], [1, 1, 0, 0]],
+                                  [[1, 1, 0], [0, 1, 1, 5]], [[0, 1, 1, 5], [1, 1, 0]]],
+                         ids=["4-3", "3-4", "3-4-five", "4-3-five"])
+def test_ragged_bases_are_rejected_before_any_row_is_built(monkeypatch, cols):
+    def stop(*args, **kwargs):
+        raise _Captured
+
+    monkeypatch.setattr(projections, "_min_proj_rows", stop)
+    monkeypatch.setattr(projections, "_gauss_jordan", stop)
+    for ambient_dim in (3, 4):
+        with pytest.raises(ValidationError):
+            minimal_projection_lp(cols, ambient_dim)
+    with pytest.raises(ValidationError, match="different lengths"):
+        orthogonal_projection(cols)
+
+
+def test_a_basis_of_another_ambient_dimension_is_rejected():
+    with pytest.raises(ValidationError, match="ambient dimension"):
+        minimal_projection_lp([[1, 1, 0]], 4)
+    with pytest.raises(ValidationError, match="ambient dimension"):
+        minimal_projection_lp([[1, 1, 0, 0], [0, 1, 1, 0]], 3)
+
+
 def test_minimal_projection_line_in_l1_four():
     lam, p = minimal_projection_lp([LINE], 4)
     assert abs(lam - 1) < 1e-7
@@ -81,19 +135,19 @@ def _cycle_cols(graph):
 
 def test_minimal_projection_lp_size_cap(monkeypatch):
     # refused before any row is built, in both modes: the nonzero count
-    # kN + 2m(N + m) + m(m + 1) comes from N = nnz(B) alone
+    # kN + mN + 4m^2 + m of the split form comes from N = nnz(B) alone
     cols = _cycle_cols(diamond(4))
     assert (len(cols), len(cols[0])) == (85, 256)
     l3 = laakso(3)
     for mode in ("float", "exact"):
         start = time.perf_counter()
-        with pytest.raises(ResourceLimit, match="672,076 nonzeros"):
+        with pytest.raises(ResourceLimit, match="533,836 nonzeros"):
             minimal_projection_lp(cols, 256, mode=mode)
         assert time.perf_counter() - start < 1.0
-        with pytest.raises(ResourceLimit, match="284,584 nonzeros"):
+        with pytest.raises(ResourceLimit, match="265,576 nonzeros"):
             minimal_projection_lp(_cycle_cols(l3), len(l3.edges), mode=mode)
 
-    # D_2, L_2 and D_3 (35,596 nonzeros) stay admitted: their sparse rows
+    # D_2, L_2 and D_3 (29,708 nonzeros) stay admitted: their sparse rows
     # reach HiGHS in both modes, and the exact mode builds no dense form
     def stop(*args, **kwargs):
         raise _Captured
@@ -238,6 +292,21 @@ def test_average_projection_rejects_an_operator_that_is_not_a_projection():
         average_projection([[F(2), F(0)], [F(0), F(0)]], [linalg.identity(2)])
 
 
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([0, 0, F(1), F(-1), F(1, 2)]), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+@settings(max_examples=150, deadline=None)
+def test_average_projection_accepts_exactly_the_projections(p):
+    # the projection check runs on a fraction-free echelon basis of the
+    # range, here of matrices of every rank; P P = P is the reference
+    identity = permutation_matrix(list(range(len(p))))
+    if is_idempotent(p):
+        assert average_projection(p, [identity]) == p
+    else:
+        with pytest.raises(ValidationError, match="not a projection"):
+            average_projection(p, [identity])
+
+
 def _skew(p, x):
     """P + P X (I - P): a projection with the range of P, for any X."""
     n = len(p)
@@ -341,17 +410,17 @@ def test_laakso_two_minimal_projection_averages_over_its_256_element_group():
     assert time.perf_counter() - start < 10.0
     assert len(group) == 256
     assert all(check_invariance(avg, gmat) for gmat in gens)
-    assert all(linalg.mat_vec(avg, c) == c for c in cols)
+    assert all(mat_vec(avg, c) == c for c in cols)
     for j in range(len(g.edges)):
         col = EdgeVector(g, {e.id: avg[g.edge_order[e.id]][j] for e in g.edges})
-        assert boundary(col).is_zero()
+        assert not boundary(col).coeffs
     assert l1_norm(avg) <= l1_norm(p)
     assert avg != orthogonal_projection(cols)  # invariant projections are not unique
 
 
 def test_a_feasible_but_not_optimal_vertex_raises(monkeypatch):
     # HiGHS is made to return, on L_2, the orthogonal projection's A with
-    # s = |P| and t = ||P||_1 = 19/12 > 22/15, keeping the optimum's dual
+    # P+ - P- = P and t = ||P||_1 = 19/12 > 22/15, keeping the optimum's dual
     # values: its active system gives back that A exactly, and then no
     # dual satisfies complementary slackness with it
     g = laakso(2)
@@ -363,7 +432,8 @@ def test_a_feasible_but_not_optimal_vertex_raises(monkeypatch):
     t = l1_norm(p)
     assert t == F(19, 12)
     x = np.array([float(v) for v in [*(v for row in a for v in row),
-                                     *(abs(v) for row in p for v in row), t]])
+                                     *(max(v, 0) for row in p for v in row),
+                                     *(max(-v, 0) for row in p for v in row), t]])
     real, real_primal = projections.linprog, projections._min_proj_primal
     primal = []
 
@@ -510,17 +580,22 @@ def _random_connected_graph(rng):
 @pytest.mark.parametrize("graph", [diamond(1), laakso(1), diamond(2), laakso(2)],
                          ids=["D1", "L1", "D2", "L2"])
 def test_highs_input_matches_the_dense_float_rows(monkeypatch, graph):
+    # the split form: m column-sum rows, k^2 + m^2 equality rows
     seen = {}
     real = projections.linprog
 
     def capture(c, A_ub, b_ub, A_eq, b_eq, bounds, method):
-        seen.update(A_ub=A_ub.toarray(), b_ub=b_ub, A_eq=A_eq.toarray(), b_eq=b_eq)
+        seen.update(A_ub=A_ub.toarray(), b_ub=b_ub, A_eq=A_eq.toarray(), b_eq=b_eq,
+                    bounds=bounds)
         return real(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method=method)
 
     monkeypatch.setattr(projections, "linprog", capture)
     cols = _cycle_cols(graph)
     minimal_projection_lp(cols, len(graph.edges))
-    for key, want in zip(("A_ub", "b_ub", "A_eq", "b_eq"), dense_min_proj_float_rows(cols)):
+    m, k = len(cols[0]), len(cols)
+    assert seen["A_ub"].shape[0] + seen["A_eq"].shape[0] == m * m + k * k + m
+    for key, want in zip(("A_ub", "b_ub", "A_eq", "b_eq", "bounds"),
+                         dense_min_proj_split_rows(cols)):
         assert np.array_equal(np.asarray(seen[key], dtype=float), want), key
 
 
@@ -606,6 +681,24 @@ def test_cycle_projection_certificate():
     assert projections.cycle_projection_certificate(g, linalg.zeros(16, 16)) == (False, True)
     with pytest.raises(ValidationError, match="square"):
         projections.cycle_projection_certificate(g, p[:15])
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(["orthogonal", "skew", "kicked", "doubled"]),
+       _FRACTIONS)
+@settings(max_examples=80, deadline=None)
+def test_cycle_projection_certificate_matches_the_dense_oracle(seed, kind, kick):
+    # projections onto Z (orthogonal and skew) and perturbed non-projections
+    rng = random.Random(seed)
+    graph = _random_connected_graph(rng)
+    p = orthogonal_projection(_cycle_cols(graph))
+    m = len(p)
+    if kind != "orthogonal":
+        p = _skew(p, [[F(rng.randint(-2, 2)) for _ in range(m)] for _ in range(m)])
+    if kind == "kicked":
+        p[rng.randrange(m)][rng.randrange(m)] += kick
+    elif kind == "doubled":
+        p = [[2 * x for x in row] for row in p]
+    assert projections.cycle_projection_certificate(graph, p) == fraction_cycle_certificate(graph, p)
 
 
 def test_minimal_projection_constant_of_diamond_three():

@@ -10,7 +10,7 @@ from freelip.cyclespace import EdgeVector, boundary, fundamental_cycle_basis
 from freelip.errors import NotInvariant, ResourceLimit, TrivialCycleSpace, ValidationError
 from freelip.graphs import (diamond, diamond_base, k2n_base, laakso,
                             laakso_base, path, recursive_family)
-from freelip.projections import (check_invariance, l1_norm,
+from freelip.projections import (check_invariance, generate_group, l1_norm,
                                  minimal_projection_lp, orthogonal_projection)
 from freelip.recursive import (TensorVector, annihilation_check, c_type_vectors,
                                check_conditions, delta_power, edge_map_matrix,
@@ -18,7 +18,8 @@ from freelip.recursive import (TensorVector, annihilation_check, c_type_vectors,
                                laakso_nonunique_projection, profile_base,
                                vertical_automorphism, witness)
 
-from oracles import fraction_tensor_l1, fraction_tensor_materialize, is_idempotent
+from oracles import (dense_annihilation_failures, fraction_tensor_l1, fraction_tensor_materialize,
+                     is_idempotent, mat_vec)
 
 @pytest.mark.parametrize("base,alpha,height,count", [
     (diamond_base(), F(1), 2, 2),
@@ -33,7 +34,7 @@ def test_profile_values(base, alpha, height, count):
     assert prof.geodesic_count == count
     assert prof.delta.l1() == 1
     assert prof.c.permute(prof.vertical_edges) == -prof.c
-    assert boundary(prof.d).is_zero()  # d(B) lies in the cycle space
+    assert not boundary(prof.d).coeffs  # d(B) lies in the cycle space
 
 
 def test_profile_c_structure():
@@ -78,7 +79,7 @@ def test_type_two_vectors_fixed_by_vertical(base):
             w = EdgeVector(g, {f"{eid}/{suffix}" if suffix else eid: fv * dv
                                for eid, fv in f.coeffs.items()
                                for suffix, dv in dpow.items()})
-            assert boundary(w).is_zero()
+            assert not boundary(w).coeffs
             assert w.permute(vmap) == w
 
 
@@ -111,7 +112,7 @@ def test_orthogonal_projection_annihilates_c_vectors(base, graph):
     assert report["all_annihilated"]
     # range vectors are fixed, not annihilated
     z = fundamental_cycle_basis(graph).vectors[0].dense()
-    assert linalg.mat_vec(p, z) == z
+    assert mat_vec(p, z) == z
 
 
 def test_annihilation_rejects_non_invariant_projection():
@@ -128,6 +129,57 @@ def test_annihilation_rejects_non_invariant_projection():
     assert is_idempotent(p)
     with pytest.raises(NotInvariant):
         annihilation_check(p, prof, 2, g)
+
+
+_ANNIHILATION_CASES = {"D1": (diamond_base(), diamond(1), 1), "L1": (laakso_base(), laakso(1), 1),
+                       "D2": (diamond_base(), diamond(2), 2)}
+_COEFFICIENTS = st.sampled_from([0, 0, F(1, 2), F(-2, 3)])
+
+
+@functools.cache
+def _invariance_group(name):
+    """(profile, graph, level, orthogonal projection, the top-level c-type
+    vector, index maps of the group the invariance generators generate)
+    for a case."""
+    base, graph, level = _ANNIHILATION_CASES[name]
+    prof = profile_base(base)
+    gens = [edge_map_matrix(graph, emap) for emap in invariance_generators(prof, level, graph).values()]
+    maps = [[[r for r, row in enumerate(g) if row[c]][0] for c in range(len(g))]
+            for g in generate_group(gens)]
+    p = orthogonal_projection([v.dense() for v in fundamental_cycle_basis(graph).vectors])
+    return prof, graph, level, p, c_type_vectors(prof, level, graph)[-1].dense(), maps
+
+
+@given(st.sampled_from(sorted(_ANNIHILATION_CASES)), _COEFFICIENTS, _COEFFICIENTS, _COEFFICIENTS,
+       st.one_of(st.just(None), st.lists(st.integers(-2, 2), min_size=256, max_size=256)),
+       st.sampled_from([0, 0, F(1, 5)]))
+@settings(max_examples=60, deadline=None)
+def test_annihilation_failures_match_the_dense_oracle(name, a, b, c, entries, kick):
+    # P_Z + a I + b J + c u u^T (u the top-level c-type vector, which every
+    # generator maps to +-u) + the group average of a random E commutes with
+    # the invariance group and kills some, all or none of the c-type
+    # vectors; a kick to one entry usually breaks the invariance
+    prof, graph, level, p, u, maps = _invariance_group(name)
+    m = len(p)
+    q = [[x + a * (i == j) + b + c * u[i] * u[j] for j, x in enumerate(row)] for i, row in enumerate(p)]
+    if entries is not None:
+        e = [entries[i * m:(i + 1) * m] for i in range(m)]
+        q = [[x + F(sum(e[s[i]][s[j]] for s in maps), len(maps)) for j, x in enumerate(row)]
+             for i, row in enumerate(q)]
+    q[0][1] += kick
+    want = dense_annihilation_failures(q, prof, level, graph)
+    if want is None:
+        with pytest.raises(NotInvariant):
+            annihilation_check(q, prof, level, graph)
+    else:
+        report = annihilation_check(q, prof, level, graph)
+        assert report["failures"] == want and report["all_annihilated"] == (not want)
+
+
+def test_annihilation_check_rejects_a_matrix_of_the_wrong_size():
+    prof = profile_base(diamond_base())
+    with pytest.raises(ValidationError, match="square"):
+        annihilation_check(linalg.identity(15), prof, 2, diamond(2))
 
 
 def test_invariance_generator_matrices_preserve_cycles():
@@ -172,7 +224,7 @@ def test_witness_flat_cross_check():
     flat_sum = w.sum_vector.materialize(g)
     assert flat_c.l1() == w.norm_c == F(15, 8)
     assert flat_sum.l1() == w.norm_sum == 1
-    assert boundary(flat_c).is_zero()  # C_r lies in the cycle space
+    assert not boundary(flat_c).coeffs  # C_r lies in the cycle space
 
 
 @pytest.mark.parametrize("base", [diamond_base(), k2n_base(3), laakso_base()],
