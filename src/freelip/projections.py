@@ -81,8 +81,12 @@ def linf_norm(p) -> Fraction:
 
 def _integer_rows(p) -> tuple:
     """(N, d): the rational matrix p as rows of integers N over the lcm d
-    of its denominators, so that p = N / d."""
-    d = math.lcm(*{x.denominator for row in p for x in row})
+    of its denominators, so that p = N / d.  Entries without a denominator,
+    such as floats, are read exactly as Fractions first."""
+    try:
+        d = math.lcm(*{x.denominator for row in p for x in row})
+    except AttributeError:
+        return _integer_rows([[Fraction(x) for x in row] for row in p])
     return [[x.numerator * (d // x.denominator) for x in row] for row in p], d
 
 

@@ -681,6 +681,12 @@ def test_cycle_projection_certificate():
     assert projections.cycle_projection_certificate(g, linalg.zeros(16, 16)) == (False, True)
     with pytest.raises(ValidationError, match="square"):
         projections.cycle_projection_certificate(g, p[:15])
+    # float entries are read exactly, as the Fractions they equal
+    p1 = orthogonal_projection(_cycle_cols(diamond(1)))
+    as_floats = [[float(x) for x in row] for row in p1]
+    assert projections.cycle_projection_certificate(diamond(1), as_floats) == (True, True)
+    assert check_invariance(as_floats, permutation_matrix([1, 0, 3, 2])) == \
+        check_invariance(p1, permutation_matrix([1, 0, 3, 2]))
 
 
 @given(st.integers(0, 10 ** 6), st.sampled_from(["orthogonal", "skew", "kicked", "doubled"]),
