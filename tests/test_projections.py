@@ -5,7 +5,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freelip import cyclespace, linalg, simplex
 from freelip.cyclespace import EdgeVector, boundary, fundamental_cycle_basis
@@ -70,7 +70,8 @@ def rational_bases(draw):
     combination of the first two, or a column is zero."""
     m = draw(st.integers(1, 6))
     k = draw(st.integers(1, m))
-    cols = draw(st.lists(st.lists(_FRACTIONS, min_size=m, max_size=m), min_size=k, max_size=k))
+    entry = st.one_of(st.just(F(0)), _FRACTIONS, _FRACTIONS)   # zeros in the Gram matrix too
+    cols = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=k, max_size=k))
     if k >= 2 and draw(st.booleans()):
         a, b = draw(_FRACTIONS), draw(_FRACTIONS)
         cols[-1] = [a * x + b * y for x, y in zip(cols[0], cols[1])]
@@ -78,6 +79,8 @@ def rational_bases(draw):
 
 
 @given(rational_bases())
+@example([[2, 0, 1], [0, 3, 0]])                 # a zero off the Gram diagonal, pivots != 1
+@example([[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]])    # dependent
 @settings(max_examples=150, deadline=None)
 def test_orthogonal_projection_matches_the_fraction_formula(cols):
     try:
