@@ -134,9 +134,9 @@ def cmd_projconst(args):
     cols = [v.dense() for v in fundamental_cycle_basis(g).vectors]
     if not cols:
         raise ValidationError("graph has a trivial cycle space")
+    lam, invariant_under = None, []
     if args.proj_mode == "orthogonal":
         p = projections.orthogonal_projection(cols)
-        lam = None
     elif args.proj_mode == "minimal":
         lam, p = projections.minimal_projection_lp(cols, len(g.edges), mode="exact")
     else:  # averaged
@@ -145,12 +145,13 @@ def cmd_projconst(args):
         mats = [edge_map_matrix(g, emap) for emap in json_key(_load(args.generators), "maps")]
         group = projections.generate_group(mats)
         p = projections.average_projection(projections.orthogonal_projection(cols), group)
-        lam = None
+        # the indices of the --generators maps that P commutes with
+        invariant_under = [i for i, mat in enumerate(mats) if projections.check_invariance(p, mat)]
     report = projections.ProjectionReport(
         operator=p, range_basis=cols,
         norm_l1=projections.l1_norm(p), norm_linf=projections.linf_norm(p),
         is_projection=all(projections.cycle_projection_certificate(g, p)),
-        label=args.proj_mode)
+        invariant_under=invariant_under, label=args.proj_mode)
     payload = report.to_json()
     if lam is not None:
         payload["lambda"] = num_to_json(lam)

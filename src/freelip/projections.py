@@ -9,10 +9,15 @@ d of its denominators, linear systems go through one fraction-free
 Gauss-Jordan elimination (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", 1968), and Fractions are made
 only for a returned matrix, one per distinct numerator.  The
-minimal-projection LP is built in split form as sparse matrices and solved
-by HiGHS in floats; the vertex it returns is then certified over Q, by an
-exact solve of its active primal system and of the complementary dual, so
-the projection constant it reports is exact and proven optimal.
+minimal-projection LP is posed on merged coordinates, one per class of
+proportional nonzero rows of the basis, which keeps the projection
+constant; it is built in split form as sparse matrices and solved by
+HiGHS in floats, and the vertex it returns is then certified over Q, by
+an exact solve of its active primal system and of the complementary
+dual, so the projection constant it reports is exact and proven optimal.
+The projection is lifted back to the full coordinates and checked there.
+When the classes are as many as the basis vectors, the subspace is all of
+the class-constant vectors and needs no LP.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .errors import (GroupClosureOverflow, NotInvariantSubspace, ResourceLimit,
 from .rational import ZERO
 
 GROUP_CAP = 10 ** 6             # elements of a generated group
-MAX_LP_NONZEROS = 10 ** 5        # of a minimal-projection LP: D_3's has 29,708, L_3's 265,576
+MAX_LP_NONZEROS = 10 ** 5        # of a merged minimal-projection LP: L_3's 40,049, D_4's 150,438
 
 
 @dataclass
@@ -397,7 +402,8 @@ _PATTERN_TOL = 1e-7  # a float value, or a float gap to a bound, below it reads 
 def _min_proj_rows(b: list):
     """The minimal-projection LP in split form,  min t  s.t.  A B = I,
     (B A)_ij - P+_ij + P-_ij = 0,  sum_i (P+_ij + P-_ij) <= t,  for B given
-    as m integer rows, as scipy CSR matrices (A_ub, A_eq).
+    as m integer rows (minimal_projection_lp passes the merged rows B'), as
+    scipy CSR matrices (A_ub, A_eq).
 
     Variables: A (k x m, free) at l m + j, P+ and P- (m x m, >= 0) at
     k m + i m + j and k m + m^2 + i m + j, and t (>= 0) last.  A_eq has the
@@ -415,7 +421,7 @@ def _min_proj_rows(b: list):
     bi, bl = np.nonzero(bm)
     size = k * len(bi) + m * len(bi) + 4 * m * m + m
     if size > MAX_LP_NONZEROS:
-        raise ResourceLimit(f"minimal projection LP for m = {m}, k = {k} has "
+        raise ResourceLimit(f"minimal projection LP on m = {m} merged coordinates, k = {k} has "
                             f"{size:,} nonzeros (cap {MAX_LP_NONZEROS:,})")
     bv = bm[bi, bl]
     na, mm, kk, j = k * m, m * m, k * k, np.arange(m)
@@ -612,44 +618,113 @@ def _min_proj_dual(b: list, pn: list, d: int, marg_eq, marg_ub) -> tuple:
     return y, mus, ww, den
 
 
-def minimal_projection_lp(basis_cols: list, ambient_dim: int, mode: str = "float"):
-    """Relative projection constant lambda of span(basis) in l1^m, with a
-    projection P onto it of l1 norm lambda, both exact.
+def _merge_rows(b: list) -> tuple:
+    """The rows of B merged by proportionality, as (B', cls, s, w).
 
-    HiGHS solves the LP of _min_proj_rows, and the vertex it returns is
-    certified in exact arithmetic, as in Applegate, Cook, Dash and
-    Espinoza, "Exact solutions to linear programming problems" (2007):
-    _min_proj_primal solves the vertex's active system over Q, A B = I and
-    ||B A||_1 = t are checked exactly, and _min_proj_dual solves the
-    complementary dual over Q and checks that it proves no projection onto
-    the span has a smaller norm.  A vertex that fails any check raises
-    SolverFailure; there is no fallback.  Returns (lambda, P), lambda a
-    float in mode 'float' and a Fraction in mode 'exact'.
+    Each nonzero integer row b_i is s_i r_c, with r_c its class's row
+    divided by the gcd of its entries and signed so that its first nonzero
+    entry is positive; classes are numbered in order of first appearance.
+    B' has the row w_c r_c for class c, with w_c = sum of |s_i| over the
+    class; cls[i] = c and s[i] = s_i, or None and 0 for a zero row, and
+    w[c] = w_c.
+    """
+    index: dict = {}                # r_c -> c
+    weight = []
+    cls, s = [], []
+    for row in b:
+        g = math.gcd(*row)
+        if not g:
+            cls.append(None)
+            s.append(0)
+            continue
+        if next(x for x in row if x) < 0:
+            g = -g
+        c = index.setdefault(tuple(x // g for x in row), len(index))
+        if c == len(weight):
+            weight.append(0)
+        weight[c] += abs(g)
+        cls.append(c)
+        s.append(g)
+    return [[w * x for x in r] for r, w in zip(index, weight)], cls, s, weight
+
+
+def minimal_projection_lp(basis_cols: list, ambient_dim: int, mode: str = "float"):
+    """Relative projection constant lambda of Z = span(basis) in l1^m,
+    with a projection P onto Z of l1 norm lambda, both exact.
+
+    The LP runs on merged coordinates.  With the rows of B merged by
+    _merge_rows (b_i = s_i r_c, B' with rows w_c r_c, m' classes), let
+    J : l1^m' -> l1^m send y to J(y)_i = s_i y_c / w_c (0 on zero rows)
+    and E : l1^m -> l1^m' send x to E(x)_c = sum over i in c of
+    sign(s_i) x_i.  J is an isometry, ||E|| <= 1, E J = I and B = J B',
+    so Z = J(Z') for Z' = span B'.  For a projection P onto Z, E P J is a
+    projection onto Z' of norm at most ||P||; for a projection P' onto Z',
+    J P' E is a projection onto Z of norm at most ||P'||.  So
+    lambda(Z) = lambda(Z'), and P' = B' A' lifts to P = B A with A = A' E,
+    that is A_lj = sign(s_j) A'_l,c(j), 0 on zero rows.
+
+    When m' = k and B' has rank k (exactly checked), Z' is all of l1^m'
+    (every 1-dimensional Z is such), so lambda = 1 and P = J E with no LP.
+    Otherwise HiGHS solves the LP of _min_proj_rows on B', and the vertex
+    it returns is certified in exact arithmetic, as in Applegate, Cook,
+    Dash and Espinoza, "Exact solutions to linear programming problems"
+    (2007): _min_proj_primal solves the vertex's active system over Q, and
+    _min_proj_dual solves the complementary dual over Q and checks that it
+    proves no projection onto Z' has a smaller norm.  The lifted A B = I
+    and ||B A||_1 = t are checked exactly on the full B.  A vertex that
+    fails any check raises SolverFailure, as does a dependent basis; there
+    is no fallback.  Returns (lambda, P), lambda a float in mode 'float'
+    and a Fraction in mode 'exact'.
     """
     if not basis_cols or any(len(col) != ambient_dim for col in basis_cols):
         raise ValidationError("basis does not match the ambient dimension")
     b = _integer_basis(basis_cols)
-    m, k = len(b), len(b[0])
-    a_ub, a_eq = _min_proj_rows(b)
+    bm, cls, s, weight = _merge_rows(b)
+    m, k, mm = len(b), len(b[0]), len(bm)
+    sign = [(x > 0) - (x < 0) for x in s]
+    if mm <= k:
+        if mm < k or len(_gauss_jordan(bm, k)[1]) < k:
+            raise SolverFailure("the basis columns are linearly dependent")
+        # P = J E: P_ij = s_i sign(s_j) / w_c when i and j are both in class c
+        den = math.lcm(*weight)
+        num = [[si * sj * (den // weight[ci]) if ci is not None and ci == cj else 0
+                for cj, sj in zip(cls, sign)] for ci, si in zip(cls, s)]
+        lam = Fraction(1)
+        return (lam if mode == "exact" else float(lam)), _fractions(num, den)
+    a_ub, a_eq = _min_proj_rows(bm)
     nv = a_eq.shape[1]
     bounds = np.zeros((nv, 2))
     bounds[:, 1] = np.inf
-    bounds[:k * m, 0] = -np.inf                 # A is free
-    res = linprog(np.r_[np.zeros(nv - 1), 1.0], A_ub=a_ub, b_ub=np.zeros(m),
-                  A_eq=a_eq, b_eq=np.r_[np.eye(k).ravel(), np.zeros(m * m)],
+    bounds[:k * mm, 0] = -np.inf                # A' is free
+    res = linprog(np.r_[np.zeros(nv - 1), 1.0], A_ub=a_ub, b_ub=np.zeros(mm),
+                  A_eq=a_eq, b_eq=np.r_[np.eye(k).ravel(), np.zeros(mm * mm)],
                   bounds=bounds, method="highs")
     if not res.success:
         raise SolverFailure(f"minimal projection LP failed: {res.message}")
-    n, d, t = _min_proj_primal(b, res.x)
-    if any(sum(n[l][j] * row[lp] for j, row in enumerate(b)) != d * (l == lp)
-           for l in range(k) for lp in range(k)):
+    n, d, t = _min_proj_primal(bm, res.x)
+    pm = [[sum(c * n[l][j] for l, c in enumerate(row) if c) for j in range(mm)] for row in bm]
+    _min_proj_dual(bm, pm, d, res.eqlin.marginals, res.ineqlin.marginals)
+    # The lift, checked on the full B: A = A' E, and P = B A read off the
+    # m x m' product B A' by the column map j -> sign(s_j) (B A')_i,c(j).
+    a = [[sj * row[c] if sj else 0 for c, sj in zip(cls, sign)] for row in n]
+    rows_b = [[(l, c) for l, c in enumerate(row) if c] for row in b]
+    ab = [[0] * k for _ in range(k)]
+    for row_a, row_ab in zip(a, ab):
+        for aj, row in zip(row_a, rows_b):
+            if aj:
+                for lp, c in row:
+                    row_ab[lp] += aj * c
+    if any(ab[l][lp] != d * (l == lp) for l in range(k) for lp in range(k)):
         raise SolverFailure("the exact vertex does not satisfy A B = I")
-    pn = [[sum(c * n[l][j] for l, c in enumerate(row) if c) for j in range(m)] for row in b]
-    top = max(sum(abs(row[j]) for row in pn) for j in range(m))
-    if top != t:
+    pn = []
+    for row in rows_b:
+        acc = [0] * mm
+        for l, c in row:
+            acc = [x + c * y for x, y in zip(acc, n[l])]
+        pn.append([sj * acc[c] if sj else 0 for c, sj in zip(cls, sign)])
+    if max(sum(abs(row[j]) for row in pn) for j in range(m)) != t:
         raise SolverFailure("the exact vertex has ||B A||_1 != t")
-    _min_proj_dual(b, pn, d, res.eqlin.marginals, res.ineqlin.marginals)
-    lam = Fraction(top, d)
+    lam = Fraction(t, d)
     return (lam if mode == "exact" else float(lam)), _fractions(pn, d)
 
 

@@ -140,12 +140,14 @@ def multibranch(rng, pairs):
 
 
 def minimal_projections(rng):
-    """lambda(Z(D_1)) = lambda(Z(L_1)) = 1 and lambda(Z(D_2)) >= 5/3."""
+    """Exact, certified projection constants of cycle spaces:
+    lambda(Z(D_1)) = lambda(Z(L_1)) = 1, lambda(Z(D_2)) = 7/4 and
+    lambda(Z(L_2)) = 22/15."""
     def check():
-        lam1, lam2, lam3 = (projections.minimal_projection_lp(_cycle_columns(g), len(g.edges))[0]
-                            for g in (diamond(1), laakso(1), diamond(2)))
-        ok = abs(lam1 - 1) < 1e-7 and abs(lam2 - 1) < 1e-7 and lam3 >= 5 / 3 - 1e-7
-        return "1, 1, >= 5/3", f"{lam1:.6f}, {lam2:.6f}, {lam3:.6f}", ok
+        want = [Fraction(1), Fraction(1), Fraction(7, 4), Fraction(22, 15)]
+        lams = [projections.minimal_projection_lp(_cycle_columns(g), len(g.edges), mode="exact")[0]
+                for g in (diamond(1), laakso(1), diamond(2), laakso(2))]
+        return ", ".join(map(fmt, want)), ", ".join(map(fmt, lams)), lams == want
     return [_row("minimal-projections", check)]
 
 

@@ -28,7 +28,8 @@ and as a dense standard form over Q, each with its own loops instead of
 index arrays for sparse matrices; the two-phase simplex on the standard
 form is the reference for the exact projection constant, which the
 library reads from a HiGHS vertex certified by exact primal and dual
-solves.
+solves; and the merge of proportional basis rows scales each row by
+Fraction ratios to its first nonzero entry instead of dividing by gcds.
 """
 
 import heapq
@@ -552,3 +553,30 @@ def dense_min_proj_standard_form(bcols: list):
     cost = [ZERO] * (nv + n_extra)
     cost[2 * na + ns] = Fraction(1)
     return final_rows, rhs + [ZERO] * n_extra, cost
+
+
+def merged_rows(b: list) -> tuple:
+    """(rows, cls, s, w) for the m rows b of a basis: the nonzero rows
+    grouped by the ray they span, in order of first appearance.  Row b_i is
+    s_i r_c, with r_c the primitive integer vector on its ray whose first
+    nonzero entry is positive; w_c is the sum of |s_i| over class c, and
+    class c's row is w_c r_c.  cls[i] is None and s[i] is 0 on a zero
+    row."""
+    rays, rows, w, cls, s = {}, [], [], [], []
+    for row in b:
+        row = [Fraction(x) for x in row]
+        lead = next((x for x in row if x), None)
+        if lead is None:
+            cls.append(None)
+            s.append(ZERO)
+            continue
+        unit = [x / lead for x in row]
+        den = lcm(*(x.denominator for x in unit))
+        ray = tuple(int(x * den) for x in unit)    # primitive: unit has a 1
+        c = rays.setdefault(ray, len(rays))
+        if c == len(w):
+            w.append(ZERO)
+        w[c] += abs(lead / den)
+        cls.append(c)
+        s.append(lead / den)
+    return [[wc * x for x in ray] for ray, wc in zip(rays, w)], cls, s, w

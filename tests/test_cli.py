@@ -152,7 +152,7 @@ def test_haar_plot_data(tmp_path):
     assert lines[1].split() == ["2", "1.75"]
 
 
-def test_projconst_averaged_mode(tmp_path, capsys):
+def test_projconst_averaged_mode(tmp_path, capsys, monkeypatch):
     g = tmp_path / "g.json"
     gens = tmp_path / "gens.json"
     run_cli("gen", "--family", "diamond", "--level", "1", "--out", str(g))
@@ -166,6 +166,24 @@ def test_projconst_averaged_mode(tmp_path, capsys):
                    "--generators", str(gens)) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["is_projection"]
+    # "invariant_under" lists the indices of the maps that check_invariance
+    # accepts for the printed P: the average commutes with both
+    assert out["invariant_under"] == [0, 1]
+    checked = []
+    real = projections.check_invariance
+
+    def reject_second(p, mat):
+        checked.append(p == [[F(x) for x in row] for row in out["operator"]])
+        return real(p, mat) and len(checked) != 2
+
+    monkeypatch.setattr(projections, "check_invariance", reject_second)
+    assert run_cli("projconst", "--graph", str(g), "--mode", "averaged",
+                   "--generators", str(gens)) == 0
+    assert json.loads(capsys.readouterr().out)["invariant_under"] == [0]
+    assert checked == [True, True]
+    # the other modes take no generators and list none
+    assert run_cli("projconst", "--graph", str(g), "--mode", "orthogonal") == 0
+    assert json.loads(capsys.readouterr().out)["invariant_under"] == []
 
 
 @pytest.mark.parametrize("emap", [

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction as F
+from math import lcm
 from unittest.mock import patch
 
 import numpy as np
@@ -13,7 +14,7 @@ from freelip import projections
 from freelip.errors import (GroupClosureOverflow, NotInvariantSubspace,
                             ResourceLimit, SingularGram, SolverFailure,
                             ValidationError)
-from freelip.graphs import Edge, TwoPoleGraph, diamond, laakso, path
+from freelip.graphs import Edge, TwoPoleGraph, diamond, laakso, multidiamond, path
 from freelip.projections import (average_projection,
                                  bm_upper_via_basis_map, check_invariance,
                                  generate_group, l1_norm, linf_norm,
@@ -24,7 +25,8 @@ from freelip.graphs import diamond_base, laakso_base
 from oracles import (all_vectors_bm_upper, dense_average_projection, dense_commutes,
                      dense_generate_group, dense_min_proj_split_rows,
                      dense_min_proj_standard_form, fraction_cycle_certificate,
-                     fraction_orthogonal_projection, is_idempotent, mat_add, mat_vec)
+                     fraction_orthogonal_projection, is_idempotent, mat_add, mat_vec,
+                     merged_rows)
 
 LINE = [F(1), F(1), F(-1), F(-1)]
 
@@ -136,27 +138,30 @@ def _cycle_cols(graph):
     return [v.dense() for v in fundamental_cycle_basis(graph).vectors]
 
 
+def _transpose(vectors):
+    """Columns as rows, or rows as columns."""
+    return [list(r) for r in zip(*vectors)]
+
+
 def test_minimal_projection_lp_size_cap(monkeypatch):
     # refused before any row is built, in both modes: the nonzero count
-    # kN + mN + 4m^2 + m of the split form comes from N = nnz(B) alone
+    # kN + mN + 4m^2 + m of the split form on the m merged coordinates
+    # comes from N = nnz(B') alone (D_4: 256 edges, 128 classes)
     cols = _cycle_cols(diamond(4))
     assert (len(cols), len(cols[0])) == (85, 256)
-    l3 = laakso(3)
     for mode in ("float", "exact"):
         start = time.perf_counter()
-        with pytest.raises(ResourceLimit, match="533,836 nonzeros"):
+        with pytest.raises(ResourceLimit, match="150,438 nonzeros"):
             minimal_projection_lp(cols, 256, mode=mode)
         assert time.perf_counter() - start < 1.0
-        with pytest.raises(ResourceLimit, match="265,576 nonzeros"):
-            minimal_projection_lp(_cycle_cols(l3), len(l3.edges), mode=mode)
 
-    # D_2, L_2 and D_3 (29,708 nonzeros) stay admitted: their sparse rows
-    # reach HiGHS in both modes, and the exact mode builds no dense form
+    # D_2, L_2, D_3 and L_3 (40,049 nonzeros) stay admitted: their sparse
+    # rows reach HiGHS in both modes, and the exact mode builds no dense form
     def stop(*args, **kwargs):
         raise _Captured
 
     monkeypatch.setattr(projections, "linprog", stop)
-    for graph in (diamond(2), laakso(2), diamond(3)):
+    for graph in (diamond(2), laakso(2), diamond(3), laakso(3)):
         for mode in ("float", "exact"):
             start = time.perf_counter()
             with pytest.raises(_Captured):
@@ -422,18 +427,22 @@ def test_laakso_two_minimal_projection_averages_over_its_256_element_group():
 
 
 def test_a_feasible_but_not_optimal_vertex_raises(monkeypatch):
-    # HiGHS is made to return, on L_2, the orthogonal projection's A with
-    # P+ - P- = P and t = ||P||_1 = 19/12 > 22/15, keeping the optimum's dual
-    # values: its active system gives back that A exactly, and then no
-    # dual satisfies complementary slackness with it
+    # HiGHS is made to return, on L_2's 11 merged coordinates, the
+    # orthogonal projection onto Z' = span B': A' = (B'^T B')^-1 B'^T with
+    # P+ - P- = P' = B' A' and t = ||P'||_1 = 16/9 > 22/15, keeping the
+    # optimum's dual values: its active system gives back that A' exactly,
+    # and then no dual satisfies complementary slackness with it
     g = laakso(2)
     cols = _cycle_cols(g)
-    m, k = len(cols[0]), len(cols)
-    a = linalg.solve([[sum(x * y for x, y in zip(c, d)) for d in cols] for c in cols], cols)
-    assert linalg.mat_mul(a, [[c[i] for c in cols] for i in range(m)]) == linalg.identity(k)
-    p = orthogonal_projection(cols)
+    rows = merged_rows(_transpose(cols))[0]
+    merged = _transpose(rows)                          # the columns of B'
+    m, k = len(rows), len(cols)
+    assert (m, k) == (11, 7)
+    a = linalg.solve([[sum(x * y for x, y in zip(c, d)) for d in merged] for c in merged], merged)
+    assert linalg.mat_mul(a, rows) == linalg.identity(k)
+    p = orthogonal_projection(merged)
     t = l1_norm(p)
-    assert t == F(19, 12)
+    assert t == F(16, 9)
     x = np.array([float(v) for v in [*(v for row in a for v in row),
                                      *(max(v, 0) for row in p for v in row),
                                      *(max(-v, 0) for row in p for v in row), t]])
@@ -450,7 +459,7 @@ def test_a_feasible_but_not_optimal_vertex_raises(monkeypatch):
                         lambda *args: primal.append(real_primal(*args)) or primal[-1])
     for mode in ("float", "exact"):
         with pytest.raises(SolverFailure):
-            minimal_projection_lp(cols, m, mode=mode)
+            minimal_projection_lp(cols, len(g.edges), mode=mode)
     for n, d, t_num in primal:
         assert [[F(v, d) for v in row] for row in n] == a and F(t_num, d) == t
     assert len(primal) == 2
@@ -580,14 +589,19 @@ def _random_connected_graph(rng):
     return TwoPoleGraph(tuple(f"v{i}" for i in range(n)), edges, f"v{n - 1}", "v0")
 
 
-@pytest.mark.parametrize("graph", [diamond(1), laakso(1), diamond(2), laakso(2)],
+@pytest.mark.parametrize("graph, classes", [(diamond(1), 1), (laakso(1), 1),
+                                            (diamond(2), 8), (laakso(2), 11)],
                          ids=["D1", "L1", "D2", "L2"])
-def test_highs_input_matches_the_dense_float_rows(monkeypatch, graph):
-    # the split form: m column-sum rows, k^2 + m^2 equality rows
+def test_highs_input_matches_the_dense_float_rows(monkeypatch, graph, classes):
+    # the split form on the merged coordinates, for B' from a merge written
+    # independently in the oracles: m' column-sum rows, k^2 + m'^2 equality
+    # rows; D_1 and L_1 have one class for their one cycle (m' = k), so
+    # they take the closed form P = J E and HiGHS is never called
     seen = {}
     real = projections.linprog
 
     def capture(c, A_ub, b_ub, A_eq, b_eq, bounds, method):
+        assert not seen
         seen.update(A_ub=A_ub.toarray(), b_ub=b_ub, A_eq=A_eq.toarray(), b_eq=b_eq,
                     bounds=bounds)
         return real(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method=method)
@@ -595,10 +609,15 @@ def test_highs_input_matches_the_dense_float_rows(monkeypatch, graph):
     monkeypatch.setattr(projections, "linprog", capture)
     cols = _cycle_cols(graph)
     minimal_projection_lp(cols, len(graph.edges))
-    m, k = len(cols[0]), len(cols)
+    rows = merged_rows(_transpose(cols))[0]
+    m, k = len(rows), len(cols)
+    assert m == classes
+    if m == k:
+        assert not seen
+        return
     assert seen["A_ub"].shape[0] + seen["A_eq"].shape[0] == m * m + k * k + m
     for key, want in zip(("A_ub", "b_ub", "A_eq", "b_eq", "bounds"),
-                         dense_min_proj_split_rows(cols)):
+                         dense_min_proj_split_rows(_transpose(rows))):
         assert np.array_equal(np.asarray(seen[key], dtype=float), want), key
 
 
@@ -648,32 +667,105 @@ def test_exact_lambda_matches_the_dense_oracle():
     _assert_exact_lambda_matches_the_dense_oracle(cases)
 
 
+def _assert_lifted_dual_certifies(cols, dual, lam):
+    # The dual (Y, mu', w', den) of the merged LP, lifted to the full LP by
+    # mu_j = mu'_c |s_j| / w_c and w_j = (s_j / w_c) E^T w'_c for c = c(j),
+    # where (E^T v)_i = sign(s_i) v_c(i), and rechecked on the full B:
+    # B^T w_j = Y^T b_j for every row b_j of B, |w_ij| <= mu_j, mu >= 0,
+    # sum mu = 1 and tr Y = lambda, which bound the norm of every projection
+    # onto span B below by lambda.  Everything is scaled to integers over
+    # big = den * lcm(w).
+    y, mu, w, den = dual
+    b = _transpose(cols)
+    assert all(type(x) is int or x.denominator == 1 for row in b for x in row)
+    b = [[int(x) for x in row] for row in b]
+    m, k = len(b), len(cols)
+    _, cls, s, wc = merged_rows(b)
+    s, wc = [int(x) for x in s], [int(x) for x in wc]
+    scale = lcm(*wc)
+    big = den * scale
+    lift_y = [[v * scale for v in row] for row in y]
+    lift_mu = [0 if c is None else mu[c] * abs(sj) * (scale // wc[c]) for c, sj in zip(cls, s)]
+    lift_w = [[0 if ci is None or cj is None else
+               sj * (scale // wc[cj]) * (1 if si > 0 else -1) * w[ci][cj]
+               for cj, sj in zip(cls, s)] for ci, si in zip(cls, s)]
+    col_nz = [[(i, row[l]) for i, row in enumerate(b) if row[l]] for l in range(k)]
+    for j in range(m):
+        for l in range(k):
+            assert sum(c * lift_w[i][j] for i, c in col_nz[l]) == \
+                sum(lift_y[r][l] * b[j][r] for r in range(k))
+        assert lift_mu[j] >= 0 and all(abs(lift_w[i][j]) <= lift_mu[j] for i in range(m))
+    assert sum(lift_mu) == big and F(sum(lift_y[l][l] for l in range(k)), big) == lam
+
+
 @pytest.mark.parametrize("graph, want", [(diamond(1), 1), (laakso(1), 1),
-                                         (diamond(2), F(7, 4)), (laakso(2), F(22, 15))],
-                         ids=["D1", "L1", "D2", "L2"])
+                                         (diamond(2), F(7, 4)), (laakso(2), F(22, 15)),
+                                         (multidiamond(2, 3), F(20, 9))],
+                         ids=["D1", "L1", "D2", "L2", "D23"])
 def test_exact_lambda_carries_a_dual_certificate(monkeypatch, graph, want):
-    seen = []
-    real = projections._min_proj_dual
+    seen, solved = [], []
+    real_dual, real_lp = projections._min_proj_dual, projections.linprog
     monkeypatch.setattr(projections, "_min_proj_dual",
-                        lambda *args: seen.append(real(*args)) or seen[-1])
+                        lambda *args: seen.append(real_dual(*args)) or seen[-1])
+    monkeypatch.setattr(projections, "linprog",
+                        lambda *args, **kwargs: solved.append(1) or real_lp(*args, **kwargs))
     cols = _cycle_cols(graph)
     lam, p = minimal_projection_lp(cols, len(graph.edges), mode="exact")
     assert lam == want and l1_norm(p) == lam
-    # recheck the dual here: B^T w_j = Y^T b_j for every row b_j of B,
-    # |w_ij| <= mu_j, mu >= 0, sum mu = 1 and tr Y = lambda, which bound the
-    # norm of every projection onto the cycle space below by lambda
-    (y, mu, w, den), = seen
-    m, k = len(cols[0]), len(cols)
-    b = [[int(col[i]) for col in cols] for i in range(m)]
-    assert all(col[i] == b[i][l] for l, col in enumerate(cols) for i in range(m))
-    y = [[F(v, den) for v in row] for row in y]
-    mu = [F(v, den) for v in mu]
-    w = [[F(v, den) for v in row] for row in w]
-    for j in range(m):
-        for l in range(k):
-            assert sum(b[i][l] * w[i][j] for i in range(m)) == sum(y[r][l] * b[j][r] for r in range(k))
-        assert mu[j] >= 0 and all(abs(w[i][j]) <= mu[j] for i in range(m))
-    assert sum(mu) == 1 and sum(y[l][l] for l in range(k)) == lam
+    assert projections.cycle_projection_certificate(graph, p) == (True, True)
+    if want == 1:
+        # one cycle, one class of rows: P = J E, no LP and no dual to check
+        assert not seen and not solved
+        return
+    assert len(seen) == len(solved) == 1
+    _assert_lifted_dual_certifies(cols, seen[0], lam)
+
+
+def _proportional_rows_case(rng):
+    """The columns of a random rational basis of rank k whose m <= 5 rows
+    repeat 2 to 4 base rows, some of them negatively scaled, plus zero
+    rows, in random order; None if the base rows are dependent or if
+    k m > 10, which keeps the dense oracle under a second."""
+    m0 = rng.randint(2, 4)
+    k = rng.randint(1, m0)
+    base = [[F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(k)]
+            for _ in range(m0)]
+    if linalg.rank(base) < k:
+        return None
+    rows = [list(r) for r in base]
+    for _ in range(rng.randint(1, 5 - m0) if m0 < 5 else 0):
+        kind = rng.choice(("repeat", "negative", "zero"))
+        if kind == "zero":
+            rows.append([F(0)] * k)
+        else:
+            f = F(1) if kind == "repeat" else -F(rng.randint(1, 3), rng.choice((1, 2)))
+            rows.append([f * x for x in rng.choice(base)])
+    if k * len(rows) > 10:
+        return None
+    rng.shuffle(rows)
+    return _transpose(rows)
+
+
+def test_exact_lambda_on_proportional_rows_matches_the_dense_oracle():
+    # the dense oracle solves the full, unmerged LP; six cases of each
+    # branch: m' = k (no LP) and m' > k (HiGHS on the merged rows)
+    rng = random.Random(18)
+    cases = {True: [], False: []}
+    while min(map(len, cases.values())) < 6:
+        cols = _proportional_rows_case(rng)
+        if cols is not None:
+            cases[len(merged_rows(_transpose(cols))[0]) == len(cols)].append(cols)
+    _assert_exact_lambda_matches_the_dense_oracle(cases[True][:6] + cases[False][:6])
+
+
+@pytest.mark.parametrize("cols", [[[1, 2], [2, 4]],                            # m' = 1 < k = 2
+                                  [[1, 0, 1], [0, 1, 1], [1, 1, 2]],           # m' = k = 3, rank 2
+                                  [[1, 0, 1, 1], [0, 1, 1, 2], [1, 1, 2, 3]]],  # m' = 4 > k, rank 2
+                         ids=["fewer-classes", "singular-square", "lp"])
+def test_a_dependent_basis_raises_in_every_branch(cols):
+    for mode in ("float", "exact"):
+        with pytest.raises(SolverFailure):
+            minimal_projection_lp(cols, len(cols[0]), mode=mode)
 
 
 def test_cycle_projection_certificate():
@@ -714,6 +806,24 @@ def test_minimal_projection_constant_of_diamond_three():
     g = diamond(3)
     start = time.perf_counter()
     lam, p = minimal_projection_lp(_cycle_cols(g), len(g.edges), mode="exact")
+    assert time.perf_counter() - start < 1.0        # about 0.1 s on 32 merged coordinates
     assert projections.cycle_projection_certificate(g, p) == (True, True)
-    assert time.perf_counter() - start < 30.0
     assert lam == F(39, 16) and l1_norm(p) == lam
+
+
+def test_minimal_projection_constant_of_laakso_three(monkeypatch):
+    # 216 edges, 43 cycles, 79 classes of rows; lambda is pinned only
+    # after the lifted dual passes on the full L_3
+    seen = []
+    real = projections._min_proj_dual
+    monkeypatch.setattr(projections, "_min_proj_dual",
+                        lambda *args: seen.append(real(*args)) or seen[-1])
+    g = laakso(3)
+    cols = _cycle_cols(g)
+    start = time.perf_counter()
+    lam, p = minimal_projection_lp(cols, len(g.edges), mode="exact")
+    assert time.perf_counter() - start < 10.0       # about 0.8 s
+    assert projections.cycle_projection_certificate(g, p) == (True, True)
+    assert l1_norm(p) == lam
+    _assert_lifted_dual_certifies(cols, seen[0], lam)
+    assert lam == F(13100, 6807)

@@ -34,9 +34,6 @@ KEPT = {
     "linalg.mat_mul":
         "BENCHMARK.json's per-layer metrics name it; the tests' dense Fraction "
         "oracles are built from it",
-    "projections.check_invariance":
-        "public test of P g = g P for one permutation matrix; annihilation_check and "
-        "laakso_nonunique_projection run its integer kernel on index maps directly",
     "haar_system.andrew_lower_bound":
         "the paper's averaging argument (Grunbaum 1960, Rudin 1962), not yet a claim",
     "metric.elementary_molecule":
