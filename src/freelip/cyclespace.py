@@ -30,13 +30,13 @@ class EdgeVector:
     coeffs: dict[str, Fraction]
 
     def __post_init__(self):
-        clean = {}
-        for eid, v in self.coeffs.items():
-            if eid not in self.graph.edge_by_id:
-                raise ValidationError(f"unknown edge id {eid!r}")
-            if v:
-                clean[eid] = v if type(v) is Fraction else Fraction(v)
-        object.__setattr__(self, "coeffs", clean)
+        known = self.graph.edge_by_id
+        if not self.coeffs.keys() <= known.keys():
+            eid = next(e for e in self.coeffs if e not in known)
+            raise ValidationError(f"unknown edge id {eid!r}")
+        object.__setattr__(self, "coeffs", {
+            eid: v if type(v) is Fraction else Fraction(v)
+            for eid, v in self.coeffs.items() if v})
 
     def __add__(self, other: "EdgeVector") -> "EdgeVector":
         if other.graph is not self.graph and other.graph != self.graph:

@@ -423,18 +423,24 @@ class TensorVector:
         """(den, coefficients, levels) over integers: the nonzero terms'
         coefficients and each level's factor entries scaled by their own
         least common denominators, with den the product of those.  levels[p]
-        lists the factors of level p, one tuple of ints per kept term."""
+        lists the factors of level p, one tuple of ints per kept term.
+        Each distinct factor tuple (witness appends the same ones at every
+        level) is read once, over its own lcm, and lifted to each level's."""
         terms = [(c, fs) for c, fs in self.terms if c]
         if not terms:
             return 1, [], []
         den = lcm(*(c.denominator for c, _ in terms))
         coefs = [c.numerator * (den // c.denominator) for c, _ in terms]
+        own = {id(f): f for _, fs in terms for f in fs}
+        for key, f in own.items():
+            d = lcm(*(x.denominator for x in f))
+            own[key] = d, tuple(x.numerator * (d // x.denominator) for x in f)
         levels = []
         for pos in range(self.level):
-            factors = [fs[pos] for _, fs in terms]
-            d = lcm(*(x.denominator for f in factors for x in f))
-            levels.append([tuple(x.numerator * (d // x.denominator) for x in f)
-                           for f in factors])
+            scaled = [own[id(fs[pos])] for _, fs in terms]
+            d = lcm(*(fd for fd, _ in scaled))
+            levels.append([nums if fd == d else tuple(x * (d // fd) for x in nums)
+                           for fd, nums in scaled])
             den *= d
         return den, coefs, levels
 
@@ -470,33 +476,39 @@ class TensorVector:
         return Fraction(total, den)
 
     def materialize(self, graph: TwoPoleGraph) -> EdgeVector:
-        """Flat edge vector; only for graphs under the materialization cap.
+        """Flat edge vector; only for graphs under the materialization cap
+        whose edge count is the base's to the tensor's level.
 
-        Sums integer numerators over the common denominator of _scaled,
-        skipping zero entries, and builds one Fraction per distinct value.
+        Expands each term level by level as parallel lists of edge ids
+        (prefix + "/" + base id over the nonzero entries) and integer
+        products over the common denominator of _scaled, sums the terms,
+        and builds one Fraction per distinct nonzero numerator.
         """
         if len(graph.edges) > MATERIALIZE_CAP:
             raise ResourceLimit("witness vector too large to materialize")
+        nedges = len(self.base.edges)
+        if self.terms and len(graph.edges) != nedges ** self.level:
+            raise ValidationError(
+                f"graph has {len(graph.edges)} edges, a level-{self.level} tensor "
+                f"over {nedges} base edges needs {nedges ** self.level}")
         ids = sorted(e.id for e in self.base.edges)
         den, coefs, levels = self._scaled()
         nums: dict[str, int] = {}
         for k, c in enumerate(coefs):
-            partial = [("", c)]
+            keys, vals = [""], [c]
             for pos, factors in enumerate(levels):
-                entries = [(eid, fv) for eid, fv in zip(ids, factors[k]) if fv]
                 sep = "/" if pos else ""
-                partial = [(prefix + sep + eid, v * fv)
-                           for prefix, v in partial for eid, fv in entries]
-            for eid, v in partial:
-                nums[eid] = nums.get(eid, 0) + v
-        frac: dict[int, Fraction] = {}
-        coeffs = {}
-        for eid, v in nums.items():
-            if v:
-                if v not in frac:
-                    frac[v] = Fraction(v, den)
-                coeffs[eid] = frac[v]
-        return EdgeVector(graph, coeffs)
+                suffixes = [sep + eid for eid, fv in zip(ids, factors[k]) if fv]
+                fvs = [fv for fv in factors[k] if fv]
+                keys = [p + s for p in keys for s in suffixes]
+                vals = [v * fv for v in vals for fv in fvs]
+            if nums:
+                for key, v in zip(keys, vals):
+                    nums[key] = nums.get(key, 0) + v
+            else:
+                nums = dict(zip(keys, vals))
+        frac = {v: Fraction(v, den) for v in set(nums.values()) if v}
+        return EdgeVector(graph, {key: frac[v] for key, v in nums.items() if v})
 
 
 @dataclass

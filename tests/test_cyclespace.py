@@ -40,6 +40,33 @@ def test_signed_indicator_reversal_negates():
     assert rev == -vec
 
 
+@pytest.mark.parametrize("value", [F(1), F(0), 0])
+def test_edge_vector_rejects_an_unknown_id(value):
+    with pytest.raises(ValidationError, match="unknown edge id 'xx'"):
+        EdgeVector(diamond(1), {"tl": F(1), "xx": value})
+
+
+def test_edge_vector_names_the_first_unknown_id():
+    g = diamond(1)
+    with pytest.raises(ValidationError, match="'zz'$"):
+        EdgeVector(g, {"tl": 1, "zz": 1, "bl": 1, "aa": 1})
+    with pytest.raises(ValidationError, match="'aa'$"):
+        EdgeVector(g, {"aa": 0, "tl": 1, "zz": 1})
+
+
+def test_edge_vector_drops_zeros_and_makes_fractions():
+    vec = EdgeVector(diamond(1), {"tl": 2, "bl": 0, "br": F(0), "tr": F(-1, 3)})
+    assert vec.coeffs == {"tl": F(2), "tr": F(-1, 3)}
+    assert [type(v) for v in vec.coeffs.values()] == [F, F]
+
+
+def test_permute_to_an_unknown_edge_raises():
+    vec = EdgeVector(diamond(1), {"tl": F(1), "bl": F(2)})
+    assert vec.permute({"tl": "bl", "bl": "tl"}).coeffs == {"bl": 1, "tl": 2}
+    with pytest.raises(ValidationError, match="'nowhere'"):
+        vec.permute({"tl": "bl", "bl": "nowhere"})
+
+
 def test_signed_indicator_laakso_central_cycle():
     g = laakso(1)
     vec = signed_indicator(["x1", "x2", "y2", "y1"], g)

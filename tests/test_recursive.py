@@ -333,6 +333,20 @@ def test_tensor_vector_sum_rejects_different_bases():
         TensorVector(k2n_base(3), [(F(1), (one,))]) + TensorVector(laakso_base(), [(F(1), (one,))])
 
 
+def test_materialize_rejects_a_graph_of_the_wrong_level(monkeypatch):
+    b = diamond_base()
+    tv = TensorVector(b, [(F(1), ((F(1),) * 4,) * 2)])       # level 2: 16 edges
+    assert tv.materialize(recursive_family(b, 2)).l1() == 16
+    for level, size in [(1, 4), (3, 64)]:
+        with pytest.raises(ValidationError, match=f"graph has {size} edges.* needs 16"):
+            tv.materialize(recursive_family(b, level))
+    # the cap comes first, whatever the graph's level
+    monkeypatch.setattr(recursive, "MATERIALIZE_CAP", 15)
+    for level in (2, 3):
+        with pytest.raises(ResourceLimit):
+            tv.materialize(recursive_family(b, level))
+
+
 def test_witness_records_the_minimal_schedule():
     prof = profile_base(diamond_base())
     w = witness(prof, 3)
