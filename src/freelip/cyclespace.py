@@ -6,20 +6,22 @@ is isometric to the free space over the graph's vertices, which is the
 identity the quotient-norm tests certify.  A quotient norm is computed as
 a min-cost flow on the graph's own edges (simplex.min_cost_flow, the same
 network simplex as the transportation norms, on two opposite arcs per
-edge), and its optimal vertex potentials, a 1-Lipschitz function attaining
-the value, are checked as its certificate.
+edge), posed on integers: edge scales and divergence each over one common
+denominator.  The simplex checks its optimal vertex potentials, a
+1-Lipschitz function attaining the value, as its certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import simplex
-from .errors import NotACycle, SolverFailure, ValidationError
+from .errors import NotACycle, ValidationError
 from .graphs import TwoPoleGraph
 from .metric import Molecule
-from .rational import ONE, ZERO, json_key, num_from_json, num_to_json
+from .rational import ZERO, json_key, num_from_json, num_to_json
 
 
 @dataclass(frozen=True)
@@ -200,68 +202,77 @@ def mu(g: TwoPoleGraph) -> int:
     return len(g.edges) - len(g.vertices) + 1
 
 
+def _eliminate(x, y, col):
+    """The sparse integer row y[col] x - x[col] y, which is 0 at col,
+    divided by the gcd of its entries."""
+    a, b = y[col], x[col]
+    out = {c: a * v for c, v in x.items() if c != col}
+    for c, v in y.items():
+        if c != col:
+            r = out.get(c, 0) - b * v
+            if r:
+                out[c] = r
+            else:
+                del out[c]
+    g = gcd(*out.values())
+    return {c: v // g for c, v in out.items()} if g > 1 else out
+
+
 def _independent(rows) -> bool:
-    """Whether sparse rows ({column: value}) are linearly independent, by
-    elimination against pivot rows kept at 0 on each other's pivots."""
+    """Whether sparse integer rows ({column: value}) are linearly
+    independent over Q, by fraction-free elimination against pivot rows kept
+    at 0 on each other's pivots."""
     pivots = {}
     for row in rows:
-        row = dict(row)
         for col in [c for c in row if c in pivots]:
-            f = row[col]
-            for c, v in pivots[col].items():
-                r = row.get(c, 0) - f * v
-                if r:
-                    row[c] = r
-                else:
-                    del row[c]
+            row = _eliminate(row, pivots[col], col)
         if not row:
             return False
         col = min(row)
-        f = row[col]
-        row = {c: Fraction(v) / f for c, v in row.items()}
-        for other in pivots.values():
+        for key, other in pivots.items():
             if col in other:
-                g = other[col]
-                for c, v in row.items():
-                    r = other.get(c, 0) - g * v
-                    if r:
-                        other[c] = r
-                    else:
-                        del other[c]
+                pivots[key] = _eliminate(other, row, col)
         pivots[col] = row
     return True
 
 
-def _edge_scales(g: TwoPoleGraph, z: CycleBasis) -> dict[str, Fraction]:
-    """The per-edge scales d_e of a scaled cycle basis, checked.
+def _edge_scales(g: TwoPoleGraph, z: CycleBasis) -> dict[str, tuple[int, int]]:
+    """The per-edge scales d_e of a scaled cycle basis, checked, as
+    (numerator, denominator) pairs in lowest terms.
 
     d_e is the common |z_i[e]| over the z_i that touch e; every D^-1 z_i
     must be a cycle (zero boundary) and the D^-1 z_i must be mu(g)
-    independent vectors, checked by their restriction to the non-tree edges
-    of the BFS tree (a signed identity on the fundamental basis).
+    independent vectors, checked by their +-1 restriction to the non-tree
+    edges of the BFS tree (a signed identity on the fundamental basis).
     Raises ValidationError otherwise.
     """
     if len(z.vectors) != mu(g):
         raise ValidationError(f"basis has {len(z.vectors)} vectors, the cycle space "
                               f"has dimension {mu(g)}")
-    scale: dict[str, Fraction] = {}
+    edge_by_id = g.edge_by_id
+    tree = {e.id for e in _spanning_tree(g)[1].values()}
+    scale: dict[str, tuple[int, int]] = {}
+    chords = []
     for v in z.vectors:
         if v.graph is not g and v.graph != g:
             raise ValidationError("basis vector lives on a different graph")
         net: dict[str, int] = {}
+        row = {}
         for eid, c in v.coeffs.items():
-            d = abs(c)
+            num, den = c.numerator, c.denominator
+            s = 1 if num > 0 else -1
+            d = (s * num, den)
             if scale.setdefault(eid, d) != d:
                 raise ValidationError(f"basis vectors disagree on the scale of edge {eid!r}")
-            e = g.edge_by_id[eid]
-            s = 1 if c.numerator > 0 else -1
+            e = edge_by_id[eid]
             net[e.head] = net.get(e.head, 0) + s
             net[e.tail] = net.get(e.tail, 0) - s
+            if eid not in tree:
+                row[eid] = s
         if any(net.values()):
             raise ValidationError("basis vector is not a scaled cycle")
-    tree = {e.id for e in _spanning_tree(g)[1].values()}
-    if not _independent({eid: 1 if c.numerator > 0 else -1 for eid, c in v.coeffs.items()
-                         if eid not in tree} for v in z.vectors):
+        chords.append(row)
+    if not _independent(chords):
         raise ValidationError("basis vectors are linearly dependent")
     return scale
 
@@ -274,29 +285,33 @@ def quotient_norm(x: EdgeVector, z: CycleBasis | None = None) -> Fraction:
     on edges no z_i touches).  The default is the fundamental basis, D = I.
     Then span(z) = D Z(G), and the distance is the least cost
     sum d_e |f_e| of an edge flow f with boundary(f) = boundary(D^-1 x): one
-    network simplex (simplex.min_cost_flow).  Its optimal vertex potentials
-    phi are checked before returning, |phi(head) - phi(tail)| <= d_e on
-    every edge and <boundary(D^-1 x), phi> = value, and SolverFailure is
-    raised otherwise.  For D = I this is the transportation norm of
-    boundary(x) on the graph metric.
+    network simplex (simplex.min_cost_flow), given the d_e and the
+    divergence as integers over one common denominator each.  It certifies
+    the value with its optimal vertex potentials phi, |phi(head) -
+    phi(tail)| <= d_e on every edge and <boundary(D^-1 x), phi> = value,
+    and raises SolverFailure otherwise.  For D = I this is the
+    transportation norm of boundary(x) on the graph metric.
     """
     g = x.graph
     scale = {} if z is None else _edge_scales(g, z)
     vidx = {v: i for i, v in enumerate(g.vertices)}
     ends = [(vidx[e.tail], vidx[e.head]) for e in g.edges]
-    lengths = [scale.get(e.id, ONE) for e in g.edges]
-    div = [ZERO] * len(vidx)
+    lden = lcm(*(d for _, d in scale.values()))
+    lengths = [n * (lden // d) for n, d in (scale.get(e.id, (1, 1)) for e in g.edges)]
+    # x_e / d_e = p / q
+    terms = []
     for eid, v in x.coeffs.items():
-        e = g.edge_by_id[eid]
-        f = v / scale.get(eid, ONE)
+        sn, sd = scale.get(eid, (1, 1))
+        terms.append((eid, v.numerator * sd, v.denominator * sn))
+    dden = lcm(*(q for _, _, q in terms))
+    div = [0] * len(vidx)
+    edge_by_id = g.edge_by_id
+    for eid, p, q in terms:
+        e = edge_by_id[eid]
+        f = p * (dden // q)
         div[vidx[e.head]] += f
         div[vidx[e.tail]] -= f
-    value, _, phi = simplex.min_cost_flow(ends, lengths, div)
-    if any(abs(phi[h] - phi[t]) > d for (t, h), d in zip(ends, lengths)):
-        raise SolverFailure("quotient-norm potentials are not 1-Lipschitz")
-    if sum((b * p for b, p in zip(div, phi) if b), start=ZERO) != value:
-        raise SolverFailure("quotient-norm potentials do not attain the value")
-    return value
+    return simplex.min_cost_flow(ends, lengths, div)[0] / (lden * dden)
 
 
 def _shortest_cycle_through(g_adj, edge, by_pair):

@@ -76,11 +76,11 @@ def ae_norm(space: MetricSpace, m: Molecule):
     sources, sinks, value, plan, _ = _transport(space, m)
     if not sources:
         return ZERO, TransportPlan((), ZERO)
-    moves = tuple(
+    moves = tuple(   # a truth test: the simplex certified the plan >= 0
         (sources[i], sinks[j], plan[i][j])
         for i in range(len(sources))
         for j in range(len(sinks))
-        if plan[i][j] > 0
+        if plan[i][j]
     )
     return value, TransportPlan(moves, value)
 

@@ -2,14 +2,17 @@
 
 - Network simplex (``_network_simplex``): the primal network simplex of
   Ahuja, Magnanti and Orlin (*Network Flows*, 1993) and Orlin (1997) on
-  integer arcs with flow >= 0, from a feasible spanning tree.  Each pivot
-  finds the node potentials by one tree walk, prices with Dantzig's rule
-  (the first negative arc after ``_BLAND_AFTER`` pivots, so it terminates)
-  and pivots round one tree cycle.  Its two entry points scale the problem
-  to integers and differ only in their arcs and their start tree:
-  ``transportation`` has one arc per (supply, demand) cell and the
-  north-west-corner staircase, and returns the value, the plan and the
-  potentials from which ``freenorm.lip_dual`` reads its 1-Lipschitz
+  integer arcs with flow >= 0, from a feasible spanning tree.  One tree
+  walk finds the node potentials and reduced costs; each pivot prices
+  with Dantzig's rule (the first negative arc after ``_BLAND_AFTER``
+  pivots, so it terminates), pivots round one tree cycle and updates the
+  potentials and reduced costs on the subtree that moves (*Network Flows*
+  §11.5).  Its two entry points scale the problem to integers, differ
+  only in their arcs and their start tree, and check the optimal flow and
+  potentials once from scratch in those integers before making
+  Fractions: ``transportation`` has one arc per (supply, demand) cell and
+  the north-west-corner staircase, and returns the value, the plan and
+  the potentials from which ``freenorm.lip_dual`` reads its 1-Lipschitz
   certificate; ``min_cost_flow`` has two opposite arcs per graph edge and
   the BFS spanning tree carrying its forced flow, for the quotient norms of
   ``cyclespace.quotient_norm``, whose certificate is again the potentials.
@@ -177,32 +180,69 @@ def _scaled(values):
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _tree_pivot(tails, heads, flow, adj, parent, parc, depth, a_in):
+def _tree_pivot(tails, heads, flow, adj, outs, ins, parent, parc, depth, phi, reduced, a_in):
     """Bring arc a_in into the tree; return the step theta (0 if degenerate).
 
     Flow runs along a_in and back from its head to its tail on the tree
     path: it rises on the path arcs oriented along that cycle and falls on
     the others.  Among the falling arcs at the minimum flow the smallest
     index leaves, so with first-negative entering this is Bland's rule.
+    The leaving arc cuts a subtree off from node 0.  It is re-hung from
+    the end of a_in inside it, its potentials shift by the reduced cost of
+    a_in so that a_in prices at 0, and the reduced costs of the arcs with
+    exactly one end in it shift with them.
     """
     rising, falling = [], []
     a, b = heads[a_in], tails[a_in]
     while a != b:
         if depth[a] >= depth[b]:
-            arc, x, a = parc[a], a, parent[a]
+            arc, a = parc[a], parent[a]
+            if tails[arc] == a:
+                falling.append((flow[arc], arc, True))
+            else:
+                rising.append(arc)
         else:
-            arc, x, b = parc[b], parent[b], parent[b]
-        (rising if tails[arc] == x else falling).append(arc)
-    theta, leave = min((flow[arc], arc) for arc in falling)
+            arc, b = parc[b], parent[b]
+            if tails[arc] == b:
+                rising.append(arc)
+            else:
+                falling.append((flow[arc], arc, False))
+    theta, leave, head_side = min(falling)
     for arc in rising:
         flow[arc] += theta
-    for arc in falling:
+    for _, arc, _ in falling:
         flow[arc] -= theta
     flow[a_in] = theta
     adj[tails[leave]].remove(leave)
     adj[heads[leave]].remove(leave)
     adj[tails[a_in]].append(a_in)
     adj[heads[a_in]].append(a_in)
+    # the subtree below the leaving arc holds a_in's head iff that arc was
+    # on the head's side of the cycle
+    r = reduced[a_in]
+    if head_side:
+        top, p, delta = heads[a_in], tails[a_in], r
+    else:
+        top, p, delta = tails[a_in], heads[a_in], -r
+    parent[top], parc[top], depth[top] = p, a_in, depth[p] + 1
+    phi[top] += delta
+    moved = [top]
+    for u in moved:
+        du, pu = depth[u] + 1, parc[u]
+        for arc in adj[u]:
+            if arc != pu:
+                w = tails[arc] + heads[arc] - u
+                parent[w], parc[w], depth[w] = u, arc, du
+                phi[w] += delta
+                moved.append(w)
+    inside = set(moved)
+    for u in moved:
+        for arc in outs[u]:
+            if heads[arc] not in inside:
+                reduced[arc] += delta
+        for arc in ins[u]:
+            if tails[arc] not in inside:
+                reduced[arc] -= delta
     return theta
 
 
@@ -211,39 +251,45 @@ def _network_simplex(n, tails, heads, cost, flow, tree):
     the optimal potentials phi and leaves the optimal flow in flow.
 
     Arc a runs tails[a] -> heads[a] at integer cost[a] and carries
-    flow[a] >= 0, zero off the n - 1 tree arcs listed in tree.  Each pivot
-    finds phi(head) - phi(tail) = cost on every tree arc, phi[0] = 0, by one
-    tree walk, and prices every arc at cost - phi(head) + phi(tail): the
-    most negative enters (the first at a tie), or after _BLAND_AFTER pivots
-    the first negative one, which with _tree_pivot's leaving rule cannot
-    cycle.  The costs must admit no negative cycle.
+    flow[a] >= 0, zero off the n - 1 tree arcs listed in tree.  One tree
+    walk from node 0 finds the potentials, phi(head) - phi(tail) = cost on
+    every tree arc and phi[0] = 0, and the reduced costs cost - phi(head)
+    + phi(tail) of every arc; each pivot (_tree_pivot) then updates them on
+    the subtree that moves.  The most negative arc enters (the first at a
+    tie), or after _BLAND_AFTER pivots the first negative one, which with
+    _tree_pivot's leaving rule cannot cycle.  The costs must admit no
+    negative cycle.
     """
     adj = [[] for _ in range(n)]
     for a in tree:
         adj[tails[a]].append(a)
         adj[heads[a]].append(a)
-    arcs = list(zip(tails, heads, cost))
+    outs = [[] for _ in range(n)]
+    ins = [[] for _ in range(n)]
+    for a, (t, h) in enumerate(zip(tails, heads)):
+        outs[t].append(a)
+        ins[h].append(a)
+    phi = [None] * n
+    parent = [-1] * n
+    parc = [-1] * n
+    depth = [0] * n
+    phi[0] = 0
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for a in adj[u]:
+            h = heads[a]
+            w = tails[a] if h == u else h
+            if phi[w] is None:
+                phi[w] = phi[u] + cost[a] if w == h else phi[u] - cost[a]
+                parent[w], parc[w], depth[w] = u, a, depth[u] + 1
+                stack.append(w)
+    reduced = [c - phi[h] + phi[t] for t, h, c in zip(tails, heads, cost)]
     it = 0
     while True:
-        phi = [None] * n
-        parent = [-1] * n
-        parc = [-1] * n
-        depth = [0] * n
-        phi[0] = 0
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for a in adj[u]:
-                h = heads[a]
-                w = tails[a] if h == u else h
-                if phi[w] is None:
-                    phi[w] = phi[u] + cost[a] if w == h else phi[u] - cost[a]
-                    parent[w], parc[w], depth[w] = u, a, depth[u] + 1
-                    stack.append(w)
         it += 1
         if it > _MAX_ITER:
             raise SolverFailure("network simplex iteration limit exceeded")
-        reduced = [c - phi[h] + phi[t] for t, h, c in arcs]
         if it > _BLAND_AFTER:
             a_in = next((a for a, r in enumerate(reduced) if r < 0), None)
         else:
@@ -251,7 +297,7 @@ def _network_simplex(n, tails, heads, cost, flow, tree):
             a_in = reduced.index(best) if best < 0 else None
         if a_in is None:
             return phi
-        _tree_pivot(tails, heads, flow, adj, parent, parc, depth, a_in)
+        _tree_pivot(tails, heads, flow, adj, outs, ins, parent, parc, depth, phi, reduced, a_in)
 
 
 def _north_west(supply, demand):
@@ -281,6 +327,32 @@ def _north_west(supply, demand):
             rb = demand[j]
 
 
+def _certified(tails, heads, cost, flow, phi, div):
+    """sum cost[a] flow[a], once flow and phi are checked from scratch.
+
+    The flow must be >= 0 with inflow minus outflow div[v] at every node,
+    every arc must price at cost - phi(head) + phi(tail) >= 0, and sum_v
+    div[v] phi(v) must equal the flow's cost; by weak duality both are then
+    optimal.  Raises SolverFailure otherwise.
+    """
+    net = [0] * len(div)
+    total = 0
+    for t, h, c, f in zip(tails, heads, cost, flow):
+        if f:
+            if f < 0:
+                raise SolverFailure("network simplex flow is negative")
+            net[h] += f
+            net[t] -= f
+            total += c * f
+    if net != div:
+        raise SolverFailure("network simplex flow breaks the node balance")
+    if min([c - phi[h] + phi[t] for t, h, c in zip(tails, heads, cost)], default=0) < 0:
+        raise SolverFailure("network simplex potentials break an arc's Lipschitz bound")
+    if sum(d * p for d, p in zip(div, phi) if d) != total:
+        raise SolverFailure("network simplex potentials do not attain the flow's cost")
+    return total
+
+
 def transportation(cost, supply, demand):
     """Balanced transportation: min sum c[i][j] p[i][j] with given marginals.
 
@@ -289,7 +361,8 @@ def transportation(cost, supply, demand):
     potentials, u_i + v_j <= c[i][j] with equality wherever the plan is
     positive, all Fractions.  Runs the network simplex on the problem
     scaled to integers: arc i nd + j from row i to column ns + j, from the
-    north-west corner, with u = -phi(rows) and v = phi(columns).
+    north-west corner, with u = -phi(rows) and v = phi(columns); plan and
+    potentials are certified in those integers (_certified).
     """
     ns, nd = len(supply), len(demand)
     masses, mden = _scaled(list(supply) + list(demand))
@@ -299,9 +372,10 @@ def transportation(cost, supply, demand):
         return ZERO, [[] for _ in range(ns)], ([ZERO] * ns, [ZERO] * nd)
     icost, cden = _scaled([c for row in cost for c in row])
     flow, tree = _north_west(masses[:ns], masses[ns:])
-    phi = _network_simplex(ns + nd, [i for i in range(ns) for _ in range(nd)],
-                           [ns + j for _ in range(ns) for j in range(nd)], icost, flow, tree)
-    total = sum(f * c for f, c in zip(flow, icost))
+    tails = [i for i in range(ns) for _ in range(nd)]
+    heads = [ns + j for _ in range(ns) for j in range(nd)]
+    phi = _network_simplex(ns + nd, tails, heads, icost, flow, tree)
+    total = _certified(tails, heads, icost, flow, phi, [-m for m in masses[:ns]] + masses[ns:])
     plan = [[Fraction(f, mden) if f else ZERO for f in flow[i * nd:(i + 1) * nd]]
             for i in range(ns)]
     return (Fraction(total, cden * mden), plan,
@@ -318,7 +392,8 @@ def min_cost_flow(ends, lengths, divergence):
     |phi(head) - phi(tail)| <= lengths[e] with sum_v divergence[v] phi(v)
     = value, which certifies the optimum.  Runs the network simplex on the
     problem scaled to integers, edge e as arcs 2e (tail -> head) and 2e + 1
-    (head -> tail), from the BFS spanning tree of vertex 0.
+    (head -> tail), from the BFS spanning tree of vertex 0, and certifies
+    flow and potentials in those integers (_certified).
     """
     for e, length in enumerate(lengths):
         if length < 0:
@@ -356,9 +431,10 @@ def min_cost_flow(ends, lengths, divergence):
         tree.append(arc)
     tails = [v for t, h in ends for v in (t, h)]
     heads = [v for t, h in ends for v in (h, t)]
-    phi = _network_simplex(n, tails, heads, [c for c in cost for _ in range(2)], flow, tree)
+    arc_cost = [c for c in cost for _ in range(2)]
+    phi = _network_simplex(n, tails, heads, arc_cost, flow, tree)
+    total = _certified(tails, heads, arc_cost, flow, phi, div)
     net = [flow[2 * e] - flow[2 * e + 1] for e in range(m)]
-    total = sum(c * abs(f) for c, f in zip(cost, net))
     return (Fraction(total, cden * dden), [Fraction(f, dden) for f in net],
             [Fraction(p, cden) for p in phi])
 

@@ -28,8 +28,11 @@ and as a dense standard form over Q, each with its own loops instead of
 index arrays for sparse matrices; the two-phase simplex on the standard
 form is the reference for the exact projection constant, which the
 library reads from a HiGHS vertex certified by exact primal and dual
-solves; and the merge of proportional basis rows scales each row by
-Fraction ratios to its first nonzero entry instead of dividing by gcds.
+solves; the merge of proportional basis rows scales each row by
+Fraction ratios to its first nonzero entry instead of dividing by gcds;
+and the full-walk network simplex finds the potentials by walking the
+whole tree and prices every arc afresh on every pivot, instead of
+updating both on the subtree that moves.
 """
 
 import heapq
@@ -40,7 +43,8 @@ import numpy as np
 
 from freelip import haar_system, linalg
 from freelip.cyclespace import EdgeVector, boundary, fundamental_cycle_basis
-from freelip.errors import DisconnectedGraph, GroupClosureOverflow, NotInvariantSubspace
+from freelip.errors import (DisconnectedGraph, GroupClosureOverflow, NotInvariantSubspace,
+                            SolverFailure)
 from freelip.freenorm import ae_norm
 from freelip.metric import MetricSpace, Molecule
 from freelip.rational import to_fraction
@@ -580,3 +584,87 @@ def merged_rows(b: list) -> tuple:
         cls.append(c)
         s.append(lead / den)
     return [[wc * x for x in ray] for ray, wc in zip(rays, w)], cls, s, w
+
+
+# The network simplex with a whole-tree walk and a full pricing pass on every
+# pivot.  Same pricing and leaving rules as simplex._network_simplex, so the
+# same pivots; the tests set _BLAND_AFTER here and there together.
+_BLAND_AFTER = 2000
+_MAX_ITER = 200000
+
+
+def _full_walk_tree_pivot(tails, heads, flow, adj, parent, parc, depth, a_in):
+    """Bring arc a_in into the tree; return the step theta (0 if degenerate).
+
+    Flow runs along a_in and back from its head to its tail on the tree
+    path: it rises on the path arcs oriented along that cycle and falls on
+    the others.  Among the falling arcs at the minimum flow the smallest
+    index leaves, so with first-negative entering this is Bland's rule.
+    """
+    rising, falling = [], []
+    a, b = heads[a_in], tails[a_in]
+    while a != b:
+        if depth[a] >= depth[b]:
+            arc, x, a = parc[a], a, parent[a]
+        else:
+            arc, x, b = parc[b], parent[b], parent[b]
+        (rising if tails[arc] == x else falling).append(arc)
+    theta, leave = min((flow[arc], arc) for arc in falling)
+    for arc in rising:
+        flow[arc] += theta
+    for arc in falling:
+        flow[arc] -= theta
+    flow[a_in] = theta
+    adj[tails[leave]].remove(leave)
+    adj[heads[leave]].remove(leave)
+    adj[tails[a_in]].append(a_in)
+    adj[heads[a_in]].append(a_in)
+    return theta
+
+
+def full_walk_network_simplex(n, tails, heads, cost, flow, tree):
+    """Min-cost flow on nodes 0..n-1 from a feasible spanning tree; returns
+    the optimal potentials phi and leaves the optimal flow in flow.
+
+    Arc a runs tails[a] -> heads[a] at integer cost[a] and carries
+    flow[a] >= 0, zero off the n - 1 tree arcs listed in tree.  Each pivot
+    finds phi(head) - phi(tail) = cost on every tree arc, phi[0] = 0, by one
+    tree walk, and prices every arc at cost - phi(head) + phi(tail): the
+    most negative enters (the first at a tie), or after _BLAND_AFTER pivots
+    the first negative one, which with _tree_pivot's leaving rule cannot
+    cycle.  The costs must admit no negative cycle.
+    """
+    adj = [[] for _ in range(n)]
+    for a in tree:
+        adj[tails[a]].append(a)
+        adj[heads[a]].append(a)
+    arcs = list(zip(tails, heads, cost))
+    it = 0
+    while True:
+        phi = [None] * n
+        parent = [-1] * n
+        parc = [-1] * n
+        depth = [0] * n
+        phi[0] = 0
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            for a in adj[u]:
+                h = heads[a]
+                w = tails[a] if h == u else h
+                if phi[w] is None:
+                    phi[w] = phi[u] + cost[a] if w == h else phi[u] - cost[a]
+                    parent[w], parc[w], depth[w] = u, a, depth[u] + 1
+                    stack.append(w)
+        it += 1
+        if it > _MAX_ITER:
+            raise SolverFailure("network simplex iteration limit exceeded")
+        reduced = [c - phi[h] + phi[t] for t, h, c in arcs]
+        if it > _BLAND_AFTER:
+            a_in = next((a for a, r in enumerate(reduced) if r < 0), None)
+        else:
+            best = min(reduced, default=0)
+            a_in = reduced.index(best) if best < 0 else None
+        if a_in is None:
+            return phi
+        _full_walk_tree_pivot(tails, heads, flow, adj, parent, parc, depth, a_in)

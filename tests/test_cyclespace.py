@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freelip import simplex
-from freelip.cyclespace import (CycleBasis, EdgeVector, boundary, fundamental_cycle_basis,
+from freelip.cyclespace import (CycleBasis, EdgeVector, _spanning_tree, boundary,
+                                fundamental_cycle_basis,
                                 fundamental_cycles_as_walks, greedy_cycle_packing,
                                 mu, quotient_norm, signed_indicator,
                                 up_down_decomposition)
@@ -18,6 +20,7 @@ from freelip.randgen import random_edge_vector, random_molecule
 from freelip.simplex import min_l1_combination
 from freelip import linalg
 
+import oracles
 from oracles import flow_norm
 
 RNG_SEED = 777
@@ -315,13 +318,90 @@ def test_quotient_norm_rejects_bases_that_are_not_scaled_cycle_bases(g):
 
 
 @pytest.mark.parametrize("corrupt,message", [
-    (lambda v, f, phi: (v + 1, f, phi), "attain"),
-    (lambda v, f, phi: (v, f, [2 * p for p in phi]), "Lipschitz")])
+    (lambda phi: [0] * len(phi), "attain"),
+    (lambda phi: [2 * p for p in phi], "Lipschitz")])
 def test_quotient_norm_checks_the_potential_certificate(monkeypatch, corrupt, message):
-    real = simplex.min_cost_flow
-    monkeypatch.setattr(simplex, "min_cost_flow", lambda *a: corrupt(*real(*a)))
+    # zero potentials are feasible but pair to 0; doubled ones overshoot
+    # the length of a tree edge
+    real = simplex._network_simplex
+    monkeypatch.setattr(simplex, "_network_simplex", lambda *a: corrupt(real(*a)))
     with pytest.raises(SolverFailure, match=message):
         quotient_norm(EdgeVector(diamond(1), {"tl": F(1)}))
+
+
+def _bouquet(k):
+    """k triangles c -> a_i -> b_i -> c sharing the vertex c, their signed
+    indicators, and positive rational edge scales.  The BFS tree from c
+    holds the edges at c, so the chords are the edges a_i -> b_i."""
+    vs = ["c"] + [f"{p}{i}" for i in range(k) for p in "ab"]
+    edges = [Edge(f"{p}{i}", t, h) for i in range(k)
+             for p, t, h in (("ca", "c", f"a{i}"), ("ab", f"a{i}", f"b{i}"),
+                             ("bc", f"b{i}", "c"))]
+    g = TwoPoleGraph(tuple(vs), tuple(edges), vs[-1], "c")
+    triangles = [signed_indicator([f"ca{i}", f"ab{i}", f"bc{i}"], g) for i in range(k)]
+    d = {e.id: F(j % 4 + 1, j % 3 + 1) for j, e in enumerate(edges)}
+    return g, triangles, lambda y: EdgeVector(g, {e: d[e] * v for e, v in y.coeffs.items()})
+
+
+def test_scaled_basis_independent_over_q_but_not_mod_2_is_accepted():
+    # chord rows (1, 1) and (1, -1): determinant -2
+    g, (t0, t1), scaled = _bouquet(2)
+    basis = CycleBasis((scaled(t0 + t1), scaled(t0 - t1)))
+    rng = random.Random(RNG_SEED)
+    for _ in range(5):
+        x = random_edge_vector(rng, g)
+        assert quotient_norm(x, basis) == _dense_value(x, basis)
+
+
+def test_scaled_basis_dependent_through_a_non_unit_multiplier_is_rejected():
+    # (t0 + t1 + t2) + (t0 - t1 - t2) = 2 t0, and no two of the three are
+    # proportional
+    g, (t0, t1, t2), scaled = _bouquet(3)
+    basis = CycleBasis((scaled(t0 + t1 + t2), scaled(t0 - t1 - t2), scaled(t0)))
+    x = EdgeVector(g, {"ab0": 1, "bc1": F(-2, 3)})
+    with pytest.raises(ValidationError, match="dependent"):
+        quotient_norm(x, basis)
+    ok = CycleBasis((scaled(t0 + t1 + t2), scaled(t0 - t1 - t2), scaled(t2)))
+    assert quotient_norm(x, ok) == _dense_value(x, ok)
+
+
+def test_scaled_basis_on_a_different_graph_is_rejected():
+    _, (t0,), scaled = _bouquet(1)
+    with pytest.raises(ValidationError, match="different graph"):
+        quotient_norm(EdgeVector(diamond(1), {"tl": 1}), CycleBasis((scaled(t0),)))
+
+
+def _tree_flow(g, mass):
+    """The edge vector carrying the molecule `mass` down the BFS tree, so
+    that its boundary is the molecule."""
+    parent, parent_edge = _spanning_tree(g)
+    below = {v: mass.get(v, F(0)) for v in g.vertices}
+    x = {}
+    for v in reversed(parent):
+        if parent[v] is not None:
+            e = parent_edge[v]
+            x[e.id] = below[v] if e.head == v else -below[v]
+            below[parent[v]] += below[v]
+    return EdgeVector(g, x)
+
+
+def test_quotient_norm_reach(monkeypatch):
+    # a D_5 boundary of 150 + 150 rational masses: 1,024 edges, a few
+    # hundred pivots
+    g = diamond(5)
+    rng = random.Random(RNG_SEED)
+    points = rng.sample(g.vertices, 300)
+    mass = {p: F(rng.randint(1, 9), rng.randint(1, 4)) for p in points[:150]}
+    sinks = [rng.randint(1, 9) for _ in range(150)]
+    scale = sum(mass.values()) / sum(sinks)
+    mass.update({p: -w * scale for p, w in zip(points[150:], sinks)})
+    x = _tree_flow(g, mass)
+    assert boundary(x).coeffs == mass
+    start = time.perf_counter()
+    value = quotient_norm(x)
+    assert time.perf_counter() - start < 0.5
+    monkeypatch.setattr(simplex, "_network_simplex", oracles.full_walk_network_simplex)
+    assert quotient_norm(x) == value
 
 
 def test_mu_values():

@@ -1,7 +1,9 @@
-"""The dense two-phase simplex against brute-force vertex enumeration, and
-the error paths of the network simplex's two entry points."""
+"""The dense two-phase simplex against brute-force vertex enumeration, the
+error paths and integer certificate of the network simplex's two entry
+points, and its pivot-by-pivot updates against the full-walk loop."""
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from freelip import simplex
 from freelip.errors import SolverFailure, ValidationError
 from freelip.simplex import min_cost_flow, solve_standard_exact, transportation
+
+import oracles
 
 
 def _solve_on(a, b, cols):
@@ -124,12 +128,16 @@ def test_min_cost_flow_rejects_a_negative_length_before_pivoting(monkeypatch):
         min_cost_flow([(0, 1), (1, 2), (0, 2)], [1, -1, 1], [-1, 0, 1])
 
 
-@pytest.mark.parametrize("solve", [
+SOLVES = [
     lambda: transportation([[1, 4, 0], [2, 0, 3], [3, 3, 3]], [1, 1, 1], [1, 1, 1]),
     # the BFS start routes every unit over a length-10 edge from vertex 0
     lambda: min_cost_flow([(0, 2), (0, 3), (0, 4), (0, 1), (1, 2), (2, 3), (3, 4)],
                           [10, 10, 10, 1, 1, 1, 1], [-4, 1, 1, 1, 1]),
-], ids=["transportation", "min_cost_flow"])
+]
+SOLVE_IDS = ["transportation", "min_cost_flow"]
+
+
+@pytest.mark.parametrize("solve", SOLVES, ids=SOLVE_IDS)
 def test_network_simplex_iteration_limit(monkeypatch, solve):
     steps = []
     pivot = simplex._tree_pivot
@@ -144,3 +152,115 @@ def test_network_simplex_iteration_limit(monkeypatch, solve):
     monkeypatch.setattr(simplex, "_MAX_ITER", 1)
     with pytest.raises(SolverFailure, match="iteration limit"):
         solve()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda phi: [2 * p for p in phi],
+    # the last node is a sink, entered by a tree arc that now prices at -1
+    lambda phi: phi[:-1] + [phi[-1] + 1],
+], ids=["doubled", "shifted"])
+@pytest.mark.parametrize("solve", SOLVES, ids=SOLVE_IDS)
+def test_network_simplex_potentials_are_certified(monkeypatch, solve, corrupt):
+    real = simplex._network_simplex
+    monkeypatch.setattr(simplex, "_network_simplex", lambda *a: corrupt(real(*a)))
+    with pytest.raises(SolverFailure, match="Lipschitz"):
+        solve()
+
+
+def _detour(flow):
+    # one more unit round the opposite arcs of edge 0 keeps the balance and
+    # the potentials feasible, but the flow no longer costs what they pair to
+    flow[0] += 1
+    flow[1] += 1
+
+
+def _extra_unit(flow):
+    flow[0] += 1
+
+
+def _negative(flow):
+    flow[flow.index(0)] = -1
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_detour, "attain"), (_extra_unit, "balance"), (_negative, "negative")])
+def test_network_simplex_flow_is_certified(monkeypatch, corrupt, message):
+    real = simplex._network_simplex
+
+    def corrupted(n, tails, heads, cost, flow, tree):
+        phi = real(n, tails, heads, cost, flow, tree)
+        corrupt(flow)
+        return phi
+
+    monkeypatch.setattr(simplex, "_network_simplex", corrupted)
+    with pytest.raises(SolverFailure, match=message):
+        SOLVES[1]()
+
+
+# --- pivot-by-pivot updates against the full-walk loop ----------------------
+
+def _random_transportation(rng):
+    """Small integer or rational problems; zero masses and equal costs make
+    degenerate and tied pivots."""
+    ns, nd = rng.randint(1, 7), rng.randint(1, 7)
+    supply = [rng.randint(0, 5) for _ in range(ns)]
+    demand = [rng.randint(0, 5) for _ in range(nd)]
+    gap = sum(supply) - sum(demand)
+    if gap > 0:
+        demand[-1] += gap
+    else:
+        supply[-1] -= gap
+    cost = [[rng.choice((rng.randint(0, 4), F(rng.randint(0, 9), rng.randint(1, 4))))
+             for _ in range(nd)] for _ in range(ns)]
+    transportation(cost, supply, demand)
+
+
+def _random_min_cost_flow(rng):
+    """A random tree plus chords, zero lengths among them, and a sparse
+    divergence on at most three pairs of vertices."""
+    n = rng.randint(2, 12)
+    ends = [(rng.randrange(i), i) for i in range(1, n)]
+    ends += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 16))]
+    rng.shuffle(ends)
+    div = [0] * n
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.sample(range(n), 2)
+        q = F(rng.randint(1, 6), rng.randint(1, 3))
+        div[a] += q
+        div[b] -= q
+    min_cost_flow(ends, [rng.randint(0, 5) for _ in ends], div)
+
+
+@pytest.mark.parametrize("bland_after,cases", [(2000, 1000), (3, 500), (0, 500)])
+def test_network_simplex_matches_the_full_walk_loop(monkeypatch, bland_after, cases):
+    # Dantzig pricing throughout, a switch to first-negative after three
+    # pivots, and first-negative from the start
+    monkeypatch.setattr(simplex, "_BLAND_AFTER", bland_after)
+    monkeypatch.setattr(oracles, "_BLAND_AFTER", bland_after)
+    pivots = []
+    for module, name in ((simplex, "_tree_pivot"), (oracles, "_full_walk_tree_pivot")):
+        def counting(*args, pivot=getattr(module, name), tag=len(pivots)):
+            pivots[tag] += 1
+            return pivot(*args)
+
+        pivots.append(0)
+        monkeypatch.setattr(module, name, counting)
+    real = simplex._network_simplex
+    seen = []
+
+    def both(n, tails, heads, cost, flow, tree):
+        oracle_flow = list(flow)
+        pivots[:] = [0, 0]
+        phi = real(n, tails, heads, cost, flow, tree)
+        assert phi == oracles.full_walk_network_simplex(n, tails, heads, cost, oracle_flow, tree)
+        assert flow == oracle_flow
+        assert pivots[0] == pivots[1]
+        seen.append(pivots[0])
+        return phi
+
+    monkeypatch.setattr(simplex, "_network_simplex", both)
+    rng = random.Random(20 + bland_after)
+    for _ in range(cases):
+        _random_transportation(rng)
+        _random_min_cost_flow(rng)
+    assert len(seen) == 2 * cases and sum(seen) > 2 * cases
