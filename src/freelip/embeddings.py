@@ -24,6 +24,7 @@ from math import lcm
 from .errors import EmptyComplement, PTooLarge, ValidationError
 from .graphs import Edge, TwoPoleGraph
 from .metric import MetricSpace, graph_metric
+from .rational import to_fraction
 
 
 @dataclass
@@ -58,7 +59,7 @@ def kruskal_mst(space: MetricSpace) -> TwoPoleGraph:
     pts = list(space.points)
     if len(pts) < 2:
         raise ValidationError("need at least two points")
-    _, dist = space._scaled
+    dist, den = space.rows, space.den
     pairs = sorted(
         (dist[i][j], p, pts[j], i, j)
         for i, p in enumerate(pts) for j in range(i + 1, len(pts))
@@ -76,7 +77,7 @@ def kruskal_mst(space: MetricSpace) -> TwoPoleGraph:
         rp, rq = find(p), find(q)
         if rp != rq:
             root[rp] = rq
-            edges.append(Edge(f"{p}--{q}", p, q, space.dist[i][j]))
+            edges.append(Edge(f"{p}--{q}", p, q, Fraction(dist[i][j], den)))
             if len(edges) == len(pts) - 1:
                 break
     return TwoPoleGraph(tuple(pts), tuple(edges), pts[-1], pts[0])
@@ -141,8 +142,8 @@ def interpolation_constant(space: MetricSpace, ys: list[str],
     for y in ys:
         if y not in d_values:
             raise ValidationError(f"selected point {y!r} has no d value")
-    den, dist = space._scaled
-    vals = [Fraction(d_values[y]) for y in ys]
+    den, dist = space.den, space.rows
+    vals = [to_fraction(d_values[y]) for y in ys]
     scale = lcm(*(v.denominator for v in vals))
     a = [v.numerator * (scale // v.denominator) for v in vals]
     best_num, best_den = scale, den
@@ -169,7 +170,7 @@ def projection_norm(space: MetricSpace, ys: list[str],
     cancels from every ratio.
     """
     partner = _partner_indices(space, ys, partners)
-    _, dist = space._scaled
+    dist = space.rows
     own = [dist[i][x] if x >= 0 else 0 for i, x in enumerate(partner)]
     best_cost, best_d = 0, 1
     for i, xi in enumerate(partner):
@@ -187,6 +188,21 @@ def projection_norm(space: MetricSpace, ys: list[str],
             if cost * best_d > best_cost * row[j]:
                 best_cost, best_d = cost, row[j]
     return Fraction(best_cost, best_d)
+
+
+def _nearest(space: MetricSpace, ys: list[str], others) -> tuple[dict, dict]:
+    """Each y's nearest point among others, the first name at a tie, and
+    its distance: (partners, d_values)."""
+    index, rows = space._index, space.rows
+    others = sorted(others)
+    cols = [index[z] for z in others]
+    partners, d_values = {}, {}
+    for y in ys:
+        ds = list(map(rows[index[y]].__getitem__, cols))
+        near = min(ds)
+        partners[y] = others[ds.index(near)]
+        d_values[y] = Fraction(near, space.den)
+    return partners, d_values
 
 
 def _build_report(space: MetricSpace, ys: list[str], partners: dict[str, str],
@@ -213,12 +229,7 @@ def half_dim_embedding(space: MetricSpace) -> EmbeddingReport:
     else:
         chosen, other = side1, side0
     ys = sorted(chosen)
-    partners = {}
-    d_values = {}
-    for y in ys:
-        best = min(sorted(other), key=lambda z: (space.d(y, z), z))
-        partners[y] = best
-        d_values[y] = space.d(y, best)
+    partners, d_values = _nearest(space, ys, other)
     report = _build_report(space, ys, partners, d_values)
     if report.c_constant > 2:
         raise ValidationError("interpolation constant exceeded 2 on an MST selection")
@@ -228,16 +239,12 @@ def half_dim_embedding(space: MetricSpace) -> EmbeddingReport:
 def large_embedding(space: MetricSpace, ys: list[str]) -> EmbeddingReport:
     """Selected-subset embedding with nearest-complement partners."""
     _selected_indices(space, ys)
-    complement = [p for p in space.points if p not in set(ys)]
+    complement = set(space.points).difference(ys)
     if not complement:
         raise EmptyComplement("selected set must have a nonempty complement")
-    partners = {}
-    d_values = {}
-    for y in sorted(ys):
-        best = min(complement, key=lambda z: (space.d(y, z), z))
-        partners[y] = best
-        d_values[y] = space.d(y, best)
-    return _build_report(space, sorted(ys), partners, d_values)
+    ys = sorted(ys)
+    partners, d_values = _nearest(space, ys, complement)
+    return _build_report(space, ys, partners, d_values)
 
 
 def mod_p_selection(graph: TwoPoleGraph, p: int) -> list[str]:
@@ -245,19 +252,23 @@ def mod_p_selection(graph: TwoPoleGraph, p: int) -> list[str]:
 
     The origin is a diameter-achieving vertex; classes collect vertices by
     distance mod p.  Guarantees |Y| >= n (p-1)/p and partner distances at
-    most 2p, hence an interpolation constant at most 4p.
+    most 2p, hence an interpolation constant at most 4p.  The distances
+    must be integers (ValidationError otherwise): the residues of
+    fractional distances carry neither guarantee.
     """
     if p < 2:
         raise ValidationError("p must be at least 2 (one class would be dropped empty)")
     space = graph_metric(graph)
+    if space.den != 1:
+        raise ValidationError(f"mod-p selection needs integer distances; "
+                              f"these have denominator {space.den}")
     diam = space.diameter
-    origin = min(v for v in space.points
-                 if max(space.d(v, w) for w in space.points) == diam)
+    origin = min(v for v, row in zip(space.points, space.rows) if max(row) == diam)
     if p > diam + 1:
         raise PTooLarge(f"p = {p} exceeds diameter + 1 = {diam + 1}")
     classes: dict[int, list[str]] = {i: [] for i in range(p)}
-    for v in space.points:
-        classes[int(space.d(origin, v)) % p].append(v)
+    for v, x in zip(space.points, space.rows[space.index(origin)]):
+        classes[x % p].append(v)
     drop = min(range(p), key=lambda i: (len(classes[i]), i))
     ys = sorted(v for i in range(p) if i != drop for v in classes[i])
     return ys
@@ -275,12 +286,9 @@ def diamond_top_level(n: int) -> EmbeddingReport:
     ys = sorted(v for v in g.interior_vertices if v.count("/") == n - 1)
     if len(ys) != 2 * 4 ** (n - 1):
         raise ValidationError("unexpected last-step vertex count")
-    partners = {}
-    d_values = {}
-    for y in ys:
-        nb = min(g.adjacency[y])
-        partners[y] = nb
-        d_values[y] = space.d(y, nb)
+    partners = {y: min(g.adjacency[y]) for y in ys}
+    index, rows = space._index, space.rows
+    d_values = {y: Fraction(rows[index[y]][index[x]], space.den) for y, x in partners.items()}
     return _build_report(space, ys, partners, d_values)
 
 

@@ -7,13 +7,17 @@ duality it equals the maximal pairing with a 1-Lipschitz function
 vanishing at the basepoint.  Both are computed exactly: the network
 simplex of simplex.transportation, on one arc per (positive, negative)
 point pair, gives the value, an optimal plan and the potentials from which
-the certificate is read.
+the certificate is read.  Costs are the metric's integer distance rows,
+and the certificate is taken on them; a Fraction is made only for a
+returned value.  Tree norms sum integers over the weights' and the
+masses' common denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import simplex
 from .cyclespace import _spanning_tree
@@ -57,17 +61,22 @@ def _split(m: Molecule):
 def _transport(space: MetricSpace, m: Molecule):
     """(sources, sinks, value, plan matrix, (u, v)) of m's transportation
     problem; only the support matters, since the optimal coupling moves
-    mass between support points directly (triangle inequality)."""
+    mass between support points directly (triangle inequality).  The costs
+    are the metric's integer rows over its denominator, and so are the
+    potentials u, v."""
+    index = space._index
     for p in m.coeffs:
-        if p not in space.points:
+        if p not in index:
             raise ValidationError(f"molecule point {p!r} not in the space")
     pos, neg = _split(m)
     sources = [p for p, _ in pos]
     sinks = [q for q, _ in neg]
-    cost = [[space.d(p, q) for q in sinks] for p in sources]
+    cols = [index[q] for q in sinks]
+    rows = space.rows
+    cost = [list(map(rows[index[p]].__getitem__, cols)) for p in sources]
     supply = [v for _, v in pos]
     demand = [v for _, v in neg]
-    value, plan, potentials = simplex.transportation(cost, supply, demand)
+    value, plan, potentials = simplex.transportation(cost, supply, demand, space.den)
     return sources, sinks, value, plan, potentials
 
 
@@ -94,18 +103,19 @@ def lip_dual(space: MetricSpace, m: Molecule,
     shifted to vanish at the basepoint.  A minimum of 1-Lipschitz functions
     is 1-Lipschitz, and u_i + v_j <= d(s_i, t_j) gives <f, m> >= sum a_i u_i
     + sum b_j v_j, the optimal cost; weak duality makes it equal.  The
-    equality is checked exactly.
+    c-transform runs on the integer rows and potentials over the metric's
+    denominator, and the equality is checked exactly on the Fraction values.
     """
     if basepoint is None:
         basepoint = space.basepoint or space.points[0]
     _, sinks, value, _, (_, v) = _transport(space, m)
     if sinks:
         cols = [space.index(t) for t in sinks]
-        f = [min(row[k] - vj for k, vj in zip(cols, v)) for row in space.dist]
+        f = [min(row[k] - vj for k, vj in zip(cols, v)) for row in space.rows]
     else:
-        f = [ZERO] * len(space.points)
+        f = [0] * len(space.points)
     shift = f[space.index(basepoint)]
-    values = {p: fx - shift for p, fx in zip(space.points, f)}
+    values = {p: Fraction(fx - shift, space.den) for p, fx in zip(space.points, f)}
     pairing = sum((c * values[p] for p, c in m.coeffs.items()), start=ZERO)
     if pairing != value:
         raise SolverFailure(f"dual certificate pairs to {pairing}, primal value is {value}")
@@ -121,6 +131,26 @@ def _check_tree(t: TwoPoleGraph):
         raise NotATree(f"{len(t.edges)} edges on {len(t.vertices)} vertices")
 
 
+def _subtree_masses(t: TwoPoleGraph, m: Molecule):
+    """(parent_edge, sub, den): sub[v] / den is the molecule's net mass in
+    the subtree hanging below v, in integers over the least common
+    denominator of its coefficients.  ValidationError names a point of m
+    outside the tree."""
+    _check_tree(t)
+    parent, parent_edge = _spanning_tree(t)
+    den = lcm(*(c.denominator for c in m.coeffs.values()))
+    sub = dict.fromkeys(parent, 0)
+    for p, c in m.coeffs.items():
+        if p not in sub:
+            raise ValidationError(f"molecule point {p!r} not in the tree")
+        sub[p] = c.numerator * (den // c.denominator)
+    for v in reversed(parent):  # BFS order reversed: children before parents
+        p = parent[v]
+        if p is not None:
+            sub[p] += sub[v]
+    return parent_edge, sub, den
+
+
 def tree_isometry(t: TwoPoleGraph, m: Molecule) -> dict[str, Fraction]:
     """Image of a molecule under the edge-coordinate isometry of a tree.
 
@@ -128,16 +158,16 @@ def tree_isometry(t: TwoPoleGraph, m: Molecule) -> dict[str, Fraction]:
     hanging below f; the l1 norm of the image equals the transportation
     norm exactly.
     """
-    _check_tree(t)
-    parent, parent_edge = _spanning_tree(t)
-    sub = {v: m.coeffs.get(v, ZERO) for v in t.vertices}
-    for v in reversed(parent):  # BFS order reversed: children before parents
-        p = parent[v]
-        if p is not None:
-            sub[p] += sub[v]
-    return {e.id: e.weight * sub[v] for v, e in parent_edge.items()}
+    parent_edge, sub, den = _subtree_masses(t, m)
+    return {e.id: e.weight * Fraction(sub[v], den) for v, e in parent_edge.items()}
 
 
 def tree_norm(t: TwoPoleGraph, m: Molecule) -> Fraction:
-    image = tree_isometry(t, m)
-    return sum((abs(x) for x in image.values()), start=ZERO)
+    """l1 norm of tree_isometry(t, m): sum over edges of |w_e W_e| with W_e
+    the integer subtree masses, over the weights' and the masses' common
+    denominators."""
+    parent_edge, sub, den = _subtree_masses(t, m)
+    wden = lcm(*(e.weight.denominator for e in parent_edge.values()))
+    total = sum(abs(e.weight.numerator * (wden // e.weight.denominator) * sub[v])
+                for v, e in parent_edge.items())
+    return Fraction(total, wden * den)

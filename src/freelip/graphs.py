@@ -268,9 +268,11 @@ def automorphism_search(g: TwoPoleGraph, constraint: str):
 
     space = graph_metric(g)
     adj = {v: set(g.adjacency[v]) for v in g.vertices}
+    to_top = space.distances_from(g.top)
+    to_bottom = space.distances_from(g.bottom)
 
     def profile(v, swapped):
-        dt, db = space.d(v, g.top), space.d(v, g.bottom)
+        dt, db = to_top[v], to_bottom[v]
         return (len(adj[v]), (db, dt) if swapped else (dt, db))
 
     swapped = constraint == "swap-poles"

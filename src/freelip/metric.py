@@ -2,7 +2,10 @@
 
 A molecule is a finitely supported real function on the points summing to
 zero; these are the elements whose transportation norm the rest of the
-package computes.  All coefficients and distances are Fractions.
+package computes.  Coefficients are Fractions.  A metric space holds its
+distances as integer rows over one least common denominator, the only
+form the library's loops read; Fractions of distances are made only at
+the boundary (``MetricSpace.d``, ``dist``, ``diameter`` and ``to_json``).
 """
 
 from __future__ import annotations
@@ -10,21 +13,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Mapping
 
-from .errors import (AsymmetryError, DisconnectedGraph, SamePoint,
+from .errors import (AsymmetryError, DisconnectedGraph, ResourceLimit, SamePoint,
                      TriangleViolation, ValidationError, ZeroOffDiagonal)
 from .rational import ZERO, json_key, num_from_json, num_to_json, to_fraction
+
+POINT_CAP = 5000    # points of a graph metric: 25 million distances
 
 
 @dataclass(frozen=True)
 class MetricSpace:
-    """Finite metric space with an optional distinguished basepoint."""
+    """Finite metric space with an optional distinguished basepoint.
+
+    d(points[i], points[j]) = rows[i][j] / den exactly, with den the least
+    common denominator of the distances, so every comparison of sums and
+    ratios of distances runs on integers.
+    """
 
     points: tuple[str, ...]
-    dist: tuple[tuple[Fraction, ...], ...]
+    den: int
+    rows: tuple[tuple[int, ...], ...]
     basepoint: str | None = None
 
     @cached_property
@@ -35,20 +46,21 @@ class MetricSpace:
         return self._index[p]
 
     def d(self, p: str, q: str) -> Fraction:
-        return self.dist[self._index[p]][self._index[q]]
+        return Fraction(self.rows[self._index[p]][self._index[q]], self.den)
+
+    def distances_from(self, p: str) -> dict[str, int]:
+        """Point -> its integer distance from p, over den."""
+        return dict(zip(self.points, self.rows[self._index[p]]))
 
     @cached_property
-    def _scaled(self) -> tuple[int, list[list[int]]]:
-        """(den, D) with d(points[i], points[j]) = D[i][j] / den exactly:
-        den is the least common denominator of the distances, so every
-        comparison of sums and ratios of distances runs on integers."""
-        den = lcm(*(x.denominator for row in self.dist for x in row))
-        return den, [[x.numerator * (den // x.denominator) for x in row]
-                     for row in self.dist]
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distance matrix as Fractions, one object per distinct value."""
+        frac = {x: Fraction(x, self.den) for x in set().union(*self.rows)}
+        return tuple(tuple(map(frac.__getitem__, row)) for row in self.rows)
 
     @cached_property
     def diameter(self) -> Fraction:
-        return max(max(row) for row in self.dist)
+        return Fraction(max(map(max, self.rows)), self.den)
 
     def to_json(self) -> dict:
         out = {
@@ -69,20 +81,23 @@ class MetricSpace:
 def validate_metric(dist, points=None, basepoint=None) -> MetricSpace:
     """Check the metric axioms and return the validated space.
 
-    Reports the first violated axiom: squareness, zero diagonal, symmetry,
-    positivity off the diagonal, then an exhaustive triangle scan, which
-    runs on the integer distances over the common denominator and reports
-    the first (i, j, k) in index order with d(i, j) > d(i, k) + d(k, j).
+    Reads the entries as Fractions and then as integers over their least
+    common denominator, on which every check runs.  Reports the first
+    violated axiom: squareness, zero diagonal, symmetry, positivity off the
+    diagonal, then an exhaustive triangle scan, which reports the first
+    (i, j, k) in index order with d(i, j) > d(i, k) + d(k, j).
     """
     n = len(dist)
-    rows = [[to_fraction(x) for x in row] for row in dist]
-    for row in rows:
+    fracs = [[to_fraction(x) for x in row] for row in dist]
+    for row in fracs:
         if len(row) != n:
             raise ValidationError("distance matrix is not square")
     if points is None:
         points = [f"p{i}" for i in range(n)]
     if len(points) != n:
         raise ValidationError("points list does not match matrix size")
+    den = lcm(*{x.denominator for row in fracs for x in row})
+    rows = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in fracs)
     for i in range(n):
         if rows[i][i] != 0:
             raise ValidationError(f"nonzero diagonal entry at {points[i]}")
@@ -94,19 +109,17 @@ def validate_metric(dist, points=None, basepoint=None) -> MetricSpace:
                 raise ValidationError(f"negative distance at ({points[i]},{points[j]})")
             if rows[i][j] == 0:
                 raise ZeroOffDiagonal(f"zero distance between distinct points {points[i]}, {points[j]}")
-    space = MetricSpace(tuple(points), tuple(tuple(r) for r in rows), basepoint)
-    _, scaled = space._scaled
     # by the symmetry checked above d(k, j) = d(j, k), and a violated
     # (j, i, k) comes before (i, j, k) when j < i, so only i < j is scanned
-    for i, ri in enumerate(scaled):
+    for i, ri in enumerate(rows):
         for j in range(i + 1, n):
-            rj = scaled[j]
+            rj = rows[j]
             if min(map(add, ri, rj)) < ri[j]:
                 k = next(k for k in range(n) if ri[j] > ri[k] + rj[k])
                 raise TriangleViolation(points[i], points[j], points[k])
     if basepoint is not None and basepoint not in points:
         raise ValidationError(f"basepoint {basepoint!r} not among points")
-    return space
+    return MetricSpace(tuple(points), den, rows, basepoint)
 
 
 @dataclass(frozen=True)
@@ -179,12 +192,17 @@ def graph_metric(g) -> MetricSpace:
     """Shortest-path metric of a two-pole graph, ignoring edge directions.
 
     BFS per source on integer levels for unit weights, Dijkstra otherwise,
-    on the integer weights over their least common denominator.  One
-    Fraction is built per distinct distance and shared across the matrix.
+    on the integer weights over their least common denominator; the rows
+    are then divided by their common factor with that denominator, which
+    leaves the least common denominator of the distances.  Raises
+    ResourceLimit before any row is built on more than POINT_CAP points.
     """
     import heapq
 
     verts = list(g.vertices)
+    n = len(verts)
+    if n > POINT_CAP:
+        raise ResourceLimit(f"graph metric on {n:,} points exceeds the {POINT_CAP:,}-point cap")
     idx = {v: i for i, v in enumerate(verts)}
     weights = [to_fraction(e.weight) for e in g.edges]
     unit = all(w == 1 for w in weights)
@@ -194,7 +212,6 @@ def graph_metric(g) -> MetricSpace:
         iw = w.numerator * (den // w.denominator)
         adj[idx[e.tail]].append((idx[e.head], iw))
         adj[idx[e.head]].append((idx[e.tail], iw))
-    n = len(verts)
     rows = []
     for s in range(n):
         d = [None] * n
@@ -224,7 +241,9 @@ def graph_metric(g) -> MetricSpace:
         if None in d:
             missing = verts[d.index(None)]
             raise DisconnectedGraph(f"vertex {missing!r} unreachable from {verts[s]!r}")
-        rows.append(d)
-    frac = {x: Fraction(x, den) for x in set().union(*rows)}
-    return MetricSpace(tuple(verts), tuple(tuple(frac[x] for x in row) for row in rows),
-                       basepoint=g.bottom)
+        rows.append(tuple(d))
+    common = gcd(den, *set().union(*rows)) if den > 1 else 1
+    if common > 1:
+        den //= common
+        rows = [tuple(x // common for x in row) for row in rows]
+    return MetricSpace(tuple(verts), den, tuple(rows), basepoint=g.bottom)

@@ -1,8 +1,11 @@
 """Rational number helpers: coercion, JSON round-tripping, formatting.
 
-All structural computations in this package run over ``fractions.Fraction``.
-JSON files store rationals as plain ints when integral and as ``"p/q"``
-strings otherwise, so reports stay exact and byte-reproducible.
+All structural computations in this package are exact: their inner loops
+run on integers over one common denominator (a metric space's distance
+rows, masses, edge lengths), and ``fractions.Fraction`` carries the
+values they return.  JSON files store rationals as plain ints when
+integral and as ``"p/q"`` strings otherwise, so reports stay exact and
+byte-reproducible.
 """
 
 from __future__ import annotations

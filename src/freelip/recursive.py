@@ -57,6 +57,8 @@ class BaseGraphProfile:
 def enumerate_geodesics(g: TwoPoleGraph) -> list[list[str]]:
     """All bottom-top geodesics as edge-id walks (distance-pruned DFS)."""
     space = graph_metric(g)
+    level = space.distances_from(g.top)
+    step = space.den
     out: list[list[str]] = []
 
     def extend(v, walk):
@@ -66,7 +68,7 @@ def enumerate_geodesics(g: TwoPoleGraph) -> list[list[str]]:
                 raise ResourceLimit("geodesic enumeration cap exceeded")
             return
         for w in g.adjacency[v]:
-            if space.d(w, g.top) == space.d(v, g.top) - 1:
+            if level[w] == level[v] - step:
                 walk.append(g.edge_by_pair[frozenset((v, w))].id)
                 extend(w, walk)
                 walk.pop()
@@ -95,12 +97,12 @@ def profile_base(b: TwoPoleGraph) -> BaseGraphProfile:
     if uncovered:
         raise ValidationError(f"edges not on any bottom-top geodesic: {uncovered}")
 
-    half = height // 2
+    half = height // 2 * space.den
+    level = space.distances_from(b.bottom)
     c_coeffs = {}
     for eid, v in coeffs.items():
         e = b.edge_by_id[eid]
-        tail_level = space.d(b.bottom, e.tail)
-        c_coeffs[eid] = v if tail_level >= half else -v
+        c_coeffs[eid] = v if level[e.tail] >= half else -v
     c_vec = EdgeVector(b, c_coeffs)
 
     basis = fundamental_cycle_basis(b)
@@ -179,7 +181,8 @@ def check_conditions(b: TwoPoleGraph) -> dict:
         "uncovered_edges": sorted(e.id for e in b.edges if e.id not in covered),
     }
 
-    oriented = all(space.d(e.head, b.top) < space.d(e.tail, b.top) for e in b.edges)
+    to_top = space.distances_from(b.top)
+    oriented = all(to_top[e.head] < to_top[e.tail] for e in b.edges)
     walks = fundamental_cycles_as_walks(b)
     two_blocks = all(up_down_decomposition(w, b) for w in walks)
     report["2_orientation_updown"] = {"ok": oriented and two_blocks,

@@ -7,15 +7,17 @@
   with Dantzig's rule (the first negative arc after ``_BLAND_AFTER``
   pivots, so it terminates), pivots round one tree cycle and updates the
   potentials and reduced costs on the subtree that moves (*Network Flows*
-  §11.5).  Its two entry points scale the problem to integers, differ
-  only in their arcs and their start tree, and check the optimal flow and
-  potentials once from scratch in those integers before making
-  Fractions: ``transportation`` has one arc per (supply, demand) cell and
-  the north-west-corner staircase, and returns the value, the plan and
-  the potentials from which ``freenorm.lip_dual`` reads its 1-Lipschitz
-  certificate; ``min_cost_flow`` has two opposite arcs per graph edge and
-  the BFS spanning tree carrying its forced flow, for the quotient norms of
-  ``cyclespace.quotient_norm``, whose certificate is again the potentials.
+  §11.5).  Its two entry points run on integers, differ only in their
+  arcs and their start tree, and check the optimal flow and potentials
+  once from scratch in those integers: ``transportation`` has one arc per
+  (supply, demand) cell and the north-west-corner staircase, takes
+  integer costs over one denominator (a metric's rows) and returns the
+  value, the plan and the integer potentials from which
+  ``freenorm.lip_dual`` reads its 1-Lipschitz certificate;
+  ``min_cost_flow`` has two opposite arcs per graph edge and the BFS
+  spanning tree carrying its forced flow, for the quotient norms of
+  ``cyclespace.quotient_norm``, and returns its value with the integer
+  flow and potentials (the certificate) over their denominators.
 - Dense simplex (``solve_standard_exact``): two-phase primal simplex over
   Fractions with the same pricing rules.  No library LP runs on it any
   more: the minimal projection LP of ``projections`` is solved by HiGHS
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import sub
 
 from .errors import SolverFailure, ValidationError
 
@@ -353,24 +356,27 @@ def _certified(tails, heads, cost, flow, phi, div):
     return total
 
 
-def transportation(cost, supply, demand):
+def transportation(cost, supply, demand, den=1):
     """Balanced transportation: min sum c[i][j] p[i][j] with given marginals.
 
-    cost, supply and demand are ints or Fractions.  Returns (value, plan,
-    (u, v)): plan is a dense ns x nd matrix and u, v are optimal
-    potentials, u_i + v_j <= c[i][j] with equality wherever the plan is
-    positive, all Fractions.  Runs the network simplex on the problem
-    scaled to integers: arc i nd + j from row i to column ns + j, from the
-    north-west corner, with u = -phi(rows) and v = phi(columns); plan and
-    potentials are certified in those integers (_certified).
+    The cost of cell (i, j) is c[i][j] = cost[i][j] / den for integers
+    cost[i][j], as a metric's rows over its denominator give them; supply
+    and demand are ints or Fractions.  Returns (value, plan, (u, v)): the
+    value is a Fraction, plan a dense ns x nd matrix of Fractions, and u, v
+    optimal integer potentials over den, u_i + v_j <= cost[i][j] with
+    equality wherever the plan is positive.  Runs the network simplex on
+    the masses scaled to integers: arc i nd + j from row i to column
+    ns + j, from the north-west corner, with u = -phi(rows) and v =
+    phi(columns); plan and potentials are certified in those integers
+    (_certified).
     """
     ns, nd = len(supply), len(demand)
     masses, mden = _scaled(list(supply) + list(demand))
     if sum(masses[:ns]) != sum(masses[ns:]):
         raise SolverFailure("unbalanced transportation problem")
     if not ns or not nd:
-        return ZERO, [[] for _ in range(ns)], ([ZERO] * ns, [ZERO] * nd)
-    icost, cden = _scaled([c for row in cost for c in row])
+        return ZERO, [[] for _ in range(ns)], ([0] * ns, [0] * nd)
+    icost = [c for row in cost for c in row]
     flow, tree = _north_west(masses[:ns], masses[ns:])
     tails = [i for i in range(ns) for _ in range(nd)]
     heads = [ns + j for _ in range(ns) for j in range(nd)]
@@ -378,8 +384,7 @@ def transportation(cost, supply, demand):
     total = _certified(tails, heads, icost, flow, phi, [-m for m in masses[:ns]] + masses[ns:])
     plan = [[Fraction(f, mden) if f else ZERO for f in flow[i * nd:(i + 1) * nd]]
             for i in range(ns)]
-    return (Fraction(total, cden * mden), plan,
-            ([Fraction(-p, cden) for p in phi[:ns]], [Fraction(p, cden) for p in phi[ns:]]))
+    return Fraction(total, den * mden), plan, ([-p for p in phi[:ns]], phi[ns:])
 
 
 def min_cost_flow(ends, lengths, divergence):
@@ -387,13 +392,16 @@ def min_cost_flow(ends, lengths, divergence):
 
     ends[e] = (tail, head) are vertex indices 0..n-1 of a connected graph,
     lengths are nonnegative and divergence[v] (inflow minus outflow,
-    summing to zero) are ints or Fractions.  Returns (value, flow, phi):
-    f_e > 0 runs tail to head, and the vertex potentials phi satisfy
-    |phi(head) - phi(tail)| <= lengths[e] with sum_v divergence[v] phi(v)
-    = value, which certifies the optimum.  Runs the network simplex on the
-    problem scaled to integers, edge e as arcs 2e (tail -> head) and 2e + 1
-    (head -> tail), from the BFS spanning tree of vertex 0, and certifies
-    flow and potentials in those integers (_certified).
+    summing to zero) are ints or Fractions.  Returns (value, (flow, fden),
+    (phi, pden)): the value is a Fraction; edge e carries flow[e] / fden
+    from tail to head (head to tail when negative), over the divergence's
+    common denominator fden; and the vertex potentials phi[v] / pden, over
+    the lengths' common denominator pden, satisfy |phi(head) - phi(tail)|
+    <= lengths[e] with sum_v divergence[v] phi(v) = value, which certifies
+    the optimum.  Runs the network simplex on the problem scaled to
+    integers, edge e as arcs 2e (tail -> head) and 2e + 1 (head -> tail),
+    from the BFS spanning tree of vertex 0, and certifies flow and
+    potentials in those integers (_certified).
     """
     for e, length in enumerate(lengths):
         if length < 0:
@@ -434,9 +442,7 @@ def min_cost_flow(ends, lengths, divergence):
     arc_cost = [c for c in cost for _ in range(2)]
     phi = _network_simplex(n, tails, heads, arc_cost, flow, tree)
     total = _certified(tails, heads, arc_cost, flow, phi, div)
-    net = [flow[2 * e] - flow[2 * e + 1] for e in range(m)]
-    return (Fraction(total, cden * dden), [Fraction(f, dden) for f in net],
-            [Fraction(p, cden) for p in phi])
+    return Fraction(total, cden * dden), (list(map(sub, flow[::2], flow[1::2])), dden), (phi, cden)
 
 
 def min_l1_combination(x, zcols):

@@ -377,10 +377,11 @@ def transport_projection_norm(space: MetricSpace, ys, partners) -> Fraction:
     return best
 
 
-def fraction_graph_metric(g) -> MetricSpace:
-    """Shortest-path metric of a graph, ignoring edge directions, with
-    Fraction distances throughout: BFS adds 1 to Fraction levels for unit
-    weights, and Dijkstra pushes Fraction keys through its heap otherwise."""
+def fraction_graph_metric(g) -> tuple[tuple[Fraction, ...], ...]:
+    """Shortest-path distance rows of a graph, in vertex order, ignoring
+    edge directions, with Fraction distances throughout: BFS adds 1 to
+    Fraction levels for unit weights, and Dijkstra pushes Fraction keys
+    through its heap otherwise."""
     verts = list(g.vertices)
     idx = {v: i for i, v in enumerate(verts)}
     adj = [[] for _ in verts]
@@ -420,7 +421,7 @@ def fraction_graph_metric(g) -> MetricSpace:
             missing = verts[d.index(None)]
             raise DisconnectedGraph(f"vertex {missing!r} unreachable from {verts[s]!r}")
         dist[s] = d
-    return MetricSpace(tuple(verts), tuple(tuple(row) for row in dist), basepoint=g.bottom)
+    return tuple(tuple(row) for row in dist)
 
 
 def fraction_tensor_l1(tv) -> Fraction:

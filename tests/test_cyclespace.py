@@ -274,7 +274,10 @@ def test_min_cost_flow_returns_a_feasible_flow_and_its_certificate(seed, kind):
     div = [F(0)] * len(vidx)
     for v, c in random_molecule(rng, list(vidx)).coeffs.items():
         div[vidx[v]] = c
-    value, flow, phi = simplex.min_cost_flow(ends, lengths, div)
+    value, (flow, fden), (phi, pden) = simplex.min_cost_flow(ends, lengths, div)
+    assert all(type(x) is int for x in flow + phi)
+    flow = [F(f, fden) for f in flow]
+    phi = [F(p, pden) for p in phi]
     net = [F(0)] * len(vidx)
     for (t, h), f in zip(ends, flow):
         net[h] += f

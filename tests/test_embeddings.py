@@ -10,10 +10,10 @@ from freelip.embeddings import (diamond_stage_net, diamond_top_level,
                                 half_dim_embedding, interpolation_constant,
                                 kruskal_mst, large_embedding, mod_p_selection,
                                 projection_norm)
-from freelip.graphs import diamond, path
+from freelip.graphs import Edge, TwoPoleGraph, diamond, laakso, path
 from freelip.metric import graph_metric, validate_metric
 from freelip.randgen import random_metric_space
-from oracles import transport_projection_norm
+from oracles import fraction_graph_metric, transport_projection_norm
 
 RNG_SEED = 2718
 
@@ -118,6 +118,62 @@ def test_mod_p_diamond():
     rep = large_embedding(space, ys)
     assert rep.c_constant <= 8  # 4p
     assert all(v <= 4 for v in rep.d_values.values())  # d_i <= 2p
+
+
+def _fraction_mod_p(g, p):
+    """mod_p_selection as a Fraction scan of the oracle's distance rows."""
+    verts = list(g.vertices)
+    dist = fraction_graph_metric(g)
+    diam = max(max(row) for row in dist)
+    origin = min(v for v, row in zip(verts, dist) if max(row) == diam)
+    classes = {i: [] for i in range(p)}
+    for v, x in zip(verts, dist[verts.index(origin)]):
+        classes[int(x) % p].append(v)
+    drop = min(range(p), key=lambda i: (len(classes[i]), i))
+    return sorted(v for i in range(p) if i != drop for v in classes[i])
+
+
+def _reweighted(g, weights):
+    return TwoPoleGraph(g.vertices, tuple(Edge(e.id, e.tail, e.head, w)
+                                          for e, w in zip(g.edges, weights)), g.top, g.bottom)
+
+
+def test_mod_p_matches_a_fraction_scan_on_integer_graphs():
+    rng = random.Random(RNG_SEED + 11)
+    graphs = [path(6), diamond(2), diamond(3), laakso(1)]
+    graphs += [_reweighted(g, [F(rng.randint(1, 4)) for _ in g.edges]) for g in graphs]
+    for g in graphs:
+        for p in range(2, 5):
+            if p <= max(max(row) for row in fraction_graph_metric(g)) + 1:
+                assert mod_p_selection(g, p) == _fraction_mod_p(g, p)
+
+
+def test_mod_p_rejects_fractional_distances():
+    # floor(d) mod p on half-unit distances is no distance residue
+    g = _reweighted(path(4), [F(1, 2)] * 4)
+    with pytest.raises(ValidationError, match="integer distances; these have denominator 2"):
+        mod_p_selection(g, 2)
+    # integral weights given as Fractions keep integer distances
+    g = _reweighted(path(4), [F(2)] * 4)
+    assert mod_p_selection(g, 3) == _fraction_mod_p(g, 3) == ["v0", "v1", "v3", "v4"]
+
+
+def test_nearest_partners_match_a_fraction_tuple_scan():
+    # the first name among the nearest, by Fraction distances and names
+    rng = random.Random(RNG_SEED + 12)
+    for _ in range(20):
+        space = random_metric_space(rng, rng.randint(3, 14))
+        ys = sorted(rng.sample(space.points, rng.randint(1, len(space.points) - 1)))
+        rest = sorted(set(space.points) - set(ys))
+        rep = large_embedding(space, ys)
+        for y in ys:
+            best = min(rest, key=lambda z: (space.d(y, z), z))
+            assert rep.partners[y] == best and rep.d_values[y] == space.d(y, best)
+        half = half_dim_embedding(space)
+        other = sorted(set(space.points) - set(half.ys))
+        for y in half.ys:
+            best = min(other, key=lambda z: (space.d(y, z), z))
+            assert half.partners[y] == best and half.d_values[y] == space.d(y, best)
 
 
 @pytest.mark.parametrize("n", [1, 2])

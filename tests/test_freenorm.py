@@ -1,17 +1,19 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from freelip import simplex
-from freelip.errors import NotATree
+from freelip.errors import NotATree, ValidationError
 from freelip.freenorm import ae_norm, lip_dual, tree_isometry, tree_norm
 from freelip.graphs import Edge, TwoPoleGraph, diamond, laakso, multidiamond, path
 from freelip.metric import Molecule, elementary_molecule, graph_metric, validate_metric
 from freelip.randgen import random_metric_space, random_molecule, random_tree
 
-from oracles import clipped_witness_value, dense_transport, flow_norm, plan_is_valid
+from oracles import (clipped_witness_value, dense_transport, flow_norm,
+                     fraction_graph_metric, plan_is_valid)
 
 RNG_SEED = 4242
 
@@ -139,20 +141,28 @@ def test_dense_simplex_int_and_fraction_rows_agree():
 
 # --- tree transportation kernel against the dense simplex ------------------
 
+def _over_one_den(cost):
+    """Integer rows and their denominator den for a rational cost matrix."""
+    den = lcm(*(F(c).denominator for row in cost for c in row))
+    return [[int(c * den) for c in row] for row in cost], den
+
+
 def _check_kernel(cost, supply, demand):
     """Tree kernel value equals the dense simplex's; its plan has the right
-    marginals and its potentials are feasible and tight on the plan."""
-    value, plan, (u, v) = simplex.transportation(cost, supply, demand)
+    marginals and its integer potentials are feasible and tight on the plan."""
+    icost, den = _over_one_den(cost)
+    value, plan, (u, v) = simplex.transportation(icost, supply, demand, den)
     assert value == dense_transport(cost, supply, demand)[0]
     ns, nd = len(supply), len(demand)
     assert [sum(row) for row in plan] == list(supply)
     assert [sum(plan[i][j] for i in range(ns)) for j in range(nd)] == list(demand)
     assert sum(plan[i][j] * cost[i][j] for i in range(ns) for j in range(nd)) == value
+    assert all(type(x) is int for x in u + v)
     for i in range(ns):
         for j in range(nd):
-            assert plan[i][j] >= 0 and u[i] + v[j] <= cost[i][j]
+            assert plan[i][j] >= 0 and u[i] + v[j] <= icost[i][j]
             if plan[i][j]:
-                assert u[i] + v[j] == cost[i][j]
+                assert u[i] + v[j] == icost[i][j]
     return value, plan
 
 
@@ -274,6 +284,35 @@ def test_tree_isometry_matches_lp_on_random_trees():
         for _ in range(4):
             m = random_molecule(rng, t.vertices)
             assert tree_norm(t, m) == ae_norm(space, m)[0]
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_tree_norm_matches_transport_on_fractional_trees(seed, n_edges):
+    # weights with denominators up to 4, masses with denominators up to 3;
+    # the tree's distances are checked against the Fraction oracle, and
+    # the dual certificate pairs to the primal value on them
+    rng = random.Random(seed)
+    t = random_tree(rng, n_edges)
+    space = graph_metric(t)
+    dist = fraction_graph_metric(t)
+    assert space.dist == dist
+    m = random_molecule(rng, t.vertices)
+    value = ae_norm(space, m)[0]
+    assert tree_norm(t, m) == value == sum(map(abs, tree_isometry(t, m).values()))
+    cert = lip_dual(space, m)
+    f = [cert.f.values[p] for p in space.points]
+    assert cert.value == value == sum(v * cert.f.values[p] for p, v in m.coeffs.items())
+    assert all(abs(f[i] - f[j]) <= dist[i][j] for i in range(len(f)) for j in range(len(f)))
+
+
+def test_tree_norm_rejects_mass_outside_the_tree():
+    t = TwoPoleGraph(("a", "b"), (Edge("e", "a", "b", F(2)),), "b", "a")
+    m = Molecule({"a": 1, "zz": -1})
+    for call in (tree_norm, tree_isometry):
+        with pytest.raises(ValidationError, match="molecule point 'zz' not in the tree"):
+            call(t, m)
+    assert tree_norm(t, Molecule({"a": 1, "b": -1})) == 2
 
 
 def test_not_a_tree_raises():

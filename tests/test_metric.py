@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freelip.errors import (AsymmetryError, DisconnectedGraph, SamePoint,
+from freelip.errors import (AsymmetryError, DisconnectedGraph, ResourceLimit, SamePoint,
                             TriangleViolation, ValidationError, ZeroOffDiagonal)
 from freelip.graphs import (Edge, TwoPoleGraph, diamond, k2n_base, laakso,
                             multidiamond, single_edge)
@@ -176,11 +177,73 @@ def _metric_cases():
 @pytest.mark.parametrize("g", list(_metric_cases()))
 def test_graph_metric_matches_fraction_oracle(g):
     space = graph_metric(g)
-    assert space == fraction_graph_metric(g)
+    assert space.points == g.vertices and space.basepoint == g.bottom
+    assert space.dist == fraction_graph_metric(g)
     entries = [x for row in space.dist for x in row]
     assert all(type(x) is F for x in entries)
     # one Fraction object per distinct distance value
     assert len({id(x) for x in entries}) == len(set(entries))
+    # den is the least common denominator of the distances
+    assert space.den == lcm(*(x.denominator for x in entries))
+    assert all(type(x) is int for row in space.rows for x in row)
+    assert space == validate_metric(space.dist, points=space.points, basepoint=g.bottom)
+    assert MetricSpace.from_json(space.to_json()) == space
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_graph_metric_matches_fraction_oracle_on_random_weights(seed):
+    # mixed denominators, and weights that are all multiples of a common
+    # fraction (so the rows share a factor with the weights' denominator)
+    rng = random.Random(seed)
+    g = _random_weighted_graph(rng, rng.randint(2, 10))
+    if rng.random() < 0.5:
+        c = F(rng.randint(1, 4), rng.randint(1, 6))
+        g = TwoPoleGraph(g.vertices, tuple(Edge(e.id, e.tail, e.head, c * rng.randint(1, 3))
+                                           for e in g.edges), g.top, g.bottom)
+    space = graph_metric(g)
+    dist = fraction_graph_metric(g)
+    assert space.dist == dist
+    assert space.den == lcm(*(x.denominator for row in dist for x in row))
+    assert all(space.d(p, q) == dist[i][j] for i, p in enumerate(space.points)
+               for j, q in enumerate(space.points))
+    assert space.diameter == max(max(row) for row in dist)
+    assert MetricSpace.from_json(space.to_json()) == space
+
+
+def test_graph_metric_divides_out_a_denominator_no_distance_has():
+    # the 7/3 edge is never a shortest path, so the weights' denominator 3
+    # is not the distances'
+    g = TwoPoleGraph(("a", "b", "c"), (Edge("ab", "a", "b", F(1)), Edge("bc", "b", "c", F(1)),
+                                       Edge("ac", "a", "c", F(7, 3))), "c", "a")
+    space = graph_metric(g)
+    assert space.den == 1 and space.rows == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
+    assert space == validate_metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]], points=["a", "b", "c"],
+                                    basepoint="a")
+
+
+def test_validate_metric_reads_the_least_common_denominator():
+    space = validate_metric([[0, F(1, 2), F(5, 6)], [F(1, 2), 0, F(2, 3)],
+                             [F(5, 6), F(2, 3), 0]], points=["a", "b", "c"])
+    assert space.den == 6 and space.rows == ((0, 3, 5), (3, 0, 4), (5, 4, 0))
+    assert space.d("a", "c") == F(5, 6) and space.diameter == F(5, 6)
+    # integral Fraction and float entries read as integers over den 1
+    space = validate_metric([[F(0), 2.0], [F(2), 0]])
+    assert space.den == 1 and space.rows == ((0, 2), (2, 0))
+
+
+def test_graph_metric_refuses_too_many_points_before_building_a_row(monkeypatch):
+    import freelip.metric as metric
+
+    monkeypatch.setattr(metric, "POINT_CAP", 8)
+    assert graph_metric(diamond(1)).den == 1     # 4 points
+    with pytest.raises(ResourceLimit, match="12 points exceeds the 8-point cap"):
+        graph_metric(diamond(2))                 # 12 points
+    # the cap is checked first: a graph whose every vertex is unreachable
+    # raises it, not DisconnectedGraph
+    g = SimpleNamespace(vertices=tuple(f"v{i}" for i in range(9)), bottom="v0", edges=())
+    with pytest.raises(ResourceLimit):
+        graph_metric(g)
 
 
 @pytest.mark.parametrize("weight", [F(1), F(3, 2)], ids=["bfs", "dijkstra"])

@@ -5,6 +5,7 @@ points, and its pivot-by-pivot updates against the full-walk loop."""
 import itertools
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -212,7 +213,8 @@ def _random_transportation(rng):
         supply[-1] -= gap
     cost = [[rng.choice((rng.randint(0, 4), F(rng.randint(0, 9), rng.randint(1, 4))))
              for _ in range(nd)] for _ in range(ns)]
-    transportation(cost, supply, demand)
+    den = lcm(*(F(c).denominator for row in cost for c in row))
+    transportation([[int(c * den) for c in row] for row in cost], supply, demand, den)
 
 
 def _random_min_cost_flow(rng):
