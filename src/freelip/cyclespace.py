@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from . import simplex
+from . import linalg, simplex
 from .errors import NotACycle, ValidationError
 from .graphs import TwoPoleGraph
 from .metric import Molecule
@@ -202,40 +202,6 @@ def mu(g: TwoPoleGraph) -> int:
     return len(g.edges) - len(g.vertices) + 1
 
 
-def _eliminate(x, y, col):
-    """The sparse integer row y[col] x - x[col] y, which is 0 at col,
-    divided by the gcd of its entries."""
-    a, b = y[col], x[col]
-    out = {c: a * v for c, v in x.items() if c != col}
-    for c, v in y.items():
-        if c != col:
-            r = out.get(c, 0) - b * v
-            if r:
-                out[c] = r
-            else:
-                del out[c]
-    g = gcd(*out.values())
-    return {c: v // g for c, v in out.items()} if g > 1 else out
-
-
-def _independent(rows) -> bool:
-    """Whether sparse integer rows ({column: value}) are linearly
-    independent over Q, by fraction-free elimination against pivot rows kept
-    at 0 on each other's pivots."""
-    pivots = {}
-    for row in rows:
-        for col in [c for c in row if c in pivots]:
-            row = _eliminate(row, pivots[col], col)
-        if not row:
-            return False
-        col = min(row)
-        for key, other in pivots.items():
-            if col in other:
-                pivots[key] = _eliminate(other, row, col)
-        pivots[col] = row
-    return True
-
-
 def _edge_scales(g: TwoPoleGraph, z: CycleBasis) -> dict[str, tuple[int, int]]:
     """The per-edge scales d_e of a scaled cycle basis, checked, as
     (numerator, denominator) pairs in lowest terms.
@@ -243,7 +209,8 @@ def _edge_scales(g: TwoPoleGraph, z: CycleBasis) -> dict[str, tuple[int, int]]:
     d_e is the common |z_i[e]| over the z_i that touch e; every D^-1 z_i
     must be a cycle (zero boundary) and the D^-1 z_i must be mu(g)
     independent vectors, checked by their +-1 restriction to the non-tree
-    edges of the BFS tree (a signed identity on the fundamental basis).
+    edges of the BFS tree (a signed identity on the fundamental basis),
+    by one forward elimination (linalg.echelon).
     Raises ValidationError otherwise.
     """
     if len(z.vectors) != mu(g):
@@ -272,7 +239,7 @@ def _edge_scales(g: TwoPoleGraph, z: CycleBasis) -> dict[str, tuple[int, int]]:
         if any(net.values()):
             raise ValidationError("basis vector is not a scaled cycle")
         chords.append(row)
-    if not _independent(chords):
+    if linalg.echelon(chords)[1]:
         raise ValidationError("basis vectors are linearly dependent")
     return scale
 

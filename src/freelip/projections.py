@@ -4,11 +4,11 @@ assembly.
 
 Matrices act on coordinates indexed by a fixed basis order (edge ids or
 grid cells).  The exact projection algebra runs on integer matrices over
-one denominator: a rational matrix is read as integer rows N over the lcm
-d of its denominators, linear systems go through one fraction-free
-Gauss-Jordan elimination (Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", 1968), and Fractions are made
-only for a returned matrix, one per distinct numerator.  The
+one denominator, with linalg's kernel: a rational matrix is read as
+integer rows N over the lcm d of its denominators, linear systems go
+through its fraction-free eliminations (dense Gauss-Jordan, or a sparse
+echelon form), and Fractions are made only for a returned matrix, one per
+distinct numerator.  The
 minimal-projection LP is posed on merged coordinates, one per class of
 proportional nonzero rows of the basis, which keeps the projection
 constant; it is built in split form as sparse matrices and solved by
@@ -22,7 +22,6 @@ the class-constant vectors and needs no LP.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,6 +35,7 @@ from scipy.sparse import csr_matrix
 from . import linalg
 from .errors import (GroupClosureOverflow, NotInvariantSubspace, ResourceLimit,
                      SingularGram, SolverFailure, ValidationError)
+from .linalg import RHS
 from .rational import ZERO
 
 GROUP_CAP = 10 ** 6             # elements of a generated group
@@ -84,24 +84,6 @@ def linf_norm(p) -> Fraction:
 # Integer matrices over one denominator
 # ---------------------------------------------------------------------------
 
-def _integer_rows(p) -> tuple:
-    """(N, d): the rational matrix p as rows of integers N over the lcm d
-    of its denominators, so that p = N / d.  Entries without a denominator,
-    such as floats, are read exactly as Fractions first."""
-    try:
-        d = math.lcm(*{x.denominator for row in p for x in row})
-    except AttributeError:
-        return _integer_rows([[Fraction(x) for x in row] for row in p])
-    return [[x.numerator * (d // x.denominator) for x in row] for row in p], d
-
-
-def _fractions(num: list, den: int) -> list:
-    """The integer rows num over den as rows of Fractions, made once per
-    distinct numerator."""
-    made = {x: Fraction(x, den) for x in set(chain.from_iterable(num))}
-    return [list(map(made.__getitem__, row)) for row in num]
-
-
 def _integer_basis(basis_cols: list) -> list:
     """B as m rows of k integers: each basis column scaled by the lcm of its
     denominators, which changes neither its span nor the projections onto it.
@@ -110,46 +92,8 @@ def _integer_basis(basis_cols: list) -> list:
         raise ValidationError("basis columns have different lengths")
     if not basis_cols[0]:
         raise ValidationError("basis columns are empty")
-    cols = []
-    for col in basis_cols:
-        col = [Fraction(x) for x in col]
-        den = math.lcm(*(x.denominator for x in col))
-        cols.append([x.numerator * (den // x.denominator) for x in col])
+    cols = [linalg.integer_rows([col])[0][0] for col in basis_cols]
     return [list(row) for row in zip(*cols)]
-
-
-def _gauss_jordan(rows: list, ncols: int) -> tuple:
-    """Fraction-free Gauss-Jordan elimination of integer rows on their first
-    ncols columns, as (R, pivots, D): R holds the rows that got a pivot, in
-    pivot order, with D at their own pivot column and 0 at the others; the
-    other columns carry along.  Each step replaces every other row r by
-    (p r - r_q piv) / p', with p the new pivot, r_q the row's entry in the
-    pivot column and p' the previous pivot (1 at first); every entry is
-    then a minor of the input, so the division is exact (Bareiss 1968),
-    and D is the last pivot.
-    """
-    rows = [list(r) for r in rows]
-    pivots = []
-    prev = 1
-    for q in range(ncols):
-        t = len(pivots)
-        c = next((r for r in range(t, len(rows)) if rows[r][q]), None)
-        if c is None:
-            continue
-        rows[t], rows[c] = rows[c], rows[t]
-        piv = rows[t]
-        p = piv[q]
-        for r, row in enumerate(rows):
-            if r == t:
-                continue
-            f = row[q]
-            if f:
-                rows[r] = [(p * x - f * y) // prev for x, y in zip(row, piv)]
-            elif p != prev:
-                rows[r] = [p * x // prev for x in row]
-        pivots.append(q)
-        prev = p
-    return rows[:len(pivots)], pivots, prev
 
 
 def _orthogonal_rows(b: list) -> tuple:
@@ -167,7 +111,7 @@ def _orthogonal_rows(b: list) -> tuple:
             for lp, cp in row:
                 g[lp] += c * cp
     aug = [g + [row[l] for row in b] for l, g in enumerate(gram)]
-    x, pivots, det = _gauss_jordan(aug, k)
+    x, pivots, det = linalg.gauss_jordan(aug, k)
     if pivots != list(range(k)):
         raise SingularGram("basis columns are linearly dependent")
     x = [row[k:] for row in x]
@@ -192,7 +136,7 @@ def orthogonal_projection(basis_cols: list) -> list:
     """
     if not basis_cols:
         raise SingularGram("empty basis")
-    return _fractions(*_orthogonal_rows(_integer_basis(basis_cols)))
+    return linalg.fractions(*_orthogonal_rows(_integer_basis(basis_cols)))
 
 
 def orthogonal_index(vectors: list[dict]) -> dict:
@@ -255,7 +199,7 @@ def check_invariance(p, g) -> bool:
     s = _index_map(g, n)
     if any(len(row) != n for row in p):
         raise ValidationError("P is not square")
-    return _commutes(_integer_rows(p)[0], s)
+    return _commutes(linalg.integer_rows(p)[0], s)
 
 
 def permutation_matrix(perm: list[int]) -> list:
@@ -325,8 +269,8 @@ def average_projection(p: list, group_elements: list) -> list:
     if any(len(row) != n for row in p):
         raise ValidationError("P is not square")
     maps = [_index_map(g, n) for g in group_elements]
-    num, den = _integer_rows(p)
-    basis, pivots, scale = _gauss_jordan(zip(*num), n)
+    num, den = linalg.integer_rows(p)
+    basis, pivots, scale = linalg.gauss_jordan(zip(*num), n)
     if any([sum(map(mul, row, v)) for row in num] != [den * x for x in v] for v in basis):
         raise ValidationError("P is not a projection")
     for s in maps:
@@ -347,7 +291,7 @@ def average_projection(p: list, group_elements: list) -> list:
         for acc_row, si in zip(acc, s):
             src = num[si]
             acc_row[:] = map(add, acc_row, [src[sj] for sj in s])
-    return _fractions(acc, den * len(maps))
+    return linalg.fractions(acc, den * len(maps))
 
 
 def _cycle_certificate(graph, num: list, den: int) -> tuple[bool, bool]:
@@ -388,14 +332,13 @@ def cycle_projection_certificate(graph, p) -> tuple[bool, bool]:
     """
     if len(p) != len(graph.edges) or any(len(row) != len(p) for row in p):
         raise ValidationError("P is not square on the graph's edges")
-    return _cycle_certificate(graph, *_integer_rows(p))
+    return _cycle_certificate(graph, *linalg.integer_rows(p))
 
 
 # ---------------------------------------------------------------------------
 # Minimal projections
 # ---------------------------------------------------------------------------
 
-_RHS = -1           # the key of a row's right-hand side in _solve_rows
 _PATTERN_TOL = 1e-7  # a float value, or a float gap to a bound, below it reads as zero
 
 
@@ -441,22 +384,6 @@ def _min_proj_rows(b: list):
     return a_ub, a_eq
 
 
-def _eliminate(r: dict, p: dict, v) -> dict:
-    """The integer row r with its variable v eliminated by the pivot row p,
-    divided by the gcd of its entries."""
-    g = math.gcd(p[v], r[v])
-    a, c = p[v] // g, r[v] // g
-    out = {x: a * y for x, y in r.items()}
-    for x, y in p.items():
-        z = out.get(x, 0) - c * y
-        if z:
-            out[x] = z
-        else:
-            del out[x]
-    g = math.gcd(*out.values())
-    return {x: y // g for x, y in out.items()} if g > 1 else out
-
-
 def _rational(x: float) -> Fraction:
     """A float read as the nearby rational of denominator at most 10^6."""
     r = round(x)
@@ -465,47 +392,26 @@ def _rational(x: float) -> Fraction:
 
 def _solve_rows(rows: list, guess) -> tuple:
     """An exact solution of rows, each a map {variable: integer coefficient}
-    with its right-hand side under _RHS, over the variables
+    with its right-hand side under RHS, over the variables
     0 .. len(guess) - 1, as (N, D): variable v takes N[v] / D, with N a list
     of integers and D > 0.
 
-    Forward elimination runs fraction free on the integer rows: each row is
-    reduced by the earlier pivot rows in the order they were made, then
-    pivots on its variable that the fewest rows contain.  A variable that no
-    pivot fixes takes guess[v] (a float), rationalized; back substitution
-    then runs on integers over one denominator, which grows only when a
-    value needs it.  SolverFailure if the rows are inconsistent.
+    Forward elimination is linalg.echelon.  A variable that no pivot fixes
+    takes guess[v] (a float), rationalized; back substitution then runs on
+    integers over one denominator, which grows only when a value needs it.
+    SolverFailure if the rows are inconsistent.
     """
-    count = {}
-    for row in rows:
-        for v in row:
-            count[v] = count.get(v, 0) + 1
-    made = {}                       # pivot variable -> its index in pivots
-    pivots = []
-    for r in rows:
-        heap = [made[v] for v in r if v in made]
-        heapq.heapify(heap)
-        while heap:
-            v, p = pivots[heapq.heappop(heap)]
-            if v in r:
-                old, r = r, _eliminate(r, p, v)
-                for x in p:
-                    if x in made and x not in old:
-                        heapq.heappush(heap, made[x])
-        free = [v for v in r if v != _RHS]
-        if free:
-            v = min(free, key=lambda x: (count[x], x))
-            made[v] = len(pivots)
-            pivots.append((v, r))
-        elif r:
-            raise SolverFailure("the active constraints of the LP vertex are inconsistent")
+    pivots, rest = linalg.echelon(rows)
+    if any(rest):
+        raise SolverFailure("the active constraints of the LP vertex are inconsistent")
+    made = {v for v, _ in pivots}
     fixed = {v: _rational(g) for v, g in enumerate(guess) if v not in made}
     den = math.lcm(*(f.denominator for f in fixed.values()))
     num = [0] * len(guess)
     for v, f in fixed.items():
         num[v] = f.numerator * (den // f.denominator)
     for v, r in reversed(pivots):
-        c = r.get(_RHS, 0) * den - sum(y * num[x] for x, y in r.items() if x != v and x != _RHS)
+        c = r.get(RHS, 0) * den - sum(y * num[x] for x, y in r.items() if x != v and x != RHS)
         grow = abs(r[v]) // math.gcd(c, r[v])
         if grow > 1:
             den, c = den * grow, c * grow
@@ -543,7 +449,7 @@ def _min_proj_primal(b: list, x) -> tuple:
     for l in range(k):
         for lp in range(k):
             row = {l * m + j: b[j][lp] for j in range(m) if b[j][lp]}
-            rows.append({**row, _RHS: 1} if l == lp else row)
+            rows.append({**row, RHS: 1} if l == lp else row)
     num, d = _solve_rows(rows, [*x[:na], x[-1]])
     return [num[l * m:(l + 1) * m] for l in range(k)], d, num[na]
 
@@ -590,7 +496,7 @@ def _min_proj_dual(b: list, pn: list, d: int, marg_eq, marg_ub) -> tuple:
     rows = [{v: 1} for v in mu.values() if guess[v] <= _PATTERN_TOL]
     rows += [{v: 1, mu[j]: -1 if guess[v] >= 0 else 1} for (i, j), v in w.items()
              if abs(guess[v]) >= guess[mu[j]] - _PATTERN_TOL]
-    rows.append({**{v: 1 for v in mu.values()}, _RHS: 1})
+    rows.append({**{v: 1 for v in mu.values()}, RHS: 1})
     for j in range(m):
         for l in range(k):
             row = {lp * k + l: -c for lp, c in enumerate(b[j]) if c}
@@ -683,14 +589,14 @@ def minimal_projection_lp(basis_cols: list, ambient_dim: int, mode: str = "float
     m, k, mm = len(b), len(b[0]), len(bm)
     sign = [(x > 0) - (x < 0) for x in s]
     if mm <= k:
-        if mm < k or len(_gauss_jordan(bm, k)[1]) < k:
+        if mm < k or len(linalg.gauss_jordan(bm, k)[1]) < k:
             raise SolverFailure("the basis columns are linearly dependent")
         # P = J E: P_ij = s_i sign(s_j) / w_c when i and j are both in class c
         den = math.lcm(*weight)
         num = [[si * sj * (den // weight[ci]) if ci is not None and ci == cj else 0
                 for cj, sj in zip(cls, sign)] for ci, si in zip(cls, s)]
         lam = Fraction(1)
-        return (lam if mode == "exact" else float(lam)), _fractions(num, den)
+        return (lam if mode == "exact" else float(lam)), linalg.fractions(num, den)
     a_ub, a_eq = _min_proj_rows(bm)
     nv = a_eq.shape[1]
     bounds = np.zeros((nv, 2))
@@ -725,7 +631,7 @@ def minimal_projection_lp(basis_cols: list, ambient_dim: int, mode: str = "float
     if max(sum(abs(row[j]) for row in pn) for j in range(m)) != t:
         raise SolverFailure("the exact vertex has ||B A||_1 != t")
     lam = Fraction(t, d)
-    return (lam if mode == "exact" else float(lam)), _fractions(pn, d)
+    return (lam if mode == "exact" else float(lam)), linalg.fractions(pn, d)
 
 
 # ---------------------------------------------------------------------------

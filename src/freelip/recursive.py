@@ -221,7 +221,7 @@ def check_conditions(b: TwoPoleGraph) -> dict:
             moved = [z.permute(emap).dense() for z in basis.vectors]
             for i in range(len(b.edges)):
                 rows.append([moved[j][i] - dense[j][i] for j in range(len(dense))])
-        fixed_dim = len(dense) - linalg.rank(rows) if rows else len(dense)
+        fixed_dim = len(dense) - linalg.rank(rows)
     else:
         fixed_dim = 0
     c_fixed = prof is not None and all(
@@ -360,7 +360,7 @@ def annihilation_check(p: list, profile: BaseGraphProfile, n: int,
     """
     if len(p) != len(graph.edges) or any(len(row) != len(p) for row in p):
         raise ValidationError("P is not square on the graph's edges")
-    num, _ = projections._integer_rows(p)
+    num, _ = linalg.integer_rows(p)
     gens = invariance_generators(profile, n, graph)
     for name, emap in gens.items():
         if not projections._commutes(num, _edge_index_map(graph, emap)):
@@ -652,8 +652,8 @@ def laakso_nonunique_projection() -> dict:
     gap = Fraction(max(abs(x - y * (den // d)) for row, orow in zip(num, orth)
                        for x, y in zip(row, orow)), den)
     return {
-        "projection": projections._fractions(num, den),
-        "orthogonal": projections._fractions(orth, d),
+        "projection": linalg.fractions(num, den),
+        "orthogonal": linalg.fractions(orth, d),
         "is_projection": fixes_range and in_range,
         "fixes_cycle_space": fixes_range,
         "range_in_cycle_space": in_range,

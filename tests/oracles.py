@@ -30,6 +30,11 @@ form is the reference for the exact projection constant, which the
 library reads from a HiGHS vertex certified by exact primal and dual
 solves; the merge of proportional basis rows scales each row by
 Fraction ratios to its first nonzero entry instead of dividing by gcds;
+the Fraction rref, rank, solve and inverse run Gauss-Jordan elimination
+on Fractions, dividing each pivot row by its pivot, instead of the
+fraction-free integer elimination of freelip.linalg, so the orthogonal
+projection and group-average oracles built on them share no elimination
+code with the library;
 and the full-walk network simplex finds the potentials by walking the
 whole tree and prices every arc afresh on every pivot, instead of
 updating both on the subtree that moves.
@@ -44,7 +49,7 @@ import numpy as np
 from freelip import haar_system, linalg
 from freelip.cyclespace import EdgeVector, boundary, fundamental_cycle_basis
 from freelip.errors import (DisconnectedGraph, GroupClosureOverflow, NotInvariantSubspace,
-                            SolverFailure)
+                            SingularGram, SolverFailure)
 from freelip.freenorm import ae_norm
 from freelip.metric import MetricSpace, Molecule
 from freelip.rational import to_fraction
@@ -64,6 +69,60 @@ def mat_vec(a: list, v: list) -> list:
 def mat_add(a: list, b: list) -> list:
     """Entrywise sum of two matrices of the same shape."""
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def fraction_rref(a: list) -> tuple:
+    """Reduced row echelon form by Gauss-Jordan elimination on Fractions,
+    dividing each pivot row by its pivot; returns (R, pivot column indices)."""
+    r = [list(row) for row in a]
+    m = len(r)
+    n = len(r[0]) if m else 0
+    pivots = []
+    row = 0
+    for col in range(n):
+        pivot_row = None
+        for i in range(row, m):
+            if r[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        r[row], r[pivot_row] = r[pivot_row], r[row]
+        pv = r[row][col]
+        r[row] = [x / pv for x in r[row]]
+        for i in range(m):
+            if i != row and r[i][col] != 0:
+                f = r[i][col]
+                r[i] = [x - f * y for x, y in zip(r[i], r[row])]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    return r, pivots
+
+
+def fraction_rank(a: list) -> int:
+    """The number of pivots of fraction_rref(a)."""
+    if not a:
+        return 0
+    return len(fraction_rref(a)[1])
+
+
+def fraction_solve(a: list, b: list) -> list:
+    """X with a X = b for a square nonsingular a, read off fraction_rref of
+    [a | b] (SingularGram otherwise)."""
+    n = len(a)
+    k = len(b[0])
+    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    r, pivots = fraction_rref(aug)
+    if pivots[:n] != list(range(n)):
+        raise SingularGram("matrix is singular")
+    return [row[n:n + k] for row in r[:n]]
+
+
+def fraction_inverse(a: list) -> list:
+    """fraction_solve(a, I)."""
+    return fraction_solve(a, linalg.identity(len(a)))
 
 
 def dense_transport(cost, supply, demand):
@@ -200,7 +259,7 @@ def fraction_orthogonal_projection(basis_cols) -> list:
     products and one Gram solve (SingularGram for dependent columns)."""
     b = [[Fraction(col[i]) for col in basis_cols] for i in range(len(basis_cols[0]))]
     bt = linalg.transpose(b)
-    return linalg.mat_mul(b, linalg.solve(linalg.mat_mul(bt, b), bt))
+    return linalg.mat_mul(b, fraction_solve(linalg.mat_mul(bt, b), bt))
 
 
 def dense_orthogonal_projection(vectors) -> list:
@@ -352,7 +411,7 @@ def dense_average_projection(p: list, group_elements: list) -> list:
             raise NotInvariantSubspace("a group element moves the range of P")
     acc = linalg.zeros(len(p), len(p))
     for g in group_elements:
-        acc = mat_add(acc, linalg.mat_mul(linalg.inverse(g), linalg.mat_mul(p, g)))
+        acc = mat_add(acc, linalg.mat_mul(fraction_inverse(g), linalg.mat_mul(p, g)))
     count = Fraction(len(group_elements))
     return [[x / count for x in row] for row in acc]
 

@@ -25,8 +25,8 @@ from freelip.graphs import diamond_base, laakso_base
 from oracles import (all_vectors_bm_upper, dense_average_projection, dense_commutes,
                      dense_generate_group, dense_min_proj_split_rows,
                      dense_min_proj_standard_form, fraction_cycle_certificate,
-                     fraction_orthogonal_projection, is_idempotent, mat_add, mat_vec,
-                     merged_rows)
+                     fraction_orthogonal_projection, fraction_rank, fraction_rref,
+                     fraction_solve, is_idempotent, mat_add, mat_vec, merged_rows)
 
 LINE = [F(1), F(1), F(-1), F(-1)]
 
@@ -55,7 +55,7 @@ def test_orthogonal_projection_diamond_two():
     cols = [v.dense() for v in fundamental_cycle_basis(diamond(2)).vectors]
     p = orthogonal_projection(cols)
     assert is_idempotent(p) and p == linalg.transpose(p)
-    assert linalg.rank(p) == 5
+    assert fraction_rank(p) == 5
 
 
 def test_singular_gram_detected():
@@ -104,7 +104,8 @@ def test_ragged_bases_are_rejected_before_any_row_is_built(monkeypatch, cols):
         raise _Captured
 
     monkeypatch.setattr(projections, "_min_proj_rows", stop)
-    monkeypatch.setattr(projections, "_gauss_jordan", stop)
+    monkeypatch.setattr(projections.linalg, "gauss_jordan", stop)
+    monkeypatch.setattr(projections.linalg, "echelon", stop)
     for ambient_dim in (3, 4):
         with pytest.raises(ValidationError):
             minimal_projection_lp(cols, ambient_dim)
@@ -367,11 +368,11 @@ def permutation_groups(draw):
 def test_group_code_matches_dense_oracle_on_random_permutation_groups(case):
     n, gens, vectors, skew, orbit = case
     generators = [permutation_matrix(list(g)) for g in gens]
-    echelon, pivots = linalg.rref([[F(x) for x in v] for v in vectors])
+    echelon, pivots = fraction_rref([[F(x) for x in v] for v in vectors])
     basis = echelon[:len(pivots)]
     while orbit:   # grow the span until every generator maps it into itself
         moved = [[v[g.index(i)] for i in range(n)] for v in basis for g in gens]
-        echelon, pivots = linalg.rref(basis + moved)
+        echelon, pivots = fraction_rref(basis + moved)
         orbit = len(pivots) > len(basis)
         basis = echelon[:len(pivots)]
     p_list = [linalg.zeros(n, n)]
@@ -438,7 +439,7 @@ def test_a_feasible_but_not_optimal_vertex_raises(monkeypatch):
     merged = _transpose(rows)                          # the columns of B'
     m, k = len(rows), len(cols)
     assert (m, k) == (11, 7)
-    a = linalg.solve([[sum(x * y for x, y in zip(c, d)) for d in merged] for c in merged], merged)
+    a = fraction_solve([[sum(x * y for x, y in zip(c, d)) for d in merged] for c in merged], merged)
     assert linalg.mat_mul(a, rows) == linalg.identity(k)
     p = orthogonal_projection(merged)
     t = l1_norm(p)
@@ -662,7 +663,7 @@ def test_exact_lambda_matches_the_dense_oracle():
         m = rng.randint(3, 4)
         cols = [[F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(m)]
                 for _ in range(rng.randint(1, m - 1))]
-        if linalg.rank(cols) == len(cols):
+        if fraction_rank(cols) == len(cols):
             cases.append(cols)
     _assert_exact_lambda_matches_the_dense_oracle(cases)
 
@@ -730,7 +731,7 @@ def _proportional_rows_case(rng):
     k = rng.randint(1, m0)
     base = [[F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(k)]
             for _ in range(m0)]
-    if linalg.rank(base) < k:
+    if fraction_rank(base) < k:
         return None
     rows = [list(r) for r in base]
     for _ in range(rng.randint(1, 5 - m0) if m0 < 5 else 0):

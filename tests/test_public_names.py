@@ -31,6 +31,9 @@ KEPT = {
         "quotient-norm reference",
     "linalg.inverse":
         "BENCHMARK.json's per-layer metrics name it",
+    "linalg.rref":
+        "BENCHMARK.json's per-layer metrics name it; rank and solve run "
+        "gauss_jordan directly, since they need no Fraction echelon form",
     "linalg.mat_mul":
         "BENCHMARK.json's per-layer metrics name it; the tests' dense Fraction "
         "oracles are built from it",

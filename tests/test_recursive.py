@@ -18,8 +18,8 @@ from freelip.recursive import (TensorVector, annihilation_check, c_type_vectors,
                                laakso_nonunique_projection, profile_base,
                                vertical_automorphism, witness)
 
-from oracles import (dense_annihilation_failures, fraction_tensor_l1, fraction_tensor_materialize,
-                     is_idempotent, mat_vec)
+from oracles import (dense_annihilation_failures, fraction_inverse, fraction_rref,
+                     fraction_tensor_l1, fraction_tensor_materialize, is_idempotent, mat_vec)
 
 @pytest.mark.parametrize("base,alpha,height,count", [
     (diamond_base(), F(1), 2, 2),
@@ -122,8 +122,8 @@ def test_annihilation_rejects_non_invariant_projection():
     # a skew projection onto the cycle space: restrict to a coordinate
     # section where the basis matrix is invertible; not invariant
     b = [[col[i] for col in zcols] for i in range(16)]
-    _, pivots = linalg.rref(linalg.transpose(b))
-    section = linalg.inverse([b[i] for i in pivots])
+    _, pivots = fraction_rref(linalg.transpose(b))
+    section = fraction_inverse([b[i] for i in pivots])
     selector = [[F(1) if j == i else F(0) for j in range(16)] for i in pivots]
     p = linalg.mat_mul(b, linalg.mat_mul(section, selector))
     assert is_idempotent(p)
