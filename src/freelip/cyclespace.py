@@ -24,6 +24,13 @@ from .metric import Molecule
 from .rational import ZERO, json_key, num_from_json, num_to_json
 
 
+def _check_edge_ids(graph: TwoPoleGraph, coeffs: dict) -> None:
+    known = graph.edge_by_id
+    if not coeffs.keys() <= known.keys():
+        eid = next(e for e in coeffs if e not in known)
+        raise ValidationError(f"unknown edge id {eid!r}")
+
+
 @dataclass(frozen=True)
 class EdgeVector:
     """Rational-valued function on the edge set of a fixed graph."""
@@ -32,13 +39,21 @@ class EdgeVector:
     coeffs: dict[str, Fraction]
 
     def __post_init__(self):
-        known = self.graph.edge_by_id
-        if not self.coeffs.keys() <= known.keys():
-            eid = next(e for e in self.coeffs if e not in known)
-            raise ValidationError(f"unknown edge id {eid!r}")
+        _check_edge_ids(self.graph, self.coeffs)
         object.__setattr__(self, "coeffs", {
             eid: v if type(v) is Fraction else Fraction(v)
             for eid, v in self.coeffs.items() if v})
+
+    @classmethod
+    def _of_nonzero(cls, graph: TwoPoleGraph, coeffs: dict[str, Fraction]) -> "EdgeVector":
+        """The vector with these coefficients, taken as they are: the caller
+        guarantees that every value is a nonzero Fraction.  The edge ids are
+        still checked against the graph (ValidationError otherwise)."""
+        _check_edge_ids(graph, coeffs)
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "graph", graph)
+        object.__setattr__(vec, "coeffs", coeffs)
+        return vec
 
     def __add__(self, other: "EdgeVector") -> "EdgeVector":
         if other.graph is not self.graph and other.graph != self.graph:

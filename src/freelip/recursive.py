@@ -11,7 +11,9 @@ program over integer coefficient states: coefficients and each level's
 factors are scaled over their common denominators, equal columns of a
 level are merged, and each state is kept up to a positive integer factor
 (divided by its gcd, the gcd moved into its weight), with one division by
-the total scale at the end.
+the total scale at the end.  TensorVector.l1 runs it on any sum, with one
+state coordinate per term; witness runs it on two coordinates, the sum of
+the C terms and the C + A term, over all its rounds in one pass.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from . import linalg, projections
 from .cyclespace import EdgeVector, fundamental_cycle_basis
@@ -394,7 +396,9 @@ class TensorVector:
     terms: list of (coefficient, tuple of factor vectors), each factor a
     tuple of Fractions over the sorted base edge ids; level = number of
     factors.  Every term has the same number of factors and every factor
-    one entry per base edge (ValidationError otherwise).
+    one entry per base edge (ValidationError otherwise).  witness returns
+    C_r and C_r + A_r in this form; their norms come from its own DP, and
+    l1 is the general one, which the tests and the benchmark read.
     """
 
     base: TwoPoleGraph
@@ -413,10 +417,6 @@ class TensorVector:
     def level(self) -> int:
         return len(self.terms[0][1]) if self.terms else 0
 
-    def append_factor(self, factor) -> "TensorVector":
-        return TensorVector(self.base,
-                            [(c, fs + (factor,)) for c, fs in self.terms])
-
     def __add__(self, other: "TensorVector") -> "TensorVector":
         if other.base is not self.base and other.base != self.base:
             raise ValidationError("tensor vectors live on different base graphs")
@@ -427,8 +427,8 @@ class TensorVector:
         coefficients and each level's factor entries scaled by their own
         least common denominators, with den the product of those.  levels[p]
         lists the factors of level p, one tuple of ints per kept term.
-        Each distinct factor tuple (witness appends the same ones at every
-        level) is read once, over its own lcm, and lifted to each level's."""
+        Each distinct factor tuple (witness builds every term from the same
+        five) is read once, over its own lcm, and lifted to each level's."""
         terms = [(c, fs) for c, fs in self.terms if c]
         if not terms:
             return 1, [], []
@@ -448,7 +448,8 @@ class TensorVector:
         return den, coefs, levels
 
     def l1(self) -> Fraction:
-        """Exact l1 norm by a level-wise DP over integer coefficient states.
+        """Exact l1 norm by a level-wise DP over integer coefficient states,
+        for any sum of elementary tensors (one state coordinate per term).
 
         A state holds, for one prefix of edges, each term's product so far,
         scaled over the common denominators (see _scaled); equal columns of
@@ -482,10 +483,11 @@ class TensorVector:
         """Flat edge vector; only for graphs under the materialization cap
         whose edge count is the base's to the tensor's level.
 
-        Expands each term level by level as parallel lists of edge ids
-        (prefix + "/" + base id over the nonzero entries) and integer
-        products over the common denominator of _scaled, sums the terms,
-        and builds one Fraction per distinct nonzero numerator.
+        Expands each level once, over the union of the terms' supports: the
+        edge ids are extended by the base ids of that union (shared prefixes
+        are built once), and each term keeps one list of integer products
+        over the common denominator of _scaled.  The lists are summed entry
+        by entry and one Fraction is made per distinct nonzero value.
         """
         if len(graph.edges) > MATERIALIZE_CAP:
             raise ResourceLimit("witness vector too large to materialize")
@@ -496,22 +498,23 @@ class TensorVector:
                 f"over {nedges} base edges needs {nedges ** self.level}")
         ids = sorted(e.id for e in self.base.edges)
         den, coefs, levels = self._scaled()
-        nums: dict[str, int] = {}
-        for k, c in enumerate(coefs):
-            keys, vals = [""], [c]
-            for pos, factors in enumerate(levels):
-                sep = "/" if pos else ""
-                suffixes = [sep + eid for eid, fv in zip(ids, factors[k]) if fv]
-                fvs = [fv for fv in factors[k] if fv]
-                keys = [p + s for p in keys for s in suffixes]
-                vals = [v * fv for v in vals for fv in fvs]
-            if nums:
-                for key, v in zip(keys, vals):
-                    nums[key] = nums.get(key, 0) + v
-            else:
-                nums = dict(zip(keys, vals))
-        frac = {v: Fraction(v, den) for v in set(nums.values()) if v}
-        return EdgeVector(graph, {key: frac[v] for key, v in nums.items() if v})
+        if not coefs:
+            return EdgeVector._of_nonzero(graph, {})
+        keys, rows = [""], [[c] for c in coefs]
+        for pos, factors in enumerate(levels):
+            support = [i for i, col in enumerate(zip(*factors)) if any(col)]
+            sep = "/" if pos else ""
+            new_keys, new_rows = [], [[] for _ in rows]
+            for i in support:
+                new_keys += map(add, keys, itertools.repeat(sep + ids[i]))
+                for new, row, factor in zip(new_rows, rows, factors):
+                    new += map(factor[i].__mul__, row)
+            keys, rows = new_keys, new_rows
+        total = rows[0]
+        for row in rows[1:]:
+            total = list(map(add, total, row))
+        frac = {v: Fraction(v, den) for v in set(total) if v}
+        return EdgeVector._of_nonzero(graph, {key: frac[v] for key, v in zip(keys, total) if v})
 
 
 @dataclass
@@ -540,6 +543,38 @@ def _base_vector_tuple(profile: BaseGraphProfile, vec: EdgeVector):
     return tuple(vec.coeffs.get(eid, ZERO) for eid in ids)
 
 
+def _witness_columns(a, b, c):
+    """(scale, columns) of one witness level on which edge e maps a state
+    (S, P) to (S a(e) + P b(e), P c(e)): the entries of a, b and c scaled by
+    their common denominator, equal columns merged with their multiplicity
+    and the all-zero column dropped."""
+    scale = lcm(*(x.denominator for x in a + b + c))
+    cols = Counter(tuple(x.numerator * (scale // x.denominator) for x in col)
+                   for col in zip(a, b, c))
+    cols.pop((0, 0, 0), None)
+    return scale, cols
+
+
+def _advance(states: dict, cols: Counter) -> dict:
+    """One level of the witness DP on (S, P) states kept up to a positive
+    factor: each state divided by its gcd, the gcd moved into its weight."""
+    nxt: dict[tuple, int] = {}
+    for (s, p), weight in states.items():
+        for (a, b, c), mult in cols.items():
+            ns, np_ = s * a + p * b, p * c
+            g = gcd(ns, np_)
+            if g:
+                key = (ns // g, np_ // g)
+                nxt[key] = nxt.get(key, 0) + weight * mult * g
+    return nxt
+
+
+def _witness_norms(states: dict, den: int) -> tuple[Fraction, Fraction]:
+    """(||C||, ||C + A||) of a witness DP: sum w |S| and sum w |P| over den."""
+    return (Fraction(sum(w * abs(s) for (s, _), w in states.items()), den),
+            Fraction(sum(w * abs(p) for (_, p), w in states.items()), den))
+
+
 def witness(profile: BaseGraphProfile, r: int) -> WitnessResult:
     """Inductive construction of C_r and A_r with ||C_r + A_r|| = 1 and
     ||C_r|| >= 1 + alpha (r-1)/2.
@@ -548,7 +583,23 @@ def witness(profile: BaseGraphProfile, r: int) -> WitnessResult:
     corrections (keeping the sum of norms at 1 while halving the overlap),
     then one d-type correction that adds alpha to the cycle part.  Each
     round takes the minimal t with ||C_r|| / 2^t < alpha / 4; the result
-    records the t of every round in t_schedule.
+    records the t of every round in t_schedule.  A round that would take
+    the level past WITNESS_LEVEL_CAP raises ResourceLimit before it runs.
+
+    The norms come from one pass over the levels, on states (S, P): for a
+    prefix of edges, S is the sum of the C terms' products so far and P
+    the product of the single term of C + A.  A C term, once created,
+    takes the factor delta at every later level, so on the t levels of a
+    round S <- S delta(e) and P <- P u(e) (u = delta + c); on the round's
+    last level S <- S delta(e) + P d(e) and P <- P rho(e) (rho = delta + d),
+    the new C term being P d(e).  Each level maps a state linearly, and the
+    norms read at any later round boundary, ||C|| = sum |S| and ||C + A||
+    = sum |P| over the prefixes, are positively homogeneous in it; so a
+    state stands for every prefix whose state is a positive multiple of
+    it, and merging such prefixes into one state, the factor moved into
+    its weight, is exact.  Each level's entries are scaled to integers by
+    their lcm and the norms are divided by the product of those scales.
+    The tensor vectors are built once, at the end, from t_schedule.
     """
     if r < 1:
         raise ValidationError("r must be >= 1")
@@ -563,28 +614,36 @@ def witness(profile: BaseGraphProfile, r: int) -> WitnessResult:
     u = _base_vector_tuple(profile, profile.delta + profile.c)
     dcorr = _base_vector_tuple(profile, profile.d)
     rho = _base_vector_tuple(profile, profile.delta + profile.d)
+    zero = (ZERO,) * len(sv)
 
-    c_vec = TensorVector(b, [(Fraction(1), (sv,))])
-    p_vec = TensorVector(b, [(Fraction(1), (sv,))])
+    den, first = _witness_columns(sv, zero, sv)      # C = C + A = s at level 1
+    inner_scale, inner = _witness_columns(delta, zero, u)
+    last_scale, last = _witness_columns(delta, dcorr, rho)
+    states = _advance({(1, 1): 1}, first)
     level = 1
     used_t = []
+    p_factors = (sv,)
+    c_heads = [(sv,)]                  # each C term's factors up to its creation
     for _ in range(r - 1):
-        norm_c = c_vec.l1()
+        norm_c, _ = _witness_norms(states, den)
         t = 1
-        while Fraction(norm_c, 2 ** t) >= profile.alpha / 4:
+        while norm_c / 2 ** t >= profile.alpha / 4:
             t += 1
+        if level + t + 1 > WITNESS_LEVEL_CAP:
+            raise ResourceLimit(f"witness level {level + t + 1} exceeds the cap")
         for _ in range(t):
-            c_vec = c_vec.append_factor(delta)
-            p_vec = p_vec.append_factor(u)
-        new_c_term = p_vec.append_factor(dcorr)
-        c_vec = c_vec.append_factor(delta) + new_c_term
-        p_vec = p_vec.append_factor(rho)
+            states = _advance(states, inner)
+        states = _advance(states, last)
+        den *= inner_scale ** t * last_scale
+        p_factors += (u,) * t
+        c_heads.append(p_factors + (dcorr,))
+        p_factors += (rho,)
         level += t + 1
         used_t.append(t)
-        if level > WITNESS_LEVEL_CAP:
-            raise ResourceLimit(f"witness level {level} exceeds the cap")
-    norm_c = c_vec.l1()
-    norm_sum = p_vec.l1()
+    norm_c, norm_sum = _witness_norms(states, den)
+    one = Fraction(1)
+    c_vec = TensorVector(b, [(one, fs + (delta,) * (level - len(fs))) for fs in c_heads])
+    p_vec = TensorVector(b, [(one, p_factors)])
     return WitnessResult(b, r, level, used_t, norm_c, norm_sum,
                          profile.alpha, c_vec, p_vec)
 

@@ -62,6 +62,16 @@ def test_edge_vector_drops_zeros_and_makes_fractions():
     assert [type(v) for v in vec.coeffs.values()] == [F, F]
 
 
+def test_trusted_constructor_matches_the_checked_one():
+    g = diamond(2)
+    d = {e.id: F(i - 7, 3) for i, e in enumerate(reversed(g.edges)) if i != 7}
+    vec = EdgeVector._of_nonzero(g, dict(d))
+    want = EdgeVector(g, d)
+    assert vec == want and list(vec.coeffs) == list(want.coeffs)
+    with pytest.raises(ValidationError, match="unknown edge id 'xx'"):
+        EdgeVector._of_nonzero(g, {"tl/tl": F(1), "xx": F(1)})
+
+
 def test_permute_to_an_unknown_edge_raises():
     vec = EdgeVector(diamond(1), {"tl": F(1), "bl": F(2)})
     assert vec.permute({"tl": "bl", "bl": "tl"}).coeffs == {"bl": 1, "tl": 2}

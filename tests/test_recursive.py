@@ -1,5 +1,6 @@
 import functools
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -243,14 +244,74 @@ def test_witness_materialize_matches_fraction_oracle(base):
         assert flat.l1() == vec.l1() == fraction_tensor_l1(vec)
 
 
-def test_laakso_witness_reach():
-    prof = profile_base(laakso_base())
+# Round lengths t of the witness on each base, as the construction first
+# recorded them; r takes the first r - 1.
+WITNESS_SCHEDULES = {"square": [3, 3, 4, 4, 5, 5, 5], "k23": [2, 3, 4, 4, 5, 5, 5],
+                     "k24": [2, 3, 4, 4, 5, 5, 5], "k25": [2, 3, 4, 4, 5, 5, 5],
+                     "laakso": [4, 4, 4, 5, 5, 5, 5]}
+WITNESS_BASES = {"square": diamond_base(), "k23": k2n_base(3), "k24": k2n_base(4),
+                 "k25": k2n_base(5), "laakso": laakso_base()}
+
+
+def _reference_terms(prof, schedule):
+    """C_r's and (C_r + A_r)'s terms built round by round, every vector's
+    factors extended one level at a time: t levels of delta on C and u on
+    P, then C gains delta and the new term P (x) d, and P gains rho."""
+    ids = sorted(e.id for e in prof.graph.edges)
+    s = fundamental_cycle_basis(recursive_family(prof.graph, 1)).vectors[0]
+    sv = tuple(s.scale(1 / s.l1()).get(eid) for eid in ids)
+    delta, d = (tuple(v.get(eid) for eid in ids) for v in (prof.delta, prof.d))
+    u = tuple(x + y for x, y in zip(delta, (prof.c.get(eid) for eid in ids)))
+    rho = tuple(x + y for x, y in zip(delta, d))
+    c_terms, p = [(sv,)], (sv,)
+    for t in schedule:
+        for _ in range(t):
+            c_terms, p = [fs + (delta,) for fs in c_terms], p + (u,)
+        c_terms = [fs + (delta,) for fs in c_terms] + [p + (d,)]
+        p += (rho,)
+    return [(F(1), fs) for fs in c_terms], [(F(1), p)]
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+@pytest.mark.parametrize("name", sorted(WITNESS_BASES))
+def test_witness_norms_match_the_general_dp(name, r):
+    prof = profile_base(WITNESS_BASES[name])
+    w = witness(prof, r)
+    schedule = WITNESS_SCHEDULES[name][:r - 1]
+    assert w.t_schedule == schedule
+    assert w.level == 1 + sum(t + 1 for t in schedule)
+    assert (w.c_vector.terms, w.sum_vector.terms) == _reference_terms(prof, schedule)
+    assert w.norm_c == w.c_vector.l1()
+    assert w.norm_sum == w.sum_vector.l1() == 1
+    if w.level <= 5:
+        assert w.norm_c == fraction_tensor_l1(w.c_vector)
+        assert w.norm_sum == fraction_tensor_l1(w.sum_vector)
+
+
+@pytest.mark.parametrize("base,level,norm_c", [
+    (diamond_base(), 37, F(264262991159, 34359738368)),
+    (k2n_base(3), 36, F(473351270045, 48922361856)),
+    (laakso_base(), 40, F(156047029987447, 35184372088832)),
+], ids=["square", "k23", "laakso"])
+def test_witness_reach(base, level, norm_c):
+    prof = profile_base(base)
     start = time.perf_counter()
-    w5 = witness(prof, 5)
-    w6 = witness(prof, 6)
+    w = witness(prof, 8)
     assert time.perf_counter() - start < 2
-    assert (w5.norm_c, w5.norm_sum) == (F(49444565, 16777216), 1)
-    assert (w6.norm_c, w6.norm_sum) == (F(7394051199, 2147483648), 1)
+    assert (w.level, w.norm_c, w.norm_sum) == (level, norm_c, 1)
+    with pytest.raises(ResourceLimit, match="exceeds the cap"):
+        witness(prof, 9)
+
+
+def test_witness_checks_the_level_cap_before_a_round_runs(monkeypatch):
+    # t = 63 on the first round: level 65 is refused before its 64 levels run
+    prof = replace(profile_base(diamond_base()), alpha=F(1, 2 ** 60))
+    steps = []
+    advance = recursive._advance
+    monkeypatch.setattr(recursive, "_advance", lambda *a: steps.append(1) or advance(*a))
+    with pytest.raises(ResourceLimit, match="level 65 exceeds"):
+        witness(prof, 2)
+    assert len(steps) == 1          # level 1 only, whose norm sets the round's t
 
 
 # --- tensor vectors against the Fraction oracles ----------------------------
@@ -323,7 +384,7 @@ def test_tensor_vector_rejects_factors_of_the_wrong_length(length):
     with pytest.raises(ValidationError):
         TensorVector(b, [(F(1), (one, bad))])
     with pytest.raises(ValidationError):
-        TensorVector(b, [(F(1), (one,))]).append_factor(bad)
+        TensorVector(b, [(F(1), (one, one)), (F(1), (one, bad))])
 
 
 def test_tensor_vector_sum_rejects_different_bases():
@@ -340,6 +401,9 @@ def test_materialize_rejects_a_graph_of_the_wrong_level(monkeypatch):
     for level, size in [(1, 4), (3, 64)]:
         with pytest.raises(ValidationError, match=f"graph has {size} edges.* needs 16"):
             tv.materialize(recursive_family(b, level))
+    # K_{2,2} is the square under other edge ids: the 16 edges pass the count
+    with pytest.raises(ValidationError, match="unknown edge id"):
+        tv.materialize(recursive_family(k2n_base(2), 2))
     # the cap comes first, whatever the graph's level
     monkeypatch.setattr(recursive, "MATERIALIZE_CAP", 15)
     for level in (2, 3):
