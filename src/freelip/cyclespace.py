@@ -87,8 +87,12 @@ class EdgeVector:
 
     def permute(self, edge_map: dict[str, str]) -> "EdgeVector":
         """Image under the isometry induced by an edge bijection g:
-        (g.x)(e) = x(g^{-1} e), i.e. the value at e moves to edge_map[e]."""
-        return EdgeVector(self.graph, {edge_map[e]: v for e, v in self.coeffs.items()})
+        (g.x)(e) = x(g^{-1} e), i.e. the value at e moves to edge_map[e],
+        or stays if e is unlisted (ValidationError if two values meet)."""
+        out = {edge_map.get(e, e): v for e, v in self.coeffs.items()}
+        if len(out) != len(self.coeffs):
+            raise ValidationError("edge map sends two support edges to one edge")
+        return EdgeVector(self.graph, out)
 
     def to_json(self) -> dict:
         return {"coeffs": {e: num_to_json(v) for e, v in sorted(self.coeffs.items())}}

@@ -242,12 +242,6 @@ def _on_edges(g: TwoPoleGraph, vectors: list[DyadicVector], cell) -> list[EdgeVe
             for v in vectors]
 
 
-def _symmetries(base: TwoPoleGraph, n: int, g: TwoPoleGraph) -> list[dict[str, str]]:
-    """The cycle-preserving edge bijections of g = base^n that
-    bm_upper_via_basis_map reduces the quotient norms by."""
-    return list(recursive.invariance_generators(recursive.profile_base(base), n, g).values())
-
-
 # ---------------------------------------------------------------------------
 # Binary diamond identification
 # ---------------------------------------------------------------------------
@@ -389,7 +383,7 @@ def diamond_bm_bounds(n: int, include_upper: bool = True):
         cut_vecs = level_span_vectors([-1] + [2 * k - 1 for k in range(1, n + 1)], 2 * n)
         upper, t_norm, tinv_norm = projections.bm_upper_via_basis_map(
             g, _on_edges(g, cut_vecs, lambda eid: diamond_cell_index(eid, n)),
-            _symmetries(diamond_base(), n, g))
+            recursive.invariance_generators(recursive.profile_base(diamond_base()), n, g).values())
     return {"lower": lower, "exact_orth_norm": exact_cut_norm,
             "upper": upper, "t_norm": t_norm, "tinv_norm": tinv_norm}
 
@@ -481,7 +475,8 @@ def multibranch_analysis(n: int, k: int) -> dict:
         raise ValidationError("witness value fell below the paper bound")
 
     bm_upper, _, _ = projections.bm_upper_via_basis_map(
-        g, _on_edges(g, cut, cell), _symmetries(k2n_base(k), n, g))
+        g, _on_edges(g, cut, cell),
+        recursive.invariance_generators(recursive.profile_base(k2n_base(k)), n, g).values())
     p, linf_bound = family.matrix(cells)
     return {
         "cut_basis": cut,

@@ -35,6 +35,7 @@ from scipy.sparse import csr_matrix
 from . import linalg
 from .errors import (GroupClosureOverflow, NotInvariantSubspace, ResourceLimit,
                      SingularGram, SolverFailure, ValidationError)
+from .graphs import moved_edges
 from .linalg import RHS
 from .rational import ZERO
 
@@ -655,16 +656,17 @@ def bm_upper_via_basis_map(graph, cut_vectors: list, generators: list):
     The values do not change when all vectors are rescaled together, so
     grid cells may carry the counting or the mean norm alike.
 
-    generators are edge bijections (edge id -> image id), such as the
-    cycle-preserving bijections of recursive.invariance_generators; they
-    need not be graph automorphisms.  A bijection sigma with
-    sigma(Z) = Z is an l1 isometry that maps Z onto itself, so it keeps
-    quotient norms, <w, w> and orthogonality to Z.  When sigma w = +-w'
-    for two cut vectors, exactly and not only up to a factor, w and w'
-    join one orbit (union-find), and the quotient norm and the gradient
-    check run once per orbit.  Every generator must be a bijection of the
-    edge ids that maps each cut vector to +- a cut vector and every
-    fundamental cycle to a zero-boundary vector; ValidationError otherwise.
+    generators are edge bijections given by the edges they move (edge id
+    -> image id, unlisted edges fixed), such as the cycle-preserving
+    bijections of recursive.invariance_generators; they need not be graph
+    automorphisms.  A bijection sigma with sigma(Z) = Z is an l1 isometry
+    that maps Z onto itself, so it keeps quotient norms, <w, w> and
+    orthogonality to Z.  When sigma w = +-w' for two cut vectors, exactly
+    and not only up to a factor, w and w' join one orbit (union-find), and
+    the quotient norm and the gradient check run once per orbit.  Every
+    generator must be an edge bijection (graphs.moved_edges) that maps each
+    cut vector to +- a cut vector and every fundamental cycle to a
+    zero-boundary vector; ValidationError otherwise.
     """
     from .cyclespace import _spanning_tree, fundamental_cycle_basis, quotient_norm
 
@@ -690,51 +692,51 @@ def bm_upper_via_basis_map(graph, cut_vectors: list, generators: list):
             i = root[i]
         return i
 
-    # sigma fixes every cycle and cut vector that meets no edge it moves,
-    # so only those that do are mapped and checked.
-    edge_ids = set(graph.edge_by_id)
-    cycles = [{e: int(v) for e, v in z.coeffs.items()}     # signed indicators
-              for z in fundamental_cycle_basis(graph).vectors]
-    cycles_at: dict[str, list[int]] = {}
-    for c, z in enumerate(cycles):
-        for e in z:
-            cycles_at.setdefault(e, []).append(c)
+    # Per generator sigma, only what meets the edges it moves is checked.
+    # sigma fixes a cut vector w with w[sigma e] = w[e] on every moved edge
+    # e of supp w, as it then permutes those edges among themselves; only
+    # the other cut vectors are mapped.  A fundamental cycle z has zero
+    # boundary, so sigma z has the boundary of sigma z - z, which is the sum
+    # of z[e] (boundary(sigma e) - boundary(e)) over the moved edges e.
+    cycles_at: dict[str, list[tuple[int, int]]] = {}      # edge -> [(cycle, sign)]
+    for c, z in enumerate(fundamental_cycle_basis(graph).vectors):
+        for e, v in z.coeffs.items():
+            cycles_at.setdefault(e, []).append((c, int(v)))
     for sigma in generators:
-        if set(sigma) != edge_ids or set(sigma.values()) != edge_ids:
-            raise ValidationError("generator is not a bijection of the graph's edge ids")
-        moved = [e for e, f in sigma.items() if e != f]
-        for i in {i for e in moved for i, _ in cuts_at.get(e, ())}:
+        moved = moved_edges(graph, sigma, "generator")
+        for i in {i for e, f in moved.items()
+                  for i, x in cuts_at.get(e, ()) if keyed[i][1].get(f) != x}:
             den, w = keyed[i]
-            j = index.get((den, frozenset((sigma[e], v) for e, v in w.items())))
+            j = index.get((den, frozenset((moved.get(e, e), v) for e, v in w.items())))
             if j is None:
                 raise ValidationError("generator maps a cut vector to no cut vector up to sign")
             a, b = find(i), find(j)
             root[max(a, b)] = min(a, b)
-        for c in {c for e in moved for c in cycles_at.get(e, ())}:
-            net: dict[str, int] = {}
-            for e, v in cycles[c].items():
-                f = graph.edge_by_id[sigma[e]]
-                net[f.head] = net.get(f.head, 0) + v
-                net[f.tail] = net.get(f.tail, 0) - v
-            if any(net.values()):
-                raise ValidationError("generator does not map the cycle space onto itself")
+        net: dict[tuple[int, str], int] = {}            # (cycle, vertex) -> boundary
+        for e, f in moved.items():
+            src, dst = graph.edge_by_id[e], graph.edge_by_id[f]
+            for c, v in cycles_at.get(e, ()):
+                for vertex, sign in ((dst.head, v), (dst.tail, -v), (src.head, -v), (src.tail, v)):
+                    net[c, vertex] = net.get((c, vertex), 0) + sign
+        if any(net.values()):
+            raise ValidationError("generator does not map the cycle space onto itself")
 
     parent_edge = _spanning_tree(graph)[1]
     tree = {e.id for e in parent_edge.values()}
     chords = [e for e in graph.edges if e.id not in tree]
 
-    def is_gradient(w):
-        psi = {graph.bottom: ZERO}
+    def is_gradient(w):                 # on the integer form of a vector
+        psi = {graph.bottom: 0}
         for v, e in parent_edge.items():   # BFS order: parents come first
-            psi[v] = psi[e.tail] + w.get(e.id) if e.head == v else psi[e.head] - w.get(e.id)
-        return all(w.get(e.id) == psi[e.head] - psi[e.tail] for e in chords)
+            psi[v] = psi[e.tail] + w.get(e.id, 0) if e.head == v else psi[e.head] - w.get(e.id, 0)
+        return all(w.get(e.id, 0) == psi[e.head] - psi[e.tail] for e in chords)
 
     q = {}                              # orbit root -> quotient norm of the root
     sums = {}
     for i, w in enumerate(cut_vectors):
         r = find(i)
         if r not in q:
-            if not is_gradient(cut_vectors[r]):
+            if not is_gradient(keyed[r][1]):
                 raise ValidationError("T does not vanish on the cycle space")
             q[r] = quotient_norm(cut_vectors[r])
         scale = q[r] / sum((v * v for v in w.coeffs.values()), start=ZERO)

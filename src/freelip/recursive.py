@@ -30,7 +30,7 @@ from .cyclespace import EdgeVector, fundamental_cycle_basis
 from .errors import (NoVerticalAutomorphism, NotInvariant, OddGeodesic,
                      ResourceLimit, TrivialCycleSpace, ValidationError)
 from .graphs import (TwoPoleGraph, automorphism_search, edge_map_from_vertex_map,
-                     laakso, laakso_base, recursive_family)
+                     laakso, laakso_base, moved_edges, recursive_family)
 from .metric import graph_metric
 from .rational import ZERO
 
@@ -263,14 +263,9 @@ def vertical_automorphism(profile: BaseGraphProfile, n: int) -> dict[str, str]:
     coordinatewise to every id segment."""
     if n < 0:
         raise ValidationError("level must be >= 0")
-    b = profile.graph
-    ids = itertools.product(*( [sorted(e.id for e in b.edges)] * n ))
     vmap = profile.vertical_edges
-    out = {}
-    for tup in ids:
-        eid = "/".join(tup)
-        out[eid] = "/".join(vmap[seg] for seg in tup)
-    return out
+    return {"/".join(ids): "/".join(vmap[seg] for seg in ids)
+            for ids in itertools.product(sorted(vmap), repeat=n)}
 
 
 # ---------------------------------------------------------------------------
@@ -279,51 +274,47 @@ def vertical_automorphism(profile: BaseGraphProfile, n: int) -> dict[str, str]:
 
 def invariance_generators(profile: BaseGraphProfile, n: int,
                           graph: TwoPoleGraph) -> dict[str, dict[str, str]]:
-    """Named edge bijections: the vertical automorphism plus every
-    horizontal applied inside every copy at every depth."""
+    """Named edge bijections of the level-n graph, each the map of the
+    edges it moves (edge id -> image id, unlisted edges fixed): the
+    vertical automorphism "v", then every nontrivial horizontal i inside
+    every copy at every depth, "h<i>" at depth 1 and "h<i>@<prefix>" in the
+    copy at that prefix.  Raises ValidationError unless graph's edge ids
+    are the level-n ids of the profile's base."""
     b = profile.graph
-    gens: dict[str, dict[str, str]] = {}
-    gens["v"] = vertical_automorphism(profile, n)
-    nontrivial = [s for s in profile.horizontals
-                  if any(s[v] != v for v in b.vertices)]
+    vertical = vertical_automorphism(profile, n)
+    if vertical.keys() != graph.edge_by_id.keys():
+        raise ValidationError(f"graph's edge ids are not the level-{n} ids of the base")
+    gens = {"v": {e: f for e, f in vertical.items() if e != f}}
+    nontrivial = [s for s in profile.horizontals if any(s[v] != v for v in b.vertices)]
     base_ids = sorted(e.id for e in b.edges)
     for gi, sigma in enumerate(nontrivial):
-        emap = edge_map_from_vertex_map(b, sigma)
+        moved = moved_edges(b, edge_map_from_vertex_map(b, sigma))
         for depth in range(1, n + 1):
-            for prefix in itertools.product(*([base_ids] * (depth - 1))):
-                pref = "/".join(prefix)
-
-                def apply(eid, emap=emap, depth=depth, pref=pref):
-                    segs = eid.split("/")
-                    if "/".join(segs[:depth - 1]) != pref:
-                        return eid
-                    segs[depth - 1] = emap[segs[depth - 1]]
-                    return "/".join(segs)
-
-                name = f"h{gi}@{pref}" if pref else f"h{gi}"
-                gens[name] = {e.id: apply(e.id) for e in graph.edges}
+            suffixes = ["".join("/" + seg for seg in tail)
+                        for tail in itertools.product(base_ids, repeat=n - depth)]
+            for prefix in itertools.product(base_ids, repeat=depth - 1):
+                stem = "".join(seg + "/" for seg in prefix)
+                gens[f"h{gi}@{stem[:-1]}" if stem else f"h{gi}"] = {
+                    stem + e + suf: stem + f + suf for e, f in moved.items() for suf in suffixes}
     return gens
 
 
 def _edge_index_map(graph: TwoPoleGraph, emap: dict[str, str]) -> list:
-    """The index map of an edge map given as edge id -> image id: entry
-    order[e] is order[emap[e]].  Raises ValidationError unless the map is a
-    bijection of the graph's edge ids."""
+    """The index map of an edge map given as edge id -> image id, unlisted
+    edges fixed: entry order[e] is order[emap[e]].  Raises ValidationError
+    unless the map is a bijection of the graph's edge ids."""
     order = graph.edge_order
-    if set(emap) != set(order) or set(emap.values()) != set(order):
-        raise ValidationError("edge map is not a bijection of the graph's edge ids")
-    perm = [0] * len(graph.edges)
-    for eid, img in emap.items():
+    perm = list(range(len(graph.edges)))
+    for eid, img in moved_edges(graph, emap).items():
         perm[order[eid]] = order[img]
     return perm
 
 
 def edge_map_matrix(graph: TwoPoleGraph, emap: dict[str, str]) -> list:
-    """Permutation matrix of an edge map given as edge id -> image id.
-
+    """Permutation matrix of an edge map given as edge id -> image id,
+    unlisted edges fixed (so the map may list only the edges it moves).
     Raises ValidationError unless the map is a bijection of the graph's
-    edge ids.
-    """
+    edge ids."""
     return projections.permutation_matrix(_edge_index_map(graph, emap))
 
 
@@ -701,11 +692,9 @@ def laakso_nonunique_projection() -> dict:
 
     profile = profile_base(laakso_base())
     gens = invariance_generators(profile, 2, g2)
-    invariant_under = []
     for name, emap in sorted(gens.items()):
         if not projections._commutes(num, _edge_index_map(g2, emap)):
             raise NotInvariant(f"constructed projection not invariant under {name}")
-        invariant_under.append(name)
 
     fixes_range, in_range = projections._cycle_certificate(g2, num, den)
     gap = Fraction(max(abs(x - y * (den // d)) for row, orow in zip(num, orth)
@@ -716,7 +705,7 @@ def laakso_nonunique_projection() -> dict:
         "is_projection": fixes_range and in_range,
         "fixes_cycle_space": fixes_range,
         "range_in_cycle_space": in_range,
-        "invariant_under": invariant_under,
+        "invariant_under": sorted(gens),
         "max_entry_gap": gap,
         "differs_from_orthogonal": gap > 0,
     }

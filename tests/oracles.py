@@ -35,12 +35,16 @@ on Fractions, dividing each pivot row by its pivot, instead of the
 fraction-free integer elimination of freelip.linalg, so the orthogonal
 projection and group-average oracles built on them share no elimination
 code with the library;
-and the full-walk network simplex finds the potentials by walking the
+the full-walk network simplex finds the potentials by walking the
 whole tree and prices every arc afresh on every pivot, instead of
-updating both on the subtree that moves.
+updating both on the subtree that moves;
+and the full invariance generators map every edge id of the graph, one
+split and join per edge, instead of listing only the edges that each
+generator moves.
 """
 
 import heapq
+import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -53,8 +57,9 @@ from freelip.errors import (DisconnectedGraph, GroupClosureOverflow, NotInvarian
 from freelip.freenorm import ae_norm
 from freelip.metric import MetricSpace, Molecule
 from freelip.rational import to_fraction
-from freelip.graphs import TwoPoleGraph, diamond, multidiamond
-from freelip.recursive import c_type_vectors, edge_map_matrix, invariance_generators
+from freelip.graphs import TwoPoleGraph, diamond, edge_map_from_vertex_map, multidiamond
+from freelip.recursive import (c_type_vectors, edge_map_matrix, invariance_generators,
+                               vertical_automorphism)
 from freelip.simplex import solve_standard_exact
 
 ZERO = Fraction(0)
@@ -366,6 +371,33 @@ def fraction_cycle_certificate(graph, p) -> tuple[bool, bool]:
     in_z = all(not boundary(EdgeVector(graph, {e.id: row[j] for e, row in zip(graph.edges, p)})).coeffs
                for j in range(len(p)))
     return fixes, in_z
+
+
+def full_invariance_generators(profile, n: int, graph: TwoPoleGraph) -> dict:
+    """The invariance generators as full {edge id: image} maps over every
+    edge of graph: the vertical automorphism, then every nontrivial
+    horizontal applied to the id segment at each depth of every edge whose
+    earlier segments spell the copy's prefix."""
+    b = profile.graph
+    gens = {"v": vertical_automorphism(profile, n)}
+    nontrivial = [s for s in profile.horizontals if any(s[v] != v for v in b.vertices)]
+    base_ids = sorted(e.id for e in b.edges)
+    for gi, sigma in enumerate(nontrivial):
+        emap = edge_map_from_vertex_map(b, sigma)
+        for depth in range(1, n + 1):
+            for prefix in itertools.product(*([base_ids] * (depth - 1))):
+                pref = "/".join(prefix)
+
+                def apply(eid, emap=emap, depth=depth, pref=pref):
+                    segs = eid.split("/")
+                    if "/".join(segs[:depth - 1]) != pref:
+                        return eid
+                    segs[depth - 1] = emap[segs[depth - 1]]
+                    return "/".join(segs)
+
+                name = f"h{gi}@{pref}" if pref else f"h{gi}"
+                gens[name] = {e.id: apply(e.id) for e in graph.edges}
+    return gens
 
 
 def dense_annihilation_failures(p, profile, n, graph):

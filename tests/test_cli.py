@@ -16,6 +16,7 @@ from freelip.graphs import diamond
 from freelip.metric import Molecule, graph_metric
 from freelip.randgen import random_metric_space
 from freelip.rational import num_to_json
+from freelip.recursive import invariance_generators, profile_base
 
 
 def run_cli(*argv):
@@ -184,6 +185,25 @@ def test_projconst_averaged_mode(tmp_path, capsys, monkeypatch):
     # the other modes take no generators and list none
     assert run_cli("projconst", "--graph", str(g), "--mode", "orthogonal") == 0
     assert json.loads(capsys.readouterr().out)["invariant_under"] == []
+
+
+def test_projconst_generators_may_list_only_the_moved_edges(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    run_cli("gen", "--family", "diamond", "--level", "2", "--out", str(g))
+    capsys.readouterr()
+    d2 = diamond(2)
+    sparse = list(invariance_generators(profile_base(graphs.diamond_base()), 2, d2).values())
+    full = [{e.id: emap.get(e.id, e.id) for e in d2.edges} for emap in sparse]
+    assert any(len(emap) < len(d2.edges) for emap in sparse)
+    outputs = []
+    for maps in (sparse, full):
+        gens = tmp_path / "gens.json"
+        gens.write_text(json.dumps({"maps": maps}))
+        assert run_cli("projconst", "--graph", str(g), "--mode", "averaged",
+                       "--generators", str(gens)) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["invariant_under"] == list(range(len(sparse)))
 
 
 @pytest.mark.parametrize("emap", [

@@ -79,6 +79,15 @@ def test_permute_to_an_unknown_edge_raises():
         vec.permute({"tl": "bl", "bl": "nowhere"})
 
 
+def test_permute_keeps_unlisted_edges_and_rejects_collisions():
+    vec = EdgeVector(diamond(1), {"tl": F(1), "bl": F(2), "br": F(3)})
+    assert vec.permute({"tl": "tr", "tr": "tl"}).coeffs == {"tr": 1, "bl": 2, "br": 3}
+    with pytest.raises(ValidationError, match="two support edges"):
+        vec.permute({"tl": "bl", "bl": "bl", "tr": "tr", "br": "br"})
+    with pytest.raises(ValidationError, match="two support edges"):
+        vec.permute({"tl": "br"})
+
+
 def test_signed_indicator_laakso_central_cycle():
     g = laakso(1)
     vec = signed_indicator(["x1", "x2", "y2", "y1"], g)

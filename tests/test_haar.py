@@ -417,3 +417,18 @@ def test_haar_layer_reach():
     assert multibranch_analysis(3, 3)["bm_upper"] == 4
     assert multibranch_analysis(2, 5)["bm_upper"] == 3
     assert time.perf_counter() - start < 15
+
+
+def test_diamond_bm_bounds_reach_at_n6(monkeypatch):
+    # one quotient norm per orbit on the 4,096 edges of D_6; each invariance
+    # generator lists only the edges it moves
+    solved = []
+    real = cyclespace.quotient_norm
+    monkeypatch.setattr(cyclespace, "quotient_norm", lambda x: solved.append(x) or real(x))
+    start = time.perf_counter()
+    b = diamond_bm_bounds(6)
+    assert len(solved) == 33
+    assert b["upper"] == b["t_norm"] == 7 and b["tinv_norm"] == 1
+    # ||P_cut||_inf = (2n + 2)/3 + 1/9 + 4^(1-n)/18 at n = 6
+    assert b["exact_orth_norm"] == F(14, 3) + F(1, 9) + F(1, 18 * 4 ** 5) == F(9785, 2048)
+    assert time.perf_counter() - start < 5

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction as F
@@ -521,6 +522,23 @@ def test_bm_upper_rejects_a_generator_that_is_not_an_edge_bijection(bad):
     g = diamond(1)
     with pytest.raises(ValidationError, match="bijection"):
         bm_upper_via_basis_map(g, _d1_cut_vectors(g), [bad])
+
+
+@pytest.mark.parametrize("g", [diamond(2), laakso(2), multidiamond(1, 3)])
+def test_bm_upper_cycle_check_matches_the_boundaries_of_the_mapped_cycles(g):
+    # every transposition of two edges, given by its moved edges only; with
+    # no cut vectors only the bijection and cycle-space checks run
+    outcomes = set()
+    for e, f in itertools.combinations([e.id for e in g.edges], 2):
+        sigma = {e: f, f: e}
+        breaks = any(boundary(z.permute(sigma)).coeffs for z in fundamental_cycle_basis(g).vectors)
+        outcomes.add(breaks)
+        if breaks:
+            with pytest.raises(ValidationError, match="cycle space"):
+                bm_upper_via_basis_map(g, [], [sigma])
+        else:
+            assert bm_upper_via_basis_map(g, [], [sigma]) == (0, 0, 1)
+    assert outcomes == {True, False}
 
 
 def test_bm_upper_rejects_a_generator_that_moves_a_cut_vector_off_the_family():

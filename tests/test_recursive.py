@@ -20,7 +20,8 @@ from freelip.recursive import (TensorVector, annihilation_check, c_type_vectors,
                                vertical_automorphism, witness)
 
 from oracles import (dense_annihilation_failures, fraction_inverse, fraction_rref,
-                     fraction_tensor_l1, fraction_tensor_materialize, is_idempotent, mat_vec)
+                     fraction_tensor_l1, fraction_tensor_materialize, full_invariance_generators,
+                     is_idempotent, mat_vec)
 
 @pytest.mark.parametrize("base,alpha,height,count", [
     (diamond_base(), F(1), 2, 2),
@@ -195,6 +196,26 @@ def test_invariance_generator_matrices_preserve_cycles():
     for name, emap in invariance_generators(prof, 2, g).items():
         gmat = edge_map_matrix(g, emap)
         assert check_invariance(p, gmat), name
+
+
+@pytest.mark.parametrize("base,n", [(base, n) for base in (diamond_base(), k2n_base(3), laakso_base())
+                                    for n in (1, 2, 3)] + [(diamond_base(), 4)])
+def test_invariance_generators_are_the_full_maps_without_their_fixed_points(base, n):
+    prof, g = profile_base(base), recursive_family(base, n)
+    sparse = invariance_generators(prof, n, g)
+    full = full_invariance_generators(prof, n, g)
+    assert list(sparse) == list(full)
+    for name, emap in full.items():
+        assert sparse[name] == {e: f for e, f in emap.items() if e != f}, name
+        assert edge_map_matrix(g, sparse[name]) == edge_map_matrix(g, emap), name
+
+
+def test_invariance_generators_reject_a_graph_of_another_level():
+    prof = profile_base(diamond_base())
+    with pytest.raises(ValidationError, match="level-2"):
+        invariance_generators(prof, 2, diamond(3))
+    with pytest.raises(ValidationError, match="level-1"):
+        invariance_generators(prof, 1, laakso(1))
 
 
 # --- witness construction ---------------------------------------------------
