@@ -17,7 +17,8 @@ an exact solve of its active primal system and of the complementary
 dual, so the projection constant it reports is exact and proven optimal.
 The projection is lifted back to the full coordinates and checked there.
 When the classes are as many as the basis vectors, the subspace is all of
-the class-constant vectors and needs no LP.
+the class-constant vectors and needs no LP.  numpy and scipy are imported
+only inside the LP, so every other path runs on the standard library.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from operator import add, mul, sub
-
-import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from . import linalg
 from .errors import (GroupClosureOverflow, NotInvariantSubspace, ResourceLimit,
@@ -343,6 +340,14 @@ def cycle_projection_certificate(graph, p) -> tuple[bool, bool]:
 _PATTERN_TOL = 1e-7  # a float value, or a float gap to a bound, below it reads as zero
 
 
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on each call, so that only a process
+    that solves a minimal-projection LP loads numpy and scipy."""
+    from scipy.optimize import linprog as highs
+
+    return highs(*args, **kwargs)
+
+
 def _min_proj_rows(b: list):
     """The minimal-projection LP in split form,  min t  s.t.  A B = I,
     (B A)_ij - P+_ij + P-_ij = 0,  sum_i (P+_ij + P-_ij) <= t,  for B given
@@ -361,12 +366,15 @@ def _min_proj_rows(b: list):
     before any matrix is built when that exceeds MAX_LP_NONZEROS.
     """
     m, k = len(b), len(b[0])
-    bm = np.array(b, dtype=float)
-    bi, bl = np.nonzero(bm)
-    size = k * len(bi) + m * len(bi) + 4 * m * m + m
+    size = (k + m) * sum(map(bool, chain.from_iterable(b))) + 4 * m * m + m
     if size > MAX_LP_NONZEROS:
         raise ResourceLimit(f"minimal projection LP on m = {m} merged coordinates, k = {k} has "
                             f"{size:,} nonzeros (cap {MAX_LP_NONZEROS:,})")
+    import numpy as np
+    from scipy.sparse import csr_matrix
+
+    bm = np.array(b, dtype=float)
+    bi, bl = np.nonzero(bm)
     bv = bm[bi, bl]
     na, mm, kk, j = k * m, m * m, k * k, np.arange(m)
     q = np.arange(mm)                       # the entry (i, j) at i m + j
@@ -432,6 +440,8 @@ def _min_proj_primal(b: list, x) -> tuple:
     for j in J  is then solved exactly over (A, t); unknowns it leaves free
     take their values in x.
     """
+    import numpy as np
+
     m, k = len(b), len(b[0])
     na = k * m
     p_f = np.asarray(b, dtype=float) @ np.asarray(x[:na]).reshape(k, m)
@@ -598,6 +608,8 @@ def minimal_projection_lp(basis_cols: list, ambient_dim: int, mode: str = "float
                 for cj, sj in zip(cls, sign)] for ci, si in zip(cls, s)]
         lam = Fraction(1)
         return (lam if mode == "exact" else float(lam)), linalg.fractions(num, den)
+    import numpy as np
+
     a_ub, a_eq = _min_proj_rows(bm)
     nv = a_eq.shape[1]
     bounds = np.zeros((nv, 2))
@@ -731,16 +743,24 @@ def bm_upper_via_basis_map(graph, cut_vectors: list, generators: list):
             psi[v] = psi[e.tail] + w.get(e.id, 0) if e.head == v else psi[e.head] - w.get(e.id, 0)
         return all(w.get(e.id, 0) == psi[e.head] - psi[e.tail] for e in chords)
 
-    q = {}                              # orbit root -> quotient norm of the root
-    sums = {}
-    for i, w in enumerate(cut_vectors):
+    # With w_i = W_i / d_i, ||T e_e||_1 = sum_i |W_i[e]| q_i d_i / <W_i, W_i>.
+    # The vectors of an orbit share d_i, <W_i, W_i> and q_i, so each orbit
+    # has one scale, and over the scales' common denominator D the sum runs
+    # on integers.
+    scale = {}                          # orbit root -> q_r d_r / <W_r, W_r>
+    for i in range(len(keyed)):
         r = find(i)
-        if r not in q:
-            if not is_gradient(keyed[r][1]):
+        if r not in scale:
+            den, w = keyed[r]
+            if not is_gradient(w):
                 raise ValidationError("T does not vanish on the cycle space")
-            q[r] = quotient_norm(cut_vectors[r])
-        scale = q[r] / sum((v * v for v in w.coeffs.values()), start=ZERO)
-        for e, v in w.coeffs.items():
-            sums[e] = sums.get(e, ZERO) + abs(v) * scale
-    t_norm = max(sums.values(), default=ZERO)
+            scale[r] = quotient_norm(cut_vectors[r]) * den / sum(v * v for v in w.values())
+    d = math.lcm(*(x.denominator for x in scale.values()))
+    lifted = {r: x.numerator * (d // x.denominator) for r, x in scale.items()}
+    sums = {}
+    for i, (_, w) in enumerate(keyed):
+        c = lifted[find(i)]
+        for e, v in w.items():
+            sums[e] = sums.get(e, 0) + abs(v) * c
+    t_norm = Fraction(max(sums.values(), default=0), d)
     return t_norm, t_norm, Fraction(1)

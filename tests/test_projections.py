@@ -1,8 +1,13 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 from math import lcm
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -846,3 +851,53 @@ def test_minimal_projection_constant_of_laakso_three(monkeypatch):
     assert l1_norm(p) == lam
     _assert_lifted_dual_certifies(cols, seen[0], lam)
     assert lam == F(13100, 6807)
+
+
+_IMPORT_BOUNDARY = """
+import json, sys
+from fractions import Fraction
+
+import freelip
+from freelip import cli
+from freelip.cyclespace import fundamental_cycle_basis
+from freelip.graphs import diamond
+from freelip.projections import minimal_projection_lp
+
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+
+
+def cycle_cols(graph):
+    return [v.dense() for v in fundamental_cycle_basis(graph).vectors]
+
+
+graph, vector = sys.argv[1:]
+for argv in (["gen", "--family", "diamond", "--level", "1", "--out", graph],
+             ["witness", "--base", "square", "--r", "2"],
+             ["quotient-norm", "--graph", graph, "--vector", vector],
+             ["haar", "--n", "3", "--upper-cells", "16"]):
+    assert cli.main(argv) == 0, argv
+g = diamond(1)
+assert minimal_projection_lp(cycle_cols(g), len(g.edges))[0] == 1
+before = loaded()
+g = diamond(2)
+lam = minimal_projection_lp(cycle_cols(g), len(g.edges), mode="exact")[0]
+print(json.dumps({"before": before, "lambda": str(lam), "after": loaded()}))
+"""
+
+
+def test_only_a_minimal_projection_lp_loads_numpy_and_scipy(tmp_path):
+    # this process already holds numpy (the oracles), so a fresh one runs the
+    # import, three exact commands and D_1's closed form, then D_2's LP
+    vector = tmp_path / "x.json"
+    vector.write_text('{"coeffs": {"tl": 1}}')
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_BOUNDARY, str(tmp_path / "g.json"),
+                           str(vector)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["before"] == []
+    assert out["lambda"] == "7/4"
+    assert "scipy.optimize" in out["after"] and "numpy" in out["after"]
