@@ -127,9 +127,8 @@ def cmd_cyclespace(args):
 
 
 def cmd_projconst(args):
-    from . import projections
+    from . import linalg, projections, symmetry
     from .cyclespace import fundamental_cycle_basis
-    from .recursive import edge_map_matrix
     g = _load_graph(args.graph)
     cols = [v.dense() for v in fundamental_cycle_basis(g).vectors]
     if not cols:
@@ -142,11 +141,12 @@ def cmd_projconst(args):
     else:  # averaged
         if not args.generators:
             raise ValidationError("averaged mode needs --generators")
-        mats = [edge_map_matrix(g, emap) for emap in json_key(_load(args.generators), "maps")]
-        group = projections.generate_group(mats)
-        p = projections.average_projection(projections.orthogonal_projection(cols), group)
+        maps = [symmetry.index_map(g, emap) for emap in json_key(_load(args.generators), "maps")]
+        num, den = linalg.integer_rows(projections.orthogonal_projection(cols))
+        num, den = symmetry.average(num, den, symmetry.closure(maps), maps)
+        p = linalg.fractions(num, den)
         # the indices of the --generators maps that P commutes with
-        invariant_under = [i for i, mat in enumerate(mats) if projections.check_invariance(p, mat)]
+        invariant_under = [i for i, s in enumerate(maps) if symmetry.commutes(num, s)]
     report = projections.ProjectionReport(
         operator=p, range_basis=cols,
         norm_l1=projections.l1_norm(p), norm_linf=projections.linf_norm(p),

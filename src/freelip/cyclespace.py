@@ -158,7 +158,7 @@ def boundary(x: EdgeVector) -> Molecule:
     return Molecule(coeffs)
 
 
-def _spanning_tree(g: TwoPoleGraph):
+def spanning_tree(g: TwoPoleGraph):
     """Deterministic BFS tree from the bottom; returns (parent, parent_edge),
     both in BFS order."""
     parent = {g.bottom: None}
@@ -193,7 +193,7 @@ def fundamental_cycles_as_walks(g: TwoPoleGraph) -> list[list[str]]:
     closes through the tree: head up to the least common ancestor, then
     down to the tail.
     """
-    parent, parent_edge = _spanning_tree(g)
+    parent, parent_edge = spanning_tree(g)
     tree_ids = {e.id for e in parent_edge.values()}
 
     def path_to_root(v):
@@ -236,7 +236,7 @@ def _edge_scales(g: TwoPoleGraph, z: CycleBasis) -> dict[str, tuple[int, int]]:
         raise ValidationError(f"basis has {len(z.vectors)} vectors, the cycle space "
                               f"has dimension {mu(g)}")
     edge_by_id = g.edge_by_id
-    tree = {e.id for e in _spanning_tree(g)[1].values()}
+    tree = {e.id for e in spanning_tree(g)[1].values()}
     scale: dict[str, tuple[int, int]] = {}
     chords = []
     for v in z.vectors:

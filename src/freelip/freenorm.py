@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import simplex
-from .cyclespace import _spanning_tree
+from .cyclespace import spanning_tree
 from .errors import NotATree, SolverFailure, ValidationError
 from .graphs import TwoPoleGraph
 from .metric import LipschitzFunction, MetricSpace, Molecule
@@ -137,7 +137,7 @@ def _subtree_masses(t: TwoPoleGraph, m: Molecule):
     denominator of its coefficients.  ValidationError names a point of m
     outside the tree."""
     _check_tree(t)
-    parent, parent_edge = _spanning_tree(t)
+    parent, parent_edge = spanning_tree(t)
     den = lcm(*(c.denominator for c in m.coeffs.values()))
     sub = dict.fromkeys(parent, 0)
     for p, c in m.coeffs.items():

@@ -316,23 +316,3 @@ def automorphism_search(g: TwoPoleGraph, constraint: str):
     found.sort(key=lambda m: tuple(m[v] for v in verts))
     return found
 
-
-def edge_map_from_vertex_map(g: TwoPoleGraph, sigma: dict[str, str]) -> dict[str, str]:
-    """Induced bijection on edge ids (undirected: endpoint images looked up)."""
-    out = {}
-    for e in g.edges:
-        img = g.edge_by_pair.get(frozenset((sigma[e.tail], sigma[e.head])))
-        if img is None:
-            raise ValidationError("vertex map is not a graph automorphism")
-        out[e.id] = img.id
-    return out
-
-
-def moved_edges(g: TwoPoleGraph, emap: dict[str, str], kind: str = "edge map") -> dict[str, str]:
-    """The edges that an edge map (edge id -> image id, unlisted edges
-    fixed) moves, with their images.  Raises ValidationError, naming the
-    map as kind, unless it is a bijection of g's edges: its keys are edge
-    ids of g and it permutes them."""
-    if not emap.keys() <= g.edge_by_id.keys() or set(emap.values()) != emap.keys():
-        raise ValidationError(f"{kind} is not a bijection of the graph's edge ids")
-    return {e: f for e, f in emap.items() if e != f}

@@ -19,7 +19,7 @@ Fractions are built only for returned values; there is no float path.
 
 The Banach-Mazur upper bounds need one quotient norm per orbit of cut
 vectors under the cycle-preserving edge bijections of
-recursive.invariance_generators (projections.bm_upper_via_basis_map),
+symmetry.invariance_generators (projections.bm_upper_via_basis_map),
 each one min-cost flow on the graph.
 
 The even/odd Haar levels also show up as quasi-greedy subsequences of the
@@ -36,7 +36,7 @@ from itertools import compress
 from math import gcd, lcm
 from operator import mul
 
-from . import projections, recursive
+from . import linalg, projections, recursive, symmetry
 from .cyclespace import EdgeVector, fundamental_cycle_basis
 from .errors import ResolutionTooCoarse, ResourceLimit, ValidationError
 from .graphs import TwoPoleGraph, diamond, diamond_base, k2n_base, multidiamond
@@ -289,23 +289,6 @@ def verify_even_level_span(n: int, graph: TwoPoleGraph | None = None) -> bool:
 # Andrew averaging and the projection lower bounds
 # ---------------------------------------------------------------------------
 
-def g_isometry(i: int, resolution: int) -> list:
-    """Permutation matrix swapping the two halves of supp h_i (i >= 1)."""
-    if i < 1:
-        raise ValidationError("g_i is defined for i >= 1")
-    cells = 2 ** resolution
-    level = i.bit_length() - 1
-    if level + 1 > resolution:
-        raise ResolutionTooCoarse(f"g_{i} needs resolution >= {level + 1}")
-    block = cells // 2 ** level
-    half = block // 2
-    start = (i - 2 ** level) * block
-    perm = list(range(cells))
-    for t in range(start, start + half):
-        perm[t], perm[t + half] = perm[t + half], perm[t]
-    return projections.permutation_matrix(perm)
-
-
 def level_span_vectors(levels, resolution: int) -> list[DyadicVector]:
     out = []
     for lev in sorted(levels):
@@ -317,16 +300,18 @@ def andrew_lower_bound(levels, resolution: int, projection: list | None = None):
     """L1 norm of the orthogonal projection onto span of the given Haar levels.
 
     This is a certified lower bound on the L1 norm of every projection onto
-    that span.  With a concrete projection supplied, the full reflection
-    group is enumerated and the projection's average over it is confirmed
-    to equal the orthogonal projection.
+    that span.  With a concrete projection supplied, the group of the
+    reflections g_i (symmetry.reflection, i >= 1) is enumerated and the
+    projection's average over it is confirmed to equal the orthogonal
+    projection.
     """
     family = _OrthogonalFamily(level_span_vectors(levels, resolution))
     p_y, bound = family.matrix(2 ** resolution)
     averaged = None
     if projection is not None:
-        gens = [g_isometry(i, resolution) for i in range(1, 2 ** resolution)]
-        averaged = projections.average_projection(projection, projections.generate_group(gens))
+        gens = [symmetry.reflection(i, resolution) for i in range(1, 2 ** resolution)]
+        num, den = linalg.integer_rows(projection)
+        averaged = linalg.fractions(*symmetry.average(num, den, symmetry.closure(gens), gens))
         if averaged != p_y:
             raise ValidationError("group average differs from the orthogonal projection")
     return bound, p_y, averaged
@@ -368,7 +353,7 @@ def diamond_bm_bounds(n: int, include_upper: bool = True):
     if n < 1:
         raise ValidationError("n must be >= 1")
     cells = 4 ** n
-    # ||P||_inf = ||P e_0||_1: g_isometry maps each h_j to +-h_k on j's level, is transitive
+    # ||P||_inf = ||P e_0||_1: the reflections map each h_j to +-h_k on j's level, are transitive
     # on cells; P = P^T.  P e_0 only needs the cut vectors with w[0] != 0: h_0 and the first
     # h_i of each odd level.  The l1 mean of P (cells e_0) is the sum of |P e_0|.
     first = _OrthogonalFamily([haar(i, 2 * n)
@@ -383,7 +368,7 @@ def diamond_bm_bounds(n: int, include_upper: bool = True):
         cut_vecs = level_span_vectors([-1] + [2 * k - 1 for k in range(1, n + 1)], 2 * n)
         upper, t_norm, tinv_norm = projections.bm_upper_via_basis_map(
             g, _on_edges(g, cut_vecs, lambda eid: diamond_cell_index(eid, n)),
-            recursive.invariance_generators(recursive.profile_base(diamond_base()), n, g).values())
+            symmetry.invariance_generators(recursive.profile_base(diamond_base()), n, g).values())
     return {"lower": lower, "exact_orth_norm": exact_cut_norm,
             "upper": upper, "t_norm": t_norm, "tinv_norm": tinv_norm}
 
@@ -476,7 +461,7 @@ def multibranch_analysis(n: int, k: int) -> dict:
 
     bm_upper, _, _ = projections.bm_upper_via_basis_map(
         g, _on_edges(g, cut, cell),
-        recursive.invariance_generators(recursive.profile_base(k2n_base(k)), n, g).values())
+        symmetry.invariance_generators(recursive.profile_base(k2n_base(k)), n, g).values())
     p, linf_bound = family.matrix(cells)
     return {
         "cut_basis": cut,

@@ -12,7 +12,7 @@ There are two eliminations, both fraction free:
   {variable: integer coefficient}, with a row's constant term under RHS,
   for the rank, independence and consistency of sparse systems.
 
-rref, rank, solve and inverse take and return dense Fraction matrices
+rref, solve and inverse take and return dense Fraction matrices
 (lists of rows): each reads its input as integer rows, runs one
 gauss_jordan and divides by the determinant it ends on.  The rest are
 small dense Fraction helpers.
@@ -191,11 +191,6 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     n = len(a[0]) if a else 0
     rows, pivots, d = gauss_jordan(integer_rows(a)[0], n)
     return fractions(rows, d) + zeros(len(a) - len(rows), n), pivots
-
-
-def rank(a: Matrix) -> int:
-    """The number of pivots of a's reduced row echelon form."""
-    return len(gauss_jordan(integer_rows(a)[0], len(a[0]) if a else 0)[1])
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:

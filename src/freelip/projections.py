@@ -1,6 +1,7 @@
 """Operator norms on l1/linf, orthogonal and minimal projections onto
-subspaces of the edge space, group averaging, and Banach-Mazur bound
-assembly.
+subspaces of the edge space, group closure and averaging on permutation
+matrices (read into freelip.symmetry's index maps), and Banach-Mazur
+bound assembly.
 
 Matrices act on coordinates indexed by a fixed basis order (edge ids or
 grid cells).  The exact projection algebra runs on integer matrices over
@@ -27,16 +28,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from operator import add, mul, sub
+from operator import add, sub
 
-from . import linalg
-from .errors import (GroupClosureOverflow, NotInvariantSubspace, ResourceLimit,
-                     SingularGram, SolverFailure, ValidationError)
-from .graphs import moved_edges
+from . import linalg, symmetry
+from .errors import ResourceLimit, SingularGram, SolverFailure, ValidationError
 from .linalg import RHS
 from .rational import ZERO
 
-GROUP_CAP = 10 ** 6             # elements of a generated group
 MAX_LP_NONZEROS = 10 ** 5        # of a merged minimal-projection LP: L_3's 40,049, D_4's 150,438
 
 
@@ -180,26 +178,6 @@ def _index_map(g, n: int) -> tuple:
     return tuple(s)
 
 
-def _commutes(num: list, s) -> bool:
-    """Whether the square matrix num commutes with the permutation matrix of
-    index map s, that is num[s(i)][s(j)] = num[i][j] for all i, j."""
-    return all([src[sj] for sj in s] == row for row, src in zip(num, (num[si] for si in s)))
-
-
-def check_invariance(p, g) -> bool:
-    """Whether P g = g P exactly, for a permutation matrix g.
-
-    With s the index map of g this reads P[s(i)][s(j)] = P[i][j], compared
-    on P's integer numerators.  Raises ValidationError unless g is a
-    permutation matrix of P's size.
-    """
-    n = len(p)
-    s = _index_map(g, n)
-    if any(len(row) != n for row in p):
-        raise ValidationError("P is not square")
-    return _commutes(linalg.integer_rows(p)[0], s)
-
-
 def permutation_matrix(perm: list[int]) -> list:
     """Matrix of the isometry f -> f o g^{-1} for an index bijection g, with
     integer entries 0 and 1.
@@ -214,82 +192,23 @@ def permutation_matrix(perm: list[int]) -> list:
 
 
 def generate_group(generators: list) -> list:
-    """Closure of a set of permutation matrices under multiplication.
-
-    The closure runs breadth first on index maps (the product a g has the
-    map i -> a(g(i))), starting from the identity and multiplying each new
-    element by every generator on the right; the elements are returned as
-    permutation matrices in that order.  Raises ValidationError for an
-    empty set or a generator that is not a permutation matrix of the first
-    one's size, and GroupClosureOverflow past GROUP_CAP elements.
-    """
+    """symmetry.closure of permutation matrices, returned as matrices in its
+    order; ValidationError for an empty set or a generator that is not a
+    permutation matrix of the first one's size."""
     if not generators:
         raise ValidationError("generate_group needs at least one generator")
     n = len(generators[0])
-    gens = [_index_map(g, n) for g in generators]
-    ident = tuple(range(n))
-    seen = {ident: None}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                prod = tuple(a[gi] for gi in g)
-                if prod not in seen:
-                    if len(seen) >= GROUP_CAP:
-                        raise GroupClosureOverflow(f"group closure exceeds cap {GROUP_CAP}")
-                    seen[prod] = None
-                    nxt.append(prod)
-        frontier = nxt
-    return [permutation_matrix(s) for s in seen]
+    return [permutation_matrix(s) for s in symmetry.closure([_index_map(g, n) for g in generators])]
 
 
 def average_projection(p: list, group_elements: list) -> list:
-    """Grunbaum-Rudin average (1/|G|) sum g^{-1} P g over permutation
-    matrices g.
-
-    With s the index map of g, (g^{-1} P g)[i][j] = P[s(i)][s(j)], so the
-    average is a sum of re-indexed copies of P, taken on P's integer
-    numerators N over its common denominator d.  P must be a projection
-    and each element must map range(P) onto itself.  Both are checked on
-    one fraction-free elimination of N^T, whose rows v_t span range(P) and
-    carry D at their own pivot coordinate q_t and 0 at the others: P is a
-    projection when N v_t = d v_t for every t (ValidationError otherwise),
-    and a permuted v_t lies in range(P) when D w = sum_t w[q_t] v_t for it
-    (NotInvariantSubspace otherwise).  Elements that are not permutation
-    matrices of P's size raise ValidationError.  The caller must pass a
-    full group; then the average is a projection onto the same range, has
-    no larger l1 norm, and commutes with every element.
-    """
+    """symmetry.average of P over the permutation matrices of a full group,
+    as a Fraction matrix; ValidationError for no elements, a P that is not
+    square, or an element that is not a permutation matrix of P's size."""
     if not group_elements:
         raise ValidationError("average_projection needs at least one group element")
-    n = len(p)
-    if any(len(row) != n for row in p):
-        raise ValidationError("P is not square")
-    maps = [_index_map(g, n) for g in group_elements]
-    num, den = linalg.integer_rows(p)
-    basis, pivots, scale = linalg.gauss_jordan(zip(*num), n)
-    if any([sum(map(mul, row, v)) for row in num] != [den * x for x in v] for v in basis):
-        raise ValidationError("P is not a projection")
-    for s in maps:
-        inv = [0] * n
-        for i, si in enumerate(s):
-            inv[si] = i
-        for v in basis:
-            w = [v[i] for i in inv]         # w[s(i)] = v[i]
-            combo = [0] * n
-            for q, r in zip(pivots, basis):
-                c = w[q]
-                if c:
-                    combo = [a + c * x for a, x in zip(combo, r)]
-            if combo != [scale * x for x in w]:
-                raise NotInvariantSubspace("a group element moves the range of P")
-    acc = [[0] * n for _ in range(n)]
-    for s in maps:
-        for acc_row, si in zip(acc, s):
-            src = num[si]
-            acc_row[:] = map(add, acc_row, [src[sj] for sj in s])
-    return linalg.fractions(acc, den * len(maps))
+    maps = [_index_map(g, len(p)) for g in group_elements]
+    return linalg.fractions(*symmetry.average(*linalg.integer_rows(p), maps))
 
 
 def _cycle_certificate(graph, num: list, den: int) -> tuple[bool, bool]:
@@ -670,17 +589,17 @@ def bm_upper_via_basis_map(graph, cut_vectors: list, generators: list):
 
     generators are edge bijections given by the edges they move (edge id
     -> image id, unlisted edges fixed), such as the cycle-preserving
-    bijections of recursive.invariance_generators; they need not be graph
+    bijections of symmetry.invariance_generators; they need not be graph
     automorphisms.  A bijection sigma with sigma(Z) = Z is an l1 isometry
     that maps Z onto itself, so it keeps quotient norms, <w, w> and
     orthogonality to Z.  When sigma w = +-w' for two cut vectors, exactly
     and not only up to a factor, w and w' join one orbit (union-find), and
     the quotient norm and the gradient check run once per orbit.  Every
-    generator must be an edge bijection (graphs.moved_edges) that maps each
+    generator must be an edge bijection (symmetry.moved_edges) that maps each
     cut vector to +- a cut vector and every fundamental cycle to a
     zero-boundary vector; ValidationError otherwise.
     """
-    from .cyclespace import _spanning_tree, fundamental_cycle_basis, quotient_norm
+    from .cyclespace import fundamental_cycle_basis, quotient_norm, spanning_tree
 
     # Each vector as (d, integers over d) with d the lcm of its denominators:
     # a bijection keeps d, so sigma w = +-w' exactly when the pairs agree.
@@ -715,7 +634,7 @@ def bm_upper_via_basis_map(graph, cut_vectors: list, generators: list):
         for e, v in z.coeffs.items():
             cycles_at.setdefault(e, []).append((c, int(v)))
     for sigma in generators:
-        moved = moved_edges(graph, sigma, "generator")
+        moved = symmetry.moved_edges(graph, sigma, "generator")
         for i in {i for e, f in moved.items()
                   for i, x in cuts_at.get(e, ()) if keyed[i][1].get(f) != x}:
             den, w = keyed[i]
@@ -733,7 +652,7 @@ def bm_upper_via_basis_map(graph, cut_vectors: list, generators: list):
         if any(net.values()):
             raise ValidationError("generator does not map the cycle space onto itself")
 
-    parent_edge = _spanning_tree(graph)[1]
+    parent_edge = spanning_tree(graph)[1]
     tree = {e.id for e in parent_edge.values()}
     chords = [e for e in graph.edges if e.id not in tree]
 

@@ -25,14 +25,14 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
 
-from . import linalg, projections
+from . import linalg, projections, symmetry
 from .cyclespace import EdgeVector, fundamental_cycle_basis
-from .errors import (NoVerticalAutomorphism, NotInvariant, OddGeodesic,
-                     ResourceLimit, TrivialCycleSpace, ValidationError)
-from .graphs import (TwoPoleGraph, automorphism_search, edge_map_from_vertex_map,
-                     laakso, laakso_base, moved_edges, recursive_family)
+from .errors import (NoVerticalAutomorphism, OddGeodesic, ResourceLimit, TrivialCycleSpace,
+                     ValidationError)
+from .graphs import TwoPoleGraph, automorphism_search, laakso, laakso_base, recursive_family
 from .metric import graph_metric
 from .rational import ZERO
+from .symmetry import invariance_generators
 
 GEODESIC_CAP = 10 ** 5          # bottom-top paths enumerated per base graph
 MATERIALIZE_CAP = 2 * 10 ** 5
@@ -107,13 +107,8 @@ def profile_base(b: TwoPoleGraph) -> BaseGraphProfile:
         c_coeffs[eid] = v if level[e.tail] >= half else -v
     c_vec = EdgeVector(b, c_coeffs)
 
-    basis = fundamental_cycle_basis(b)
-    vertical_edges = None
-    for sigma in automorphism_search(b, "swap-poles"):
-        emap = edge_map_from_vertex_map(b, sigma)
-        if all(z.permute(emap) == z for z in basis.vectors):
-            vertical_edges = emap
-            break
+    vertical_edges = next(symmetry.fixing_pole_swaps(b, automorphism_search(b, "swap-poles")),
+                          None)
     if vertical_edges is None:
         raise NoVerticalAutomorphism("no pole swap fixes the cycle space pointwise")
 
@@ -195,11 +190,7 @@ def check_conditions(b: TwoPoleGraph) -> dict:
     report["3_vertical_exists"] = {"ok": bool(swaps), "count": len(swaps)}
 
     basis = fundamental_cycle_basis(b)
-    fixing = []
-    for sigma in swaps:
-        emap = edge_map_from_vertex_map(b, sigma)
-        if all(z.permute(emap) == z for z in basis.vectors):
-            fixing.append(sigma)
+    fixing = list(symmetry.fixing_pole_swaps(b, swaps))
     report["4_vertical_fixes_cycles"] = {"ok": bool(fixing) or not basis.vectors,
                                          "count": len(fixing)}
 
@@ -214,21 +205,14 @@ def check_conditions(b: TwoPoleGraph) -> dict:
         prof = None
         report["5_delta_and_c"] = {"ok": False, "error": str(exc)}
 
-    horizontals = automorphism_search(b, "fix-poles")
-    if basis.vectors:
-        rows = []
-        dense = [z.dense() for z in basis.vectors]
-        for sigma in horizontals:
-            emap = edge_map_from_vertex_map(b, sigma)
-            moved = [z.permute(emap).dense() for z in basis.vectors]
-            for i in range(len(b.edges)):
-                rows.append([moved[j][i] - dense[j][i] for j in range(len(dense))])
-        fixed_dim = len(dense) - linalg.rank(rows)
-    else:
-        fixed_dim = 0
-    c_fixed = prof is not None and all(
-        prof.c.permute(edge_map_from_vertex_map(b, sigma)) == prof.c
-        for sigma in horizontals)
+    horizontals = [symmetry.edge_map_from_vertex_map(b, sigma)
+                   for sigma in automorphism_search(b, "fix-poles")]
+    # sum_j a_j z_j is fixed by every horizontal h when sum_j a_j (h z_j - z_j) = 0: the
+    # fixed subspace has dimension k - rank of the rows (h z_j - z_j)_h (+-1 vectors z_j).
+    rows = [{(h, e): int(x) for h, emap in enumerate(horizontals)
+             for e, x in (z.permute(emap) - z).coeffs.items()} for z in basis.vectors]
+    fixed_dim = len(rows) - len(linalg.echelon(rows)[0])
+    c_fixed = prof is not None and all(prof.c.permute(emap) == prof.c for emap in horizontals)
     report["6_horizontal_group"] = {"ok": fixed_dim == 0 and c_fixed,
                                     "fixed_subspace_dim": fixed_dim,
                                     "c_fixed_by_all": c_fixed,
@@ -243,7 +227,7 @@ def check_conditions(b: TwoPoleGraph) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Delta replicas and the vertical automorphism
+# Delta replicas
 # ---------------------------------------------------------------------------
 
 def delta_power(profile: BaseGraphProfile, m: int) -> dict[str, Fraction]:
@@ -258,64 +242,14 @@ def delta_power(profile: BaseGraphProfile, m: int) -> dict[str, Fraction]:
     return out
 
 
-def vertical_automorphism(profile: BaseGraphProfile, n: int) -> dict[str, str]:
-    """Edge bijection of the level-n graph: the base pole swap applied
-    coordinatewise to every id segment."""
-    if n < 0:
-        raise ValidationError("level must be >= 0")
-    vmap = profile.vertical_edges
-    return {"/".join(ids): "/".join(vmap[seg] for seg in ids)
-            for ids in itertools.product(sorted(vmap), repeat=n)}
-
-
 # ---------------------------------------------------------------------------
-# Invariance generators and the annihilation check
+# Permutation matrices and the annihilation check
 # ---------------------------------------------------------------------------
-
-def invariance_generators(profile: BaseGraphProfile, n: int,
-                          graph: TwoPoleGraph) -> dict[str, dict[str, str]]:
-    """Named edge bijections of the level-n graph, each the map of the
-    edges it moves (edge id -> image id, unlisted edges fixed): the
-    vertical automorphism "v", then every nontrivial horizontal i inside
-    every copy at every depth, "h<i>" at depth 1 and "h<i>@<prefix>" in the
-    copy at that prefix.  Raises ValidationError unless graph's edge ids
-    are the level-n ids of the profile's base."""
-    b = profile.graph
-    vertical = vertical_automorphism(profile, n)
-    if vertical.keys() != graph.edge_by_id.keys():
-        raise ValidationError(f"graph's edge ids are not the level-{n} ids of the base")
-    gens = {"v": {e: f for e, f in vertical.items() if e != f}}
-    nontrivial = [s for s in profile.horizontals if any(s[v] != v for v in b.vertices)]
-    base_ids = sorted(e.id for e in b.edges)
-    for gi, sigma in enumerate(nontrivial):
-        moved = moved_edges(b, edge_map_from_vertex_map(b, sigma))
-        for depth in range(1, n + 1):
-            suffixes = ["".join("/" + seg for seg in tail)
-                        for tail in itertools.product(base_ids, repeat=n - depth)]
-            for prefix in itertools.product(base_ids, repeat=depth - 1):
-                stem = "".join(seg + "/" for seg in prefix)
-                gens[f"h{gi}@{stem[:-1]}" if stem else f"h{gi}"] = {
-                    stem + e + suf: stem + f + suf for e, f in moved.items() for suf in suffixes}
-    return gens
-
-
-def _edge_index_map(graph: TwoPoleGraph, emap: dict[str, str]) -> list:
-    """The index map of an edge map given as edge id -> image id, unlisted
-    edges fixed: entry order[e] is order[emap[e]].  Raises ValidationError
-    unless the map is a bijection of the graph's edge ids."""
-    order = graph.edge_order
-    perm = list(range(len(graph.edges)))
-    for eid, img in moved_edges(graph, emap).items():
-        perm[order[eid]] = order[img]
-    return perm
-
 
 def edge_map_matrix(graph: TwoPoleGraph, emap: dict[str, str]) -> list:
-    """Permutation matrix of an edge map given as edge id -> image id,
-    unlisted edges fixed (so the map may list only the edges it moves).
-    Raises ValidationError unless the map is a bijection of the graph's
-    edge ids."""
-    return projections.permutation_matrix(_edge_index_map(graph, emap))
+    """Permutation matrix of an edge map (edge id -> image id, unlisted
+    edges fixed); ValidationError unless it is an edge bijection."""
+    return projections.permutation_matrix(symmetry.index_map(graph, emap))
 
 
 def c_type_vectors(profile: BaseGraphProfile, n: int,
@@ -355,9 +289,7 @@ def annihilation_check(p: list, profile: BaseGraphProfile, n: int,
         raise ValidationError("P is not square on the graph's edges")
     num, _ = linalg.integer_rows(p)
     gens = invariance_generators(profile, n, graph)
-    for name, emap in gens.items():
-        if not projections._commutes(num, _edge_index_map(graph, emap)):
-            raise NotInvariant(f"projection does not commute with generator {name}")
+    symmetry.check_invariant(num, graph, gens)
     vectors = c_type_vectors(profile, n, graph)
     order = graph.edge_order
     cols = list(zip(*num))
@@ -656,7 +588,7 @@ def laakso_nonunique_projection() -> dict:
     """
     g2 = laakso(2)
     order = g2.edge_order
-    orth, d = projections._orthogonal_rows(projections._integer_basis(
+    orth, d = linalg.integer_rows(projections.orthogonal_projection(
         [z.dense() for z in fundamental_cycle_basis(g2).vectors]))
 
     # The two 16-cycle flows through the central copies, summed: twice the
@@ -690,17 +622,14 @@ def laakso_nonunique_projection() -> dict:
         cols.append(col)
     num = [list(row) for row in zip(*cols)]
 
-    profile = profile_base(laakso_base())
-    gens = invariance_generators(profile, 2, g2)
-    for name, emap in sorted(gens.items()):
-        if not projections._commutes(num, _edge_index_map(g2, emap)):
-            raise NotInvariant(f"constructed projection not invariant under {name}")
-
-    fixes_range, in_range = projections._cycle_certificate(g2, num, den)
+    gens = invariance_generators(profile_base(laakso_base()), 2, g2)
+    symmetry.check_invariant(num, g2, gens)
+    projection = linalg.fractions(num, den)
+    fixes_range, in_range = projections.cycle_projection_certificate(g2, projection)
     gap = Fraction(max(abs(x - y * (den // d)) for row, orow in zip(num, orth)
                        for x, y in zip(row, orow)), den)
     return {
-        "projection": linalg.fractions(num, den),
+        "projection": projection,
         "orthogonal": linalg.fractions(orth, d),
         "is_projection": fixes_range and in_range,
         "fixes_cycle_space": fixes_range,

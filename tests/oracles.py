@@ -57,9 +57,9 @@ from freelip.errors import (DisconnectedGraph, GroupClosureOverflow, NotInvarian
 from freelip.freenorm import ae_norm
 from freelip.metric import MetricSpace, Molecule
 from freelip.rational import to_fraction
-from freelip.graphs import TwoPoleGraph, diamond, edge_map_from_vertex_map, multidiamond
-from freelip.recursive import (c_type_vectors, edge_map_matrix, invariance_generators,
-                               vertical_automorphism)
+from freelip.graphs import TwoPoleGraph, diamond, multidiamond
+from freelip.recursive import c_type_vectors, edge_map_matrix
+from freelip.symmetry import edge_map_from_vertex_map, invariance_generators, vertical_automorphism
 from freelip.simplex import solve_standard_exact
 
 ZERO = Fraction(0)

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from freelip import graphs, haar_system, linalg, projections, report
+from freelip import graphs, haar_system, linalg, projections, report, symmetry
 from freelip.cli import main
 from freelip.embeddings import large_embedding, mod_p_selection
 from freelip.errors import SolverFailure
@@ -16,7 +17,8 @@ from freelip.graphs import diamond
 from freelip.metric import Molecule, graph_metric
 from freelip.randgen import random_metric_space
 from freelip.rational import num_to_json
-from freelip.recursive import invariance_generators, profile_base
+from freelip.recursive import profile_base
+from freelip.symmetry import invariance_generators
 
 
 def run_cli(*argv):
@@ -167,17 +169,23 @@ def test_projconst_averaged_mode(tmp_path, capsys, monkeypatch):
                    "--generators", str(gens)) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["is_projection"]
-    # "invariant_under" lists the indices of the maps that check_invariance
+    # "invariant_under" lists the indices of the maps that symmetry.commutes
     # accepts for the printed P: the average commutes with both
     assert out["invariant_under"] == [0, 1]
     checked = []
-    real = projections.check_invariance
+    real = symmetry.commutes
 
-    def reject_second(p, mat):
-        checked.append(p == [[F(x) for x in row] for row in out["operator"]])
-        return real(p, mat) and len(checked) != 2
+    def reduced(num):           # integer rows divided by the gcd of their entries
+        g = math.gcd(*(x for row in num for x in row))
+        return [[x // g for x in row] for row in num]
 
-    monkeypatch.setattr(projections, "check_invariance", reject_second)
+    printed = reduced(linalg.integer_rows([[F(x) for x in row] for row in out["operator"]])[0])
+
+    def reject_second(num, s):
+        checked.append(reduced(num) == printed)     # the printed P, up to a positive factor
+        return real(num, s) and len(checked) != 2
+
+    monkeypatch.setattr(symmetry, "commutes", reject_second)
     assert run_cli("projconst", "--graph", str(g), "--mode", "averaged",
                    "--generators", str(gens)) == 0
     assert json.loads(capsys.readouterr().out)["invariant_under"] == [0]

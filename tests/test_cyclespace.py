@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freelip import simplex
-from freelip.cyclespace import (CycleBasis, EdgeVector, _spanning_tree, boundary,
+from freelip.cyclespace import (CycleBasis, EdgeVector, boundary,
                                 fundamental_cycle_basis,
                                 fundamental_cycles_as_walks, greedy_cycle_packing,
-                                mu, quotient_norm, signed_indicator,
+                                mu, quotient_norm, signed_indicator, spanning_tree,
                                 up_down_decomposition)
 from freelip.errors import NotACycle, SolverFailure, ValidationError
 from freelip.graphs import Edge, TwoPoleGraph, diamond, k2n_base, laakso, multidiamond, path
@@ -395,7 +395,7 @@ def test_scaled_basis_on_a_different_graph_is_rejected():
 def _tree_flow(g, mass):
     """The edge vector carrying the molecule `mass` down the BFS tree, so
     that its boundary is the molecule."""
-    parent, parent_edge = _spanning_tree(g)
+    parent, parent_edge = spanning_tree(g)
     below = {v: mass.get(v, F(0)) for v in g.vertices}
     x = {}
     for v in reversed(parent):

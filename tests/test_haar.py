@@ -9,13 +9,14 @@ from freelip.cyclespace import boundary, fundamental_cycle_basis
 from freelip.errors import ResolutionTooCoarse, ResourceLimit, ValidationError
 from freelip.graphs import diamond, diamond_base, k2n_base, multidiamond
 from freelip.haar_system import (DyadicVector, andrew_lower_bound, diamond_bm_bounds,
-                                 diamond_cell_index, g_isometry, haar, haar_coefficients,
+                                 diamond_cell_index, haar, haar_coefficients,
                                  haar_witness_bound, level_indices,
                                  multibranch_analysis, multibranch_cell_index,
                                  multibranch_cut_basis, level_span_vectors,
                                  verify_even_level_span)
 from freelip.projections import bm_upper_via_basis_map, l1_norm
-from freelip.recursive import invariance_generators, profile_base
+from freelip.recursive import profile_base
+from freelip.symmetry import invariance_generators, reflection
 from freelip.simplex import min_l1_combination
 
 from oracles import (all_vectors_bm_upper, dense_linf, dense_multibranch_analysis,
@@ -145,34 +146,45 @@ def test_haar_coefficients_reject_a_grid_that_is_not_a_power_of_two():
         haar_coefficients(DyadicVector((1, 2, 3)))
 
 
-def test_g_isometry_observations():
-    # the five commutation facts behind the averaging lemma, as matrices
+def _reflect(s, v):
+    """g v for the permutation matrix g of index map s: (g v)[s(t)] = v[t]."""
+    out = [None] * len(v)
+    for t, st in enumerate(s):
+        out[st] = v[t]
+    return out
+
+
+def test_reflection_observations():
+    # the five commutation facts behind the averaging lemma
     res = 4  # indices below 16
-    mats = {i: g_isometry(i, res) for i in range(1, 16)}
+    maps = {i: reflection(i, res) for i in range(1, 16)}
     hs = {i: list(haar(i, res).values) for i in range(16)}
 
     def supp(i):
         return {t for t, v in enumerate(hs[i]) if v != 0}
 
     for i in range(1, 16):
-        assert mat_vec(mats[i], hs[i]) == [-v for v in hs[i]]          # (2)
-        gt = linalg.transpose(mats[i])
-        assert mat_vec(gt, hs[i]) == [-v for v in hs[i]]               # (3)
+        assert _reflect(maps[i], hs[i]) == [-v for v in hs[i]]         # (2)
+        assert [hs[i][st] for st in maps[i]] == [-v for v in hs[i]]    # (3): g^T v
         for j in range(16):
             if i == j:
                 continue
             if 0 <= j < i and supp(i) < supp(j):
-                assert mat_vec(mats[i], hs[j]) == hs[j]                # (4)
+                assert _reflect(maps[i], hs[j]) == hs[j]               # (4)
             if i > j >= 0 or not (supp(i) & supp(j)):
-                assert mat_vec(mats[i], hs[j]) == hs[j]                # (5)
+                assert _reflect(maps[i], hs[j]) == hs[j]               # (5)
 
 
-def test_g_isometry_examples():
-    g1 = g_isometry(1, 2)
-    assert mat_vec(g1, list(haar(1, 2).values)) == [-1, -1, 1, 1]
-    assert mat_vec(g1, list(haar(0, 2).values)) == [1, 1, 1, 1]
-    g4 = g_isometry(4, 3)
-    assert mat_vec(g4, list(haar(1, 3).values)) == list(haar(1, 3).values)
+def test_reflection_examples():
+    g1 = reflection(1, 2)
+    assert _reflect(g1, list(haar(1, 2).values)) == [-1, -1, 1, 1]
+    assert _reflect(g1, list(haar(0, 2).values)) == [1, 1, 1, 1]
+    g4 = reflection(4, 3)
+    assert _reflect(g4, list(haar(1, 3).values)) == list(haar(1, 3).values)
+    with pytest.raises(ValidationError, match="i >= 1"):
+        reflection(0, 3)
+    with pytest.raises(ResolutionTooCoarse):
+        reflection(4, 2)
 
 
 def test_andrew_average_equals_orthogonal():

@@ -60,7 +60,7 @@ def test_rref_and_rank_match_the_fraction_oracle(seed):
         r, pivots = linalg.rref(a)
         assert (r, pivots) == fraction_rref(a)
         assert _is_fraction_matrix(r) and len(r) == len(a)
-        assert linalg.rank(a) == fraction_rank(a) == len(pivots)
+        assert fraction_rank(a) == len(pivots)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -72,6 +72,7 @@ def test_gauss_jordan_matches_the_fraction_oracle(seed):
         rows, pivots, d = gauss_jordan(num, ncols)
         left, left_pivots = fraction_rref([row[:ncols] for row in a])
         assert pivots == left_pivots and len(rows) == len(pivots)
+        assert len(pivots) == fraction_rank([row[:ncols] for row in a])
         assert d != 0 and all(row[q] == d for row, q in zip(rows, pivots))
         scaled = [[F(x, d) for x in row] for row in rows]
         assert [row[:ncols] for row in scaled] == left[:len(pivots)]
@@ -140,7 +141,6 @@ def test_solve_and_inverse_match_the_fraction_oracle(seed):
 
 def test_empty_matrices():
     assert linalg.rref([]) == ([], [])
-    assert linalg.rank([]) == 0
     assert linalg.solve([], []) == []
     assert echelon([]) == ([], [])
     assert gauss_jordan([], 0) == ([], [], 1)

@@ -16,17 +16,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from freelip import cyclespace, linalg, simplex
 from freelip.cyclespace import EdgeVector, boundary, fundamental_cycle_basis
-from freelip import projections
-from freelip.errors import (GroupClosureOverflow, NotInvariantSubspace,
+from freelip import projections, symmetry
+from freelip.errors import (GroupClosureOverflow, NotInvariant, NotInvariantSubspace,
                             ResourceLimit, SingularGram, SolverFailure,
                             ValidationError)
 from freelip.graphs import Edge, TwoPoleGraph, diamond, laakso, multidiamond, path
-from freelip.projections import (average_projection,
-                                 bm_upper_via_basis_map, check_invariance,
+from freelip.projections import (average_projection, bm_upper_via_basis_map,
                                  generate_group, l1_norm, linf_norm,
                                  minimal_projection_lp, orthogonal_projection,
                                  permutation_matrix)
-from freelip.recursive import invariance_generators, edge_map_matrix, profile_base
+from freelip.recursive import edge_map_matrix, profile_base
+from freelip.symmetry import invariance_generators
 from freelip.graphs import diamond_base, laakso_base
 from oracles import (all_vectors_bm_upper, dense_average_projection, dense_commutes,
                      dense_generate_group, dense_min_proj_split_rows,
@@ -187,18 +187,11 @@ def test_minimal_projection_diamond_two_lower_bound():
 
 def _cycle_graph_symmetries():
     """The 8 automorphisms of the 4-cycle as edge permutations of D_1."""
-    from freelip.graphs import edge_map_from_vertex_map
-
     g = diamond(1)
-    order = g.edge_order
     verts = ["top", "l", "bottom", "r"]
 
     def as_matrix(sigma):
-        emap = edge_map_from_vertex_map(g, sigma)
-        perm = [0] * 4
-        for eid, img in emap.items():
-            perm[order[eid]] = order[img]
-        return permutation_matrix(perm)
+        return edge_map_matrix(g, symmetry.edge_map_from_vertex_map(g, sigma))
 
     rotation = {verts[i]: verts[(i + 1) % 4] for i in range(4)}
     horizontal = {"top": "top", "bottom": "bottom", "l": "r", "r": "l"}
@@ -220,7 +213,7 @@ def test_average_projection_over_pole_preserving_symmetries_is_orthogonal():
     assert avg == orthogonal_projection([z])
     assert l1_norm(avg) <= l1_norm(p)
     for gmat in group:
-        assert check_invariance(avg, gmat)
+        assert dense_commutes(avg, gmat)
 
 
 def test_average_projection_fixed_point():
@@ -247,23 +240,25 @@ def test_average_projection_rejects_range_movers():
         average_projection(p, [bad])
 
 
-def test_check_invariance_examples():
-    ident = linalg.identity(4)
-    anyg = permutation_matrix([1, 0, 3, 2])
-    assert check_invariance(ident, anyg)
+def test_commutes_examples():
+    ident = linalg.integer_rows(linalg.identity(4))[0]
+    assert symmetry.commutes(ident, [1, 0, 3, 2])
+    assert not symmetry.commutes([[1, 1], [0, 0]], [1, 0])
     l2 = laakso(2)
     p = orthogonal_projection([v.dense() for v in fundamental_cycle_basis(l2).vectors])
     prof = profile_base(laakso_base())
     gens = invariance_generators(prof, 2, l2)
-    for emap in gens.values():
-        assert check_invariance(p, edge_map_matrix(l2, emap))
+    symmetry.check_invariant(linalg.integer_rows(p)[0], l2, gens)
+    p[0][1] += 1
+    with pytest.raises(NotInvariant, match="generator v"):
+        symmetry.check_invariant(linalg.integer_rows(p)[0], l2, gens)
 
 
 def test_generate_group_closure_and_cap():
     g, group, rotation = _cycle_graph_symmetries()
     closed = generate_group(group + [rotation])  # full dihedral group
     assert len(closed) == 8
-    with patch.object(projections, "GROUP_CAP", 2), pytest.raises(GroupClosureOverflow):
+    with patch.object(symmetry, "GROUP_CAP", 2), pytest.raises(GroupClosureOverflow):
         generate_group(group)
 
 
@@ -275,6 +270,8 @@ def test_average_projection_rejects_an_empty_element_list():
 def test_generate_group_rejects_an_empty_generator_list():
     with pytest.raises(ValidationError, match="at least one"):
         generate_group([])
+    with pytest.raises(ValidationError, match="at least one"):
+        symmetry.closure([])
 
 
 NOT_PERMUTATIONS = {
@@ -282,7 +279,7 @@ NOT_PERMUTATIONS = {
     "two-ones-in-a-row": [[F(1), F(1)], [F(0), F(0)]],
     "two-ones-in-a-column": [[F(1), F(0)], [F(1), F(0)]],
     "ragged": [[F(1), F(0)], [F(0), F(1), F(0)]],
-    "1x1": [[F(1)]],                                   # check_invariance used to return False
+    "1x1": [[F(1)]],
     "3x3": linalg.identity(3),
 }
 
@@ -291,8 +288,6 @@ NOT_PERMUTATIONS = {
 def test_group_code_rejects_elements_that_are_not_permutations_of_p_size(bad):
     p = linalg.identity(2)
     start = time.perf_counter()
-    with pytest.raises(ValidationError):
-        check_invariance(p, bad)
     with pytest.raises(ValidationError):
         average_projection(p, [linalg.identity(2), bad])
     with pytest.raises(ValidationError):
@@ -329,32 +324,49 @@ def _skew(p, x):
     return mat_add(p, linalg.mat_mul(p, linalg.mat_mul(x, i_minus_p)))
 
 
+def _index_maps(mats):
+    """The index maps s of permutation matrices, s(c) the row of column c's 1."""
+    return [tuple(next(r for r, row in enumerate(g) if row[c]) for c in range(len(g)))
+            for g in mats]
+
+
 def _assert_matches_dense_oracle(generators, p_list, cap):
-    """generate_group, average_projection and check_invariance agree with
-    the dense oracles: the same elements in the same order (or the same
-    overflow), equal averages (or the same NotInvariantSubspace) and equal
-    invariance answers.  A hypothesis test calls this, so the cap is patched
-    with patch.object, not a function-scoped fixture."""
-    with patch.object(projections, "GROUP_CAP", cap):
+    """generate_group and average_projection on the permutation matrices,
+    and symmetry's closure, average (range-checked on the generators) and
+    commutes on their index maps, agree with the dense oracles: the same
+    elements in the same order (or the same overflow), equal averages (or
+    the same NotInvariantSubspace) and equal invariance answers.  A
+    hypothesis test calls this, so the cap is patched with patch.object,
+    not a function-scoped fixture."""
+    gen_maps = _index_maps(generators)
+    with patch.object(symmetry, "GROUP_CAP", cap):
         try:
             dense_group = dense_generate_group(generators, cap)
         except GroupClosureOverflow:
             with pytest.raises(GroupClosureOverflow):
                 generate_group(generators)
+            with pytest.raises(GroupClosureOverflow):
+                symmetry.closure(gen_maps)
             elements = generators
         else:
             elements = generate_group(generators)
             assert elements == dense_group
+            assert symmetry.closure(gen_maps) == _index_maps(dense_group)
+    maps = _index_maps(elements)
     for p in p_list:
+        num, den = linalg.integer_rows(p)
         try:
             expected = dense_average_projection(p, elements)
         except NotInvariantSubspace:
             with pytest.raises(NotInvariantSubspace):
                 average_projection(p, elements)
+            with pytest.raises(NotInvariantSubspace):
+                symmetry.average(num, den, maps, gen_maps)
         else:
             assert average_projection(p, elements) == expected
-        for gmat in elements:
-            assert check_invariance(p, gmat) == dense_commutes(p, gmat)
+            assert linalg.fractions(*symmetry.average(num, den, maps, gen_maps)) == expected
+        for s, gmat in zip(maps, elements):
+            assert symmetry.commutes(num, s) == dense_commutes(p, gmat)
 
 
 @st.composite
@@ -416,15 +428,15 @@ def test_range_moving_element_raises_like_the_dense_oracle():
 def test_laakso_two_minimal_projection_averages_over_its_256_element_group():
     g = laakso(2)
     cols = [v.dense() for v in fundamental_cycle_basis(g).vectors]
-    gens = [edge_map_matrix(g, emap)
-            for emap in invariance_generators(profile_base(laakso_base()), 2, g).values()]
+    emaps = invariance_generators(profile_base(laakso_base()), 2, g)
+    gens = [edge_map_matrix(g, emap) for emap in emaps.values()]
     _, p = minimal_projection_lp(cols, len(g.edges))
     start = time.perf_counter()
     group = generate_group(gens)
     avg = average_projection(p, group)
     assert time.perf_counter() - start < 10.0
     assert len(group) == 256
-    assert all(check_invariance(avg, gmat) for gmat in gens)
+    symmetry.check_invariant(linalg.integer_rows(avg)[0], g, emaps)
     assert all(mat_vec(avg, c) == c for c in cols)
     for j in range(len(g.edges)):
         col = EdgeVector(g, {e.id: avg[g.edge_order[e.id]][j] for e in g.edges})
@@ -804,8 +816,7 @@ def test_cycle_projection_certificate():
     p1 = orthogonal_projection(_cycle_cols(diamond(1)))
     as_floats = [[float(x) for x in row] for row in p1]
     assert projections.cycle_projection_certificate(diamond(1), as_floats) == (True, True)
-    assert check_invariance(as_floats, permutation_matrix([1, 0, 3, 2])) == \
-        check_invariance(p1, permutation_matrix([1, 0, 3, 2]))
+    assert linalg.integer_rows(as_floats) == linalg.integer_rows(p1)
 
 
 @given(st.integers(0, 10 ** 6), st.sampled_from(["orthogonal", "skew", "kicked", "doubled"]),

@@ -1,7 +1,8 @@
 """Every public module-level function and class of freelip, every public
 method, property and annotated (dataclass) field of its public classes,
 and every option of its command line is used by the package itself: by a
-claim, a command or another library path.
+claim, a command or another library path.  No module uses another
+module's underscore names.
 
 The scan reads the source with `ast`.  A name counts as used when some
 other definition, or a module's top-level code, mentions it: a top-level
@@ -32,11 +33,20 @@ KEPT = {
     "linalg.inverse":
         "BENCHMARK.json's per-layer metrics name it",
     "linalg.rref":
-        "BENCHMARK.json's per-layer metrics name it; rank and solve run "
-        "gauss_jordan directly, since they need no Fraction echelon form",
+        "BENCHMARK.json's per-layer metrics name it; solve runs gauss_jordan "
+        "directly, since it needs no Fraction echelon form",
     "linalg.mat_mul":
         "BENCHMARK.json's per-layer metrics name it; the tests' dense Fraction "
         "oracles are built from it",
+    "recursive.edge_map_matrix":
+        "bench/workloads.py builds the group-average generators with it; "
+        "ROADMAP item 4 deletes it with the permutation-matrix API",
+    "projections.generate_group":
+        "bench/workloads.py calls it and BENCHMARK.json's per-layer metrics name it; "
+        "ROADMAP item 4 deletes it with the permutation-matrix API",
+    "projections.average_projection":
+        "bench/workloads.py calls it and BENCHMARK.json's per-layer metrics name it; "
+        "ROADMAP item 4 deletes it with the permutation-matrix API",
     "haar_system.andrew_lower_bound":
         "the paper's averaging argument (Grunbaum 1960, Rudin 1962), not yet a claim",
     "metric.elementary_molecule":
@@ -164,3 +174,41 @@ def test_every_cli_option_is_read_by_its_command():
                    for action in parser._actions
                    if action.dest != "help" and action.dest not in read]
     assert not unread, f"options no command reads: {unread}"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _foreign_private_uses(path: Path) -> list[str]:
+    """`from .m import _x` and `m._x` in one file, m any freelip module
+    other than the file's own, as "m._x" strings."""
+    own = path.stem
+    modules = {}                        # local name -> freelip module it is bound to
+    found = []
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "freelip"
+                                                  or (node.module or "").startswith("freelip.")):
+            module = (node.module or "").removeprefix("freelip").lstrip(".")
+            for alias in node.names:
+                if not module:
+                    modules[alias.asname or alias.name] = alias.name
+                elif module != own and _is_private(alias.name):
+                    found.append(f"{module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and modules.get(node.value.id, own) != own and _is_private(node.attr)):
+            found.append(f"{modules[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_no_module_uses_another_modules_private_names(tmp_path):
+    uses = {path.name: _foreign_private_uses(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert not {name: found for name, found in uses.items() if found}
+    # the scan sees both forms, and not a module's own or public names
+    probe = tmp_path / "probe.py"
+    probe.write_text("from . import projections\nfrom .cyclespace import _tree, tree\n"
+                     "from .probe import _own\n"
+                     "def f():\n    return projections._rows(), projections.rows(), _own()\n")
+    assert _foreign_private_uses(probe) == ["cyclespace._tree", "projections._rows"]

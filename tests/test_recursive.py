@@ -6,22 +6,22 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from freelip import linalg, recursive
+from freelip import linalg, recursive, symmetry
 from freelip.cyclespace import EdgeVector, boundary, fundamental_cycle_basis
 from freelip.errors import NotInvariant, ResourceLimit, TrivialCycleSpace, ValidationError
-from freelip.graphs import (diamond, diamond_base, k2n_base, laakso,
-                            laakso_base, path, recursive_family)
-from freelip.projections import (check_invariance, generate_group, l1_norm,
-                                 minimal_projection_lp, orthogonal_projection)
+from freelip.graphs import (Edge, TwoPoleGraph, automorphism_search, diamond, diamond_base,
+                            k2n_base, laakso, laakso_base, path, recursive_family)
+from freelip.projections import l1_norm, minimal_projection_lp, orthogonal_projection
 from freelip.recursive import (TensorVector, annihilation_check, c_type_vectors,
                                check_conditions, delta_power, edge_map_matrix,
-                               enumerate_geodesics, invariance_generators,
-                               laakso_nonunique_projection, profile_base,
-                               vertical_automorphism, witness)
+                               enumerate_geodesics, laakso_nonunique_projection, profile_base,
+                               witness)
+from freelip.symmetry import invariance_generators, vertical_automorphism
 
-from oracles import (dense_annihilation_failures, fraction_inverse, fraction_rref,
-                     fraction_tensor_l1, fraction_tensor_materialize, full_invariance_generators,
-                     is_idempotent, mat_vec)
+from oracles import (dense_annihilation_failures, dense_commutes, fraction_inverse,
+                     fraction_rank, fraction_rref, fraction_tensor_l1,
+                     fraction_tensor_materialize, full_invariance_generators, is_idempotent,
+                     mat_vec)
 
 @pytest.mark.parametrize("base,alpha,height,count", [
     (diamond_base(), F(1), 2, 2),
@@ -47,9 +47,8 @@ def test_profile_c_structure():
     for walk in enumerate_geodesics(prof.graph):
         assert sum((prof.c.get(eid) for eid in walk), start=F(0)) == 0
     # fixed by every horizontal automorphism, and delta fixed by everything
-    from freelip.graphs import edge_map_from_vertex_map
     for sigma in prof.horizontals:
-        emap = edge_map_from_vertex_map(prof.graph, sigma)
+        emap = symmetry.edge_map_from_vertex_map(prof.graph, sigma)
         assert prof.c.permute(emap) == prof.c
         assert prof.delta.permute(emap) == prof.delta
     assert prof.delta.permute(prof.vertical_edges) == prof.delta
@@ -65,6 +64,33 @@ def test_conditions_fail_for_tree():
     report = check_conditions(path(2))
     assert not report["7_nontrivial_cycles"]["ok"]
     assert not report["all_ok"]
+
+
+def _two_pole(paths):
+    """The two-pole graph of bottom-top paths given as interior vertex lists."""
+    verts, edges = {"bottom", "top"}, []
+    for walk in paths:
+        stops = ["bottom", *walk, "top"]
+        verts.update(walk)
+        edges += [Edge(f"{u}{v}", u, v) for u, v in zip(stops, stops[1:])]
+    return TwoPoleGraph(tuple(sorted(verts)), tuple(edges), "top", "bottom")
+
+
+@pytest.mark.parametrize("base,dim", [
+    (diamond_base(), 0), (k2n_base(3), 0), (laakso_base(), 0), (path(2), 0),
+    (_two_pole([["a"], ["b", "c"]]), 1),               # no nontrivial horizontal
+    (_two_pole([["a"], ["b"], ["c", "d"]]), 1),        # the swap of a and b fixes one line
+])
+def test_condition_six_fixed_dimension_matches_a_dense_rank(base, dim):
+    # the subspace of Z fixed by every horizontal: k minus the rank of the
+    # dense rows (h z_j - z_j)[e] over the horizontals h and edges e
+    basis = fundamental_cycle_basis(base).vectors
+    rows = [[(z.permute(emap) - z).get(e.id) for z in basis]
+            for emap in (symmetry.edge_map_from_vertex_map(base, sigma)
+                         for sigma in automorphism_search(base, "fix-poles"))
+            for e in base.edges]
+    assert len(basis) - (fraction_rank(rows) if basis else 0) == dim
+    assert check_conditions(base)["6_horizontal_group"]["fixed_subspace_dim"] == dim
 
 
 @pytest.mark.parametrize("base", [diamond_base(), laakso_base(), k2n_base(3)])
@@ -146,9 +172,8 @@ def _invariance_group(name):
     case."""
     base, graph, level = _ANNIHILATION_CASES[name]
     prof = profile_base(base)
-    gens = [edge_map_matrix(graph, emap) for emap in invariance_generators(prof, level, graph).values()]
-    maps = [[[r for r, row in enumerate(g) if row[c]][0] for c in range(len(g))]
-            for g in generate_group(gens)]
+    maps = symmetry.closure([symmetry.index_map(graph, emap)
+                             for emap in invariance_generators(prof, level, graph).values()])
     p = orthogonal_projection([v.dense() for v in fundamental_cycle_basis(graph).vectors])
     *copies, u = [f.dense() for f in c_type_vectors(prof, level, graph)]
     s = [sum(col) for col in zip(*copies)] if copies else u
@@ -193,9 +218,10 @@ def test_invariance_generator_matrices_preserve_cycles():
     prof = profile_base(laakso_base())
     g = laakso(2)
     p = orthogonal_projection([v.dense() for v in fundamental_cycle_basis(g).vectors])
-    for name, emap in invariance_generators(prof, 2, g).items():
-        gmat = edge_map_matrix(g, emap)
-        assert check_invariance(p, gmat), name
+    gens = invariance_generators(prof, 2, g)
+    for name, emap in gens.items():
+        assert dense_commutes(p, edge_map_matrix(g, emap)), name
+    symmetry.check_invariant(linalg.integer_rows(p)[0], g, gens)
 
 
 @pytest.mark.parametrize("base,n", [(base, n) for base in (diamond_base(), k2n_base(3), laakso_base())
