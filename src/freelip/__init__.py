@@ -4,8 +4,8 @@ certificates on finite metric spaces and recursive graph families."""
 from .cyclespace import (CycleBasis, EdgeVector, boundary, fundamental_cycle_basis,
                          greedy_cycle_packing, mu, quotient_norm, signed_indicator)
 from .embeddings import (EmbeddingReport, diamond_stage_net, diamond_top_level,
-                         half_dim_embedding, kruskal_mst, large_embedding,
-                         mod_p_selection)
+                         half_dim_embedding, large_embedding, mod_p_selection,
+                         mst_parents)
 from .freenorm import (DualCertificate, TransportPlan, ae_norm, lip_dual,
                        tree_isometry, tree_norm)
 from .graphs import (Edge, TwoPoleGraph, automorphism_search, compose, diamond,
@@ -13,11 +13,10 @@ from .graphs import (Edge, TwoPoleGraph, automorphism_search, compose, diamond,
                      recursive_family, single_edge, star)
 from .haar_system import (DyadicVector, andrew_lower_bound, diamond_bm_bounds, haar,
                           haar_witness_bound, multibranch_analysis, verify_even_level_span)
-from .metric import (LipschitzFunction, MetricSpace, Molecule, elementary_molecule,
-                     graph_metric, validate_metric)
+from .metric import LipschitzFunction, MetricSpace, Molecule, graph_metric, validate_metric
 from .projections import (ProjectionReport, average_projection, bm_upper_via_basis_map,
                           generate_group, l1_norm, linf_norm, minimal_projection_lp,
-                          orthogonal_projection)
+                          orthogonal_projection, orthogonal_rows)
 from .recursive import (BaseGraphProfile, annihilation_check, check_conditions,
                         laakso_nonunique_projection, profile_base, witness)
 from .symmetry import reflection, vertical_automorphism

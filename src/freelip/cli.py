@@ -16,8 +16,18 @@ import json
 import sys
 from fractions import Fraction
 
+from . import haar_system as haar, linalg, projections, symmetry
+from .cyclespace import (EdgeVector, boundary, fundamental_cycle_basis, greedy_cycle_packing,
+                         mu, quotient_norm)
+from .embeddings import diamond_top_level, half_dim_embedding, large_embedding, mod_p_selection
 from .errors import ResourceLimit, SolverFailure, ValidationError
+from .freenorm import ae_norm, lip_dual
+from .graphs import (TwoPoleGraph, diamond, diamond_base, k2n_base, laakso, laakso_base,
+                     multidiamond, path, star)
+from .metric import MetricSpace, Molecule, graph_metric
 from .rational import fmt, json_key, num_to_json
+from .recursive import check_conditions, profile_base, witness
+from .report import reproduce_paper_table
 
 SCHEMA = "freelip/1"
 
@@ -31,28 +41,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _dump(obj, path=None):
+def _dump(obj, filename=None):
     obj = {"schema": SCHEMA, **obj}
     text = json.dumps(obj, indent=2, sort_keys=True, default=num_to_json)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
+    if filename:
+        with open(filename, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
 
 
-def _load(path):
-    with open(path, encoding="utf-8") as fh:
+def _load(filename):
+    with open(filename, encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def _load_graph(path):
-    from .graphs import TwoPoleGraph
-    return TwoPoleGraph.from_json(_load(path))
+def _load_graph(filename):
+    return TwoPoleGraph.from_json(_load(filename))
 
 
 def _build_family(family, level, branch):
-    from .graphs import diamond, k2n_base, laakso, multidiamond, path, star
     if family == "diamond":
         return diamond(level)
     if family == "multidiamond":
@@ -73,7 +81,6 @@ def _build_family(family, level, branch):
 
 
 def _parse_base(text):
-    from .graphs import diamond_base, k2n_base, laakso_base
     if text == "square":
         return diamond_base()
     if text == "laakso":
@@ -90,8 +97,6 @@ def cmd_gen(args):
 
 
 def cmd_norm(args):
-    from .freenorm import ae_norm, lip_dual
-    from .metric import MetricSpace, Molecule
     space = MetricSpace.from_json(_load(args.space))
     molecule = Molecule.from_json(_load(args.molecule))
     value, plan = ae_norm(space, molecule)
@@ -102,9 +107,6 @@ def cmd_norm(args):
 
 
 def cmd_quotient_norm(args):
-    from .cyclespace import EdgeVector, boundary, quotient_norm
-    from .freenorm import ae_norm
-    from .metric import graph_metric
     g = _load_graph(args.graph)
     x = EdgeVector.from_json(g, _load(args.vector))
     out = {"value": num_to_json(quotient_norm(x)),
@@ -114,7 +116,6 @@ def cmd_quotient_norm(args):
 
 
 def cmd_cyclespace(args):
-    from .cyclespace import fundamental_cycle_basis, greedy_cycle_packing, mu
     g = _load_graph(args.graph)
     basis = fundamental_cycle_basis(g)
     payload = {
@@ -127,8 +128,6 @@ def cmd_cyclespace(args):
 
 
 def cmd_projconst(args):
-    from . import linalg, projections, symmetry
-    from .cyclespace import fundamental_cycle_basis
     g = _load_graph(args.graph)
     cols = [v.dense() for v in fundamental_cycle_basis(g).vectors]
     if not cols:
@@ -142,7 +141,7 @@ def cmd_projconst(args):
         if not args.generators:
             raise ValidationError("averaged mode needs --generators")
         maps = [symmetry.index_map(g, emap) for emap in json_key(_load(args.generators), "maps")]
-        num, den = linalg.integer_rows(projections.orthogonal_projection(cols))
+        num, den = projections.orthogonal_rows(cols)
         num, den = symmetry.average(num, den, symmetry.closure(maps), maps)
         p = linalg.fractions(num, den)
         # the indices of the --generators maps that P commutes with
@@ -150,7 +149,7 @@ def cmd_projconst(args):
     report = projections.ProjectionReport(
         operator=p, range_basis=cols,
         norm_l1=projections.l1_norm(p), norm_linf=projections.linf_norm(p),
-        is_projection=all(projections.cycle_projection_certificate(g, p)),
+        is_projection=all(projections.cycle_projection_certificate(g, *linalg.integer_rows(p))),
         invariant_under=invariant_under, label=args.proj_mode)
     payload = report.to_json()
     if lam is not None:
@@ -160,7 +159,6 @@ def cmd_projconst(args):
 
 
 def cmd_recursive(args):
-    from .recursive import check_conditions, profile_base
     b = _parse_base(args.base)
     payload = {}
     if args.check_conditions:
@@ -179,7 +177,6 @@ def cmd_recursive(args):
 
 
 def cmd_witness(args):
-    from .recursive import profile_base, witness
     prof = profile_base(_parse_base(args.base))
     w = witness(prof, args.r)
     _dump(w.to_json(), args.out)
@@ -187,7 +184,6 @@ def cmd_witness(args):
 
 
 def cmd_haar(args):
-    from . import haar_system as haar
     rows = []
     for n in range(1, args.n + 1):
         if args.branch is None:
@@ -228,11 +224,7 @@ def cmd_haar(args):
 
 
 def cmd_embed(args):
-    from .embeddings import half_dim_embedding, large_embedding, mod_p_selection
-    from .metric import MetricSpace, graph_metric
-
     if args.strategy == "diamond-top":
-        from .embeddings import diamond_top_level
         rep = diamond_top_level(args.level)
     else:
         if args.space:
@@ -258,7 +250,6 @@ def cmd_embed(args):
 
 
 def cmd_reproduce(args):
-    from .report import reproduce_paper_table
     rows = reproduce_paper_table(seed=args.seed, full=args.full)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

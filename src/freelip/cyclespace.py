@@ -45,7 +45,7 @@ class EdgeVector:
             for eid, v in self.coeffs.items() if v})
 
     @classmethod
-    def _of_nonzero(cls, graph: TwoPoleGraph, coeffs: dict[str, Fraction]) -> "EdgeVector":
+    def of_nonzero(cls, graph: TwoPoleGraph, coeffs: dict[str, Fraction]) -> "EdgeVector":
         """The vector with these coefficients, taken as they are: the caller
         guarantees that every value is a nonzero Fraction.  The edge ids are
         still checked against the graph (ValidationError otherwise)."""

@@ -1,7 +1,8 @@
 """Complemented near-l1 subspaces of free spaces on finite metric spaces:
-the MST half-dimensional construction, the general selected-subset version
-with its interpolation constant, mod-p layer selection, and the diamond
-sharpenings.
+the half-dimensional construction on a minimum spanning tree (Prim's
+algorithm on the integer distance rows, O(n) extra memory), the general
+selected-subset version with its interpolation constant, mod-p layer
+selection, and the diamond sharpenings.
 
 Every report is certified computationally: the interpolation constant C is
 an exact finite max, and the projection norm is evaluated on the extreme
@@ -20,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import le
 
 from .errors import EmptyComplement, PTooLarge, ValidationError
-from .graphs import Edge, TwoPoleGraph
+from .graphs import TwoPoleGraph, diamond
 from .metric import MetricSpace, graph_metric
-from .rational import to_fraction
+from .rational import num_to_json, to_fraction
 
 
 @dataclass
@@ -39,8 +41,7 @@ class EmbeddingReport:
     k: int
 
     def to_json(self) -> dict:
-        from .rational import num_to_json as num
-
+        num = num_to_json
         return {"k": self.k, "ys": list(self.ys),
                 "partners": dict(sorted(self.partners.items())),
                 "d_values": {y: num(v) for y, v in sorted(self.d_values.items())},
@@ -49,60 +50,63 @@ class EmbeddingReport:
                 "proj_norm": num(self.proj_norm)}
 
 
-def kruskal_mst(space: MetricSpace) -> TwoPoleGraph:
-    """Minimum spanning tree by sorted edge insertion (union-find).
+def _positions(seq: list, x, start: int = 0):
+    """The indices i >= start with seq[i] == x, each found by list.index."""
+    try:
+        while True:
+            start = seq.index(x, start)
+            yield start
+            start += 1
+    except ValueError:
+        return
 
-    Sorted processing guarantees the property the half-dimensional
-    embedding needs: some shortest edge at every vertex joins the tree.
-    Ties break lexicographically on the endpoint pair.
+
+def mst_parents(space: MetricSpace) -> tuple[list[int], list[int]]:
+    """Minimum spanning tree by Prim's algorithm from point 0, as each
+    point's parent index (0 for the root) and depth.
+
+    Pairs are ordered by (rows[i][j], points[i], points[j]) with i < j, a
+    strict total order, so the tree is unique: the one that sorted
+    insertion (Kruskal) would build.  Each step adds the outside point
+    whose least edge to the tree is least.  An edge's key is built only
+    when the new tree point is at most as far from a point as the tree
+    was, and compares the names only at a distance tie.  Extra memory is
+    O(n).
     """
-    pts = list(space.points)
-    if len(pts) < 2:
+    pts, rows = space.points, space.rows
+    n = len(pts)
+    if n < 2:
         raise ValidationError("need at least two points")
-    dist, den = space.rows, space.den
-    pairs = sorted(
-        (dist[i][j], p, pts[j], i, j)
-        for i, p in enumerate(pts) for j in range(i + 1, len(pts))
-    )
-    root = {p: p for p in pts}
 
-    def find(p):
-        while root[p] != p:
-            root[p] = root[root[p]]
-            p = root[p]
-        return p
+    def key(d: int, t: int, u: int) -> tuple:
+        return (d, pts[t], pts[u]) if t < u else (d, pts[u], pts[t])
 
-    edges = []
-    for _, p, q, i, j in pairs:
-        rp, rq = find(p), find(q)
-        if rp != rq:
-            root[rp] = rq
-            edges.append(Edge(f"{p}--{q}", p, q, Fraction(dist[i][j], den)))
-            if len(edges) == len(pts) - 1:
-                break
-    return TwoPoleGraph(tuple(pts), tuple(edges), pts[-1], pts[0])
-
-
-def _bipartition(tree: TwoPoleGraph) -> tuple[set, set]:
-    color = {tree.vertices[0]: 0}
-    frontier = [tree.vertices[0]]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in tree.adjacency[u]:
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    nxt.append(w)
-        frontier = nxt
-    side0 = {v for v, c in color.items() if c == 0}
-    side1 = set(color) - side0
-    return side0, side1
+    parent, depth = [0] * n, [0] * n
+    rest = list(range(1, n))            # the points outside the tree,
+    near = list(rows[0][1:])            # their distances to it,
+    via = [0] * (n - 1)                 # the tree points at those distances
+    least = [key(d, 0, u) for d, u in zip(near, rest)]     # and those edges' keys
+    while rest:
+        k = least.index(min(least))
+        v = rest[k]
+        parent[v], depth[v] = via[k], depth[via[k]] + 1
+        for seq in (rest, near, via, least):
+            seq[k] = seq[-1]
+            seq.pop()
+        row = rows[v]
+        dist = list(map(row.__getitem__, rest))
+        # only the points at most as far from v as from the tree can change
+        for j in _positions(list(map(le, dist, near)), True):
+            edge = key(dist[j], v, rest[j])
+            if edge < least[j]:
+                near[j], via[j], least[j] = dist[j], v, edge
+    return parent, depth
 
 
 def _selected_indices(space: MetricSpace, ys: list[str]) -> list[int]:
     """Indices of the selected points; ValidationError unless they are
     distinct points of the space."""
-    index = space._index
+    index = space.index
     out = []
     for y in ys:
         if y not in index:
@@ -117,7 +121,7 @@ def _partner_indices(space: MetricSpace, ys: list[str],
                      partners: dict[str, str]) -> list[int]:
     """Per point index, the index of its partner if it is selected, else -1;
     ValidationError unless every selected point has a partner in the space."""
-    index = space._index
+    index = space.index
     out = [-1] * len(space.points)
     for y, i in zip(ys, _selected_indices(space, ys)):
         if y not in partners:
@@ -193,7 +197,7 @@ def projection_norm(space: MetricSpace, ys: list[str],
 def _nearest(space: MetricSpace, ys: list[str], others) -> tuple[dict, dict]:
     """Each y's nearest point among others, the first name at a tie, and
     its distance: (partners, d_values)."""
-    index, rows = space._index, space.rows
+    index, rows = space.index, space.rows
     others = sorted(others)
     cols = [index[z] for z in others]
     partners, d_values = {}, {}
@@ -215,14 +219,20 @@ def _build_report(space: MetricSpace, ys: list[str], partners: dict[str, str],
 
 
 def half_dim_embedding(space: MetricSpace) -> EmbeddingReport:
-    """At-least-half-dimensional selection through the MST bipartition.
+    """At-least-half-dimensional selection: the larger side of the MST
+    bipartition (depth parity in mst_parents), at a tie the side holding
+    the least name.
 
-    The selected side's nearest partners are globally nearest neighbors
-    (shortest-edge property of sorted insertion), which caps the
+    Cut property: under mst_parents' strict pair order each point's least
+    edge is in the unique minimum spanning tree, so its nearest neighbour
+    is a tree neighbour, on the other side.  The selected points' partners
+    are therefore globally nearest neighbours, which caps the
     interpolation constant at 2.
     """
-    tree = kruskal_mst(space)
-    side0, side1 = _bipartition(tree)
+    sides = ([], [])
+    for p, h in zip(space.points, mst_parents(space)[1]):
+        sides[h % 2].append(p)
+    side0, side1 = sides
     if len(side0) > len(side1) or (len(side0) == len(side1)
                                    and min(side0) < min(side1)):
         chosen, other = side0, side1
@@ -267,7 +277,7 @@ def mod_p_selection(graph: TwoPoleGraph, p: int) -> list[str]:
     if p > diam + 1:
         raise PTooLarge(f"p = {p} exceeds diameter + 1 = {diam + 1}")
     classes: dict[int, list[str]] = {i: [] for i in range(p)}
-    for v, x in zip(space.points, space.rows[space.index(origin)]):
+    for v, x in zip(space.points, space.rows[space.index[origin]]):
         classes[x % p].append(v)
     drop = min(range(p), key=lambda i: (len(classes[i]), i))
     ys = sorted(v for i in range(p) if i != drop for v in classes[i])
@@ -277,8 +287,6 @@ def mod_p_selection(graph: TwoPoleGraph, p: int) -> list[str]:
 def diamond_top_level(n: int) -> EmbeddingReport:
     """Last-step vertices of the level-n diamond: an exactly isometric,
     norm-one complemented selection of dimension 2 * 4^(n-1)."""
-    from .graphs import diamond
-
     if n < 1:
         raise ValidationError("n must be >= 1")
     g = diamond(n)
@@ -287,7 +295,7 @@ def diamond_top_level(n: int) -> EmbeddingReport:
     if len(ys) != 2 * 4 ** (n - 1):
         raise ValidationError("unexpected last-step vertex count")
     partners = {y: min(g.adjacency[y]) for y in ys}
-    index, rows = space._index, space.rows
+    index, rows = space.index, space.rows
     d_values = {y: Fraction(rows[index[y]][index[x]], space.den) for y, x in partners.items()}
     return _build_report(space, ys, partners, d_values)
 
@@ -299,8 +307,6 @@ def diamond_stage_net(n: int, m: int) -> list[str]:
     vertex lies within 2^(n-m-1) of the set and dropping it certifies the
     interpolation constant 2^(n-m).
     """
-    from .graphs import diamond
-
     if not (1 <= m < n):
         raise ValidationError("need 1 <= m < n")
     g = diamond(n)

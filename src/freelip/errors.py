@@ -33,10 +33,6 @@ class DisconnectedGraph(ValidationError):
     pass
 
 
-class SamePoint(ValidationError):
-    pass
-
-
 class NotACycle(ValidationError):
     pass
 

@@ -24,7 +24,7 @@ from .cyclespace import spanning_tree
 from .errors import NotATree, SolverFailure, ValidationError
 from .graphs import TwoPoleGraph
 from .metric import LipschitzFunction, MetricSpace, Molecule
-from .rational import ZERO
+from .rational import ZERO, num_to_json
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,6 @@ class TransportPlan:
     cost: Fraction
 
     def to_json(self) -> dict:
-        from .rational import num_to_json
         return {
             "moves": [[p, q, num_to_json(m)] for p, q, m in self.moves],
             "cost": num_to_json(self.cost),
@@ -48,7 +47,6 @@ class DualCertificate:
     value: Fraction
 
     def to_json(self) -> dict:
-        from .rational import num_to_json
         return {"f": self.f.to_json(), "value": num_to_json(self.value)}
 
 
@@ -64,7 +62,7 @@ def _transport(space: MetricSpace, m: Molecule):
     mass between support points directly (triangle inequality).  The costs
     are the metric's integer rows over its denominator, and so are the
     potentials u, v."""
-    index = space._index
+    index = space.index
     for p in m.coeffs:
         if p not in index:
             raise ValidationError(f"molecule point {p!r} not in the space")
@@ -110,11 +108,11 @@ def lip_dual(space: MetricSpace, m: Molecule,
         basepoint = space.basepoint or space.points[0]
     _, sinks, value, _, (_, v) = _transport(space, m)
     if sinks:
-        cols = [space.index(t) for t in sinks]
+        cols = [space.index[t] for t in sinks]
         f = [min(row[k] - vj for k, vj in zip(cols, v)) for row in space.rows]
     else:
         f = [0] * len(space.points)
-    shift = f[space.index(basepoint)]
+    shift = f[space.index[basepoint]]
     values = {p: Fraction(fx - shift, space.den) for p, fx in zip(space.points, f)}
     pairing = sum((c * values[p] for p, c in m.coeffs.items()), start=ZERO)
     if pairing != value:

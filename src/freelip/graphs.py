@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ResourceLimit, ValidationError
+from .metric import graph_metric
 from .rational import json_key, num_from_json, num_to_json
 
 EDGE_CAP = 10 ** 6              # edges of a composed or generated graph
@@ -263,8 +264,6 @@ def automorphism_search(g: TwoPoleGraph, constraint: str):
     if len(g.vertices) > AUTOMORPHISM_VERTEX_CAP:
         raise ResourceLimit(
             f"automorphism search capped at {AUTOMORPHISM_VERTEX_CAP} vertices")
-
-    from .metric import graph_metric
 
     space = graph_metric(g)
     adj = {v: set(g.adjacency[v]) for v in g.vertices}

@@ -10,6 +10,7 @@ the boundary (``MetricSpace.d``, ``dist``, ``diameter`` and ``to_json``).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -17,7 +18,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Mapping
 
-from .errors import (AsymmetryError, DisconnectedGraph, ResourceLimit, SamePoint,
+from .errors import (AsymmetryError, DisconnectedGraph, ResourceLimit,
                      TriangleViolation, ValidationError, ZeroOffDiagonal)
 from .rational import ZERO, json_key, num_from_json, num_to_json, to_fraction
 
@@ -39,18 +40,16 @@ class MetricSpace:
     basepoint: str | None = None
 
     @cached_property
-    def _index(self) -> dict[str, int]:
+    def index(self) -> dict[str, int]:
+        """Point -> its index in points."""
         return {p: i for i, p in enumerate(self.points)}
 
-    def index(self, p: str) -> int:
-        return self._index[p]
-
     def d(self, p: str, q: str) -> Fraction:
-        return Fraction(self.rows[self._index[p]][self._index[q]], self.den)
+        return Fraction(self.rows[self.index[p]][self.index[q]], self.den)
 
     def distances_from(self, p: str) -> dict[str, int]:
         """Point -> its integer distance from p, over den."""
-        return dict(zip(self.points, self.rows[self._index[p]]))
+        return dict(zip(self.points, self.rows[self.index[p]]))
 
     @cached_property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -159,13 +158,6 @@ class Molecule:
         return Molecule({p: num_from_json(v) for p, v in json_key(obj, "coeffs").items()})
 
 
-def elementary_molecule(p: str, q: str) -> Molecule:
-    """The molecule with +1 at p and -1 at q."""
-    if p == q:
-        raise SamePoint(f"elementary molecule needs two distinct points, got {p!r}")
-    return Molecule({p: Fraction(1), q: Fraction(-1)})
-
-
 @dataclass(frozen=True)
 class LipschitzFunction:
     """Real function on the points; value at the basepoint must be 0 if set."""
@@ -197,8 +189,6 @@ def graph_metric(g) -> MetricSpace:
     leaves the least common denominator of the distances.  Raises
     ResourceLimit before any row is built on more than POINT_CAP points.
     """
-    import heapq
-
     verts = list(g.vertices)
     n = len(verts)
     if n > POINT_CAP:

@@ -30,10 +30,10 @@ from fractions import Fraction
 from itertools import chain
 from operator import add, sub
 
-from . import linalg, symmetry
+from . import cyclespace, linalg, symmetry
 from .errors import ResourceLimit, SingularGram, SolverFailure, ValidationError
 from .linalg import RHS
-from .rational import ZERO
+from .rational import ZERO, num_to_json
 
 MAX_LP_NONZEROS = 10 ** 5        # of a merged minimal-projection LP: L_3's 40,049, D_4's 150,438
 
@@ -49,7 +49,6 @@ class ProjectionReport:
     label: str = ""
 
     def to_json(self) -> dict:
-        from .rational import num_to_json
         return {
             "label": self.label,
             "dim": len(self.operator),
@@ -92,12 +91,24 @@ def _integer_basis(basis_cols: list) -> list:
     return [list(row) for row in zip(*cols)]
 
 
-def _orthogonal_rows(b: list) -> tuple:
-    """(N, d) with N / d = B (B^T B)^{-1} B^T for B given as m integer rows:
-    one fraction-free Gauss-Jordan elimination of [B^T B | B^T] gives
-    det(B^T B) (B^T B)^{-1} B^T, and B times that, divided by the gcd of its
-    entries and the determinant, is N over d.  SingularGram if the columns
-    of B are linearly dependent."""
+def orthogonal_rows(basis_cols: list) -> tuple:
+    """The orthogonal projection P = B (B^T B)^{-1} B^T onto the span of the
+    basis columns, as (N, d) with P = N / d, N integer rows and
+    gcd(d, N) = 1.
+
+    With B read as m integer rows (_integer_basis), one fraction-free
+    Gauss-Jordan elimination of [B^T B | B^T] gives
+    det(B^T B) (B^T B)^{-1} B^T, and B times that, divided by the gcd of
+    its entries and the determinant, is N over d.  The formula is
+    scale-invariant in the inner product, so the same matrix is the
+    orthogonal projection for both the counting and the normalized (mean)
+    inner products used on dyadic grids.  Raises SingularGram for an empty
+    or dependent basis and ValidationError for columns of different
+    lengths.
+    """
+    if not basis_cols:
+        raise SingularGram("empty basis")
+    b = _integer_basis(basis_cols)
     m, k = len(b), len(b[0])
     nz = [[(l, c) for l, c in enumerate(row) if c] for row in b]
     gram = [[0] * k for _ in range(k)]
@@ -122,17 +133,8 @@ def _orthogonal_rows(b: list) -> tuple:
 
 
 def orthogonal_projection(basis_cols: list) -> list:
-    """P = B (B^T B)^{-1} B^T in exact rationals; basis given as columns.
-
-    The formula is scale-invariant in the inner product, so the same matrix
-    is the orthogonal projection for both the counting and the normalized
-    (mean) inner products used on dyadic grids.  Raises SingularGram for an
-    empty or dependent basis and ValidationError for columns of different
-    lengths.
-    """
-    if not basis_cols:
-        raise SingularGram("empty basis")
-    return linalg.fractions(*_orthogonal_rows(_integer_basis(basis_cols)))
+    """orthogonal_rows as an exact rational matrix."""
+    return linalg.fractions(*orthogonal_rows(basis_cols))
 
 
 def orthogonal_index(vectors: list[dict]) -> dict:
@@ -211,17 +213,24 @@ def average_projection(p: list, group_elements: list) -> list:
     return linalg.fractions(*symmetry.average(*linalg.integer_rows(p), maps))
 
 
-def _cycle_certificate(graph, num: list, den: int) -> tuple[bool, bool]:
-    """cycle_projection_certificate for P = num / den given as integer rows:
-    N z = den z for every fundamental cycle z, scaled to integers, and the
-    boundary of every column is zero, summed row by row into one integer
-    vector per vertex."""
-    from .cyclespace import fundamental_cycle_basis
+def cycle_projection_certificate(graph, num: list, den: int) -> tuple[bool, bool]:
+    """(P z = z for every fundamental cycle z of graph, every column of P
+    has zero boundary), for P = num / den on graph's edge coordinates,
+    given as integer rows over one denominator (linalg.integer_rows).
 
+    Together the two prove that P is a projection onto the cycle space Z:
+    range P lies in Z and P fixes a basis of Z, so P fixes range P, that is
+    P^2 = P and range P = Z.  N z = den z is checked on each cycle scaled to
+    integers, over its support, and the boundary of every column is summed
+    row by row into one integer vector per vertex, with no matrix product.
+    ValidationError unless P is square on the edges.
+    """
+    if len(num) != len(graph.edges) or any(len(row) != len(num) for row in num):
+        raise ValidationError("P is not square on the graph's edges")
     order = graph.edge_order
     cols = list(zip(*num))
     fixes = True
-    for z in fundamental_cycle_basis(graph).vectors:
+    for z in cyclespace.fundamental_cycle_basis(graph).vectors:
         zd = math.lcm(*(v.denominator for v in z.coeffs.values()))
         zi = {order[e]: v.numerator * (zd // v.denominator) for e, v in z.coeffs.items()}
         image = [0] * len(num)
@@ -235,21 +244,6 @@ def _cycle_certificate(graph, num: list, den: int) -> tuple[bool, bool]:
         net[e.head] = list(map(add, net[e.head], row))
         net[e.tail] = list(map(sub, net[e.tail], row))
     return fixes, not any(chain.from_iterable(net.values()))
-
-
-def cycle_projection_certificate(graph, p) -> tuple[bool, bool]:
-    """(P z = z for every fundamental cycle z of graph, every column of P
-    has zero boundary), for P on graph's edge coordinates.
-
-    Together the two prove that P is a projection onto the cycle space Z:
-    range P lies in Z and P fixes a basis of Z, so P fixes range P, that is
-    P^2 = P and range P = Z.  Both run on P's integer numerators, over the
-    cycles' supports and P's rows, with no matrix product.  ValidationError
-    unless P is square on the edges.
-    """
-    if len(p) != len(graph.edges) or any(len(row) != len(p) for row in p):
-        raise ValidationError("P is not square on the graph's edges")
-    return _cycle_certificate(graph, *linalg.integer_rows(p))
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +593,6 @@ def bm_upper_via_basis_map(graph, cut_vectors: list, generators: list):
     cut vector to +- a cut vector and every fundamental cycle to a
     zero-boundary vector; ValidationError otherwise.
     """
-    from .cyclespace import fundamental_cycle_basis, quotient_norm, spanning_tree
-
     # Each vector as (d, integers over d) with d the lcm of its denominators:
     # a bijection keeps d, so sigma w = +-w' exactly when the pairs agree.
     keyed = []
@@ -630,7 +622,7 @@ def bm_upper_via_basis_map(graph, cut_vectors: list, generators: list):
     # boundary, so sigma z has the boundary of sigma z - z, which is the sum
     # of z[e] (boundary(sigma e) - boundary(e)) over the moved edges e.
     cycles_at: dict[str, list[tuple[int, int]]] = {}      # edge -> [(cycle, sign)]
-    for c, z in enumerate(fundamental_cycle_basis(graph).vectors):
+    for c, z in enumerate(cyclespace.fundamental_cycle_basis(graph).vectors):
         for e, v in z.coeffs.items():
             cycles_at.setdefault(e, []).append((c, int(v)))
     for sigma in generators:
@@ -652,7 +644,7 @@ def bm_upper_via_basis_map(graph, cut_vectors: list, generators: list):
         if any(net.values()):
             raise ValidationError("generator does not map the cycle space onto itself")
 
-    parent_edge = spanning_tree(graph)[1]
+    parent_edge = cyclespace.spanning_tree(graph)[1]
     tree = {e.id for e in parent_edge.values()}
     chords = [e for e in graph.edges if e.id not in tree]
 
@@ -673,7 +665,7 @@ def bm_upper_via_basis_map(graph, cut_vectors: list, generators: list):
             den, w = keyed[r]
             if not is_gradient(w):
                 raise ValidationError("T does not vanish on the cycle space")
-            scale[r] = quotient_norm(cut_vectors[r]) * den / sum(v * v for v in w.values())
+            scale[r] = cyclespace.quotient_norm(cut_vectors[r]) * den / sum(v * v for v in w.values())
     d = math.lcm(*(x.denominator for x in scale.values()))
     lifted = {r: x.numerator * (d // x.denominator) for r, x in scale.items()}
     sums = {}

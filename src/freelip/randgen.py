@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .cyclespace import EdgeVector
 from .graphs import Edge, TwoPoleGraph
 from .metric import MetricSpace, Molecule, validate_metric
 from .rational import ZERO
@@ -66,8 +67,6 @@ def random_molecule(rng: random.Random, points, size: int | None = None) -> Mole
 
 def random_edge_vector(rng: random.Random, graph: TwoPoleGraph,
                        density: float = 0.7):
-    from .cyclespace import EdgeVector
-
     coeffs = {}
     for e in graph.edges:
         if rng.random() < density:

@@ -26,12 +26,13 @@ from math import gcd, lcm
 from operator import add, mul
 
 from . import linalg, projections, symmetry
-from .cyclespace import EdgeVector, fundamental_cycle_basis
+from .cyclespace import (EdgeVector, fundamental_cycle_basis, fundamental_cycles_as_walks,
+                         up_down_decomposition)
 from .errors import (NoVerticalAutomorphism, OddGeodesic, ResourceLimit, TrivialCycleSpace,
                      ValidationError)
 from .graphs import TwoPoleGraph, automorphism_search, laakso, laakso_base, recursive_family
 from .metric import graph_metric
-from .rational import ZERO
+from .rational import ZERO, num_to_json
 from .symmetry import invariance_generators
 
 GEODESIC_CAP = 10 ** 5          # bottom-top paths enumerated per base graph
@@ -160,8 +161,6 @@ def check_conditions(b: TwoPoleGraph) -> dict:
     Each entry carries a boolean and, where useful, a witness or
     counterexample.
     """
-    from .cyclespace import fundamental_cycles_as_walks, up_down_decomposition
-
     space = graph_metric(b)
     height = space.d(b.bottom, b.top)
     report: dict[str, dict] = {}
@@ -422,7 +421,7 @@ class TensorVector:
         ids = sorted(e.id for e in self.base.edges)
         den, coefs, levels = self._scaled()
         if not coefs:
-            return EdgeVector._of_nonzero(graph, {})
+            return EdgeVector.of_nonzero(graph, {})
         keys, rows = [""], [[c] for c in coefs]
         for pos, factors in enumerate(levels):
             support = [i for i, col in enumerate(zip(*factors)) if any(col)]
@@ -437,7 +436,7 @@ class TensorVector:
         for row in rows[1:]:
             total = list(map(add, total, row))
         frac = {v: Fraction(v, den) for v in set(total) if v}
-        return EdgeVector._of_nonzero(graph, {key: frac[v] for key, v in zip(keys, total) if v})
+        return EdgeVector.of_nonzero(graph, {key: frac[v] for key, v in zip(keys, total) if v})
 
 
 @dataclass
@@ -453,7 +452,6 @@ class WitnessResult:
     sum_vector: TensorVector          # C_r + A_r (a single elementary tensor)
 
     def to_json(self) -> dict:
-        from .rational import num_to_json
         return {"r": self.r, "level": self.level,
                 "t_schedule": list(self.t_schedule),
                 "alpha": num_to_json(self.alpha),
@@ -588,8 +586,7 @@ def laakso_nonunique_projection() -> dict:
     """
     g2 = laakso(2)
     order = g2.edge_order
-    orth, d = linalg.integer_rows(projections.orthogonal_projection(
-        [z.dense() for z in fundamental_cycle_basis(g2).vectors]))
+    orth, d = projections.orthogonal_rows([z.dense() for z in fundamental_cycle_basis(g2).vectors])
 
     # The two 16-cycle flows through the central copies, summed: twice the
     # averaged flow.  Copy q's bottom and top edges carry both flows, its
@@ -624,12 +621,11 @@ def laakso_nonunique_projection() -> dict:
 
     gens = invariance_generators(profile_base(laakso_base()), 2, g2)
     symmetry.check_invariant(num, g2, gens)
-    projection = linalg.fractions(num, den)
-    fixes_range, in_range = projections.cycle_projection_certificate(g2, projection)
+    fixes_range, in_range = projections.cycle_projection_certificate(g2, num, den)
     gap = Fraction(max(abs(x - y * (den // d)) for row, orow in zip(num, orth)
                        for x, y in zip(row, orow)), den)
     return {
-        "projection": projection,
+        "projection": linalg.fractions(num, den),
         "orthogonal": linalg.fractions(orth, d),
         "is_projection": fixes_range and in_range,
         "fixes_cycle_space": fixes_range,

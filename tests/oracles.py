@@ -40,7 +40,12 @@ whole tree and prices every arc afresh on every pivot, instead of
 updating both on the subtree that moves;
 and the full invariance generators map every edge id of the graph, one
 split and join per edge, instead of listing only the edges that each
-generator moves.
+generator moves;
+the Kruskal minimum spanning tree sorts every pair of points by
+(distance, name, name) and joins them by union-find into a graph of
+Fraction-weighted edges, whose two sides a breadth-first walk colours,
+instead of growing the tree by Prim's algorithm on the integer rows and
+reading the sides from the depth parity.
 """
 
 import heapq
@@ -52,12 +57,13 @@ import numpy as np
 
 from freelip import haar_system, linalg
 from freelip.cyclespace import EdgeVector, boundary, fundamental_cycle_basis
+from freelip.embeddings import large_embedding
 from freelip.errors import (DisconnectedGraph, GroupClosureOverflow, NotInvariantSubspace,
                             SingularGram, SolverFailure)
 from freelip.freenorm import ae_norm
 from freelip.metric import MetricSpace, Molecule
 from freelip.rational import to_fraction
-from freelip.graphs import TwoPoleGraph, diamond, multidiamond
+from freelip.graphs import Edge, TwoPoleGraph, diamond, multidiamond
 from freelip.recursive import c_type_vectors, edge_map_matrix
 from freelip.symmetry import edge_map_from_vertex_map, invariance_generators, vertical_automorphism
 from freelip.simplex import solve_standard_exact
@@ -446,6 +452,66 @@ def dense_average_projection(p: list, group_elements: list) -> list:
         acc = mat_add(acc, linalg.mat_mul(fraction_inverse(g), linalg.mat_mul(p, g)))
     count = Fraction(len(group_elements))
     return [[x / count for x in row] for row in acc]
+
+
+def elementary_molecule(p: str, q: str) -> Molecule:
+    """The molecule with +1 at p and -1 at q, for distinct points."""
+    return Molecule({p: Fraction(1), q: Fraction(-1)})
+
+
+def kruskal_mst(space: MetricSpace) -> TwoPoleGraph:
+    """Minimum spanning tree by sorted edge insertion (union-find), pairs
+    ordered by (distance, points[i], points[j]) with i < j."""
+    pts = list(space.points)
+    dist, den = space.rows, space.den
+    pairs = sorted(
+        (dist[i][j], p, pts[j], i, j)
+        for i, p in enumerate(pts) for j in range(i + 1, len(pts))
+    )
+    root = {p: p for p in pts}
+
+    def find(p):
+        while root[p] != p:
+            root[p] = root[root[p]]
+            p = root[p]
+        return p
+
+    edges = []
+    for _, p, q, i, j in pairs:
+        rp, rq = find(p), find(q)
+        if rp != rq:
+            root[rp] = rq
+            edges.append(Edge(f"{p}--{q}", p, q, Fraction(dist[i][j], den)))
+            if len(edges) == len(pts) - 1:
+                break
+    return TwoPoleGraph(tuple(pts), tuple(edges), pts[-1], pts[0])
+
+
+def tree_sides(tree: TwoPoleGraph) -> tuple[set, set]:
+    """The two colour classes of a tree, the first holding vertices[0], by
+    a breadth-first walk."""
+    color = {tree.vertices[0]: 0}
+    frontier = [tree.vertices[0]]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in tree.adjacency[u]:
+                if w not in color:
+                    color[w] = 1 - color[u]
+                    nxt.append(w)
+        frontier = nxt
+    side0 = {v for v, c in color.items() if c == 0}
+    return side0, set(color) - side0
+
+
+def kruskal_half_dim_embedding(space: MetricSpace):
+    """half_dim_embedding's selection on the Kruskal tree: the larger side,
+    at a tie the one holding the least name, with nearest partners on the
+    other side."""
+    side0, side1 = tree_sides(kruskal_mst(space))
+    if len(side0) > len(side1) or (len(side0) == len(side1) and min(side0) < min(side1)):
+        return large_embedding(space, sorted(side0))
+    return large_embedding(space, sorted(side1))
 
 
 def transport_projection_norm(space: MetricSpace, ys, partners) -> Fraction:

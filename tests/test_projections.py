@@ -24,7 +24,7 @@ from freelip.graphs import Edge, TwoPoleGraph, diamond, laakso, multidiamond, pa
 from freelip.projections import (average_projection, bm_upper_via_basis_map,
                                  generate_group, l1_norm, linf_norm,
                                  minimal_projection_lp, orthogonal_projection,
-                                 permutation_matrix)
+                                 orthogonal_rows, permutation_matrix)
 from freelip.recursive import edge_map_matrix, profile_base
 from freelip.symmetry import invariance_generators
 from freelip.graphs import diamond_base, laakso_base
@@ -35,6 +35,11 @@ from oracles import (all_vectors_bm_upper, dense_average_projection, dense_commu
                      fraction_solve, is_idempotent, mat_add, mat_vec, merged_rows)
 
 LINE = [F(1), F(1), F(-1), F(-1)]
+
+
+def _certificate(graph, p):
+    """cycle_projection_certificate of a rational matrix, read as integer rows."""
+    return projections.cycle_projection_certificate(graph, *linalg.integer_rows(p))
 
 
 def test_l1_linf_norms_basic():
@@ -100,6 +105,8 @@ def test_orthogonal_projection_matches_the_fraction_formula(cols):
     p = orthogonal_projection(cols)
     assert p == want
     assert all(type(row) is list for row in p) and len({id(row) for row in p}) == len(p)
+    # orthogonal_rows is P's least integer form: the one integer_rows reads back
+    assert orthogonal_rows(cols) == linalg.integer_rows(p)
 
 
 @pytest.mark.parametrize("cols", [[[1, 1, 0, 0], [0, 1, 1]], [[0, 1, 1], [1, 1, 0, 0]],
@@ -748,7 +755,7 @@ def test_exact_lambda_carries_a_dual_certificate(monkeypatch, graph, want):
     cols = _cycle_cols(graph)
     lam, p = minimal_projection_lp(cols, len(graph.edges), mode="exact")
     assert lam == want and l1_norm(p) == lam
-    assert projections.cycle_projection_certificate(graph, p) == (True, True)
+    assert _certificate(graph, p) == (True, True)
     if want == 1:
         # one cycle, one class of rows: P = J E, no LP and no dual to check
         assert not seen and not solved
@@ -806,16 +813,18 @@ def test_a_dependent_basis_raises_in_every_branch(cols):
 
 def test_cycle_projection_certificate():
     g = diamond(2)
-    p = orthogonal_projection(_cycle_cols(g))
-    assert projections.cycle_projection_certificate(g, p) == (True, True)
-    assert projections.cycle_projection_certificate(g, linalg.identity(16)) == (True, False)
-    assert projections.cycle_projection_certificate(g, linalg.zeros(16, 16)) == (False, True)
+    num, den = orthogonal_rows(_cycle_cols(g))
+    assert projections.cycle_projection_certificate(g, num, den) == (True, True)
+    assert _certificate(g, linalg.identity(16)) == (True, False)
+    assert _certificate(g, linalg.zeros(16, 16)) == (False, True)
     with pytest.raises(ValidationError, match="square"):
-        projections.cycle_projection_certificate(g, p[:15])
+        projections.cycle_projection_certificate(g, num[:15], den)
+    with pytest.raises(ValidationError, match="square"):
+        projections.cycle_projection_certificate(g, [row[:15] for row in num], den)
     # float entries are read exactly, as the Fractions they equal
     p1 = orthogonal_projection(_cycle_cols(diamond(1)))
     as_floats = [[float(x) for x in row] for row in p1]
-    assert projections.cycle_projection_certificate(diamond(1), as_floats) == (True, True)
+    assert _certificate(diamond(1), as_floats) == (True, True)
     assert linalg.integer_rows(as_floats) == linalg.integer_rows(p1)
 
 
@@ -834,7 +843,7 @@ def test_cycle_projection_certificate_matches_the_dense_oracle(seed, kind, kick)
         p[rng.randrange(m)][rng.randrange(m)] += kick
     elif kind == "doubled":
         p = [[2 * x for x in row] for row in p]
-    assert projections.cycle_projection_certificate(graph, p) == fraction_cycle_certificate(graph, p)
+    assert _certificate(graph, p) == fraction_cycle_certificate(graph, p)
 
 
 def test_minimal_projection_constant_of_diamond_three():
@@ -842,7 +851,7 @@ def test_minimal_projection_constant_of_diamond_three():
     start = time.perf_counter()
     lam, p = minimal_projection_lp(_cycle_cols(g), len(g.edges), mode="exact")
     assert time.perf_counter() - start < 1.0        # about 0.1 s on 32 merged coordinates
-    assert projections.cycle_projection_certificate(g, p) == (True, True)
+    assert _certificate(g, p) == (True, True)
     assert lam == F(39, 16) and l1_norm(p) == lam
 
 
@@ -858,7 +867,7 @@ def test_minimal_projection_constant_of_laakso_three(monkeypatch):
     start = time.perf_counter()
     lam, p = minimal_projection_lp(cols, len(g.edges), mode="exact")
     assert time.perf_counter() - start < 10.0       # about 0.8 s
-    assert projections.cycle_projection_certificate(g, p) == (True, True)
+    assert _certificate(g, p) == (True, True)
     assert l1_norm(p) == lam
     _assert_lifted_dual_certifies(cols, seen[0], lam)
     assert lam == F(13100, 6807)

@@ -2,7 +2,9 @@
 method, property and annotated (dataclass) field of its public classes,
 and every option of its command line is used by the package itself: by a
 claim, a command or another library path.  No module uses another
-module's underscore names.
+module's underscore names, neither its module-level names nor the members
+of its classes, and no function imports a module other than numpy or
+scipy.
 
 The scan reads the source with `ast`.  A name counts as used when some
 other definition, or a module's top-level code, mentions it: a top-level
@@ -49,8 +51,6 @@ KEPT = {
         "ROADMAP item 4 deletes it with the permutation-matrix API",
     "haar_system.andrew_lower_bound":
         "the paper's averaging argument (Grunbaum 1960, Rudin 1962), not yet a claim",
-    "metric.elementary_molecule":
-        "the tests' transport oracles are built from it",
     "haar_system.haar_coefficients":
         "BENCHMARK.json's per-layer metrics name it, so bench/ requires it to exist; "
         "the span check calls the sparse transform under it directly",
@@ -180,9 +180,31 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
-def _foreign_private_uses(path: Path) -> list[str]:
-    """`from .m import _x` and `m._x` in one file, m any freelip module
-    other than the file's own, as "m._x" strings."""
+def _private_members(paths) -> dict[str, set[str]]:
+    """Underscore member name -> the modules whose classes define it as a
+    method, property or annotated field."""
+    members: dict[str, set[str]] = {}
+    for path in paths:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    name = member.name
+                elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    name = member.target.id
+                else:
+                    continue
+                if _is_private(name):
+                    members.setdefault(name, set()).add(path.stem)
+    return members
+
+
+def _foreign_private_uses(path: Path, members: dict[str, set[str]]) -> list[str]:
+    """`from .m import _x`, `m._x` and `obj._x` in one file, m any freelip
+    module other than the file's own and, for `obj._x`, _x a class member
+    (members, from _private_members) that only other modules define, as
+    sorted "m._x" strings."""
     own = path.stem
     modules = {}                        # local name -> freelip module it is bound to
     found = []
@@ -197,18 +219,49 @@ def _foreign_private_uses(path: Path) -> list[str]:
                 elif module != own and _is_private(alias.name):
                     found.append(f"{module}.{alias.name}")
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and modules.get(node.value.id, own) != own and _is_private(node.attr)):
-            found.append(f"{modules[node.value.id]}.{node.attr}")
-    return found
+        if not (isinstance(node, ast.Attribute) and _is_private(node.attr)):
+            continue
+        if isinstance(node.value, ast.Name) and node.value.id in modules:
+            if modules[node.value.id] != own:
+                found.append(f"{modules[node.value.id]}.{node.attr}")
+        elif node.attr in members and own not in members[node.attr]:
+            found += [f"{module}.{node.attr}" for module in members[node.attr]]
+    return sorted(found)
 
 
 def test_no_module_uses_another_modules_private_names(tmp_path):
-    uses = {path.name: _foreign_private_uses(path) for path in sorted(PACKAGE.glob("*.py"))}
+    paths = sorted(PACKAGE.glob("*.py"))
+    members = _private_members(paths)
+    uses = {path.name: _foreign_private_uses(path, members) for path in paths}
     assert not {name: found for name, found in uses.items() if found}
-    # the scan sees both forms, and not a module's own or public names
+    # the scan sees every form, and not a module's own or public names
+    other = tmp_path / "other.py"
+    other.write_text("class Other:\n    _field: int\n    def _method(self):\n        pass\n")
     probe = tmp_path / "probe.py"
     probe.write_text("from . import projections\nfrom .cyclespace import _tree, tree\n"
                      "from .probe import _own\n"
-                     "def f():\n    return projections._rows(), projections.rows(), _own()\n")
-    assert _foreign_private_uses(probe) == ["cyclespace._tree", "projections._rows"]
+                     "class Mine:\n    def _mine(self):\n        return self._mine\n"
+                     "def f(x):\n    return projections._rows(), projections.rows(), _own(),"
+                     " x._method(), x._field, x._mine, x._unknown\n")
+    assert _foreign_private_uses(probe, _private_members([other, probe])) == [
+        "cyclespace._tree", "other._field", "other._method", "projections._rows"]
+
+
+def test_functions_import_only_numpy_or_scipy():
+    # freelip's own modules load in milliseconds and no import cycle needs a
+    # late import; only the minimal-projection LP's numpy and scipy load late
+    late = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, (ast.Import, ast.ImportFrom)):
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = ["." * node.level + (node.module or "")]
+                else:
+                    continue
+                late += [f"{path.name}:{node.lineno} {name}" for name in names
+                         if name.split(".")[0] not in ("numpy", "scipy")]
+    assert not late, f"function-level imports: {late}"
