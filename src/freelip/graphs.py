@@ -6,6 +6,15 @@ record the recursion, so the copy of the base graph that evolved from a
 given edge is addressable by its id prefix.  With this naming the
 composition is literally associative (equal vertex and edge id sets), and
 the single-edge graph is a two-sided unit.
+
+Every TwoPoleGraph is validated on construction, in this order: distinct
+vertex names, distinct poles that are vertices; then per edge, in edge
+order, no self-loop, known endpoints, a new edge id and no parallel edge
+(in either direction); then connectivity; then that every weight is a
+positive int or Fraction.  The checks run on integer vertex indices: one
+vertex -> index dict, one set of pair keys i n + j (i < j) and a
+union-find on a list of ints.  There is no unchecked constructor; a
+composed family pays for the check once per level.
 """
 
 from __future__ import annotations
@@ -30,7 +39,10 @@ def join_id(prefix: str, name: str) -> str:
     return f"{prefix}/{name}"
 
 
-@dataclass(frozen=True)
+_WEIGHT_TYPES = frozenset((int, Fraction))
+
+
+@dataclass(frozen=True, slots=True)
 class Edge:
     id: str
     tail: str
@@ -40,47 +52,64 @@ class Edge:
 
 @dataclass(frozen=True)
 class TwoPoleGraph:
+    """A connected graph with two distinct poles and directed, weighted
+    edges, checked on construction as the module docstring says."""
+
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
     top: str
     bottom: str
 
     def __post_init__(self):
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+        n = len(self.vertices)
+        index = dict(zip(self.vertices, range(n)))
+        if len(index) != n:
             raise ValidationError("duplicate vertex names")
         if self.top == self.bottom:
             raise ValidationError("top and bottom must differ")
-        if self.top not in vset or self.bottom not in vset:
+        if self.top not in index or self.bottom not in index:
             raise ValidationError("poles must be vertices")
         seen_ids = set()
         seen_pairs = set()
+        parent = list(index.values())
+        components = n
+        get = index.get
+        weight, bad_weight = 1, None    # the last weight object tested; 1 is valid
         for e in self.edges:
-            if e.tail == e.head:
-                raise ValidationError(f"self-loop at {e.tail!r}")
-            if e.tail not in vset or e.head not in vset:
-                raise ValidationError(f"edge {e.id!r} has unknown endpoint")
-            if e.id in seen_ids:
-                raise ValidationError(f"duplicate edge id {e.id!r}")
-            pair = frozenset((e.tail, e.head))
+            eid, tail, head = e.id, e.tail, e.head
+            if tail == head:
+                raise ValidationError(f"self-loop at {tail!r}")
+            i = get(tail)
+            j = get(head)
+            if i is None or j is None:
+                raise ValidationError(f"edge {eid!r} has unknown endpoint")
+            if eid in seen_ids:
+                raise ValidationError(f"duplicate edge id {eid!r}")
+            pair = i * n + j if i < j else j * n + i
             if pair in seen_pairs:
-                raise ValidationError(f"parallel edge between {e.tail!r} and {e.head!r}")
-            seen_ids.add(e.id)
+                raise ValidationError(f"parallel edge between {tail!r} and {head!r}")
+            seen_ids.add(eid)
             seen_pairs.add(pair)
-        # connectivity (undirected)
-        adj = {v: [] for v in self.vertices}
-        for e in self.edges:
-            adj[e.tail].append(e.head)
-            adj[e.head].append(e.tail)
-        seen = {self.bottom}
-        stack = [self.bottom]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(self.vertices):
+            # union-find with path halving
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            if i != j:
+                parent[i] = j
+                components -= 1
+            # compose copies the base's weight objects, so a run of edges
+            # sharing one object is tested once
+            if e.weight is not weight:
+                weight = e.weight
+                if bad_weight is None and (type(weight) not in _WEIGHT_TYPES
+                                           or weight.numerator <= 0):
+                    bad_weight = e
+        if components != 1:
             raise ValidationError("graph is not connected")
+        if bad_weight is not None:
+            raise ValidationError(f"edge {bad_weight.id!r} has weight {bad_weight.weight!r}; "
+                                  "weights must be positive ints or Fractions")
 
     @cached_property
     def edge_by_id(self) -> dict[str, Edge]:
@@ -122,11 +151,17 @@ class TwoPoleGraph:
     def from_json(obj: dict) -> "TwoPoleGraph":
         edges = tuple(
             Edge(str(json_key(e, "id")), str(json_key(e, "tail")), str(json_key(e, "head")),
-                 num_from_json(e.get("weight", 1)))
+                 _weight_from_json(e.get("weight", 1)))
             for e in json_key(obj, "edges")
         )
         return TwoPoleGraph(tuple(str(v) for v in json_key(obj, "vertices")), edges,
                             str(json_key(obj, "top")), str(json_key(obj, "bottom")))
+
+
+def _weight_from_json(w):
+    """An int or "p/q" string weight as a Fraction; any other JSON value (a
+    float, a bool, null) as it is, for the constructor to reject."""
+    return num_from_json(w) if type(w) in (int, str) else w
 
 
 def single_edge() -> TwoPoleGraph:

@@ -24,20 +24,23 @@ def random_rational(rng: random.Random, lo: int = 1, hi: int = 9,
 
 
 def random_metric_space(rng: random.Random, n: int) -> MetricSpace:
-    """Shortest-path closure of a random complete rational weight matrix."""
-    d = [[ZERO] * n for _ in range(n)]
+    """Shortest-path closure of a random complete rational weight matrix.
+
+    The weights are random_rational(rng, 2, 12, 3) draws, whose denominators
+    divide 6, so the closure runs on integers over 6; validate_metric gets
+    the distances as Fractions, one object per distinct value.
+    """
+    d = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             w = random_rational(rng, 2, 12, 3)
-            d[i][j] = d[j][i] = w
-    for k in range(n):
-        for i in range(n):
-            dik = d[i][k]
-            for j in range(n):
-                via = dik + d[k][j]
-                if via < d[i][j]:
-                    d[i][j] = via
-    return validate_metric(d)
+            d[i][j] = d[j][i] = w.numerator * (6 // w.denominator)
+    for k, dk in enumerate(d):
+        for di in d:
+            dik = di[k]
+            di[:] = map(min, di, map(dik.__add__, dk))
+    frac = {x: Fraction(x, 6) for x in set().union(*d)}
+    return validate_metric([list(map(frac.__getitem__, row)) for row in d])
 
 
 def random_tree(rng: random.Random, n_edges: int) -> TwoPoleGraph:

@@ -45,7 +45,13 @@ the Kruskal minimum spanning tree sorts every pair of points by
 (distance, name, name) and joins them by union-find into a graph of
 Fraction-weighted edges, whose two sides a breadth-first walk colours,
 instead of growing the tree by Prim's algorithm on the integer rows and
-reading the sides from the depth parity.
+reading the sides from the depth parity;
+the two-pole graph validator checks edges on vertex names, with one
+frozenset per endpoint pair and a depth-first search over an adjacency
+dict of lists, instead of integer pair keys and a union-find on vertex
+indices;
+and the random metric space closes its Fraction weights by a
+Floyd-Warshall on Fractions instead of on integers over 6.
 """
 
 import heapq
@@ -59,9 +65,9 @@ from freelip import haar_system, linalg
 from freelip.cyclespace import EdgeVector, boundary, fundamental_cycle_basis
 from freelip.embeddings import large_embedding
 from freelip.errors import (DisconnectedGraph, GroupClosureOverflow, NotInvariantSubspace,
-                            SingularGram, SolverFailure)
+                            SingularGram, SolverFailure, ValidationError)
 from freelip.freenorm import ae_norm
-from freelip.metric import MetricSpace, Molecule
+from freelip.metric import MetricSpace, Molecule, validate_metric
 from freelip.rational import to_fraction
 from freelip.graphs import Edge, TwoPoleGraph, diamond, multidiamond
 from freelip.recursive import c_type_vectors, edge_map_matrix
@@ -826,3 +832,56 @@ def full_walk_network_simplex(n, tails, heads, cost, flow, tree):
         if a_in is None:
             return phi
         _full_walk_tree_pivot(tails, heads, flow, adj, parent, parc, depth, a_in)
+
+
+def validate_two_pole_graph(vertices, edges, top, bottom) -> None:
+    """The two-pole graph checks on vertex names, in the library's order;
+    raises ValidationError with the library's message (weights unchecked)."""
+    vset = set(vertices)
+    if len(vset) != len(vertices):
+        raise ValidationError("duplicate vertex names")
+    if top == bottom:
+        raise ValidationError("top and bottom must differ")
+    if top not in vset or bottom not in vset:
+        raise ValidationError("poles must be vertices")
+    seen_ids = set()
+    seen_pairs = set()
+    for e in edges:
+        if e.tail == e.head:
+            raise ValidationError(f"self-loop at {e.tail!r}")
+        if e.tail not in vset or e.head not in vset:
+            raise ValidationError(f"edge {e.id!r} has unknown endpoint")
+        if e.id in seen_ids:
+            raise ValidationError(f"duplicate edge id {e.id!r}")
+        pair = frozenset((e.tail, e.head))
+        if pair in seen_pairs:
+            raise ValidationError(f"parallel edge between {e.tail!r} and {e.head!r}")
+        seen_ids.add(e.id)
+        seen_pairs.add(pair)
+    adj = {v: [] for v in vertices}
+    for e in edges:
+        adj[e.tail].append(e.head)
+        adj[e.head].append(e.tail)
+    seen = {bottom}
+    stack = [bottom]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != len(vertices):
+        raise ValidationError("graph is not connected")
+
+
+def fraction_random_metric_space(rng, n: int) -> MetricSpace:
+    """randgen.random_metric_space with its closure run on Fractions."""
+    d = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = Fraction(rng.randint(2, 12), rng.randint(1, 3))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i][k] + d[k][j] < d[i][j]:
+                    d[i][j] = d[i][k] + d[k][j]
+    return validate_metric(d)

@@ -1,0 +1,61 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def test_summary_reproduces_a_recorded_bench_file():
+    # BENCH_25.json was assembled by hand: its medians and quartiles must
+    # follow from its runs by the same rule
+    doc = json.loads((ROOT / "BENCH_25.json").read_text())
+    checked = 0
+    for entries in doc["workloads"].values():
+        for entry in entries:
+            for side in ("parent", "change"):
+                for m in END_TO_END:
+                    recorded = entry[side][m["name"]]
+                    got = bench_pairs.summary(recorded["runs"])
+                    for key in ("median", "q1", "q3"):
+                        assert got[key] == pytest.approx(recorded[key], abs=2e-6)
+                    checked += 1
+    assert checked == 4 * 2 * 3
+
+
+def test_summary_of_one_run_and_of_an_even_count():
+    assert bench_pairs.summary([0.5]) == {"median": 0.5, "q1": 0.5, "q3": 0.5, "runs": [0.5]}
+    # inclusive quartiles of 1..4 interpolate between the order statistics
+    assert bench_pairs.summary([4, 1, 3, 2]) == {"median": 2.5, "q1": 1.75, "q3": 3.25,
+                                                 "runs": [4, 1, 3, 2]}
+
+
+def _run(setup, ref, rss, correct=True, failed=0):
+    return {"correct": correct, "attempted": 100, "failed": failed,
+            "metrics": {"setup_s": {"value": setup}, "certify_ref": {"value": ref},
+                        "peak_rss_mb": {"value": rss}}}
+
+
+def test_workload_entry_counts_better_pairs_and_sums_counts():
+    parent = [_run(0.2, 1.0, 56.0), _run(0.2, 1.0, 56.2), _run(0.1, 1.0, 56.1)]
+    change = [_run(0.1, 1.1, 38.0), _run(0.3, 0.9, 38.4), _run(0.1, 1.0, 38.2, False, 2)]
+    entry = bench_pairs.workload_entry(7, parent, change, END_TO_END)
+    assert entry["seed"] == 7 and entry["pairs"] == 3
+    # equal values are not better; every end-to-end metric is lower-is-better
+    assert entry["change_better_in_pairs"] == {"setup_s": 1, "certify_ref": 1, "peak_rss_mb": 3}
+    assert entry["parent"]["attempted"] == 300 and entry["parent"]["all_correct"]
+    assert entry["change"]["failed"] == 2 and not entry["change"]["all_correct"]
+    assert entry["change"]["peak_rss_mb"]["median"] == 38.2
+    assert list(entry["parent"]) == ["failed", "attempted", "all_correct", "setup_s",
+                                     "certify_ref", "peak_rss_mb"]
+
+
+def test_workload_entry_needs_whole_pairs():
+    with pytest.raises(ValueError):
+        bench_pairs.workload_entry(1, [_run(0.1, 1.0, 1.0)], [], END_TO_END)

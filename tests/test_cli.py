@@ -245,6 +245,22 @@ def test_json_input_missing_a_key_is_a_validation_error(tmp_path, capsys, argv, 
     assert f"no {key!r} key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weight,shown", [(0, "Fraction(0, 1)"), (-1, "Fraction(-1, 1)"),
+                                          ("-1/2", "Fraction(-1, 2)"), (0.5, "0.5"),
+                                          (True, "True")],
+                         ids=["zero", "minus-one", "negative-fraction", "float", "bool"])
+def test_json_graph_weights_must_be_positive_rationals(tmp_path, capsys, weight, shown):
+    # JSON rationals are ints or "p/q" strings; a float or a bool is refused
+    # too, instead of reaching the metric as 1/2 or failing with a TypeError
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"vertices": ["a", "b", "c"], "top": "c", "bottom": "a",
+                             "edges": [{"id": "e1", "tail": "a", "head": "b", "weight": weight},
+                                       {"id": "e2", "tail": "b", "head": "c"}]}))
+    assert run_cli("embed", "--graph", str(g), "--strategy", "half") == 2
+    assert (f"validation error: edge 'e1' has weight {shown}; weights must be positive ints "
+            "or Fractions") in capsys.readouterr().err
+
+
 def test_embed_command(tmp_path, capsys):
     space = tmp_path / "s.json"
     space.write_text(json.dumps(

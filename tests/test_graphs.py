@@ -1,3 +1,11 @@
+import os
+import random
+import re
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
 import pytest
 
 from freelip import graphs
@@ -6,7 +14,9 @@ from freelip.graphs import (Edge, TwoPoleGraph, automorphism_search, compose,
                             diamond, diamond_base, k2n_base, laakso, laakso_base,
                             multidiamond, path, recursive_family, single_edge, star)
 from freelip.metric import graph_metric
+from freelip.randgen import random_tree
 from freelip.recursive import enumerate_geodesics
+from oracles import validate_two_pole_graph
 
 
 def test_single_edge_is_left_unit_up_to_ordering():
@@ -125,14 +135,149 @@ def test_path_and_star():
 
 
 def test_graph_validation_errors():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="self-loop at 'a'"):
         TwoPoleGraph(("a", "b"), (Edge("e", "a", "a"),), "a", "b")
-    with pytest.raises(ValidationError):  # disconnected
+    with pytest.raises(ValidationError, match="graph is not connected"):
         TwoPoleGraph(("a", "b", "c"), (Edge("e", "a", "b"),), "a", "b")
-    with pytest.raises(ValidationError):  # parallel edges
+    with pytest.raises(ValidationError, match="parallel edge between 'b' and 'a'"):
         TwoPoleGraph(("a", "b"), (Edge("e1", "a", "b"), Edge("e2", "b", "a")), "a", "b")
 
 
-def test_graph_json_roundtrip():
-    g = laakso(1)
-    assert TwoPoleGraph.from_json(g.to_json()) == g
+@pytest.mark.parametrize("weight", [F(0), -1, 0.5, True, F(-1, 2), None, "1"],
+                         ids=["zero", "minus-one", "float", "bool", "negative-fraction", "none",
+                              "string"])
+def test_weights_must_be_positive_ints_or_fractions(weight):
+    # the graph is otherwise valid, so only the weight rule can refuse it
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"edge 'e2' has weight {weight!r}; weights must be")):
+        TwoPoleGraph(("a", "b", "c"), (Edge("e1", "a", "b"), Edge("e2", "b", "c", weight)),
+                     "c", "a")
+
+
+def test_positive_int_and_fraction_weights_are_accepted():
+    g = TwoPoleGraph(("a", "b", "c"), (Edge("e1", "a", "b", 2), Edge("e2", "b", "c", F(1, 3))),
+                     "c", "a")
+    assert graph_metric(g).d("a", "c") == F(7, 3)
+
+
+def test_weight_errors_come_after_every_structural_check():
+    # an input that is invalid in structure keeps its structural message
+    with pytest.raises(ValidationError, match="graph is not connected"):
+        TwoPoleGraph(("a", "b", "c"), (Edge("e1", "a", "b", F(0)),), "b", "a")
+    # the first bad weight in edge order is named, also behind a run of
+    # edges sharing one valid weight object
+    edges = tuple(Edge(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(4))
+    edges += (Edge("e4", "v4", "v5", -2), Edge("e5", "v5", "v6", F(0)))
+    with pytest.raises(ValidationError, match="edge 'e4' has weight -2"):
+        TwoPoleGraph(tuple(f"v{i}" for i in range(7)), edges, "v6", "v0")
+
+
+FAULTS = ("duplicate-vertex", "equal-poles", "missing-pole", "self-loop", "unknown-endpoint",
+          "duplicate-id", "parallel-same", "parallel-reversed", "disconnected")
+
+
+def _inject(rng, fault, vertices, edges, poles):
+    """Apply one fault to lists of vertices and edges and the [top, bottom]
+    pair, inserting anything new at a random position."""
+    def insert(seq, item):
+        seq.insert(rng.randint(0, len(seq)), item)
+
+    e = rng.choice(edges) if edges else Edge("e", vertices[0], vertices[-1])
+    new_id = f"x{rng.randrange(10 ** 6)}"
+    if fault == "duplicate-vertex":
+        insert(vertices, rng.choice(vertices))
+    elif fault == "equal-poles":
+        k = rng.randrange(2)
+        poles[k] = poles[1 - k]
+    elif fault == "missing-pole":
+        poles[rng.randrange(2)] = "nowhere"
+    elif fault == "self-loop":
+        v = rng.choice(vertices)
+        insert(edges, Edge(new_id, v, v))
+    elif fault == "unknown-endpoint":
+        ends = [rng.choice(vertices), "ghost"]
+        rng.shuffle(ends)
+        insert(edges, Edge(new_id, *ends))
+    elif fault == "duplicate-id":
+        a, b = rng.sample(vertices, 2)
+        insert(edges, Edge(e.id, a, b))
+    elif fault == "parallel-same":
+        insert(edges, Edge(new_id, e.tail, e.head))
+    elif fault == "parallel-reversed":
+        insert(edges, Edge(new_id, e.head, e.tail))
+    else:
+        island = [f"island{rng.randrange(10 ** 6)}" for _ in range(rng.randint(1, 2))]
+        for v in island:
+            insert(vertices, v)
+        if len(island) == 2:
+            insert(edges, Edge(new_id, *island))
+
+
+def _differential_cases():
+    rng = random.Random(20261020)
+    bases = [path(1), path(5), star(1), star(6), diamond(2), laakso(1)]
+    for i in range(560):
+        base = bases[i] if i < len(bases) else (
+            rng.choice(bases) if i % 2 else random_tree(rng, rng.randint(1, 12)))
+        vertices, edges, poles = list(base.vertices), list(base.edges), [base.top, base.bottom]
+        faults = [rng.choice(FAULTS) for _ in range(rng.choice((0, 1, 1, 2)))]
+        for fault in faults:
+            _inject(rng, fault, vertices, edges, poles)
+        yield tuple(vertices), tuple(edges), *poles
+
+
+def test_validation_matches_the_name_based_oracle():
+    outcomes = {}
+    for vertices, edges, top, bottom in _differential_cases():
+        try:
+            validate_two_pole_graph(vertices, edges, top, bottom)
+            expected = None
+        except ValidationError as exc:
+            expected = str(exc)
+        try:
+            TwoPoleGraph(vertices, edges, top, bottom)
+            got = None
+        except ValidationError as exc:
+            got = str(exc)
+        assert got == expected, (vertices, edges, top, bottom)
+        kind = "accepted" if expected is None else re.sub(r"'[^']*'", "_", expected)
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    # every check fires, and accepts, many times over the set
+    assert sorted(outcomes) == sorted(["accepted", "duplicate vertex names",
+                                       "top and bottom must differ", "poles must be vertices",
+                                       "self-loop at _", "edge _ has unknown endpoint",
+                                       "duplicate edge id _", "parallel edge between _ and _",
+                                       "graph is not connected"]), outcomes
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+_BUILD_PEAK = """
+import re, resource
+from freelip.graphs import diamond, laakso_base, recursive_family
+g = {build}
+try:
+    with open("/proc/self/status") as f:
+        peak_kb = int(re.search(r"VmHWM:\\s*(\\d+) kB", f.read()).group(1))
+except OSError:
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(len(g.edges), peak_kb // 1024)
+"""
+
+
+@pytest.mark.parametrize("build,n_edges,limit_mb", [
+    ("recursive_family(laakso_base(), 6)", 46656, 45),
+    ("diamond(9)", 262144, 160),
+], ids=["laakso-6", "diamond-9"])
+def test_deep_family_builds_within_memory(build, n_edges, limit_mb):
+    # per-edge frozensets and a second adjacency dict took these builds to
+    # 53 MB and 219 MB peak RSS in a fresh process.  The child reads its
+    # peak as VmHWM where there is one: on Linux a child's ru_maxrss starts
+    # from the peak of the process that started it, here the test runner.
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", _BUILD_PEAK.format(build=build)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    edges, rss_mb = map(int, proc.stdout.split())
+    assert edges == n_edges
+    assert rss_mb < limit_mb, f"{rss_mb} MB peak RSS"

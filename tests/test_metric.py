@@ -12,7 +12,17 @@ from freelip.graphs import (Edge, TwoPoleGraph, diamond, k2n_base, laakso,
                             multidiamond, single_edge)
 from freelip.metric import MetricSpace, Molecule, graph_metric, validate_metric
 from freelip.randgen import random_metric_space, random_tree
-from oracles import elementary_molecule, fraction_graph_metric
+from oracles import elementary_molecule, fraction_graph_metric, fraction_random_metric_space
+
+
+def test_random_metric_space_matches_the_fraction_closure():
+    # the integer closure over 6 draws the same numbers and gives the same
+    # space as Floyd-Warshall on Fractions
+    for seed in range(150):
+        a, b = random.Random(seed), random.Random(seed)
+        n = 2 + seed % 20
+        assert random_metric_space(a, n) == fraction_random_metric_space(b, n)
+        assert a.getstate() == b.getstate()
 
 
 def test_two_point_matrix_is_valid():
