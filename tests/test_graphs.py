@@ -269,8 +269,9 @@ print(len(g.edges), peak_kb // 1024)
     ("diamond(9)", 262144, 160),
 ], ids=["laakso-6", "diamond-9"])
 def test_deep_family_builds_within_memory(build, n_edges, limit_mb):
-    # per-edge frozensets and a second adjacency dict took these builds to
-    # 53 MB and 219 MB peak RSS in a fresh process.  The child reads its
+    # the limits sit about 25% above the builds' peaks (36 and 131 MB) and
+    # below the 53 and 219 MB of name-based checks with a frozenset per
+    # edge and an adjacency dict of lists.  The child reads its
     # peak as VmHWM where there is one: on Linux a child's ru_maxrss starts
     # from the peak of the process that started it, here the test runner.
     src = Path(__file__).resolve().parent.parent / "src"

@@ -3,19 +3,20 @@
 Usage (from the repository root):
 
     python3 tools/bench_pairs.py PARENT_REV CHANGE_REV --pr 30 \\
-        --workloads haar-growth,embedding-many --pairs 10 --seed 1 --seconds 25
+        --workloads haar-growth,embedding-many --pairs 10 --seed 1
 
 Each revision is exported with ``git archive`` into its own temporary
 directory, so both sides run from committed files only.  For every
-workload, ``bench/run.py`` runs N pairs of times, one process at a time;
-even pairs run the parent first and odd pairs the change first.  The
-output file holds, per workload and side, the summed attempted and failed
-claim counts, whether every run was correct, and for each end-to-end
-metric of BENCHMARK.json the median, the quartiles (statistics.quantiles,
-inclusive method) and every run's value; ``change_better_in_pairs``
-counts the pairs in which the change's value was better.  The file is
-rewritten after each workload, so an interrupted session keeps what it
-finished.  Standard library only.
+workload, ``bench/run.py`` runs N pairs of times for BENCHMARK.json's
+``run_seconds``, one process at a time; even pairs run the parent first
+and odd pairs the change first.  BENCH_<pr>.json, at the repository root,
+holds per workload and side the summed attempted and failed claim counts,
+whether every run was correct, and for each end-to-end metric of
+BENCHMARK.json the median, the quartiles (statistics.quantiles, inclusive
+method) and every run's value; ``change_better_in_pairs`` counts the pairs
+in which the change's value was better.  The file is rewritten after each
+workload, so an interrupted session keeps what it finished.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WHAT = ("End-to-end metrics of bench/run.py, parent commit against this change, each side run "
         "from a fresh `git archive` of its commit; pairs alternate which side runs first.  "
         "Medians and quartiles (inclusive method) over the runs.")
-COMMAND = "python3 bench/run.py --workload <workload> --seed <seed> --seconds {seconds:g}"
+COMMAND = "python3 bench/run.py --workload <workload> --seed <seed> --seconds {seconds}"
 
 
 def summary(values: list) -> dict:
@@ -102,15 +103,14 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", default="transport-large,embedding-many,haar-growth,projection")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=25.0)
-    ap.add_argument("--out", type=Path, help="default: BENCH_<pr>.json at the repository root")
     args = ap.parse_args(argv)
-    out_path = args.out or ROOT / f"BENCH_{args.pr}.json"
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    out_path = ROOT / f"BENCH_{args.pr}.json"
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds, end_to_end = benchmark["run_seconds"], benchmark["end_to_end"]
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         sides = {"parent": tmp / "parent", "change": tmp / "change"}
-        doc = {"what": WHAT, "command": COMMAND.format(seconds=args.seconds),
+        doc = {"what": WHAT, "command": COMMAND.format(seconds=seconds),
                "parent_rev": export(args.parent_rev, sides["parent"]),
                "change_rev": export(args.change_rev, sides["change"]),
                "nproc": os.cpu_count(), "python": platform.python_version(), "workloads": {}}
@@ -119,7 +119,7 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    result = run_once(sides[side], workload, args.seed, args.seconds)
+                    result = run_once(sides[side], workload, args.seed, seconds)
                     runs[side].append(result)
                     print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
                           + " ".join(f"{k}={v['value']:.4g}"
