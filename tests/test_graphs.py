@@ -143,6 +143,11 @@ def test_graph_validation_errors():
         TwoPoleGraph(("a", "b"), (Edge("e1", "a", "b"), Edge("e2", "b", "a")), "a", "b")
 
 
+def test_graph_json_roundtrip():
+    g = laakso(1)
+    assert TwoPoleGraph.from_json(g.to_json()) == g
+
+
 @pytest.mark.parametrize("weight", [F(0), -1, 0.5, True, F(-1, 2), None, "1"],
                          ids=["zero", "minus-one", "float", "bool", "negative-fraction", "none",
                               "string"])
