@@ -21,7 +21,10 @@ from . import linalg, simplex
 from .errors import NotACycle, ValidationError
 from .graphs import TwoPoleGraph
 from .metric import Molecule
-from .rational import ZERO, json_key, num_from_json, num_to_json
+from .rational import ONE, ZERO, json_key, num_from_json, num_to_json
+
+
+_MINUS_ONE = -ONE
 
 
 def _check_edge_ids(graph: TwoPoleGraph, coeffs: dict) -> None:
@@ -133,10 +136,10 @@ def signed_indicator(cycle_edges: list[str], g: TwoPoleGraph) -> EdgeVector:
         cur = start
         for e in edges:
             if cur == e.tail:
-                signs[e.id] = Fraction(1)
+                signs[e.id] = ONE
                 cur = e.head
             elif cur == e.head:
-                signs[e.id] = Fraction(-1)
+                signs[e.id] = _MINUS_ONE
                 cur = e.tail
             else:
                 return None
@@ -195,24 +198,27 @@ def fundamental_cycles_as_walks(g: TwoPoleGraph) -> list[list[str]]:
     """
     parent, parent_edge = spanning_tree(g)
     tree_ids = {e.id for e in parent_edge.values()}
-
-    def path_to_root(v):
-        out = []
-        while parent[v] is not None:
-            out.append(parent_edge[v])
-            v = parent[v]
-        return out
+    depth = {g.bottom: 0}
+    for v, u in parent.items():         # BFS order: parents come first
+        if u is not None:
+            depth[v] = depth[u] + 1
 
     walks = []
     for e in g.edges:
         if e.id in tree_ids:
             continue
-        up = path_to_root(e.head)
-        down = path_to_root(e.tail)
-        common = {pe.id for pe in up} & {pe.id for pe in down}
-        up = [pe for pe in up if pe.id not in common]
-        down = [pe for pe in down if pe.id not in common]
-        walks.append([e.id] + [pe.id for pe in up] + [pe.id for pe in reversed(down)])
+        # climb from the deeper end until the two ends meet at the common
+        # ancestor, so each walk costs its own length, not the tree depth
+        up, down = [], []
+        a, b = e.head, e.tail
+        while a != b:
+            if depth[a] >= depth[b]:
+                up.append(parent_edge[a].id)
+                a = parent[a]
+            else:
+                down.append(parent_edge[b].id)
+                b = parent[b]
+        walks.append([e.id] + up + down[::-1])
     return walks
 
 

@@ -17,10 +17,13 @@ vector by vector without forming P, and the one dense P that is returned
 is an integer sum of outer products over the lcm of the <w, w>.
 Fractions are built only for returned values; there is no float path.
 
-The Banach-Mazur upper bounds need one quotient norm per orbit of cut
-vectors under the cycle-preserving edge bijections of
-symmetry.invariance_generators (projections.bm_upper_via_basis_map),
-each one min-cost flow on the graph.
+The Banach-Mazur upper bounds solve no LP.  Every cut vector used here
+is +-1 on its support, so it is its own dual certificate: its quotient
+norm on l1(E)/Z is its l1 norm, and ||T|| is the largest number of cut
+vectors that meet one edge (projections.bm_upper_via_basis_map, which
+also certifies that the vectors span a complement of the cycle space).
+The cut vectors go to the graph as sparse edge vectors, straight from
+their cell blocks, so no dense grid tuple is built for them.
 
 The even/odd Haar levels also show up as quasi-greedy subsequences of the
 Haar basis in L1; that direction is documentation only, nothing here
@@ -36,10 +39,10 @@ from itertools import compress
 from math import gcd, lcm
 from operator import mul
 
-from . import linalg, projections, recursive, symmetry
-from .cyclespace import EdgeVector, fundamental_cycle_basis
+from . import linalg, projections, symmetry
+from .cyclespace import EdgeVector, fundamental_cycle_basis, mu
 from .errors import ResolutionTooCoarse, ResourceLimit, ValidationError
-from .graphs import TwoPoleGraph, diamond, diamond_base, k2n_base, multidiamond
+from .graphs import TwoPoleGraph, diamond, multidiamond
 
 QUARTER = {"tl": 0, "bl": 1, "br": 2, "tr": 3}
 MULTIBRANCH_CELL_CAP = 4096     # grid cells of D_{n,k}: (2k)^n
@@ -235,11 +238,12 @@ def _cells(x: EdgeVector, cell) -> dict[int, int]:
     return {cell(eid): c.numerator * (den // c.denominator) for eid, c in x.coeffs.items()}
 
 
-def _on_edges(g: TwoPoleGraph, vectors: list[DyadicVector], cell) -> list[EdgeVector]:
-    """Grid vectors as edge vectors of g: edge e takes the value of cell(e.id)."""
+def _on_edges(g: TwoPoleGraph, supports: list[dict[int, int]], cell) -> list[EdgeVector]:
+    """Sparse integer grid vectors {cell: value} as edge vectors of g: edge e
+    takes the value of cell(e.id).  Equal values share one Fraction."""
     edge_at = {cell(e.id): e.id for e in g.edges}
-    return [EdgeVector(g, {edge_at[t]: Fraction(x, v.den) for t, x in _support(v.nums).items()})
-            for v in vectors]
+    frac = {x: Fraction(x) for w in supports for x in set(w.values())}
+    return [EdgeVector.of_nonzero(g, {edge_at[t]: frac[x] for t, x in w.items()}) for w in supports]
 
 
 # ---------------------------------------------------------------------------
@@ -337,18 +341,36 @@ def haar_witness_bound(n: int):
     return f, f.l1(), qf, qf.l1()
 
 
+def _diamond_cut_supports(n: int) -> list[dict[int, int]]:
+    """h_0 and the Haar functions of the odd levels 1, 3, ..., 2n-1 on the
+    4^n cells of D_n, as sparse maps {cell: +-1} read off their cell
+    blocks: level 2k-1 is +1 on a run of 4^n / 4^k cells and -1 on the
+    next, over the whole grid."""
+    cells = 4 ** n
+    out = [dict.fromkeys(range(cells), 1)]
+    for k in range(1, n + 1):
+        half = cells >> 2 * k
+        for start in range(0, cells, 2 * half):
+            w = dict.fromkeys(range(start, start + half), 1)
+            w.update(dict.fromkeys(range(start + half, start + 2 * half), -1))
+            out.append(w)
+    return out
+
+
 def diamond_bm_bounds(n: int, include_upper: bool = True):
     """Certified Banach-Mazur bounds for LF(D_n) against l1 of its dimension.
 
     lower: (2n+1)/3, certified by the exact Linf norm of the orthogonal
     projection P onto the cut space (h_0 and the odd levels), read off its
     column at cell 0 without building P.
-    upper: ||T|| ||T^-1|| = ||T|| (= n + 1 for n <= 5; at most 4n + 4) for
-    the coset basis of h_0 and the odd-level h_i, mapped to the edges of
-    D_n and each normalized to quotient norm 1 (bm_upper_via_basis_map,
-    one quotient norm per orbit under the invariance generators).
-    That normalization is the paper's scaling 2^(2k-1) on level 2k-1 and 1
-    on h_0 (tested for n <= 3).
+    upper: ||T|| ||T^-1|| = ||T|| = n + 1 for the coset basis of h_0 and
+    the odd-level h_i on the edges of D_n, each normalized to quotient norm
+    1 (bm_upper_via_basis_map).  Each is +-1 on its support, so its own
+    values certify that its quotient norm is its l1 norm, and each adds 1 to
+    ||T e_e||_1 on every edge e it meets: h_0 and one function of each odd
+    level meet every edge, so ||T|| = n + 1, below the paper's 4n + 4.  The
+    normalization is the paper's scaling 2^(2k-1) on level 2k-1 and 1 on h_0
+    (tested for n <= 3).
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -365,10 +387,8 @@ def diamond_bm_bounds(n: int, include_upper: bool = True):
     upper = t_norm = tinv_norm = None
     if include_upper:
         g = diamond(n)
-        cut_vecs = level_span_vectors([-1] + [2 * k - 1 for k in range(1, n + 1)], 2 * n)
         upper, t_norm, tinv_norm = projections.bm_upper_via_basis_map(
-            g, _on_edges(g, cut_vecs, lambda eid: diamond_cell_index(eid, n)),
-            symmetry.invariance_generators(recursive.profile_base(diamond_base()), n, g).values())
+            g, _on_edges(g, _diamond_cut_supports(n), lambda eid: diamond_cell_index(eid, n)))
     return {"lower": lower, "exact_orth_norm": exact_cut_norm,
             "upper": upper, "t_norm": t_norm, "tinv_norm": tinv_norm}
 
@@ -414,20 +434,24 @@ def multibranch_cut_basis(n: int, k: int) -> list[DyadicVector]:
 def multibranch_analysis(n: int, k: int) -> dict:
     """Cut-space projection data and Banach-Mazur bounds for D_{n,k}.
 
-    Certifies that the cut vectors are pairwise orthogonal, that every
-    cycle image is orthogonal to every cut vector, and that the cut and
-    cycle dimensions fill the edge space, all by sparse integer dot
-    products.  The fundamental cycles are independent, and so are the
-    orthogonal cut vectors; being orthogonal, the two spans meet only in
-    0, so they are orthogonal complements and P = sum w w^T / <w, w> over
-    the cut vectors is the orthogonal projection that kills the cycle
-    space.  Evaluates P on the first edge vector (the paper's witness) as
-    sum w[0] w / <w, w>, certifies the (1 - 1/k) n/2 lower bound, and
-    computes the upper bound ||T|| ||T^-1|| = ||T|| of the cut basis
-    normalized to quotient norm 1 (bm_upper_via_basis_map, one quotient
-    norm per orbit).  On binary diamonds that normalization is the paper's
-    2^(2k-1) scaling of level 2k-1 (tested for n <= 3).  The dense P is
-    returned too, built once as an integer sum of outer products.
+    The cut vectors are checked pairwise orthogonal on the grid, by sparse
+    integer dot products.  On the edges of D_{n,k}, bm_upper_via_basis_map
+    certifies in one pass over the fundamental cycles that every cycle image
+    is orthogonal to every cut vector, and that the cut vectors are
+    |E| - dim Z in number.  The fundamental cycles are independent, and so
+    are the orthogonal cut vectors; being orthogonal, the two spans meet
+    only in 0 and fill the edge space, so they are orthogonal complements
+    and P = sum w w^T / <w, w> over the cut vectors is the orthogonal
+    projection that kills the cycle space.  The same call returns the upper
+    bound ||T|| ||T^-1|| = ||T|| of the cut basis normalized to quotient
+    norm 1.  Every cut vector is +-1 on its support, so it certifies its
+    own quotient norm, its l1 norm, and ||T|| is the largest number of cut
+    vectors that meet one edge, with no LP.  On binary diamonds that
+    normalization is the paper's 2^(2k-1) scaling of level 2k-1 (tested
+    for n <= 3).  Evaluates P on the first edge vector (the paper's
+    witness) as sum w[0] w / <w, w> and certifies the (1 - 1/k) n/2 lower
+    bound.  The dense P is returned too, built once as an integer sum of
+    outer products.
     """
     if n < 1 or k < 2:
         raise ValidationError("need n >= 1 and k >= 2")
@@ -437,15 +461,8 @@ def multibranch_analysis(n: int, k: int) -> dict:
     cut = multibranch_cut_basis(n, k)
     family = _OrthogonalFamily(cut)
     g = multidiamond(n, k)
-    cycles = fundamental_cycle_basis(g).vectors
-    if len(cycles) + len(cut) != cells:
-        raise ValidationError("cut + cycle dimensions do not fill the edge space")
-
-    def cell(eid):
-        return multibranch_cell_index(eid, n, k)
-
-    if any(any(family.dots(_cells(z, cell)).values()) for z in cycles):
-        raise ValidationError("cycle image not orthogonal to the cut space")
+    bm_upper, _, _ = projections.bm_upper_via_basis_map(
+        g, _on_edges(g, family.vectors, lambda eid: multibranch_cell_index(eid, n, k)))
 
     pe1 = DyadicVector(*family.project({0: cells}, cells))   # e_1 L1-normalized: cells at cell 0
     # paper formula: P e_{n,1} = h_0 + (1/2) sum (2k)^i h_{i,1}
@@ -459,9 +476,6 @@ def multibranch_analysis(n: int, k: int) -> dict:
     if witness_value < bm_lower:
         raise ValidationError("witness value fell below the paper bound")
 
-    bm_upper, _, _ = projections.bm_upper_via_basis_map(
-        g, _on_edges(g, cut, cell),
-        symmetry.invariance_generators(recursive.profile_base(k2n_base(k)), n, g).values())
     p, linf_bound = family.matrix(cells)
     return {
         "cut_basis": cut,
@@ -472,5 +486,5 @@ def multibranch_analysis(n: int, k: int) -> dict:
         "linf_bound": linf_bound,
         "bm_lower": bm_lower,
         "bm_upper": bm_upper,
-        "cycle_dim": len(cycles),
+        "cycle_dim": mu(g),
     }

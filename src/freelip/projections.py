@@ -147,14 +147,16 @@ def orthogonal_index(vectors: list[dict]) -> dict:
     the pairs of vectors per coordinate rather than all pairs of vectors.
     """
     at: dict = {}
-    pairs: dict[tuple[int, int], int] = {}
+    pairs: dict[int, int] = {}          # j * len(vectors) + i -> <w_j, w_i> so far, j < i
+    size = len(vectors)
     for i, w in enumerate(vectors):
         if not w:
             raise ValidationError("cut vectors must be nonzero")
         for t, x in w.items():
             here = at.setdefault(t, [])
             for j, y in here:
-                pairs[j, i] = pairs.get((j, i), 0) + x * y
+                key = j * size + i
+                pairs[key] = pairs.get(key, 0) + x * y
             here.append((i, x))
     if any(pairs.values()):
         raise ValidationError("cut vectors are not pairwise orthogonal")
@@ -564,114 +566,61 @@ def minimal_projection_lp(basis_cols: list, ambient_dim: int, mode: str = "float
 # Banach-Mazur bound assembly
 # ---------------------------------------------------------------------------
 
-def bm_upper_via_basis_map(graph, cut_vectors: list, generators: list):
+def bm_upper_via_basis_map(graph, cut_vectors: list):
     """(||T|| ||T^{-1}||, ||T||, ||T^{-1}||) for the coset basis map on
     l1(E)/Z(graph).
 
-    cut_vectors are EdgeVectors on graph.  They must be nonzero, pairwise
-    orthogonal and gradients (w_e = psi(head) - psi(tail) for a vertex
-    potential psi, which is what being orthogonal to Z means; one walk down
-    the BFS tree per vector finds psi), so that together they span a
-    complement of Z.  Each w_i is normalized by its quotient norm
-    q_i = quotient_norm(w_i), and T sends the coset of w_i / q_i to the
-    i-th unit vector of l1.  Every basis coset then has quotient norm 1,
-    so ||T^{-1}|| = 1.  The quotient map sends the l1 unit ball onto the
-    quotient unit ball, so ||T|| is the max over edges e of
+    cut_vectors are EdgeVectors on graph.  One pass per call certifies that
+    they span a complement of Z: they are nonzero and pairwise orthogonal
+    (orthogonal_index), so independent; each has zero dot product with
+    every fundamental cycle, read through the orthogonal_index map, so each
+    is orthogonal to Z; and there are |E| - dim Z of them.
+    ValidationError otherwise.  Each w_i is normalized by its quotient norm
+    q_i, and T sends the coset of w_i / q_i to the i-th unit vector of l1.
+    Every basis coset then has quotient norm 1, so ||T^{-1}|| = 1.  The
+    quotient map sends the l1 unit ball onto the quotient unit ball, so
+    ||T|| is the max over edges e of
     ||T e_e||_1 = sum_i |w_i[e]| q_i / <w_i, w_i>, read off the vectors.
-    The values do not change when all vectors are rescaled together, so
-    grid cells may carry the counting or the mean norm alike.
 
-    generators are edge bijections given by the edges they move (edge id
-    -> image id, unlisted edges fixed), such as the cycle-preserving
-    bijections of symmetry.invariance_generators; they need not be graph
-    automorphisms.  A bijection sigma with sigma(Z) = Z is an l1 isometry
-    that maps Z onto itself, so it keeps quotient norms, <w, w> and
-    orthogonality to Z.  When sigma w = +-w' for two cut vectors, exactly
-    and not only up to a factor, w and w' join one orbit (union-find), and
-    the quotient norm and the gradient check run once per orbit.  Every
-    generator must be an edge bijection (symmetry.moved_edges) that maps each
-    cut vector to +- a cut vector and every fundamental cycle to a
-    zero-boundary vector; ValidationError otherwise.
+    A vector with constant magnitude c on its support needs no solve.  The
+    quotient norm is q(w) = max <w, y> over y orthogonal to Z with
+    ||y||_inf <= 1, and y = w / c is such a y, with <w, y> = ||w||_1; as
+    q(w) <= ||w||_1 always, q(w) = ||w||_1 = c |supp w|.  Its term in
+    ||T e_e||_1 is then c (c |supp w|) / (c^2 |supp w|) = 1 on every edge
+    of its support, so with such vectors alone ||T|| is the largest number
+    of cut vectors that meet one edge.  Any other vector goes to
+    cyclespace.quotient_norm.  The terms do not change when a vector is
+    rescaled, so grid cells may carry the counting or the mean norm alike.
     """
-    # Each vector as (d, integers over d) with d the lcm of its denominators:
-    # a bijection keeps d, so sigma w = +-w' exactly when the pairs agree.
-    keyed = []
+    keyed = []                          # (d, integers over d), d the lcm of the denominators
     for w in cut_vectors:
         if w.graph is not graph and w.graph != graph:
             raise ValidationError("cut vector lives on a different graph")
         den = math.lcm(*(v.denominator for v in w.coeffs.values()))
         keyed.append((den, {e: v.numerator * (den // v.denominator) for e, v in w.coeffs.items()}))
     cuts_at = orthogonal_index([w for _, w in keyed])   # nonzero, pairwise orthogonal
-
-    index = {}                          # the cut vectors and their negatives
-    for i, (den, w) in enumerate(keyed):
-        index[den, frozenset(w.items())] = i
-        index[den, frozenset((e, -v) for e, v in w.items())] = i
-    root = list(range(len(cut_vectors)))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    # Per generator sigma, only what meets the edges it moves is checked.
-    # sigma fixes a cut vector w with w[sigma e] = w[e] on every moved edge
-    # e of supp w, as it then permutes those edges among themselves; only
-    # the other cut vectors are mapped.  A fundamental cycle z has zero
-    # boundary, so sigma z has the boundary of sigma z - z, which is the sum
-    # of z[e] (boundary(sigma e) - boundary(e)) over the moved edges e.
-    cycles_at: dict[str, list[tuple[int, int]]] = {}      # edge -> [(cycle, sign)]
-    for c, z in enumerate(cyclespace.fundamental_cycle_basis(graph).vectors):
+    cycles = cyclespace.fundamental_cycle_basis(graph).vectors
+    for z in cycles:                    # T z = 0: the +-1 cycle meets no cut vector
+        dots: dict[int, int] = {}
         for e, v in z.coeffs.items():
-            cycles_at.setdefault(e, []).append((c, int(v)))
-    for sigma in generators:
-        moved = symmetry.moved_edges(graph, sigma, "generator")
-        for i in {i for e, f in moved.items()
-                  for i, x in cuts_at.get(e, ()) if keyed[i][1].get(f) != x}:
-            den, w = keyed[i]
-            j = index.get((den, frozenset((moved.get(e, e), v) for e, v in w.items())))
-            if j is None:
-                raise ValidationError("generator maps a cut vector to no cut vector up to sign")
-            a, b = find(i), find(j)
-            root[max(a, b)] = min(a, b)
-        net: dict[tuple[int, str], int] = {}            # (cycle, vertex) -> boundary
-        for e, f in moved.items():
-            src, dst = graph.edge_by_id[e], graph.edge_by_id[f]
-            for c, v in cycles_at.get(e, ()):
-                for vertex, sign in ((dst.head, v), (dst.tail, -v), (src.head, -v), (src.tail, v)):
-                    net[c, vertex] = net.get((c, vertex), 0) + sign
-        if any(net.values()):
-            raise ValidationError("generator does not map the cycle space onto itself")
+            sign = v.numerator
+            for i, x in cuts_at.get(e, ()):
+                dots[i] = dots.get(i, 0) + sign * x
+        if any(dots.values()):
+            raise ValidationError("nonzero cycle image: T does not vanish on the cycle space")
+    if len(keyed) != len(graph.edges) - len(cycles):
+        raise ValidationError(f"{len(keyed)} cut vectors cannot span a complement of the cycle "
+                              f"space: it needs |E| - dim Z = {len(graph.edges) - len(cycles)}")
 
-    parent_edge = cyclespace.spanning_tree(graph)[1]
-    tree = {e.id for e in parent_edge.values()}
-    chords = [e for e in graph.edges if e.id not in tree]
-
-    def is_gradient(w):                 # on the integer form of a vector
-        psi = {graph.bottom: 0}
-        for v, e in parent_edge.items():   # BFS order: parents come first
-            psi[v] = psi[e.tail] + w.get(e.id, 0) if e.head == v else psi[e.head] - w.get(e.id, 0)
-        return all(w.get(e.id, 0) == psi[e.head] - psi[e.tail] for e in chords)
-
-    # With w_i = W_i / d_i, ||T e_e||_1 = sum_i |W_i[e]| q_i d_i / <W_i, W_i>.
-    # The vectors of an orbit share d_i, <W_i, W_i> and q_i, so each orbit
-    # has one scale, and over the scales' common denominator D the sum runs
-    # on integers.
-    scale = {}                          # orbit root -> q_r d_r / <W_r, W_r>
-    for i in range(len(keyed)):
-        r = find(i)
-        if r not in scale:
-            den, w = keyed[r]
-            if not is_gradient(w):
-                raise ValidationError("T does not vanish on the cycle space")
-            scale[r] = cyclespace.quotient_norm(cut_vectors[r]) * den / sum(v * v for v in w.values())
-    d = math.lcm(*(x.denominator for x in scale.values()))
-    lifted = {r: x.numerator * (d // x.denominator) for r, x in scale.items()}
-    sums = {}
-    for i, (_, w) in enumerate(keyed):
-        c = lifted[find(i)]
-        for e, v in w.items():
-            sums[e] = sums.get(e, 0) + abs(v) * c
-    t_norm = Fraction(max(sums.values(), default=0), d)
+    sums: dict[str, int | Fraction] = {}
+    for (den, w), vector in zip(keyed, cut_vectors):
+        c = abs(next(iter(w.values())))
+        if all(abs(v) == c for v in w.values()):
+            for e in w:
+                sums[e] = sums.get(e, 0) + 1
+        else:                           # with w = W / d: |W[e]| q(w) d / <W, W>
+            scale = cyclespace.quotient_norm(vector) * den / sum(v * v for v in w.values())
+            for e, v in w.items():
+                sums[e] = sums.get(e, 0) + abs(v) * scale
+    t_norm = Fraction(max(sums.values(), default=0))
     return t_norm, t_norm, Fraction(1)

@@ -46,6 +46,13 @@ def num_to_json(x: Fraction):
 
 
 def num_from_json(x) -> Fraction:
+    """A rational read from JSON input; ValidationError for a string that
+    is not "p" or "p/q" in integers, or whose denominator is 0."""
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError(f"{x!r} is not a rational number") from None
     return to_fraction(x)
 
 

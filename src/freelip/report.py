@@ -115,11 +115,11 @@ def haar_witness(rng, n_max):
 
 
 def bm_sandwich(rng, n_max):
-    """(2n+1)/3 = lower <= |orthogonal projection|, upper <= 4n + 4."""
+    """(2n+1)/3 = lower <= |orthogonal projection|, and upper = n + 1
+    exactly, inside the paper's [lower, 4n + 4]."""
     def check(n):
         b = haar.diamond_bm_bounds(n)
-        ok = (b["exact_orth_norm"] >= b["lower"] == Fraction(2 * n + 1, 3)
-              and b["upper"] <= 4 * n + 4)
+        ok = b["exact_orth_norm"] >= b["lower"] == Fraction(2 * n + 1, 3) and b["upper"] == n + 1
         return (f"[{fmt(b['lower'])}, {4 * n + 4}]",
                 f"upper={fmt(b['upper'])} orth={fmt(b['exact_orth_norm'])}", ok)
     return [_row(f"bm-sandwich-n{n}", check, n) for n in range(1, n_max + 1)]
@@ -252,7 +252,7 @@ PAPER_TABLE = (
      dict(graphs=_QUOTIENT_GRAPHS, vectors=50)),
     (haar_even_levels, dict(n_max=3), dict(n_max=4)),
     (haar_witness, dict(n_max=5), dict(n_max=5)),
-    (bm_sandwich, dict(n_max=2), dict(n_max=3)),
+    (bm_sandwich, dict(n_max=2), dict(n_max=8)),
     (multibranch, dict(pairs=_MULTIBRANCH_PAIRS), dict(pairs=_MULTIBRANCH_PAIRS + ((2, 4),))),
     (minimal_projections, {}, {}),
     (mst_embedding, dict(trials=20, points=(4, 16)), dict(trials=100, points=(4, 16))),

@@ -11,7 +11,9 @@ Fraction cell values instead of summing integer numerators, the dense
 cut projections solve the Gram system of the cut vectors for
 B (B^T B)^-1 B^T and apply it as a matrix instead of summing
 w w^T / <w, w>, the all-vectors Banach-Mazur bound solves one quotient
-norm per cut vector instead of one per orbit, the dense group oracles multiply and invert
+norm per cut vector, and the orbit bound one per orbit of cut vectors
+under edge bijections, where the library solves none for a cut vector of
+constant magnitude, the dense group oracles multiply and invert
 whole Fraction matrices instead of composing index maps, and the transport
 projection norm solves one transportation problem per elementary molecule
 instead of reading the two-matching closed form, the Fraction graph
@@ -61,8 +63,8 @@ from math import lcm
 
 import numpy as np
 
-from freelip import haar_system, linalg
-from freelip.cyclespace import EdgeVector, boundary, fundamental_cycle_basis
+from freelip import cyclespace, haar_system, linalg
+from freelip.cyclespace import EdgeVector, boundary, fundamental_cycle_basis, spanning_tree
 from freelip.embeddings import large_embedding
 from freelip.errors import (DisconnectedGraph, GroupClosureOverflow, NotInvariantSubspace,
                             SingularGram, SolverFailure, ValidationError)
@@ -71,7 +73,9 @@ from freelip.metric import MetricSpace, Molecule, validate_metric
 from freelip.rational import to_fraction
 from freelip.graphs import Edge, TwoPoleGraph, diamond, multidiamond
 from freelip.recursive import c_type_vectors, edge_map_matrix
-from freelip.symmetry import edge_map_from_vertex_map, invariance_generators, vertical_automorphism
+from freelip.projections import orthogonal_index
+from freelip.symmetry import (edge_map_from_vertex_map, invariance_generators, moved_edges,
+                              vertical_automorphism)
 from freelip.simplex import solve_standard_exact
 
 ZERO = Fraction(0)
@@ -302,10 +306,105 @@ def all_vectors_bm_upper(graph, cut_vectors) -> Fraction:
     return max(sums.values())
 
 
+def orbit_bm_upper(graph, cut_vectors, generators) -> tuple:
+    """(||T|| ||T^-1||, ||T||, ||T^-1||) for the coset basis map, with one
+    quotient norm per orbit of cut vectors under edge bijections.
+
+    The reference for freelip.projections.bm_upper_via_basis_map.  The cut
+    vectors must be nonzero, pairwise orthogonal and gradients (one walk
+    down the BFS tree per orbit finds the potential).  generators are edge
+    bijections given by the edges they move, such as the cycle-preserving
+    bijections of symmetry.invariance_generators.  When sigma w = +-w' for
+    two cut vectors, exactly and not only up to a factor, w and w' join one
+    orbit (union-find), and the quotient norm and the gradient check run
+    once per orbit.  Every generator must be an edge bijection
+    (symmetry.moved_edges) that maps each cut vector to +- a cut vector and
+    every fundamental cycle to a zero-boundary vector; ValidationError
+    otherwise.  Nothing checks that the vectors span a complement of Z.
+    """
+    # Each vector as (d, integers over d) with d the lcm of its denominators:
+    # a bijection keeps d, so sigma w = +-w' exactly when the pairs agree.
+    keyed = []
+    for w in cut_vectors:
+        if w.graph is not graph and w.graph != graph:
+            raise ValidationError("cut vector lives on a different graph")
+        den = lcm(*(v.denominator for v in w.coeffs.values()))
+        keyed.append((den, {e: v.numerator * (den // v.denominator) for e, v in w.coeffs.items()}))
+    cuts_at = orthogonal_index([w for _, w in keyed])   # nonzero, pairwise orthogonal
+
+    index = {}                          # the cut vectors and their negatives
+    for i, (den, w) in enumerate(keyed):
+        index[den, frozenset(w.items())] = i
+        index[den, frozenset((e, -v) for e, v in w.items())] = i
+    root = list(range(len(cut_vectors)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    # Per generator sigma, only what meets the edges it moves is checked.
+    # sigma fixes a cut vector w with w[sigma e] = w[e] on every moved edge
+    # e of supp w; only the other cut vectors are mapped.  A fundamental
+    # cycle z has zero boundary, so sigma z has the boundary of sigma z - z,
+    # the sum of z[e] (boundary(sigma e) - boundary(e)) over the moved edges.
+    cycles_at: dict[str, list[tuple[int, int]]] = {}      # edge -> [(cycle, sign)]
+    for c, z in enumerate(fundamental_cycle_basis(graph).vectors):
+        for e, v in z.coeffs.items():
+            cycles_at.setdefault(e, []).append((c, int(v)))
+    for sigma in generators:
+        moved = moved_edges(graph, sigma, "generator")
+        for i in {i for e, f in moved.items()
+                  for i, x in cuts_at.get(e, ()) if keyed[i][1].get(f) != x}:
+            den, w = keyed[i]
+            j = index.get((den, frozenset((moved.get(e, e), v) for e, v in w.items())))
+            if j is None:
+                raise ValidationError("generator maps a cut vector to no cut vector up to sign")
+            a, b = find(i), find(j)
+            root[max(a, b)] = min(a, b)
+        net: dict[tuple[int, str], int] = {}            # (cycle, vertex) -> boundary
+        for e, f in moved.items():
+            src, dst = graph.edge_by_id[e], graph.edge_by_id[f]
+            for c, v in cycles_at.get(e, ()):
+                for vertex, sign in ((dst.head, v), (dst.tail, -v), (src.head, -v), (src.tail, v)):
+                    net[c, vertex] = net.get((c, vertex), 0) + sign
+        if any(net.values()):
+            raise ValidationError("generator does not map the cycle space onto itself")
+
+    parent_edge = spanning_tree(graph)[1]
+    tree = {e.id for e in parent_edge.values()}
+    chords = [e for e in graph.edges if e.id not in tree]
+
+    def is_gradient(w):                 # on the integer form of a vector
+        psi = {graph.bottom: 0}
+        for v, e in parent_edge.items():   # BFS order: parents come first
+            psi[v] = psi[e.tail] + w.get(e.id, 0) if e.head == v else psi[e.head] - w.get(e.id, 0)
+        return all(w.get(e.id, 0) == psi[e.head] - psi[e.tail] for e in chords)
+
+    # With w_i = W_i / d_i, ||T e_e||_1 = sum_i |W_i[e]| q_i d_i / <W_i, W_i>;
+    # the vectors of an orbit share d_i, <W_i, W_i> and q_i.
+    scale = {}                          # orbit root -> q_r d_r / <W_r, W_r>
+    for i in range(len(keyed)):
+        r = find(i)
+        if r not in scale:
+            den, w = keyed[r]
+            if not is_gradient(w):
+                raise ValidationError("T does not vanish on the cycle space")
+            scale[r] = cyclespace.quotient_norm(cut_vectors[r]) * den / sum(v * v for v in w.values())
+    sums = {}
+    for i, (_, w) in enumerate(keyed):
+        for e, v in w.items():
+            sums[e] = sums.get(e, ZERO) + abs(v) * scale[find(i)]
+    t_norm = max(sums.values(), default=ZERO)
+    return t_norm, t_norm, ONE
+
+
 def on_edges(graph, vectors, cell) -> list:
     """Grid vectors as edge vectors: edge e takes the value of cell(e.id)."""
-    return [EdgeVector(graph, {e.id: v.values[cell(e.id)] for e in graph.edges})
-            for v in vectors]
+    cells = {e.id: cell(e.id) for e in graph.edges}
+    return [EdgeVector(graph, {e: values[t] for e, t in cells.items()})
+            for values in (v.values for v in vectors)]
 
 
 def diamond_cut_vectors(n: int) -> list:

@@ -261,6 +261,26 @@ def test_json_graph_weights_must_be_positive_rationals(tmp_path, capsys, weight,
             "or Fractions") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["abc", "x/2", "1/0"])
+def test_json_graph_weight_that_is_not_a_rational_is_a_validation_error(tmp_path, capsys, text):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"vertices": ["a", "b", "c"], "top": "c", "bottom": "a",
+                             "edges": [{"id": "e1", "tail": "a", "head": "b", "weight": text},
+                                       {"id": "e2", "tail": "b", "head": "c"}]}))
+    assert run_cli("embed", "--graph", str(g), "--strategy", "half") == 2
+    assert f"validation error: {text!r} is not a rational number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["x/2", "abc", "3/0"])
+def test_molecule_coefficient_that_is_not_a_rational_is_a_validation_error(tmp_path, capsys,
+                                                                           text):
+    space, mol = tmp_path / "s.json", tmp_path / "m.json"
+    space.write_text(json.dumps({"points": ["a", "b"], "dist": [[0, 1], [1, 0]]}))
+    mol.write_text(json.dumps({"coeffs": {"a": text, "b": -1}}))
+    assert run_cli("norm", "--space", str(space), "--molecule", str(mol)) == 2
+    assert f"validation error: {text!r} is not a rational number" in capsys.readouterr().err
+
+
 def test_embed_command(tmp_path, capsys):
     space = tmp_path / "s.json"
     space.write_text(json.dumps(

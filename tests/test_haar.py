@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +26,7 @@ from freelip.simplex import min_l1_combination
 from oracles import (all_vectors_bm_upper, dense_linf, dense_multibranch_analysis,
                      dense_orthogonal_projection, diamond_cut_vectors, even_level_span_dense,
                      fraction_cut_column_norm, fraction_haar_coefficients, is_idempotent,
-                     mat_vec, multibranch_graph_to_dyadic, on_edges)
+                     mat_vec, multibranch_graph_to_dyadic, on_edges, orbit_bm_upper)
 
 
 def test_haar_basic_vectors():
@@ -298,32 +302,66 @@ def _cut_edge_vectors(family, n, k=None):
     return g, vecs, gens
 
 
+def _count_quotient_norms(monkeypatch):
+    solved = []
+    real = cyclespace.quotient_norm
+    monkeypatch.setattr(cyclespace, "quotient_norm", lambda x: solved.append(x) or real(x))
+    return solved
+
+
 @pytest.mark.parametrize("family,n,k,orbits", [
     ("diamond", 1, None, 2), ("diamond", 2, None, 3), ("diamond", 3, None, 5),
     ("multi", 1, 3, 2), ("multi", 2, 3, 3), ("multi", 1, 4, 2), ("multi", 2, 4, 3)])
 def test_orbit_reduced_upper_bound_equals_the_all_vectors_bound(family, n, k, orbits,
                                                                  monkeypatch):
+    # the orbit reference solves one quotient norm per orbit, the all-vectors
+    # reference one per cut vector, and the library none: every cut vector
+    # is +-1 on its support
     g, vecs, gens = _cut_edge_vectors(family, n, k)
     want = all_vectors_bm_upper(g, vecs)
-    solved = []
-    real = cyclespace.quotient_norm
-    monkeypatch.setattr(cyclespace, "quotient_norm", lambda x: solved.append(x) or real(x))
-    assert bm_upper_via_basis_map(g, vecs, gens) == (want, want, 1)
+    solved = _count_quotient_norms(monkeypatch)
+    assert orbit_bm_upper(g, vecs, gens) == (want, want, 1)
     assert len(solved) == orbits
     # without generators every cut vector is its own orbit
     solved.clear()
-    assert bm_upper_via_basis_map(g, vecs, []) == (want, want, 1)
+    assert orbit_bm_upper(g, vecs, []) == (want, want, 1)
     assert len(solved) == len(vecs)
+    solved.clear()
+    assert bm_upper_via_basis_map(g, vecs) == (want, want, 1)
+    assert solved == []
+
+
+@pytest.mark.parametrize("family,n,k", [
+    ("diamond", 1, None), ("diamond", 2, None), ("diamond", 3, None), ("diamond", 4, None),
+    ("diamond", 5, None), ("multi", 1, 3), ("multi", 2, 3), ("multi", 1, 4), ("multi", 2, 4),
+    ("multi", 3, 3), ("multi", 2, 5), ("multi", 3, 4)])
+def test_counted_upper_bound_matches_the_orbit_reference(family, n, k):
+    g, vecs, gens = _cut_edge_vectors(family, n, k)
+    want = orbit_bm_upper(g, vecs, gens)
+    assert bm_upper_via_basis_map(g, vecs) == want
+    if family == "diamond":
+        assert want == (n + 1, n + 1, 1)
+        assert diamond_bm_bounds(n)["upper"] == n + 1
+    else:
+        assert multibranch_analysis(n, k)["bm_upper"] == want[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_diamond_cut_supports_are_the_dense_haar_functions(n):
+    # the sparse cell blocks of diamond_bm_bounds against level_span_vectors
+    dense = [dict(haar_system._support(w.nums)) for w in diamond_cut_vectors(n)]
+    assert haar_system._diamond_cut_supports(n) == dense
 
 
 def test_upper_bound_rejects_a_transposition_that_breaks_the_cycle_space():
+    # the orbit reference checks each generator against the cycle space
     g, vecs, gens = _cut_edge_vectors("diamond", 2)
     swap = {e.id: e.id for e in g.edges}
     swap["tl/tl"], swap["br/br"] = "br/br", "tl/tl"
     assert any(boundary(z.permute(swap)).coeffs                  # swap breaks Z
                for z in fundamental_cycle_basis(g).vectors)
     with pytest.raises(ValidationError):
-        bm_upper_via_basis_map(g, vecs, gens + [swap])
+        orbit_bm_upper(g, vecs, gens + [swap])
 
 
 def test_multibranch_overlap_for_k3():
@@ -432,15 +470,44 @@ def test_haar_layer_reach():
 
 
 def test_diamond_bm_bounds_reach_at_n6(monkeypatch):
-    # one quotient norm per orbit on the 4,096 edges of D_6; each invariance
-    # generator lists only the edges it moves
-    solved = []
-    real = cyclespace.quotient_norm
-    monkeypatch.setattr(cyclespace, "quotient_norm", lambda x: solved.append(x) or real(x))
+    # no quotient norm on the 4,096 edges of D_6: every cut vector is +-1 on
+    # its support, so it certifies its own
+    solved = _count_quotient_norms(monkeypatch)
     start = time.perf_counter()
     b = diamond_bm_bounds(6)
-    assert len(solved) == 33
+    assert solved == []
     assert b["upper"] == b["t_norm"] == 7 and b["tinv_norm"] == 1
     # ||P_cut||_inf = (2n + 2)/3 + 1/9 + 4^(1-n)/18 at n = 6
     assert b["exact_orth_norm"] == F(14, 3) + F(1, 9) + F(1, 18 * 4 ** 5) == F(9785, 2048)
     assert time.perf_counter() - start < 5
+
+
+_D7_REACH = """
+import re, resource, time
+from freelip.haar_system import diamond_bm_bounds
+start = time.perf_counter()
+b = diamond_bm_bounds(7)
+seconds = time.perf_counter() - start
+try:
+    with open("/proc/self/status") as f:
+        peak_kb = int(re.search(r"VmHWM:\\s*(\\d+) kB", f.read()).group(1))
+except OSError:
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(b["upper"], b["t_norm"], b["tinv_norm"], b["exact_orth_norm"], seconds, peak_kb // 1024)
+"""
+
+
+def test_diamond_bm_bounds_reach_at_n7():
+    # 16,384 edges and 10,923 cut vectors: the orbit method took 18 s and
+    # 126-143 MB here, 12 s of it in one quotient norm; the count takes
+    # about 0.5 s at about 60 MB.  The child reads its peak as VmHWM where
+    # there is one: on Linux a child's ru_maxrss starts from the peak of the
+    # process that started it, here the test runner.
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", _D7_REACH], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    upper, t_norm, tinv_norm, orth, seconds, rss_mb = proc.stdout.split()
+    assert (upper, t_norm, tinv_norm, orth) == ("8", "8", "1", "44601/8192")
+    assert float(seconds) < 5, f"{seconds} s"
+    assert int(rss_mb) < 100, f"{rss_mb} MB peak RSS"

@@ -32,7 +32,8 @@ from oracles import (all_vectors_bm_upper, dense_average_projection, dense_commu
                      dense_generate_group, dense_min_proj_split_rows,
                      dense_min_proj_standard_form, fraction_cycle_certificate,
                      fraction_orthogonal_projection, fraction_rank, fraction_rref,
-                     fraction_solve, is_idempotent, mat_add, mat_vec, merged_rows)
+                     fraction_solve, is_idempotent, mat_add, mat_vec, merged_rows,
+                     orbit_bm_upper)
 
 LINE = [F(1), F(1), F(-1), F(-1)]
 
@@ -494,29 +495,29 @@ def test_a_feasible_but_not_optimal_vertex_raises(monkeypatch):
 def test_bm_upper_trivial_quotient():
     g = path(3)
     unit = [EdgeVector(g, {e.id: F(1)}) for e in g.edges]
-    value, tn, tin = bm_upper_via_basis_map(g, unit, [])
+    value, tn, tin = bm_upper_via_basis_map(g, unit)
     assert value == tn == tin == 1
     # rescaled columns give the same map: each is normalized by q / <w, w>
     scaled = [EdgeVector(g, {"e0": F(2)}), EdgeVector(g, {"e1": F(-1, 3)}),
               EdgeVector(g, {"e2": F(5, 2)})]
-    assert bm_upper_via_basis_map(g, scaled, []) == (1, 1, 1)
+    assert bm_upper_via_basis_map(g, scaled) == (1, 1, 1)
 
 
 def test_bm_upper_rejects_map_not_vanishing_on_cycles():
     g = diamond(1)
     with pytest.raises(ValidationError, match="vanish"):
-        bm_upper_via_basis_map(g, [EdgeVector(g, {"tl": F(1)})], [])
+        bm_upper_via_basis_map(g, [EdgeVector(g, {"tl": F(1)})])
 
 
 def test_bm_upper_rejects_zero_or_non_orthogonal_cut_columns():
     g = path(2)
     with pytest.raises(ValidationError, match="pairwise orthogonal"):
         bm_upper_via_basis_map(g, [EdgeVector(g, {"e0": F(1)}),
-                                   EdgeVector(g, {"e0": F(1), "e1": F(1)})], [])
+                                   EdgeVector(g, {"e0": F(1), "e1": F(1)})])
     with pytest.raises(ValidationError, match="nonzero"):
-        bm_upper_via_basis_map(g, [EdgeVector(g, {"e0": F(1)}), EdgeVector(g, {})], [])
+        bm_upper_via_basis_map(g, [EdgeVector(g, {"e0": F(1)}), EdgeVector(g, {})])
     with pytest.raises(ValidationError, match="different graph"):
-        bm_upper_via_basis_map(g, [EdgeVector(path(3), {"e2": F(1)})], [])
+        bm_upper_via_basis_map(g, [EdgeVector(path(3), {"e2": F(1)})])
 
 
 def _d1_cut_vectors(g):
@@ -525,15 +526,80 @@ def _d1_cut_vectors(g):
             EdgeVector(g, {"tl": F(1), "bl": F(-1)}), EdgeVector(g, {"br": F(1), "tr": F(-1)})]
 
 
-def test_bm_upper_joins_cut_vectors_under_a_symmetry(monkeypatch):
-    g = diamond(1)
-    mirror = {"tl": "tr", "tr": "tl", "bl": "br", "br": "bl"}      # swaps l and r
+def _counting_quotient_norms(monkeypatch):
     solved = []
     real = cyclespace.quotient_norm
     monkeypatch.setattr(cyclespace, "quotient_norm", lambda x: solved.append(x) or real(x))
-    assert bm_upper_via_basis_map(g, _d1_cut_vectors(g), [mirror]) == (2, 2, 1)
+    return solved
+
+
+def test_bm_upper_solves_no_quotient_norm_for_constant_magnitude_vectors(monkeypatch):
+    g = diamond(1)
+    solved = _counting_quotient_norms(monkeypatch)
+    assert bm_upper_via_basis_map(g, _d1_cut_vectors(g)) == (2, 2, 1)
+    assert solved == []
+    assert all_vectors_bm_upper(g, _d1_cut_vectors(g)) == 2
+
+
+def test_bm_upper_falls_back_to_the_quotient_norm_for_other_vectors(monkeypatch):
+    # h_0 and two orthogonal mixtures of the level-1 functions of D_1:
+    # |value| is 1 or 2 on their supports, so each needs a quotient norm
+    g = diamond(1)
+    mixed = [_d1_cut_vectors(g)[0],
+             EdgeVector(g, {"tl": F(1), "bl": F(-1), "br": F(2), "tr": F(-2)}),
+             EdgeVector(g, {"tl": F(2), "bl": F(-2), "br": F(-1), "tr": F(1)})]
+    solved = _counting_quotient_norms(monkeypatch)
+    got = bm_upper_via_basis_map(g, mixed)
+    assert solved == mixed[1:]
+    want = all_vectors_bm_upper(g, mixed)
+    assert got == (want, want, 1) and orbit_bm_upper(g, mixed, []) == got
+    assert want > 2                     # the mixtures are worse than the Haar pair
+
+
+def test_bm_upper_rejects_a_cut_vector_that_meets_a_cycle():
+    # D_1 plus a pendant edge p: h_0 and the level-1 functions with p's
+    # indicator span a complement of Z; moving h_2 onto half of the cycle
+    # keeps the vectors orthogonal to each other but not to the cycle
+    d1 = diamond(1)
+    g = TwoPoleGraph(d1.vertices + ("x",), d1.edges + (Edge("p", "top", "x"),), "x", "bottom")
+    good = [EdgeVector(g, {"tl": F(1), "bl": F(1), "br": F(1), "tr": F(1)}),
+            EdgeVector(g, {"tl": F(1), "bl": F(-1)}), EdgeVector(g, {"br": F(1), "tr": F(-1)}),
+            EdgeVector(g, {"p": F(1)})]
+    assert bm_upper_via_basis_map(g, good) == (2, 2, 1)
+    meets = good[:1] + [EdgeVector(g, {"tl": F(1), "tr": F(-1)}),
+                        EdgeVector(g, {"bl": F(1), "br": F(-1)})] + good[3:]
+    [z] = fundamental_cycle_basis(g).vectors
+    assert [sum(w.get(e) * v for e, v in z.coeffs.items()) != 0 for w in meets] == [
+        False, True, True, False]
+    with pytest.raises(ValidationError, match="cycle image"):
+        bm_upper_via_basis_map(g, meets)
+
+
+@pytest.mark.parametrize("drop", [0, 1, 2])
+def test_bm_upper_rejects_a_family_one_vector_short(drop):
+    # the remaining two vectors are orthogonal to each other and to Z, but
+    # they span only part of Z's complement
+    g = diamond(1)
+    short = [w for i, w in enumerate(_d1_cut_vectors(g)) if i != drop]
+    with pytest.raises(ValidationError, match="complement"):
+        bm_upper_via_basis_map(g, short)
+    with pytest.raises(ValidationError, match="complement"):
+        bm_upper_via_basis_map(path(2), [EdgeVector(path(2), {"e0": F(1)})])
+
+
+# The orbit method, with one quotient norm per orbit of cut vectors under
+# edge bijections, is the reference oracles.orbit_bm_upper; its generator
+# checks keep it honest as a reference.
+
+def test_bm_upper_joins_cut_vectors_under_a_symmetry(monkeypatch):
+    g = diamond(1)
+    mirror = {"tl": "tr", "tr": "tl", "bl": "br", "br": "bl"}      # swaps l and r
+    solved = _counting_quotient_norms(monkeypatch)
+    assert orbit_bm_upper(g, _d1_cut_vectors(g), [mirror]) == (2, 2, 1)
     assert len(solved) == 2                                         # h_0, and h_2 ~ h_3
-    assert bm_upper_via_basis_map(g, _d1_cut_vectors(g), []) == (2, 2, 1)
+    assert orbit_bm_upper(g, _d1_cut_vectors(g), []) == (2, 2, 1)
+    assert len(solved) == 5
+    assert bm_upper_via_basis_map(g, _d1_cut_vectors(g)) == (2, 2, 1)
     assert len(solved) == 5
 
 
@@ -545,7 +611,7 @@ def test_bm_upper_joins_cut_vectors_under_a_symmetry(monkeypatch):
 def test_bm_upper_rejects_a_generator_that_is_not_an_edge_bijection(bad):
     g = diamond(1)
     with pytest.raises(ValidationError, match="bijection"):
-        bm_upper_via_basis_map(g, _d1_cut_vectors(g), [bad])
+        orbit_bm_upper(g, _d1_cut_vectors(g), [bad])
 
 
 @pytest.mark.parametrize("g", [diamond(2), laakso(2), multidiamond(1, 3)])
@@ -559,9 +625,9 @@ def test_bm_upper_cycle_check_matches_the_boundaries_of_the_mapped_cycles(g):
         outcomes.add(breaks)
         if breaks:
             with pytest.raises(ValidationError, match="cycle space"):
-                bm_upper_via_basis_map(g, [], [sigma])
+                orbit_bm_upper(g, [], [sigma])
         else:
-            assert bm_upper_via_basis_map(g, [], [sigma]) == (0, 0, 1)
+            assert orbit_bm_upper(g, [], [sigma]) == (0, 0, 1)
     assert outcomes == {True, False}
 
 
@@ -569,7 +635,7 @@ def test_bm_upper_rejects_a_generator_that_moves_a_cut_vector_off_the_family():
     g = diamond(1)
     swap = {"tl": "br", "br": "tl", "bl": "bl", "tr": "tr"}
     with pytest.raises(ValidationError, match="no cut vector"):
-        bm_upper_via_basis_map(g, _d1_cut_vectors(g), [swap])
+        orbit_bm_upper(g, _d1_cut_vectors(g), [swap])
 
 
 def _path4_cut_vectors(g, half):
@@ -584,12 +650,14 @@ def test_bm_upper_does_not_join_cut_vectors_that_differ_by_a_factor():
     g = path(4)
     shift = {"e0": "e2", "e1": "e3", "e2": "e0", "e3": "e1"}
     with pytest.raises(ValidationError, match="no cut vector"):
-        bm_upper_via_basis_map(g, _path4_cut_vectors(g, F(1, 2)), [shift])
+        orbit_bm_upper(g, _path4_cut_vectors(g, F(1, 2)), [shift])
     assert all_vectors_bm_upper(g, _path4_cut_vectors(g, F(1, 2))) == 2
+    assert bm_upper_via_basis_map(g, _path4_cut_vectors(g, F(1, 2))) == (2, 2, 1)
     # with A and E at D's scale the shift joins {A, D} and {E, B}
     vecs = _path4_cut_vectors(g, F(1))
     upper = all_vectors_bm_upper(g, vecs)
-    assert bm_upper_via_basis_map(g, vecs, [shift]) == (upper, upper, 1)
+    assert orbit_bm_upper(g, vecs, [shift]) == (upper, upper, 1)
+    assert bm_upper_via_basis_map(g, vecs) == (upper, upper, 1)
 
 
 def test_bm_upper_rejects_a_generator_that_breaks_the_cycle_space_without_joining():
@@ -599,7 +667,7 @@ def test_bm_upper_rejects_a_generator_that_breaks_the_cycle_space_without_joinin
     g = TwoPoleGraph(d1.vertices + ("x",), d1.edges + (Edge("p", "top", "x"),), "x", "bottom")
     swap = {"tl": "br", "br": "tl", "bl": "bl", "tr": "tr", "p": "p"}
     with pytest.raises(ValidationError, match="cycle space"):
-        bm_upper_via_basis_map(g, [EdgeVector(g, {"p": F(1)})], [swap])
+        orbit_bm_upper(g, [EdgeVector(g, {"p": F(1)})], [swap])
 
 
 def test_bm_upper_rejects_a_joining_generator_that_breaks_the_cycle_space():
@@ -612,10 +680,10 @@ def test_bm_upper_rejects_a_joining_generator_that_breaks_the_cycle_space():
     bridges = [EdgeVector(g, {"p": F(1)}), EdgeVector(g, {"q": F(1)})]
     sigma = {"tl": "br", "br": "tl", "bl": "bl", "tr": "tr", "p": "q", "q": "p"}
     with pytest.raises(ValidationError, match="cycle space"):
-        bm_upper_via_basis_map(g, bridges, [sigma])
+        orbit_bm_upper(g, bridges, [sigma])
     # the same swap of the bridges alone keeps Z
     keep = dict(sigma, tl="tl", br="br")
-    assert bm_upper_via_basis_map(g, bridges, [keep]) == (1, 1, 1)
+    assert orbit_bm_upper(g, bridges, [keep]) == (1, 1, 1)
 
 
 def _random_connected_graph(rng):
