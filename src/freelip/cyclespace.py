@@ -13,6 +13,7 @@ denominator.  The simplex checks its optimal vertex potentials, a
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -183,18 +184,24 @@ def fundamental_cycle_basis(g: TwoPoleGraph) -> CycleBasis:
     """One cycle per non-tree edge of a BFS spanning tree.
 
     Each basis vector is +1 on its non-tree edge and +-1 along the tree
-    path closing it, so the vectors are independent by construction and
-    there are exactly |E| - |V| + 1 of them.
+    path closing it, the signs of its walk in fundamental_cycles_as_walks,
+    so the vectors are independent by construction and there are exactly
+    |E| - |V| + 1 of them.
     """
-    return CycleBasis(tuple(signed_indicator(w, g) for w in fundamental_cycles_as_walks(g)))
+    return CycleBasis(tuple(
+        EdgeVector.of_nonzero(g, {eid: ONE if sign > 0 else _MINUS_ONE for eid, sign in walk})
+        for walk in fundamental_cycles_as_walks(g)))
 
 
-def fundamental_cycles_as_walks(g: TwoPoleGraph) -> list[list[str]]:
-    """The fundamental cycles as ordered closed edge walks.
+def fundamental_cycles_as_walks(g: TwoPoleGraph) -> Iterator[list[tuple[str, int]]]:
+    """The fundamental cycles as ordered closed edge walks of (edge id, sign)
+    pairs, one at a time, in the order of their non-tree edges.
 
-    Each walk starts with its non-tree edge (traversed tail to head) and
+    Each walk starts with its non-tree edge, traversed tail to head, and
     closes through the tree: head up to the least common ancestor, then
-    down to the tail.
+    down to the tail.  A sign is +1 where the walk runs along the edge's
+    orientation and -1 where it runs against it, as signed_indicator gives
+    them.
     """
     parent, parent_edge = spanning_tree(g)
     tree_ids = {e.id for e in parent_edge.values()}
@@ -203,23 +210,24 @@ def fundamental_cycles_as_walks(g: TwoPoleGraph) -> list[list[str]]:
         if u is not None:
             depth[v] = depth[u] + 1
 
-    walks = []
     for e in g.edges:
         if e.id in tree_ids:
             continue
         # climb from the deeper end until the two ends meet at the common
-        # ancestor, so each walk costs its own length, not the tree depth
+        # ancestor, so each walk costs its own length, not the tree depth;
+        # the walk leaves a on its way up and enters b on its way down
         up, down = [], []
         a, b = e.head, e.tail
         while a != b:
             if depth[a] >= depth[b]:
-                up.append(parent_edge[a].id)
+                f = parent_edge[a]
+                up.append((f.id, 1 if f.tail == a else -1))
                 a = parent[a]
             else:
-                down.append(parent_edge[b].id)
+                f = parent_edge[b]
+                down.append((f.id, 1 if f.head == b else -1))
                 b = parent[b]
-        walks.append([e.id] + up + down[::-1])
-    return walks
+        yield [(e.id, 1)] + up + down[::-1]
 
 
 def mu(g: TwoPoleGraph) -> int:

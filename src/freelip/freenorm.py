@@ -106,6 +106,8 @@ def lip_dual(space: MetricSpace, m: Molecule,
     """
     if basepoint is None:
         basepoint = space.basepoint or space.points[0]
+    elif basepoint not in space.index:
+        raise ValidationError(f"basepoint {basepoint!r} not in the space")
     _, sinks, value, _, (_, v) = _transport(space, m)
     if sinks:
         cols = [space.index[t] for t in sinks]

@@ -180,7 +180,7 @@ def check_conditions(b: TwoPoleGraph) -> dict:
     to_top = space.distances_from(b.top)
     oriented = all(to_top[e.head] < to_top[e.tail] for e in b.edges)
     walks = fundamental_cycles_as_walks(b)
-    two_blocks = all(up_down_decomposition(w, b) for w in walks)
+    two_blocks = all(up_down_decomposition([eid for eid, _ in w], b) for w in walks)
     report["2_orientation_updown"] = {"ok": oriented and two_blocks,
                                       "oriented_toward_top": oriented,
                                       "cycles_two_blocks": two_blocks}

@@ -10,7 +10,7 @@
   §11.5).  Its two entry points run on integers, differ only in their
   arcs and their start tree, and check the optimal flow and potentials
   once from scratch in those integers: ``transportation`` has one arc per
-  (supply, demand) cell and the north-west-corner staircase, takes
+  (supply, demand) cell and the least-cost start (``_least_cost``), takes
   integer costs over one denominator (a metric's rows) and returns the
   value, the plan and the integer potentials from which
   ``freenorm.lip_dual`` reads its 1-Lipschitz certificate;
@@ -303,31 +303,39 @@ def _network_simplex(n, tails, heads, cost, flow, tree):
         _tree_pivot(tails, heads, flow, adj, outs, ins, parent, parc, depth, phi, reduced, a_in)
 
 
-def _north_west(supply, demand):
-    """North-west-corner start: the flows of arcs i nd + j and the staircase
-    of ns + nd - 1 tree arcs.
+def _least_cost(icost, supply, demand):
+    """Least-cost start (Dantzig's matrix minimum; Ahuja, Magnanti and Orlin,
+    *Network Flows*, ch. 11): the flows of arcs i nd + j and a spanning tree
+    of ns + nd - 1 of them.
 
-    When a row and a column run out together only the row advances, so the
-    next cell carries a zero flow and the basis stays a spanning tree.
+    The cells are scanned by cost, ties by index.  A cell whose row and
+    column are both open takes min(remaining supply, remaining demand) and
+    closes one line: its row when the row is used up and is not the last
+    open row, otherwise its column, whose demand the balanced masses have
+    then used up.  A cell closes a line the later cells never use again,
+    so the taken cells form no cycle, and the last one closes the last
+    column.
     """
     ns, nd = len(supply), len(demand)
+    ra, rb = list(supply), list(demand)
+    row_open, col_open = [True] * ns, [True] * nd
+    rows_left, size = ns, ns + nd - 1
     flow, tree = [0] * (ns * nd), []
-    i = j = 0
-    ra, rb = supply[0], demand[0]
-    while True:
-        q = min(ra, rb)
-        flow[i * nd + j] = q
-        tree.append(i * nd + j)
-        ra -= q
-        rb -= q
-        if i == ns - 1 and j == nd - 1:
-            return flow, tree
-        if (ra == 0 and i < ns - 1) or j == nd - 1:
-            i += 1
-            ra = supply[i]
-        else:
-            j += 1
-            rb = demand[j]
+    for a in sorted(range(ns * nd), key=icost.__getitem__):
+        i, j = divmod(a, nd)
+        if row_open[i] and col_open[j]:
+            q = min(ra[i], rb[j])
+            flow[a] = q
+            tree.append(a)
+            ra[i] -= q
+            rb[j] -= q
+            if ra[i] == 0 and rows_left > 1:
+                row_open[i] = False
+                rows_left -= 1
+            else:
+                col_open[j] = False
+            if len(tree) == size:
+                return flow, tree
 
 
 def _certified(tails, heads, cost, flow, phi, div):
@@ -366,7 +374,7 @@ def transportation(cost, supply, demand, den=1):
     optimal integer potentials over den, u_i + v_j <= cost[i][j] with
     equality wherever the plan is positive.  Runs the network simplex on
     the masses scaled to integers: arc i nd + j from row i to column
-    ns + j, from the north-west corner, with u = -phi(rows) and v =
+    ns + j, from the least-cost start tree, with u = -phi(rows) and v =
     phi(columns); plan and potentials are certified in those integers
     (_certified).
     """
@@ -377,7 +385,7 @@ def transportation(cost, supply, demand, den=1):
     if not ns or not nd:
         return ZERO, [[] for _ in range(ns)], ([0] * ns, [0] * nd)
     icost = [c for row in cost for c in row]
-    flow, tree = _north_west(masses[:ns], masses[ns:])
+    flow, tree = _least_cost(icost, masses[:ns], masses[ns:])
     tails = [i for i in range(ns) for _ in range(nd)]
     heads = [ns + j for _ in range(ns) for j in range(nd)]
     phi = _network_simplex(ns + nd, tails, heads, icost, flow, tree)

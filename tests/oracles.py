@@ -40,6 +40,8 @@ code with the library;
 the full-walk network simplex finds the potentials by walking the
 whole tree and prices every arc afresh on every pivot, instead of
 updating both on the subtree that moves;
+the north-west-corner start fills the transportation staircase row by
+row with no look at the costs, instead of scanning the cells by cost;
 and the full invariance generators map every edge id of the graph, one
 split and join per edge, instead of listing only the edges that each
 generator moves;
@@ -847,6 +849,34 @@ def merged_rows(b: list) -> tuple:
         cls.append(c)
         s.append(lead / den)
     return [[wc * x for x in ray] for ray, wc in zip(rays, w)], cls, s, w
+
+
+def north_west(supply, demand):
+    """North-west-corner start for simplex.transportation, which ignores the
+    costs: the flows of arcs i nd + j and the staircase of ns + nd - 1 tree
+    arcs.
+
+    When a row and a column run out together only the row advances, so the
+    next cell carries a zero flow and the basis stays a spanning tree.
+    """
+    ns, nd = len(supply), len(demand)
+    flow, tree = [0] * (ns * nd), []
+    i = j = 0
+    ra, rb = supply[0], demand[0]
+    while True:
+        q = min(ra, rb)
+        flow[i * nd + j] = q
+        tree.append(i * nd + j)
+        ra -= q
+        rb -= q
+        if i == ns - 1 and j == nd - 1:
+            return flow, tree
+        if (ra == 0 and i < ns - 1) or j == nd - 1:
+            i += 1
+            ra = supply[i]
+        else:
+            j += 1
+            rb = demand[j]
 
 
 # The network simplex with a whole-tree walk and a full pricing pass on every

@@ -59,3 +59,33 @@ def test_workload_entry_counts_better_pairs_and_sums_counts():
 def test_workload_entry_needs_whole_pairs():
     with pytest.raises(ValueError):
         bench_pairs.workload_entry(1, [_run(0.1, 1.0, 1.0)], [], END_TO_END)
+
+
+def test_a_seed_list_writes_one_entry_per_seed_and_workload(tmp_path, monkeypatch):
+    # both revisions and every run are stubbed; the file lands in tmp_path
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, into: rev * 8)
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed))
+        return _run(0.1, 0.9 if checkout.name == "change" else 1.0, 20.0 + seed)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["p", "c", "--pr", "7", "--workloads", "w1,w2", "--pairs", "2",
+                             "--seed", "1,5"]) == 0
+    doc = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert (doc["parent_rev"], doc["change_rev"]) == ("p" * 8, "c" * 8)
+    for workload in ("w1", "w2"):
+        entries = doc["workloads"][workload]
+        assert [e["seed"] for e in entries] == [1, 5]
+        assert [e["parent"]["peak_rss_mb"]["median"] for e in entries] == [21.0, 25.0]
+        assert all(e["pairs"] == 2 and e["change_better_in_pairs"]["certify_ref"] == 2
+                   for e in entries)
+    pair = [("parent", "change"), ("change", "parent")]
+    assert calls == [(side, w, seed) for w in ("w1", "w2") for seed in (1, 5)
+                     for order in pair for side in order]
+    assert bench_pairs.seeds("3") == [3]
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["p", "c", "--pr", "7", "--seed", "1,x"])

@@ -127,6 +127,28 @@ def test_fundamental_basis_diamond_one_spans_outer_cycle():
     assert oracles.fraction_rank([basis.vectors[0].dense(), outer.dense()]) == 1
 
 
+def _every_other_edge_reversed(g):
+    edges = tuple(Edge(e.id, e.head, e.tail, e.weight) if k % 2 else e
+                  for k, e in enumerate(g.edges))
+    return TwoPoleGraph(g.vertices, edges, g.top, g.bottom)
+
+
+@pytest.mark.parametrize("g", [
+    diamond(3), laakso(2), multidiamond(2, 3), path(4),
+    _every_other_edge_reversed(diamond(2)), _every_other_edge_reversed(laakso(1)),
+], ids=["d3", "l2", "m23", "path", "d2-mixed", "l1-mixed"])
+def test_fundamental_walk_signs_are_the_signed_indicators(g):
+    # the basis vectors are read from the walks' signs, and those signs are
+    # signed_indicator's for the same walk, on upward and mixed orientations
+    walks = list(fundamental_cycles_as_walks(g))
+    basis = fundamental_cycle_basis(g).vectors
+    assert len(walks) == len(basis) == mu(g)
+    for walk, z in zip(walks, basis):
+        assert z == signed_indicator([eid for eid, _ in walk], g)
+        assert z.coeffs == dict(walk)
+        assert not boundary(z).coeffs
+
+
 def test_boundary_of_single_edge():
     g = diamond(1)
     m = boundary(EdgeVector(g, {"bl": F(1)}))  # bl: bottom -> l
@@ -462,7 +484,7 @@ def test_packed_cycles_decompose_up_down(g):
     for cyc in greedy_cycle_packing(g):
         assert up_down_decomposition(cyc, g)
     for walk in fundamental_cycles_as_walks(g):
-        assert up_down_decomposition(walk, g)
+        assert up_down_decomposition([eid for eid, _ in walk], g)
 
 
 def test_greedy_packing_deterministic():

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freelip import simplex
+from freelip.cyclespace import boundary
 from freelip.errors import NotATree, ValidationError
 from freelip.freenorm import ae_norm, lip_dual, tree_isometry, tree_norm
 from freelip.graphs import Edge, TwoPoleGraph, diamond, laakso, multidiamond, path
 from freelip.metric import Molecule, graph_metric, validate_metric
-from freelip.randgen import random_metric_space, random_molecule, random_tree
+from freelip.randgen import random_edge_vector, random_metric_space, random_molecule, random_tree
 
 from oracles import (clipped_witness_value, dense_transport, elementary_molecule, flow_norm,
-                     fraction_graph_metric, plan_is_valid)
+                     fraction_graph_metric, north_west, plan_is_valid)
 
 RNG_SEED = 4242
 
@@ -53,6 +54,16 @@ def test_dual_matches_primal_on_diamond():
     space = graph_metric(diamond(1))
     m = elementary_molecule("top", "bottom")
     assert lip_dual(space, m).value == ae_norm(space, m)[0] == 2
+
+
+def test_dual_rejects_an_unknown_basepoint_before_solving(monkeypatch):
+    def unreached(*args):
+        raise AssertionError("the transportation problem was solved")
+
+    monkeypatch.setattr(simplex, "transportation", unreached)
+    space = validate_metric([[0, 3], [3, 0]], points=["p", "q"])
+    with pytest.raises(ValidationError, match="basepoint 'zz' not in the space"):
+        lip_dual(space, elementary_molecule("p", "q"), basepoint="zz")
 
 
 def test_exact_duality_gap_zero_random():
@@ -174,8 +185,9 @@ def _composition(total, cuts):
 @st.composite
 def transport_instances(draw):
     """Small instances; masses share a total and split it at random cut
-    points, so equal partial sums (degenerate north-west corners) are
-    common, and costs come from a few values, so ties are too."""
+    points, so equal partial sums (a row and a column that run out
+    together) are common, and costs come from a few values, so ties are
+    too."""
     ns = draw(st.integers(1, 5))
     total = draw(st.integers(max(ns, 2), 8))
     cuts = st.integers(1, total - 1)
@@ -206,10 +218,14 @@ def test_tree_kernel_matches_flow_oracle_on_graphs(seed, name):
     assert value == flow_norm(g, m)
 
 
-def test_tree_kernel_degenerate_north_west_corner():
-    # partial sums 1, 2 meet on both sides: the corner exhausts a row and a
-    # column at once, twice, and the staircase keeps two zero cells
+def test_tree_kernel_least_cost_row_and_column_run_out_together():
+    # cells (2, 2) and (0, 1) each use up a row and a column at once: the
+    # start closes only the row, and the two columns left open later take
+    # the zero cells (1, 2) and (1, 1), so the basis stays a spanning tree
     cost = [[3, 1, 2], [1, 3, 2], [2, 2, 0]]
+    flow, tree = simplex._least_cost([c for row in cost for c in row], [1, 1, 1], [1, 1, 1])
+    assert tree == [8, 1, 3, 5, 4]
+    assert flow == [0, 1, 0, 1, 0, 0, 0, 0, 1]
     value, plan = _check_kernel(cost, [1, 1, 1], [1, 1, 1])
     assert value == 2
     _check_kernel(cost, [F(1, 2), F(3, 2), 1], [F(1, 2), F(1, 2), 2])
@@ -233,7 +249,7 @@ def test_tree_kernel_single_row_and_column():
 
 
 def test_tree_kernel_zero_step_pivot(monkeypatch):
-    # from the degenerate corner the first pivot moves no flow, the next does
+    # from the least-cost start the first pivot moves no flow, the next does
     steps = []
     pivot = simplex._tree_pivot
 
@@ -242,9 +258,34 @@ def test_tree_kernel_zero_step_pivot(monkeypatch):
         return steps[-1]
 
     monkeypatch.setattr(simplex, "_tree_pivot", recording)
-    value, plan = _check_kernel([[1, 4, 0], [2, 0, 3], [3, 3, 3]], [1, 1, 1], [1, 1, 1])
-    assert value == 3 and plan == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    value, plan = _check_kernel([[1, 4, 1], [1, 2, 2], [0, 0, 4]], [1, 1, 1], [1, 1, 1])
+    assert value == 2 and plan == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
     assert steps[0] == 0 and max(steps) > 0
+
+
+def test_least_cost_start_pivots_on_a_diamond_boundary(monkeypatch):
+    # one random boundary molecule of D_4 (146 points): its pivot count
+    # from the least-cost start is pinned, and the north-west reference
+    # start needs more on the same problem
+    g = diamond(4)
+    space = graph_metric(g)
+    m = boundary(random_edge_vector(random.Random(1), g))
+    assert len(m.coeffs) == 146
+    steps = []
+    pivot = simplex._tree_pivot
+
+    def recording(*args):
+        steps.append(pivot(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(simplex, "_tree_pivot", recording)
+    value = ae_norm(space, m)[0]
+    least_cost = len(steps)
+    steps.clear()
+    monkeypatch.setattr(simplex, "_least_cost",
+                        lambda icost, supply, demand: north_west(supply, demand))
+    assert ae_norm(space, m)[0] == value == F(611, 3)
+    assert least_cost == 48 < len(steps)
 
 
 def test_tree_kernel_bland_pricing_agrees(monkeypatch):

@@ -130,7 +130,9 @@ def test_min_cost_flow_rejects_a_negative_length_before_pivoting(monkeypatch):
 
 
 SOLVES = [
-    lambda: transportation([[1, 4, 0], [2, 0, 3], [3, 3, 3]], [1, 1, 1], [1, 1, 1]),
+    # the least-cost start takes the zero cells (0, 0) and (1, 1), which
+    # leaves row 2 the cell (2, 2) at 3: a plan of cost 3 against the optimum 2
+    lambda: transportation([[0, 0, 3], [0, 0, 1], [1, 4, 3]], [1, 1, 1], [1, 1, 1]),
     # the BFS start routes every unit over a length-10 edge from vertex 0
     lambda: min_cost_flow([(0, 2), (0, 3), (0, 4), (0, 1), (1, 2), (2, 3), (3, 4)],
                           [10, 10, 10, 1, 1, 1, 1], [-4, 1, 1, 1, 1]),
@@ -231,6 +233,64 @@ def _random_min_cost_flow(rng):
         div[a] += q
         div[b] -= q
     min_cost_flow(ends, [rng.randint(0, 5) for _ in ends], div)
+
+
+def _transport_problem(rng):
+    """(icost, supply, demand, den) of up to 7 x 7 cells: masses with zeros
+    and denominators 1-3, and integer costs from a few values over a
+    denominator, so degenerate starts and tied cells are common."""
+    ns, nd = rng.randint(1, 7), rng.randint(1, 7)
+    supply = [F(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(ns)]
+    demand = [F(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(nd)]
+    gap = sum(supply) - sum(demand)
+    if gap > 0:
+        demand[-1] += gap
+    else:
+        supply[-1] -= gap
+    values = [rng.randint(0, 9) for _ in range(rng.randint(1, 4))]
+    icost = [[rng.choice(values) for _ in range(nd)] for _ in range(ns)]
+    return icost, supply, demand, rng.randint(1, 4)
+
+
+def _is_spanning_start(flow, tree, supply, demand):
+    """ns + nd - 1 arcs joining every row and column node with no cycle,
+    flows >= 0 on them and 0 elsewhere, and the given marginals."""
+    ns, nd = len(supply), len(demand)
+    root = list(range(ns + nd))
+
+    def find(u):
+        while root[u] != u:
+            root[u] = root[root[u]]
+            u = root[u]
+        return u
+
+    for a in tree:
+        i, j = find(a // nd), find(ns + a % nd)
+        if i == j:
+            return False
+        root[i] = j
+    return (len(tree) == ns + nd - 1 and min(flow) >= 0
+            and all(f == 0 for a, f in enumerate(flow) if a not in tree)
+            and [sum(flow[i * nd:(i + 1) * nd]) for i in range(ns)] == supply
+            and [sum(flow[j::nd]) for j in range(nd)] == demand)
+
+
+def test_least_cost_start_matches_the_north_west_reference(monkeypatch):
+    # every start is a feasible spanning tree, and both starts reach the
+    # same certified value
+    rng = random.Random(32)
+    problems = [_transport_problem(rng) for _ in range(3000)]
+    for icost, supply, demand, _ in problems:
+        masses, _ = simplex._scaled(supply + demand)
+        ns = len(supply)
+        flow, tree = simplex._least_cost([c for row in icost for c in row],
+                                         masses[:ns], masses[ns:])
+        assert _is_spanning_start(flow, tree, masses[:ns], masses[ns:])
+    values = [transportation(*p)[0] for p in problems]
+    monkeypatch.setattr(simplex, "_least_cost",
+                        lambda icost, supply, demand: oracles.north_west(supply, demand))
+    assert [transportation(*p)[0] for p in problems] == values
+    assert sum(1 for v in values if v) > 2000
 
 
 @pytest.mark.parametrize("bland_after,cases", [(2000, 1000), (3, 500), (0, 500)])

@@ -3,19 +3,21 @@
 Usage (from the repository root):
 
     python3 tools/bench_pairs.py PARENT_REV CHANGE_REV --pr 30 \\
-        --workloads haar-growth,embedding-many --pairs 10 --seed 1
+        --workloads haar-growth,embedding-many --pairs 10 --seed 1,5
 
 Each revision is exported with ``git archive`` into its own temporary
 directory, so both sides run from committed files only.  For every
-workload, ``bench/run.py`` runs N pairs of times for BENCHMARK.json's
+workload and every seed of the comma-separated ``--seed`` list,
+``bench/run.py`` runs N pairs of times for BENCHMARK.json's
 ``run_seconds``, one process at a time; even pairs run the parent first
 and odd pairs the change first.  BENCH_<pr>.json, at the repository root,
-holds per workload and side the summed attempted and failed claim counts,
+holds per workload a list with one entry per seed, in the order given;
+an entry holds per side the summed attempted and failed claim counts,
 whether every run was correct, and for each end-to-end metric of
 BENCHMARK.json the median, the quartiles (statistics.quantiles, inclusive
 method) and every run's value; ``change_better_in_pairs`` counts the pairs
 in which the change's value was better.  The file is rewritten after each
-workload, so an interrupted session keeps what it finished.
+workload and seed, so an interrupted run keeps what it finished.
 Standard library only.
 """
 
@@ -75,6 +77,11 @@ def workload_entry(seed: int, parent: list, change: list, end_to_end: list) -> d
             "change": side_summary(change, names), "change_better_in_pairs": better}
 
 
+def seeds(text: str) -> list:
+    """The seeds of a comma-separated list such as "1,5"."""
+    return [int(s) for s in text.split(",")]
+
+
 def export(rev: str, into: Path) -> str:
     """git archive rev into the directory; returns the full commit hash."""
     full = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
@@ -102,7 +109,8 @@ def main(argv=None) -> int:
     ap.add_argument("--pr", required=True, help="number in the output name BENCH_<pr>.json")
     ap.add_argument("--workloads", default="transport-large,embedding-many,haar-growth,projection")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seed", type=seeds, default="1",
+                    help="comma-separated seeds, one entry per seed and workload")
     args = ap.parse_args(argv)
     out_path = ROOT / f"BENCH_{args.pr}.json"
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -115,19 +123,20 @@ def main(argv=None) -> int:
                "change_rev": export(args.change_rev, sides["change"]),
                "nproc": os.cpu_count(), "python": platform.python_version(), "workloads": {}}
         for workload in args.workloads.split(","):
-            runs = {"parent": [], "change": []}
-            for i in range(args.pairs):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                for side in order:
-                    result = run_once(sides[side], workload, args.seed, seconds)
-                    runs[side].append(result)
-                    print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
-                          + " ".join(f"{k}={v['value']:.4g}"
-                                     for k, v in result["metrics"].items()),
-                          file=sys.stderr, flush=True)
-            doc["workloads"][workload] = [workload_entry(args.seed, runs["parent"],
-                                                         runs["change"], end_to_end)]
-            out_path.write_text(json.dumps(doc, indent=1) + "\n")
+            entries = doc["workloads"][workload] = []
+            for seed in args.seed:
+                runs = {"parent": [], "change": []}
+                for i in range(args.pairs):
+                    order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                    for side in order:
+                        result = run_once(sides[side], workload, seed, seconds)
+                        runs[side].append(result)
+                        print(f"{workload} seed {seed} pair {i + 1}/{args.pairs} {side}: "
+                              + " ".join(f"{k}={v['value']:.4g}"
+                                         for k, v in result["metrics"].items()),
+                              file=sys.stderr, flush=True)
+                entries.append(workload_entry(seed, runs["parent"], runs["change"], end_to_end))
+                out_path.write_text(json.dumps(doc, indent=1) + "\n")
     finally:
         shutil.rmtree(tmp)
     return 0
