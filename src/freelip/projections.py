@@ -599,15 +599,15 @@ def bm_upper_via_basis_map(graph, cut_vectors: list):
         den = math.lcm(*(v.denominator for v in w.coeffs.values()))
         keyed.append((den, {e: v.numerator * (den // v.denominator) for e, v in w.coeffs.items()}))
     cuts_at = orthogonal_index([w for _, w in keyed])   # nonzero, pairwise orthogonal
-    dim_z = 0
+    # T z = 0: the +-1 signed walk of each fundamental cycle meets no cut vector
     for walk in cyclespace.fundamental_cycles_as_walks(graph):
-        dim_z += 1                      # T z = 0: the +-1 cycle meets no cut vector
         dots: dict[int, int] = {}
         for e, sign in walk:
             for i, x in cuts_at.get(e, ()):
                 dots[i] = dots.get(i, 0) + sign * x
         if any(dots.values()):
             raise ValidationError("nonzero cycle image: T does not vanish on the cycle space")
+    dim_z = cyclespace.mu(graph)
     if len(keyed) != len(graph.edges) - dim_z:
         raise ValidationError(f"{len(keyed)} cut vectors cannot span a complement of the cycle "
                               f"space: it needs |E| - dim Z = {len(graph.edges) - dim_z}")
