@@ -11,14 +11,14 @@ from .freenorm import (DualCertificate, TransportPlan, ae_norm, lip_dual,
 from .graphs import (Edge, TwoPoleGraph, automorphism_search, compose, diamond,
                      diamond_base, k2n_base, laakso, laakso_base, multidiamond, path,
                      recursive_family, single_edge, star)
-from .haar_system import (DyadicVector, andrew_lower_bound, diamond_bm_bounds, haar,
-                          haar_witness_bound, multibranch_analysis, verify_even_level_span)
+from .haar_system import (DyadicVector, diamond_bm_bounds, haar, haar_witness_bound,
+                          multibranch_analysis, verify_even_level_span)
 from .metric import LipschitzFunction, MetricSpace, Molecule, graph_metric, validate_metric
 from .projections import (ProjectionReport, average_projection, bm_upper_via_basis_map,
                           generate_group, l1_norm, linf_norm, minimal_projection_lp,
                           orthogonal_projection, orthogonal_rows)
 from .recursive import (BaseGraphProfile, annihilation_check, check_conditions,
                         laakso_nonunique_projection, profile_base, witness)
-from .symmetry import reflection, vertical_automorphism
+from .symmetry import vertical_automorphism
 
 __version__ = "0.1.0"

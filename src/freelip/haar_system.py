@@ -22,8 +22,17 @@ is +-1 on its support, so it is its own dual certificate: its quotient
 norm on l1(E)/Z is its l1 norm, and ||T|| is the largest number of cut
 vectors that meet one edge (projections.bm_upper_via_basis_map, which
 also certifies that the vectors span a complement of the cycle space).
-The cut vectors go to the graph as sparse edge vectors, straight from
-their cell blocks, so no dense grid tuple is built for them.
+The cut vectors of the upper bounds keep one format from the grid to
+that count: sparse integer maps, {cell: value} on the grid and
+{edge id: value} on the graph, relabelled cell by cell, so no Fraction
+is built for them.  The diamond ones are read straight from their cell
+blocks, with no dense grid tuple.
+haar() builds dense grids, so it is capped at HAAR_CELL_CAP cells.
+
+The projection constant of the cycle space needs no group enumeration:
+one reflection per pair of Haar functions shows that the Grunbaum-Rudin
+average of every projection onto it is the orthogonal one, whose norm
+is one column (haar_witness_bound has the proof).
 
 The even/odd Haar levels also show up as quasi-greedy subsequences of the
 Haar basis in L1; that direction is documentation only, nothing here
@@ -39,13 +48,14 @@ from itertools import compress
 from math import gcd, lcm
 from operator import mul
 
-from . import linalg, projections, symmetry
+from . import projections
 from .cyclespace import EdgeVector, fundamental_cycle_basis, mu
 from .errors import ResolutionTooCoarse, ResourceLimit, ValidationError
 from .graphs import TwoPoleGraph, diamond, multidiamond
 
 QUARTER = {"tl": 0, "bl": 1, "br": 2, "tr": 3}
 MULTIBRANCH_CELL_CAP = 4096     # grid cells of D_{n,k}: (2k)^n
+HAAR_CELL_CAP = 4 ** 9          # grid cells of haar(): D_9's 4^9, haar_witness_bound(9)'s 2^17
 _BRANCH_SEGMENT = re.compile(r"p([1-9][0-9]*)([du])")
 
 
@@ -115,11 +125,16 @@ def haar(i: int, resolution: int) -> DyadicVector:
 
     h_0 is the constant 1; h_{2^n + j} is +1 on the left half and -1 on the
     right half of the j-th dyadic interval of length 2^{-n}, so h_i sits on
-    level i.bit_length() - 1.
+    level i.bit_length() - 1.  ValidationError for a negative index or
+    resolution, ResourceLimit past HAAR_CELL_CAP cells.
     """
     if i < 0:
         raise ValidationError(f"Haar index {i} is negative")
+    if resolution < 0:
+        raise ValidationError(f"resolution {resolution} is negative")
     cells = 2 ** resolution
+    if cells > HAAR_CELL_CAP:
+        raise ResourceLimit(f"Haar grid of 2^{resolution} cells exceeds the cap {HAAR_CELL_CAP}")
     if i == 0:
         return DyadicVector((1,) * cells)
     level = i.bit_length() - 1
@@ -132,13 +147,6 @@ def haar(i: int, resolution: int) -> DyadicVector:
     vals[start:start + half] = [1] * half
     vals[start + half:start + block] = [-1] * half
     return DyadicVector(tuple(vals))
-
-
-def level_indices(level: int) -> list[int]:
-    """Flat indices of H_level (with H_{-1} = {h_0})."""
-    if level == -1:
-        return [0]
-    return list(range(2 ** level, 2 ** (level + 1)))
 
 
 def haar_coefficients(v: DyadicVector) -> dict[int, Fraction]:
@@ -238,12 +246,11 @@ def _cells(x: EdgeVector, cell) -> dict[int, int]:
     return {cell(eid): c.numerator * (den // c.denominator) for eid, c in x.coeffs.items()}
 
 
-def _on_edges(g: TwoPoleGraph, supports: list[dict[int, int]], cell) -> list[EdgeVector]:
-    """Sparse integer grid vectors {cell: value} as edge vectors of g: edge e
-    takes the value of cell(e.id).  Equal values share one Fraction."""
+def _on_edges(g: TwoPoleGraph, supports: list[dict[int, int]], cell) -> list[dict[str, int]]:
+    """Sparse integer grid vectors {cell: value} as sparse integer edge
+    vectors {edge id: value} of g: edge e takes the value of cell(e.id)."""
     edge_at = {cell(e.id): e.id for e in g.edges}
-    frac = {x: Fraction(x) for w in supports for x in set(w.values())}
-    return [EdgeVector.of_nonzero(g, {edge_at[t]: frac[x] for t, x in w.items()}) for w in supports]
+    return [{edge_at[t]: x for t, x in w.items()} for w in supports]
 
 
 # ---------------------------------------------------------------------------
@@ -290,43 +297,38 @@ def verify_even_level_span(n: int, graph: TwoPoleGraph | None = None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Andrew averaging and the projection lower bounds
+# The projection lower bounds
 # ---------------------------------------------------------------------------
-
-def level_span_vectors(levels, resolution: int) -> list[DyadicVector]:
-    out = []
-    for lev in sorted(levels):
-        out.extend(haar(i, resolution) for i in level_indices(lev))
-    return out
-
-
-def andrew_lower_bound(levels, resolution: int, projection: list | None = None):
-    """L1 norm of the orthogonal projection onto span of the given Haar levels.
-
-    This is a certified lower bound on the L1 norm of every projection onto
-    that span.  With a concrete projection supplied, the group of the
-    reflections g_i (symmetry.reflection, i >= 1) is enumerated and the
-    projection's average over it is confirmed to equal the orthogonal
-    projection.
-    """
-    family = _OrthogonalFamily(level_span_vectors(levels, resolution))
-    p_y, bound = family.matrix(2 ** resolution)
-    averaged = None
-    if projection is not None:
-        gens = [symmetry.reflection(i, resolution) for i in range(1, 2 ** resolution)]
-        num, den = linalg.integer_rows(projection)
-        averaged = linalg.fractions(*symmetry.average(num, den, symmetry.closure(gens), gens))
-        if averaged != p_y:
-            raise ValidationError("group average differs from the orthogonal projection")
-    return bound, p_y, averaged
-
 
 def haar_witness_bound(n: int):
     """The Andrew witness: f sums the first L1-normalized Haar function of
     each level through 2n-2, plus h_0.
 
     Returns (f, ||f||_1, Qf, ||Qf||_1) with Q the orthogonal projection onto
-    the even levels; ||f||_1 = 1 exactly and ||Qf||_1 >= (2n+1)/3.
+    Y, the span of the even levels 0, 2, ..., 2n-2 (the cycle space of D_n,
+    verify_even_level_span); ||f||_1 = 1 exactly and
+    ||Qf||_1 = (2n+1)/3 + (1 - 4^(1-n))/9 (checked by the haar-witness
+    claim).  f is the L1-normalized indicator of cell 0, so ||Qf||_1 is the
+    column ||Q e_0||_1, on this grid of 2^(2n-1) cells or on the 4^n cells
+    of D_n alike (Y is constant on sibling cells).  It is
+    lambda(Y) = lambda(Z(D_n)), the least norm of a projection onto Y:
+
+    The reflection g_i (i >= 1) swaps the two halves of supp h_i; it is an
+    isometry of L1 and of L2, negates h_i and fixes every h_j whose support
+    contains or misses supp h_i, since h_j is constant on each half.  It
+    maps each level onto itself up to signs, so it keeps Y and commutes
+    with Q.  The g_i are transitive on cells, so every column of Q has the
+    norm of column 0, and ||Q|| = ||Qf||_1.  Let P be a projection onto Y,
+    and A its Grunbaum-Rudin average over the group of the g_i: a
+    projection onto Y with ||A|| <= ||P||, commuting with every g_i.
+    T = A - Q kills Y, maps Y^perp into Y and commutes with the g_i.  Take
+    h_k on an even level and h_j = h_0 or on an odd level; dyadic supports
+    are nested or disjoint.  If supp h_k lies inside supp h_j or misses
+    it, g_k negates h_k and fixes h_j, so g_k T h_j = T g_k h_j = T h_j and
+    <T h_j, h_k> = <g_k T h_j, g_k h_k> = -<T h_j, h_k> = 0.  Otherwise
+    supp h_j lies inside supp h_k, and g_j does the same with the roles
+    swapped.  So T = 0: the average of every projection onto Y is Q, and
+    ||P|| >= ||Q||.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")

@@ -566,11 +566,13 @@ def minimal_projection_lp(basis_cols: list, ambient_dim: int, mode: str = "float
 # Banach-Mazur bound assembly
 # ---------------------------------------------------------------------------
 
-def bm_upper_via_basis_map(graph, cut_vectors: list):
+def bm_upper_via_basis_map(graph, cut_vectors: list[dict[str, int]]):
     """(||T|| ||T^{-1}||, ||T||, ||T^{-1}||) for the coset basis map on
     l1(E)/Z(graph).
 
-    cut_vectors are EdgeVectors on graph.  One pass per call certifies that
+    cut_vectors are sparse integer vectors on graph's edges, each a map
+    {edge id: nonzero int}; ValidationError for an unknown edge id or an
+    entry that is not a nonzero int.  One pass per call certifies that
     they span a complement of Z: they are nonzero and pairwise orthogonal
     (orthogonal_index), so independent; each has zero dot product with
     every fundamental cycle, read through the orthogonal_index map, so each
@@ -581,6 +583,9 @@ def bm_upper_via_basis_map(graph, cut_vectors: list):
     quotient map sends the l1 unit ball onto the quotient unit ball, so
     ||T|| is the max over edges e of
     ||T e_e||_1 = sum_i |w_i[e]| q_i / <w_i, w_i>, read off the vectors.
+    The terms do not change when a vector is rescaled, so integer vectors
+    lose nothing, and grid cells may carry the counting or the mean norm
+    alike.
 
     A vector with constant magnitude c on its support needs no solve.  The
     quotient norm is q(w) = max <w, y> over y orthogonal to Z with
@@ -589,16 +594,15 @@ def bm_upper_via_basis_map(graph, cut_vectors: list):
     ||T e_e||_1 is then c (c |supp w|) / (c^2 |supp w|) = 1 on every edge
     of its support, so with such vectors alone ||T|| is the largest number
     of cut vectors that meet one edge.  Any other vector goes to
-    cyclespace.quotient_norm.  The terms do not change when a vector is
-    rescaled, so grid cells may carry the counting or the mean norm alike.
+    cyclespace.quotient_norm as an EdgeVector.
     """
-    keyed = []                          # (d, integers over d), d the lcm of the denominators
+    edge_ids = graph.edge_by_id.keys()
     for w in cut_vectors:
-        if w.graph is not graph and w.graph != graph:
-            raise ValidationError("cut vector lives on a different graph")
-        den = math.lcm(*(v.denominator for v in w.coeffs.values()))
-        keyed.append((den, {e: v.numerator * (den // v.denominator) for e, v in w.coeffs.items()}))
-    cuts_at = orthogonal_index([w for _, w in keyed])   # nonzero, pairwise orthogonal
+        if not w.keys() <= edge_ids:
+            raise ValidationError("cut vector names an edge that is not in the graph")
+        if not all(type(v) is int and v for v in w.values()):
+            raise ValidationError("cut vector entries must be nonzero ints")
+    cuts_at = orthogonal_index(cut_vectors)     # nonzero, pairwise orthogonal
     # T z = 0: the +-1 signed walk of each fundamental cycle meets no cut vector
     for walk in cyclespace.fundamental_cycles_as_walks(graph):
         dots: dict[int, int] = {}
@@ -608,18 +612,19 @@ def bm_upper_via_basis_map(graph, cut_vectors: list):
         if any(dots.values()):
             raise ValidationError("nonzero cycle image: T does not vanish on the cycle space")
     dim_z = cyclespace.mu(graph)
-    if len(keyed) != len(graph.edges) - dim_z:
-        raise ValidationError(f"{len(keyed)} cut vectors cannot span a complement of the cycle "
-                              f"space: it needs |E| - dim Z = {len(graph.edges) - dim_z}")
+    if len(cut_vectors) != len(graph.edges) - dim_z:
+        raise ValidationError(f"{len(cut_vectors)} cut vectors cannot span a complement of the "
+                              f"cycle space: it needs |E| - dim Z = {len(graph.edges) - dim_z}")
 
     sums: dict[str, int | Fraction] = {}
-    for (den, w), vector in zip(keyed, cut_vectors):
+    for w in cut_vectors:
         c = abs(next(iter(w.values())))
         if all(abs(v) == c for v in w.values()):
             for e in w:
                 sums[e] = sums.get(e, 0) + 1
-        else:                           # with w = W / d: |W[e]| q(w) d / <W, W>
-            scale = cyclespace.quotient_norm(vector) * den / sum(v * v for v in w.values())
+        else:                           # |w[e]| q(w) / <w, w>
+            q = cyclespace.quotient_norm(cyclespace.EdgeVector(graph, w))
+            scale = q / sum(v * v for v in w.values())
             for e, v in w.items():
                 sums[e] = sums.get(e, 0) + abs(v) * scale
     t_norm = Fraction(max(sums.values(), default=0))

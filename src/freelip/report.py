@@ -105,11 +105,11 @@ def haar_even_levels(rng, n_max):
 
 
 def haar_witness(rng, n_max):
-    """|f| = 1 and |Qf| >= (2n+1)/3, with |Qf| = 7/4 at n = 2."""
+    """|f| = 1 and |Qf| = (2n+1)/3 + (1 - 4^(1-n))/9 >= (2n+1)/3."""
     def check(n):
         _, nf, _, nqf = haar.haar_witness_bound(n)
         bound = Fraction(2 * n + 1, 3)
-        ok = nf == 1 and nqf >= bound and (n != 2 or nqf == Fraction(7, 4))
+        ok = nf == 1 and nqf == bound + (1 - Fraction(4) ** (1 - n)) / 9
         return f">= {fmt(bound)}", f"|f|={fmt(nf)} |Qf|={fmt(nqf)}", ok
     return [_row(f"haar-witness-n{n}", check, n) for n in range(1, n_max + 1)]
 

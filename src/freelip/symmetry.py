@@ -16,8 +16,7 @@ from operator import add, mul
 
 from . import linalg
 from .cyclespace import fundamental_cycle_basis
-from .errors import (GroupClosureOverflow, NotInvariant, NotInvariantSubspace,
-                     ResolutionTooCoarse, ValidationError)
+from .errors import GroupClosureOverflow, NotInvariant, NotInvariantSubspace, ValidationError
 from .graphs import TwoPoleGraph
 
 GROUP_CAP = 10 ** 6             # elements of a generated group
@@ -96,25 +95,6 @@ def invariance_generators(profile, n: int, graph: TwoPoleGraph) -> dict[str, dic
                 gens[f"h{gi}@{stem[:-1]}" if stem else f"h{gi}"] = {
                     stem + e + suf: stem + f + suf for e, f in moved.items() for suf in suffixes}
     return gens
-
-
-def reflection(i: int, resolution: int) -> list:
-    """Index map of the Haar reflection g_i (i >= 1) on 2**resolution cells,
-    which swaps the two halves of supp h_i: it negates h_i and fixes the
-    h_j whose supports contain it or miss it."""
-    if i < 1:
-        raise ValidationError("g_i is defined for i >= 1")
-    cells = 2 ** resolution
-    level = i.bit_length() - 1
-    if level + 1 > resolution:
-        raise ResolutionTooCoarse(f"g_{i} needs resolution >= {level + 1}")
-    block = cells // 2 ** level
-    half = block // 2
-    start = (i - 2 ** level) * block
-    perm = list(range(cells))
-    for t in range(start, start + half):
-        perm[t], perm[t + half] = perm[t + half], perm[t]
-    return perm
 
 
 def commutes(num: list, s) -> bool:

@@ -56,6 +56,13 @@ dict of lists, instead of integer pair keys and a union-find on vertex
 indices;
 and the random metric space closes its Fraction weights by a
 Floyd-Warshall on Fractions instead of on integers over 6.
+
+The Haar reflections and level spans are kept here only: the library
+proves the averaging lemma (haar_system.haar_witness_bound's docstring)
+instead of enumerating the reflection group, and the tests check its
+steps on small grids.  integer_maps turns edge vectors into the integer
+maps that bm_upper_via_basis_map takes, while the Banach-Mazur oracles
+stay on edge vectors.
 """
 
 import heapq
@@ -69,7 +76,7 @@ from freelip import cyclespace, haar_system, linalg
 from freelip.cyclespace import EdgeVector, boundary, fundamental_cycle_basis, spanning_tree
 from freelip.embeddings import large_embedding
 from freelip.errors import (DisconnectedGraph, GroupClosureOverflow, NotInvariantSubspace,
-                            SingularGram, SolverFailure, ValidationError)
+                            ResolutionTooCoarse, SingularGram, SolverFailure, ValidationError)
 from freelip.freenorm import ae_norm
 from freelip.metric import MetricSpace, Molecule, validate_metric
 from freelip.rational import to_fraction
@@ -409,9 +416,52 @@ def on_edges(graph, vectors, cell) -> list:
             for values in (v.values for v in vectors)]
 
 
+def integer_maps(vectors) -> list:
+    """Edge vectors as the sparse integer maps {edge id: value} that
+    bm_upper_via_basis_map takes: each one's values over the lcm of its
+    denominators, so up to a positive factor."""
+    out = []
+    for w in vectors:
+        den = lcm(*(v.denominator for v in w.coeffs.values()))
+        out.append({e: int(v * den) for e, v in w.coeffs.items()})
+    return out
+
+
+def level_indices(level: int) -> list[int]:
+    """Flat indices of H_level (with H_{-1} = {h_0})."""
+    if level == -1:
+        return [0]
+    return list(range(2 ** level, 2 ** (level + 1)))
+
+
+def level_span_vectors(levels, resolution: int) -> list:
+    """The Haar functions of the given levels (-1 for h_0) on 2^resolution
+    cells, level by level."""
+    return [haar_system.haar(i, resolution) for lev in sorted(levels) for i in level_indices(lev)]
+
+
+def reflection(i: int, resolution: int) -> list:
+    """Index map of the Haar reflection g_i (i >= 1) on 2^resolution cells,
+    which swaps the two halves of supp h_i: it negates h_i and fixes the
+    h_j whose supports contain it or miss it.  ValidationError for i < 1,
+    ResolutionTooCoarse unless h_i lives on the grid."""
+    if i < 1:
+        raise ValidationError("g_i is defined for i >= 1")
+    level = i.bit_length() - 1
+    if level + 1 > resolution:
+        raise ResolutionTooCoarse(f"g_{i} needs resolution >= {level + 1}")
+    block = 2 ** (resolution - level)
+    half = block // 2
+    start = (i - 2 ** level) * block
+    perm = list(range(2 ** resolution))
+    for t in range(start, start + half):
+        perm[t], perm[t + half] = perm[t + half], perm[t]
+    return perm
+
+
 def diamond_cut_vectors(n: int) -> list:
     """h_0 and the odd Haar levels 1, 3, ..., 2n-1 on 4^n cells."""
-    return haar_system.level_span_vectors([-1] + [2 * k - 1 for k in range(1, n + 1)], 2 * n)
+    return level_span_vectors([-1] + [2 * k - 1 for k in range(1, n + 1)], 2 * n)
 
 
 def fraction_cut_column_norm(n: int) -> Fraction:
@@ -467,7 +517,7 @@ def even_level_span_dense(n: int) -> bool:
     complement = [haar_system.haar(0, 2 * n)]
     for k in range(1, n + 1):
         complement.extend(haar_system.haar(i, 2 * n)
-                          for i in haar_system.level_indices(2 * k - 1))
+                          for i in level_indices(2 * k - 1))
     return all(graph_to_dyadic(vec, n).inner(h) == 0
                for vec in basis.vectors for h in complement)
 

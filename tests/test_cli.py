@@ -339,6 +339,37 @@ def test_reproduce_deterministic(tmp_path, capsys):
     assert header == "claim,target,computed,status"
 
 
+def test_reproduce_full_matches_the_golden_file(tmp_path, capsys):
+    out = tmp_path / "full.csv"
+    assert run_cli("reproduce", "--seed", "7", "--full", "--out", str(out)) == 0
+    capsys.readouterr()
+    want = Path(__file__).parent / "data" / "reproduce_seed7_full.csv"
+    assert out.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("shift", [F(1, 4 ** 6), F(-1, 4 ** 6)])
+def test_haar_witness_row_checks_the_closed_form(monkeypatch, shift):
+    # a |Qf| off the closed form fails its row, even above (2n+1)/3
+    real = haar_system.haar_witness_bound
+
+    def perturbed(n):
+        f, nf, qf, nqf = real(n)
+        return f, nf, qf, nqf + shift if n == 4 else nqf
+
+    assert all(row.ok for row in report.haar_witness(random.Random(0), n_max=5))
+    monkeypatch.setattr(haar_system, "haar_witness_bound", perturbed)
+    rows = report.haar_witness(random.Random(0), n_max=5)
+    assert [row.ok for row in rows] == [True, True, True, False, True]
+
+
+def test_haar_past_the_cell_cap_exits_with_the_resource_limit_code():
+    proc = subprocess.run([sys.executable, "-m", "freelip.cli", "haar", "--n", "14"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("resource limit: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_reproduce_programming_error_propagates(monkeypatch):
     def broken(*args):
         raise TypeError("bug in a kernel")

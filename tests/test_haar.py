@@ -8,25 +8,24 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freelip import cyclespace, haar_system, linalg
+from freelip import cyclespace, haar_system, linalg, symmetry
 from freelip.cyclespace import boundary, fundamental_cycle_basis
 from freelip.errors import ResolutionTooCoarse, ResourceLimit, ValidationError
 from freelip.graphs import diamond, diamond_base, k2n_base, multidiamond
-from freelip.haar_system import (DyadicVector, andrew_lower_bound, diamond_bm_bounds,
-                                 diamond_cell_index, haar, haar_coefficients,
-                                 haar_witness_bound, level_indices,
-                                 multibranch_analysis, multibranch_cell_index,
-                                 multibranch_cut_basis, level_span_vectors,
+from freelip.haar_system import (DyadicVector, diamond_bm_bounds, diamond_cell_index, haar,
+                                 haar_coefficients, haar_witness_bound, multibranch_analysis,
+                                 multibranch_cell_index, multibranch_cut_basis,
                                  verify_even_level_span)
 from freelip.projections import bm_upper_via_basis_map, l1_norm
 from freelip.recursive import profile_base
-from freelip.symmetry import invariance_generators, reflection
+from freelip.symmetry import invariance_generators
 from freelip.simplex import min_l1_combination
 
 from oracles import (all_vectors_bm_upper, dense_linf, dense_multibranch_analysis,
                      dense_orthogonal_projection, diamond_cut_vectors, even_level_span_dense,
-                     fraction_cut_column_norm, fraction_haar_coefficients, is_idempotent,
-                     mat_vec, multibranch_graph_to_dyadic, on_edges, orbit_bm_upper)
+                     fraction_cut_column_norm, fraction_haar_coefficients, integer_maps,
+                     is_idempotent, level_indices, level_span_vectors, mat_vec,
+                     multibranch_graph_to_dyadic, on_edges, orbit_bm_upper, reflection)
 
 
 def test_haar_basic_vectors():
@@ -47,6 +46,24 @@ def test_haar_resolution_guard():
         haar(4, 2)
     with pytest.raises(ValidationError):
         haar(-1, 2)
+    with pytest.raises(ValidationError, match="resolution -1 is negative"):
+        haar(0, -1)
+
+
+def test_haar_cell_cap(monkeypatch):
+    # the cap admits D_8's 4^8 cells (bm-sandwich --full) and
+    # haar_witness_bound(9)'s 2^17
+    assert haar_system.HAAR_CELL_CAP >= max(4 ** 8, 2 ** 17)
+    monkeypatch.setattr(haar_system, "HAAR_CELL_CAP", 16)
+    assert len(haar(3, 4)) == 16
+    for i in (0, 3):
+        with pytest.raises(ResourceLimit, match="2\\^5 cells"):
+            haar(i, 5)
+    with pytest.raises(ResourceLimit):
+        diamond_bm_bounds(3)                # 64 cells
+    with pytest.raises(ResourceLimit):
+        haar_witness_bound(3)               # 32 cells
+    assert diamond_bm_bounds(2)["upper"] == 3
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -191,37 +208,73 @@ def test_reflection_examples():
         reflection(4, 2)
 
 
+def _reflection_group_average(p, resolution):
+    # the Grunbaum-Rudin average of p over the group of every g_i on the grid
+    gens = [reflection(i, resolution) for i in range(1, 2 ** resolution)]
+    num, den = linalg.integer_rows(p)
+    return linalg.fractions(*symmetry.average(num, den, symmetry.closure(gens), gens))
+
+
 def test_andrew_average_equals_orthogonal():
+    # a projection onto span h_1 that is not orthogonal averages to the
+    # orthogonal one, as haar_witness_bound's pair lemma says
     z = list(haar(1, 2).values)
     a = [F(1, 2), F(1, 4), F(-1, 8), F(-1, 8)]
     dot = sum(x * y for x, y in zip(a, z))
     a = [x / dot for x in a]
     p = [[z[i] * a[j] for j in range(4)] for i in range(4)]
-    bound, p_y, averaged = andrew_lower_bound([0], 2, projection=p)
-    assert averaged == p_y
-    assert bound == 1
-    assert l1_norm(p) >= bound
+    p_y = dense_orthogonal_projection(level_span_vectors([0], 2))
+    assert p != p_y
+    assert _reflection_group_average(p, 2) == p_y
+    assert l1_norm(p) >= l1_norm(p_y) == 1
+
+
+def test_pair_lemma_on_the_haar_indices_of_d_n():
+    # haar_witness_bound's proof: for h_k in Y (the even levels) and h_j =
+    # h_0 or on an odd level, g_k negates h_k and fixes h_j when supp h_k
+    # lies inside supp h_j or misses it; otherwise supp h_j lies inside
+    # supp h_k, and g_j negates h_j and fixes h_k
+    for n in (1, 2, 3):
+        res = 2 * n
+        hs = {i: list(haar(i, res).values) for i in range(4 ** n)}
+        supp = {i: {t for t, v in enumerate(h) if v} for i, h in hs.items()}
+        g = {i: reflection(i, res) for i in hs if i}
+        for k in (i for i in hs if i and (i.bit_length() - 1) % 2 == 0):
+            for j in (i for i in hs if i == 0 or (i.bit_length() - 1) % 2 == 1):
+                if supp[k] <= supp[j] or not supp[k] & supp[j]:
+                    mine, other = k, j
+                else:
+                    assert supp[j] < supp[k]
+                    mine, other = j, k
+                assert _reflect(g[mine], hs[mine]) == [-v for v in hs[mine]]
+                assert _reflect(g[mine], hs[other]) == hs[other]
 
 
 def test_andrew_bound_tight_for_orthogonal():
     vecs = level_span_vectors([-1, 1], 2)
     p_y = dense_orthogonal_projection(vecs)
-    bound, p_again, _ = andrew_lower_bound([-1, 1], 2)
+    p_again, bound = haar_system._OrthogonalFamily(vecs).matrix(4)
     assert p_again == p_y
     assert bound == l1_norm(p_y)
 
 
 @pytest.mark.parametrize("levels,resolution", [([0], 3), ([0, 2], 4), ([-1, 1, 3], 4)])
 def test_andrew_bound_matches_the_dense_projection(levels, resolution):
-    p_y = dense_orthogonal_projection(level_span_vectors(levels, resolution))
-    bound, p_again, _ = andrew_lower_bound(levels, resolution)
+    vecs = level_span_vectors(levels, resolution)
+    p_y = dense_orthogonal_projection(vecs)
+    p_again, bound = haar_system._OrthogonalFamily(vecs).matrix(2 ** resolution)
     assert p_again == p_y
     assert bound == l1_norm(p_y)
 
 
 def test_andrew_even_levels_bound_at_least_witness():
-    bound, _, _ = andrew_lower_bound([0, 2], 4)
-    assert bound >= F(7, 4)
+    # the norm of the orthogonal projection onto the even levels of D_n's
+    # 4^n cells is haar_witness_bound's ||Qf||_1 on its coarser grid
+    for n in (1, 2, 3):
+        vecs = level_span_vectors(range(0, 2 * n, 2), 2 * n)
+        _, bound = haar_system._OrthogonalFamily(vecs).matrix(4 ** n)
+        assert bound == haar_witness_bound(n)[3]
+    assert bound == F(39, 16)
 
 
 @pytest.mark.parametrize("n,expected", [(1, F(1)), (2, F(7, 4))])
@@ -327,7 +380,7 @@ def test_orbit_reduced_upper_bound_equals_the_all_vectors_bound(family, n, k, or
     assert orbit_bm_upper(g, vecs, []) == (want, want, 1)
     assert len(solved) == len(vecs)
     solved.clear()
-    assert bm_upper_via_basis_map(g, vecs) == (want, want, 1)
+    assert bm_upper_via_basis_map(g, integer_maps(vecs)) == (want, want, 1)
     assert solved == []
 
 
@@ -338,7 +391,7 @@ def test_orbit_reduced_upper_bound_equals_the_all_vectors_bound(family, n, k, or
 def test_counted_upper_bound_matches_the_orbit_reference(family, n, k):
     g, vecs, gens = _cut_edge_vectors(family, n, k)
     want = orbit_bm_upper(g, vecs, gens)
-    assert bm_upper_via_basis_map(g, vecs) == want
+    assert bm_upper_via_basis_map(g, integer_maps(vecs)) == want
     if family == "diamond":
         assert want == (n + 1, n + 1, 1)
         assert diamond_bm_bounds(n)["upper"] == n + 1
@@ -351,6 +404,22 @@ def test_diamond_cut_supports_are_the_dense_haar_functions(n):
     # the sparse cell blocks of diamond_bm_bounds against level_span_vectors
     dense = [dict(haar_system._support(w.nums)) for w in diamond_cut_vectors(n)]
     assert haar_system._diamond_cut_supports(n) == dense
+
+
+@pytest.mark.parametrize("family,n,k", [("diamond", 1, None), ("diamond", 3, None),
+                                        ("multi", 1, 3), ("multi", 2, 3)])
+def test_cut_vectors_reach_the_edges_as_the_integer_maps_of_the_grid_values(family, n, k):
+    # what diamond_bm_bounds and multibranch_analysis hand to the count:
+    # the grid values relabelled onto the edges, all ints
+    g, vecs, _ = _cut_edge_vectors(family, n, k)
+    if family == "diamond":
+        sent = haar_system._on_edges(g, haar_system._diamond_cut_supports(n),
+                                     lambda eid: diamond_cell_index(eid, n))
+    else:
+        sent = haar_system._on_edges(g, haar_system._OrthogonalFamily(
+            multibranch_cut_basis(n, k)).vectors, lambda eid: multibranch_cell_index(eid, n, k))
+    assert sent == integer_maps(vecs)
+    assert all(type(x) is int for w in sent for x in w.values())
 
 
 def test_upper_bound_rejects_a_transposition_that_breaks_the_cycle_space():

@@ -32,8 +32,8 @@ from oracles import (all_vectors_bm_upper, dense_average_projection, dense_commu
                      dense_generate_group, dense_min_proj_split_rows,
                      dense_min_proj_standard_form, fraction_cycle_certificate,
                      fraction_orthogonal_projection, fraction_rank, fraction_rref,
-                     fraction_solve, is_idempotent, mat_add, mat_vec, merged_rows,
-                     orbit_bm_upper)
+                     fraction_solve, integer_maps, is_idempotent, mat_add, mat_vec,
+                     merged_rows, orbit_bm_upper)
 
 LINE = [F(1), F(1), F(-1), F(-1)]
 
@@ -494,36 +494,48 @@ def test_a_feasible_but_not_optimal_vertex_raises(monkeypatch):
 
 def test_bm_upper_trivial_quotient():
     g = path(3)
-    unit = [EdgeVector(g, {e.id: F(1)}) for e in g.edges]
+    unit = [{e.id: 1} for e in g.edges]
     value, tn, tin = bm_upper_via_basis_map(g, unit)
     assert value == tn == tin == 1
     # rescaled columns give the same map: each is normalized by q / <w, w>
-    scaled = [EdgeVector(g, {"e0": F(2)}), EdgeVector(g, {"e1": F(-1, 3)}),
-              EdgeVector(g, {"e2": F(5, 2)})]
-    assert bm_upper_via_basis_map(g, scaled) == (1, 1, 1)
+    assert bm_upper_via_basis_map(g, [{"e0": 2}, {"e1": -3}, {"e2": 5}]) == (1, 1, 1)
 
 
 def test_bm_upper_rejects_map_not_vanishing_on_cycles():
     g = diamond(1)
     with pytest.raises(ValidationError, match="vanish"):
-        bm_upper_via_basis_map(g, [EdgeVector(g, {"tl": F(1)})])
+        bm_upper_via_basis_map(g, [{"tl": 1}])
 
 
 def test_bm_upper_rejects_zero_or_non_orthogonal_cut_columns():
     g = path(2)
     with pytest.raises(ValidationError, match="pairwise orthogonal"):
-        bm_upper_via_basis_map(g, [EdgeVector(g, {"e0": F(1)}),
-                                   EdgeVector(g, {"e0": F(1), "e1": F(1)})])
+        bm_upper_via_basis_map(g, [{"e0": 1}, {"e0": 1, "e1": 1}])
     with pytest.raises(ValidationError, match="nonzero"):
-        bm_upper_via_basis_map(g, [EdgeVector(g, {"e0": F(1)}), EdgeVector(g, {})])
-    with pytest.raises(ValidationError, match="different graph"):
-        bm_upper_via_basis_map(g, [EdgeVector(path(3), {"e2": F(1)})])
+        bm_upper_via_basis_map(g, [{"e0": 1}, {}])
+    with pytest.raises(ValidationError, match="not in the graph"):
+        bm_upper_via_basis_map(g, [{"e0": 1}, {"e2": 1}])
 
 
-def _d1_cut_vectors(g):
+@pytest.mark.parametrize("entry", [0, F(1), F(1, 2), 1.0, True])
+def test_bm_upper_rejects_an_entry_that_is_not_a_nonzero_int(entry):
+    # unchecked, a vector {e: 0} would pass the nonzero check and add 1 on e
+    # as a vector of constant magnitude 0; D_1's cut vectors are fine without it
+    g = diamond(1)
+    vecs = _d1_cut_vectors()
+    assert bm_upper_via_basis_map(g, vecs) == (2, 2, 1)
+    vecs[1]["br"] = entry
+    with pytest.raises(ValidationError, match="nonzero ints"):
+        bm_upper_via_basis_map(g, vecs)
+
+
+def _d1_cut_vectors():
     # h_0 and the two level-1 Haar functions of D_1 on its edges
-    return [EdgeVector(g, {"tl": F(1), "bl": F(1), "br": F(1), "tr": F(1)}),
-            EdgeVector(g, {"tl": F(1), "bl": F(-1)}), EdgeVector(g, {"br": F(1), "tr": F(-1)})]
+    return [{"tl": 1, "bl": 1, "br": 1, "tr": 1}, {"tl": 1, "bl": -1}, {"br": 1, "tr": -1}]
+
+
+def _edge_vectors(g, vectors):
+    return [EdgeVector(g, w) for w in vectors]
 
 
 def _counting_quotient_norms(monkeypatch):
@@ -536,24 +548,37 @@ def _counting_quotient_norms(monkeypatch):
 def test_bm_upper_solves_no_quotient_norm_for_constant_magnitude_vectors(monkeypatch):
     g = diamond(1)
     solved = _counting_quotient_norms(monkeypatch)
-    assert bm_upper_via_basis_map(g, _d1_cut_vectors(g)) == (2, 2, 1)
+    assert bm_upper_via_basis_map(g, _d1_cut_vectors()) == (2, 2, 1)
     assert solved == []
-    assert all_vectors_bm_upper(g, _d1_cut_vectors(g)) == 2
+    assert all_vectors_bm_upper(g, _edge_vectors(g, _d1_cut_vectors())) == 2
+
+
+def _d1_mixed():
+    # h_0 and two orthogonal mixtures of the level-1 functions of D_1:
+    # |value| is 1 or 2 on their supports, so each needs a quotient norm
+    return [_d1_cut_vectors()[0], {"tl": 1, "bl": -1, "br": 2, "tr": -2},
+            {"tl": 2, "bl": -2, "br": -1, "tr": 1}]
 
 
 def test_bm_upper_falls_back_to_the_quotient_norm_for_other_vectors(monkeypatch):
-    # h_0 and two orthogonal mixtures of the level-1 functions of D_1:
-    # |value| is 1 or 2 on their supports, so each needs a quotient norm
     g = diamond(1)
-    mixed = [_d1_cut_vectors(g)[0],
-             EdgeVector(g, {"tl": F(1), "bl": F(-1), "br": F(2), "tr": F(-2)}),
-             EdgeVector(g, {"tl": F(2), "bl": F(-2), "br": F(-1), "tr": F(1)})]
+    mixed = _edge_vectors(g, _d1_mixed())
     solved = _counting_quotient_norms(monkeypatch)
-    got = bm_upper_via_basis_map(g, mixed)
+    got = bm_upper_via_basis_map(g, _d1_mixed())
     assert solved == mixed[1:]
     want = all_vectors_bm_upper(g, mixed)
     assert got == (want, want, 1) and orbit_bm_upper(g, mixed, []) == got
     assert want > 2                     # the mixtures are worse than the Haar pair
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_bm_upper_does_not_change_when_a_vector_is_tripled(i):
+    g = diamond(1)
+    for vecs in (_d1_cut_vectors(), _d1_mixed()):
+        want = bm_upper_via_basis_map(g, vecs)
+        vecs[i] = {e: 3 * v for e, v in vecs[i].items()}
+        assert bm_upper_via_basis_map(g, vecs) == want
+    assert want[0] == all_vectors_bm_upper(g, _edge_vectors(g, _d1_mixed())) > 2
 
 
 def test_bm_upper_rejects_a_cut_vector_that_meets_a_cycle():
@@ -562,14 +587,11 @@ def test_bm_upper_rejects_a_cut_vector_that_meets_a_cycle():
     # keeps the vectors orthogonal to each other but not to the cycle
     d1 = diamond(1)
     g = TwoPoleGraph(d1.vertices + ("x",), d1.edges + (Edge("p", "top", "x"),), "x", "bottom")
-    good = [EdgeVector(g, {"tl": F(1), "bl": F(1), "br": F(1), "tr": F(1)}),
-            EdgeVector(g, {"tl": F(1), "bl": F(-1)}), EdgeVector(g, {"br": F(1), "tr": F(-1)}),
-            EdgeVector(g, {"p": F(1)})]
+    good = _d1_cut_vectors() + [{"p": 1}]
     assert bm_upper_via_basis_map(g, good) == (2, 2, 1)
-    meets = good[:1] + [EdgeVector(g, {"tl": F(1), "tr": F(-1)}),
-                        EdgeVector(g, {"bl": F(1), "br": F(-1)})] + good[3:]
+    meets = good[:1] + [{"tl": 1, "tr": -1}, {"bl": 1, "br": -1}] + good[3:]
     [z] = fundamental_cycle_basis(g).vectors
-    assert [sum(w.get(e) * v for e, v in z.coeffs.items()) != 0 for w in meets] == [
+    assert [sum(w.get(e, 0) * v for e, v in z.coeffs.items()) != 0 for w in meets] == [
         False, True, True, False]
     with pytest.raises(ValidationError, match="cycle image"):
         bm_upper_via_basis_map(g, meets)
@@ -580,11 +602,11 @@ def test_bm_upper_rejects_a_family_one_vector_short(drop):
     # the remaining two vectors are orthogonal to each other and to Z, but
     # they span only part of Z's complement
     g = diamond(1)
-    short = [w for i, w in enumerate(_d1_cut_vectors(g)) if i != drop]
+    short = [w for i, w in enumerate(_d1_cut_vectors()) if i != drop]
     with pytest.raises(ValidationError, match="complement"):
         bm_upper_via_basis_map(g, short)
     with pytest.raises(ValidationError, match="complement"):
-        bm_upper_via_basis_map(path(2), [EdgeVector(path(2), {"e0": F(1)})])
+        bm_upper_via_basis_map(path(2), [{"e0": 1}])
 
 
 # The orbit method, with one quotient norm per orbit of cut vectors under
@@ -595,11 +617,11 @@ def test_bm_upper_joins_cut_vectors_under_a_symmetry(monkeypatch):
     g = diamond(1)
     mirror = {"tl": "tr", "tr": "tl", "bl": "br", "br": "bl"}      # swaps l and r
     solved = _counting_quotient_norms(monkeypatch)
-    assert orbit_bm_upper(g, _d1_cut_vectors(g), [mirror]) == (2, 2, 1)
+    assert orbit_bm_upper(g, _edge_vectors(g, _d1_cut_vectors()), [mirror]) == (2, 2, 1)
     assert len(solved) == 2                                         # h_0, and h_2 ~ h_3
-    assert orbit_bm_upper(g, _d1_cut_vectors(g), []) == (2, 2, 1)
+    assert orbit_bm_upper(g, _edge_vectors(g, _d1_cut_vectors()), []) == (2, 2, 1)
     assert len(solved) == 5
-    assert bm_upper_via_basis_map(g, _d1_cut_vectors(g)) == (2, 2, 1)
+    assert bm_upper_via_basis_map(g, _d1_cut_vectors()) == (2, 2, 1)
     assert len(solved) == 5
 
 
@@ -611,7 +633,7 @@ def test_bm_upper_joins_cut_vectors_under_a_symmetry(monkeypatch):
 def test_bm_upper_rejects_a_generator_that_is_not_an_edge_bijection(bad):
     g = diamond(1)
     with pytest.raises(ValidationError, match="bijection"):
-        orbit_bm_upper(g, _d1_cut_vectors(g), [bad])
+        orbit_bm_upper(g, _edge_vectors(g, _d1_cut_vectors()), [bad])
 
 
 @pytest.mark.parametrize("g", [diamond(2), laakso(2), multidiamond(1, 3)])
@@ -635,7 +657,7 @@ def test_bm_upper_rejects_a_generator_that_moves_a_cut_vector_off_the_family():
     g = diamond(1)
     swap = {"tl": "br", "br": "tl", "bl": "bl", "tr": "tr"}
     with pytest.raises(ValidationError, match="no cut vector"):
-        orbit_bm_upper(g, _d1_cut_vectors(g), [swap])
+        orbit_bm_upper(g, _edge_vectors(g, _d1_cut_vectors()), [swap])
 
 
 def _path4_cut_vectors(g, half):
@@ -652,12 +674,12 @@ def test_bm_upper_does_not_join_cut_vectors_that_differ_by_a_factor():
     with pytest.raises(ValidationError, match="no cut vector"):
         orbit_bm_upper(g, _path4_cut_vectors(g, F(1, 2)), [shift])
     assert all_vectors_bm_upper(g, _path4_cut_vectors(g, F(1, 2))) == 2
-    assert bm_upper_via_basis_map(g, _path4_cut_vectors(g, F(1, 2))) == (2, 2, 1)
+    assert bm_upper_via_basis_map(g, integer_maps(_path4_cut_vectors(g, F(1, 2)))) == (2, 2, 1)
     # with A and E at D's scale the shift joins {A, D} and {E, B}
     vecs = _path4_cut_vectors(g, F(1))
     upper = all_vectors_bm_upper(g, vecs)
     assert orbit_bm_upper(g, vecs, [shift]) == (upper, upper, 1)
-    assert bm_upper_via_basis_map(g, vecs) == (upper, upper, 1)
+    assert bm_upper_via_basis_map(g, integer_maps(vecs)) == (upper, upper, 1)
 
 
 def test_bm_upper_rejects_a_generator_that_breaks_the_cycle_space_without_joining():

@@ -49,8 +49,6 @@ KEPT = {
     "projections.average_projection":
         "bench/workloads.py calls it and BENCHMARK.json's per-layer metrics name it; "
         "ROADMAP item 4 deletes it with the permutation-matrix API",
-    "haar_system.andrew_lower_bound":
-        "the paper's averaging argument (Grunbaum 1960, Rudin 1962), not yet a claim",
     "haar_system.haar_coefficients":
         "BENCHMARK.json's per-layer metrics name it, so bench/ requires it to exist; "
         "the span check calls the sparse transform under it directly",

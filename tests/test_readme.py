@@ -73,6 +73,6 @@ def _undefined(names):
 def test_size_cap_list_names_existing_constants():
     text = README.read_text(encoding="utf-8")
     caps = _size_caps(text)
-    assert len(caps) == 8 and _undefined(caps) == []
+    assert len(caps) == 9 and _undefined(caps) == []
     stale = text.replace("projections.MAX_LP_NONZEROS", "projections.MAX_DENSE_LP_BYTES", 1)
     assert _undefined(_size_caps(stale)) == ["projections.MAX_DENSE_LP_BYTES"]
