@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from . import linalg, simplex
@@ -108,10 +109,30 @@ class EdgeVector:
 
 @dataclass(frozen=True)
 class CycleBasis:
+    """A scaled cycle basis z_1..z_mu of a graph's cycle space (see
+    quotient_norm).
+
+    quotient_norm checks a basis once per basis and graph object: the first
+    call with an x on the graph of the basis's vectors keeps the checked
+    edge scales and integer lengths (_checked_data), and an x on any other
+    graph object, even an equal one, is checked on every call.  This is
+    sound because CycleBasis and EdgeVector are frozen, nothing in the
+    library mutates EdgeVector.coeffs, and the simplex still certifies every
+    value.  A basis that fails stores nothing; the stored data enters
+    neither equality nor the hash.
+    """
+
     vectors: tuple[EdgeVector, ...]
 
     def __len__(self):
         return len(self.vectors)
+
+    @cached_property
+    def _checked_data(self) -> tuple:
+        """_flow_data of the graph of the first vector under this basis's
+        checked edge scales (ValidationError if the basis fails)."""
+        g = self.vectors[0].graph
+        return _flow_data(g, _edge_scales(g, self))
 
 
 def signed_indicator(cycle_edges: list[str], g: TwoPoleGraph) -> EdgeVector:
@@ -277,6 +298,21 @@ def _edge_scales(g: TwoPoleGraph, z: CycleBasis) -> dict[str, tuple[int, int]]:
     return scale
 
 
+def _flow_data(g: TwoPoleGraph, scale: dict[str, tuple[int, int]]) -> tuple:
+    """(ends, lengths, lden, nums, dens), indexed by g.edge_order: each edge
+    as a (tail, head) pair of vertex indices, its scale d_e (1 where scale
+    has none) as the integer lengths[i] / lden and as nums[i] / dens[i] in
+    lowest terms."""
+    vidx = {v: i for i, v in enumerate(g.vertices)}
+    ends = [(vidx[e.tail], vidx[e.head]) for e in g.edges]
+    nums, dens = [1] * len(ends), [1] * len(ends)
+    order = g.edge_order
+    for eid, (n, d) in scale.items():
+        nums[order[eid]], dens[order[eid]] = n, d
+    lden = lcm(*dens)
+    return ends, [n * (lden // d) for n, d in zip(nums, dens)], lden, nums, dens
+
+
 def quotient_norm(x: EdgeVector, z: CycleBasis | None = None) -> Fraction:
     """Distance from x to span(z) in l1: min_c ||x - sum c_i z_i||_1, exactly.
 
@@ -291,26 +327,36 @@ def quotient_norm(x: EdgeVector, z: CycleBasis | None = None) -> Fraction:
     phi(tail)| <= d_e on every edge and <boundary(D^-1 x), phi> = value,
     and raises SolverFailure otherwise.  For D = I this is the
     transportation norm of boundary(x) on the graph metric.
+
+    The basis check runs once per basis and graph object: when x lives on
+    the graph object of z's vectors, the scales and lengths checked at the
+    first such call are reused (CycleBasis._checked_data), and any other graph
+    object is checked on every call.  This is sound because CycleBasis and
+    EdgeVector are frozen, nothing in the library mutates EdgeVector.coeffs,
+    and the potential certificate above is still checked on every call.
+    A basis that fails raises ValidationError on every call.
     """
     g = x.graph
-    scale = {} if z is None else _edge_scales(g, z)
-    vidx = {v: i for i, v in enumerate(g.vertices)}
-    ends = [(vidx[e.tail], vidx[e.head]) for e in g.edges]
-    lden = lcm(*(d for _, d in scale.values()))
-    lengths = [n * (lden // d) for n, d in (scale.get(e.id, (1, 1)) for e in g.edges)]
+    if z is None:
+        data = _flow_data(g, {})
+    elif z.vectors and z.vectors[0].graph is g:
+        data = z._checked_data
+    else:
+        data = _flow_data(g, _edge_scales(g, z))
+    ends, lengths, lden, nums, dens = data
     # x_e / d_e = p / q
+    order = g.edge_order
     terms = []
     for eid, v in x.coeffs.items():
-        sn, sd = scale.get(eid, (1, 1))
-        terms.append((eid, v.numerator * sd, v.denominator * sn))
+        i = order[eid]
+        terms.append((i, v.numerator * dens[i], v.denominator * nums[i]))
     dden = lcm(*(q for _, _, q in terms))
-    div = [0] * len(vidx)
-    edge_by_id = g.edge_by_id
-    for eid, p, q in terms:
-        e = edge_by_id[eid]
+    div = [0] * len(g.vertices)
+    for i, p, q in terms:
+        t, h = ends[i]
         f = p * (dden // q)
-        div[vidx[e.head]] += f
-        div[vidx[e.tail]] -= f
+        div[h] += f
+        div[t] -= f
     return simplex.min_cost_flow(ends, lengths, div)[0] / (lden * dden)
 
 

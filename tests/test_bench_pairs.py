@@ -56,6 +56,36 @@ def test_workload_entry_counts_better_pairs_and_sums_counts():
                                      "certify_ref", "peak_rss_mb"]
 
 
+def _pairs(parent_refs, change_refs):
+    """Runs that differ only in certify_ref, so the other metrics tie."""
+    return ([_run(0.1, r, 20.0) for r in parent_refs], [_run(0.1, r, 20.0) for r in change_refs])
+
+
+@pytest.mark.parametrize("change_refs,expected", [
+    # 9 of 10 pairs won (the last one lost); the medians, 1.0 and 0.8,
+    # differ by more than the parent's q3 - q1 = 1.0375 - 0.9625
+    ([0.8] * 9 + [1.2], "better"),
+    # median 1.3 against 1.0: worse by more than the 0.25 bound
+    ([1.3] * 10, "worse"),
+    # 8 wins, a loss and a tie (1.1 against 1.1) are too few for better,
+    # and nothing is worse
+    ([0.8] * 8 + [1.1] * 2, "unresolved"),
+])
+def test_workload_entry_verdicts(change_refs, expected):
+    parent, change = _pairs([0.9, 0.95, 0.95, 1.0, 1.0, 1.0, 1.0, 1.05, 1.05, 1.1], change_refs)
+    entry = bench_pairs.workload_entry(1, parent, change, END_TO_END)
+    assert entry["verdict"] == {"setup_s": "unresolved", "certify_ref": expected,
+                                "peak_rss_mb": "unresolved"}
+
+
+def test_a_gain_within_the_parents_spread_is_unresolved():
+    # the change wins every pair, but by less than the parent's q3 - q1
+    parent, change = _pairs([1.0, 1.2, 1.4, 1.6], [0.9, 1.1, 1.3, 1.5])
+    entry = bench_pairs.workload_entry(1, parent, change, END_TO_END)
+    assert entry["change_better_in_pairs"]["certify_ref"] == 4
+    assert entry["verdict"]["certify_ref"] == "unresolved"
+
+
 def test_workload_entry_needs_whole_pairs():
     with pytest.raises(ValueError):
         bench_pairs.workload_entry(1, [_run(0.1, 1.0, 1.0)], [], END_TO_END)

@@ -6,7 +6,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from freelip import simplex
+from freelip import cyclespace, simplex
 from freelip.cyclespace import (CycleBasis, EdgeVector, boundary,
                                 fundamental_cycle_basis,
                                 fundamental_cycles_as_walks, greedy_cycle_packing,
@@ -271,6 +271,14 @@ def _dense_value(x, basis):
     return min_l1_combination(x.dense(), [z.dense() for z in basis.vectors])[0]
 
 
+def _weighted_basis(rng, g):
+    """The cycles of a random spanning tree, each scaled by one positive
+    rational per edge: z_i = D y_i, as the benchmark's weighted bases."""
+    d = {e.id: F(rng.randint(1, 9), rng.randint(1, 4)) for e in g.edges}
+    return CycleBasis(tuple(EdgeVector(g, {e: d[e] * v for e, v in y.coeffs.items()})
+                            for y in _random_tree_basis(rng, g).vectors))
+
+
 @given(st.integers(0, 10 ** 6), st.sampled_from(KINDS))
 @settings(max_examples=60, deadline=None)
 def test_quotient_norm_matches_dense_and_flow_oracles(seed, kind):
@@ -290,9 +298,7 @@ def test_quotient_norm_weighted_basis_matches_dense(seed, kind):
     # scales D, here over the cycles of a random spanning tree
     rng = random.Random(seed)
     g = _graph(kind, rng)
-    d = {e.id: F(rng.randint(1, 9), rng.randint(1, 4)) for e in g.edges}
-    basis = CycleBasis(tuple(EdgeVector(g, {e: d[e] * v for e, v in y.coeffs.items()})
-                             for y in _random_tree_basis(rng, g).vectors))
+    basis = _weighted_basis(rng, g)
     x = random_edge_vector(rng, g)
     assert quotient_norm(x, basis) == _dense_value(x, basis)
     assert quotient_norm(EdgeVector(g, {}), basis) == 0
@@ -370,6 +376,95 @@ def test_quotient_norm_checks_the_potential_certificate(monkeypatch, corrupt, me
     monkeypatch.setattr(simplex, "_network_simplex", lambda *a: corrupt(real(*a)))
     with pytest.raises(SolverFailure, match=message):
         quotient_norm(EdgeVector(diamond(1), {"tl": F(1)}))
+
+
+def _count_checks(monkeypatch):
+    """The graphs that _edge_scales is called with, in order."""
+    checked = []
+    real = cyclespace._edge_scales
+    monkeypatch.setattr(cyclespace, "_edge_scales",
+                        lambda g, z: checked.append(g) or real(g, z))
+    return checked
+
+
+def test_a_basis_is_checked_once_per_graph_object(monkeypatch):
+    checked = _count_checks(monkeypatch)
+    g = diamond(2)
+    basis = fundamental_cycle_basis(g)
+    x = random_edge_vector(random.Random(RNG_SEED), g)
+    value = quotient_norm(x, basis)
+    assert all(quotient_norm(x, basis) == value for _ in range(4))
+    assert checked == [g]
+    # an equal but distinct graph object is checked on every call
+    g2 = diamond(2)
+    assert g2 == g and g2 is not g
+    x2 = EdgeVector(g2, x.coeffs)
+    assert quotient_norm(x2, basis) == quotient_norm(x2, basis) == value
+    assert len(checked) == 3 and checked[1] is checked[2] is g2
+    assert quotient_norm(x, basis) == value and len(checked) == 3
+
+
+def _rejected_bases(g):
+    zs = list(fundamental_cycle_basis(g).vectors)
+    z0 = zs[0]
+    broken = EdgeVector(g, dict(list(z0.coeffs.items())[1:]))
+    return [("dependent", CycleBasis((zs[1], *zs[1:]))),
+            ("dimension", CycleBasis(tuple(zs[1:]))),
+            ("not a scaled cycle", CycleBasis((broken, *zs[1:])))]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_a_rejected_basis_raises_on_every_call(monkeypatch, case):
+    checked = _count_checks(monkeypatch)
+    g = diamond(2)
+    message, basis = _rejected_bases(g)[case]
+    x = random_edge_vector(random.Random(RNG_SEED), g)
+    for calls in (1, 2):
+        with pytest.raises(ValidationError, match=message):
+            quotient_norm(x, basis)
+        assert len(checked) == calls
+
+
+def test_a_checked_basis_still_rejects_a_vector_on_another_graph():
+    g = diamond(2)
+    basis = fundamental_cycle_basis(g)
+    rng = random.Random(RNG_SEED)
+    quotient_norm(random_edge_vector(rng, g), basis)
+    for other in (laakso(1), multidiamond(2, 3)):
+        x = random_edge_vector(rng, other)
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                quotient_norm(x, basis)
+
+
+def test_use_does_not_change_basis_equality_or_hash():
+    g = diamond(2)
+    basis, fresh = fundamental_cycle_basis(g), fundamental_cycle_basis(g)
+    with pytest.raises(TypeError):  # EdgeVector holds a dict
+        hash(basis)
+    quotient_norm(random_edge_vector(random.Random(RNG_SEED), g), basis)
+    assert basis == fresh and fresh == basis and repr(basis) == repr(fresh)
+    with pytest.raises(TypeError):
+        hash(basis)
+    # the empty basis of a tree hashes, and hashes the same after use
+    tree = path(5)
+    empty = CycleBasis(())
+    before = hash(empty)
+    quotient_norm(random_edge_vector(random.Random(RNG_SEED), tree), empty)
+    assert hash(empty) == before == hash(CycleBasis(())) and empty == CycleBasis(())
+
+
+def test_a_reused_basis_agrees_with_dense_and_fresh_bases():
+    rng = random.Random(RNG_SEED + 34)
+    for k in range(200):
+        g = _graph(KINDS[k % len(KINDS)], rng)
+        basis = _weighted_basis(rng, g)
+        x, y = random_edge_vector(rng, g), random_edge_vector(rng, g)
+        first = quotient_norm(x, basis)
+        quotient_norm(y, basis)
+        assert first == quotient_norm(x, basis) == _dense_value(x, basis)
+        fresh = CycleBasis(tuple(EdgeVector(g, dict(z.coeffs)) for z in basis.vectors))
+        assert fresh == basis and quotient_norm(x, fresh) == first
 
 
 def _bouquet(k):

@@ -16,9 +16,9 @@ an entry holds per side the summed attempted and failed claim counts,
 whether every run was correct, and for each end-to-end metric of
 BENCHMARK.json the median, the quartiles (statistics.quantiles, inclusive
 method) and every run's value; ``change_better_in_pairs`` counts the pairs
-in which the change's value was better.  The file is rewritten after each
-workload and seed, so an interrupted run keeps what it finished.
-Standard library only.
+in which the change's value was better, and ``verdict`` reads each metric
+by the rule of verdict().  The file is rewritten after each workload and
+seed, so an interrupted run keeps what it finished.  Standard library only.
 """
 
 from __future__ import annotations
@@ -61,20 +61,40 @@ def side_summary(results: list, metrics: list) -> dict:
     return out
 
 
+def verdict(metric: dict, parent: dict, change: dict, wins: int, pairs: int) -> str:
+    """One metric's reading from the two sides' summaries and the pairs the
+    change won (ties count for neither); metric is its BENCHMARK.json entry.
+
+    "better": the change won at least 9 in 10 pairs and its median is better
+    than the parent's by more than the parent's q3 - q1.  "worse": its
+    median is worse than the parent's by more than bound x the parent's
+    median.  "unresolved": anything else.
+    """
+    sign = 1 if metric["better"] == "lower" else -1
+    gain = sign * (parent["median"] - change["median"])
+    if 10 * wins >= 9 * pairs and gain > parent["q3"] - parent["q1"]:
+        return "better"
+    if -gain > metric["bound"] * abs(parent["median"]):
+        return "worse"
+    return "unresolved"
+
+
 def workload_entry(seed: int, parent: list, change: list, end_to_end: list) -> dict:
     """The BENCH file's entry for one workload and seed; parent[i] and
     change[i] are the two runs of pair i."""
     if len(parent) != len(change):
         raise ValueError("every pair needs a parent and a change run")
     names = [m["name"] for m in end_to_end]
-    better = {}
+    sides = {"parent": side_summary(parent, names), "change": side_summary(change, names)}
+    better, verdicts = {}, {}
     for m in end_to_end:
-        sign = 1 if m["better"] == "lower" else -1
-        better[m["name"]] = sum(
-            sign * c["metrics"][m["name"]]["value"] < sign * p["metrics"][m["name"]]["value"]
-            for p, c in zip(parent, change))
-    return {"seed": seed, "pairs": len(parent), "parent": side_summary(parent, names),
-            "change": side_summary(change, names), "change_better_in_pairs": better}
+        name, sign = m["name"], 1 if m["better"] == "lower" else -1
+        better[name] = sum(sign * c["metrics"][name]["value"] < sign * p["metrics"][name]["value"]
+                           for p, c in zip(parent, change))
+        verdicts[name] = verdict(m, sides["parent"][name], sides["change"][name],
+                                 better[name], len(parent))
+    return {"seed": seed, "pairs": len(parent), **sides, "change_better_in_pairs": better,
+            "verdict": verdicts}
 
 
 def seeds(text: str) -> list:
