@@ -299,10 +299,10 @@ def _edge_scales(g: TwoPoleGraph, z: CycleBasis) -> dict[str, tuple[int, int]]:
 
 
 def _flow_data(g: TwoPoleGraph, scale: dict[str, tuple[int, int]]) -> tuple:
-    """(ends, lengths, lden, nums, dens), indexed by g.edge_order: each edge
+    """(network, ends, lden, nums, dens), indexed by g.edge_order: each edge
     as a (tail, head) pair of vertex indices, its scale d_e (1 where scale
-    has none) as the integer lengths[i] / lden and as nums[i] / dens[i] in
-    lowest terms."""
+    has none) as nums[i] / dens[i] in lowest terms, and the
+    simplex.FlowNetwork of these edges at the integer lengths d_e lden."""
     vidx = {v: i for i, v in enumerate(g.vertices)}
     ends = [(vidx[e.tail], vidx[e.head]) for e in g.edges]
     nums, dens = [1] * len(ends), [1] * len(ends)
@@ -310,7 +310,8 @@ def _flow_data(g: TwoPoleGraph, scale: dict[str, tuple[int, int]]) -> tuple:
     for eid, (n, d) in scale.items():
         nums[order[eid]], dens[order[eid]] = n, d
     lden = lcm(*dens)
-    return ends, [n * (lden // d) for n, d in zip(nums, dens)], lden, nums, dens
+    network = simplex.FlowNetwork(len(vidx), ends, [n * (lden // d) for n, d in zip(nums, dens)])
+    return network, ends, lden, nums, dens
 
 
 def quotient_norm(x: EdgeVector, z: CycleBasis | None = None) -> Fraction:
@@ -343,7 +344,7 @@ def quotient_norm(x: EdgeVector, z: CycleBasis | None = None) -> Fraction:
         data = z._checked_data
     else:
         data = _flow_data(g, _edge_scales(g, z))
-    ends, lengths, lden, nums, dens = data
+    network, ends, lden, nums, dens = data
     # x_e / d_e = p / q
     order = g.edge_order
     terms = []
@@ -357,7 +358,7 @@ def quotient_norm(x: EdgeVector, z: CycleBasis | None = None) -> Fraction:
         f = p * (dden // q)
         div[h] += f
         div[t] -= f
-    return simplex.min_cost_flow(ends, lengths, div)[0] / (lden * dden)
+    return network.min_cost_flow(div)[0] / (lden * dden)
 
 
 def _shortest_cycle_through(g_adj, edge, by_pair):

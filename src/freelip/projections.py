@@ -145,21 +145,21 @@ def orthogonal_index(vectors: list[dict]) -> dict:
     Orthogonality is checked coordinate by coordinate, each adding
     w[t] w'[t] to the pairs of vectors that meet on it, so the check costs
     the pairs of vectors per coordinate rather than all pairs of vectors.
+    Each vector's dot products with the earlier ones are summed in a map of
+    its own, checked and dropped before the next vector.
     """
+    if not all(vectors):
+        raise ValidationError("cut vectors must be nonzero")
     at: dict = {}
-    pairs: dict[int, int] = {}          # j * len(vectors) + i -> <w_j, w_i> so far, j < i
-    size = len(vectors)
     for i, w in enumerate(vectors):
-        if not w:
-            raise ValidationError("cut vectors must be nonzero")
+        dots: dict[int, int] = {}       # j -> <w_j, w_i> so far, j < i
         for t, x in w.items():
             here = at.setdefault(t, [])
             for j, y in here:
-                key = j * size + i
-                pairs[key] = pairs.get(key, 0) + x * y
+                dots[j] = dots.get(j, 0) + x * y
             here.append((i, x))
-    if any(pairs.values()):
-        raise ValidationError("cut vectors are not pairwise orthogonal")
+        if any(dots.values()):
+            raise ValidationError("cut vectors are not pairwise orthogonal")
     return at
 
 

@@ -34,6 +34,7 @@ tests' reference for the value of ``lip_dual``; no library path calls it.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from operator import sub
 
@@ -190,10 +191,14 @@ def _tree_pivot(tails, heads, flow, adj, outs, ins, parent, parc, depth, phi, re
     path: it rises on the path arcs oriented along that cycle and falls on
     the others.  Among the falling arcs at the minimum flow the smallest
     index leaves, so with first-negative entering this is Bland's rule.
-    The leaving arc cuts a subtree off from node 0.  It is re-hung from
-    the end of a_in inside it, its potentials shift by the reduced cost of
-    a_in so that a_in prices at 0, and the reduced costs of the arcs with
-    exactly one end in it shift with them.
+    The leaving arc cuts a subtree off from node 0, which is re-hung from
+    the end of a_in inside it.  So that a_in prices at 0, one side of the
+    cut shifts its potentials, the subtree by the reduced cost delta of
+    a_in or the rest by -delta, whichever has fewer nodes, and the reduced
+    costs of the arcs with exactly one end in that side shift with them.
+    Either side gives the same reduced costs, so the pivots do not depend
+    on the choice; the potentials differ by a constant, which
+    _network_simplex takes off when it returns.
     """
     rising, falling = [], []
     a, b = heads[a_in], tails[a_in]
@@ -228,7 +233,6 @@ def _tree_pivot(tails, heads, flow, adj, outs, ins, parent, parc, depth, phi, re
     else:
         top, p, delta = tails[a_in], heads[a_in], -r
     parent[top], parc[top], depth[top] = p, a_in, depth[p] + 1
-    phi[top] += delta
     moved = [top]
     for u in moved:
         du, pu = depth[u] + 1, parc[u]
@@ -236,42 +240,46 @@ def _tree_pivot(tails, heads, flow, adj, outs, ins, parent, parc, depth, phi, re
             if arc != pu:
                 w = tails[arc] + heads[arc] - u
                 parent[w], parc[w], depth[w] = u, arc, du
-                phi[w] += delta
                 moved.append(w)
-    inside = set(moved)
+    n = len(phi)
+    fixed = [True] * n
     for u in moved:
+        fixed[u] = False
+    if 2 * len(moved) > n:
+        moved = list(compress(range(n), fixed))
+        fixed = [not f for f in fixed]
+        delta = -delta
+    for u in moved:
+        phi[u] += delta
         for arc in outs[u]:
-            if heads[arc] not in inside:
+            if fixed[heads[arc]]:
                 reduced[arc] += delta
         for arc in ins[u]:
-            if tails[arc] not in inside:
+            if fixed[tails[arc]]:
                 reduced[arc] -= delta
     return theta
 
 
-def _network_simplex(n, tails, heads, cost, flow, tree):
+def _network_simplex(n, tails, heads, cost, flow, tree, outs, ins):
     """Min-cost flow on nodes 0..n-1 from a feasible spanning tree; returns
     the optimal potentials phi and leaves the optimal flow in flow.
 
     Arc a runs tails[a] -> heads[a] at integer cost[a] and carries
-    flow[a] >= 0, zero off the n - 1 tree arcs listed in tree.  One tree
+    flow[a] >= 0, zero off the n - 1 tree arcs listed in tree; outs[v] and
+    ins[v] are the arcs with tail v and with head v, as any sequences (the
+    caller's network fixes them, so they are not rebuilt here).  One tree
     walk from node 0 finds the potentials, phi(head) - phi(tail) = cost on
-    every tree arc and phi[0] = 0, and the reduced costs cost - phi(head)
-    + phi(tail) of every arc; each pivot (_tree_pivot) then updates them on
-    the subtree that moves.  The most negative arc enters (the first at a
-    tie), or after _BLAND_AFTER pivots the first negative one, which with
-    _tree_pivot's leaving rule cannot cycle.  The costs must admit no
-    negative cycle.
+    every tree arc, and the reduced costs cost - phi(head) + phi(tail) of
+    every arc; each pivot (_tree_pivot) then updates them on the smaller
+    side of its cut, and the potentials are returned with phi[0] = 0.  The
+    most negative arc enters (the first at a tie), or after _BLAND_AFTER
+    pivots the first negative one, which with _tree_pivot's leaving rule
+    cannot cycle.  The costs must admit no negative cycle.
     """
     adj = [[] for _ in range(n)]
     for a in tree:
         adj[tails[a]].append(a)
         adj[heads[a]].append(a)
-    outs = [[] for _ in range(n)]
-    ins = [[] for _ in range(n)]
-    for a, (t, h) in enumerate(zip(tails, heads)):
-        outs[t].append(a)
-        ins[h].append(a)
     phi = [None] * n
     parent = [-1] * n
     parc = [-1] * n
@@ -299,7 +307,8 @@ def _network_simplex(n, tails, heads, cost, flow, tree):
             best = min(reduced, default=0)
             a_in = reduced.index(best) if best < 0 else None
         if a_in is None:
-            return phi
+            p0 = phi[0]
+            return [p - p0 for p in phi]
         _tree_pivot(tails, heads, flow, adj, outs, ins, parent, parc, depth, phi, reduced, a_in)
 
 
@@ -376,9 +385,13 @@ def transportation(cost, supply, demand, den=1):
     the masses scaled to integers: arc i nd + j from row i to column
     ns + j, from the least-cost start tree, with u = -phi(rows) and v =
     phi(columns); plan and potentials are certified in those integers
-    (_certified).
+    (_certified).  Row i's arcs are range(i nd, (i + 1) nd) and column j's
+    range(j, ns nd, nd), so no per-node arc list is built.  A cost that is
+    not ns x nd raises ValidationError.
     """
     ns, nd = len(supply), len(demand)
+    if len(cost) != ns or any(len(row) != nd for row in cost):
+        raise ValidationError(f"cost is not {ns} x {nd}: one row per supply, one column per demand")
     masses, mden = _scaled(list(supply) + list(demand))
     if sum(masses[:ns]) != sum(masses[ns:]):
         raise SolverFailure("unbalanced transportation problem")
@@ -388,69 +401,122 @@ def transportation(cost, supply, demand, den=1):
     flow, tree = _least_cost(icost, masses[:ns], masses[ns:])
     tails = [i for i in range(ns) for _ in range(nd)]
     heads = [ns + j for _ in range(ns) for j in range(nd)]
-    phi = _network_simplex(ns + nd, tails, heads, icost, flow, tree)
+    outs = [range(i * nd, (i + 1) * nd) for i in range(ns)] + [()] * nd
+    ins = [()] * ns + [range(j, ns * nd, nd) for j in range(nd)]
+    phi = _network_simplex(ns + nd, tails, heads, icost, flow, tree, outs, ins)
     total = _certified(tails, heads, icost, flow, phi, [-m for m in masses[:ns]] + masses[ns:])
     plan = [[Fraction(f, mden) if f else ZERO for f in flow[i * nd:(i + 1) * nd]]
             for i in range(ns)]
     return Fraction(total, den * mden), plan, ([-p for p in phi[:ns]], phi[ns:])
 
 
-def min_cost_flow(ends, lengths, divergence):
-    """min sum_e lengths[e] |f_e| over edge flows f with the given divergence.
+class FlowNetwork:
+    """A connected graph as a min-cost-flow network, built once for any
+    number of divergences (``min_cost_flow``).
 
-    ends[e] = (tail, head) are vertex indices 0..n-1 of a connected graph,
-    lengths are nonnegative and divergence[v] (inflow minus outflow,
-    summing to zero) are ints or Fractions.  Returns (value, (flow, fden),
-    (phi, pden)): the value is a Fraction; edge e carries flow[e] / fden
-    from tail to head (head to tail when negative), over the divergence's
-    common denominator fden; and the vertex potentials phi[v] / pden, over
-    the lengths' common denominator pden, satisfy |phi(head) - phi(tail)|
-    <= lengths[e] with sum_v divergence[v] phi(v) = value, which certifies
-    the optimum.  Runs the network simplex on the problem scaled to
-    integers, edge e as arcs 2e (tail -> head) and 2e + 1 (head -> tail),
-    from the BFS spanning tree of vertex 0, and certifies flow and
-    potentials in those integers (_certified).
+    n is the vertex count, ends[e] = (tail, head) are vertex indices
+    0..n-1 and lengths[e] >= 0 are ints or Fractions, one per edge; a
+    mismatch in count, an end outside 0..n-1 or a negative length raises
+    ValidationError, a disconnected graph SolverFailure.  The network keeps
+    what the network simplex needs that does not depend on the divergence:
+    edge e as arcs 2e (tail -> head) and 2e + 1 (head -> tail) in tails,
+    heads and arc_cost, at the lengths scaled to integers over their common
+    denominator cden; each vertex's out-arcs and in-arcs (outs, ins); and
+    the BFS spanning tree of vertex 0 from which every solve starts, as the
+    vertices after 0 in reverse BFS order (climb) and each one's edge to its
+    parent (up).  All of it is tuples and nothing changes it after
+    construction, so one network serves every solve on its graph; each
+    solve still certifies its own flow and potentials.
     """
-    for e, length in enumerate(lengths):
-        if length < 0:
-            raise ValidationError(f"edge {e} {tuple(ends[e])} has negative length {length}")
-    n, m = len(divergence), len(ends)
-    div, dden = _scaled(list(divergence))
-    if sum(div):
-        raise SolverFailure("divergence does not sum to zero")
-    cost, cden = _scaled(list(lengths))
-    adj = [[] for _ in range(n)]
-    for e, (t, h) in enumerate(ends):
-        adj[t].append(e)
-        adj[h].append(e)
-    seen = [False] * n
-    seen[0] = True
-    order, up = [0], [-1] * n
-    for u in order:
-        for e in adj[u]:
-            w = ends[e][0] + ends[e][1] - u
-            if not seen[w]:
-                seen[w], up[w] = True, e
-                order.append(w)
-    if len(order) != n:
-        raise SolverFailure("min-cost flow needs a connected graph")
-    # the BFS tree's flow is forced; each tree edge enters as the arc along it
-    flow, tree = [0] * (2 * m), []
-    below = list(div)
-    for w in reversed(order[1:]):
-        e = up[w]
-        t, h = ends[e]
-        f = below[w] if h == w else -below[w]   # inflow to w's subtree
-        below[t + h - w] += below[w]
-        arc = 2 * e + (f < 0)
-        flow[arc] = abs(f)
-        tree.append(arc)
-    tails = [v for t, h in ends for v in (t, h)]
-    heads = [v for t, h in ends for v in (h, t)]
-    arc_cost = [c for c in cost for _ in range(2)]
-    phi = _network_simplex(n, tails, heads, arc_cost, flow, tree)
-    total = _certified(tails, heads, arc_cost, flow, phi, div)
-    return Fraction(total, cden * dden), (list(map(sub, flow[::2], flow[1::2])), dden), (phi, cden)
+
+    __slots__ = ("n", "cden", "tails", "heads", "arc_cost", "outs", "ins", "climb", "up")
+
+    def __init__(self, n, ends, lengths):
+        if n < 1:
+            raise ValidationError("a flow network needs at least one vertex")
+        if len(lengths) != len(ends):
+            raise ValidationError(f"{len(ends)} edges but {len(lengths)} lengths")
+        vertices = range(n)
+        for e, (t, h) in enumerate(ends):
+            if t not in vertices or h not in vertices:
+                raise ValidationError(f"edge {e} {(t, h)} has an end outside 0..{n - 1}")
+        for e, length in enumerate(lengths):
+            if length < 0:
+                raise ValidationError(f"edge {e} {tuple(ends[e])} has negative length {length}")
+        adj = [[] for _ in range(n)]
+        for e, (t, h) in enumerate(ends):
+            adj[t].append(e)
+            adj[h].append(e)
+        seen = [False] * n
+        seen[0] = True
+        order, up = [0], [-1] * n
+        for u in order:
+            for e in adj[u]:
+                w = ends[e][0] + ends[e][1] - u
+                if not seen[w]:
+                    seen[w], up[w] = True, e
+                    order.append(w)
+        if len(order) != n:
+            raise SolverFailure("min-cost flow needs a connected graph")
+        cost, self.cden = _scaled(list(lengths))
+        self.n = n
+        self.tails = tuple(v for t, h in ends for v in (t, h))
+        self.heads = tuple(v for t, h in ends for v in (h, t))
+        self.arc_cost = tuple(c for c in cost for _ in range(2))
+        outs = [[] for _ in range(n)]
+        ins = [[] for _ in range(n)]
+        for a, (t, h) in enumerate(zip(self.tails, self.heads)):
+            outs[t].append(a)
+            ins[h].append(a)
+        self.outs = tuple(map(tuple, outs))
+        self.ins = tuple(map(tuple, ins))
+        self.climb = tuple(order[:0:-1])
+        self.up = tuple(up)
+
+    def min_cost_flow(self, divergence):
+        """min sum_e lengths[e] |f_e| over edge flows f with the given
+        divergence[v] (inflow minus outflow, ints or Fractions summing to
+        zero, one per vertex; ValidationError for another count).
+
+        Returns (value, (flow, fden), (phi, pden)): the value is a
+        Fraction; edge e carries flow[e] / fden from tail to head (head to
+        tail when negative), over the divergence's common denominator fden;
+        and the vertex potentials phi[v] / pden, over the lengths' common
+        denominator pden = cden, satisfy |phi(head) - phi(tail)| <=
+        lengths[e] with sum_v divergence[v] phi(v) = value, which
+        certifies the optimum.  Runs the network simplex on the problem
+        scaled to integers from the BFS tree, whose flow the divergence
+        forces, and certifies flow and potentials in those integers
+        (_certified).
+        """
+        if len(divergence) != self.n:
+            raise ValidationError(f"divergence has {len(divergence)} entries for "
+                                  f"{self.n} vertices")
+        div, dden = _scaled(list(divergence))
+        if sum(div):
+            raise SolverFailure("divergence does not sum to zero")
+        tails, heads, arc_cost, up = self.tails, self.heads, self.arc_cost, self.up
+        # the BFS tree's flow is forced; each tree edge enters as the arc along it
+        flow, tree = [0] * len(tails), []
+        below = list(div)
+        for w in self.climb:
+            arc = 2 * up[w]
+            t, h = tails[arc], heads[arc]
+            f = below[w] if h == w else -below[w]   # inflow to w's subtree
+            below[t + h - w] += below[w]
+            arc += f < 0
+            flow[arc] = abs(f)
+            tree.append(arc)
+        phi = _network_simplex(self.n, tails, heads, arc_cost, flow, tree, self.outs, self.ins)
+        total = _certified(tails, heads, arc_cost, flow, phi, div)
+        return (Fraction(total, self.cden * dden), (list(map(sub, flow[::2], flow[1::2])), dden),
+                (phi, self.cden))
+
+
+def min_cost_flow(ends, lengths, divergence):
+    """FlowNetwork(len(divergence), ends, lengths).min_cost_flow(divergence):
+    one solve on a network built for it."""
+    return FlowNetwork(len(divergence), ends, lengths).min_cost_flow(divergence)
 
 
 def min_l1_combination(x, zcols):

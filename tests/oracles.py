@@ -965,7 +965,7 @@ def _full_walk_tree_pivot(tails, heads, flow, adj, parent, parc, depth, a_in):
     return theta
 
 
-def full_walk_network_simplex(n, tails, heads, cost, flow, tree):
+def full_walk_network_simplex(n, tails, heads, cost, flow, tree, outs, ins):
     """Min-cost flow on nodes 0..n-1 from a feasible spanning tree; returns
     the optimal potentials phi and leaves the optimal flow in flow.
 
@@ -975,8 +975,16 @@ def full_walk_network_simplex(n, tails, heads, cost, flow, tree):
     tree walk, and prices every arc at cost - phi(head) + phi(tail): the
     most negative enters (the first at a tie), or after _BLAND_AFTER pivots
     the first negative one, which with _tree_pivot's leaving rule cannot
-    cycle.  The costs must admit no negative cycle.
+    cycle.  The costs must admit no negative cycle.  It reads no per-node
+    arc lists; outs and ins, those of simplex._network_simplex, are only
+    checked to list each node's out-arcs and in-arcs in increasing order.
     """
+    expect_outs, expect_ins = [[] for _ in range(n)], [[] for _ in range(n)]
+    for a, (t, h) in enumerate(zip(tails, heads)):
+        expect_outs[t].append(a)
+        expect_ins[h].append(a)
+    if list(map(list, outs)) != expect_outs or list(map(list, ins)) != expect_ins:
+        raise AssertionError("outs and ins do not list each node's arcs")
     adj = [[] for _ in range(n)]
     for a in tree:
         adj[tails[a]].append(a)

@@ -467,6 +467,77 @@ def test_a_reused_basis_agrees_with_dense_and_fresh_bases():
         assert fresh == basis and quotient_norm(x, fresh) == first
 
 
+def _flow_problem(x, basis):
+    """(ends, lengths, divergence) of x's quotient norm under a scaled
+    basis, read off the vectors as they are: d_e = |z_i[e]| (1 on edges no
+    z_i touches), and boundary(D^-1 x) by vertex index."""
+    g = x.graph
+    vidx = {v: i for i, v in enumerate(g.vertices)}
+    d = {e.id: F(1) for e in g.edges}
+    for z in basis.vectors:
+        d.update((e, abs(c)) for e, c in z.coeffs.items())
+    div = [F(0)] * len(vidx)
+    for eid, v in x.coeffs.items():
+        e = g.edge_by_id[eid]
+        div[vidx[e.head]] += v / d[eid]
+        div[vidx[e.tail]] -= v / d[eid]
+    return [(vidx[e.tail], vidx[e.head]) for e in g.edges], [d[e.id] for e in g.edges], div
+
+
+def test_a_stored_network_agrees_with_fresh_and_full_walk_solves(monkeypatch):
+    # three calls through one basis's stored network, against a network
+    # built for the one solve and against the full-walk loop on it
+    rng = random.Random(RNG_SEED + 35)
+    solved = []
+    for k in range(210):
+        g = _graph(KINDS[k % len(KINDS)], rng)
+        basis = _weighted_basis(rng, g)
+        x, y = random_edge_vector(rng, g), random_edge_vector(rng, g)
+        values = [quotient_norm(x, basis), quotient_norm(y, basis), quotient_norm(x, basis)]
+        assert values[0] == values[2]
+        for v, value in zip((x, y), values):
+            problem = _flow_problem(v, basis)
+            assert simplex.min_cost_flow(*problem)[0] == value
+            solved.append((problem, value))
+    monkeypatch.setattr(simplex, "_network_simplex", oracles.full_walk_network_simplex)
+    assert all(simplex.min_cost_flow(*problem)[0] == value for problem, value in solved)
+    assert sum(1 for _, value in solved if value) > 300
+
+
+def test_a_stored_network_is_never_used_for_an_equal_graph(monkeypatch):
+    built, solves = [], []
+
+    class Recorded(simplex.FlowNetwork):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+        def min_cost_flow(self, divergence):
+            solves.append(self)
+            return super().min_cost_flow(divergence)
+
+    monkeypatch.setattr(simplex, "FlowNetwork", Recorded)
+    g = diamond(2)
+    basis = fundamental_cycle_basis(g)
+    x = random_edge_vector(random.Random(RNG_SEED), g)
+    value = quotient_norm(x, basis)
+    assert quotient_norm(x, basis) == quotient_norm(x, basis) == value
+    stored = built[0]
+    assert built == [stored] and solves == [stored] * 3
+    g2 = diamond(2)
+    assert g2 == g and g2 is not g
+    x2 = EdgeVector(g2, x.coeffs)
+    for calls in (1, 2):
+        assert quotient_norm(x2, basis) == value
+        assert len(built) == 1 + calls and solves[-1] is built[-1] is not stored
+    assert quotient_norm(x, basis) == value and solves[-1] is stored and len(built) == 3
+    # without a basis, each call builds its own network
+    assert quotient_norm(x) == quotient_norm(x) == value
+    assert len(built) == 5 and stored not in solves[-2:]
+
+
 def _bouquet(k):
     """k triangles c -> a_i -> b_i -> c sharing the vertex c, their signed
     indicators, and positive rational edge scales.  The BFS tree from c
@@ -540,6 +611,22 @@ def test_quotient_norm_reach(monkeypatch):
     assert time.perf_counter() - start < 0.5
     monkeypatch.setattr(simplex, "_network_simplex", oracles.full_walk_network_simplex)
     assert quotient_norm(x) == value
+
+
+def test_quotient_norm_pivots_on_a_diamond_six_vector(monkeypatch):
+    # the D_6 reach instance: its pivot count is pinned, so a change to the
+    # pivot rules shows here
+    x = random_edge_vector(random.Random(0), diamond(6))
+    steps = []
+    pivot = simplex._tree_pivot
+
+    def recording(*args):
+        steps.append(pivot(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(simplex, "_tree_pivot", recording)
+    assert quotient_norm(x) == F(19963, 6)
+    assert len(steps) == 1931
 
 
 def test_mu_values():

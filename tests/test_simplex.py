@@ -103,6 +103,10 @@ def test_solve_standard_exact_matches_vertex_enumeration(lp):
 
 # --- network simplex error paths ---------------------------------------------
 
+def _unreached(*args):
+    raise AssertionError("the network simplex ran")
+
+
 def test_transportation_rejects_an_unbalanced_problem():
     with pytest.raises(SolverFailure, match="unbalanced"):
         transportation([[1, 2]], [2], [1, F(1, 2)])
@@ -121,12 +125,45 @@ def test_min_cost_flow_rejects_disconnected_ends():
 def test_min_cost_flow_rejects_a_negative_length_before_pivoting(monkeypatch):
     # the pair of opposite arcs of edge 1 is a negative cycle: the flow
     # would be unbounded, and no pivot is tried
-    def unreached(*args):
-        raise AssertionError("the network simplex ran")
-
-    monkeypatch.setattr(simplex, "_network_simplex", unreached)
+    monkeypatch.setattr(simplex, "_network_simplex", _unreached)
     with pytest.raises(ValidationError, match=r"edge 1 \(1, 2\) has negative length -1"):
         min_cost_flow([(0, 1), (1, 2), (0, 2)], [1, -1, 1], [-1, 0, 1])
+
+
+def test_transportation_rejects_a_cost_read_across(monkeypatch):
+    # a 1 x 2 cost for two supplies and one demand would be read as 2 x 1
+    monkeypatch.setattr(simplex, "_network_simplex", _unreached)
+    with pytest.raises(ValidationError, match="not 2 x 1"):
+        transportation([[1, 5]], [1, 1], [2])
+
+
+def test_transportation_rejects_a_cost_with_a_row_missing(monkeypatch):
+    monkeypatch.setattr(simplex, "_network_simplex", _unreached)
+    with pytest.raises(ValidationError, match="not 2 x 1"):
+        transportation([[1]], [1, 1], [2])
+
+
+@pytest.mark.parametrize("lengths", [[1, 1], [1, 1, 1, 1]], ids=["fewer", "more"])
+def test_min_cost_flow_rejects_a_length_count_other_than_the_edge_count(monkeypatch, lengths):
+    monkeypatch.setattr(simplex, "_network_simplex", _unreached)
+    with pytest.raises(ValidationError, match=f"3 edges but {len(lengths)} lengths"):
+        min_cost_flow([(0, 1), (1, 2), (0, 2)], lengths, [-1, 0, 1])
+
+
+@pytest.mark.parametrize("end", [3, -1])
+def test_min_cost_flow_rejects_an_end_outside_the_vertices(monkeypatch, end):
+    # -1 would otherwise index the last vertex
+    monkeypatch.setattr(simplex, "_network_simplex", _unreached)
+    with pytest.raises(ValidationError, match=rf"edge 2 \(1, {end}\) has an end outside 0..2"):
+        min_cost_flow([(0, 1), (1, 2), (1, end)], [1, 1, 1], [-1, 0, 1])
+
+
+def test_a_network_rejects_a_divergence_of_another_size(monkeypatch):
+    network = simplex.FlowNetwork(3, [(0, 1), (1, 2)], [1, 2])
+    assert network.min_cost_flow([-1, 0, 1])[0] == 3
+    monkeypatch.setattr(simplex, "_network_simplex", _unreached)
+    with pytest.raises(ValidationError, match="2 entries for 3 vertices"):
+        network.min_cost_flow([-1, 1])
 
 
 SOLVES = [
@@ -190,8 +227,8 @@ def _negative(flow):
 def test_network_simplex_flow_is_certified(monkeypatch, corrupt, message):
     real = simplex._network_simplex
 
-    def corrupted(n, tails, heads, cost, flow, tree):
-        phi = real(n, tails, heads, cost, flow, tree)
+    def corrupted(n, tails, heads, cost, flow, tree, outs, ins):
+        phi = real(n, tails, heads, cost, flow, tree, outs, ins)
         corrupt(flow)
         return phi
 
@@ -293,6 +330,39 @@ def test_least_cost_start_matches_the_north_west_reference(monkeypatch):
     assert sum(1 for v in values if v) > 2000
 
 
+def test_each_pivot_shifts_one_side_of_its_cut(monkeypatch):
+    # cost = reduced + phi(head) - phi(tail) stays put on every arc through
+    # every pivot, whichever side moved; the rest moves (phi[0] changes)
+    # in some pivots, and the returned potentials have phi[0] = 0
+    moves = {"subtree": 0, "rest": 0}
+    pivot = simplex._tree_pivot
+
+    def checking(tails, heads, flow, adj, outs, ins, parent, parc, depth, phi, reduced, a_in):
+        def costs():
+            return [r + phi[h] - phi[t] for t, h, r in zip(tails, heads, reduced)]
+
+        before, phi0 = costs(), phi[0]
+        theta = pivot(tails, heads, flow, adj, outs, ins, parent, parc, depth, phi, reduced, a_in)
+        assert costs() == before and reduced[a_in] == 0
+        moves["rest" if phi[0] != phi0 else "subtree"] += 1
+        return theta
+
+    monkeypatch.setattr(simplex, "_tree_pivot", checking)
+    real = simplex._network_simplex
+
+    def normalised(*args):
+        phi = real(*args)
+        assert phi[0] == 0
+        return phi
+
+    monkeypatch.setattr(simplex, "_network_simplex", normalised)
+    rng = random.Random(35)
+    for _ in range(300):
+        _random_transportation(rng)
+        _random_min_cost_flow(rng)
+    assert moves["subtree"] > 100 and moves["rest"] > 100
+
+
 @pytest.mark.parametrize("bland_after,cases", [(2000, 1000), (3, 500), (0, 500)])
 def test_network_simplex_matches_the_full_walk_loop(monkeypatch, bland_after, cases):
     # Dantzig pricing throughout, a switch to first-negative after three
@@ -310,11 +380,12 @@ def test_network_simplex_matches_the_full_walk_loop(monkeypatch, bland_after, ca
     real = simplex._network_simplex
     seen = []
 
-    def both(n, tails, heads, cost, flow, tree):
+    def both(n, tails, heads, cost, flow, tree, outs, ins):
         oracle_flow = list(flow)
         pivots[:] = [0, 0]
-        phi = real(n, tails, heads, cost, flow, tree)
-        assert phi == oracles.full_walk_network_simplex(n, tails, heads, cost, oracle_flow, tree)
+        phi = real(n, tails, heads, cost, flow, tree, outs, ins)
+        assert phi == oracles.full_walk_network_simplex(n, tails, heads, cost, oracle_flow, tree,
+                                                        outs, ins)
         assert flow == oracle_flow
         assert pivots[0] == pivots[1]
         seen.append(pivots[0])
