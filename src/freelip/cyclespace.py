@@ -4,7 +4,7 @@ the boundary map to molecules, quotient norms, and greedy cycle packing.
 The edge space carries the l1 norm; the quotient of it by the cycle space
 is isometric to the free space over the graph's vertices, which is the
 identity the quotient-norm tests certify.  A quotient norm is computed as
-a min-cost flow on the graph's own edges (simplex.min_cost_flow, the same
+a min-cost flow on the graph's own edges (a simplex.FlowNetwork, the same
 network simplex as the transportation norms, on two opposite arcs per
 edge), posed on integers: edge scales and divergence each over one common
 denominator.  The simplex checks its optimal vertex potentials, a
@@ -114,10 +114,12 @@ class CycleBasis:
 
     quotient_norm checks a basis once per basis and graph object: the first
     call with an x on the graph of the basis's vectors keeps the checked
-    edge scales and integer lengths (_checked_data), and an x on any other
-    graph object, even an equal one, is checked on every call.  This is
-    sound because CycleBasis and EdgeVector are frozen, nothing in the
-    library mutates EdgeVector.coeffs, and the simplex still certifies every
+    edge scales and the simplex.FlowNetwork built on them (_checked_data),
+    and an x on any other graph object, even an equal one, is checked and
+    gets a network of its own on every call.  This is sound because
+    CycleBasis and EdgeVector are frozen, nothing in the library mutates
+    EdgeVector.coeffs, a network depends only on the graph's edges and the
+    scales and no solve changes it, and the simplex still certifies every
     value.  A basis that fails stores nothing; the stored data enters
     neither equality nor the hash.
     """
@@ -322,20 +324,23 @@ def quotient_norm(x: EdgeVector, z: CycleBasis | None = None) -> Fraction:
     on edges no z_i touches).  The default is the fundamental basis, D = I.
     Then span(z) = D Z(G), and the distance is the least cost
     sum d_e |f_e| of an edge flow f with boundary(f) = boundary(D^-1 x): one
-    network simplex (simplex.min_cost_flow), given the d_e and the
-    divergence as integers over one common denominator each.  It certifies
+    network simplex (simplex.FlowNetwork.min_cost_flow), given the d_e and
+    the divergence as integers over one common denominator each.  It certifies
     the value with its optimal vertex potentials phi, |phi(head) -
     phi(tail)| <= d_e on every edge and <boundary(D^-1 x), phi> = value,
     and raises SolverFailure otherwise.  For D = I this is the
     transportation norm of boundary(x) on the graph metric.
 
-    The basis check runs once per basis and graph object: when x lives on
-    the graph object of z's vectors, the scales and lengths checked at the
-    first such call are reused (CycleBasis._checked_data), and any other graph
-    object is checked on every call.  This is sound because CycleBasis and
-    EdgeVector are frozen, nothing in the library mutates EdgeVector.coeffs,
-    and the potential certificate above is still checked on every call.
-    A basis that fails raises ValidationError on every call.
+    The basis check and the network run once per basis and graph object:
+    when x lives on the graph object of z's vectors, the scales checked and
+    the FlowNetwork built at the first such call are reused
+    (CycleBasis._checked_data), and any other graph object is checked and
+    gets a network on every call, as z=None does.  This is sound because
+    CycleBasis and EdgeVector are frozen, nothing in the library mutates
+    EdgeVector.coeffs, the network depends only on the graph's edges and
+    the scales and no solve changes it, and the potential certificate above
+    is still checked on every call.  A basis that fails raises
+    ValidationError on every call.
     """
     g = x.graph
     if z is None:

@@ -5,19 +5,26 @@
   integer arcs with flow >= 0, from a feasible spanning tree.  One tree
   walk finds the node potentials and reduced costs; each pivot prices
   with Dantzig's rule (the first negative arc after ``_BLAND_AFTER``
-  pivots, so it terminates), pivots round one tree cycle and updates the
-  potentials and reduced costs on the subtree that moves (*Network Flows*
+  pivots, so it terminates), pivots round one tree cycle, re-hangs the
+  subtree that the leaving arc cuts off and updates the potentials and
+  reduced costs on the side of that cut with fewer nodes (*Network Flows*
   §11.5).  Its two entry points run on integers, differ only in their
   arcs and their start tree, and check the optimal flow and potentials
   once from scratch in those integers: ``transportation`` has one arc per
   (supply, demand) cell and the least-cost start (``_least_cost``), takes
   integer costs over one denominator (a metric's rows) and returns the
   value, the plan and the integer potentials from which
-  ``freenorm.lip_dual`` reads its 1-Lipschitz certificate;
-  ``min_cost_flow`` has two opposite arcs per graph edge and the BFS
+  ``freenorm.lip_dual`` reads its 1-Lipschitz certificate; its per-node
+  arc lists are ranges, since arc i nd + j joins row i to column j.
+  ``FlowNetwork`` has two opposite arcs per graph edge and the BFS
   spanning tree carrying its forced flow, for the quotient norms of
   ``cyclespace.quotient_norm``, and returns its value with the integer
-  flow and potentials (the certificate) over their denominators.
+  flow and potentials (the certificate) over their denominators.  A
+  network is built once, from the edges and lengths alone: its arcs,
+  their scaled costs, its per-node arc lists and its start tree depend
+  on nothing else, and no solve changes them, so one network serves
+  every divergence on its graph (``cyclespace.CycleBasis`` keeps one per
+  checked basis).  ``min_cost_flow`` builds one for a single solve.
 - Dense simplex (``solve_standard_exact``): two-phase primal simplex over
   Fractions with the same pricing rules.  No library LP runs on it any
   more: the minimal projection LP of ``projections`` is solved by HiGHS
@@ -36,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import lcm
-from operator import sub
+from operator import not_, sub
 
 from .errors import SolverFailure, ValidationError
 
@@ -247,7 +254,7 @@ def _tree_pivot(tails, heads, flow, adj, outs, ins, parent, parc, depth, phi, re
         fixed[u] = False
     if 2 * len(moved) > n:
         moved = list(compress(range(n), fixed))
-        fixed = [not f for f in fixed]
+        fixed = list(map(not_, fixed))
         delta = -delta
     for u in moved:
         phi[u] += delta
