@@ -158,6 +158,12 @@ def test_min_cost_flow_rejects_an_end_outside_the_vertices(monkeypatch, end):
         min_cost_flow([(0, 1), (1, 2), (1, end)], [1, 1, 1], [-1, 0, 1])
 
 
+def test_a_network_needs_a_vertex():
+    # min_cost_flow([], [], []) ended in an IndexError on the BFS root
+    with pytest.raises(ValidationError, match="at least one vertex"):
+        min_cost_flow([], [], [])
+
+
 def test_a_network_rejects_a_divergence_of_another_size(monkeypatch):
     network = simplex.FlowNetwork(3, [(0, 1), (1, 2)], [1, 2])
     assert network.min_cost_flow([-1, 0, 1])[0] == 3
