@@ -6,8 +6,7 @@ from .cyclespace import (CycleBasis, EdgeVector, boundary, fundamental_cycle_bas
 from .embeddings import (EmbeddingReport, diamond_stage_net, diamond_top_level,
                          half_dim_embedding, large_embedding, mod_p_selection,
                          mst_parents)
-from .freenorm import (DualCertificate, TransportPlan, ae_norm, lip_dual,
-                       tree_isometry, tree_norm)
+from .freenorm import DualCertificate, TransportPlan, ae_norm, lip_dual, tree_norm
 from .graphs import (Edge, TwoPoleGraph, automorphism_search, compose, diamond,
                      diamond_base, k2n_base, laakso, laakso_base, multidiamond, path,
                      recursive_family, single_edge, star)

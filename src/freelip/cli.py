@@ -4,8 +4,9 @@ consolidated reproduction table.
 
 All file output is UTF-8 JSON tagged with "schema": "freelip/1" (CSV for
 tabular reports).  Runs are deterministic: any randomness is driven by an
-explicit --seed.  Exit codes: 1 usage, 2 validation, 3 solver, 4 resource
-cap, 5 a `reproduce` claim row FAILed.
+explicit --seed.  Exit codes: 1 usage, 2 ValidationError (also for a
+malformed argument or an input file that is missing or not JSON), 3
+SolverFailure, 4 ResourceLimit, 5 a `reproduce` claim row FAILed.
 """
 
 from __future__ import annotations
@@ -32,13 +33,10 @@ from .report import reproduce_paper_table
 SCHEMA = "freelip/1"
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        # main reports it and returns 1, instead of argparse's exit
+        raise argparse.ArgumentError(None, message)
 
 
 def _dump(obj, filename=None):
@@ -52,8 +50,15 @@ def _dump(obj, filename=None):
 
 
 def _load(filename):
-    with open(filename, encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON value in a file; ValidationError naming the file when it
+    cannot be read or does not hold UTF-8 JSON."""
+    try:
+        with open(filename, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {filename!r}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValidationError(f"{filename!r} is not UTF-8 JSON: {exc}") from None
 
 
 def _load_graph(filename):
@@ -80,13 +85,23 @@ def _build_family(family, level, branch):
     raise ValidationError(f"unknown family {family!r}")
 
 
+def _int_after_colon(text, form):
+    """The integer after the first colon of text, such as 3 in "k2n:3";
+    ValidationError naming the expected form (such as "k2n:K") otherwise."""
+    try:
+        return int(text.split(":", 1)[1])
+    except ValueError:
+        raise ValidationError(f"{text!r} does not match {form} "
+                              f"with an integer {form[-1]}") from None
+
+
 def _parse_base(text):
     if text == "square":
         return diamond_base()
     if text == "laakso":
         return laakso_base()
     if text.startswith("k2n:"):
-        return k2n_base(int(text.split(":", 1)[1]))
+        return k2n_base(_int_after_colon(text, "k2n:K"))
     raise ValidationError(f"unknown base {text!r} (use square, laakso, or k2n:K)")
 
 
@@ -140,7 +155,8 @@ def cmd_projconst(args):
     else:  # averaged
         if not args.generators:
             raise ValidationError("averaged mode needs --generators")
-        maps = [symmetry.index_map(g, emap) for emap in json_key(_load(args.generators), "maps")]
+        emaps = json_key(_load(args.generators), "maps", list, dict)
+        maps = [symmetry.index_map(g, emap) for emap in emaps]
         num, den = projections.orthogonal_rows(cols)
         num, den = symmetry.average(num, den, symmetry.closure(maps), maps)
         p = linalg.fractions(num, den)
@@ -240,7 +256,7 @@ def cmd_embed(args):
         elif args.strategy.startswith("modp:"):
             if graph is None:
                 raise ValidationError("modp selection needs --graph")
-            p = int(args.strategy.split(":", 1)[1])
+            p = _int_after_colon(args.strategy, "modp:P")
             ys = mod_p_selection(graph, p)
             rep = large_embedding(space, ys)
         else:
@@ -344,7 +360,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except argparse.ArgumentError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ValidationError as exc:

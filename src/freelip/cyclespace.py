@@ -20,7 +20,7 @@ from functools import cached_property
 from math import lcm
 
 from . import linalg, simplex
-from .errors import NotACycle, ValidationError
+from .errors import ValidationError
 from .graphs import TwoPoleGraph
 from .metric import Molecule
 from .rational import ONE, ZERO, json_key, num_from_json, num_to_json
@@ -104,7 +104,8 @@ class EdgeVector:
 
     @staticmethod
     def from_json(graph: TwoPoleGraph, obj: dict) -> "EdgeVector":
-        return EdgeVector(graph, {e: num_from_json(v) for e, v in json_key(obj, "coeffs").items()})
+        coeffs = json_key(obj, "coeffs", dict)
+        return EdgeVector(graph, {e: num_from_json(v) for e, v in coeffs.items()})
 
 
 @dataclass(frozen=True)
@@ -145,14 +146,14 @@ def signed_indicator(cycle_edges: list[str], g: TwoPoleGraph) -> EdgeVector:
     direction when that chains up, otherwise by its reverse.
     """
     if len(cycle_edges) < 3:
-        raise NotACycle("a cycle needs at least three edges")
+        raise ValidationError("a cycle needs at least three edges")
     if len(set(cycle_edges)) != len(cycle_edges):
-        raise NotACycle("repeated edge in cycle")
+        raise ValidationError("repeated edge in cycle")
     edges = []
     for eid in cycle_edges:
         e = g.edge_by_id.get(eid)
         if e is None:
-            raise NotACycle(f"unknown edge id {eid!r}")
+            raise ValidationError(f"unknown edge id {eid!r}")
         edges.append(e)
 
     def chain(start):
@@ -171,7 +172,7 @@ def signed_indicator(cycle_edges: list[str], g: TwoPoleGraph) -> EdgeVector:
 
     signs = chain(edges[0].tail) or chain(edges[0].head)
     if signs is None:
-        raise NotACycle("edge sequence is not a closed walk")
+        raise ValidationError("edge sequence is not a closed walk")
     return EdgeVector(g, signs)
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from operator import le
 
-from .errors import EmptyComplement, PTooLarge, ValidationError
+from .errors import ValidationError
 from .graphs import TwoPoleGraph, diamond
 from .metric import MetricSpace, graph_metric
 from .rational import num_to_json, to_fraction
@@ -251,7 +251,7 @@ def large_embedding(space: MetricSpace, ys: list[str]) -> EmbeddingReport:
     _selected_indices(space, ys)
     complement = set(space.points).difference(ys)
     if not complement:
-        raise EmptyComplement("selected set must have a nonempty complement")
+        raise ValidationError("selected set must have a nonempty complement")
     ys = sorted(ys)
     partners, d_values = _nearest(space, ys, complement)
     return _build_report(space, ys, partners, d_values)
@@ -275,7 +275,7 @@ def mod_p_selection(graph: TwoPoleGraph, p: int) -> list[str]:
     diam = space.diameter
     origin = min(v for v, row in zip(space.points, space.rows) if max(row) == diam)
     if p > diam + 1:
-        raise PTooLarge(f"p = {p} exceeds diameter + 1 = {diam + 1}")
+        raise ValidationError(f"p = {p} exceeds diameter + 1 = {diam + 1}")
     classes: dict[int, list[str]] = {i: [] for i in range(p)}
     for v, x in zip(space.points, space.rows[space.index[origin]]):
         classes[x % p].append(v)

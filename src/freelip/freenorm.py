@@ -1,5 +1,5 @@
 """Transportation norm of molecules: primal plans, dual Lipschitz
-certificates, and the exact coordinate isometry on weighted trees.
+certificates, and exact norms on weighted trees (tree_norm).
 
 The norm of a molecule is the optimal value of the balanced transportation
 problem between its positive and negative parts over the metric; by
@@ -21,7 +21,7 @@ from math import lcm
 
 from . import simplex
 from .cyclespace import spanning_tree
-from .errors import NotATree, SolverFailure, ValidationError
+from .errors import SolverFailure, ValidationError
 from .graphs import TwoPoleGraph
 from .metric import LipschitzFunction, MetricSpace, Molecule
 from .rational import ZERO, num_to_json
@@ -128,7 +128,7 @@ def lip_dual(space: MetricSpace, m: Molecule,
 
 def _check_tree(t: TwoPoleGraph):
     if len(t.edges) != len(t.vertices) - 1:
-        raise NotATree(f"{len(t.edges)} edges on {len(t.vertices)} vertices")
+        raise ValidationError(f"{len(t.edges)} edges on {len(t.vertices)} vertices")
 
 
 def _subtree_masses(t: TwoPoleGraph, m: Molecule):
@@ -151,21 +151,12 @@ def _subtree_masses(t: TwoPoleGraph, m: Molecule):
     return parent_edge, sub, den
 
 
-def tree_isometry(t: TwoPoleGraph, m: Molecule) -> dict[str, Fraction]:
-    """Image of a molecule under the edge-coordinate isometry of a tree.
-
-    Coordinate at edge f = w(f) times the net molecule mass in the subtree
-    hanging below f; the l1 norm of the image equals the transportation
-    norm exactly.
-    """
-    parent_edge, sub, den = _subtree_masses(t, m)
-    return {e.id: e.weight * Fraction(sub[v], den) for v, e in parent_edge.items()}
-
-
 def tree_norm(t: TwoPoleGraph, m: Molecule) -> Fraction:
-    """l1 norm of tree_isometry(t, m): sum over edges of |w_e W_e| with W_e
-    the integer subtree masses, over the weights' and the masses' common
-    denominators."""
+    """Transportation norm of m on a weighted tree: the l1 norm of its image
+    under the tree's edge-coordinate isometry, whose coordinate at edge f
+    is w(f) times the net mass of m in the subtree hanging below f.  Sums
+    |w_e W_e| with W_e the integer subtree masses, over the weights' and
+    the masses' common denominators."""
     parent_edge, sub, den = _subtree_masses(t, m)
     wden = lcm(*(e.weight.denominator for e in parent_edge.values()))
     total = sum(abs(e.weight.numerator * (wden // e.weight.denominator) * sub[v])

@@ -152,9 +152,9 @@ class TwoPoleGraph:
         edges = tuple(
             Edge(str(json_key(e, "id")), str(json_key(e, "tail")), str(json_key(e, "head")),
                  _weight_from_json(e.get("weight", 1)))
-            for e in json_key(obj, "edges")
+            for e in json_key(obj, "edges", list)
         )
-        return TwoPoleGraph(tuple(str(v) for v in json_key(obj, "vertices")), edges,
+        return TwoPoleGraph(tuple(str(v) for v in json_key(obj, "vertices", list)), edges,
                             str(json_key(obj, "top")), str(json_key(obj, "bottom")))
 
 

@@ -50,7 +50,7 @@ from operator import mul
 
 from . import projections
 from .cyclespace import EdgeVector, fundamental_cycle_basis, mu
-from .errors import ResolutionTooCoarse, ResourceLimit, ValidationError
+from .errors import ResourceLimit, ValidationError
 from .graphs import TwoPoleGraph, diamond, multidiamond
 
 QUARTER = {"tl": 0, "bl": 1, "br": 2, "tr": 3}
@@ -139,7 +139,7 @@ def haar(i: int, resolution: int) -> DyadicVector:
         return DyadicVector((1,) * cells)
     level = i.bit_length() - 1
     if level + 1 > resolution:
-        raise ResolutionTooCoarse(f"h_{i} needs resolution >= {level + 1}")
+        raise ValidationError(f"h_{i} needs resolution >= {level + 1}")
     block = cells // 2 ** level
     half = block // 2
     start = (i - 2 ** level) * block

@@ -25,14 +25,13 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-from .errors import SingularGram, ValidationError
+from .errors import ValidationError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 RHS = -1            # the key of a sparse row's constant term in echelon
 
 Matrix = list  # list[list[Fraction]]
-Vector = list  # list[Fraction]
 
 
 def zeros(m: int, n: int) -> Matrix:
@@ -196,7 +195,7 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
 def solve(a: Matrix, b: Matrix) -> Matrix:
     """Solve a @ X = b for square nonsingular a (b given as columns matrix).
     ValidationError unless a is square and b has as many rows as a;
-    SingularGram if a is singular."""
+    ValidationError too if a is singular."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValidationError("solve needs a square matrix")
@@ -204,23 +203,10 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
         raise ValidationError(f"right-hand side has {len(b)} rows, the matrix has {n}")
     rows, pivots, d = gauss_jordan(integer_rows([[*ra, *rb] for ra, rb in zip(a, b)])[0], n)
     if len(pivots) < n:
-        raise SingularGram("matrix is singular")
+        raise ValidationError("matrix is singular")
     return fractions([row[n:] for row in rows], d)
 
 
 def inverse(a: Matrix) -> Matrix:
     return solve(a, identity(len(a)))
 
-
-def column_abs_sums(a: Matrix) -> Vector:
-    n = len(a[0]) if a else 0
-    sums = [ZERO] * n
-    for row in a:
-        for j, x in enumerate(row):
-            if x:
-                sums[j] += abs(x)
-    return sums
-
-
-def row_abs_sums(a: Matrix) -> Vector:
-    return [sum(abs(x) for x in row) for row in a]

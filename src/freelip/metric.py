@@ -18,8 +18,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Mapping
 
-from .errors import (AsymmetryError, DisconnectedGraph, ResourceLimit,
-                     TriangleViolation, ValidationError, ZeroOffDiagonal)
+from .errors import ResourceLimit, ValidationError
 from .rational import ZERO, json_key, num_from_json, num_to_json, to_fraction
 
 POINT_CAP = 5000    # points of a graph metric: 25 million distances
@@ -72,8 +71,8 @@ class MetricSpace:
 
     @staticmethod
     def from_json(obj: dict) -> "MetricSpace":
-        points = [str(p) for p in json_key(obj, "points")]
-        dist = [[num_from_json(x) for x in row] for row in json_key(obj, "dist")]
+        points = [str(p) for p in json_key(obj, "points", list)]
+        dist = [[num_from_json(x) for x in row] for row in json_key(obj, "dist", list, list)]
         return validate_metric(dist, points=points, basepoint=obj.get("basepoint"))
 
 
@@ -103,11 +102,11 @@ def validate_metric(dist, points=None, basepoint=None) -> MetricSpace:
     for i in range(n):
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
-                raise AsymmetryError(f"dist({points[i]},{points[j]}) != dist({points[j]},{points[i]})")
+                raise ValidationError(f"dist({points[i]},{points[j]}) != dist({points[j]},{points[i]})")
             if rows[i][j] < 0:
                 raise ValidationError(f"negative distance at ({points[i]},{points[j]})")
             if rows[i][j] == 0:
-                raise ZeroOffDiagonal(f"zero distance between distinct points {points[i]}, {points[j]}")
+                raise ValidationError(f"zero distance between distinct points {points[i]}, {points[j]}")
     # by the symmetry checked above d(k, j) = d(j, k), and a violated
     # (j, i, k) comes before (i, j, k) when j < i, so only i < j is scanned
     for i, ri in enumerate(rows):
@@ -115,7 +114,8 @@ def validate_metric(dist, points=None, basepoint=None) -> MetricSpace:
             rj = rows[j]
             if min(map(add, ri, rj)) < ri[j]:
                 k = next(k for k in range(n) if ri[j] > ri[k] + rj[k])
-                raise TriangleViolation(points[i], points[j], points[k])
+                raise ValidationError(f"triangle inequality fails on "
+                                      f"({points[i]}, {points[j]}, {points[k]})")
     if basepoint is not None and basepoint not in points:
         raise ValidationError(f"basepoint {basepoint!r} not among points")
     return MetricSpace(tuple(points), den, rows, basepoint)
@@ -155,7 +155,8 @@ class Molecule:
 
     @staticmethod
     def from_json(obj: dict) -> "Molecule":
-        return Molecule({p: num_from_json(v) for p, v in json_key(obj, "coeffs").items()})
+        coeffs = json_key(obj, "coeffs", dict)
+        return Molecule({p: num_from_json(v) for p, v in coeffs.items()})
 
 
 @dataclass(frozen=True)
@@ -230,7 +231,7 @@ def graph_metric(g) -> MetricSpace:
                         heapq.heappush(heap, (du + w, v))
         if None in d:
             missing = verts[d.index(None)]
-            raise DisconnectedGraph(f"vertex {missing!r} unreachable from {verts[s]!r}")
+            raise ValidationError(f"vertex {missing!r} unreachable from {verts[s]!r}")
         rows.append(tuple(d))
     common = gcd(den, *set().union(*rows)) if den > 1 else 1
     if common > 1:

@@ -31,7 +31,7 @@ from itertools import chain
 from operator import add, sub
 
 from . import cyclespace, linalg, symmetry
-from .errors import ResourceLimit, SingularGram, SolverFailure, ValidationError
+from .errors import ResourceLimit, SolverFailure, ValidationError
 from .linalg import RHS
 from .rational import ZERO, num_to_json
 
@@ -63,16 +63,12 @@ class ProjectionReport:
 
 def l1_norm(p) -> Fraction:
     """Operator norm l1 -> l1: maximum column absolute sum."""
-    if not p:
-        return ZERO
-    return max(linalg.column_abs_sums(p))
+    return max((sum(map(abs, col), start=ZERO) for col in zip(*p)), default=ZERO)
 
 
 def linf_norm(p) -> Fraction:
     """Operator norm linf -> linf: maximum row absolute sum."""
-    if not p:
-        return ZERO
-    return max(linalg.row_abs_sums(p))
+    return max((sum(map(abs, row), start=ZERO) for row in p), default=ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +98,11 @@ def orthogonal_rows(basis_cols: list) -> tuple:
     its entries and the determinant, is N over d.  The formula is
     scale-invariant in the inner product, so the same matrix is the
     orthogonal projection for both the counting and the normalized (mean)
-    inner products used on dyadic grids.  Raises SingularGram for an empty
-    or dependent basis and ValidationError for columns of different
-    lengths.
+    inner products used on dyadic grids.  Raises ValidationError for an
+    empty or dependent basis and for columns of different lengths.
     """
     if not basis_cols:
-        raise SingularGram("empty basis")
+        raise ValidationError("empty basis")
     b = _integer_basis(basis_cols)
     m, k = len(b), len(b[0])
     nz = [[(l, c) for l, c in enumerate(row) if c] for row in b]
@@ -120,7 +115,7 @@ def orthogonal_rows(basis_cols: list) -> tuple:
     aug = [g + [row[l] for row in b] for l, g in enumerate(gram)]
     x, pivots, det = linalg.gauss_jordan(aug, k)
     if pivots != list(range(k)):
-        raise SingularGram("basis columns are linearly dependent")
+        raise ValidationError("basis columns are linearly dependent")
     x = [row[k:] for row in x]
     num = []
     for row in nz:

@@ -46,22 +46,35 @@ def num_to_json(x: Fraction):
 
 
 def num_from_json(x) -> Fraction:
-    """A rational read from JSON input; ValidationError for a string that
-    is not "p" or "p/q" in integers, or whose denominator is 0."""
-    if isinstance(x, str):
+    """A rational read from JSON input: an int, a float (read exactly, as
+    to_fraction reads it) or a "p" or "p/q" string in integers.
+    ValidationError for any other value (true, false, null, an array or an
+    object), a string of another form or with denominator 0, and a float
+    that is not finite."""
+    if type(x) in (int, float, str):
         try:
             return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError(f"{x!r} is not a rational number") from None
-    return to_fraction(x)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            pass
+    raise ValidationError(f"{x!r} is not a rational number")
 
 
-def json_key(obj, key: str):
-    """obj[key] for an object read from a JSON file; ValidationError naming
-    the key when obj is not a JSON object or lacks it."""
+_JSON_KINDS = {list: "array", dict: "object"}
+
+
+def json_key(obj, key: str, kind=None, of=None):
+    """obj[key] for an object read from a JSON file.  ValidationError naming
+    the key when obj is not a JSON object or lacks it, when kind (list for
+    an array, dict for an object) is given and the value is not one, or
+    when of is given too and an item of the array is not of that kind."""
     if not isinstance(obj, dict) or key not in obj:
         raise ValidationError(f"JSON input has no {key!r} key")
-    return obj[key]
+    value = obj[key]
+    if kind is not None and not isinstance(value, kind):
+        raise ValidationError(f"JSON input's {key!r} is not an {_JSON_KINDS[kind]}")
+    if of is not None and not all(isinstance(item, of) for item in value):
+        raise ValidationError(f"JSON input's {key!r} is not an array of {_JSON_KINDS[of]}s")
+    return value
 
 
 def fmt(x: Fraction) -> str:

@@ -28,8 +28,7 @@ from operator import add, mul
 from . import linalg, projections, symmetry
 from .cyclespace import (EdgeVector, fundamental_cycle_basis, fundamental_cycles_as_walks,
                          up_down_decomposition)
-from .errors import (NoVerticalAutomorphism, OddGeodesic, ResourceLimit, TrivialCycleSpace,
-                     ValidationError)
+from .errors import ResourceLimit, ValidationError
 from .graphs import TwoPoleGraph, automorphism_search, laakso, laakso_base, recursive_family
 from .metric import graph_metric
 from .rational import ZERO, num_to_json
@@ -86,7 +85,7 @@ def profile_base(b: TwoPoleGraph) -> BaseGraphProfile:
     space = graph_metric(b)
     height = space.d(b.bottom, b.top)
     if height % 2 != 0:
-        raise OddGeodesic(f"bottom-top distance {height} is odd")
+        raise ValidationError(f"bottom-top distance {height} is odd")
     geos = enumerate_geodesics(b)
     k = len(geos)
 
@@ -111,7 +110,7 @@ def profile_base(b: TwoPoleGraph) -> BaseGraphProfile:
     vertical_edges = next(symmetry.fixing_pole_swaps(b, automorphism_search(b, "swap-poles")),
                           None)
     if vertical_edges is None:
-        raise NoVerticalAutomorphism("no pole swap fixes the cycle space pointwise")
+        raise ValidationError("no pole swap fixes the cycle space pointwise")
 
     horizontals = automorphism_search(b, "fix-poles")
 
@@ -128,7 +127,7 @@ def profile_base(b: TwoPoleGraph) -> BaseGraphProfile:
     d_vec = best[1]
     alpha = d_vec.l1()
     if alpha == 0:
-        raise TrivialCycleSpace("only one bottom-top geodesic; d(B) vanishes")
+        raise ValidationError("only one bottom-top geodesic; d(B) vanishes")
     return BaseGraphProfile(b, height, k, delta, c_vec, d_vec, alpha,
                             vertical_edges, horizontals)
 
@@ -200,7 +199,7 @@ def check_conditions(b: TwoPoleGraph) -> dict:
         report["5_delta_and_c"] = {"ok": delta_ok and vc == -prof.c,
                                    "delta_norm_one": delta_ok,
                                    "v_negates_c": vc == -prof.c}
-    except (OddGeodesic, NoVerticalAutomorphism, TrivialCycleSpace, ValidationError) as exc:
+    except ValidationError as exc:
         prof = None
         report["5_delta_and_c"] = {"ok": False, "error": str(exc)}
 
@@ -280,9 +279,8 @@ def annihilation_check(p: list, profile: BaseGraphProfile, n: int,
     Both checks run on P's integer numerators: invariance compares
     permuted entries, and the image of each c-type vector, scaled to
     integers, is a sum of P's columns over its support.  Raises
-    ValidationError unless P is square on the graph's edges, and
-    NotInvariant if the supplied operator fails the invariance precondition
-    for some generator.
+    ValidationError unless P is square on the graph's edges, and if the
+    supplied operator fails the invariance precondition for some generator.
     """
     if len(p) != len(graph.edges) or any(len(row) != len(p) for row in p):
         raise ValidationError("P is not square on the graph's edges")
@@ -527,7 +525,7 @@ def witness(profile: BaseGraphProfile, r: int) -> WitnessResult:
     b = profile.graph
     s1 = fundamental_cycle_basis(recursive_family(b, 1)).vectors
     if not s1:
-        raise TrivialCycleSpace("base has no cycles")
+        raise ValidationError("base has no cycles")
     s = s1[0]
     s = s.scale(Fraction(1) / s.l1())
     sv = _base_vector_tuple(profile, s)

@@ -24,7 +24,7 @@
   their scaled costs, its per-node arc lists and its start tree depend
   on nothing else, and no solve changes them, so one network serves
   every divergence on its graph (``cyclespace.CycleBasis`` keeps one per
-  checked basis).  ``min_cost_flow`` builds one for a single solve.
+  checked basis).
 - Dense simplex (``solve_standard_exact``): two-phase primal simplex over
   Fractions with the same pricing rules.  No library LP runs on it any
   more: the minimal projection LP of ``projections`` is solved by HiGHS
@@ -520,18 +520,12 @@ class FlowNetwork:
                 (phi, self.cden))
 
 
-def min_cost_flow(ends, lengths, divergence):
-    """FlowNetwork(len(divergence), ends, lengths).min_cost_flow(divergence):
-    one solve on a network built for it."""
-    return FlowNetwork(len(divergence), ends, lengths).min_cost_flow(divergence)
-
-
 def min_l1_combination(x, zcols):
     """min over c of || x - sum_i c_i z_i ||_1, as a dense exact LP.
 
     zcols: list of column vectors, all of the same length as x.
     Returns (value, coefficients c).  The tests' reference for
-    ``min_cost_flow``: no library path calls it.
+    ``FlowNetwork.min_cost_flow``: no library path calls it.
     """
     m = len(x)
     k = len(zcols)

@@ -16,7 +16,7 @@ from operator import add, mul
 
 from . import linalg
 from .cyclespace import fundamental_cycle_basis
-from .errors import GroupClosureOverflow, NotInvariant, NotInvariantSubspace, ValidationError
+from .errors import ResourceLimit, ValidationError
 from .graphs import TwoPoleGraph
 
 GROUP_CAP = 10 ** 6             # elements of a generated group
@@ -104,18 +104,18 @@ def commutes(num: list, s) -> bool:
 
 
 def check_invariant(num: list, graph: TwoPoleGraph, gens: dict) -> None:
-    """NotInvariant names the first of gens (name -> edge map) that the
+    """ValidationError names the first of gens (name -> edge map) that the
     square matrix num on graph's edges does not commute with."""
     for name, emap in gens.items():
         if not commutes(num, index_map(graph, emap)):
-            raise NotInvariant(f"projection does not commute with generator {name}")
+            raise ValidationError(f"projection does not commute with generator {name}")
 
 
 def closure(maps: list) -> list:
     """The group that index maps of one length generate, as tuples in
     breadth-first order from the identity, each new element a times every
     generator g (the map i -> a(g(i))).  ValidationError for no maps,
-    GroupClosureOverflow past GROUP_CAP elements."""
+    ResourceLimit past GROUP_CAP elements."""
     if not maps:
         raise ValidationError("a group closure needs at least one generator")
     ident = tuple(range(len(maps[0])))
@@ -128,7 +128,7 @@ def closure(maps: list) -> list:
                 prod = tuple(a[gi] for gi in g)
                 if prod not in seen:
                     if len(seen) >= GROUP_CAP:
-                        raise GroupClosureOverflow(f"group closure exceeds cap {GROUP_CAP}")
+                        raise ResourceLimit(f"group closure exceeds cap {GROUP_CAP}")
                     seen[prod] = None
                     nxt.append(prod)
         frontier = nxt
@@ -141,7 +141,7 @@ def average(num: list, den: int, elements: list, generators: list | None = None)
     the re-indexed copies of num: a projection onto range(P), of no larger
     l1 norm, commuting with every element, when P is a projection
     (ValidationError otherwise) and every element maps range(P) onto itself
-    (NotInvariantSubspace otherwise; checking the generators, when given,
+    (ValidationError otherwise; checking the generators, when given,
     is enough).  Both run on one fraction-free elimination of num^T, whose
     rows v_t span range(P) with E at their pivots q_t and 0 at the others':
     num v_t = den v_t, and E w = sum_t w[q_t] v_t for w = g^{-1} v_t (g^{-1}
@@ -164,7 +164,7 @@ def average(num: list, den: int, elements: list, generators: list | None = None)
                 if c:
                     combo = [a + c * x for a, x in zip(combo, r)]
             if combo != [scale * x for x in w]:
-                raise NotInvariantSubspace("a group element moves the range of P")
+                raise ValidationError("a group element moves the range of P")
     acc = [[0] * n for _ in range(n)]
     for s in elements:
         for acc_row, si in zip(acc, s):

@@ -62,7 +62,9 @@ proves the averaging lemma (haar_system.haar_witness_bound's docstring)
 instead of enumerating the reflection group, and the tests check its
 steps on small grids.  integer_maps turns edge vectors into the integer
 maps that bm_upper_via_basis_map takes, while the Banach-Mazur oracles
-stay on edge vectors.
+stay on edge vectors.  tree_isometry is the edge-coordinate image of a
+molecule on a tree, summed in Fractions, whose l1 norm the library's
+tree_norm returns from integers without building the image.
 """
 
 import heapq
@@ -75,8 +77,7 @@ import numpy as np
 from freelip import cyclespace, haar_system, linalg
 from freelip.cyclespace import EdgeVector, boundary, fundamental_cycle_basis, spanning_tree
 from freelip.embeddings import large_embedding
-from freelip.errors import (DisconnectedGraph, GroupClosureOverflow, NotInvariantSubspace,
-                            ResolutionTooCoarse, SingularGram, SolverFailure, ValidationError)
+from freelip.errors import ResourceLimit, SolverFailure, ValidationError
 from freelip.freenorm import ae_norm
 from freelip.metric import MetricSpace, Molecule, validate_metric
 from freelip.rational import to_fraction
@@ -140,13 +141,13 @@ def fraction_rank(a: list) -> int:
 
 def fraction_solve(a: list, b: list) -> list:
     """X with a X = b for a square nonsingular a, read off fraction_rref of
-    [a | b] (SingularGram otherwise)."""
+    [a | b] (ValidationError otherwise)."""
     n = len(a)
     k = len(b[0])
     aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
     r, pivots = fraction_rref(aug)
     if pivots[:n] != list(range(n)):
-        raise SingularGram("matrix is singular")
+        raise ValidationError("matrix is singular")
     return [row[n:n + k] for row in r[:n]]
 
 
@@ -209,6 +210,27 @@ def flow_norm(g: TwoPoleGraph, m: Molecule) -> Fraction:
     cost = [Fraction(1)] * nvar
     value, _ = solve_standard_exact(rows, rhs, cost)
     return value
+
+
+def tree_isometry(t: TwoPoleGraph, m: Molecule) -> dict:
+    """Image of a molecule under the edge-coordinate isometry of a tree:
+    the coordinate at edge f is w(f) times the net mass of m in the subtree
+    hanging below f, summed in Fractions from the leaves up, where
+    freenorm.tree_norm sums integers over common denominators and returns
+    only the l1 norm of this image.  ValidationError unless t is a tree
+    holding every point of m."""
+    if len(t.edges) != len(t.vertices) - 1:
+        raise ValidationError(f"{len(t.edges)} edges on {len(t.vertices)} vertices")
+    parent, parent_edge = spanning_tree(t)
+    mass = dict.fromkeys(parent, ZERO)
+    for p, c in m.coeffs.items():
+        if p not in mass:
+            raise ValidationError(f"molecule point {p!r} not in the tree")
+        mass[p] = c
+    for v in reversed(parent):  # BFS order reversed: children before parents
+        if parent[v] is not None:
+            mass[parent[v]] += mass[v]
+    return {e.id: e.weight * mass[v] for v, e in parent_edge.items()}
 
 
 def clipped_witness_value(space: MetricSpace, p: str, q: str) -> Fraction:
@@ -286,7 +308,7 @@ def _dense_cells(x, cells, cell):
 
 def fraction_orthogonal_projection(basis_cols) -> list:
     """B (B^T B)^-1 B^T over Fractions for the given columns of B, by dense
-    products and one Gram solve (SingularGram for dependent columns)."""
+    products and one Gram solve (ValidationError for dependent columns)."""
     b = [[Fraction(col[i]) for col in basis_cols] for i in range(len(basis_cols[0]))]
     bt = linalg.transpose(b)
     return linalg.mat_mul(b, fraction_solve(linalg.mat_mul(bt, b), bt))
@@ -443,13 +465,13 @@ def level_span_vectors(levels, resolution: int) -> list:
 def reflection(i: int, resolution: int) -> list:
     """Index map of the Haar reflection g_i (i >= 1) on 2^resolution cells,
     which swaps the two halves of supp h_i: it negates h_i and fixes the
-    h_j whose supports contain it or miss it.  ValidationError for i < 1,
-    ResolutionTooCoarse unless h_i lives on the grid."""
+    h_j whose supports contain it or miss it.  ValidationError for i < 1
+    and unless h_i lives on the grid."""
     if i < 1:
         raise ValidationError("g_i is defined for i >= 1")
     level = i.bit_length() - 1
     if level + 1 > resolution:
-        raise ResolutionTooCoarse(f"g_{i} needs resolution >= {level + 1}")
+        raise ValidationError(f"g_{i} needs resolution >= {level + 1}")
     block = 2 ** (resolution - level)
     half = block // 2
     start = (i - 2 ** level) * block
@@ -590,7 +612,7 @@ def dense_generate_group(generators: list, cap: int) -> list:
                 k = key(prod)
                 if k not in seen:
                     if len(seen) >= cap:
-                        raise GroupClosureOverflow(f"group closure exceeds cap {cap}")
+                        raise ResourceLimit(f"group closure exceeds cap {cap}")
                     seen[k] = prod
                     nxt.append(prod)
         frontier = nxt
@@ -603,7 +625,7 @@ def dense_average_projection(p: list, group_elements: list) -> list:
     for g in group_elements:
         gp = linalg.mat_mul(g, p)
         if linalg.mat_mul(p, gp) != gp:
-            raise NotInvariantSubspace("a group element moves the range of P")
+            raise ValidationError("a group element moves the range of P")
     acc = linalg.zeros(len(p), len(p))
     for g in group_elements:
         acc = mat_add(acc, linalg.mat_mul(fraction_inverse(g), linalg.mat_mul(p, g)))
@@ -733,7 +755,7 @@ def fraction_graph_metric(g) -> tuple[tuple[Fraction, ...], ...]:
                         heapq.heappush(heap, (du + w, v))
         if any(x is None for x in d):
             missing = verts[d.index(None)]
-            raise DisconnectedGraph(f"vertex {missing!r} unreachable from {verts[s]!r}")
+            raise ValidationError(f"vertex {missing!r} unreachable from {verts[s]!r}")
         dist[s] = d
     return tuple(tuple(row) for row in dist)
 

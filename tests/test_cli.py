@@ -281,6 +281,61 @@ def test_molecule_coefficient_that_is_not_a_rational_is_a_validation_error(tmp_p
     assert f"validation error: {text!r} is not a rational number" in capsys.readouterr().err
 
 
+_MALFORMED_INPUTS = {
+    "space.json": json.dumps({"points": ["a", "b"], "dist": [[0, 1], [1, 0]]}),
+    "molecule.json": json.dumps({"coeffs": {"a": 1, "b": -1}}),
+    "true-coeff.json": json.dumps({"coeffs": {"tl": True}}),
+    "null-dist.json": json.dumps({"points": ["a", "b"], "dist": [[0, None], [None, 0]]}),
+    "list-coeff.json": json.dumps({"coeffs": {"a": [1], "b": -1}}),
+    "pair-coeffs.json": json.dumps({"coeffs": [["a", 1], ["b", -1]]}),
+    "string-points.json": json.dumps({"points": "ab", "dist": [[0, 1], [1, 0]]}),
+    "number-rows.json": json.dumps({"points": ["a", "b"], "dist": [1, 2]}),
+    "nan-dist.json": '{"points": ["a", "b"], "dist": [[0, NaN], [NaN, 0]]}',
+    "string-vertices.json": json.dumps({"vertices": "ab", "top": "b", "bottom": "a",
+                                        "edges": [{"id": "e", "tail": "a", "head": "b"}]}),
+    "list-maps.json": json.dumps({"maps": [["tl", "tr"]]}),
+    "truncated.json": '{"points": [',
+}
+
+
+@pytest.mark.parametrize("argv,shown", [
+    ("quotient-norm --graph g.json --vector true-coeff.json", "True is not a rational number"),
+    ("norm --space null-dist.json --molecule molecule.json", "None is not a rational number"),
+    ("norm --space space.json --molecule list-coeff.json", "[1] is not a rational number"),
+    ("norm --space space.json --molecule pair-coeffs.json", "'coeffs' is not an object"),
+    ("norm --space string-points.json --molecule molecule.json", "'points' is not an array"),
+    ("norm --space number-rows.json --molecule molecule.json",
+     "'dist' is not an array of arrays"),
+    ("norm --space nan-dist.json --molecule molecule.json", "nan is not a rational number"),
+    ("embed --graph string-vertices.json", "'vertices' is not an array"),
+    ("projconst --graph g.json --mode averaged --generators list-maps.json",
+     "'maps' is not an array of objects"),
+    ("recursive --base k2n:x", "'k2n:x' does not match k2n:K with an integer K"),
+    ("witness --base k2n:x --r 1", "'k2n:x' does not match k2n:K with an integer K"),
+    ("embed --graph g.json --strategy modp:x", "'modp:x' does not match modp:P"),
+    ("embed --graph g.json --strategy modp:", "'modp:' does not match modp:P"),
+    ("norm --space truncated.json --molecule molecule.json",
+     "'truncated.json' is not UTF-8 JSON: Expecting value"),
+    ("norm --space missing.json --molecule molecule.json",
+     "cannot read 'missing.json': No such file or directory"),
+], ids=["true-coefficient", "null-distance", "list-coefficient", "coefficient-pairs",
+        "string-points", "number-rows", "nan-distance", "string-vertices", "list-maps",
+        "k2n-recursive", "k2n-witness", "modp-letter", "modp-empty", "malformed-json",
+        "missing-file"])
+def test_malformed_input_is_one_validation_error_line(tmp_path, capsys, monkeypatch,
+                                                       argv, shown):
+    # each of these ended in a traceback with exit 1, or was read silently
+    monkeypatch.chdir(tmp_path)
+    for name, text in _MALFORMED_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    run_cli("gen", "--family", "diamond", "--level", "1", "--out", "g.json")
+    capsys.readouterr()
+    assert run_cli(*argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert shown in err and "Traceback" not in err
+
+
 def test_embed_command(tmp_path, capsys):
     space = tmp_path / "s.json"
     space.write_text(json.dumps(

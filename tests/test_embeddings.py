@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freelip.errors import EmptyComplement, PTooLarge, ValidationError
+from freelip.errors import ValidationError
 from freelip.embeddings import (diamond_stage_net, diamond_top_level,
                                 half_dim_embedding, interpolation_constant,
                                 large_embedding, mod_p_selection, mst_parents,
@@ -163,7 +163,7 @@ def test_large_embedding_single_point():
 
 def test_large_embedding_needs_complement():
     space = validate_metric([[0, 1], [1, 0]])
-    with pytest.raises(EmptyComplement):
+    with pytest.raises(ValidationError, match="selected set must have a nonempty complement"):
         large_embedding(space, list(space.points))
 
 
@@ -185,7 +185,7 @@ def test_mod_p_path():
 def test_mod_p_guards():
     with pytest.raises(ValidationError):
         mod_p_selection(path(4), 1)
-    with pytest.raises(PTooLarge):
+    with pytest.raises(ValidationError, match=r"p = 5 exceeds diameter \+ 1 = 3"):
         mod_p_selection(path(2), 5)
 
 

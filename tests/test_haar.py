@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from freelip import cyclespace, haar_system, linalg, symmetry
 from freelip.cyclespace import boundary, fundamental_cycle_basis
-from freelip.errors import ResolutionTooCoarse, ResourceLimit, ValidationError
+from freelip.errors import ResourceLimit, ValidationError
 from freelip.graphs import diamond, diamond_base, k2n_base, multidiamond
 from freelip.haar_system import (DyadicVector, diamond_bm_bounds, diamond_cell_index, haar,
                                  haar_coefficients, haar_witness_bound, multibranch_analysis,
@@ -42,7 +42,7 @@ def test_haar_orthogonality():
 
 
 def test_haar_resolution_guard():
-    with pytest.raises(ResolutionTooCoarse):
+    with pytest.raises(ValidationError, match="h_4 needs resolution >= 3"):
         haar(4, 2)
     with pytest.raises(ValidationError):
         haar(-1, 2)
@@ -204,7 +204,7 @@ def test_reflection_examples():
     assert _reflect(g4, list(haar(1, 3).values)) == list(haar(1, 3).values)
     with pytest.raises(ValidationError, match="i >= 1"):
         reflection(0, 3)
-    with pytest.raises(ResolutionTooCoarse):
+    with pytest.raises(ValidationError, match="g_4 needs resolution >= 3"):
         reflection(4, 2)
 
 

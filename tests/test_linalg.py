@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from freelip import linalg
-from freelip.errors import SingularGram, ValidationError
+from freelip.errors import ValidationError
 from freelip.linalg import RHS, echelon, gauss_jordan
 
 from oracles import fraction_inverse, fraction_rank, fraction_rref, fraction_solve
@@ -128,9 +128,9 @@ def test_solve_and_inverse_match_the_fraction_oracle(seed):
             [[_entry(rng, rational) for _ in range(n)] for _ in range(n)]
         b = [[_entry(rng, True) for _ in range(k)] for _ in range(n)]
         if fraction_rank(a) < n:
-            with pytest.raises(SingularGram):
+            with pytest.raises(ValidationError, match="matrix is singular"):
                 linalg.solve(a, b)
-            with pytest.raises(SingularGram):
+            with pytest.raises(ValidationError, match="matrix is singular"):
                 linalg.inverse(a)
             continue
         x = linalg.solve(a, b)

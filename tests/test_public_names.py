@@ -7,13 +7,17 @@ of its classes, and no function imports a module other than numpy or
 scipy.
 
 The scan reads the source with `ast`.  A name counts as used when some
-other definition, or a module's top-level code, mentions it: a top-level
-name as a plain name or an attribute, a member as an attribute only.  Its
-own body (for a class, its members too) and `__init__` exports do not
-count.  A definition that only unused definitions mention is unused too,
-so the scan removes them until nothing changes.  Names are matched by
-spelling alone, so a clash with another name can hide an unused
-definition, never invent one.
+other definition, or a module's top-level code, mentions it.  A top-level
+name is resolved by module: a plain name refers to it in its own module
+and where `from .m import name` binds it, and an attribute only as
+`m.name` through a module bound by `from . import m`.  A member counts
+when its spelling is read as an attribute of anything but a module; the
+scan has no types, so members are matched by spelling alone.  Its own
+body (for a class, its members too) and `__init__` exports do not count.
+A definition that only unused definitions mention is unused too, so the
+scan removes them until nothing changes.  A member of the same spelling
+as another, or a local of the same spelling as a top-level name of its
+module, can hide an unused definition, never invent one.
 """
 
 import ast
@@ -65,13 +69,31 @@ KEPT = {
 }
 
 
+def _imports(tree):
+    """(names, modules) bound by a module's imports from freelip: names maps
+    the local name of each `from .m import name` to "m.name", modules the
+    local name of each `from . import m` to m."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "")
+                                                 .split(".")[0] == "freelip"):
+            module = (node.module or "").removeprefix("freelip").lstrip(".")
+            for alias in node.names:
+                if module:
+                    names[alias.asname or alias.name] = f"{module}.{alias.name}"
+                else:
+                    modules[alias.asname or alias.name] = alias.name
+    return names, modules
+
+
 def _scan(package: Path):
     """(defs, mentions, attributes).  defs maps "module.name" and
     "module.Class.member" to the spelling of every public top-level function
     and class and every public method, property and annotated field of a
     public class.
-    mentions maps a spelling to the owners that mention it as a plain name
-    or an attribute, attributes to those that mention it as an attribute.
+    mentions maps "module.name" to the owners that refer to that top-level
+    name (as resolved in the module docstring), attributes a spelling to
+    the owners that read it as an attribute of anything but a module.
     An owner is the innermost top-level definition, method or field around
     the mention ("module.name" or "module.Class.member"), or the bare module
     name for top-level code."""
@@ -82,7 +104,11 @@ def _scan(package: Path):
         if path.name == "__init__.py":
             continue
         module = path.stem
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names, modules = _imports(tree)
+        names.update((node.name, f"{module}.{node.name}") for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+        for node in tree.body:
             owner = module
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 owner = f"{module}.{node.name}"
@@ -107,10 +133,14 @@ def _scan(package: Path):
             for who, part in parts:
                 for sub in ast.walk(part):
                     if isinstance(sub, ast.Name):
-                        mentions.setdefault(sub.id, set()).add(who)
+                        if sub.id in names:
+                            mentions.setdefault(names[sub.id], set()).add(who)
                     elif isinstance(sub, ast.Attribute):
-                        mentions.setdefault(sub.attr, set()).add(who)
-                        attributes.setdefault(sub.attr, set()).add(who)
+                        if isinstance(sub.value, ast.Name) and sub.value.id in modules:
+                            target = f"{modules[sub.value.id]}.{sub.attr}"
+                            mentions.setdefault(target, set()).add(who)
+                        else:
+                            attributes.setdefault(sub.attr, set()).add(who)
     return defs, mentions, attributes
 
 
@@ -121,10 +151,10 @@ def _class_of(owner: str):
 
 def _users(key, spelling, mentions, attributes, unused):
     """Owners other than key itself (or, for a class, its members) that
-    mention its spelling and are neither unused nor members of an unused
-    class."""
-    seen = attributes if _class_of(key) else mentions
-    return {who for who in seen.get(spelling, set())
+    refer to it (a member: read its spelling as an attribute) and are
+    neither unused nor members of an unused class."""
+    seen = attributes.get(spelling, set()) if _class_of(key) else mentions.get(key, set())
+    return {who for who in seen
             if who != key and _class_of(who) != key
             and who not in unused and _class_of(who) not in unused}
 
@@ -147,12 +177,47 @@ def test_every_public_name_is_used_in_the_package():
     assert not unused, f"public names no claim, command or library path uses: {unused}"
 
 
+def test_the_scan_resolves_top_level_names_by_module(tmp_path):
+    # b.solve shares its spelling with Net.solve, which run calls, and with
+    # run's argument; neither refers to b.solve, so it is unused
+    (tmp_path / "a.py").write_text(
+        "from . import b as bee\nfrom .b import helper\n"
+        "class Net:\n    def solve(self):\n        return helper()\n"
+        "def run(net, solve=None):\n    return net.solve(), bee.used(), solve, own()\n"
+        "def own():\n    pass\n"
+        "RESULT = run(Net())\n")
+    (tmp_path / "b.py").write_text(
+        "def solve():\n    pass\ndef helper():\n    pass\ndef used():\n    pass\n")
+    assert _unused(*_scan(tmp_path), set()) == ["b.solve"]
+
+
 def test_kept_names_exist_and_are_otherwise_unused():
     # an entry whose name is gone, or that library code now calls, is stale
     defs, mentions, attributes = _scan(PACKAGE)
     for key in KEPT:
         assert key in defs, key
         assert not _users(key, defs[key], mentions, attributes, set()), key
+
+
+def _is_exception(base: ast.expr, families) -> bool:
+    name = ast.unparse(base).split(".")[-1]
+    return name in families or name.endswith(("Error", "Exception"))
+
+
+def test_errors_defines_exactly_the_four_families():
+    # no caller tells the checks of one family apart by type, so no check
+    # has a class of its own, and no other module defines an exception
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name: [ast.unparse(base) for base in node.bases]
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert classes == {"FreelipError": ["Exception"], "ValidationError": ["FreelipError"],
+                       "SolverFailure": ["FreelipError"], "ResourceLimit": ["FreelipError"]}
+    others = [f"{path.stem}.{node.name}"
+              for path in sorted(PACKAGE.glob("*.py")) if path.name != "errors.py"
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.ClassDef)
+              and any(_is_exception(base, classes) for base in node.bases)]
+    assert not others, f"exception classes outside freelip.errors: {others}"
 
 
 def _read_args(func) -> set[str]:
@@ -204,18 +269,10 @@ def _foreign_private_uses(path: Path, members: dict[str, set[str]]) -> list[str]
     (members, from _private_members) that only other modules define, as
     sorted "m._x" strings."""
     own = path.stem
-    modules = {}                        # local name -> freelip module it is bound to
-    found = []
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "freelip"
-                                                  or (node.module or "").startswith("freelip.")):
-            module = (node.module or "").removeprefix("freelip").lstrip(".")
-            for alias in node.names:
-                if not module:
-                    modules[alias.asname or alias.name] = alias.name
-                elif module != own and _is_private(alias.name):
-                    found.append(f"{module}.{alias.name}")
+    names, modules = _imports(tree)
+    found = [target for target in names.values()
+             if target.split(".")[0] != own and _is_private(target.split(".")[1])]
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Attribute) and _is_private(node.attr)):
             continue

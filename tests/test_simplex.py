@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from freelip import simplex
 from freelip.errors import SolverFailure, ValidationError
-from freelip.simplex import min_cost_flow, solve_standard_exact, transportation
+from freelip.simplex import FlowNetwork, solve_standard_exact, transportation
 
 import oracles
 
@@ -114,12 +114,12 @@ def test_transportation_rejects_an_unbalanced_problem():
 
 def test_min_cost_flow_rejects_a_divergence_that_does_not_sum_to_zero():
     with pytest.raises(SolverFailure, match="sum to zero"):
-        min_cost_flow([(0, 1)], [1], [1, F(-1, 2)])
+        FlowNetwork(2, [(0, 1)], [1]).min_cost_flow([1, F(-1, 2)])
 
 
 def test_min_cost_flow_rejects_disconnected_ends():
     with pytest.raises(SolverFailure, match="connected"):
-        min_cost_flow([(0, 1), (2, 3)], [1, 1], [-1, 1, 0, 0])
+        FlowNetwork(4, [(0, 1), (2, 3)], [1, 1]).min_cost_flow([-1, 1, 0, 0])
 
 
 def test_min_cost_flow_rejects_a_negative_length_before_pivoting(monkeypatch):
@@ -127,7 +127,7 @@ def test_min_cost_flow_rejects_a_negative_length_before_pivoting(monkeypatch):
     # would be unbounded, and no pivot is tried
     monkeypatch.setattr(simplex, "_network_simplex", _unreached)
     with pytest.raises(ValidationError, match=r"edge 1 \(1, 2\) has negative length -1"):
-        min_cost_flow([(0, 1), (1, 2), (0, 2)], [1, -1, 1], [-1, 0, 1])
+        FlowNetwork(3, [(0, 1), (1, 2), (0, 2)], [1, -1, 1]).min_cost_flow([-1, 0, 1])
 
 
 def test_transportation_rejects_a_cost_read_across(monkeypatch):
@@ -147,7 +147,7 @@ def test_transportation_rejects_a_cost_with_a_row_missing(monkeypatch):
 def test_min_cost_flow_rejects_a_length_count_other_than_the_edge_count(monkeypatch, lengths):
     monkeypatch.setattr(simplex, "_network_simplex", _unreached)
     with pytest.raises(ValidationError, match=f"3 edges but {len(lengths)} lengths"):
-        min_cost_flow([(0, 1), (1, 2), (0, 2)], lengths, [-1, 0, 1])
+        FlowNetwork(3, [(0, 1), (1, 2), (0, 2)], lengths).min_cost_flow([-1, 0, 1])
 
 
 @pytest.mark.parametrize("end", [3, -1])
@@ -155,17 +155,17 @@ def test_min_cost_flow_rejects_an_end_outside_the_vertices(monkeypatch, end):
     # -1 would otherwise index the last vertex
     monkeypatch.setattr(simplex, "_network_simplex", _unreached)
     with pytest.raises(ValidationError, match=rf"edge 2 \(1, {end}\) has an end outside 0..2"):
-        min_cost_flow([(0, 1), (1, 2), (1, end)], [1, 1, 1], [-1, 0, 1])
+        FlowNetwork(3, [(0, 1), (1, 2), (1, end)], [1, 1, 1]).min_cost_flow([-1, 0, 1])
 
 
 def test_a_network_needs_a_vertex():
-    # min_cost_flow([], [], []) ended in an IndexError on the BFS root
+    # FlowNetwork(0, [], []) ended in an IndexError on the BFS root
     with pytest.raises(ValidationError, match="at least one vertex"):
-        min_cost_flow([], [], [])
+        FlowNetwork(0, [], [])
 
 
 def test_a_network_rejects_a_divergence_of_another_size(monkeypatch):
-    network = simplex.FlowNetwork(3, [(0, 1), (1, 2)], [1, 2])
+    network = FlowNetwork(3, [(0, 1), (1, 2)], [1, 2])
     assert network.min_cost_flow([-1, 0, 1])[0] == 3
     monkeypatch.setattr(simplex, "_network_simplex", _unreached)
     with pytest.raises(ValidationError, match="2 entries for 3 vertices"):
@@ -177,8 +177,8 @@ SOLVES = [
     # leaves row 2 the cell (2, 2) at 3: a plan of cost 3 against the optimum 2
     lambda: transportation([[0, 0, 3], [0, 0, 1], [1, 4, 3]], [1, 1, 1], [1, 1, 1]),
     # the BFS start routes every unit over a length-10 edge from vertex 0
-    lambda: min_cost_flow([(0, 2), (0, 3), (0, 4), (0, 1), (1, 2), (2, 3), (3, 4)],
-                          [10, 10, 10, 1, 1, 1, 1], [-4, 1, 1, 1, 1]),
+    lambda: FlowNetwork(5, [(0, 2), (0, 3), (0, 4), (0, 1), (1, 2), (2, 3), (3, 4)],
+                        [10, 10, 10, 1, 1, 1, 1]).min_cost_flow([-4, 1, 1, 1, 1]),
 ]
 SOLVE_IDS = ["transportation", "min_cost_flow"]
 
@@ -275,7 +275,7 @@ def _random_min_cost_flow(rng):
         q = F(rng.randint(1, 6), rng.randint(1, 3))
         div[a] += q
         div[b] -= q
-    min_cost_flow(ends, [rng.randint(0, 5) for _ in ends], div)
+    FlowNetwork(n, ends, [rng.randint(0, 5) for _ in ends]).min_cost_flow(div)
 
 
 def _transport_problem(rng):
