@@ -91,8 +91,8 @@ def _int_after_colon(text, form):
     try:
         return int(text.split(":", 1)[1])
     except ValueError:
-        raise ValidationError(f"{text!r} does not match {form} "
-                              f"with an integer {form[-1]}") from None
+        raise ValidationError(f"{text!r} does not match {form}: "
+                              "no integer after the colon") from None
 
 
 def _parse_base(text):

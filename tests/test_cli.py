@@ -310,8 +310,8 @@ _MALFORMED_INPUTS = {
     ("embed --graph string-vertices.json", "'vertices' is not an array"),
     ("projconst --graph g.json --mode averaged --generators list-maps.json",
      "'maps' is not an array of objects"),
-    ("recursive --base k2n:x", "'k2n:x' does not match k2n:K with an integer K"),
-    ("witness --base k2n:x --r 1", "'k2n:x' does not match k2n:K with an integer K"),
+    ("recursive --base k2n:x", "'k2n:x' does not match k2n:K: no integer after the colon"),
+    ("witness --base k2n:x --r 1", "'k2n:x' does not match k2n:K: no integer after the colon"),
     ("embed --graph g.json --strategy modp:x", "'modp:x' does not match modp:P"),
     ("embed --graph g.json --strategy modp:", "'modp:' does not match modp:P"),
     ("norm --space truncated.json --molecule molecule.json",

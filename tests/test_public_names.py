@@ -75,9 +75,11 @@ def _imports(tree):
     local name of each `from . import m` to m."""
     names, modules = {}, {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "")
-                                                 .split(".")[0] == "freelip"):
-            module = (node.module or "").removeprefix("freelip").lstrip(".")
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level or module.split(".")[0] == "freelip":
+            module = module.removeprefix("freelip").lstrip(".")
             for alias in node.names:
                 if module:
                     names[alias.asname or alias.name] = f"{module}.{alias.name}"
